@@ -123,6 +123,20 @@ def estimate_constants(problem: BlockProblem) -> ProblemConstants:
     )
 
 
+def try_estimate_constants(problem: BlockProblem) -> Optional[ProblemConstants]:
+    """:func:`estimate_constants`, or ``None`` when the problem is not strongly convex.
+
+    Lets a command compute the constants once and pass them to the tau
+    search, :func:`certify` and :class:`PhiWeights`; with ``None`` each of
+    them reports the failure its own way (fallback weights, a failed
+    certificate).
+    """
+    try:
+        return estimate_constants(problem)
+    except NotStronglyConvex:
+        return None
+
+
 def max_feasible_s(consts: ProblemConstants, rho: float, N: int) -> float:
     """Largest admissible dual-coupling weight.
 
@@ -139,6 +153,17 @@ def max_feasible_s(consts: ProblemConstants, rho: float, N: int) -> float:
 def uniform_xi(gamma: float, N: int) -> tuple:
     """Equal split weights summing to just under ``2 - gamma``."""
     return tuple((1.0 - XI_SLACK) * (2.0 - gamma) / N for _ in range(N))
+
+
+def _xi_margin(AtA: np.ndarray, P: np.ndarray, rho: float, s: float,
+               coupling: float) -> float:
+    """Smallest eigenvalue of ``B - 8*s*B^2 - coupling*A'A`` with ``B = rho*A'A + P``.
+
+    The one place the dense coupling-condition matrix is built.
+    """
+    B = rho * AtA + P
+    M = B - 8.0 * s * (B @ B) - coupling * AtA
+    return min_eigenvalue_sym(0.5 * (M + M.T))
 
 
 @dataclass(frozen=True)
@@ -167,12 +192,10 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
     xi = tuple(xi) if xi is not None else uniform_xi(gamma, problem.N)
     if len(xi) != problem.N or any(x <= 0.0 for x in xi):
         raise ValueError("need one positive split weight per block")
-    eigs = []
-    for Ai, Pi, xi_i in zip(problem.A, P_list, xi):
-        AtA = Ai.T @ Ai
-        B = rho * AtA + np.asarray(Pi, dtype=float)
-        M = B - 8.0 * s * (B @ B) - (rho / xi_i) * AtA
-        eigs.append(min_eigenvalue_sym(0.5 * (M + M.T)))
+    eigs = [
+        _xi_margin(Ai.T @ Ai, np.asarray(Pi, dtype=float), rho, s, rho / xi_i)
+        for Ai, Pi, xi_i in zip(problem.A, P_list, xi)
+    ]
     return XiCheck(all(e > 0.0 for e in eigs), tuple(eigs), xi)
 
 
@@ -189,22 +212,17 @@ def refine_xi(problem: BlockProblem, rho: float, gamma: float, s: float,
     if base.passed or not any(e > 0.0 for e in base.min_eigs):
         return base
 
-    def margin(i: int, xi_i: float) -> float:
-        Ai = problem.A[i]
-        AtA = Ai.T @ Ai
-        B = rho * AtA + np.asarray(P_list[i], dtype=float)
-        M = B - 8.0 * s * (B @ B) - (rho / xi_i) * AtA
-        return min_eigenvalue_sym(0.5 * (M + M.T))
-
     xi = list(base.xi)
     for i, eig in enumerate(base.min_eigs):
         if eig <= 0.0:
             continue
+        AtA = problem.A[i].T @ problem.A[i]
+        P = np.asarray(P_list[i], dtype=float)
         target = 0.1 * eig
         lo, hi = 1e-12 * xi[i], xi[i]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if margin(i, mid) >= target:
+            if _xi_margin(AtA, P, rho, s, rho / mid) >= target:
                 hi = mid
             else:
                 lo = mid
@@ -534,6 +552,15 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
     split condition over ``tau`` and returns ``safety`` times the boundary
     value.  ``kind`` selects the standard (``tau*I``) or prox-linear
     (``tau*I - rho*A'A``) materialization.
+
+    Both make ``B = rho*A'A + P`` a polynomial in ``A'A`` (``rho*A'A + tau*I``
+    or ``tau*I``), and so is the condition matrix ``B - 8*s*B^2 - c*A'A``.
+    With ``d`` the eigenvalues of ``A'A`` and ``b`` the matching eigenvalues
+    of ``B``, its smallest eigenvalue is ``min_j (b_j - 8*s*b_j^2 - c*d_j)``:
+    the search needs one eigendecomposition per block and O(n) work per
+    step.  The boundary it finds is confirmed with the dense check that
+    :func:`check_xi_condition` runs, and nudged up by relative steps from
+    1e-12 until that check passes, so every returned weight passes it.
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
@@ -545,17 +572,31 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
     taus = []
     for i, Ai in enumerate(problem.A):
         AtA = Ai.T @ Ai
-        n = AtA.shape[0]
-        eye = np.eye(n)
+        d = np.linalg.eigvalsh(AtA)
+        b0 = rho * d if kind == "standard" else np.zeros_like(d)
+        eye = np.eye(AtA.shape[0])
 
         def pd_margin(tau: float) -> float:
-            B = rho * AtA + tau * eye if kind == "standard" else tau * eye
-            M = B - 8.0 * s * (B @ B) - coupling * AtA
-            return min_eigenvalue_sym(0.5 * (M + M.T))
+            b = b0 + tau
+            return float(np.min(b - 8.0 * s * b * b - coupling * d))
+
+        def dense_margin(tau: float) -> float:
+            P = tau * eye if kind == "standard" else tau * eye - rho * AtA
+            return _xi_margin(AtA, P, rho, s, coupling)
+
+        def confirmed(tau: float) -> float:
+            for k in range(60):
+                if dense_margin(tau) > 0.0:
+                    return tau
+                tau *= 1.0 + 1e-12 * 2.0 ** k
+            raise CertificationError(
+                f"block {i}: the dense coupling check rejects the spectral boundary "
+                f"(rho={rho:g}, gamma={gamma:g})"
+            )
 
         scale = max(coupling * consts.A_norms[i] ** 2, 1.0)
         if pd_margin(0.0) > 0.0:
-            taus.append(1e-12 * scale)
+            taus.append(confirmed(1e-12 * scale))
             continue
         lo, hi = 0.0, None
         probe = scale * 2.0 ** -10
@@ -576,8 +617,9 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
                 hi = mid
             else:
                 lo = mid
+        hi = confirmed(hi)
         tau = safety * hi
-        taus.append(tau if pd_margin(tau) > 0.0 else hi)
+        taus.append(tau if dense_margin(tau) > 0.0 else hi)
     return taus
 
 

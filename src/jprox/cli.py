@@ -23,8 +23,7 @@ from .certify import (
     PhiWeights,
     certify,
     estimate_constants,
-    fallback_tau,
-    smallest_certified_tau,
+    try_estimate_constants,
 )
 from .errors import JproxError
 from .problem import PrimalDualPoint
@@ -100,8 +99,12 @@ def read_trace_csv(path) -> dict:
     return cols
 
 
-def build_policy(instance, rho: float, gamma: float, name: str, tau):
-    """Materialize the requested proximal policy for one instance."""
+def build_policy(instance, rho: float, gamma: float, name: str, tau, consts=None):
+    """Materialize the requested proximal policy for one instance.
+
+    ``consts`` (the instance's :class:`ProblemConstants`, or ``None``) is
+    handed to the certified-weight search of ``tau="auto"``.
+    """
     problem = instance.problem
     if name == "none":
         return None
@@ -113,11 +116,7 @@ def build_policy(instance, rho: float, gamma: float, name: str, tau):
     if name not in ("standard", "proxlinear"):
         _fail_flags(f"invalid --policy: unknown policy {name!r}")
     if tau == "auto":
-        try:
-            taus = smallest_certified_tau(problem, rho, gamma, kind=name)
-        except JproxError:
-            taus = fallback_tau(problem, rho, gamma, kind=name)
-        return StandardProximal(taus) if name == "standard" else ProxLinear(taus)
+        return exp.resolve_policy(problem, rho, gamma, "auto", consts, kind=name)
     return StandardProximal(tau) if name == "standard" else ProxLinear(tau)
 
 
@@ -169,8 +168,9 @@ def cmd_certify(args) -> int:
         cert.save(args.output)
         print("certification failed: gamma out of (0,2)", file=sys.stderr)
         return EXIT_CERT
-    policy = build_policy(instance, rho, gamma, args.policy, args.tau)
-    cert = certify(instance.problem, rho, gamma, policy, seed=instance.seed)
+    consts = try_estimate_constants(instance.problem)
+    policy = build_policy(instance, rho, gamma, args.policy, args.tau, consts)
+    cert = certify(instance.problem, rho, gamma, policy, consts=consts, seed=instance.seed)
     cert.save(args.output)
     if cert.passed:
         print(f"certified: sigma={cert.sigma:.12g} s={cert.s:.6g} mu_s={cert.mu_s:.6g}")
@@ -189,7 +189,8 @@ def cmd_solve(args) -> int:
     max_iters = _at_least_one(args.max_iters, "--max-iters")
     if args.tol < 0.0:
         _fail_flags("invalid --tol: must be nonnegative")
-    policy = build_policy(instance, rho, gamma, args.policy, args.tau)
+    consts = try_estimate_constants(problem)
+    policy = build_policy(instance, rho, gamma, args.policy, args.tau, consts)
     params = SolverParams(rho=rho, gamma=gamma, policy=policy,
                           max_iters=max_iters, dis_tol=args.tol)
     if isinstance(instance, exp.LcqpInstance):
@@ -198,9 +199,8 @@ def cmd_solve(args) -> int:
         reference = exp.reference_solution(problem, params).point
     phi_ctx = None
     if args.method == "jprox":
-        cert = certify(problem, rho, gamma, policy, seed=instance.seed)
+        cert = certify(problem, rho, gamma, policy, consts=consts, seed=instance.seed)
         if cert.passed:
-            consts = estimate_constants(problem)
             P_list = materialize_policy(policy, rho, problem)
             phi_ctx = PhiWeights.build(problem, gamma, rho, cert.s, P_list, consts)
     u0 = reference.copy() if args.u0 == "reference" else PrimalDualPoint.zeros(problem)

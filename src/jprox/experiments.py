@@ -24,10 +24,10 @@ from .certify import (
     ProblemConstants,
     RateFit,
     certify,
-    estimate_constants,
     fallback_tau,
     fit_linear_rate,
     smallest_certified_tau,
+    try_estimate_constants,
 )
 from .errors import (
     DegenerateAfterRetries,
@@ -46,7 +46,7 @@ from .problem import (
     problem_from_dict,
     problem_to_dict,
 )
-from .solvers import SolverParams, StandardProximal, materialize_policy, run
+from .solvers import ProxLinear, SolverParams, StandardProximal, materialize_policy, run
 
 #: Generated stacks must clear this smallest singular value (kept as a hard
 #: floor so downstream rank assumptions hold).
@@ -296,23 +296,25 @@ class SweepCell:
 
 
 def resolve_policy(problem: BlockProblem, rho: float, gamma: float, policy,
-                   consts: Optional[ProblemConstants] = None):
+                   consts: Optional[ProblemConstants] = None, kind: str = "standard"):
     """Turn a policy request into a concrete policy.
 
-    ``"auto"`` builds a standard proximal policy from the smallest certified
-    per-block weights (scaled by 1.5); when certification is unavailable it
-    falls back to the classical sufficiency threshold.  Concrete policy
-    objects pass through unchanged.
+    ``"auto"`` builds a ``kind`` (``"standard"`` or ``"proxlinear"``)
+    proximal policy from the smallest certified per-block weights (scaled by
+    1.5); when certification is unavailable it falls back to the classical
+    sufficiency threshold.  Concrete policy objects pass through unchanged.
     """
     if policy != "auto":
         return policy
+    make = ProxLinear if kind == "proxlinear" else StandardProximal
     try:
-        return StandardProximal(smallest_certified_tau(problem, rho, gamma, consts=consts))
+        return make(smallest_certified_tau(problem, rho, gamma, kind=kind, consts=consts))
     except JproxError:
-        return StandardProximal(fallback_tau(problem, rho, gamma))
+        return make(fallback_tau(problem, rho, gamma, kind=kind))
 
 
-def instance_reference(instance: Instance) -> PrimalDualPoint:
+def instance_reference(instance: Instance,
+                       consts: Optional[ProblemConstants] = None) -> PrimalDualPoint:
     """The optimum used as the sweep's error reference.
 
     Quadratic instances carry their constructed optimum.  Allocation
@@ -324,22 +326,22 @@ def instance_reference(instance: Instance) -> PrimalDualPoint:
     if isinstance(instance, LcqpInstance):
         return instance.optimum()
     problem = instance.problem
-    policy = resolve_policy(problem, 1.0, 1.0, "auto")
+    policy = resolve_policy(problem, 1.0, 1.0, "auto", consts)
     params = SolverParams(rho=1.0, gamma=1.0, policy=policy)
     return reference_solution(problem, params).point
 
 
-def _run_cell(instance: Instance, reference: PrimalDualPoint, rho: float, gamma: float,
+def _run_cell(instance: Instance, reference: PrimalDualPoint,
+              consts: Optional[ProblemConstants], rho: float, gamma: float,
               sweep: SweepConfig, policy) -> SweepCell:
     cell = SweepCell(rho=rho, gamma=gamma, seed=instance.seed)
     problem = instance.problem
     try:
-        concrete = resolve_policy(problem, rho, gamma, policy)
-        cert = certify(problem, rho, gamma, concrete, seed=instance.seed)
+        concrete = resolve_policy(problem, rho, gamma, policy, consts)
+        cert = certify(problem, rho, gamma, concrete, consts=consts, seed=instance.seed)
         cell.certificate = cert
         phi_ctx = None
         if cert.passed:
-            consts = estimate_constants(problem)
             P_list = materialize_policy(concrete, rho, problem)
             phi_ctx = PhiWeights.build(problem, gamma, rho, cert.s, P_list, consts)
         params = SolverParams(rho=rho, gamma=gamma, policy=concrete,
@@ -386,9 +388,10 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
     """
     if isinstance(instances, (LcqpInstance, ResourceAllocInstance)):
         instances = [instances]
-    refs = {inst.seed: instance_reference(inst) for inst in instances}
+    consts = {inst.seed: try_estimate_constants(inst.problem) for inst in instances}
+    refs = {inst.seed: instance_reference(inst, consts[inst.seed]) for inst in instances}
     jobs = [
-        (inst, refs[inst.seed], rho, gamma)
+        (inst, refs[inst.seed], consts[inst.seed], rho, gamma)
         for inst in instances
         for rho in sweep.rho_grid
         for gamma in sweep.gamma_grid
@@ -396,8 +399,9 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
     results: dict = {}
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         futures = {
-            pool.submit(_run_cell, inst, ref, rho, gamma, sweep, policy): (rho, gamma, inst.seed)
-            for inst, ref, rho, gamma in jobs
+            pool.submit(_run_cell, inst, ref, cst, rho, gamma, sweep, policy):
+                (rho, gamma, inst.seed)
+            for inst, ref, cst, rho, gamma in jobs
         }
         for fut, key in futures.items():
             results[key] = fut.result()

@@ -24,6 +24,7 @@ from jprox.certify import (
     verify_contraction,
 )
 from jprox.errors import (
+    CertificationError,
     GammaOutOfRange,
     InsufficientData,
     NotStronglyConvex,
@@ -345,6 +346,109 @@ def test_smallest_certified_tau_prox_linear_scalar_formula():
     disc = math.sqrt(1.0 - 32.0 * s * cxi * nrm2)
     tau_lo = (1.0 - disc) / (16.0 * s)
     assert taus[0] == pytest.approx(tau_lo, rel=1e-6)
+
+
+# -- spectral tau search ---------------------------------------------------------------------
+
+def dense_bisection_tau(problem, rho, gamma, kind="standard", safety=1.5):
+    """Independent copy of the dense tau search: one eigensolve per step."""
+    consts = estimate_constants(problem)
+    s = 0.5 * max_feasible_s(consts, rho, problem.N)
+    coupling = rho / ((1.0 - 1e-6) * (2.0 - gamma) / problem.N)
+    taus = []
+    for i, Ai in enumerate(problem.A):
+        AtA = Ai.T @ Ai
+        eye = np.eye(AtA.shape[0])
+
+        def margin(tau):
+            B = rho * AtA + tau * eye if kind == "standard" else tau * eye
+            M = B - 8.0 * s * (B @ B) - coupling * AtA
+            return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+
+        scale = max(coupling * consts.A_norms[i] ** 2, 1.0)
+        if margin(0.0) > 0.0:
+            taus.append(1e-12 * scale)
+            continue
+        lo, hi, probe = 0.0, None, scale * 2.0 ** -10
+        for _ in range(60):
+            if margin(probe) > 0.0:
+                hi = probe
+                break
+            lo, probe = probe, 2.0 * probe
+        if hi is None:
+            return None
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if margin(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        taus.append(safety * hi if margin(safety * hi) > 0.0 else hi)
+    return taus
+
+
+# (N, m, n): m < n makes every A_i'A_i singular.
+TAU_SHAPES = [(3, 8, 4), (2, 5, 5), (3, 4, 8), (2, 3, 7), (1, 6, 3)]
+
+
+@pytest.mark.parametrize("kind", ["standard", "proxlinear"])
+@pytest.mark.parametrize("shape", TAU_SHAPES)
+def test_spectral_tau_matches_dense_bisection(kind, shape):
+    checked = 0
+    for seed in (0, 1, 2):
+        p = generate_lcqp(*shape, seed=seed).problem
+        for rho, gamma in [(0.03, 0.1), (1.0, 0.5), (1.0, 1.5), (5.0, 1.9), (10.0, 1.0)]:
+            expected = dense_bisection_tau(p, rho, gamma, kind)
+            if expected is None:
+                with pytest.raises(CertificationError):
+                    smallest_certified_tau(p, rho, gamma, kind=kind)
+                continue
+            got = smallest_certified_tau(p, rho, gamma, kind=kind)
+            assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+            checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("kind", ["standard", "proxlinear"])
+def test_certified_tau_at_unit_safety_passes_dense_check(kind):
+    # Includes a single block with a singular A'A at gamma < 1, where the
+    # boundary sits at round-off level.
+    make = StandardProximal if kind == "standard" else ProxLinear
+    for shape in TAU_SHAPES + [(1, 3, 6), (3, 40, 15)]:
+        for seed in (0, 3):
+            p = generate_lcqp(*shape, seed=seed).problem
+            consts = estimate_constants(p)
+            for rho, gamma in [(0.03, 0.5), (1.0, 1.0), (5.0, 1.9)]:
+                if kind == "proxlinear" and p.N < 2.0 - gamma:
+                    continue  # one block at gamma < 1: the boundary is below rho*||A||^2
+                try:
+                    taus = smallest_certified_tau(p, rho, gamma, kind=kind, consts=consts,
+                                                  safety=1.0)
+                except CertificationError:
+                    continue
+                s = 0.5 * max_feasible_s(consts, rho, p.N)
+                res = check_xi_condition(p, rho, gamma, s,
+                                         materialize_policy(make(taus), rho, p))
+                assert res.passed, (shape, seed, rho, gamma)
+
+
+@pytest.mark.parametrize("kind", ["standard", "proxlinear"])
+def test_tau_search_makes_few_dense_eigensolves(monkeypatch, kind):
+    import importlib
+
+    module = importlib.import_module("jprox.certify")
+    calls = []
+    original = module.min_eigenvalue_sym
+
+    def counting(S, *args, **kwargs):
+        calls.append(S.shape)
+        return original(S, *args, **kwargs)
+
+    p = generate_lcqp(3, 30, 12, seed=0).problem
+    consts = estimate_constants(p)
+    monkeypatch.setattr(module, "min_eigenvalue_sym", counting)
+    smallest_certified_tau(p, 1.0, 1.0, kind=kind, consts=consts)
+    assert 0 < len(calls) <= 3 * p.N
 
 
 # -- Lyapunov function -----------------------------------------------------------------------

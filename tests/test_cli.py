@@ -71,6 +71,25 @@ def test_certify_success(tmp_path):
     assert 0.0 < cert["sigma"] < 1.0
 
 
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_command_estimates_constants_once(tmp_path, monkeypatch, command):
+    import importlib
+
+    module = importlib.import_module("jprox.certify")
+    calls = []
+    original = module.estimate_constants
+
+    def counting(problem):
+        calls.append(problem)
+        return original(problem)
+
+    inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
+    monkeypatch.setattr(module, "estimate_constants", counting)
+    assert run_cli(command, "--input", str(inst), "--tau", "auto",
+                   "--output", str(tmp_path / "out")) == 0
+    assert len(calls) == 1
+
+
 def test_certify_gamma_out_of_range(tmp_path, capsys):
     inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=1)
     code = run_cli("certify", "--input", str(inst), "--rho", "1", "--gamma", "2.5",

@@ -18,6 +18,7 @@ from jprox.experiments import (
     instance_to_dict,
     load_instance,
     reference_solution,
+    resolve_policy,
     run_sweep,
     save_instance,
 )
@@ -28,7 +29,7 @@ from jprox.problem import (
     QuadraticBlock,
     kkt_residual,
 )
-from jprox.solvers import SolverParams, StandardProximal
+from jprox.solvers import ProxLinear, SolverParams, StandardProximal
 
 
 # -- generator: quadratic family -----------------------------------------------------
@@ -278,6 +279,43 @@ def test_run_sweep_records_cell_failures_without_raising():
     assert cell.certificate is not None and not cell.certificate.passed
     assert cell.certificate.failure == "NotStronglyConvex"
     assert cell.trace is not None
+
+
+def test_resolve_policy_auto_builds_requested_kind():
+    from jprox.certify import fallback_tau, smallest_certified_tau
+
+    p = generate_lcqp(3, 6, 4, seed=0).problem
+    standard = resolve_policy(p, 1.0, 1.0, "auto")
+    linear = resolve_policy(p, 1.0, 1.0, "auto", kind="proxlinear")
+    assert standard == StandardProximal(smallest_certified_tau(p, 1.0, 1.0))
+    assert linear == ProxLinear(smallest_certified_tau(p, 1.0, 1.0, kind="proxlinear"))
+    concrete = StandardProximal(2.0)
+    assert resolve_policy(p, 1.0, 1.0, concrete) is concrete
+    d = instance_to_dict(generate_resource_alloc(4, seed=101))
+    d["blocks"][0]["a"] = 1e-9
+    flat = instance_from_dict(d).problem
+    assert resolve_policy(flat, 1.0, 1.0, "auto", kind="proxlinear") == \
+        ProxLinear(fallback_tau(flat, 1.0, 1.0, kind="proxlinear"))
+
+
+def test_run_sweep_estimates_constants_once_per_instance(monkeypatch):
+    import importlib
+
+    module = importlib.import_module("jprox.certify")
+    calls = []
+    original = module.estimate_constants
+
+    def counting(problem):
+        calls.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(module, "estimate_constants", counting)
+    inst = generate_lcqp(3, 6, 4, seed=0)
+    sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20,
+                        seeds=(0,))
+    cells = run_sweep(inst, sweep)
+    assert all(cell.error is None for cell in cells.values())
+    assert len(calls) == 1
 
 
 # -- instance files -----------------------------------------------------------------------------
