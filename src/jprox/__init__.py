@@ -21,7 +21,6 @@ from .experiments import (
     LcqpInstance,
     ResourceAllocInstance,
     SweepConfig,
-    dis_metric,
     generate_lcqp,
     generate_resource_alloc,
     load_instance,
@@ -46,6 +45,7 @@ from .problem import (
     block_gradient,
     block_value,
     constraint_residual,
+    dis_metric,
     kkt_residual,
     load_problem,
     save_problem,

@@ -455,6 +455,22 @@ class PhiWeights:
         return total
 
 
+def certify_with_phi(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPolicy,
+                     consts: Optional[ProblemConstants] = None,
+                     seed: Optional[int] = None) -> tuple:
+    """:func:`certify`, plus the Lyapunov weights a run records when it passes.
+
+    Returns ``(certificate, PhiWeights or None)``; the weights are built only
+    for a passed certificate.
+    """
+    cert = certify(problem, rho, gamma, policy, consts=consts, seed=seed)
+    if not cert.passed:
+        return cert, None
+    consts = consts if consts is not None else estimate_constants(problem)
+    P_list = materialize_policy(policy, rho, problem)
+    return cert, PhiWeights.build(problem, gamma, rho, cert.s, P_list, consts)
+
+
 def lyapunov_phi(problem: BlockProblem, u: PrimalDualPoint, ref: PrimalDualPoint,
                  gamma: float, rho: float, s: float, P_list: Sequence[np.ndarray],
                  consts: ProblemConstants) -> float:

@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import experiments as exp
 from .certify import (
-    PhiWeights,
     certify,
+    certify_with_phi,
     estimate_constants,
     try_estimate_constants,
 )
@@ -33,7 +33,6 @@ from .solvers import (
     ProxLinear,
     SolverParams,
     StandardProximal,
-    materialize_policy,
     run,
 )
 from .svgplot import line_plot_svg
@@ -199,10 +198,7 @@ def cmd_solve(args) -> int:
         reference = exp.reference_solution(problem, params).point
     phi_ctx = None
     if args.method == "jprox":
-        cert = certify(problem, rho, gamma, policy, consts=consts, seed=instance.seed)
-        if cert.passed:
-            P_list = materialize_policy(policy, rho, problem)
-            phi_ctx = PhiWeights.build(problem, gamma, rho, cert.s, P_list, consts)
+        _, phi_ctx = certify_with_phi(problem, rho, gamma, policy, consts, instance.seed)
     u0 = reference.copy() if args.u0 == "reference" else PrimalDualPoint.zeros(problem)
     trace = run(problem, params, u0, reference=reference, phi_context=phi_ctx,
                 method=args.method)

@@ -10,8 +10,6 @@ Randomness is confined to ``numpy.random.default_rng(seed)``, so identical
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
@@ -20,10 +18,9 @@ import numpy as np
 
 from .certify import (
     Certificate,
-    PhiWeights,
     ProblemConstants,
     RateFit,
-    certify,
+    certify_with_phi,
     fallback_tau,
     fit_linear_rate,
     smallest_certified_tau,
@@ -31,22 +28,22 @@ from .certify import (
 )
 from .errors import (
     DegenerateAfterRetries,
-    DimensionMismatch,
     InsufficientData,
     JproxError,
     SingularKkt,
 )
-from .linalg import smallest_singular_value_stacked
+from .linalg import smallest_singular_value_stacked, spectral_norm
 from .problem import (
     BlockProblem,
     LogisticQuadBlock,
     PrimalDualPoint,
     QuadraticBlock,
+    dis_metric,
     kkt_residual,
     problem_from_dict,
     problem_to_dict,
 )
-from .solvers import ProxLinear, SolverParams, StandardProximal, materialize_policy, run
+from .solvers import ProxLinear, SolverParams, StandardProximal, run
 
 #: Generated stacks must clear this smallest singular value (kept as a hard
 #: floor so downstream rank assumptions hold).
@@ -183,20 +180,6 @@ def generate_resource_alloc(N: int, seed: int) -> ResourceAllocInstance:
     return ResourceAllocInstance(problem, a, b, cshift, dshift, seed)
 
 
-def dis_metric(u: PrimalDualPoint, ref: PrimalDualPoint) -> float:
-    """Largest block-wise primal distance or multiplier distance."""
-    if len(u.x) != len(ref.x):
-        raise DimensionMismatch(f"{len(u.x)} blocks vs {len(ref.x)}")
-    if u.lam.shape != ref.lam.shape:
-        raise DimensionMismatch("multiplier lengths differ")
-    worst = float(np.linalg.norm(u.lam - ref.lam))
-    for xi, ri in zip(u.x, ref.x):
-        if xi.shape != ri.shape:
-            raise DimensionMismatch("block lengths differ")
-        worst = max(worst, float(np.linalg.norm(xi - ri)))
-    return worst
-
-
 class ReferenceSolution(NamedTuple):
     """A reference optimum with its achieved optimality defect."""
 
@@ -302,15 +285,22 @@ def resolve_policy(problem: BlockProblem, rho: float, gamma: float, policy,
     ``"auto"`` builds a ``kind`` (``"standard"`` or ``"proxlinear"``)
     proximal policy from the smallest certified per-block weights (scaled by
     1.5); when certification is unavailable it falls back to the classical
-    sufficiency threshold.  Concrete policy objects pass through unchanged.
+    sufficiency threshold.  Prox-linear weights are raised to the floor
+    ``rho*||A_i||^2`` below which ``P_i = tau_i*I - rho*A_i'A_i`` is not
+    positive semi-definite.  Concrete policy objects pass through unchanged.
     """
     if policy != "auto":
         return policy
-    make = ProxLinear if kind == "proxlinear" else StandardProximal
     try:
-        return make(smallest_certified_tau(problem, rho, gamma, kind=kind, consts=consts))
+        taus = smallest_certified_tau(problem, rho, gamma, kind=kind, consts=consts)
     except JproxError:
-        return make(fallback_tau(problem, rho, gamma, kind=kind))
+        taus = fallback_tau(problem, rho, gamma, kind=kind)
+    if kind != "proxlinear":
+        return StandardProximal(taus)
+    # The prox-linear coupling margin tau - 8*s*tau^2 - c*||A_i||^2 is concave
+    # in tau and peaks at 1/(16*s), which the choice of s keeps at or above the
+    # floor, so raising a passing weight to the floor keeps it passing.
+    return ProxLinear([max(t, rho * spectral_norm(Ai) ** 2) for t, Ai in zip(taus, problem.A)])
 
 
 def instance_reference(instance: Instance,
@@ -338,12 +328,8 @@ def _run_cell(instance: Instance, reference: PrimalDualPoint,
     problem = instance.problem
     try:
         concrete = resolve_policy(problem, rho, gamma, policy, consts)
-        cert = certify(problem, rho, gamma, concrete, consts=consts, seed=instance.seed)
-        cell.certificate = cert
-        phi_ctx = None
-        if cert.passed:
-            P_list = materialize_policy(concrete, rho, problem)
-            phi_ctx = PhiWeights.build(problem, gamma, rho, cert.s, P_list, consts)
+        cell.certificate, phi_ctx = certify_with_phi(problem, rho, gamma, concrete, consts,
+                                                     instance.seed)
         params = SolverParams(rho=rho, gamma=gamma, policy=concrete,
                               max_iters=sweep.max_iters, dis_tol=sweep.dis_tol)
         cell.trace = run(problem, params, PrimalDualPoint.zeros(problem),
@@ -367,45 +353,25 @@ def _fit_series(values) -> Optional[RateFit]:
     return None
 
 
-def _worker_count() -> int:
-    env = os.environ.get("JPROX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig,
               policy="auto") -> dict:
     """Run every (rho, gamma) cell for every instance, from a zero start.
 
-    Returns a dict keyed by ``(rho, gamma, seed)``.  Cells are independent
-    and run on a thread pool sized by the JPROX_THREADS environment variable
-    (default: machine parallelism); per-cell failures are recorded in the
-    cell, never raised.
+    Returns a dict keyed by ``(rho, gamma, seed)``.  Cells run one after
+    another in key order (instance, then rho, then gamma); per-cell failures
+    are recorded in the cell, never raised.
     """
     if isinstance(instances, (LcqpInstance, ResourceAllocInstance)):
         instances = [instances]
     consts = {inst.seed: try_estimate_constants(inst.problem) for inst in instances}
     refs = {inst.seed: instance_reference(inst, consts[inst.seed]) for inst in instances}
-    jobs = [
-        (inst, refs[inst.seed], consts[inst.seed], rho, gamma)
+    return {
+        (rho, gamma, inst.seed): _run_cell(inst, refs[inst.seed], consts[inst.seed], rho, gamma,
+                                           sweep, policy)
         for inst in instances
         for rho in sweep.rho_grid
         for gamma in sweep.gamma_grid
-    ]
-    results: dict = {}
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futures = {
-            pool.submit(_run_cell, inst, ref, cst, rho, gamma, sweep, policy):
-                (rho, gamma, inst.seed)
-            for inst, ref, cst, rho, gamma in jobs
-        }
-        for fut, key in futures.items():
-            results[key] = fut.result()
-    return results
+    }
 
 
 # -- instance files ----------------------------------------------------------------

@@ -220,6 +220,20 @@ class PrimalDualPoint:
         return max(norms)
 
 
+def dis_metric(u: PrimalDualPoint, ref: PrimalDualPoint) -> float:
+    """Largest block-wise primal distance or multiplier distance."""
+    if len(u.x) != len(ref.x):
+        raise DimensionMismatch(f"{len(u.x)} blocks vs {len(ref.x)}")
+    if u.lam.shape != ref.lam.shape:
+        raise DimensionMismatch("multiplier lengths differ")
+    worst = float(np.linalg.norm(u.lam - ref.lam))
+    for xi, ri in zip(u.x, ref.x):
+        if xi.shape != ri.shape:
+            raise DimensionMismatch("block lengths differ")
+        worst = max(worst, float(np.linalg.norm(xi - ri)))
+    return worst
+
+
 def check_point(problem: BlockProblem, u: PrimalDualPoint) -> None:
     if len(u.x) != problem.N:
         raise DimensionMismatch(f"point has {len(u.x)} blocks, problem has {problem.N}")

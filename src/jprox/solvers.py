@@ -7,7 +7,10 @@ followed by the damped dual step ``lam <- lam - gamma*rho*(sum A_i x_i - c)``.
 
 Three baselines are provided for comparison: the same scheme with
 ``P_i = 0`` and ``gamma = 1`` (plain parallel ADMM), sequential
-Gauss-Seidel ADMM, and dual decomposition.
+Gauss-Seidel ADMM, and dual decomposition.  All four run the same block
+sweep and per-block solve; they differ only in the penalty and proximal
+term of the subproblems, in whether the aggregate is refreshed after each
+block, and in the dual step size.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .problem import (
     QuadraticBlock,
     check_point,
     constraint_residual,
+    dis_metric,
     sigmoid,
 )
 
@@ -256,15 +260,17 @@ def _newton_bisection(fun, dfun, x0: float, tol: float, max_iters: int):
     raise MaxItersExceeded(f"scalar solve missed tolerance {tol:g} in {max_iters} iterations")
 
 
-def _scalar_residual(block: LogisticQuadBlock, rho: float, w2: float, t: float,
-                     P_scalar: float, x_k: float):
-    """Stationarity residual and slope for a scalar block subproblem.
+def _solve_scalar(block: LogisticQuadBlock, rho: float, w2: float, t: float,
+                  P_scalar: float, x_k: float, tol: float, max_iters: int):
+    """Root of a scalar block's stationarity residual; returns ``(x, |F(x)|)``.
 
-    ``F(x) = f'(x) + rho*w2*x + t + P*(x - x_k)`` with slope at least
-    ``a + rho*w2 + P``, hence strictly increasing whenever that sum is
-    positive.
+    ``F(x) = f'(x) + rho*w2*x + t + P*(x - x_k)`` has slope at least
+    ``a + rho*w2 + P``, hence is strictly increasing whenever that sum is
+    positive; Newton starts from ``x_k``.
     """
     a, b, cs, ds = block.a, block.b, block.cshift, block.dshift
+    if a + rho * w2 + P_scalar <= 0.0:
+        raise SubproblemFailed("scalar residual is not strictly increasing")
 
     def fun(x: float) -> float:
         return (
@@ -278,7 +284,8 @@ def _scalar_residual(block: LogisticQuadBlock, rho: float, w2: float, t: float,
     def dfun(x: float) -> float:
         return block.curvature(x) + rho * w2 + P_scalar
 
-    return fun, dfun
+    x, resid, _ = _newton_bisection(fun, dfun, x_k, tol, max_iters)
+    return x, resid
 
 
 def solve_block_scalar_newton(block: LogisticQuadBlock, rho: float, lam_k: float,
@@ -290,11 +297,8 @@ def solve_block_scalar_newton(block: LogisticQuadBlock, rho: float, lam_k: float
     + rho*(x + g_minus_i - c) - lam_k + P_scalar*(x - x_k)| <= tol``
     by safeguarded Newton on a bracketing interval.
     """
-    if block.a + rho + P_scalar <= 0.0:
-        raise SubproblemFailed("scalar residual is not strictly increasing")
     t = rho * (float(g_minus_i) - float(c)) - float(lam_k)
-    fun, dfun = _scalar_residual(block, rho, 1.0, t, P_scalar, float(x_k))
-    x, _, _ = _newton_bisection(fun, dfun, float(x_k), tol, max_iters)
+    x, _ = _solve_scalar(block, rho, 1.0, t, P_scalar, float(x_k), tol, max_iters)
     return x
 
 
@@ -314,19 +318,25 @@ def solve_block_quadratic(block: QuadraticBlock, A_i, P_i, rho: float, lam_k,
     return factor.solve(rhs)
 
 
-# -- per-run preparation -------------------------------------------------------
+# -- the block sweep shared by every method ------------------------------------
 
 class _Prepared:
-    """Iteration-independent data: proximal matrices and subproblem factorizations."""
+    """Iteration-independent data of the block solves for one ``(rho, P_i)``.
 
-    def __init__(self, problem: BlockProblem, params: SolverParams):
-        self.P = materialize_policy(params.policy, params.rho, problem)
+    Quadratic blocks get a factorization of ``H_i + rho*A_i'A_i + P_i``;
+    scalar logistic blocks get ``w2 = ||A_i||^2``.  ``rho = 0`` with zero
+    ``P_i`` gives the unpenalized subproblems of dual decomposition.
+    """
+
+    def __init__(self, problem: BlockProblem, rho: float, P_list: Sequence[np.ndarray]):
+        self.rho = rho
+        self.P = P_list
         self.factors = []
         self.w2 = []
         for f, Ai, Pi in zip(problem.objectives, problem.A, self.P):
             if isinstance(f, QuadraticBlock):
                 self.factors.append(
-                    SpdFactor(f.H + params.rho * (Ai.T @ Ai) + Pi, "block subproblem matrix")
+                    SpdFactor(f.H + rho * (Ai.T @ Ai) + Pi, "block subproblem matrix")
                 )
                 self.w2.append(None)
             elif isinstance(f, LogisticQuadBlock):
@@ -338,6 +348,28 @@ class _Prepared:
                 )
 
 
+def _zero_P(problem: BlockProblem) -> list:
+    return [np.zeros((n, n)) for n in problem.dims]
+
+
+def _solve_block(problem: BlockProblem, prepared: _Prepared, i: int, lam: np.ndarray,
+                 g_minus_i: np.ndarray, x_k: np.ndarray, newton_tol: float,
+                 newton_max_iters: int):
+    """Block ``i``'s subproblem; returns ``(x_i, Newton residual)``.
+
+    The residual is 0.0 for quadratic blocks, which are solved exactly.
+    """
+    f, Ai, Pi, rho = problem.objectives[i], problem.A[i], prepared.P[i], prepared.rho
+    factor = prepared.factors[i]
+    if factor is not None:
+        return solve_block_quadratic(f, Ai, Pi, rho, lam, g_minus_i, problem.c, x_k,
+                                     factor=factor), 0.0
+    t = rho * float(Ai[:, 0] @ (g_minus_i - problem.c)) - float(Ai[:, 0] @ lam)
+    root, resid = _solve_scalar(f, rho, prepared.w2[i], t, float(Pi[0, 0]), float(x_k[0]),
+                                newton_tol, newton_max_iters)
+    return np.array([root]), resid
+
+
 def _aggregate(problem: BlockProblem, x: Sequence[np.ndarray]) -> np.ndarray:
     g = np.zeros(problem.m)
     for Ai, xi in zip(problem.A, x):
@@ -345,47 +377,34 @@ def _aggregate(problem: BlockProblem, x: Sequence[np.ndarray]) -> np.ndarray:
     return g
 
 
-def _jacobi_step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
-                 prepared: _Prepared, order: Optional[Sequence[int]] = None):
-    """One parallel step; returns the new point and the worst Newton residual.
+def _step(problem: BlockProblem, u: PrimalDualPoint, prepared: _Prepared, step_size: float,
+          sequential: bool, order: Optional[Sequence[int]], newton_tol: float,
+          newton_max_iters: int):
+    """One sweep of block solves followed by ``lam <- lam - step_size * r``.
 
-    Every block reads only the k-state aggregate ``g = sum_j A_j x_j^k`` (each
-    block subtracts its own contribution), so the processing order cannot
-    affect the result.
+    Every block reads the aggregate ``g = sum_j A_j x_j`` minus its own
+    contribution.  By default ``g`` is the k-state aggregate (Jacobi), so the
+    processing order cannot affect the result; with ``sequential`` it is
+    updated after every block (Gauss-Seidel).  Returns the new point, the
+    worst Newton residual and the constraint residual ``r`` of the new point.
     """
     check_point(problem, u)
+    indices = range(problem.N) if order is None else list(order)
+    if sorted(indices) != list(range(problem.N)):
+        raise ValueError("order must visit every block exactly once")
     g = _aggregate(problem, u.x)
-    new_x = [None] * problem.N
+    new_x = list(u.x)
     newton_worst = 0.0
-    indices = range(problem.N) if order is None else order
     for i in indices:
-        f = problem.objectives[i]
         Ai = problem.A[i]
         g_minus_i = g - Ai @ u.x[i]
-        if isinstance(f, QuadraticBlock):
-            new_x[i] = solve_block_quadratic(
-                f, Ai, prepared.P[i], params.rho, u.lam, g_minus_i, problem.c,
-                u.x[i], factor=prepared.factors[i],
-            )
-        elif isinstance(f, LogisticQuadBlock):
-            w2 = prepared.w2[i]
-            P_s = float(prepared.P[i][0, 0])
-            if f.a + params.rho * w2 + P_s <= 0.0:
-                raise SubproblemFailed(f"block {i}: scalar residual is not increasing")
-            t = params.rho * float(Ai[:, 0] @ (g_minus_i - problem.c)) - float(Ai[:, 0] @ u.lam)
-            fun, dfun = _scalar_residual(f, params.rho, w2, t, P_s, float(u.x[i][0]))
-            root, resid, _ = _newton_bisection(
-                fun, dfun, float(u.x[i][0]), params.newton_tol, params.newton_max_iters
-            )
-            new_x[i] = np.array([root])
-            newton_worst = max(newton_worst, resid)
-        else:
-            raise SubproblemFailed(f"no subproblem solver for {type(f).__name__} blocks")
-    if any(xi is None for xi in new_x):
-        raise ValueError("order must visit every block exactly once")
+        new_x[i], resid = _solve_block(problem, prepared, i, u.lam, g_minus_i, u.x[i],
+                                       newton_tol, newton_max_iters)
+        newton_worst = max(newton_worst, resid)
+        if sequential:
+            g = g_minus_i + Ai @ new_x[i]
     r = constraint_residual(problem, new_x)
-    new_lam = u.lam - params.gamma * params.rho * r
-    return PrimalDualPoint(new_x, new_lam), newton_worst
+    return PrimalDualPoint(new_x, u.lam - step_size * r), newton_worst, r
 
 
 def jacobi_proximal_step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
@@ -393,8 +412,10 @@ def jacobi_proximal_step(problem: BlockProblem, u: PrimalDualPoint, params: Solv
                          order: Optional[Sequence[int]] = None) -> PrimalDualPoint:
     """One parallel proximal step; identical result under any block order."""
     if prepared is None:
-        prepared = _Prepared(problem, params)
-    point, _ = _jacobi_step(problem, u, params, prepared, order)
+        prepared = _Prepared(problem, params.rho,
+                             materialize_policy(params.policy, params.rho, problem))
+    point, _, _ = _step(problem, u, prepared, params.gamma * params.rho, False, order,
+                        params.newton_tol, params.newton_max_iters)
     return point
 
 
@@ -404,25 +425,8 @@ def jacobi_plain_step(problem: BlockProblem, u: PrimalDualPoint,
     return jacobi_proximal_step(problem, u, replace(params, policy=None, gamma=1.0))
 
 
-class _PreparedGS:
-    """Factorizations for the Gauss-Seidel baseline (no proximal term)."""
-
-    def __init__(self, problem: BlockProblem, rho: float):
-        self.factors = []
-        self.w2 = []
-        for f, Ai in zip(problem.objectives, problem.A):
-            if isinstance(f, QuadraticBlock):
-                self.factors.append(SpdFactor(f.H + rho * (Ai.T @ Ai), "block subproblem matrix"))
-                self.w2.append(None)
-            elif isinstance(f, LogisticQuadBlock):
-                self.factors.append(None)
-                self.w2.append(float(Ai[:, 0] @ Ai[:, 0]))
-            else:
-                raise SubproblemFailed(f"no subproblem solver for {type(f).__name__} blocks")
-
-
 def gauss_seidel_step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
-                      prepared: Optional[_PreparedGS] = None,
+                      prepared: Optional[_Prepared] = None,
                       order: Optional[Sequence[int]] = None) -> PrimalDualPoint:
     """Baseline sequential step: each block sees the freshest other-block values.
 
@@ -430,43 +434,11 @@ def gauss_seidel_step(problem: BlockProblem, u: PrimalDualPoint, params: SolverP
     undamped.  Unlike the parallel step, the result depends on the block
     processing order.
     """
-    check_point(problem, u)
-    rho = params.rho
     if prepared is None:
-        prepared = _PreparedGS(problem, rho)
-    zeros_P = [np.zeros((n, n)) for n in problem.dims]
-    new_x = [xi.copy() for xi in u.x]
-    g = _aggregate(problem, new_x)
-    indices = range(problem.N) if order is None else order
-    visited = set()
-    for i in indices:
-        if i in visited:
-            raise ValueError("order must visit every block exactly once")
-        visited.add(i)
-        f = problem.objectives[i]
-        Ai = problem.A[i]
-        g_minus_i = g - Ai @ new_x[i]
-        if isinstance(f, QuadraticBlock):
-            xi = solve_block_quadratic(
-                f, Ai, zeros_P[i], rho, u.lam, g_minus_i, problem.c, new_x[i],
-                factor=prepared.factors[i],
-            )
-        else:
-            w2 = prepared.w2[i]
-            if f.a + rho * w2 <= 0.0:
-                raise SubproblemFailed(f"block {i}: scalar residual is not increasing")
-            t = rho * float(Ai[:, 0] @ (g_minus_i - problem.c)) - float(Ai[:, 0] @ u.lam)
-            fun, dfun = _scalar_residual(f, rho, w2, t, 0.0, float(new_x[i][0]))
-            root, _, _ = _newton_bisection(
-                fun, dfun, float(new_x[i][0]), params.newton_tol, params.newton_max_iters
-            )
-            xi = np.array([root])
-        new_x[i] = xi
-        g = g_minus_i + Ai @ xi
-    if len(visited) != problem.N:
-        raise ValueError("order must visit every block exactly once")
-    r = constraint_residual(problem, new_x)
-    return PrimalDualPoint(new_x, u.lam - rho * r)
+        prepared = _Prepared(problem, params.rho, _zero_P(problem))
+    point, _, _ = _step(problem, u, prepared, params.rho, True, order,
+                        params.newton_tol, params.newton_max_iters)
+    return point
 
 
 def dual_decomposition_step(problem: BlockProblem, u: PrimalDualPoint, k: int,
@@ -478,34 +450,13 @@ def dual_decomposition_step(problem: BlockProblem, u: PrimalDualPoint, k: int,
     well-posed only for strongly convex blocks.  The multiplier then moves
     against the constraint residual with the scheduled step size.
     """
-    check_point(problem, u)
-    new_x = []
-    for i, (f, Ai) in enumerate(zip(problem.objectives, problem.A)):
-        target = Ai.T @ u.lam
-        if isinstance(f, QuadraticBlock):
-            new_x.append(SpdFactor(f.H, "dual decomposition block").solve(target - f.q))
-        elif isinstance(f, LogisticQuadBlock):
-            if f.a <= 0.0:
-                raise SubproblemFailed(f"block {i}: objective is not strongly convex")
-            t = -float(target[0])
-            fun, dfun = _scalar_residual(f, 1.0, 0.0, t, 0.0, float(u.x[i][0]))
-            root, _, _ = _newton_bisection(fun, dfun, float(u.x[i][0]), newton_tol,
-                                           newton_max_iters)
-            new_x.append(np.array([root]))
-        else:
-            raise SubproblemFailed(f"no subproblem solver for {type(f).__name__} blocks")
-    r = constraint_residual(problem, new_x)
-    return PrimalDualPoint(new_x, u.lam - dd.step_size(k) * r)
+    prepared = _Prepared(problem, 0.0, _zero_P(problem))
+    point, _, _ = _step(problem, u, prepared, dd.step_size(k), False, None, newton_tol,
+                        newton_max_iters)
+    return point
 
 
 # -- the run loop --------------------------------------------------------------
-
-def _dis(u: PrimalDualPoint, ref: PrimalDualPoint) -> float:
-    worst = float(np.linalg.norm(u.lam - ref.lam))
-    for xi, ri in zip(u.x, ref.x):
-        worst = max(worst, float(np.linalg.norm(xi - ri)))
-    return worst
-
 
 def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
         reference: Optional[PrimalDualPoint] = None, phi_context=None,
@@ -527,45 +478,34 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     check_point(problem, u0)
     if reference is not None:
         check_point(problem, reference)
-    if method == "jprox":
-        prepared = _Prepared(problem, params)
-
-        def step(u, k):
-            return _jacobi_step(problem, u, params, prepared)
-    elif method == "jacobi-plain":
-        plain = replace(params, policy=None, gamma=1.0)
-        prepared = _Prepared(problem, plain)
-
-        def step(u, k):
-            return _jacobi_step(problem, u, plain, prepared)
-    elif method == "gauss-seidel":
-        prepared_gs = _PreparedGS(problem, params.rho)
-
-        def step(u, k):
-            return gauss_seidel_step(problem, u, params, prepared_gs), 0.0
-    elif method == "dual-decomp":
-        dd = dd_params if dd_params is not None else DualDecompositionParams(1.0)
-
-        def step(u, k):
-            return dual_decomposition_step(
-                problem, u, k, dd, params.newton_tol, params.newton_max_iters
-            ), 0.0
-    else:
+    rho = params.rho
+    dd = dd_params if dd_params is not None else DualDecompositionParams(1.0)
+    # method: (penalty of the block solves, proximal policy, Gauss-Seidel sweep,
+    #          dual step size at step k)
+    methods = {
+        "jprox": (rho, params.policy, False, lambda k: params.gamma * rho),
+        "jacobi-plain": (rho, None, False, lambda k: rho),
+        "gauss-seidel": (rho, None, True, lambda k: rho),
+        "dual-decomp": (0.0, None, False, dd.step_size),
+    }
+    if method not in methods:
         raise ValueError(f"unknown method {method!r}")
+    penalty, policy, sequential, step_size = methods[method]
+    prepared = _Prepared(problem, penalty, materialize_policy(policy, rho, problem))
 
     trace = Trace(points=[] if record_points else None)
     start = time.perf_counter()
     u = u0.copy()
 
-    def record(k: int, u: PrimalDualPoint):
-        d = _dis(u, reference) if reference is not None else None
+    def record(k: int, u: PrimalDualPoint, r: np.ndarray):
+        d = dis_metric(u, reference) if reference is not None else None
         p = None
         if phi_context is not None and reference is not None:
             p = float(phi_context.evaluate(u, reference))
         trace.ks.append(k)
         trace.dis.append(d)
         trace.phi.append(p)
-        trace.primal_residual.append(float(np.linalg.norm(constraint_residual(problem, u.x))))
+        trace.primal_residual.append(float(np.linalg.norm(r)))
         trace.elapsed.append(time.perf_counter() - start)
         if trace.points is not None:
             trace.points.append(u.copy())
@@ -575,16 +515,17 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
         gauge = d if d is not None else u.magnitude()
         return not math.isfinite(gauge) or gauge > DIVERGENCE_LIMIT
 
-    d = record(0, u)
+    d = record(0, u, constraint_residual(problem, u.x))
     if reference is not None and d is not None and d <= params.dis_tol:
         trace.status = CONVERGED
     elif diverged(d):
         trace.status = DIVERGED
     else:
         for k in range(1, params.max_iters + 1):
-            u, newton_resid = step(u, k - 1)
+            u, newton_resid, r = _step(problem, u, prepared, step_size(k - 1), sequential,
+                                       None, params.newton_tol, params.newton_max_iters)
             trace.newton_max_residual = max(trace.newton_max_residual, newton_resid)
-            d = record(k, u)
+            d = record(k, u, r)
             if diverged(d):
                 trace.status = DIVERGED
                 break

@@ -90,6 +90,15 @@ def test_command_estimates_constants_once(tmp_path, monkeypatch, command):
     assert len(calls) == 1
 
 
+def test_certify_prox_linear_auto_on_one_block_at_small_gamma(tmp_path):
+    # The certified weight is raised to rho*||A||^2, so the policy is PSD.
+    inst = make_instance(tmp_path, "lcqp", N=1, m=6, n=3, seed=0)
+    out = tmp_path / "cert.json"
+    assert run_cli("certify", "--input", str(inst), "--gamma", "0.1", "--policy",
+                   "proxlinear", "--output", str(out)) == 0
+    assert json.loads(out.read_text())["passed"] is True
+
+
 def test_certify_gamma_out_of_range(tmp_path, capsys):
     inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=1)
     code = run_cli("certify", "--input", str(inst), "--rho", "1", "--gamma", "2.5",

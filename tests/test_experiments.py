@@ -346,3 +346,35 @@ def test_resource_alloc_instance_roundtrip(tmp_path):
     assert np.array_equal(inst.cshift, loaded.cshift)
     assert np.array_equal(inst.dshift, loaded.dshift)
     assert loaded.seed == 3
+
+
+def test_resolve_policy_prox_linear_weights_reach_the_psd_floor():
+    # One block at gamma = 0.1: 1.5 times the coupling boundary lies below
+    # rho*||A||^2, where tau*I - rho*A'A stops being PSD.
+    from jprox.certify import certify, fallback_tau, smallest_certified_tau
+    from jprox.linalg import spectral_norm
+    from jprox.problem import LogisticQuadBlock
+    from jprox.solvers import materialize_policy
+
+    p = generate_lcqp(1, 6, 3, seed=0).problem
+    floor = spectral_norm(p.A[0]) ** 2
+    assert smallest_certified_tau(p, 1.0, 0.1, kind="proxlinear")[0] < floor
+    policy = resolve_policy(p, 1.0, 0.1, "auto", kind="proxlinear")
+    assert policy == ProxLinear([floor])
+    materialize_policy(policy, 1.0, p)
+    assert certify(p, 1.0, 0.1, policy).passed
+
+    # Without certification the fallback weight is floored the same way.
+    flat = BlockProblem((LogisticQuadBlock(1e-4, 1.0, 0.0, 0.0),), (np.ones((1, 1)),),
+                        np.zeros(1))
+    assert fallback_tau(flat, 1.0, 0.1, kind="proxlinear")[0] < 1.0
+    policy = resolve_policy(flat, 1.0, 0.1, "auto", kind="proxlinear")
+    assert policy == ProxLinear([1.0])
+    materialize_policy(policy, 1.0, flat)
+
+
+def test_run_sweep_returns_cells_in_key_order():
+    inst = generate_lcqp(2, 5, 3, seed=4)
+    sweep = SweepConfig(rho_grid=(5.0, 1.0), gamma_grid=(1.5, 0.5), max_iters=10, seeds=(4,))
+    cells = run_sweep(inst, sweep)
+    assert list(cells) == [(5.0, 1.5, 4), (5.0, 0.5, 4), (1.0, 1.5, 4), (1.0, 0.5, 4)]

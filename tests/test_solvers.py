@@ -406,3 +406,74 @@ def test_run_records_newton_residual():
                           max_iters=50, newton_tol=1e-12)
     trace = run(ra.problem, params, PrimalDualPoint.zeros(ra.problem))
     assert 0.0 < trace.newton_max_residual <= 1e-12
+
+
+# -- one block sweep for every method -----------------------------------------------------
+
+def _public_step(method, problem, u, k, params, dd):
+    if method == "jprox":
+        return jacobi_proximal_step(problem, u, params)
+    if method == "jacobi-plain":
+        return jacobi_plain_step(problem, u, params)
+    if method == "gauss-seidel":
+        return gauss_seidel_step(problem, u, params)
+    return dual_decomposition_step(problem, u, k, dd, params.newton_tol,
+                                   params.newton_max_iters)
+
+
+@pytest.mark.parametrize("family", ["lcqp", "ra"])
+@pytest.mark.parametrize("method", ["jprox", "jacobi-plain", "gauss-seidel", "dual-decomp"])
+def test_run_iterates_equal_public_steps(method, family):
+    problem = (generate_lcqp(3, 6, 4, seed=5) if family == "lcqp"
+               else generate_resource_alloc(6, seed=2)).problem
+    params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(2.0), max_iters=5)
+    dd = DualDecompositionParams(0.5)
+    u = PrimalDualPoint.zeros(problem)
+    trace = run(problem, params, u, method=method, dd_params=dd, record_points=True)
+    assert trace.ks == list(range(6))
+    for k, got in enumerate(trace.points):
+        for a, b in zip(got.x, u.x):
+            assert np.array_equal(a, b), (k, a, b)
+        assert np.array_equal(got.lam, u.lam), k
+        u = _public_step(method, problem, u, k, params, dd)
+
+
+def test_dual_decomposition_run_factorizes_each_block_once(monkeypatch):
+    from jprox.linalg import SpdFactor
+
+    calls = []
+    original = SpdFactor.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    inst = generate_lcqp(3, 6, 4, seed=31)
+    monkeypatch.setattr(SpdFactor, "__init__", counting)
+    trace = run(inst.problem, SolverParams(rho=1.0, gamma=1.0, max_iters=20),
+                PrimalDualPoint.zeros(inst.problem), method="dual-decomp",
+                dd_params=DualDecompositionParams(0.1, "constant"))
+    assert trace.ks[-1] == 20
+    assert len(calls) == inst.problem.N
+
+
+def test_run_computes_one_constraint_residual_per_iterate(monkeypatch):
+    import importlib
+
+    module = importlib.import_module("jprox.solvers")
+    calls = []
+    original = module.constraint_residual
+
+    def counting(problem, x):
+        calls.append(len(x))
+        return original(problem, x)
+
+    inst = generate_lcqp(3, 6, 4, seed=29)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(2.0), max_iters=20)
+    monkeypatch.setattr(module, "constraint_residual", counting)
+    trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
+                reference=inst.optimum(), record_points=True)
+    assert len(trace) == 21
+    assert len(calls) == len(trace)
+    for point, recorded in zip(trace.points, trace.primal_residual):
+        assert recorded == float(np.linalg.norm(original(inst.problem, point.x)))
