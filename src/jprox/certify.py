@@ -433,6 +433,15 @@ class PhiWeights:
         self.gamma = gamma
         self.rho = rho
         self.W = [np.asarray(Wi, dtype=float) for Wi in W]
+        # Blocks of equal size share one batched product: (index into the
+        # stacked primal vector, stacked weights), one pair per block size.
+        sizes = [Wi.shape[0] for Wi in self.W]
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        self._groups = []
+        for n in sorted(set(sizes)):
+            members = [i for i, size in enumerate(sizes) if size == n]
+            self._groups.append((starts[members][:, None] + np.arange(n),
+                                 np.stack([self.W[i] for i in members])))
 
     @classmethod
     def build(cls, problem: BlockProblem, gamma: float, rho: float, s: float,
@@ -447,11 +456,15 @@ class PhiWeights:
         return cls(gamma, rho, W)
 
     def evaluate(self, u: PrimalDualPoint, ref: PrimalDualPoint) -> float:
-        dlam = u.lam - ref.lam
+        return self.evaluate_stacked(np.concatenate(u.x) - np.concatenate(ref.x),
+                                     u.lam - ref.lam)
+
+    def evaluate_stacked(self, dx: np.ndarray, dlam: np.ndarray) -> float:
+        """phi of a stacked primal difference ``dx`` and a multiplier difference ``dlam``."""
         total = float(dlam @ dlam) / (2.0 * self.gamma * self.rho)
-        for Wi, xi, ri in zip(self.W, u.x, ref.x):
-            d = xi - ri
-            total += 0.5 * float(d @ (Wi @ d))
+        for index, W in self._groups:
+            d = dx[index][:, :, None]
+            total += 0.5 * float((d * (W @ d)).sum())
         return total
 
 

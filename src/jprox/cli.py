@@ -214,6 +214,8 @@ def cmd_solve(args) -> int:
             logy=True,
         )
     final_dis = trace.dis[-1]
+    if trace.failure is not None:
+        print(trace.failure, file=sys.stderr)
     print(f"status={trace.status} iters={trace.ks[-1]} final_dis={_fmt(final_dis)}")
     if trace.status == DIVERGED:
         return EXIT_DIVERGED
@@ -284,6 +286,8 @@ def cmd_sweep(args) -> int:
             "phi_rate": _rate_to_dict(cell.phi_rate),
             "error": cell.error,
             "trace": None,
+            "timings": cell.trace.timings if cell.trace is not None else None,
+            "wall_s": cell.wall_s,
         }
         if cell.trace is not None:
             name = _cell_name(rho, gamma, seed)

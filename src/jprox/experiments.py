@@ -10,6 +10,7 @@ Randomness is confined to ``numpy.random.default_rng(seed)``, so identical
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
@@ -260,7 +261,7 @@ class SweepConfig:
 
 @dataclass
 class SweepCell:
-    """One (rho, gamma, seed) cell of a sweep."""
+    """One (rho, gamma, seed) cell of a sweep; ``wall_s`` is its wall time in seconds."""
 
     rho: float
     gamma: float
@@ -270,6 +271,7 @@ class SweepCell:
     dis_rate: Optional[RateFit] = None
     phi_rate: Optional[RateFit] = None
     error: Optional[str] = None
+    wall_s: float = 0.0
 
     @property
     def status(self) -> str:
@@ -324,6 +326,7 @@ def instance_reference(instance: Instance,
 def _run_cell(instance: Instance, reference: PrimalDualPoint,
               consts: Optional[ProblemConstants], rho: float, gamma: float,
               sweep: SweepConfig, policy) -> SweepCell:
+    start = time.perf_counter()
     cell = SweepCell(rho=rho, gamma=gamma, seed=instance.seed)
     problem = instance.problem
     try:
@@ -339,6 +342,7 @@ def _run_cell(instance: Instance, reference: PrimalDualPoint,
             cell.phi_rate = _fit_series([p for p in cell.trace.phi if p is not None])
     except (JproxError, np.linalg.LinAlgError, ValueError) as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
+    cell.wall_s = time.perf_counter() - start
     return cell
 
 

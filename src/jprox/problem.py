@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -177,6 +177,9 @@ class BlockProblem:
         object.__setattr__(self, "objectives", objectives)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "c", c)
+        offsets = np.concatenate(([0], np.cumsum([f.dim for f in objectives])))
+        object.__setattr__(self, "_offsets", tuple(int(o) for o in offsets))
+        object.__setattr__(self, "_stacked_A", None)
 
     @property
     def N(self) -> int:
@@ -190,9 +193,37 @@ class BlockProblem:
     def dims(self) -> tuple:
         return tuple(f.dim for f in self.objectives)
 
+    @property
+    def offsets(self) -> tuple:
+        """Block starts in the stacked primal vector, then its length ``sum n_i``.
+
+        Block ``i`` of a stacked vector ``x`` is ``x[offsets[i]:offsets[i+1]]``.
+        """
+        return self._offsets
+
     def stacked_A(self) -> np.ndarray:
-        """The horizontal concatenation ``[A_1, ..., A_N]`` of shape (m, sum n_i)."""
-        return np.hstack(self.A)
+        """The horizontal concatenation ``[A_1, ..., A_N]`` of shape (m, sum n_i).
+
+        Built on first use and cached; the array is read-only.
+        """
+        if self._stacked_A is None:
+            object.__setattr__(self, "_stacked_A", _frozen(np.hstack(self.A)))
+        return self._stacked_A
+
+    def stack(self, x) -> np.ndarray:
+        """The stacked primal vector of ``x``: a list of blocks or an already stacked vector."""
+        if isinstance(x, np.ndarray) and x.ndim == 1:
+            return _as_vector(x, self._offsets[-1], "stacked primal vector")
+        if len(x) != self.N:
+            raise DimensionMismatch(f"{len(x)} blocks given, problem has {self.N}")
+        return np.concatenate([
+            _as_vector(xi, n, f"block {i}") for i, (xi, n) in enumerate(zip(x, self.dims))
+        ])
+
+    def split(self, x: np.ndarray) -> list:
+        """The blocks of a stacked primal vector, as views into it."""
+        o = self._offsets
+        return [x[o[i]:o[i + 1]] for i in range(self.N)]
 
 
 @dataclass
@@ -215,9 +246,23 @@ class PrimalDualPoint:
 
     def magnitude(self) -> float:
         """Largest block or multiplier norm; used by the divergence guard."""
-        norms = [float(np.linalg.norm(xi)) for xi in self.x]
-        norms.append(float(np.linalg.norm(self.lam)))
-        return max(norms)
+        return block_distance(np.concatenate(self.x), self.lam, _offsets_of(self.x))
+
+
+def _offsets_of(blocks) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum([len(b) for b in blocks])))
+
+
+def block_distance(dx: np.ndarray, dlam: np.ndarray, offsets) -> float:
+    """Largest of ``||dlam||`` and the block norms ``||dx[o_i:o_{i+1}]||``.
+
+    ``dx`` is a stacked primal vector (or difference) with block starts
+    ``offsets[:-1]``; every block is nonempty.  A non-finite entry makes
+    the result non-finite.
+    """
+    worst = float(np.add.reduceat(dx * dx, offsets[:-1]).max())
+    lam_sq = float(dlam @ dlam)
+    return math.sqrt(max(worst, lam_sq) if math.isfinite(lam_sq) else lam_sq)
 
 
 def dis_metric(u: PrimalDualPoint, ref: PrimalDualPoint) -> float:
@@ -226,12 +271,10 @@ def dis_metric(u: PrimalDualPoint, ref: PrimalDualPoint) -> float:
         raise DimensionMismatch(f"{len(u.x)} blocks vs {len(ref.x)}")
     if u.lam.shape != ref.lam.shape:
         raise DimensionMismatch("multiplier lengths differ")
-    worst = float(np.linalg.norm(u.lam - ref.lam))
-    for xi, ri in zip(u.x, ref.x):
-        if xi.shape != ri.shape:
-            raise DimensionMismatch("block lengths differ")
-        worst = max(worst, float(np.linalg.norm(xi - ri)))
-    return worst
+    if any(xi.shape != ri.shape for xi, ri in zip(u.x, ref.x)):
+        raise DimensionMismatch("block lengths differ")
+    return block_distance(np.concatenate(u.x) - np.concatenate(ref.x), u.lam - ref.lam,
+                          _offsets_of(u.x))
 
 
 def check_point(problem: BlockProblem, u: PrimalDualPoint) -> None:
@@ -261,15 +304,13 @@ def block_gradient(f: BlockObjective, x) -> np.ndarray:
     return np.asarray(f.gradient(x), dtype=float).reshape(-1)
 
 
-def constraint_residual(problem: BlockProblem, x: Sequence[np.ndarray]) -> np.ndarray:
-    """``sum_i A_i x_i - c``, accumulated in block index order."""
-    if len(x) != problem.N:
-        raise DimensionMismatch(f"{len(x)} blocks given, problem has {problem.N}")
-    g = np.zeros(problem.m)
-    for Ai, xi in zip(problem.A, x):
-        xi = _as_vector(xi, Ai.shape[1], "constraint_residual block")
-        g += Ai @ xi
-    return g - problem.c
+def constraint_residual(problem: BlockProblem, x) -> np.ndarray:
+    """``sum_i A_i x_i - c`` as one stacked matvec.
+
+    ``x`` is a list of blocks or the stacked primal vector; both give the
+    same result bit for bit.
+    """
+    return problem.stacked_A() @ problem.stack(x) - problem.c
 
 
 def kkt_residual(problem: BlockProblem, u: PrimalDualPoint) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,9 +35,9 @@ from .problem import (
     LogisticQuadBlock,
     PrimalDualPoint,
     QuadraticBlock,
+    block_distance,
     check_point,
     constraint_residual,
-    dis_metric,
     sigmoid,
 )
 
@@ -191,6 +191,9 @@ class Trace:
     Columnar lists indexed by recorded iterate (k = 0 is the initial point):
     ``dis`` and ``phi`` hold ``None`` where the metric was unavailable.
     ``points`` is populated only when the run was asked to keep iterates.
+    ``failure`` names the block-solve failure that ended a diverged run, if
+    any.  ``timings`` holds the seconds spent preparing the block solves
+    (``prepare``), in steps (``step``) and recording iterates (``record``).
     """
 
     ks: list = field(default_factory=list)
@@ -202,6 +205,8 @@ class Trace:
     final: Optional[PrimalDualPoint] = None
     points: Optional[list] = None
     newton_max_residual: float = 0.0
+    failure: Optional[str] = None
+    timings: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.ks)
@@ -214,8 +219,11 @@ def _newton_bisection(fun, dfun, x0: float, tol: float, max_iters: int):
 
     Newton iterations start from ``x0``; any step that leaves the current
     bracket is replaced by its midpoint.  The initial bracket comes from a
-    doubling expansion away from ``x0`` (up to 60 doublings).  Returns
-    ``(root, |f(root)|, iterations)``.
+    doubling expansion away from ``x0`` (up to 60 doublings).  The search
+    stops once ``|f| <= tol``, or once the bracket is two adjacent floats:
+    then no float comes closer to the root, and the returned residual may
+    exceed ``tol`` (at ``|x|`` near 1e4 the spacing of ``f`` is about
+    1e-12).  Returns ``(root, |f(root)|, iterations)``.
     """
     f0 = fun(x0)
     if not math.isfinite(f0):
@@ -251,7 +259,7 @@ def _newton_bisection(fun, dfun, x0: float, tol: float, max_iters: int):
             cand = 0.5 * (lo + hi)
         x = cand
         f = fun(x)
-        if abs(f) <= tol:
+        if abs(f) <= tol or not lo < x < hi:
             return x, abs(f), it
         if f < 0.0:
             lo = x
@@ -260,32 +268,36 @@ def _newton_bisection(fun, dfun, x0: float, tol: float, max_iters: int):
     raise MaxItersExceeded(f"scalar solve missed tolerance {tol:g} in {max_iters} iterations")
 
 
-def _solve_scalar(block: LogisticQuadBlock, rho: float, w2: float, t: float,
-                  P_scalar: float, x_k: float, tol: float, max_iters: int):
+def _solve_scalar(block: LogisticQuadBlock, B: float, t: float, P_scalar: float, x_k: float,
+                  tol: float, max_iters: int):
     """Root of a scalar block's stationarity residual; returns ``(x, |F(x)|)``.
 
-    ``F(x) = f'(x) + rho*w2*x + t + P*(x - x_k)`` has slope at least
-    ``a + rho*w2 + P``, hence is strictly increasing whenever that sum is
-    positive; Newton starts from ``x_k``.
+    ``F(x) = f'(x) + B*x + t + P*(x - x_k)``, with ``B = rho*||a_i||^2``,
+    has slope at least ``a + B + P``; the caller checks that this is
+    positive (:func:`_check_scalar_slope`), so ``F`` is strictly increasing.
+    Newton starts from ``x_k``.
     """
     a, b, cs, ds = block.a, block.b, block.cshift, block.dshift
-    if a + rho * w2 + P_scalar <= 0.0:
-        raise SubproblemFailed("scalar residual is not strictly increasing")
 
     def fun(x: float) -> float:
         return (
             a * (x - cs)
             + b * sigmoid(b * (x - ds))
-            + rho * w2 * x
+            + B * x
             + t
             + P_scalar * (x - x_k)
         )
 
     def dfun(x: float) -> float:
-        return block.curvature(x) + rho * w2 + P_scalar
+        return block.curvature(x) + B + P_scalar
 
     x, resid, _ = _newton_bisection(fun, dfun, x_k, tol, max_iters)
     return x, resid
+
+
+def _check_scalar_slope(block: LogisticQuadBlock, B: float, P_scalar: float) -> None:
+    if block.a + B + P_scalar <= 0.0:
+        raise SubproblemFailed("scalar residual is not strictly increasing")
 
 
 def solve_block_scalar_newton(block: LogisticQuadBlock, rho: float, lam_k: float,
@@ -297,9 +309,16 @@ def solve_block_scalar_newton(block: LogisticQuadBlock, rho: float, lam_k: float
     + rho*(x + g_minus_i - c) - lam_k + P_scalar*(x - x_k)| <= tol``
     by safeguarded Newton on a bracketing interval.
     """
+    _check_scalar_slope(block, rho, P_scalar)
     t = rho * (float(g_minus_i) - float(c)) - float(lam_k)
-    x, _ = _solve_scalar(block, rho, 1.0, t, P_scalar, float(x_k), tol, max_iters)
+    x, _ = _solve_scalar(block, rho, t, P_scalar, float(x_k), tol, max_iters)
     return x
+
+
+def _solve_quadratic(factor: SpdFactor, At_i: np.ndarray, B_i: np.ndarray, q: np.ndarray,
+                     w: np.ndarray, x_k: np.ndarray) -> np.ndarray:
+    """``(H + B) x = A' w + B x_k - q``: a quadratic block's subproblem."""
+    return factor.solve(At_i @ w + B_i @ x_k - q)
 
 
 def solve_block_quadratic(block: QuadraticBlock, A_i, P_i, rho: float, lam_k,
@@ -307,104 +326,119 @@ def solve_block_quadratic(block: QuadraticBlock, A_i, P_i, rho: float, lam_k,
     """Exact solve of a quadratic block subproblem.
 
     Solves ``(H + rho*A'A + P) x = A' lam - q - rho*A'(g_minus_i - c) + P x_k``
-    where ``g_minus_i`` aggregates the other blocks' contributions.
+    where ``g_minus_i`` aggregates the other blocks' contributions.  This is
+    the engine's block update with ``w = lam - rho*(g_minus_i + A x_k - c)``
+    and ``B = rho*A'A + P``.
     """
     A_i = np.asarray(A_i, dtype=float)
     P_i = np.asarray(P_i, dtype=float)
+    x_i_k = np.asarray(x_i_k, dtype=float)
     if factor is None:
         factor = SpdFactor(block.H + rho * (A_i.T @ A_i) + P_i, "block subproblem matrix")
-    rhs = A_i.T @ lam_k - block.q - rho * (A_i.T @ (np.asarray(g_minus_i) - np.asarray(c)))
-    rhs = rhs + P_i @ np.asarray(x_i_k, dtype=float)
-    return factor.solve(rhs)
+    w = np.asarray(lam_k) - rho * (np.asarray(g_minus_i) + A_i @ x_i_k - np.asarray(c))
+    return _solve_quadratic(factor, A_i.T, rho * (A_i.T @ A_i) + P_i, block.q, w, x_i_k)
 
 
 # -- the block sweep shared by every method ------------------------------------
 
-class _Prepared:
-    """Iteration-independent data of the block solves for one ``(rho, P_i)``.
+class _Block(NamedTuple):
+    """One block of the sweep: its slice of the stacked primal vector, ``A_i``,
+    ``A_i'`` (the row ``a_i`` for a scalar block), ``B``, the objective, and
+    the factorization of ``H_i + B`` (``None`` for a scalar block).
 
-    Quadratic blocks get a factorization of ``H_i + rho*A_i'A_i + P_i``;
-    scalar logistic blocks get ``w2 = ||A_i||^2``.  ``rho = 0`` with zero
-    ``P_i`` gives the unpenalized subproblems of dual decomposition.
+    ``B`` is ``rho*A_i'A_i + P_i`` for a quadratic block and ``rho*||a_i||^2``
+    for a scalar block, whose proximal weight is kept in ``P``.
+    """
+
+    sl: slice
+    A: np.ndarray
+    At: np.ndarray
+    B: Union[np.ndarray, float]
+    f: Union[QuadraticBlock, LogisticQuadBlock]
+    factor: Optional[SpdFactor]
+    P: float
+
+
+class _Prepared:
+    """Iteration-independent data of the block sweep for one ``(rho, P_i)``.
+
+    The sweep works on the stacked primal vector ``x`` (block ``i`` is
+    ``x[offsets[i]:offsets[i+1]]``) and the multiplier; ``blocks`` holds one
+    :class:`_Block` per block.  ``rho = 0`` with zero ``P_i`` gives the
+    unpenalized subproblems of dual decomposition.
     """
 
     def __init__(self, problem: BlockProblem, rho: float, P_list: Sequence[np.ndarray]):
+        self.problem = problem
         self.rho = rho
-        self.P = P_list
-        self.factors = []
-        self.w2 = []
-        for f, Ai, Pi in zip(problem.objectives, problem.A, self.P):
+        self.offsets = np.asarray(problem.offsets)
+        self.blocks = []
+        o = problem.offsets
+        for i, (f, Ai, Pi) in enumerate(zip(problem.objectives, problem.A, P_list)):
+            sl, AtA = slice(o[i], o[i + 1]), Ai.T @ Ai
             if isinstance(f, QuadraticBlock):
-                self.factors.append(
-                    SpdFactor(f.H + rho * (Ai.T @ Ai) + Pi, "block subproblem matrix")
-                )
-                self.w2.append(None)
+                factor = SpdFactor(f.H + rho * AtA + Pi, "block subproblem matrix")
+                block = _Block(sl, Ai, np.ascontiguousarray(Ai.T), rho * AtA + Pi, f, factor, 0.0)
             elif isinstance(f, LogisticQuadBlock):
-                self.factors.append(None)
-                self.w2.append(float(Ai[:, 0] @ Ai[:, 0]))
+                block = _Block(sl, Ai, Ai[:, 0].copy(), rho * float(AtA[0, 0]), f, None,
+                               float(Pi[0, 0]))
+                _check_scalar_slope(f, block.B, block.P)
             else:
-                raise SubproblemFailed(
-                    f"no subproblem solver for {type(f).__name__} blocks"
-                )
+                raise SubproblemFailed(f"no subproblem solver for {type(f).__name__} blocks")
+            self.blocks.append(block)
 
 
 def _zero_P(problem: BlockProblem) -> list:
     return [np.zeros((n, n)) for n in problem.dims]
 
 
-def _solve_block(problem: BlockProblem, prepared: _Prepared, i: int, lam: np.ndarray,
-                 g_minus_i: np.ndarray, x_k: np.ndarray, newton_tol: float,
-                 newton_max_iters: int):
-    """Block ``i``'s subproblem; returns ``(x_i, Newton residual)``.
-
-    The residual is 0.0 for quadratic blocks, which are solved exactly.
-    """
-    f, Ai, Pi, rho = problem.objectives[i], problem.A[i], prepared.P[i], prepared.rho
-    factor = prepared.factors[i]
-    if factor is not None:
-        return solve_block_quadratic(f, Ai, Pi, rho, lam, g_minus_i, problem.c, x_k,
-                                     factor=factor), 0.0
-    t = rho * float(Ai[:, 0] @ (g_minus_i - problem.c)) - float(Ai[:, 0] @ lam)
-    root, resid = _solve_scalar(f, rho, prepared.w2[i], t, float(Pi[0, 0]), float(x_k[0]),
-                                newton_tol, newton_max_iters)
-    return np.array([root]), resid
-
-
-def _aggregate(problem: BlockProblem, x: Sequence[np.ndarray]) -> np.ndarray:
-    g = np.zeros(problem.m)
-    for Ai, xi in zip(problem.A, x):
-        g += Ai @ xi
-    return g
-
-
-def _step(problem: BlockProblem, u: PrimalDualPoint, prepared: _Prepared, step_size: float,
-          sequential: bool, order: Optional[Sequence[int]], newton_tol: float,
+def _step(prepared: _Prepared, x: np.ndarray, lam: np.ndarray, r: np.ndarray,
+          step_size: float, sequential: bool, order: Sequence[int], newton_tol: float,
           newton_max_iters: int):
     """One sweep of block solves followed by ``lam <- lam - step_size * r``.
 
-    Every block reads the aggregate ``g = sum_j A_j x_j`` minus its own
-    contribution.  By default ``g`` is the k-state aggregate (Jacobi), so the
-    processing order cannot affect the result; with ``sequential`` it is
-    updated after every block (Gauss-Seidel).  Returns the new point, the
-    worst Newton residual and the constraint residual ``r`` of the new point.
+    ``x`` is the stacked primal vector and ``r = A x - c`` its constraint
+    residual.  Block ``i`` solves its subproblem with
+    ``w = lam - rho*(A x - c)`` and ``v_i = A_i' w + B_i x_i``.  By default
+    ``w`` is formed once from the k-state (Jacobi), so the processing order
+    cannot affect the result; with ``sequential`` it is updated after every
+    block (Gauss-Seidel).  Returns the new ``x``, ``lam``, their constraint
+    residual and the worst Newton residual.
     """
-    check_point(problem, u)
-    indices = range(problem.N) if order is None else list(order)
-    if sorted(indices) != list(range(problem.N)):
-        raise ValueError("order must visit every block exactly once")
-    g = _aggregate(problem, u.x)
-    new_x = list(u.x)
+    rho = prepared.rho
+    w = lam - rho * r
+    x_new = x.copy()
     newton_worst = 0.0
-    for i in indices:
-        Ai = problem.A[i]
-        g_minus_i = g - Ai @ u.x[i]
-        new_x[i], resid = _solve_block(problem, prepared, i, u.lam, g_minus_i, u.x[i],
-                                       newton_tol, newton_max_iters)
-        newton_worst = max(newton_worst, resid)
+    for i in order:
+        sl, Ai, At_i, B_i, f, factor, P_i = prepared.blocks[i]
+        x_i = x[sl]
+        if factor is not None:
+            x_new[sl] = _solve_quadratic(factor, At_i, B_i, f.q, w, x_i)
+        else:
+            x0 = float(x_i[0])
+            root, resid = _solve_scalar(f, B_i, -float(At_i @ w) - B_i * x0, P_i, x0,
+                                        newton_tol, newton_max_iters)
+            x_new[sl] = root
+            newton_worst = max(newton_worst, resid)
         if sequential:
-            g = g_minus_i + Ai @ new_x[i]
-    r = constraint_residual(problem, new_x)
-    return PrimalDualPoint(new_x, u.lam - step_size * r), newton_worst, r
+            w = w - rho * (Ai @ (x_new[sl] - x_i))
+    r = constraint_residual(prepared.problem, x_new)
+    return x_new, lam - step_size * r, r, newton_worst
+
+
+def _public_step(problem: BlockProblem, u: PrimalDualPoint, prepared: _Prepared,
+                 step_size: float, sequential: bool, order: Optional[Sequence[int]],
+                 newton_tol: float, newton_max_iters: int) -> PrimalDualPoint:
+    """:func:`_step` on a :class:`PrimalDualPoint`, with its inputs checked."""
+    check_point(problem, u)
+    if order is None:
+        order = range(problem.N)
+    elif sorted(order) != list(range(problem.N)):
+        raise ValueError("order must visit every block exactly once")
+    x = problem.stack(u.x)
+    x, lam, _, _ = _step(prepared, x, u.lam, constraint_residual(problem, x), step_size,
+                         sequential, order, newton_tol, newton_max_iters)
+    return PrimalDualPoint(problem.split(x), lam)
 
 
 def jacobi_proximal_step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
@@ -414,9 +448,8 @@ def jacobi_proximal_step(problem: BlockProblem, u: PrimalDualPoint, params: Solv
     if prepared is None:
         prepared = _Prepared(problem, params.rho,
                              materialize_policy(params.policy, params.rho, problem))
-    point, _, _ = _step(problem, u, prepared, params.gamma * params.rho, False, order,
+    return _public_step(problem, u, prepared, params.gamma * params.rho, False, order,
                         params.newton_tol, params.newton_max_iters)
-    return point
 
 
 def jacobi_plain_step(problem: BlockProblem, u: PrimalDualPoint,
@@ -436,9 +469,8 @@ def gauss_seidel_step(problem: BlockProblem, u: PrimalDualPoint, params: SolverP
     """
     if prepared is None:
         prepared = _Prepared(problem, params.rho, _zero_P(problem))
-    point, _, _ = _step(problem, u, prepared, params.rho, True, order,
+    return _public_step(problem, u, prepared, params.rho, True, order,
                         params.newton_tol, params.newton_max_iters)
-    return point
 
 
 def dual_decomposition_step(problem: BlockProblem, u: PrimalDualPoint, k: int,
@@ -451,9 +483,8 @@ def dual_decomposition_step(problem: BlockProblem, u: PrimalDualPoint, k: int,
     against the constraint residual with the scheduled step size.
     """
     prepared = _Prepared(problem, 0.0, _zero_P(problem))
-    point, _, _ = _step(problem, u, prepared, dd.step_size(k), False, None, newton_tol,
+    return _public_step(problem, u, prepared, dd.step_size(k), False, None, newton_tol,
                         newton_max_iters)
-    return point
 
 
 # -- the run loop --------------------------------------------------------------
@@ -467,13 +498,16 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     The trace records the initial point as iterate 0 and one row per step.
     ``dis`` (largest block-wise or multiplier distance to ``reference``)
     is recorded when a reference is given, and the run stops once it falls
-    to ``params.dis_tol``.  ``phi_context`` is an object with an
-    ``evaluate(u, reference)`` method (see the certification module); its
-    value is recorded per iterate when both it and a reference are present.
+    to ``params.dis_tol``.  ``phi_context`` is the certification module's
+    ``PhiWeights``; its value is recorded per iterate when both it and a
+    reference are present.
 
     A run is declared divergent when the error metric (or, absent a
-    reference, the iterate magnitude) exceeds 1e12 or turns non-finite;
-    the trace is returned with status ``"diverged"`` rather than raising.
+    reference, the iterate magnitude) exceeds 1e12 or turns non-finite, or
+    when a block subproblem cannot be solved during a step (the message is
+    kept in ``Trace.failure``); the trace is returned with status
+    ``"diverged"`` rather than raising.  Failures while preparing the block
+    solves (an unsupported block type, a non-PSD proximal matrix) raise.
     """
     check_point(problem, u0)
     if reference is not None:
@@ -491,48 +525,58 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     if method not in methods:
         raise ValueError(f"unknown method {method!r}")
     penalty, policy, sequential, step_size = methods[method]
-    prepared = _Prepared(problem, penalty, materialize_policy(policy, rho, problem))
 
     trace = Trace(points=[] if record_points else None)
+    clock = time.perf_counter()
+    prepared = _Prepared(problem, penalty, materialize_policy(policy, rho, problem))
+    offsets = prepared.offsets
+    if reference is not None:
+        x_ref, lam_ref = problem.stack(reference.x), reference.lam
+    phi = phi_context if reference is not None else None
+    order = range(problem.N)
+    x, lam = problem.stack(u0.x), u0.lam.copy()
+    r = constraint_residual(problem, x)
     start = time.perf_counter()
-    u = u0.copy()
+    trace.timings["prepare"] = start - clock
 
-    def record(k: int, u: PrimalDualPoint, r: np.ndarray):
-        d = dis_metric(u, reference) if reference is not None else None
-        p = None
-        if phi_context is not None and reference is not None:
-            p = float(phi_context.evaluate(u, reference))
+    def record(k: int) -> None:
+        if reference is not None:
+            dx, dlam = x - x_ref, lam - lam_ref
+            d = block_distance(dx, dlam, offsets)
+            gauge = d
+        else:
+            d = None
+            gauge = block_distance(x, lam, offsets)
         trace.ks.append(k)
         trace.dis.append(d)
-        trace.phi.append(p)
-        trace.primal_residual.append(float(np.linalg.norm(r)))
+        trace.phi.append(None if phi is None else phi.evaluate_stacked(dx, dlam))
+        trace.primal_residual.append(math.sqrt(r @ r))
         trace.elapsed.append(time.perf_counter() - start)
         if trace.points is not None:
-            trace.points.append(u.copy())
-        return d
+            trace.points.append(PrimalDualPoint(problem.split(x.copy()), lam.copy()))
+        if not math.isfinite(gauge) or gauge > DIVERGENCE_LIMIT:
+            trace.status = DIVERGED
+        elif d is not None and d <= params.dis_tol:
+            trace.status = CONVERGED
 
-    def diverged(d) -> bool:
-        gauge = d if d is not None else u.magnitude()
-        return not math.isfinite(gauge) or gauge > DIVERGENCE_LIMIT
-
-    d = record(0, u, constraint_residual(problem, u.x))
-    if reference is not None and d is not None and d <= params.dis_tol:
-        trace.status = CONVERGED
-    elif diverged(d):
-        trace.status = DIVERGED
-    else:
-        for k in range(1, params.max_iters + 1):
-            u, newton_resid, r = _step(problem, u, prepared, step_size(k - 1), sequential,
-                                       None, params.newton_tol, params.newton_max_iters)
-            trace.newton_max_residual = max(trace.newton_max_residual, newton_resid)
-            d = record(k, u, r)
-            if diverged(d):
-                trace.status = DIVERGED
-                break
-            if reference is not None and d is not None and d <= params.dis_tol:
-                trace.status = CONVERGED
-                break
-        else:
-            trace.status = MAX_ITERS
-    trace.final = u
+    step_s = 0.0
+    record(0)
+    k = 0
+    while trace.status == MAX_ITERS and k < params.max_iters:
+        k += 1
+        clock = time.perf_counter()
+        try:
+            x, lam, r, newton_resid = _step(prepared, x, lam, r, step_size(k - 1), sequential,
+                                            order, params.newton_tol, params.newton_max_iters)
+        except (SubproblemFailed, NoBracket, MaxItersExceeded) as exc:
+            trace.status = DIVERGED
+            trace.failure = f"step {k}: {type(exc).__name__}: {exc}"
+            break
+        finally:
+            step_s += time.perf_counter() - clock
+        trace.newton_max_residual = max(trace.newton_max_residual, newton_resid)
+        record(k)
+    trace.timings["step"] = step_s
+    trace.timings["record"] = time.perf_counter() - start - step_s
+    trace.final = PrimalDualPoint(problem.split(x), lam)
     return trace

@@ -494,6 +494,21 @@ def test_phi_matches_term_by_term_oracle():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+def test_phi_weights_of_uneven_blocks_match_term_by_term_oracle():
+    rng = np.random.default_rng(13)
+    W = []
+    for n in (3, 1, 3, 2, 1):
+        B = rng.standard_normal((n, n))
+        W.append(B @ B.T + np.eye(n))
+    weights = PhiWeights(0.7, 1.9, W)
+    u = PrimalDualPoint([rng.standard_normal(Wi.shape[0]) for Wi in W], rng.standard_normal(4))
+    ref = PrimalDualPoint([rng.standard_normal(Wi.shape[0]) for Wi in W], rng.standard_normal(4))
+    expected = float((u.lam - ref.lam) @ (u.lam - ref.lam)) / (2 * 0.7 * 1.9)
+    for Wi, xi, ri in zip(W, u.x, ref.x):
+        expected += 0.5 * float((xi - ri) @ Wi @ (xi - ri))
+    assert weights.evaluate(u, ref) == pytest.approx(expected, rel=1e-13)
+
+
 def test_phi_dominates_identity_parts():
     inst, consts, s, P_list = phi_ingredients(seed=9)
     rng = np.random.default_rng(11)

@@ -157,6 +157,31 @@ def test_solve_divergent_baseline_exits_5_and_writes_trace(tmp_path):
     assert cols["dis"][-1] > 1e12
 
 
+def test_solve_ra_with_unit_weight_exits_5_and_writes_trace(tmp_path):
+    # Weight 1 lets resource allocation N=6, seed 0 blow up, with scalar solves
+    # at magnitudes where the Newton tolerance is below float spacing; the run
+    # must end as diverged and still write its trace.
+    inst = make_instance(tmp_path, "ra", N=6, seed=0)
+    out = tmp_path / "trace.csv"
+    code = run_cli("solve", "--input", str(inst), "--tau", "1", "--output", str(out))
+    assert code == 5
+    cols = read_trace_csv(out)
+    assert len(cols["k"]) >= 1
+
+
+def test_sweep_manifest_records_cell_timings(tmp_path):
+    inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
+    sweep_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir),
+                   "--rho-grid", "1", "--gamma-grid", "0.5,1.5", "--max-iters", "100") == 0
+    manifest = json.loads((sweep_dir / "manifest.json").read_text())
+    for cell in manifest["cells"]:
+        timings = cell["timings"]
+        assert set(timings) == {"prepare", "step", "record"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= cell["wall_s"]
+
+
 def test_solve_gauss_seidel_baseline(tmp_path):
     inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
     out = tmp_path / "gs.csv"

@@ -281,6 +281,19 @@ def test_run_sweep_records_cell_failures_without_raising():
     assert cell.trace is not None
 
 
+def test_run_sweep_gives_a_trace_where_block_solves_break_down():
+    # Weight 1 on allocation seed 0 drives the iterates past 1e4, where scalar
+    # solves cannot meet their absolute tolerance; the cell must still end with
+    # a trace and status diverged, not as an error.
+    inst = generate_resource_alloc(6, seed=0)
+    sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(1.0,), seeds=(0,))
+    cell = run_sweep(inst, sweep, policy=StandardProximal(1.0))[(1.0, 1.0, 0)]
+    assert cell.error is None
+    assert cell.status == "diverged"
+    assert cell.trace is not None and len(cell.trace) > 1
+    assert cell.wall_s >= sum(cell.trace.timings.values())
+
+
 def test_resolve_policy_auto_builds_requested_kind():
     from jprox.certify import fallback_tau, smallest_certified_tau
 

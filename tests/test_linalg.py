@@ -119,6 +119,26 @@ def test_spd_factor_reuse():
         assert np.linalg.norm(M @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
 
 
+def test_spd_factor_checks_residual_only_when_poorly_conditioned():
+    import scipy.linalg
+
+    rng = np.random.default_rng(5)
+    well = random_spd(rng, 6)
+    factor = SpdFactor(well)
+    assert not factor.checks_residual
+    b = rng.standard_normal(6)
+    expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(well, lower=True), b)
+    assert np.array_equal(factor.solve(b), expected)
+
+    hilbert = scipy.linalg.hilbert(4)  # condition number about 1.6e4
+    factor = SpdFactor(hilbert)
+    assert factor.checks_residual
+    for _ in range(4):
+        b = rng.standard_normal(4)
+        x = factor.solve(b)
+        assert np.linalg.norm(hilbert @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
+
+
 # -- min_eigenvalue_sym ------------------------------------------------------------
 
 def test_min_eigenvalue_identity():

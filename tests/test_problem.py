@@ -162,6 +162,43 @@ def test_constraint_residual_arithmetic():
     assert r == pytest.approx([-1.0])
 
 
+def test_constraint_residual_list_and_stacked_agree_bitwise():
+    rng = np.random.default_rng(21)
+    A = (rng.standard_normal((5, 3)), rng.standard_normal((5, 1)), rng.standard_normal((5, 2)))
+    p = BlockProblem(
+        tuple(QuadraticBlock(np.eye(Ai.shape[1]), np.zeros(Ai.shape[1])) for Ai in A),
+        A,
+        rng.standard_normal(5),
+    )
+    x = [rng.standard_normal(Ai.shape[1]) for Ai in A]
+    listed = constraint_residual(p, x)
+    assert np.array_equal(listed, constraint_residual(p, np.concatenate(x)))
+    oracle = sum(Ai @ xi for Ai, xi in zip(A, x)) - p.c
+    assert np.allclose(listed, oracle, rtol=0.0, atol=1e-12)
+
+
+def test_constraint_residual_rejects_wrong_lengths():
+    p = scalar_problem(3)
+    with pytest.raises(DimensionMismatch):
+        constraint_residual(p, [np.zeros(1)] * 2)
+    with pytest.raises(DimensionMismatch):
+        constraint_residual(p, np.zeros(4))
+    with pytest.raises(DimensionMismatch):
+        constraint_residual(p, [np.zeros(1), np.zeros(2), np.zeros(1)])
+
+
+def test_stacked_layout_offsets_and_split():
+    inst = generate_lcqp(3, 6, 4, seed=0)
+    p = inst.problem
+    assert p.offsets == (0, 4, 8, 12)
+    x = p.stack(list(inst.xstar))
+    assert all(np.array_equal(a, b) for a, b in zip(p.split(x), inst.xstar))
+    A = p.stacked_A()
+    assert A is p.stacked_A()
+    assert np.array_equal(A, np.hstack(p.A))
+    assert not A.flags.writeable
+
+
 # -- kkt_residual ----------------------------------------------------------------------
 
 def test_kkt_residual_zero_at_origin_for_identity_problem():

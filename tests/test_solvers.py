@@ -477,3 +477,234 @@ def test_run_computes_one_constraint_residual_per_iterate(monkeypatch):
     assert len(calls) == len(trace)
     for point, recorded in zip(trace.points, trace.primal_residual):
         assert recorded == float(np.linalg.norm(original(inst.problem, point.x)))
+
+
+# -- uneven and mixed blocks ------------------------------------------------------------
+
+def mixed_problem():
+    """Quadratic blocks of dimension 3 and 1 plus two scalar logistic blocks."""
+    rng = np.random.default_rng(17)
+    m = 4
+    H3 = rng.standard_normal((3, 3))
+    H3 = H3 @ H3.T + np.eye(3)
+    objectives = (
+        QuadraticBlock(H3, rng.standard_normal(3)),
+        QuadraticBlock(np.array([[2.0]]), np.array([0.5])),
+        LogisticQuadBlock(0.8, 1.5, 0.3, -0.2),
+        LogisticQuadBlock(1.2, -0.7, -1.0, 0.5),
+    )
+    A = tuple(rng.standard_normal((m, f.dim)) for f in objectives)
+    return BlockProblem(objectives, A, rng.standard_normal(m))
+
+
+def random_point(problem, seed):
+    rng = np.random.default_rng(seed)
+    return PrimalDualPoint([rng.standard_normal(n) for n in problem.dims],
+                           rng.standard_normal(problem.m))
+
+
+def test_mixed_blocks_step_is_order_invariant():
+    from itertools import permutations
+
+    p = mixed_problem()
+    assert p.offsets == (0, 3, 4, 5, 6)
+    u = random_point(p, 1)
+    params = SolverParams(rho=1.3, gamma=1.2, policy=StandardProximal([2.0, 1.0, 0.5, 3.0]))
+    base = jacobi_proximal_step(p, u, params)
+    for order in permutations(range(p.N)):
+        out = jacobi_proximal_step(p, u, params, order=list(order))
+        for a, b in zip(base.x, out.x):
+            assert np.array_equal(a, b), order
+        assert np.array_equal(base.lam, out.lam), order
+
+
+def test_mixed_blocks_step_is_stationary():
+    p = mixed_problem()
+    u = random_point(p, 2)
+    policy = StandardProximal([2.0, 1.0, 0.5, 3.0])
+    params = SolverParams(rho=1.3, gamma=1.2, policy=policy)
+    out = jacobi_proximal_step(p, u, params)
+    P_list = materialize_policy(policy, params.rho, p)
+    assert stationarity_defect(p, u, out, params.rho, P_list) <= 1e-9
+
+
+@pytest.mark.parametrize("method", ["jprox", "jacobi-plain", "gauss-seidel", "dual-decomp"])
+def test_mixed_blocks_run_equals_public_steps(method):
+    p = mixed_problem()
+    params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(2.0), max_iters=5)
+    dd = DualDecompositionParams(0.2)
+    u = random_point(p, 3)
+    trace = run(p, params, u, method=method, dd_params=dd, record_points=True)
+    assert trace.ks == list(range(6))
+    for k, got in enumerate(trace.points):
+        for a, b in zip(got.x, u.x):
+            assert np.array_equal(a, b), (k, a, b)
+        assert np.array_equal(got.lam, u.lam), k
+        u = _public_step(method, p, u, k, params, dd)
+
+
+# -- an independent per-block oracle of the four methods ---------------------------------
+
+def _oracle_scalar_root(F, x0):
+    """Root of an increasing scalar function by bracketing and bisection to float precision."""
+    lo, hi, step = x0, x0, 1.0
+    while F(lo) > 0.0:
+        lo, step = x0 - step, 2.0 * step
+    step = 1.0
+    while F(hi) < 0.0:
+        hi, step = x0 + step, 2.0 * step
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(F(lo)) <= abs(F(hi)) else hi
+        if F(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _oracle_step(problem, x, lam, penalty, P_list, sequential, step_size):
+    """One step from per-block aggregates ``g_minus_i`` and dense solves."""
+    new = [xi.copy() for xi in x]
+    for i, (f, Ai, Pi) in enumerate(zip(problem.objectives, problem.A, P_list)):
+        seen = new if sequential else x
+        g_minus_i = np.zeros(problem.m)
+        for j in range(problem.N):
+            if j != i:
+                g_minus_i = g_minus_i + problem.A[j] @ seen[j]
+        if isinstance(f, QuadraticBlock):
+            M = f.H + penalty * (Ai.T @ Ai) + Pi
+            rhs = Ai.T @ lam - f.q - penalty * (Ai.T @ (g_minus_i - problem.c)) + Pi @ x[i]
+            new[i] = np.linalg.solve(M, rhs)
+        else:
+            a = Ai[:, 0]
+
+            def F(z, f=f, a=a, g=g_minus_i, xi=x[i][0], p=Pi[0, 0]):
+                coupling = penalty * float(a @ (a * z + g - problem.c)) - float(a @ lam)
+                return float(block_gradient(f, np.array([z]))[0]) + coupling + p * (z - xi)
+
+            new[i] = np.array([_oracle_scalar_root(F, x[i][0])])
+    r = -problem.c.copy()
+    for Ai, xi in zip(problem.A, new):
+        r = r + Ai @ xi
+    return new, lam - step_size * r, r
+
+
+def _oracle_trace(problem, method, params, dd, u0, ref, weights, steps):
+    rho, gamma = params.rho, params.gamma
+    penalty = 0.0 if method == "dual-decomp" else rho
+    policy = params.policy if method == "jprox" else None
+    P_list = [materialize_P(policy, rho, Ai, i, problem.N) for i, Ai in enumerate(problem.A)]
+    sequential = method == "gauss-seidel"
+    out = {"dis": [], "phi": [], "primal_residual": []}
+
+    def record(x, lam, r):
+        dis = max([float(np.linalg.norm(lam - ref.lam))]
+                  + [float(np.linalg.norm(xi - ri)) for xi, ri in zip(x, ref.x)])
+        phi = None
+        if weights is not None:
+            phi = float((lam - ref.lam) @ (lam - ref.lam)) / (2.0 * gamma * rho)
+            for Wi, xi, ri in zip(weights.W, x, ref.x):
+                phi += 0.5 * float((xi - ri) @ (Wi @ (xi - ri)))
+        out["dis"].append(dis)
+        out["phi"].append(phi)
+        out["primal_residual"].append(float(np.linalg.norm(r)))
+
+    x, lam = [xi.copy() for xi in u0.x], u0.lam.copy()
+    r = sum(Ai @ xi for Ai, xi in zip(problem.A, x)) - problem.c
+    record(x, lam, r)
+    for k in range(steps):
+        if method == "jprox":
+            step_size = gamma * rho
+        elif method == "dual-decomp":
+            step_size = dd.alpha0 / np.sqrt(k + 1.0)
+        else:
+            step_size = rho
+        x, lam, r = _oracle_step(problem, x, lam, penalty, P_list, sequential, step_size)
+        record(x, lam, r)
+    return out
+
+
+@pytest.mark.parametrize("family", ["lcqp-3-10-4", "lcqp-1-6-3", "ra-6"])
+@pytest.mark.parametrize("method", ["jprox", "jacobi-plain", "gauss-seidel", "dual-decomp"])
+def test_run_matches_per_block_oracle(family, method):
+    from jprox.certify import certify_with_phi
+    from jprox.experiments import instance_reference, resolve_policy
+
+    if family.startswith("lcqp"):
+        inst = generate_lcqp(*(int(v) for v in family.split("-")[1:]), seed=3)
+        ref = inst.optimum()
+        u0 = PrimalDualPoint.zeros(inst.problem)
+    else:
+        inst = generate_resource_alloc(6, seed=1)
+        ref = instance_reference(inst)
+        # A zero start has a zero constraint residual here (c = 0), which
+        # would leave the residual column without a scale to compare against.
+        u0 = PrimalDualPoint([np.ones(1)] * 6, np.ones(1))
+    problem = inst.problem
+    rho, gamma = 1.0, 1.5
+    policy = resolve_policy(problem, rho, gamma, "auto")
+    _, weights = certify_with_phi(problem, rho, gamma, policy)
+    weights = weights if method == "jprox" else None
+    params = SolverParams(rho=rho, gamma=gamma, policy=policy, max_iters=200)
+    dd = DualDecompositionParams(0.1)
+    trace = run(problem, params, u0, reference=ref, phi_context=weights, method=method,
+                dd_params=dd)
+    oracle = _oracle_trace(problem, method, params, dd, u0, ref, weights, len(trace) - 1)
+    for column in ("dis", "phi", "primal_residual"):
+        got, want = getattr(trace, column), oracle[column]
+        if want[0] is None:
+            assert all(v is None for v in got)
+            continue
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 1e-10 * max(abs(want[0]), abs(w)), (column, k, g, w)
+
+
+# -- failure semantics ---------------------------------------------------------------------
+
+def test_run_turns_a_block_solve_failure_into_divergence():
+    ra = generate_resource_alloc(6, seed=0)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(5.0), max_iters=50,
+                          newton_max_iters=1)
+    trace = run(ra.problem, params, PrimalDualPoint.zeros(ra.problem))
+    assert trace.status == "diverged"
+    assert trace.ks == [0]
+    assert "MaxItersExceeded" in trace.failure
+    assert trace.final.x[0][0] == 0.0
+
+
+def test_run_still_raises_on_prepare_failures():
+    from jprox.problem import GenericSmooth
+
+    p = BlockProblem(
+        (GenericSmooth(1, lambda x: float(x[0] ** 2), lambda x: 2 * x, 2.0, 1.0),),
+        (np.ones((1, 1)),),
+        np.zeros(1),
+    )
+    with pytest.raises(SubproblemFailed):
+        run(p, SolverParams(rho=1.0, gamma=1.0), PrimalDualPoint.zeros(p))
+
+
+def test_scalar_newton_stops_when_the_bracket_is_two_adjacent_floats():
+    # The root sits near 5564, where the residual's float spacing is about
+    # 1e-12: no float meets |F| <= 1e-12 here, so the search must return the
+    # root to float precision instead of running out of iterations.
+    block = LogisticQuadBlock(0.95, -0.31, 1.0, -1.0)
+    x = solve_block_scalar_newton(block, rho=1.0, lam_k=10849.6, g_minus_i=0.0, c=0.0,
+                                  x_k=0.0, P_scalar=0.0)
+    # The logistic term is exactly 0 there, so the root solves a linear equation.
+    assert abs(x - (10849.6 + 0.95) / 1.95) <= 2.0 * np.spacing(x)
+
+
+def test_run_records_phase_timings():
+    import time
+
+    inst = generate_lcqp(3, 6, 4, seed=5)
+    params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(2.0), max_iters=30)
+    start = time.perf_counter()
+    trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
+                reference=inst.optimum())
+    wall = time.perf_counter() - start
+    assert set(trace.timings) == {"prepare", "step", "record"}
+    assert all(v >= 0.0 for v in trace.timings.values())
+    assert sum(trace.timings.values()) <= wall
