@@ -362,8 +362,7 @@ def certificate_from_dict(d: dict) -> Certificate:
 
 
 def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPolicy,
-            consts: Optional[ProblemConstants] = None, refine: bool = False,
-            seed: Optional[int] = None) -> Certificate:
+            consts: Optional[ProblemConstants] = None, seed: Optional[int] = None) -> Certificate:
     """Run the full certification pipeline for one parameter choice.
 
     Never raises on a certifiability failure: the returned certificate has
@@ -390,8 +389,7 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     gap = consts.alpha - 2.0 * consts.L * s
     P_list = materialize_policy(policy, rho, problem)
 
-    xi_check = refine_xi(problem, rho, gamma, s, P_list) if refine \
-        else check_xi_condition(problem, rho, gamma, s, P_list)
+    xi_check = check_xi_condition(problem, rho, gamma, s, P_list)
     mu = compute_mu_s(problem, consts, rho, s, P_list)
     sig = compute_sigma(gamma, rho, s, consts.c_A, mu)
 

@@ -192,10 +192,7 @@ def cmd_solve(args) -> int:
     policy = build_policy(instance, rho, gamma, args.policy, args.tau, consts)
     params = SolverParams(rho=rho, gamma=gamma, policy=policy,
                           max_iters=max_iters, dis_tol=args.tol)
-    if isinstance(instance, exp.LcqpInstance):
-        reference = instance.optimum()
-    else:
-        reference = exp.reference_solution(problem, params).point
+    reference = exp.instance_reference(instance)
     phi_ctx = None
     if args.method == "jprox":
         _, phi_ctx = certify_with_phi(problem, rho, gamma, policy, consts, instance.seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -40,6 +40,7 @@ from .problem import (
     PrimalDualPoint,
     QuadraticBlock,
     dis_metric,
+    kkt_map,
     kkt_residual,
     problem_from_dict,
     problem_to_dict,
@@ -90,16 +91,22 @@ class LcqpInstance:
         return PrimalDualPoint([xi.copy() for xi in self.xstar], self.lambdastar.copy())
 
 
+def _block_coefficients(name: str) -> property:
+    return property(lambda self: np.array([getattr(f, name) for f in self.problem.objectives]),
+                    doc=f"The blocks' ``{name}`` coefficients, one per block.")
+
+
 @dataclass(frozen=True)
 class ResourceAllocInstance:
-    """A generated scalar resource-allocation instance."""
+    """A generated scalar resource-allocation instance; its coefficients live in its blocks."""
 
     problem: BlockProblem
-    a: np.ndarray
-    b: np.ndarray
-    cshift: np.ndarray
-    dshift: np.ndarray
     seed: int
+
+    a = _block_coefficients("a")
+    b = _block_coefficients("b")
+    cshift = _block_coefficients("cshift")
+    dshift = _block_coefficients("dshift")
 
 
 Instance = Union[LcqpInstance, ResourceAllocInstance]
@@ -178,7 +185,7 @@ def generate_resource_alloc(N: int, seed: int) -> ResourceAllocInstance:
         tuple(np.ones((1, 1)) for _ in range(N)),
         np.zeros(1),
     )
-    return ResourceAllocInstance(problem, a, b, cshift, dshift, seed)
+    return ResourceAllocInstance(problem, seed)
 
 
 class ReferenceSolution(NamedTuple):
@@ -188,43 +195,48 @@ class ReferenceSolution(NamedTuple):
     kkt_residual: float
 
 
-def reference_solution(problem: BlockProblem, params: SolverParams) -> ReferenceSolution:
-    """High-accuracy reference optimum.
+#: Newton steps, and halvings of one step, before the reference solve stops.
+REFERENCE_MAX_STEPS, REFERENCE_MAX_HALVINGS = 100, 40
+#: ``||F|| <= REFERENCE_ROUNDOFF * ||F(0)||`` is round-off level for a dense solve.
+REFERENCE_ROUNDOFF = 1e-14
 
-    All-quadratic problems solve the dense stationarity-plus-feasibility
-    system ``[blockdiag(H_i), -A'; A, 0] (x; lam) = (-q; c)`` directly via a
-    minimum-norm least-squares solve (raising :class:`SingularKkt` when the
-    system is inconsistent).  Other problems run the parallel proximal engine
-    for 4000 iterations from zero and return its final iterate.
+
+def reference_solution(problem: BlockProblem) -> ReferenceSolution:
+    """High-accuracy reference optimum; it depends on no solver parameter.
+
+    Damped Newton from zero on the KKT map ``F`` of :func:`jprox.problem.kkt_map`:
+    each step solves ``[blockdiag(hess f_i), -A'; A, 0] dz = -F`` by
+    minimum-norm least squares and is halved until ``||F||`` decreases.  The
+    iteration stops once ``||F||`` is at round-off or stops decreasing, so an
+    all-quadratic problem takes one full step.  Raises :class:`SingularKkt`
+    when ``||F||`` ends far from zero (an inconsistent or unsolved system) and
+    :class:`SubproblemFailed` for a block without a Hessian.
     """
-    if all(isinstance(f, QuadraticBlock) for f in problem.objectives):
-        n = sum(problem.dims)
-        m = problem.m
-        A = problem.stacked_A()
-        K = np.zeros((n + m, n + m))
-        rhs = np.zeros(n + m)
-        offset = 0
-        for f in problem.objectives:
-            d = f.dim
-            K[offset:offset + d, offset:offset + d] = f.H
-            rhs[offset:offset + d] = -f.q
-            offset += d
-        K[:n, n:] = -A.T
-        K[n:, :n] = A
-        rhs[n:] = problem.c
-        z, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-        if float(np.linalg.norm(K @ z - rhs)) > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
-            raise SingularKkt("stationarity system is inconsistent")
-        x = []
-        offset = 0
-        for d in problem.dims:
-            x.append(z[offset:offset + d])
-            offset += d
-        point = PrimalDualPoint(x, z[n:])
-    else:
-        trace = run(problem, replace(params, max_iters=4000, dis_tol=0.0),
-                    PrimalDualPoint.zeros(problem))
-        point = trace.final
+    o, n, m = problem.offsets, problem.offsets[-1], problem.m
+    A = problem.stacked_A()
+    K = np.zeros((n + m, n + m))
+    K[:n, n:], K[n:, :n] = -A.T, A
+    z = np.zeros(n + m)
+    F = kkt_map(problem, z[:n], z[n:])
+    norm0 = norm = float(np.linalg.norm(F))
+    for _ in range(REFERENCE_MAX_STEPS):
+        if norm <= REFERENCE_ROUNDOFF * norm0:
+            break
+        for i, (f, xi) in enumerate(zip(problem.objectives, problem.split(z[:n]))):
+            K[o[i]:o[i + 1], o[i]:o[i + 1]] = f.hessian(xi)
+        dz, *_ = np.linalg.lstsq(K, -F, rcond=None)
+        for t in 0.5 ** np.arange(REFERENCE_MAX_HALVINGS):
+            trial = z + t * dz
+            F_trial = kkt_map(problem, trial[:n], trial[n:])
+            norm_trial = float(np.linalg.norm(F_trial))
+            if norm_trial < norm:
+                break
+        else:
+            break
+        z, F, norm = trial, F_trial, norm_trial
+    if norm > 1e-8 * (1.0 + norm0):
+        raise SingularKkt(f"KKT system is inconsistent or unsolved: ||F|| = {norm:.3e}")
+    point = PrimalDualPoint(problem.split(z[:n]), z[n:])
     return ReferenceSolution(point, kkt_residual(problem, point))
 
 
@@ -305,22 +317,11 @@ def resolve_policy(problem: BlockProblem, rho: float, gamma: float, policy,
     return ProxLinear([max(t, rho * spectral_norm(Ai) ** 2) for t, Ai in zip(taus, problem.A)])
 
 
-def instance_reference(instance: Instance,
-                       consts: Optional[ProblemConstants] = None) -> PrimalDualPoint:
-    """The optimum used as the sweep's error reference.
-
-    Quadratic instances carry their constructed optimum.  Allocation
-    instances get one engine reference per instance, computed with a fixed
-    well-behaved parameter choice (rho=1, gamma=1, auto weights); block
-    strong convexity makes the optimum unique, so the same reference serves
-    every cell.
-    """
+def instance_reference(instance: Instance) -> PrimalDualPoint:
+    """The optimum to measure ``dis`` against: the planted one, else :func:`reference_solution`."""
     if isinstance(instance, LcqpInstance):
         return instance.optimum()
-    problem = instance.problem
-    policy = resolve_policy(problem, 1.0, 1.0, "auto", consts)
-    params = SolverParams(rho=1.0, gamma=1.0, policy=policy)
-    return reference_solution(problem, params).point
+    return reference_solution(instance.problem).point
 
 
 def _run_cell(instance: Instance, reference: PrimalDualPoint,
@@ -368,7 +369,7 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
     if isinstance(instances, (LcqpInstance, ResourceAllocInstance)):
         instances = [instances]
     consts = {inst.seed: try_estimate_constants(inst.problem) for inst in instances}
-    refs = {inst.seed: instance_reference(inst, consts[inst.seed]) for inst in instances}
+    refs = {inst.seed: instance_reference(inst) for inst in instances}
     return {
         (rho, gamma, inst.seed): _run_cell(inst, refs[inst.seed], consts[inst.seed], rho, gamma,
                                            sweep, policy)
@@ -402,16 +403,9 @@ def instance_from_dict(d: dict) -> Instance:
         lamstar = np.array(d["lambdastar"], dtype=float)
         src = tuple(np.array(P, dtype=float) for P in d.get("proximal_source", []))
         return LcqpInstance(problem, xstar, lamstar, seed, src)
-    a, b, cs, ds = [], [], [], []
-    for f in problem.objectives:
-        if not isinstance(f, LogisticQuadBlock):
-            raise ValueError("resource allocation instances need scalar logistic blocks")
-        a.append(f.a)
-        b.append(f.b)
-        cs.append(f.cshift)
-        ds.append(f.dshift)
-    return ResourceAllocInstance(problem, np.array(a), np.array(b), np.array(cs),
-                                 np.array(ds), seed)
+    if not all(isinstance(f, LogisticQuadBlock) for f in problem.objectives):
+        raise ValueError("resource allocation instances need scalar logistic blocks")
+    return ResourceAllocInstance(problem, seed)
 
 
 def save_instance(instance: Instance, path) -> None:

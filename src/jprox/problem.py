@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite, SubproblemFailed
 from .linalg import min_eigenvalue_sym, require_symmetric
 
 
@@ -73,6 +73,9 @@ class QuadraticBlock:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.H @ x + self.q
 
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        return self.H
+
 
 @dataclass(frozen=True)
 class LogisticQuadBlock:
@@ -113,6 +116,9 @@ class LogisticQuadBlock:
         s = sigmoid(self.b * (x0 - self.dshift))
         return self.a + self.b * self.b * s * (1.0 - s)
 
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        return np.array([[self.curvature(float(x[0]))]])
+
 
 @dataclass(frozen=True)
 class GenericSmooth:
@@ -139,6 +145,9 @@ class GenericSmooth:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return _as_vector(self.gradient_fn(x), self.dim, "GenericSmooth.gradient")
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        raise SubproblemFailed("GenericSmooth blocks have no Hessian")
 
 
 BlockObjective = Union[QuadraticBlock, LogisticQuadBlock, GenericSmooth]
@@ -313,18 +322,19 @@ def constraint_residual(problem: BlockProblem, x) -> np.ndarray:
     return problem.stacked_A() @ problem.stack(x) - problem.c
 
 
-def kkt_residual(problem: BlockProblem, u: PrimalDualPoint) -> float:
-    """Optimality defect: worst block stationarity gap or feasibility gap.
+def kkt_map(problem: BlockProblem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``(grad f(x) - A' lam, A x - c)`` for a stacked ``x``; zero exactly at a solution."""
+    grad = [block_gradient(f, xi) for f, xi in zip(problem.objectives, problem.split(x))]
+    return np.concatenate((np.concatenate(grad) - problem.stacked_A().T @ lam,
+                           constraint_residual(problem, x)))
 
-    Zero exactly at a primal-dual solution: every block satisfies
-    ``grad f_i(x_i) = A_i' lam`` and the coupling constraint holds.
-    """
+
+def kkt_residual(problem: BlockProblem, u: PrimalDualPoint) -> float:
+    """Optimality defect: worst block stationarity gap or feasibility gap of :func:`kkt_map`."""
     check_point(problem, u)
-    worst = float(np.linalg.norm(constraint_residual(problem, u.x)))
-    for f, Ai, xi in zip(problem.objectives, problem.A, u.x):
-        gap = float(np.linalg.norm(block_gradient(f, xi) - Ai.T @ u.lam))
-        worst = max(worst, gap)
-    return worst
+    F = kkt_map(problem, problem.stack(u.x), u.lam)
+    n = problem.offsets[-1]
+    return block_distance(F[:n], F[n:], problem.offsets)
 
 
 def augmented_lagrangian(problem: BlockProblem, u: PrimalDualPoint, rho: float) -> float:

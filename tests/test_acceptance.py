@@ -100,7 +100,7 @@ def test_criterion_2_oracle_equivalence():
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
                 reference=inst.optimum())
     assert trace.status == "converged"
-    ref = reference_solution(inst.problem, params)
+    ref = reference_solution(inst.problem)
     limit_gap = dis_metric(trace.final, ref.point)
     construction_gap = dis_metric(inst.optimum(), ref.point)
     assert limit_gap <= 1e-6
@@ -200,7 +200,7 @@ def test_criterion_7_resource_allocation():
     policy = auto_policy(inst.problem, 1.0, 1.5)
     params = SolverParams(rho=1.0, gamma=1.5, policy=policy,
                           max_iters=4000, newton_tol=1e-12)
-    ref = reference_solution(inst.problem, params)
+    ref = reference_solution(inst.problem)
     assert ref.kkt_residual <= 1e-8
     solve = run(inst.problem,
                 SolverParams(rho=1.0, gamma=1.5, policy=policy, max_iters=4000,

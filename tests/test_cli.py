@@ -169,6 +169,23 @@ def test_solve_ra_with_unit_weight_exits_5_and_writes_trace(tmp_path):
     assert len(cols["k"]) >= 1
 
 
+def test_solve_ra_reference_does_not_depend_on_the_solver_flags(tmp_path):
+    # The reference is the instance's optimum, so the zero start sits at the
+    # same distance from it whatever the run's weights; a diverging choice
+    # records its whole run instead of stopping at a diverged reference.
+    inst = make_instance(tmp_path, "ra", N=6, seed=0)
+    rows = {}
+    for name, flags, want in [("default", [], 0), ("tau1", ["--tau", "1"], 5),
+                              ("none", ["--policy", "none"], None)]:
+        out = tmp_path / f"{name}.csv"
+        code = run_cli("solve", "--input", str(inst), "--output", str(out), *flags)
+        if want is not None:
+            assert code == want
+        rows[name] = read_trace_csv(out)
+    assert rows["default"]["dis"][0] == rows["tau1"]["dis"][0] == rows["none"]["dis"][0]
+    assert len(rows["tau1"]["k"]) > 1
+
+
 def test_sweep_manifest_records_cell_timings(tmp_path):
     inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
     sweep_dir = tmp_path / "sweep"

@@ -29,7 +29,7 @@ from jprox.problem import (
     QuadraticBlock,
     kkt_residual,
 )
-from jprox.solvers import ProxLinear, SolverParams, StandardProximal
+from jprox.solvers import ProxLinear, StandardProximal
 
 
 # -- generator: quadratic family -----------------------------------------------------
@@ -180,8 +180,7 @@ def test_dis_dimension_mismatch():
 
 def test_reference_matches_constructed_optimum():
     inst = generate_lcqp(3, 8, 4, seed=11)
-    params = SolverParams(rho=1.0, gamma=1.0)
-    ref = reference_solution(inst.problem, params)
+    ref = reference_solution(inst.problem)
     assert dis_metric(ref.point, inst.optimum()) <= 1e-8
     assert ref.kkt_residual <= 1e-9
 
@@ -190,7 +189,7 @@ def test_reference_trivial_identity_problem():
     p = BlockProblem(
         (QuadraticBlock(np.eye(2), np.zeros(2)),), (np.eye(2),), np.zeros(2)
     )
-    ref = reference_solution(p, SolverParams(rho=1.0, gamma=1.0))
+    ref = reference_solution(p)
     assert np.allclose(ref.point.x[0], 0.0, atol=1e-14)
     assert np.allclose(ref.point.lam, 0.0, atol=1e-14)
 
@@ -203,15 +202,105 @@ def test_reference_rejects_inconsistent_system():
         np.array([1.0, 0.0]),
     )
     with pytest.raises(SingularKkt):
-        reference_solution(p, SolverParams(rho=1.0, gamma=1.0))
+        reference_solution(p)
 
 
 def test_reference_iterative_path_for_allocation():
     inst = generate_resource_alloc(6, seed=0)
-    policy = StandardProximal([5.0] * 6)
-    params = SolverParams(rho=1.0, gamma=1.0, policy=policy)
-    ref = reference_solution(inst.problem, params)
+    ref = reference_solution(inst.problem)
     assert ref.kkt_residual <= 1e-8
+
+
+@pytest.mark.parametrize("shape, seed", [((3, 8, 4), 11), ((3, 100, 40), 0),
+                                         ((10, 100, 40), 1), ((3, 20, 5), 0)])
+def test_reference_solves_quadratic_kkt_system_in_one_step(shape, seed):
+    # Dense oracle: the KKT system of the quadratic program, assembled here.
+    p = generate_lcqp(*shape, seed=seed).problem
+    n = sum(p.dims)
+    A = np.hstack(p.A)
+    K = np.zeros((n + p.m, n + p.m))
+    K[:n, n:], K[n:, :n] = -A.T, A
+    start = 0
+    for f in p.objectives:
+        K[start:start + f.dim, start:start + f.dim] = f.H
+        start += f.dim
+    z, *_ = np.linalg.lstsq(K, np.concatenate([-f.q for f in p.objectives] + [p.c]), rcond=None)
+    oracle = PrimalDualPoint(np.split(z[:n], np.cumsum(p.dims)[:-1]), z[n:])
+    assert dis_metric(reference_solution(p).point, oracle) <= 1e-14
+
+
+def _allocation_oracle(inst):
+    """Optimum of ``sum_i f_i(x_i)`` s.t. ``sum_i x_i = 0`` by nested bisection.
+
+    The multiplier is bisected on ``sum_i x_i(lam)``; each ``x_i(lam)`` solves
+    ``f_i'(x) = lam`` by its own bisection.  Each bisection runs until its
+    bracket is two adjacent floats.
+    """
+    a, b, cs, ds = inst.a, inst.b, inst.cshift, inst.dshift
+
+    def slope(x):
+        return a * (x - cs) + b * 0.5 * (1.0 + np.tanh(0.5 * b * (x - ds)))
+
+    def x_of(lam):
+        # f_i' lies within [min(b, 0), max(b, 0)] of a*(x - cs).
+        lo = cs + (lam - np.maximum(b, 0.0)) / a
+        hi = cs + (lam - np.minimum(b, 0.0)) / a
+        while True:
+            mid = 0.5 * (lo + hi)
+            open_ = (mid > lo) & (mid < hi)
+            if not open_.any():
+                return 0.5 * (lo + hi)
+            below = slope(mid) < lam
+            lo = np.where(open_ & below, mid, lo)
+            hi = np.where(open_ & ~below, mid, hi)
+
+    lo, hi = -1.0, 1.0
+    while x_of(lo).sum() > 0.0:
+        lo *= 2.0
+    while x_of(hi).sum() < 0.0:
+        hi *= 2.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if x_of(mid).sum() < 0.0 else (lo, mid)
+    lam = 0.5 * (lo + hi)
+    return x_of(lam), lam
+
+
+@pytest.mark.parametrize("N", [6, 100])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_allocation_reference_matches_bisection_oracle(N, seed):
+    inst = generate_resource_alloc(N, seed)
+    x, lam = _allocation_oracle(inst)
+    ref = reference_solution(inst.problem)
+    assert ref.kkt_residual <= 1e-10
+    assert np.max(np.abs(np.concatenate(ref.point.x) - x)) <= 1e-9
+    assert abs(ref.point.lam[0] - lam) <= 1e-9
+
+
+def test_reference_does_not_run_the_engine(monkeypatch):
+    import jprox.experiments as experiments
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine must not build a reference")
+
+    monkeypatch.setattr(experiments, "run", no_engine)
+    inst = generate_resource_alloc(6, seed=0)
+    ref = experiments.reference_solution(inst.problem)
+    assert ref.kkt_residual <= 1e-10
+    assert dis_metric(experiments.instance_reference(inst), ref.point) == 0.0
+
+
+def test_reference_rejects_blocks_without_a_hessian():
+    from jprox.errors import SubproblemFailed
+    from jprox.problem import GenericSmooth
+
+    p = BlockProblem(
+        (GenericSmooth(1, lambda x: float(x[0] ** 2), lambda x: 2 * x, 2.0, 1.0),),
+        (np.ones((1, 1)),),
+        np.ones(1),
+    )
+    with pytest.raises(SubproblemFailed):
+        reference_solution(p)
 
 
 # -- sweeps ------------------------------------------------------------------------------------

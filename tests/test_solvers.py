@@ -384,7 +384,7 @@ def test_run_reaches_solution_with_certified_weights():
                 reference=inst.optimum())
     assert min(d for d in trace.dis if d is not None) < 1e-6
     # The limit agrees with the independent stationarity-system solve.
-    ref = reference_solution(inst.problem, params)
+    ref = reference_solution(inst.problem)
     assert dis_metric(trace.final, ref.point) < 1e-6
 
 
