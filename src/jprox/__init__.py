@@ -12,7 +12,6 @@ from .certify import (
     compute_sigma,
     estimate_constants,
     fit_linear_rate,
-    lyapunov_phi,
     max_feasible_s,
     smallest_certified_tau,
     verify_contraction,
@@ -37,7 +36,6 @@ from .linalg import (
 )
 from .problem import (
     BlockProblem,
-    GenericSmooth,
     LogisticQuadBlock,
     PrimalDualPoint,
     QuadraticBlock,
@@ -51,20 +49,16 @@ from .problem import (
     save_problem,
 )
 from .solvers import (
-    DualDecompositionParams,
+    METHODS,
     ExplicitProximal,
     ProxLinear,
     SolverParams,
     StandardProximal,
     Trace,
-    dual_decomposition_step,
-    gauss_seidel_step,
-    jacobi_plain_step,
-    jacobi_proximal_step,
     materialize_P,
     run,
     solve_block_quadratic,
-    solve_block_scalar_newton,
+    step,
 )
 
 __version__ = "0.1.0"

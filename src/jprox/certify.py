@@ -30,6 +30,7 @@ from .errors import (
     CertificationError,
     GammaOutOfRange,
     InsufficientData,
+    InvalidParameter,
     NonPositiveWeight,
     NotStronglyConvex,
 )
@@ -39,14 +40,7 @@ from .linalg import (
     smallest_singular_value_stacked,
     spectral_norm,
 )
-from .problem import (
-    BlockProblem,
-    GenericSmooth,
-    LogisticQuadBlock,
-    PrimalDualPoint,
-    QuadraticBlock,
-    check_point,
-)
+from .problem import BlockProblem, PrimalDualPoint, QuadraticBlock
 from .solvers import ExplicitProximal, ProximalPolicy, ProxLinear, StandardProximal, materialize_policy
 
 #: Strong-convexity floor: moduli at or below this certify rates uselessly close
@@ -85,15 +79,13 @@ class ProblemConstants:
 
 
 def _block_constants(f) -> tuple:
-    """(gradient Lipschitz constant, strong-convexity modulus) of one block."""
-    if isinstance(f, QuadraticBlock):
-        return spectral_norm(f.H), 0.5 * min_eigenvalue_sym(f.H)
-    if isinstance(f, LogisticQuadBlock):
-        # Curvature ranges over [a, a + b^2/4]; the modulus convention halves it.
-        return f.a + 0.25 * f.b * f.b, 0.5 * f.a
-    if isinstance(f, GenericSmooth):
-        return float(f.lipschitz), float(f.strong_convexity)
-    raise TypeError(f"cannot estimate constants for {type(f).__name__}")
+    """(gradient Lipschitz constant, strong-convexity modulus) of one block.
+
+    A scalar block's curvature ranges over ``[a, a + b^2/4]``.  The modulus
+    convention halves the block's curvature bound.
+    """
+    lipschitz = spectral_norm(f.H) if isinstance(f, QuadraticBlock) else f.a + 0.25 * f.b * f.b
+    return lipschitz, 0.5 * f.min_curvature
 
 
 def estimate_constants(problem: BlockProblem) -> ProblemConstants:
@@ -145,7 +137,7 @@ def max_feasible_s(consts: ProblemConstants, rho: float, N: int) -> float:
     certificates use half this value so the inequality holds with margin.
     """
     if rho <= 0.0:
-        raise ValueError("rho must be positive")
+        raise InvalidParameter("rho must be positive")
     bound = consts.alpha / (2.0 * N)
     return min(bound / (rho * rho * consts.D * nrm * nrm + consts.L / N) for nrm in consts.A_norms)
 
@@ -188,53 +180,15 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
     if s <= 0.0:
-        raise ValueError("s must be positive")
+        raise InvalidParameter("s must be positive")
     xi = tuple(xi) if xi is not None else uniform_xi(gamma, problem.N)
     if len(xi) != problem.N or any(x <= 0.0 for x in xi):
-        raise ValueError("need one positive split weight per block")
+        raise InvalidParameter("need one positive split weight per block")
     eigs = [
         _xi_margin(Ai.T @ Ai, np.asarray(Pi, dtype=float), rho, s, rho / xi_i)
         for Ai, Pi, xi_i in zip(problem.A, P_list, xi)
     ]
     return XiCheck(all(e > 0.0 for e in eigs), tuple(eigs), xi)
-
-
-def refine_xi(problem: BlockProblem, rho: float, gamma: float, s: float,
-              P_list: Sequence[np.ndarray]) -> XiCheck:
-    """Optional per-block refinement of the split weights.
-
-    Starting from the uniform split, blocks whose positive-definiteness
-    margin allows it give up weight (found by bisection, keeping a tenth of
-    their uniform margin), and the freed slack is shared equally among the
-    failing blocks.  Falls back to the uniform result when nothing fails.
-    """
-    base = check_xi_condition(problem, rho, gamma, s, P_list)
-    if base.passed or not any(e > 0.0 for e in base.min_eigs):
-        return base
-
-    xi = list(base.xi)
-    for i, eig in enumerate(base.min_eigs):
-        if eig <= 0.0:
-            continue
-        AtA = problem.A[i].T @ problem.A[i]
-        P = np.asarray(P_list[i], dtype=float)
-        target = 0.1 * eig
-        lo, hi = 1e-12 * xi[i], xi[i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _xi_margin(AtA, P, rho, s, rho / mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        xi[i] = hi
-    budget = (1.0 - XI_SLACK) * (2.0 - gamma)
-    slack = budget - sum(xi)
-    failing = [i for i, e in enumerate(base.min_eigs) if e <= 0.0]
-    if slack > 0.0 and failing:
-        for i in failing:
-            xi[i] += slack / len(failing)
-    refined = check_xi_condition(problem, rho, gamma, s, P_list, xi)
-    return refined if refined.passed else base
 
 
 def compute_mu_s(problem: BlockProblem, consts: ProblemConstants, rho: float, s: float,
@@ -277,7 +231,7 @@ def compute_sigma(gamma: float, rho: float, s: float, c_A: float, mu_s: float) -
     bound it certifies holds a fortiori for any smaller constant).
     """
     if min(gamma, rho, s) <= 0.0:
-        raise ValueError("gamma, rho and s must be positive")
+        raise InvalidParameter("gamma, rho and s must be positive")
     if c_A < 0.0 or mu_s < 0.0:
         raise ValueError("c_A and mu_s must be nonnegative")
     cap = 1.0 / math.sqrt(2.0 * gamma * rho * s)
@@ -372,7 +326,7 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     cert = Certificate(rho=rho, gamma=gamma, policy=describe_policy(policy),
                        passed=False, seed=seed)
     if rho <= 0.0:
-        raise ValueError("rho must be positive")
+        raise InvalidParameter("rho must be positive")
     if not 0.0 < gamma < 2.0:
         cert.failure = "GammaOutOfRange"
         cert.margins = {"gamma": gamma}
@@ -482,15 +436,6 @@ def certify_with_phi(problem: BlockProblem, rho: float, gamma: float, policy: Pr
     return cert, PhiWeights.build(problem, gamma, rho, cert.s, P_list, consts)
 
 
-def lyapunov_phi(problem: BlockProblem, u: PrimalDualPoint, ref: PrimalDualPoint,
-                 gamma: float, rho: float, s: float, P_list: Sequence[np.ndarray],
-                 consts: ProblemConstants) -> float:
-    """Weighted squared distance to the reference; zero iff ``u == ref``."""
-    check_point(problem, u)
-    check_point(problem, ref)
-    return PhiWeights.build(problem, gamma, rho, s, P_list, consts).evaluate(u, ref)
-
-
 @dataclass
 class ContractionReport:
     """Per-step contraction audit of an iterate sequence."""
@@ -592,7 +537,7 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
     if kind not in ("standard", "proxlinear"):
-        raise ValueError(f"unknown policy kind {kind!r}")
+        raise InvalidParameter(f"unknown policy kind {kind!r}")
     consts = consts if consts is not None else estimate_constants(problem)
     s = 0.5 * max_feasible_s(consts, rho, problem.N)
     coupling = rho / ((1.0 - XI_SLACK) * (2.0 - gamma) / problem.N)
@@ -666,7 +611,7 @@ def fallback_tau(problem: BlockProblem, rho: float, gamma: float,
     elif kind == "proxlinear":
         factor = problem.N / (2.0 - gamma)
     else:
-        raise ValueError(f"unknown policy kind {kind!r}")
+        raise InvalidParameter(f"unknown policy kind {kind!r}")
     taus = []
     for Ai in problem.A:
         nrm2 = spectral_norm(Ai) ** 2

@@ -29,6 +29,7 @@ from .errors import JproxError
 from .problem import PrimalDualPoint
 from .solvers import (
     DIVERGED,
+    METHODS,
     ExplicitProximal,
     ProxLinear,
     SolverParams,
@@ -257,8 +258,7 @@ def cmd_sweep(args) -> int:
         else:
             instances.append(exp.generate_resource_alloc(problem.N, seed))
 
-    sweep = exp.SweepConfig(rho_grid=rho_grid, gamma_grid=gamma_grid,
-                            max_iters=max_iters, seeds=tuple(seeds))
+    sweep = exp.SweepConfig(rho_grid=rho_grid, gamma_grid=gamma_grid, max_iters=max_iters)
     results = exp.run_sweep(instances, sweep, policy="auto")
 
     outdir = Path(args.output)
@@ -405,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sol = sub.add_parser("solve", help="run a solver and write a CSV trace")
     sol.add_argument("--input", required=True)
     sol.add_argument("--output", default="trace.csv")
-    sol.add_argument("--method", choices=["jprox", "jacobi-plain", "gauss-seidel", "dual-decomp"],
-                     default="jprox")
+    sol.add_argument("--method", choices=list(METHODS), default="jprox")
     sol.add_argument("--u0", choices=["zeros", "reference"], default="zeros")
     sol.add_argument("--plot", action="store_true")
     solver_flags(sol, 1e-10)

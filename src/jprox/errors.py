@@ -5,6 +5,10 @@ class JproxError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidParameter(JproxError, ValueError):
+    """A solver or certification parameter is out of its range, or names no known choice."""
+
+
 class DimensionMismatch(JproxError):
     """Operands have incompatible shapes."""
 

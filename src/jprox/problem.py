@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SubproblemFailed
+from .errors import DimensionMismatch, NotPositiveDefinite
 from .linalg import min_eigenvalue_sym, require_symmetric
 
 
@@ -50,18 +50,23 @@ def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticBlock:
-    """Strongly convex quadratic ``0.5 * x' H x + q' x`` with symmetric PD ``H``."""
+    """Strongly convex quadratic ``0.5 * x' H x + q' x`` with symmetric PD ``H``.
+
+    ``min_curvature`` is ``lambda_min(H)``, computed once from the stored ``H``.
+    """
 
     H: np.ndarray
     q: np.ndarray
+    min_curvature: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = require_symmetric(self.H, "QuadraticBlock.H")
         q = _as_vector(self.q, H.shape[0], "QuadraticBlock.q")
-        if min_eigenvalue_sym(H) <= 0.0:
-            raise NotPositiveDefinite("QuadraticBlock.H must be positive definite")
         object.__setattr__(self, "H", _frozen(H))
         object.__setattr__(self, "q", _frozen(q))
+        object.__setattr__(self, "min_curvature", min_eigenvalue_sym(self.H))
+        if self.min_curvature <= 0.0:
+            raise NotPositiveDefinite("QuadraticBlock.H must be positive definite")
 
     @property
     def dim(self) -> int:
@@ -111,6 +116,11 @@ class LogisticQuadBlock:
         g = self.a * (x0 - self.cshift) + self.b * sigmoid(self.b * (x0 - self.dshift))
         return np.array([g])
 
+    @property
+    def min_curvature(self) -> float:
+        """Lower bound ``a`` of :meth:`curvature`."""
+        return self.a
+
     def curvature(self, x0: float) -> float:
         """Second derivative ``a + b^2 * s * (1 - s)``; bounded by ``a + b^2/4``."""
         s = sigmoid(self.b * (x0 - self.dshift))
@@ -120,42 +130,15 @@ class LogisticQuadBlock:
         return np.array([[self.curvature(float(x[0]))]])
 
 
-@dataclass(frozen=True)
-class GenericSmooth:
-    """Caller-supplied smooth block with reported smoothness constants.
-
-    ``lipschitz`` is the gradient Lipschitz constant and ``strong_convexity``
-    the modulus in the convention ``f(y) >= f(x) + <grad f(x), y-x> +
-    strong_convexity * ||y-x||^2`` (no 1/2 factor).  These cannot be estimated
-    from oracles, so the caller must report them for certification.
-    """
-
-    dim: int
-    value_fn: Callable[[np.ndarray], float]
-    gradient_fn: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
-    strong_convexity: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("GenericSmooth.dim must be at least 1")
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.value_fn(x))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return _as_vector(self.gradient_fn(x), self.dim, "GenericSmooth.gradient")
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        raise SubproblemFailed("GenericSmooth blocks have no Hessian")
-
-
-BlockObjective = Union[QuadraticBlock, LogisticQuadBlock, GenericSmooth]
+BlockObjective = Union[QuadraticBlock, LogisticQuadBlock]
 
 
 @dataclass(frozen=True)
 class BlockProblem:
-    """Immutable N-block problem: objectives, coupling matrices and right-hand side."""
+    """Immutable N-block problem: objectives, coupling matrices and right-hand side.
+
+    Every objective is a :class:`QuadraticBlock` or a :class:`LogisticQuadBlock`.
+    """
 
     objectives: tuple
     A: tuple
@@ -172,6 +155,11 @@ class BlockProblem:
             )
         m = A[0].shape[0]
         for i, (f, Ai) in enumerate(zip(objectives, A)):
+            if not isinstance(f, (QuadraticBlock, LogisticQuadBlock)):
+                raise TypeError(
+                    f"block {i}: a {type(f).__name__} is neither a QuadraticBlock "
+                    "nor a LogisticQuadBlock"
+                )
             if Ai.ndim != 2:
                 raise DimensionMismatch(f"A[{i}] must be 2-d, got shape {Ai.shape}")
             if Ai.shape[0] != m:
@@ -252,10 +240,6 @@ class PrimalDualPoint:
     @classmethod
     def zeros(cls, problem: BlockProblem) -> "PrimalDualPoint":
         return cls([np.zeros(n) for n in problem.dims], np.zeros(problem.m))
-
-    def magnitude(self) -> float:
-        """Largest block or multiplier norm; used by the divergence guard."""
-        return block_distance(np.concatenate(self.x), self.lam, _offsets_of(self.x))
 
 
 def _offsets_of(blocks) -> np.ndarray:
@@ -366,16 +350,14 @@ def _block_to_dict(f: BlockObjective, Ai: np.ndarray) -> dict:
             "q": f.q.tolist(),
             "A": Ai.tolist(),
         }
-    if isinstance(f, LogisticQuadBlock):
-        return {
-            "type": "logistic_quad",
-            "a": f.a,
-            "b": f.b,
-            "cshift": f.cshift,
-            "dshift": f.dshift,
-            "A": Ai.tolist(),
-        }
-    raise ValueError(f"block type {type(f).__name__} is not serializable")
+    return {
+        "type": "logistic_quad",
+        "a": f.a,
+        "b": f.b,
+        "cshift": f.cshift,
+        "dshift": f.dshift,
+        "A": Ai.tolist(),
+    }
 
 
 def _block_from_dict(d: dict) -> tuple:

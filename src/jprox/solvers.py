@@ -5,28 +5,35 @@ iterate (Jacobi semantics), each block minimizing its share of the
 augmented Lagrangian plus a proximal term ``0.5 ||x_i - x_i^k||^2_{P_i}``,
 followed by the damped dual step ``lam <- lam - gamma*rho*(sum A_i x_i - c)``.
 
-Three baselines are provided for comparison: the same scheme with
-``P_i = 0`` and ``gamma = 1`` (plain parallel ADMM), sequential
-Gauss-Seidel ADMM, and dual decomposition.  All four run the same block
-sweep and per-block solve; they differ only in the penalty and proximal
-term of the subproblems, in whether the aggregate is refreshed after each
-block, and in the dual step size.
+Three baselines run beside it: the same scheme with ``P_i = 0`` and
+``gamma = 1`` (plain parallel ADMM), sequential Gauss-Seidel ADMM, and dual
+decomposition.  :data:`METHODS` is the one table of what sets the four
+apart: the penalty and the proximal term of the block subproblems, whether
+the sweep is sequential, and the dual step size.  :func:`run` and
+:func:`step` both read it and run the same block sweep and per-block solve.
+
+Dual decomposition solves unpenalized subproblems and takes the constant
+dual step ``1/L_d = mu / ||[A_1 ... A_N]||_2^2``, where ``mu`` is the
+smallest block curvature bound: the dual function's gradient is
+``L_d``-Lipschitz, and gradient ascent with step ``1/L_d`` converges.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidParameter,
     MaxItersExceeded,
     NoBracket,
     NotPSD,
+    NotStronglyConvex,
     SubproblemFailed,
 )
 from .linalg import SpdFactor, min_eigenvalue_sym, spectral_norm, require_symmetric
@@ -44,6 +51,10 @@ from .problem import (
 #: Iterates whose error metric (or magnitude) exceeds this are declared divergent.
 DIVERGENCE_LIMIT = 1e12
 
+#: Absolute residual tolerance and iteration cap of a scalar block solve.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITERS = 100
+
 
 # -- proximal policies ---------------------------------------------------------
 
@@ -56,7 +67,7 @@ def _tau_for(tau, i: int, n_blocks: int) -> float:
             raise DimensionMismatch(f"expected {n_blocks} tau values, got {len(taus)}")
         t = float(taus[i])
     if t <= 0.0:
-        raise ValueError("tau must be positive")
+        raise InvalidParameter("tau must be positive")
     return t
 
 
@@ -96,7 +107,7 @@ def materialize_P(policy: ProximalPolicy, rho: float, A_i, index: int = 0,
     ``rho * ||A_i||^2`` or an explicit matrix has an eigenvalue below -1e-10.
     """
     if rho <= 0.0:
-        raise ValueError("rho must be positive")
+        raise InvalidParameter("rho must be positive")
     A_i = np.asarray(A_i, dtype=float)
     n = A_i.shape[1]
     if policy is None:
@@ -144,39 +155,16 @@ class SolverParams:
     policy: ProximalPolicy = None
     max_iters: int = 1000
     dis_tol: float = 0.0
-    newton_tol: float = 1e-12
-    newton_max_iters: int = 100
 
     def __post_init__(self):
         if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
+            raise InvalidParameter("rho must be positive")
         if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+            raise InvalidParameter("gamma must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise InvalidParameter("max_iters must be at least 1")
         if self.dis_tol < 0.0:
-            raise ValueError("dis_tol must be nonnegative")
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
-
-
-@dataclass(frozen=True)
-class DualDecompositionParams:
-    """Step-size schedule for dual decomposition: constant or ``alpha0/sqrt(k+1)``."""
-
-    alpha0: float
-    schedule: str = "diminishing_inv_sqrt"
-
-    def __post_init__(self):
-        if self.alpha0 <= 0.0:
-            raise ValueError("alpha0 must be positive")
-        if self.schedule not in ("constant", "diminishing_inv_sqrt"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-
-    def step_size(self, k: int) -> float:
-        if self.schedule == "constant":
-            return self.alpha0
-        return self.alpha0 / math.sqrt(k + 1.0)
+            raise InvalidParameter("dis_tol must be nonnegative")
 
 
 CONVERGED = "converged"
@@ -268,14 +256,13 @@ def _newton_bisection(fun, dfun, x0: float, tol: float, max_iters: int):
     raise MaxItersExceeded(f"scalar solve missed tolerance {tol:g} in {max_iters} iterations")
 
 
-def _solve_scalar(block: LogisticQuadBlock, B: float, t: float, P_scalar: float, x_k: float,
-                  tol: float, max_iters: int):
+def _solve_scalar(block: LogisticQuadBlock, B: float, t: float, P_scalar: float, x_k: float):
     """Root of a scalar block's stationarity residual; returns ``(x, |F(x)|)``.
 
     ``F(x) = f'(x) + B*x + t + P*(x - x_k)``, with ``B = rho*||a_i||^2``,
     has slope at least ``a + B + P``; the caller checks that this is
     positive (:func:`_check_scalar_slope`), so ``F`` is strictly increasing.
-    Newton starts from ``x_k``.
+    Newton starts from ``x_k`` and stops at ``|F| <= NEWTON_TOL``.
     """
     a, b, cs, ds = block.a, block.b, block.cshift, block.dshift
 
@@ -291,28 +278,13 @@ def _solve_scalar(block: LogisticQuadBlock, B: float, t: float, P_scalar: float,
     def dfun(x: float) -> float:
         return block.curvature(x) + B + P_scalar
 
-    x, resid, _ = _newton_bisection(fun, dfun, x_k, tol, max_iters)
+    x, resid, _ = _newton_bisection(fun, dfun, x_k, NEWTON_TOL, NEWTON_MAX_ITERS)
     return x, resid
 
 
 def _check_scalar_slope(block: LogisticQuadBlock, B: float, P_scalar: float) -> None:
     if block.a + B + P_scalar <= 0.0:
         raise SubproblemFailed("scalar residual is not strictly increasing")
-
-
-def solve_block_scalar_newton(block: LogisticQuadBlock, rho: float, lam_k: float,
-                              g_minus_i: float, c: float, x_k: float, P_scalar: float,
-                              tol: float = 1e-12, max_iters: int = 100) -> float:
-    """Solve a scalar block subproblem with unit coupling coefficient.
-
-    Finds ``x`` with ``|a*(x - cshift) + b*sigmoid(b*(x - dshift))
-    + rho*(x + g_minus_i - c) - lam_k + P_scalar*(x - x_k)| <= tol``
-    by safeguarded Newton on a bracketing interval.
-    """
-    _check_scalar_slope(block, rho, P_scalar)
-    t = rho * (float(g_minus_i) - float(c)) - float(lam_k)
-    x, _ = _solve_scalar(block, rho, t, P_scalar, float(x_k), tol, max_iters)
-    return x
 
 
 def _solve_quadratic(factor: SpdFactor, At_i: np.ndarray, B_i: np.ndarray, q: np.ndarray,
@@ -339,6 +311,46 @@ def solve_block_quadratic(block: QuadraticBlock, A_i, P_i, rho: float, lam_k,
     return _solve_quadratic(factor, A_i.T, rho * (A_i.T @ A_i) + P_i, block.q, w, x_i_k)
 
 
+# -- the method table ----------------------------------------------------------
+
+def _dual_ascent_step(problem: BlockProblem) -> float:
+    """``1/L_d = mu / ||[A_1 ... A_N]||_2^2``, the dual-decomposition step.
+
+    ``mu`` is the smallest block curvature bound.  The dual gradient
+    ``-(A x(lam) - c)`` is then ``L_d``-Lipschitz.  Raises
+    :class:`NotStronglyConvex` when ``mu <= 0``.
+    """
+    mu = min(f.min_curvature for f in problem.objectives)
+    if mu <= 0.0:
+        raise NotStronglyConvex(
+            f"smallest block curvature {mu:.3e} is not positive: no dual step", alpha=0.5 * mu
+        )
+    return mu / spectral_norm(problem.stacked_A()) ** 2
+
+
+class _Method(NamedTuple):
+    """What sets one method's step apart from the others (see :data:`METHODS`)."""
+
+    #: The block subproblems carry the penalty ``rho`` (else they are unpenalized).
+    penalized: bool
+    #: The block subproblems carry the proximal policy (else ``P_i = 0``).
+    proximal: bool
+    #: Gauss-Seidel sweep: each block sees the blocks solved before it.
+    sequential: bool
+    #: Step size of ``lam <- lam - step * (A x - c)``.
+    dual_step: Callable[[SolverParams, BlockProblem], float]
+
+
+#: The four methods: (penalized, proximal, sequential, dual step).
+METHODS = {
+    "jprox": _Method(True, True, False, lambda params, problem: params.gamma * params.rho),
+    "jacobi-plain": _Method(True, False, False, lambda params, problem: params.rho),
+    "gauss-seidel": _Method(True, False, True, lambda params, problem: params.rho),
+    "dual-decomp": _Method(False, False, False,
+                           lambda params, problem: _dual_ascent_step(problem)),
+}
+
+
 # -- the block sweep shared by every method ------------------------------------
 
 class _Block(NamedTuple):
@@ -360,17 +372,24 @@ class _Block(NamedTuple):
 
 
 class _Prepared:
-    """Iteration-independent data of the block sweep for one ``(rho, P_i)``.
+    """Iteration-independent data of one method's block sweep for ``params``.
 
     The sweep works on the stacked primal vector ``x`` (block ``i`` is
     ``x[offsets[i]:offsets[i+1]]``) and the multiplier; ``blocks`` holds one
-    :class:`_Block` per block.  ``rho = 0`` with zero ``P_i`` gives the
-    unpenalized subproblems of dual decomposition.
+    :class:`_Block` per block, ``rho`` is the subproblems' penalty (0 for
+    dual decomposition) and ``dual_step`` the step size of the dual update.
     """
 
-    def __init__(self, problem: BlockProblem, rho: float, P_list: Sequence[np.ndarray]):
+    def __init__(self, problem: BlockProblem, params: SolverParams, method: str):
+        if method not in METHODS:
+            raise InvalidParameter(f"unknown method {method!r}")
+        spec = METHODS[method]
+        P_list = materialize_policy(params.policy if spec.proximal else None, params.rho,
+                                    problem)
         self.problem = problem
-        self.rho = rho
+        self.rho = rho = params.rho if spec.penalized else 0.0
+        self.sequential = spec.sequential
+        self.dual_step = spec.dual_step(params, problem)
         self.offsets = np.asarray(problem.offsets)
         self.blocks = []
         o = problem.offsets
@@ -379,30 +398,23 @@ class _Prepared:
             if isinstance(f, QuadraticBlock):
                 factor = SpdFactor(f.H + rho * AtA + Pi, "block subproblem matrix")
                 block = _Block(sl, Ai, np.ascontiguousarray(Ai.T), rho * AtA + Pi, f, factor, 0.0)
-            elif isinstance(f, LogisticQuadBlock):
+            else:
                 block = _Block(sl, Ai, Ai[:, 0].copy(), rho * float(AtA[0, 0]), f, None,
                                float(Pi[0, 0]))
                 _check_scalar_slope(f, block.B, block.P)
-            else:
-                raise SubproblemFailed(f"no subproblem solver for {type(f).__name__} blocks")
             self.blocks.append(block)
 
 
-def _zero_P(problem: BlockProblem) -> list:
-    return [np.zeros((n, n)) for n in problem.dims]
-
-
-def _step(prepared: _Prepared, x: np.ndarray, lam: np.ndarray, r: np.ndarray,
-          step_size: float, sequential: bool, order: Sequence[int], newton_tol: float,
-          newton_max_iters: int):
-    """One sweep of block solves followed by ``lam <- lam - step_size * r``.
+def _sweep(prepared: _Prepared, x: np.ndarray, lam: np.ndarray, r: np.ndarray,
+           order: Sequence[int]):
+    """One sweep of block solves followed by ``lam <- lam - dual_step * r``.
 
     ``x`` is the stacked primal vector and ``r = A x - c`` its constraint
     residual.  Block ``i`` solves its subproblem with
-    ``w = lam - rho*(A x - c)`` and ``v_i = A_i' w + B_i x_i``.  By default
-    ``w`` is formed once from the k-state (Jacobi), so the processing order
-    cannot affect the result; with ``sequential`` it is updated after every
-    block (Gauss-Seidel).  Returns the new ``x``, ``lam``, their constraint
+    ``w = lam - rho*(A x - c)`` and ``v_i = A_i' w + B_i x_i``.  A Jacobi
+    sweep forms ``w`` once from the k-state, so the processing order cannot
+    affect the result; a sequential sweep updates it after every block
+    (Gauss-Seidel).  Returns the new ``x``, ``lam``, their constraint
     residual and the worst Newton residual.
     """
     rho = prepared.rho
@@ -416,84 +428,40 @@ def _step(prepared: _Prepared, x: np.ndarray, lam: np.ndarray, r: np.ndarray,
             x_new[sl] = _solve_quadratic(factor, At_i, B_i, f.q, w, x_i)
         else:
             x0 = float(x_i[0])
-            root, resid = _solve_scalar(f, B_i, -float(At_i @ w) - B_i * x0, P_i, x0,
-                                        newton_tol, newton_max_iters)
+            root, resid = _solve_scalar(f, B_i, -float(At_i @ w) - B_i * x0, P_i, x0)
             x_new[sl] = root
             newton_worst = max(newton_worst, resid)
-        if sequential:
+        if prepared.sequential:
             w = w - rho * (Ai @ (x_new[sl] - x_i))
     r = constraint_residual(prepared.problem, x_new)
-    return x_new, lam - step_size * r, r, newton_worst
+    return x_new, lam - prepared.dual_step * r, r, newton_worst
 
 
-def _public_step(problem: BlockProblem, u: PrimalDualPoint, prepared: _Prepared,
-                 step_size: float, sequential: bool, order: Optional[Sequence[int]],
-                 newton_tol: float, newton_max_iters: int) -> PrimalDualPoint:
-    """:func:`_step` on a :class:`PrimalDualPoint`, with its inputs checked."""
+def step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
+         method: str = "jprox", order: Optional[Sequence[int]] = None) -> PrimalDualPoint:
+    """One step of ``method`` from ``u``: the step :func:`run` takes.
+
+    ``order`` is the order in which the sweep visits the blocks (default
+    ``0..N-1``).  Only the sequential Gauss-Seidel step depends on it; every
+    other method gives the same result bit for bit under any order.
+    """
     check_point(problem, u)
+    prepared = _Prepared(problem, params, method)
     if order is None:
         order = range(problem.N)
     elif sorted(order) != list(range(problem.N)):
         raise ValueError("order must visit every block exactly once")
     x = problem.stack(u.x)
-    x, lam, _, _ = _step(prepared, x, u.lam, constraint_residual(problem, x), step_size,
-                         sequential, order, newton_tol, newton_max_iters)
+    x, lam, _, _ = _sweep(prepared, x, u.lam, constraint_residual(problem, x), order)
     return PrimalDualPoint(problem.split(x), lam)
-
-
-def jacobi_proximal_step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
-                         prepared: Optional[_Prepared] = None,
-                         order: Optional[Sequence[int]] = None) -> PrimalDualPoint:
-    """One parallel proximal step; identical result under any block order."""
-    if prepared is None:
-        prepared = _Prepared(problem, params.rho,
-                             materialize_policy(params.policy, params.rho, problem))
-    return _public_step(problem, u, prepared, params.gamma * params.rho, False, order,
-                        params.newton_tol, params.newton_max_iters)
-
-
-def jacobi_plain_step(problem: BlockProblem, u: PrimalDualPoint,
-                      params: SolverParams) -> PrimalDualPoint:
-    """Baseline: the parallel step with no proximal term and undamped dual update."""
-    return jacobi_proximal_step(problem, u, replace(params, policy=None, gamma=1.0))
-
-
-def gauss_seidel_step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
-                      prepared: Optional[_Prepared] = None,
-                      order: Optional[Sequence[int]] = None) -> PrimalDualPoint:
-    """Baseline sequential step: each block sees the freshest other-block values.
-
-    The proximal policy is ignored (``P_i = 0``) and the dual update is
-    undamped.  Unlike the parallel step, the result depends on the block
-    processing order.
-    """
-    if prepared is None:
-        prepared = _Prepared(problem, params.rho, _zero_P(problem))
-    return _public_step(problem, u, prepared, params.rho, True, order,
-                        params.newton_tol, params.newton_max_iters)
-
-
-def dual_decomposition_step(problem: BlockProblem, u: PrimalDualPoint, k: int,
-                            dd: DualDecompositionParams, newton_tol: float = 1e-12,
-                            newton_max_iters: int = 100) -> PrimalDualPoint:
-    """Baseline dual ascent step with unpenalized, fully separable subproblems.
-
-    Each block solves ``min f_i(x_i) - <lam, A_i x_i>``; subproblems are
-    well-posed only for strongly convex blocks.  The multiplier then moves
-    against the constraint residual with the scheduled step size.
-    """
-    prepared = _Prepared(problem, 0.0, _zero_P(problem))
-    return _public_step(problem, u, prepared, dd.step_size(k), False, None, newton_tol,
-                        newton_max_iters)
 
 
 # -- the run loop --------------------------------------------------------------
 
 def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
         reference: Optional[PrimalDualPoint] = None, phi_context=None,
-        method: str = "jprox", dd_params: Optional[DualDecompositionParams] = None,
-        record_points: bool = False) -> Trace:
-    """Iterate one of the engines from ``u0`` and record a trace.
+        method: str = "jprox", record_points: bool = False) -> Trace:
+    """Iterate ``method`` (a key of :data:`METHODS`) from ``u0`` and record a trace.
 
     The trace records the initial point as iterate 0 and one row per step.
     ``dis`` (largest block-wise or multiplier distance to ``reference``)
@@ -507,28 +475,15 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     when a block subproblem cannot be solved during a step (the message is
     kept in ``Trace.failure``); the trace is returned with status
     ``"diverged"`` rather than raising.  Failures while preparing the block
-    solves (an unsupported block type, a non-PSD proximal matrix) raise.
+    solves (an unknown method, a non-PSD proximal matrix, a problem without
+    a positive curvature bound for dual decomposition) raise.
     """
     check_point(problem, u0)
     if reference is not None:
         check_point(problem, reference)
-    rho = params.rho
-    dd = dd_params if dd_params is not None else DualDecompositionParams(1.0)
-    # method: (penalty of the block solves, proximal policy, Gauss-Seidel sweep,
-    #          dual step size at step k)
-    methods = {
-        "jprox": (rho, params.policy, False, lambda k: params.gamma * rho),
-        "jacobi-plain": (rho, None, False, lambda k: rho),
-        "gauss-seidel": (rho, None, True, lambda k: rho),
-        "dual-decomp": (0.0, None, False, dd.step_size),
-    }
-    if method not in methods:
-        raise ValueError(f"unknown method {method!r}")
-    penalty, policy, sequential, step_size = methods[method]
-
     trace = Trace(points=[] if record_points else None)
     clock = time.perf_counter()
-    prepared = _Prepared(problem, penalty, materialize_policy(policy, rho, problem))
+    prepared = _Prepared(problem, params, method)
     offsets = prepared.offsets
     if reference is not None:
         x_ref, lam_ref = problem.stack(reference.x), reference.lam
@@ -566,8 +521,7 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
         k += 1
         clock = time.perf_counter()
         try:
-            x, lam, r, newton_resid = _step(prepared, x, lam, r, step_size(k - 1), sequential,
-                                            order, params.newton_tol, params.newton_max_iters)
+            x, lam, r, newton_resid = _sweep(prepared, x, lam, r, order)
         except (SubproblemFailed, NoBracket, MaxItersExceeded) as exc:
             trace.status = DIVERGED
             trace.failure = f"step {k}: {type(exc).__name__}: {exc}"

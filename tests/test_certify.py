@@ -16,9 +16,7 @@ from jprox.certify import (
     compute_sigma,
     estimate_constants,
     fit_linear_rate,
-    lyapunov_phi,
     max_feasible_s,
-    refine_xi,
     smallest_certified_tau,
     uniform_xi,
     verify_contraction,
@@ -182,17 +180,6 @@ def test_xi_condition_prox_linear_structured_matrix():
     cxi = rho / uniform_xi(gamma, 1)[0]
     scalar_min = min(tau - 8 * s * tau ** 2 - cxi * nrm ** 2, tau - 8 * s * tau ** 2)
     assert res.min_eigs[0] == pytest.approx(scalar_min, rel=1e-8)
-
-
-def test_refine_xi_returns_uniform_when_passing():
-    inst = generate_lcqp(2, 4, 3, seed=8)
-    consts = estimate_constants(inst.problem)
-    s = 0.5 * max_feasible_s(consts, 1.0, 2)
-    taus = smallest_certified_tau(inst.problem, 1.0, 1.0)
-    P_list = materialize_policy(StandardProximal(taus), 1.0, inst.problem)
-    res = refine_xi(inst.problem, 1.0, 1.0, s, P_list)
-    assert res.passed
-    assert res.xi == uniform_xi(1.0, 2)
 
 
 # -- compute_mu_s ---------------------------------------------------------------------
@@ -461,10 +448,14 @@ def phi_ingredients(seed=0, rho=1.0, gamma=1.0, tau=2.0):
     return inst, consts, s, P_list
 
 
+def phi_value(problem, u, ref, gamma, rho, s, P_list, consts):
+    return PhiWeights.build(problem, gamma, rho, s, P_list, consts).evaluate(u, ref)
+
+
 def test_phi_zero_at_reference():
     inst, consts, s, P_list = phi_ingredients()
     ref = inst.optimum()
-    assert lyapunov_phi(inst.problem, ref, ref, 1.0, 1.0, s, P_list, consts) == 0.0
+    assert phi_value(inst.problem, ref, ref, 1.0, 1.0, s, P_list, consts) == 0.0
 
 
 def test_phi_multiplier_only_term():
@@ -474,7 +465,7 @@ def test_phi_multiplier_only_term():
     v = np.arange(1.0, 7.0)
     u.lam = u.lam + v
     gamma, rho = 1.3, 0.7
-    phi = lyapunov_phi(inst.problem, u, ref, gamma, rho, s, P_list, consts)
+    phi = phi_value(inst.problem, u, ref, gamma, rho, s, P_list, consts)
     assert phi == pytest.approx(float(v @ v) / (2 * gamma * rho), rel=1e-12)
 
 
@@ -490,7 +481,7 @@ def test_phi_matches_term_by_term_oracle():
         W = rho * Ai.T @ Ai + Pi + 2.0 * gap * np.eye(4)
         d = xi - ri
         expected += 0.5 * float(d @ W @ d)
-    got = lyapunov_phi(inst.problem, u, ref, gamma, rho, s, P_list, consts)
+    got = phi_value(inst.problem, u, ref, gamma, rho, s, P_list, consts)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -517,7 +508,7 @@ def test_phi_dominates_identity_parts():
     gap = consts.alpha - 2.0 * consts.L * s
     for _ in range(20):
         u = PrimalDualPoint([rng.standard_normal(4) for _ in range(3)], rng.standard_normal(6))
-        phi = lyapunov_phi(inst.problem, u, ref, gamma, rho, s, P_list, consts)
+        phi = phi_value(inst.problem, u, ref, gamma, rho, s, P_list, consts)
         dlam = float(np.linalg.norm(u.lam - ref.lam) ** 2)
         dx = sum(float(np.linalg.norm(xi - ri) ** 2) for xi, ri in zip(u.x, ref.x))
         assert phi >= dlam / (2 * gamma * rho) - 1e-12
@@ -596,7 +587,7 @@ def test_certified_sigma_bounds_exact_one_step_factor():
     import scipy.linalg
 
     from jprox.linalg import generalized_max_eigenvalue
-    from jprox.solvers import jacobi_proximal_step
+    from jprox.solvers import step
 
     def pack(u):
         return np.concatenate([np.concatenate(u.x), u.lam])
@@ -622,14 +613,14 @@ def test_certified_sigma_bounds_exact_one_step_factor():
         P_list = materialize_policy(policy, rho, p)
         params = SolverParams(rho=rho, gamma=gamma, policy=policy)
         ustar = inst.optimum()
-        base = pack(jacobi_proximal_step(p, ustar, params))
+        base = pack(step(p, ustar, params))
         assert np.linalg.norm(base - pack(ustar)) < 1e-9
         dim = base.size
         T = np.zeros((dim, dim))
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = 1.0
-            out = jacobi_proximal_step(p, unpack(pack(ustar) + e, p), params)
+            out = step(p, unpack(pack(ustar) + e, p), params)
             T[:, j] = pack(out) - base
         weights = PhiWeights.build(p, gamma, rho, cert.s, P_list, consts)
         W = scipy.linalg.block_diag(

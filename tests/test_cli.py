@@ -210,6 +210,25 @@ def test_solve_gauss_seidel_baseline(tmp_path):
     assert cols["dis"][-1] <= 1e-8
 
 
+def test_solve_dual_decomposition_takes_a_step_that_does_not_diverge(tmp_path):
+    # The derived step 1/L_d keeps dual ascent stable where a unit step blew up.
+    inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=31)
+    out = tmp_path / "dd.csv"
+    code = run_cli("solve", "--input", str(inst), "--method", "dual-decomp",
+                   "--output", str(out))
+    assert code == 0
+    assert np.isfinite(read_trace_csv(out)["dis"][-1])
+
+
+def test_solve_dual_decomposition_converges_on_resource_allocation(tmp_path, capsys):
+    inst = make_instance(tmp_path, "ra", N=6, seed=0)
+    capsys.readouterr()
+    code = run_cli("solve", "--input", str(inst), "--method", "dual-decomp",
+                   "--output", str(tmp_path / "dd.csv"))
+    assert code == 0
+    assert capsys.readouterr().out.startswith("status=converged")
+
+
 def test_solve_plot_writes_svg(tmp_path):
     inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=3)
     out = tmp_path / "trace.csv"

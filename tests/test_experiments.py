@@ -11,7 +11,6 @@ from jprox.experiments import (
     RHO_GRID_SMALL,
     SweepConfig,
     default_rho_grid,
-    dis_metric,
     generate_lcqp,
     generate_resource_alloc,
     instance_from_dict,
@@ -27,6 +26,7 @@ from jprox.problem import (
     BlockProblem,
     PrimalDualPoint,
     QuadraticBlock,
+    dis_metric,
     kkt_residual,
 )
 from jprox.solvers import ProxLinear, StandardProximal
@@ -290,19 +290,6 @@ def test_reference_does_not_run_the_engine(monkeypatch):
     assert dis_metric(experiments.instance_reference(inst), ref.point) == 0.0
 
 
-def test_reference_rejects_blocks_without_a_hessian():
-    from jprox.errors import SubproblemFailed
-    from jprox.problem import GenericSmooth
-
-    p = BlockProblem(
-        (GenericSmooth(1, lambda x: float(x[0] ** 2), lambda x: 2 * x, 2.0, 1.0),),
-        (np.ones((1, 1)),),
-        np.ones(1),
-    )
-    with pytest.raises(SubproblemFailed):
-        reference_solution(p)
-
-
 # -- sweeps ------------------------------------------------------------------------------------
 
 def test_default_grids():
@@ -315,8 +302,7 @@ def test_default_grids():
 
 def test_run_sweep_full_grid_cells():
     inst = generate_lcqp(3, 6, 4, seed=0)
-    sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=200,
-                        seeds=(0,), dis_tol=1e-9)
+    sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=200, dis_tol=1e-9)
     cells = run_sweep(inst, sweep)
     assert len(cells) == 4
     for (rho, gamma, seed), cell in cells.items():
@@ -330,7 +316,7 @@ def test_run_sweep_full_grid_cells():
 
 def test_run_sweep_deterministic():
     inst = generate_lcqp(2, 5, 3, seed=1)
-    sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(0.5,), max_iters=100, seeds=(1,))
+    sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(0.5,), max_iters=100)
     t1 = run_sweep(inst, sweep)[(1.0, 0.5, 1)].trace
     t2 = run_sweep(inst, sweep)[(1.0, 0.5, 1)].trace
     assert t1.dis == t2.dis
@@ -342,7 +328,7 @@ def test_run_sweep_certified_cells_respect_rate_bound():
     # stay within fit noise of the certified factor.
     inst = generate_lcqp(3, 8, 4, seed=0)
     sweep = SweepConfig(rho_grid=(1.0, 5.0), gamma_grid=(0.5, 1.0),
-                        max_iters=1500, seeds=(0,), dis_tol=1e-10)
+                        max_iters=1500, dis_tol=1e-10)
     cells = run_sweep(inst, sweep)
     checked = 0
     for cell in cells.values():
@@ -361,7 +347,7 @@ def test_run_sweep_records_cell_failures_without_raising():
     d = instance_to_dict(inst)
     d["blocks"][0]["a"] = 1e-9
     tiny = instance_from_dict(d)
-    sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(1.0,), max_iters=50, seeds=(101,))
+    sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(1.0,), max_iters=50)
     cells = run_sweep(tiny, sweep)
     cell = cells[(1.0, 1.0, 101)]
     assert cell.error is None
@@ -375,12 +361,31 @@ def test_run_sweep_gives_a_trace_where_block_solves_break_down():
     # solves cannot meet their absolute tolerance; the cell must still end with
     # a trace and status diverged, not as an error.
     inst = generate_resource_alloc(6, seed=0)
-    sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(1.0,), seeds=(0,))
+    sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(1.0,))
     cell = run_sweep(inst, sweep, policy=StandardProximal(1.0))[(1.0, 1.0, 0)]
     assert cell.error is None
     assert cell.status == "diverged"
     assert cell.trace is not None and len(cell.trace) > 1
     assert cell.wall_s >= sum(cell.trace.timings.values())
+
+
+def test_run_sweep_propagates_errors_that_no_cell_can_cause(monkeypatch):
+    import jprox.experiments as experiments
+
+    def broken(*args, **kwargs):
+        raise ValueError("a defect of the program, not a failed cell")
+
+    monkeypatch.setattr(experiments, "run", broken)
+    sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(1.0,), max_iters=10)
+    with pytest.raises(ValueError, match="a defect of the program"):
+        run_sweep(generate_lcqp(2, 5, 3, seed=0), sweep)
+
+
+def test_run_sweep_records_an_invalid_penalty_as_an_error_cell():
+    sweep = SweepConfig(rho_grid=(-1.0,), gamma_grid=(1.0,), max_iters=10)
+    cell = run_sweep(generate_lcqp(2, 5, 3, seed=0), sweep)[(-1.0, 1.0, 0)]
+    assert cell.status == "error"
+    assert cell.error.startswith("InvalidParameter")
 
 
 def test_resolve_policy_auto_builds_requested_kind():
@@ -413,8 +418,7 @@ def test_run_sweep_estimates_constants_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(module, "estimate_constants", counting)
     inst = generate_lcqp(3, 6, 4, seed=0)
-    sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20,
-                        seeds=(0,))
+    sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20)
     cells = run_sweep(inst, sweep)
     assert all(cell.error is None for cell in cells.values())
     assert len(calls) == 1
@@ -477,6 +481,6 @@ def test_resolve_policy_prox_linear_weights_reach_the_psd_floor():
 
 def test_run_sweep_returns_cells_in_key_order():
     inst = generate_lcqp(2, 5, 3, seed=4)
-    sweep = SweepConfig(rho_grid=(5.0, 1.0), gamma_grid=(1.5, 0.5), max_iters=10, seeds=(4,))
+    sweep = SweepConfig(rho_grid=(5.0, 1.0), gamma_grid=(1.5, 0.5), max_iters=10)
     cells = run_sweep(inst, sweep)
     assert list(cells) == [(5.0, 1.5, 4), (5.0, 0.5, 4), (1.0, 1.5, 4), (1.0, 0.5, 4)]

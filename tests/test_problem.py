@@ -11,7 +11,6 @@ from jprox.errors import DimensionMismatch
 from jprox.experiments import generate_lcqp
 from jprox.problem import (
     BlockProblem,
-    GenericSmooth,
     LogisticQuadBlock,
     PrimalDualPoint,
     QuadraticBlock,
@@ -96,18 +95,8 @@ def test_logistic_gradient_stationary_point():
             rng.uniform(0.0, 2.0), rng.uniform(-2.0, 2.0),
             rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
         ),
-        lambda rng: GenericSmooth(
-            2,
-            lambda x: float(np.cosh(x[0]) + 0.5 * x[1] ** 2 + 0.25 * (x[0] - x[1]) ** 2),
-            lambda x: np.array([
-                np.sinh(x[0]) + 0.5 * (x[0] - x[1]),
-                x[1] - 0.5 * (x[0] - x[1]),
-            ]),
-            lipschitz=10.0,
-            strong_convexity=0.25,
-        ),
     ],
-    ids=["quadratic", "logistic_quad", "generic_smooth"],
+    ids=["quadratic", "logistic_quad"],
 )
 def test_gradient_matches_central_differences(make_block):
     rng = np.random.default_rng(2024)
@@ -310,14 +299,18 @@ def test_problem_roundtrip_logistic():
         assert (f1.a, f1.b, f1.cshift, f1.dshift) == (f2.a, f2.b, f2.cshift, f2.dshift)
 
 
-def test_generic_smooth_not_serializable():
-    p = BlockProblem(
-        (GenericSmooth(1, lambda x: float(x[0] ** 2), lambda x: 2 * x, 2.0, 1.0),),
-        (np.ones((1, 1)),),
-        np.zeros(1),
-    )
-    with pytest.raises(ValueError):
-        problem_to_dict(p)
+def test_block_problem_rejects_objectives_outside_the_block_set():
+    class Smooth:
+        dim = 1
+
+        def value(self, x):
+            return float(x[0] ** 2)
+
+        def gradient(self, x):
+            return 2.0 * x
+
+    with pytest.raises(TypeError):
+        BlockProblem((Smooth(),), (np.ones((1, 1)),), np.zeros(1))
 
 
 def test_problem_validation_rejects_bad_shapes():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import jprox.solvers as solvers
 from jprox.certify import smallest_certified_tau
-from jprox.errors import MaxItersExceeded, NotPSD, SubproblemFailed
-from jprox.experiments import dis_metric, generate_lcqp, generate_resource_alloc, reference_solution
+from jprox.errors import InvalidParameter, MaxItersExceeded, NotPSD, NotStronglyConvex
+from jprox.experiments import generate_lcqp, generate_resource_alloc, reference_solution
 from jprox.problem import (
     BlockProblem,
     LogisticQuadBlock,
@@ -13,22 +14,18 @@ from jprox.problem import (
     QuadraticBlock,
     block_gradient,
     constraint_residual,
+    dis_metric,
 )
 from jprox.solvers import (
-    DualDecompositionParams,
     ExplicitProximal,
     ProxLinear,
     SolverParams,
     StandardProximal,
-    dual_decomposition_step,
-    gauss_seidel_step,
-    jacobi_plain_step,
-    jacobi_proximal_step,
     materialize_P,
     materialize_policy,
     run,
     solve_block_quadratic,
-    solve_block_scalar_newton,
+    step,
 )
 
 
@@ -126,12 +123,25 @@ def test_quadratic_block_stationarity_residual():
     assert np.linalg.norm(grad) <= 1e-10
 
 
-# -- solve_block_scalar_newton --------------------------------------------------------
+# -- scalar block solves ----------------------------------------------------------------
+
+def scalar_solve(block, rho, lam_k, g_minus_i, c, x_k, P_scalar):
+    """A scalar block's subproblem solved by one :func:`step` of a one-block problem.
+
+    The subproblem's residual is ``f'(x) + rho*(x + g_minus_i - c) - lam_k +
+    P_scalar*(x - x_k)``; the other blocks' aggregate ``g_minus_i`` moves into
+    the right-hand side.
+    """
+    p = BlockProblem((block,), (np.ones((1, 1)),), np.array([c - g_minus_i]))
+    u = PrimalDualPoint([np.array([x_k])], np.array([lam_k]))
+    params = SolverParams(rho=rho, gamma=1.0,
+                          policy=StandardProximal(P_scalar) if P_scalar > 0.0 else None)
+    return float(step(p, u, params).x[0][0])
+
 
 def test_scalar_newton_linear_case():
     block = LogisticQuadBlock(1.0, 0.0, 0.0, 0.0)
-    x = solve_block_scalar_newton(block, rho=1.0, lam_k=0.0, g_minus_i=0.0, c=0.0,
-                                  x_k=0.7, P_scalar=0.0)
+    x = scalar_solve(block, rho=1.0, lam_k=0.0, g_minus_i=0.0, c=0.0, x_k=0.7, P_scalar=0.0)
     assert x == pytest.approx(0.0, abs=1e-12)
 
 
@@ -142,7 +152,7 @@ def test_scalar_newton_closed_form_when_b_zero():
         cs = rng.uniform(-5, 5)
         lam, g, c, x_k = rng.standard_normal(4)
         block = LogisticQuadBlock(a, 0.0, cs, 0.0)
-        got = solve_block_scalar_newton(block, rho, lam, g, c, x_k, P, tol=1e-13)
+        got = scalar_solve(block, rho, lam, g, c, x_k, P)
         expected = (a * cs + rho * (c - g) + lam + P * x_k) / (a + rho + P)
         assert got == pytest.approx(expected, abs=1e-10)
 
@@ -166,7 +176,7 @@ def test_scalar_newton_matches_bisection_oracle():
                 + rho * (x + g - c) - lam + P * (x - x_k)
             )
 
-        got = solve_block_scalar_newton(block, rho, lam, g, c, x_k, P, tol=1e-12)
+        got = scalar_solve(block, rho, lam, g, c, x_k, P)
         assert abs(residual(got)) <= 1e-12
         # Bisection oracle on a wide bracket to 1e-14.
         lo, hi = -1e6, 1e6
@@ -182,11 +192,12 @@ def test_scalar_newton_matches_bisection_oracle():
         assert got == pytest.approx(0.5 * (lo + hi), abs=1e-10)
 
 
-def test_scalar_newton_iteration_cap():
+def test_scalar_newton_iteration_cap(monkeypatch):
+    monkeypatch.setattr(solvers, "NEWTON_TOL", 1e-15)
+    monkeypatch.setattr(solvers, "NEWTON_MAX_ITERS", 2)
     block = LogisticQuadBlock(1.0, 2.0, 0.0, 0.0)
     with pytest.raises(MaxItersExceeded):
-        solve_block_scalar_newton(block, rho=1.0, lam_k=50.0, g_minus_i=0.0, c=0.0,
-                                  x_k=0.0, P_scalar=0.0, tol=1e-15, max_iters=2)
+        scalar_solve(block, rho=1.0, lam_k=50.0, g_minus_i=0.0, c=0.0, x_k=0.0, P_scalar=0.0)
 
 
 def test_scalar_newton_no_bracket_beyond_expansion_range():
@@ -195,11 +206,10 @@ def test_scalar_newton_no_bracket_beyond_expansion_range():
     # Root sits near 5e19, past the reach of 60 doublings from the start.
     block = LogisticQuadBlock(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(NoBracket):
-        solve_block_scalar_newton(block, rho=1.0, lam_k=1e20, g_minus_i=0.0,
-                                  c=0.0, x_k=0.0, P_scalar=0.0)
+        scalar_solve(block, rho=1.0, lam_k=1e20, g_minus_i=0.0, c=0.0, x_k=0.0, P_scalar=0.0)
 
 
-# -- jacobi_proximal_step ----------------------------------------------------------------
+# -- the jprox step ------------------------------------------------------------------------
 
 def test_step_fixed_point_single_block():
     p = BlockProblem(
@@ -207,7 +217,7 @@ def test_step_fixed_point_single_block():
     )
     u = PrimalDualPoint([np.zeros(2)], np.zeros(2))
     for rho, gamma in [(1.0, 1.0), (0.3, 1.7), (5.0, 0.2)]:
-        out = jacobi_proximal_step(p, u, SolverParams(rho=rho, gamma=gamma))
+        out = step(p, u, SolverParams(rho=rho, gamma=gamma))
         assert np.allclose(out.x[0], 0.0, atol=1e-14)
         assert np.allclose(out.lam, 0.0, atol=1e-14)
 
@@ -215,7 +225,7 @@ def test_step_fixed_point_single_block():
 def test_step_hand_expanded_two_scalar_blocks():
     p = two_scalar_blocks()
     u0 = PrimalDualPoint([np.array([1.0]), np.array([1.0])], np.zeros(1))
-    u1 = jacobi_proximal_step(p, u0, SolverParams(rho=1.0, gamma=1.0))
+    u1 = step(p, u0, SolverParams(rho=1.0, gamma=1.0))
     assert u1.x[0][0] == pytest.approx(-0.5, abs=1e-14)
     assert u1.x[1][0] == pytest.approx(-0.5, abs=1e-14)
     assert u1.lam[0] == pytest.approx(1.0, abs=1e-14)
@@ -226,10 +236,10 @@ def test_step_order_invariance():
     inst = generate_lcqp(4, 8, 3, seed=13)
     params = SolverParams(rho=1.0, gamma=1.3, policy=StandardProximal(2.0))
     u = PrimalDualPoint([rng.standard_normal(3) for _ in range(4)], rng.standard_normal(8))
-    base = jacobi_proximal_step(inst.problem, u, params)
+    base = step(inst.problem, u, params)
     for _ in range(20):
         order = rng.permutation(4)
-        out = jacobi_proximal_step(inst.problem, u, params, order=list(order))
+        out = step(inst.problem, u, params, order=list(order))
         assert dis_metric(out, base) <= 1e-12
 
 
@@ -237,7 +247,7 @@ def test_step_fixed_point_at_generated_optimum():
     inst = generate_lcqp(3, 6, 4, seed=21)
     u = inst.optimum()
     params = SolverParams(rho=2.0, gamma=1.5, policy=StandardProximal(1.0))
-    out = jacobi_proximal_step(inst.problem, u, params)
+    out = step(inst.problem, u, params)
     assert dis_metric(out, u) <= 1e-9
 
 
@@ -246,7 +256,7 @@ def test_dual_update_identity_exact():
     rng = np.random.default_rng(1)
     u = PrimalDualPoint([rng.standard_normal(3) for _ in range(3)], rng.standard_normal(5))
     params = SolverParams(rho=1.7, gamma=0.9, policy=StandardProximal(0.5))
-    out = jacobi_proximal_step(inst.problem, u, params)
+    out = step(inst.problem, u, params)
     expected = u.lam - params.gamma * params.rho * constraint_residual(inst.problem, out.x)
     assert np.array_equal(out.lam, expected)
 
@@ -258,50 +268,37 @@ def test_stationarity_after_step_all_block_types():
     P_list = materialize_policy(params.policy, params.rho, inst.problem)
     rng = np.random.default_rng(5)
     u = PrimalDualPoint([rng.standard_normal(4) for _ in range(3)], rng.standard_normal(6))
-    out = jacobi_proximal_step(inst.problem, u, params)
+    out = step(inst.problem, u, params)
     assert stationarity_defect(inst.problem, u, out, params.rho, P_list) <= 1e-9
     # Scalar logistic blocks.
     ra = generate_resource_alloc(6, seed=1)
-    params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(2.0), newton_tol=1e-12)
+    params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(2.0))
     P_list = materialize_policy(params.policy, params.rho, ra.problem)
     u = PrimalDualPoint([rng.standard_normal(1) for _ in range(6)], rng.standard_normal(1))
-    out = jacobi_proximal_step(ra.problem, u, params)
+    out = step(ra.problem, u, params)
     assert stationarity_defect(ra.problem, u, out, params.rho, P_list) <= 1e-9
 
 
-def test_generic_smooth_blocks_unsupported_by_engine():
-    from jprox.problem import GenericSmooth
-
-    p = BlockProblem(
-        (GenericSmooth(1, lambda x: float(x[0] ** 2), lambda x: 2 * x, 2.0, 1.0),),
-        (np.ones((1, 1)),),
-        np.zeros(1),
-    )
-    u = PrimalDualPoint([np.zeros(1)], np.zeros(1))
-    with pytest.raises(SubproblemFailed):
-        jacobi_proximal_step(p, u, SolverParams(rho=1.0, gamma=1.0))
-
-
-# -- gauss_seidel_step -----------------------------------------------------------------
+# -- the Gauss-Seidel step ----------------------------------------------------------------
 
 def test_gauss_seidel_single_block_coincides_with_parallel():
     inst = generate_lcqp(1, 4, 3, seed=7)
     rng = np.random.default_rng(3)
     u = PrimalDualPoint([rng.standard_normal(3)], rng.standard_normal(4))
     params = SolverParams(rho=1.4, gamma=1.0)
-    gs = gauss_seidel_step(inst.problem, u, params)
-    par = jacobi_proximal_step(inst.problem, u, SolverParams(rho=1.4, gamma=1.0, policy=None))
+    gs = step(inst.problem, u, params, method="gauss-seidel")
+    par = step(inst.problem, u, SolverParams(rho=1.4, gamma=1.0, policy=None))
     assert dis_metric(gs, par) <= 1e-14
 
 
 def test_gauss_seidel_hand_expansion():
     p = two_scalar_blocks()
     u0 = PrimalDualPoint([np.array([1.0]), np.array([1.0])], np.zeros(1))
-    out = gauss_seidel_step(p, u0, SolverParams(rho=1.0, gamma=1.0))
+    out = step(p, u0, SolverParams(rho=1.0, gamma=1.0), method="gauss-seidel")
     assert out.x[0][0] == pytest.approx(-0.5, abs=1e-14)
     assert out.x[1][0] == pytest.approx(0.25, abs=1e-14)
     # Differs from the parallel iterate on the second block.
-    par = jacobi_proximal_step(p, u0, SolverParams(rho=1.0, gamma=1.0))
+    par = step(p, u0, SolverParams(rho=1.0, gamma=1.0))
     assert abs(out.x[1][0] - par.x[1][0]) > 0.1
 
 
@@ -310,20 +307,20 @@ def test_gauss_seidel_is_order_sensitive():
     rng = np.random.default_rng(2)
     u = PrimalDualPoint([rng.standard_normal(4) for _ in range(3)], rng.standard_normal(6))
     params = SolverParams(rho=1.0, gamma=1.0)
-    fwd = gauss_seidel_step(inst.problem, u, params, order=[0, 1, 2])
-    rev = gauss_seidel_step(inst.problem, u, params, order=[2, 1, 0])
+    fwd = step(inst.problem, u, params, method="gauss-seidel", order=[0, 1, 2])
+    rev = step(inst.problem, u, params, method="gauss-seidel", order=[2, 1, 0])
     assert dis_metric(fwd, rev) > 1e-8
 
 
-# -- jacobi_plain_step -----------------------------------------------------------------
+# -- the plain Jacobi step ---------------------------------------------------------------
 
 def test_plain_step_is_definitional():
     inst = generate_lcqp(3, 6, 4, seed=23)
     rng = np.random.default_rng(4)
     u = PrimalDualPoint([rng.standard_normal(4) for _ in range(3)], rng.standard_normal(6))
     params = SolverParams(rho=0.8, gamma=1.9, policy=StandardProximal(3.0))
-    plain = jacobi_plain_step(inst.problem, u, params)
-    direct = jacobi_proximal_step(
+    plain = step(inst.problem, u, params, method="jacobi-plain")
+    direct = step(
         inst.problem, u, SolverParams(rho=0.8, gamma=1.0, policy=None)
     )
     for a, b in zip(plain.x, direct.x):
@@ -345,19 +342,10 @@ def test_plain_step_trace_matches_engine_with_none_policy():
 def test_dual_decomposition_fixed_point_at_dual_optimum():
     inst = generate_lcqp(3, 6, 4, seed=31)
     u = PrimalDualPoint([np.zeros(4) for _ in range(3)], inst.lambdastar.copy())
-    dd = DualDecompositionParams(0.7, "constant")
-    out = dual_decomposition_step(inst.problem, u, 0, dd)
+    out = step(inst.problem, u, SolverParams(rho=1.0, gamma=1.0), method="dual-decomp")
     for xi, xs in zip(out.x, inst.xstar):
         assert np.linalg.norm(xi - xs) <= 1e-9
     assert np.linalg.norm(out.lam - inst.lambdastar) <= 1e-9
-
-
-def test_dual_decomposition_schedules():
-    const = DualDecompositionParams(0.5, "constant")
-    dim = DualDecompositionParams(0.5, "diminishing_inv_sqrt")
-    assert [const.step_size(k) for k in range(4)] == [0.5] * 4
-    assert dim.step_size(0) == pytest.approx(0.5)
-    assert dim.step_size(3) == pytest.approx(0.25)
 
 
 # -- run loop ----------------------------------------------------------------------------
@@ -402,24 +390,12 @@ def test_run_declares_divergence():
 
 def test_run_records_newton_residual():
     ra = generate_resource_alloc(6, seed=0)
-    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(5.0),
-                          max_iters=50, newton_tol=1e-12)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(5.0), max_iters=50)
     trace = run(ra.problem, params, PrimalDualPoint.zeros(ra.problem))
     assert 0.0 < trace.newton_max_residual <= 1e-12
 
 
 # -- one block sweep for every method -----------------------------------------------------
-
-def _public_step(method, problem, u, k, params, dd):
-    if method == "jprox":
-        return jacobi_proximal_step(problem, u, params)
-    if method == "jacobi-plain":
-        return jacobi_plain_step(problem, u, params)
-    if method == "gauss-seidel":
-        return gauss_seidel_step(problem, u, params)
-    return dual_decomposition_step(problem, u, k, dd, params.newton_tol,
-                                   params.newton_max_iters)
-
 
 @pytest.mark.parametrize("family", ["lcqp", "ra"])
 @pytest.mark.parametrize("method", ["jprox", "jacobi-plain", "gauss-seidel", "dual-decomp"])
@@ -427,15 +403,14 @@ def test_run_iterates_equal_public_steps(method, family):
     problem = (generate_lcqp(3, 6, 4, seed=5) if family == "lcqp"
                else generate_resource_alloc(6, seed=2)).problem
     params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(2.0), max_iters=5)
-    dd = DualDecompositionParams(0.5)
     u = PrimalDualPoint.zeros(problem)
-    trace = run(problem, params, u, method=method, dd_params=dd, record_points=True)
+    trace = run(problem, params, u, method=method, record_points=True)
     assert trace.ks == list(range(6))
     for k, got in enumerate(trace.points):
         for a, b in zip(got.x, u.x):
             assert np.array_equal(a, b), (k, a, b)
         assert np.array_equal(got.lam, u.lam), k
-        u = _public_step(method, problem, u, k, params, dd)
+        u = step(problem, u, params, method=method)
 
 
 def test_dual_decomposition_run_factorizes_each_block_once(monkeypatch):
@@ -451,8 +426,7 @@ def test_dual_decomposition_run_factorizes_each_block_once(monkeypatch):
     inst = generate_lcqp(3, 6, 4, seed=31)
     monkeypatch.setattr(SpdFactor, "__init__", counting)
     trace = run(inst.problem, SolverParams(rho=1.0, gamma=1.0, max_iters=20),
-                PrimalDualPoint.zeros(inst.problem), method="dual-decomp",
-                dd_params=DualDecompositionParams(0.1, "constant"))
+                PrimalDualPoint.zeros(inst.problem), method="dual-decomp")
     assert trace.ks[-1] == 20
     assert len(calls) == inst.problem.N
 
@@ -510,9 +484,9 @@ def test_mixed_blocks_step_is_order_invariant():
     assert p.offsets == (0, 3, 4, 5, 6)
     u = random_point(p, 1)
     params = SolverParams(rho=1.3, gamma=1.2, policy=StandardProximal([2.0, 1.0, 0.5, 3.0]))
-    base = jacobi_proximal_step(p, u, params)
+    base = step(p, u, params)
     for order in permutations(range(p.N)):
-        out = jacobi_proximal_step(p, u, params, order=list(order))
+        out = step(p, u, params, order=list(order))
         for a, b in zip(base.x, out.x):
             assert np.array_equal(a, b), order
         assert np.array_equal(base.lam, out.lam), order
@@ -523,7 +497,7 @@ def test_mixed_blocks_step_is_stationary():
     u = random_point(p, 2)
     policy = StandardProximal([2.0, 1.0, 0.5, 3.0])
     params = SolverParams(rho=1.3, gamma=1.2, policy=policy)
-    out = jacobi_proximal_step(p, u, params)
+    out = step(p, u, params)
     P_list = materialize_policy(policy, params.rho, p)
     assert stationarity_defect(p, u, out, params.rho, P_list) <= 1e-9
 
@@ -532,15 +506,14 @@ def test_mixed_blocks_step_is_stationary():
 def test_mixed_blocks_run_equals_public_steps(method):
     p = mixed_problem()
     params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(2.0), max_iters=5)
-    dd = DualDecompositionParams(0.2)
     u = random_point(p, 3)
-    trace = run(p, params, u, method=method, dd_params=dd, record_points=True)
+    trace = run(p, params, u, method=method, record_points=True)
     assert trace.ks == list(range(6))
     for k, got in enumerate(trace.points):
         for a, b in zip(got.x, u.x):
             assert np.array_equal(a, b), (k, a, b)
         assert np.array_equal(got.lam, u.lam), k
-        u = _public_step(method, p, u, k, params, dd)
+        u = step(p, u, params, method=method)
 
 
 # -- an independent per-block oracle of the four methods ---------------------------------
@@ -590,7 +563,14 @@ def _oracle_step(problem, x, lam, penalty, P_list, sequential, step_size):
     return new, lam - step_size * r, r
 
 
-def _oracle_trace(problem, method, params, dd, u0, ref, weights, steps):
+def _oracle_dual_step(problem):
+    """``mu / ||[A_1 ... A_N]||_2^2`` with ``mu`` the smallest block curvature bound."""
+    mu = min(float(np.linalg.eigvalsh(f.H)[0]) if isinstance(f, QuadraticBlock) else f.a
+             for f in problem.objectives)
+    return mu / np.linalg.norm(np.hstack(problem.A), 2) ** 2
+
+
+def _oracle_trace(problem, method, params, u0, ref, weights, steps):
     rho, gamma = params.rho, params.gamma
     penalty = 0.0 if method == "dual-decomp" else rho
     policy = params.policy if method == "jprox" else None
@@ -617,7 +597,7 @@ def _oracle_trace(problem, method, params, dd, u0, ref, weights, steps):
         if method == "jprox":
             step_size = gamma * rho
         elif method == "dual-decomp":
-            step_size = dd.alpha0 / np.sqrt(k + 1.0)
+            step_size = _oracle_dual_step(problem)
         else:
             step_size = rho
         x, lam, r = _oracle_step(problem, x, lam, penalty, P_list, sequential, step_size)
@@ -647,10 +627,8 @@ def test_run_matches_per_block_oracle(family, method):
     _, weights = certify_with_phi(problem, rho, gamma, policy)
     weights = weights if method == "jprox" else None
     params = SolverParams(rho=rho, gamma=gamma, policy=policy, max_iters=200)
-    dd = DualDecompositionParams(0.1)
-    trace = run(problem, params, u0, reference=ref, phi_context=weights, method=method,
-                dd_params=dd)
-    oracle = _oracle_trace(problem, method, params, dd, u0, ref, weights, len(trace) - 1)
+    trace = run(problem, params, u0, reference=ref, phi_context=weights, method=method)
+    oracle = _oracle_trace(problem, method, params, u0, ref, weights, len(trace) - 1)
     for column in ("dis", "phi", "primal_residual"):
         got, want = getattr(trace, column), oracle[column]
         if want[0] is None:
@@ -662,10 +640,13 @@ def test_run_matches_per_block_oracle(family, method):
 
 # -- failure semantics ---------------------------------------------------------------------
 
-def test_run_turns_a_block_solve_failure_into_divergence():
+def test_run_turns_a_block_solve_failure_into_divergence(monkeypatch):
+    def fails(*args):
+        raise MaxItersExceeded("scalar solve missed its tolerance")
+
+    monkeypatch.setattr(solvers, "_solve_scalar", fails)
     ra = generate_resource_alloc(6, seed=0)
-    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(5.0), max_iters=50,
-                          newton_max_iters=1)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(5.0), max_iters=50)
     trace = run(ra.problem, params, PrimalDualPoint.zeros(ra.problem))
     assert trace.status == "diverged"
     assert trace.ks == [0]
@@ -674,15 +655,17 @@ def test_run_turns_a_block_solve_failure_into_divergence():
 
 
 def test_run_still_raises_on_prepare_failures():
-    from jprox.problem import GenericSmooth
-
-    p = BlockProblem(
-        (GenericSmooth(1, lambda x: float(x[0] ** 2), lambda x: 2 * x, 2.0, 1.0),),
-        (np.ones((1, 1)),),
-        np.zeros(1),
-    )
-    with pytest.raises(SubproblemFailed):
-        run(p, SolverParams(rho=1.0, gamma=1.0), PrimalDualPoint.zeros(p))
+    p = two_scalar_blocks()
+    indefinite = ExplicitProximal([np.array([[-1.0]]), np.array([[1.0]])])
+    with pytest.raises(NotPSD):
+        run(p, SolverParams(rho=1.0, gamma=1.0, policy=indefinite), PrimalDualPoint.zeros(p))
+    with pytest.raises(InvalidParameter):
+        run(p, SolverParams(rho=1.0, gamma=1.0), PrimalDualPoint.zeros(p), method="newton")
+    # A zero curvature bound leaves dual decomposition without a step.
+    flat = BlockProblem((LogisticQuadBlock(0.0, 1.0, 0.0, 0.0),), (np.ones((1, 1)),), np.zeros(1))
+    with pytest.raises(NotStronglyConvex):
+        run(flat, SolverParams(rho=1.0, gamma=1.0), PrimalDualPoint.zeros(flat),
+            method="dual-decomp")
 
 
 def test_scalar_newton_stops_when_the_bracket_is_two_adjacent_floats():
@@ -690,8 +673,7 @@ def test_scalar_newton_stops_when_the_bracket_is_two_adjacent_floats():
     # 1e-12: no float meets |F| <= 1e-12 here, so the search must return the
     # root to float precision instead of running out of iterations.
     block = LogisticQuadBlock(0.95, -0.31, 1.0, -1.0)
-    x = solve_block_scalar_newton(block, rho=1.0, lam_k=10849.6, g_minus_i=0.0, c=0.0,
-                                  x_k=0.0, P_scalar=0.0)
+    x = scalar_solve(block, rho=1.0, lam_k=10849.6, g_minus_i=0.0, c=0.0, x_k=0.0, P_scalar=0.0)
     # The logistic term is exactly 0 there, so the root solves a linear equation.
     assert abs(x - (10849.6 + 0.95) / 1.95) <= 2.0 * np.spacing(x)
 
