@@ -61,6 +61,21 @@ def _positive(value: float, flag: str) -> float:
     return value
 
 
+def _nonnegative(value: float, flag: str) -> float:
+    if not math.isfinite(value) or value < 0.0:
+        _fail_flags(f"invalid {flag}: must be a nonnegative number")
+    return value
+
+
+def _positive_list(text: str, flag: str) -> tuple:
+    """A comma-separated list of positive numbers."""
+    try:
+        values = [float(s) for s in text.split(",")]
+    except ValueError:
+        _fail_flags(f"invalid {flag}: expected a comma-separated list of positive numbers")
+    return tuple(_positive(v, flag) for v in values)
+
+
 def _at_least_one(value: int, flag: str) -> int:
     if value < 1:
         _fail_flags(f"invalid {flag}: must be at least 1")
@@ -84,9 +99,10 @@ def write_trace_csv(trace, path) -> None:
 
 
 def read_trace_csv(path) -> dict:
+    """Columns of a trace CSV; raises ``ValueError`` on a wrong header or cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if ",".join(header) != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header")
         cols = {name: [] for name in header}
@@ -162,6 +178,7 @@ def cmd_certify(args) -> int:
     instance = _load_instance(args.input)
     rho = _positive(args.rho, "--rho")
     gamma = _positive(args.gamma, "--gamma")
+    _nonnegative(args.tol, "--tol")
     if not 0.0 < gamma < 2.0:
         # Still produce a certificate file so the failure and margins are on disk.
         cert = certify(instance.problem, rho, gamma, None, seed=instance.seed)
@@ -187,12 +204,11 @@ def cmd_solve(args) -> int:
     rho = _positive(args.rho, "--rho")
     gamma = _positive(args.gamma, "--gamma")
     max_iters = _at_least_one(args.max_iters, "--max-iters")
-    if args.tol < 0.0:
-        _fail_flags("invalid --tol: must be nonnegative")
+    tol = _nonnegative(args.tol, "--tol")
     consts = try_estimate_constants(problem)
     policy = build_policy(instance, rho, gamma, args.policy, args.tau, consts)
     params = SolverParams(rho=rho, gamma=gamma, policy=policy,
-                          max_iters=max_iters, dis_tol=args.tol)
+                          max_iters=max_iters, dis_tol=tol)
     reference = exp.instance_reference(instance)
     phi_ctx = None
     if args.method == "jprox":
@@ -244,9 +260,9 @@ def cmd_sweep(args) -> int:
     rho_grid = exp.default_rho_grid(instance)
     gamma_grid = exp.GAMMA_GRID
     if args.rho_grid:
-        rho_grid = tuple(_positive(float(s), "--rho-grid") for s in args.rho_grid.split(","))
+        rho_grid = _positive_list(args.rho_grid, "--rho-grid")
     if args.gamma_grid:
-        gamma_grid = tuple(_positive(float(s), "--gamma-grid") for s in args.gamma_grid.split(","))
+        gamma_grid = _positive_list(args.gamma_grid, "--gamma-grid")
     max_iters = _at_least_one(args.max_iters, "--max-iters")
 
     instances = []
@@ -284,6 +300,7 @@ def cmd_sweep(args) -> int:
             "error": cell.error,
             "trace": None,
             "timings": cell.trace.timings if cell.trace is not None else None,
+            "engine": cell.trace.engine if cell.trace is not None else None,
             "wall_s": cell.wall_s,
         }
         if cell.trace is not None:
@@ -297,15 +314,38 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if succeeded else EXIT_IO
 
 
+#: Keys ``report`` reads from a sweep manifest and from each of its cells.
+MANIFEST_KEYS = ("rho_grid", "gamma_grid", "cells")
+CELL_KEYS = ("rho", "gamma", "seed", "status")
+
+
+def _read_manifest(path: Path) -> dict:
+    """A sweep manifest with every key ``report`` reads; a parse failure is an ``IOError``."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise IOError(f"malformed manifest {path}: {exc}")
+    if not isinstance(manifest, dict):
+        raise IOError(f"malformed manifest {path}: expected a JSON object")
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise IOError(f"malformed manifest {path}: missing {', '.join(missing)}")
+    if not manifest["cells"]:
+        raise IOError(f"{path} lists no cells")
+    for i, cell in enumerate(manifest["cells"]):
+        missing = [key for key in CELL_KEYS if not isinstance(cell, dict) or key not in cell]
+        if missing:
+            raise IOError(f"malformed manifest {path}: cell {i} lacks {', '.join(missing)}")
+    return manifest
+
+
 def cmd_report(args) -> int:
     indir = Path(args.input)
     manifest_path = indir / "manifest.json"
     if not manifest_path.exists():
         raise IOError(f"no manifest.json in {indir}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    cells = manifest.get("cells", [])
-    if not cells:
-        raise IOError(f"{manifest_path} lists no cells")
+    manifest = _read_manifest(manifest_path)
+    cells = manifest["cells"]
     outdir = Path(args.output) if args.output else indir
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -315,7 +355,10 @@ def cmd_report(args) -> int:
             path = indir / cell["trace"]
             if not path.exists():
                 raise IOError(f"missing trace file {path}")
-            traces[(cell["rho"], cell["gamma"], cell["seed"])] = read_trace_csv(path)
+            try:
+                traces[(cell["rho"], cell["gamma"], cell["seed"])] = read_trace_csv(path)
+            except ValueError as exc:  # includes UnicodeDecodeError
+                raise IOError(f"malformed trace file {path}: {exc}")
 
     seeds = sorted({cell["seed"] for cell in cells})
     plot_seed = seeds[0]

@@ -258,6 +258,16 @@ def block_distance(dx: np.ndarray, dlam: np.ndarray, offsets) -> float:
     return math.sqrt(max(worst, lam_sq) if math.isfinite(lam_sq) else lam_sq)
 
 
+def block_distances(DX: np.ndarray, DLAM: np.ndarray, offsets) -> np.ndarray:
+    """:func:`block_distance` of each row of ``DX`` (stacked primal) and ``DLAM``.
+
+    Equal to the one-row function up to round-off (the sums run in another
+    order); a non-finite entry makes its row's result non-finite.
+    """
+    worst = np.add.reduceat(DX * DX, offsets[:-1], axis=1).max(axis=1)
+    return np.sqrt(np.maximum(worst, (DLAM * DLAM).sum(axis=1)))
+
+
 def dis_metric(u: PrimalDualPoint, ref: PrimalDualPoint) -> float:
     """Largest block-wise primal distance or multiplier distance."""
     if len(u.x) != len(ref.x):

@@ -329,3 +329,80 @@ def test_report_on_missing_trace_exits_3(tmp_path):
     manifest = json.loads((sweep_dir / "manifest.json").read_text())
     (sweep_dir / manifest["cells"][0]["trace"]).unlink()
     assert run_cli("report", "--input", str(sweep_dir)) == 3
+
+
+# -- flag and parse failures ------------------------------------------------------
+
+@pytest.mark.parametrize("flag, value", [("--rho-grid", "abc"), ("--gamma-grid", "1,,2"),
+                                         ("--rho-grid", "1,-2"), ("--gamma-grid", "nan")])
+def test_sweep_rejects_a_bad_grid(tmp_path, capsys, flag, value):
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    code = run_cli("sweep", "--input", str(inst), "--output", str(tmp_path / "sweep"),
+                   flag, value)
+    assert code == 2
+    assert f"invalid {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_command_rejects_a_bad_tol(tmp_path, capsys, command, value):
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    out = tmp_path / "out"
+    code = run_cli(command, "--input", str(inst), "--tol", value, "--output", str(out))
+    assert code == 2
+    assert "invalid --tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def small_sweep(tmp_path):
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    sweep_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir),
+                   "--rho-grid", "1", "--gamma-grid", "1", "--max-iters", "50") == 0
+    return sweep_dir, json.loads((sweep_dir / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("key", ["rho_grid", "gamma_grid", "cells"])
+def test_report_on_a_manifest_without_a_key_exits_3(tmp_path, capsys, key):
+    sweep_dir, manifest = small_sweep(tmp_path)
+    del manifest[key]
+    (sweep_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("report", "--input", str(sweep_dir)) == 3
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and key in err
+
+
+def test_report_on_a_cell_without_its_rho_exits_3(tmp_path, capsys):
+    sweep_dir, manifest = small_sweep(tmp_path)
+    del manifest["cells"][0]["rho"]
+    (sweep_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("report", "--input", str(sweep_dir)) == 3
+    assert "manifest.json" in capsys.readouterr().err
+
+
+def test_report_on_an_unparsable_manifest_exits_3(tmp_path, capsys):
+    sweep_dir, _ = small_sweep(tmp_path)
+    (sweep_dir / "manifest.json").write_text("{not json")
+    assert run_cli("report", "--input", str(sweep_dir)) == 3
+    assert "manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["k,dis\n0,1.0\n", "", CSV_HEADER + "\n0,x,,1.0,0.0\n"])
+def test_report_on_a_malformed_trace_exits_3(tmp_path, capsys, content):
+    sweep_dir, manifest = small_sweep(tmp_path)
+    name = manifest["cells"][0]["trace"]
+    (sweep_dir / name).write_text(content)
+    assert run_cli("report", "--input", str(sweep_dir)) == 3
+    assert name in capsys.readouterr().err
+
+
+def test_sweep_manifest_records_the_engine(tmp_path):
+    lcqp = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
+    ra = make_instance(tmp_path, "ra", N=4, seed=0)
+    for inst, engine in ((lcqp, "affine"), (ra, "sweep")):
+        sweep_dir = tmp_path / f"sweep_{engine}"
+        assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir),
+                       "--rho-grid", "1", "--gamma-grid", "0.5,1.5", "--max-iters", "100") == 0
+        manifest = json.loads((sweep_dir / "manifest.json").read_text())
+        assert [cell["engine"] for cell in manifest["cells"]] == [engine, engine]

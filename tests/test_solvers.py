@@ -1,7 +1,11 @@
 """Engine tests: hand-expanded steps, order invariance, baselines, root solves."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import jprox.solvers as solvers
 from jprox.certify import smallest_certified_tau
@@ -690,3 +694,223 @@ def test_run_records_phase_timings():
     assert set(trace.timings) == {"prepare", "step", "record"}
     assert all(v >= 0.0 for v in trace.timings.values())
     assert sum(trace.timings.values()) <= wall
+
+
+# -- the affine engine of all-quadratic Jacobi runs -------------------------------------
+
+def _random_phi_weights(problem, gamma, rho, seed):
+    from jprox.certify import PhiWeights
+
+    rng = np.random.default_rng(seed)
+    W = []
+    for n in problem.dims:
+        G = rng.standard_normal((n, n))
+        W.append(G @ G.T + np.eye(n))
+    return PhiWeights(gamma, rho, W)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 4), n=st.integers(1, 5), m=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 16), policy=st.sampled_from(["standard", "proxlinear",
+                                                              "explicit", "none"]),
+       method=st.sampled_from(["jprox", "jacobi-plain", "dual-decomp"]),
+       rho=st.floats(0.1, 3.0), gamma=st.floats(0.1, 1.9), tau=st.floats(0.1, 10.0))
+def test_affine_run_matches_per_block_oracle(N, n, m, seed, policy, method, rho, gamma, tau):
+    from jprox.errors import DegenerateAfterRetries
+
+    try:
+        inst = generate_lcqp(N, m, n, seed)
+    except DegenerateAfterRetries:
+        assume(False)
+    problem = inst.problem
+    concrete = {
+        "standard": StandardProximal(tau),
+        "proxlinear": ProxLinear([rho * np.linalg.norm(Ai, 2) ** 2 + tau for Ai in problem.A]),
+        "explicit": ExplicitProximal(inst.proximal_source),
+        "none": None,
+    }[policy]
+    params = SolverParams(rho=rho, gamma=gamma, policy=concrete, max_iters=50)
+    ref = inst.optimum()
+    u0 = random_point(problem, seed)
+    weights = _random_phi_weights(problem, gamma, rho, seed)
+    trace = run(problem, params, u0, reference=ref, phi_context=weights, method=method)
+    assert trace.engine == "affine"
+    oracle = _oracle_trace(problem, method, params, u0, ref, weights, len(trace) - 1)
+    for column in ("dis", "phi", "primal_residual"):
+        got, want = getattr(trace, column), oracle[column]
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 1e-10 * max(abs(want[0]), abs(w)), (column, k, g, w)
+
+
+def test_affine_sweep_keeps_every_status_of_the_block_sweep(monkeypatch):
+    from jprox.experiments import GAMMA_GRID, SweepConfig, default_rho_grid, run_sweep
+
+    inst = generate_lcqp(3, 100, 40, seed=0)
+    sweep = SweepConfig(rho_grid=default_rho_grid(inst), gamma_grid=GAMMA_GRID)
+    affine = run_sweep(inst, sweep)
+    monkeypatch.setattr(solvers, "AFFINE_MAX_ENTRIES", 0)
+    blocks = run_sweep(inst, sweep)
+    assert len(affine) == 16
+    for key, cell in affine.items():
+        got, want = cell.trace, blocks[key].trace
+        assert (got.engine, want.engine) == ("affine", "sweep"), key
+        assert got.status == want.status, key
+        for k, (g, w) in enumerate(zip(got.dis, want.dis)):
+            assert abs(g - w) <= 1e-10 * max(want.dis[0], w), (key, k)
+        if got.status != "converged":
+            assert got.ks[-1] == want.ks[-1], key
+            continue
+        # Both runs stop at dis <= 1e-12, where the two engines' round-off
+        # differs by a few percent (the per-block oracle differs from the
+        # block sweep as much): the step counts may differ by the steps the
+        # run needs to cover that gap, plus one.
+        k = min(got.ks[-1], want.ks[-1])
+        gap = abs(math.log(got.dis[k] / want.dis[k]))
+        per_step = math.log(want.dis[k - 100] / want.dis[k]) / 100
+        assert abs(got.ks[-1] - want.ks[-1]) <= 1 + math.ceil(gap / per_step), key
+
+
+def _stepwise(problem, params, u0, ref, method):
+    """Points, ``dis`` and status of a loop of public steps under the run's stop rule."""
+    from jprox.problem import block_distance
+
+    u, points, dis = u0.copy(), [], []
+    status = "max_iters"
+    for k in range(params.max_iters + 1):
+        if k:
+            u = step(problem, u, params, method=method)
+        points.append(u)
+        d = block_distance(np.concatenate(u.x) - np.concatenate(ref.x), u.lam - ref.lam,
+                           np.asarray(problem.offsets))
+        dis.append(d)
+        if not np.isfinite(d) or d > solvers.DIVERGENCE_LIMIT:
+            status = "diverged"
+            break
+        if d <= params.dis_tol:
+            status = "converged"
+            break
+    return points, dis, status
+
+
+def _assert_rows_of_stepwise_loop(problem, params, u0, ref, method="jprox"):
+    trace = run(problem, params, u0, reference=ref, method=method, record_points=True)
+    points, dis, status = _stepwise(problem, params, u0, ref, method)
+    assert trace.engine == "affine"
+    assert trace.status == status
+    assert trace.ks == list(range(len(points)))
+    for got, want in zip(trace.points, points):
+        for a, b in zip(got.x, want.x):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.lam, want.lam)
+    for g, w in zip(trace.dis, dis):
+        assert abs(g - w) <= 1e-14 * w
+    for a, b in zip(trace.final.x, trace.points[-1].x):
+        assert np.array_equal(a, b)
+    assert np.array_equal(trace.final.lam, trace.points[-1].lam)
+    return trace
+
+
+def test_affine_run_converges_mid_chunk():
+    inst = generate_lcqp(3, 6, 4, seed=13)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(10.0), max_iters=3000,
+                          dis_tol=1e-8)
+    trace = _assert_rows_of_stepwise_loop(inst.problem, params,
+                                          PrimalDualPoint.zeros(inst.problem), inst.optimum())
+    assert trace.status == "converged"
+    assert trace.ks[-1] > solvers.RECORD_CHUNK and trace.ks[-1] % solvers.RECORD_CHUNK != 0
+
+
+def test_affine_run_diverges_mid_chunk():
+    inst = generate_lcqp(3, 6, 4, seed=41)
+    params = SolverParams(rho=10.0, gamma=1.0, policy=None, max_iters=3000)
+    trace = _assert_rows_of_stepwise_loop(inst.problem, params,
+                                          PrimalDualPoint.zeros(inst.problem), inst.optimum(),
+                                          method="jacobi-plain")
+    assert trace.status == "diverged"
+    assert 0 < trace.ks[-1] < solvers.RECORD_CHUNK
+
+
+@pytest.mark.parametrize("max_iters", [1, 10, 64, 150])
+def test_affine_run_stops_at_max_iters_inside_or_at_a_chunk(max_iters):
+    inst = generate_lcqp(3, 6, 4, seed=13)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(10.0),
+                          max_iters=max_iters)
+    trace = _assert_rows_of_stepwise_loop(inst.problem, params,
+                                          PrimalDualPoint.zeros(inst.problem), inst.optimum())
+    assert trace.status == "max_iters"
+    assert trace.ks[-1] == max_iters
+
+
+def test_affine_run_converged_at_the_reference_takes_no_step():
+    inst = generate_lcqp(2, 4, 3, seed=37)
+    ref = inst.optimum()
+    params = SolverParams(rho=1.0, gamma=1.0, max_iters=100, dis_tol=1e-12)
+    trace = _assert_rows_of_stepwise_loop(inst.problem, params, ref.copy(), ref)
+    assert trace.status == "converged" and trace.ks == [0] and trace.dis == [0.0]
+
+
+@pytest.mark.parametrize("method", ["jprox", "jacobi-plain", "dual-decomp"])
+def test_all_quadratic_jacobi_runs_take_the_affine_engine(method):
+    inst = generate_lcqp(3, 6, 4, seed=5)
+    params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(2.0), max_iters=5)
+    trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem), method=method)
+    assert trace.engine == "affine"
+
+
+def _engine(problem, method="jprox"):
+    params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(2.0), max_iters=5)
+    return run(problem, params, PrimalDualPoint.zeros(problem), method=method).engine
+
+
+def test_other_runs_take_the_block_sweep(monkeypatch):
+    lcqp = generate_lcqp(3, 6, 4, seed=5).problem
+    assert _engine(lcqp, "gauss-seidel") == "sweep"
+    assert _engine(mixed_problem()) == "sweep"
+    assert _engine(generate_resource_alloc(6, seed=0).problem) == "sweep"
+    # T_x of this problem has 12 * (12 + 6) = 216 entries.
+    monkeypatch.setattr(solvers, "AFFINE_MAX_ENTRIES", 215)
+    assert _engine(lcqp) == "sweep"
+    monkeypatch.setattr(solvers, "AFFINE_MAX_ENTRIES", 216)
+    assert _engine(lcqp) == "affine"
+
+
+def test_building_the_affine_map_adds_no_spd_factor(monkeypatch):
+    from jprox.linalg import SpdFactor
+
+    calls = []
+    original = SpdFactor.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    inst = generate_lcqp(3, 6, 4, seed=31)
+    monkeypatch.setattr(SpdFactor, "__init__", counting)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(2.0), max_iters=20)
+    trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem))
+    assert trace.engine == "affine"
+    assert len(calls) == inst.problem.N
+
+
+def test_affine_run_with_a_poorly_conditioned_block_matches_the_oracle():
+    rng = np.random.default_rng(7)
+    Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    H = Q @ np.diag([1e-3, 1.0, 1e3]) @ Q.T
+    problem = BlockProblem(
+        (QuadraticBlock(0.5 * (H + H.T), rng.standard_normal(3)),
+         QuadraticBlock(np.eye(2), rng.standard_normal(2))),
+        (0.01 * rng.standard_normal((2, 3)), rng.standard_normal((2, 2))),
+        rng.standard_normal(2),
+    )
+    params = SolverParams(rho=0.5, gamma=1.0, policy=None, max_iters=50)
+    prepared = solvers._Prepared(problem, params, "jacobi-plain")
+    assert np.linalg.cond(prepared.blocks[0].factor.matrix) > 1e5
+    assert prepared.affine is not None
+    ref = reference_solution(problem).point
+    u0 = random_point(problem, 1)
+    trace = run(problem, params, u0, reference=ref, method="jacobi-plain")
+    oracle = _oracle_trace(problem, "jacobi-plain", params, u0, ref, None, len(trace) - 1)
+    for column in ("dis", "primal_residual"):
+        got, want = getattr(trace, column), oracle[column]
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 1e-10 * max(abs(want[0]), abs(w)), (column, k, g, w)
