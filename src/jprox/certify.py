@@ -408,22 +408,14 @@ class PhiWeights:
         return cls(gamma, rho, W)
 
     def evaluate(self, u: PrimalDualPoint, ref: PrimalDualPoint) -> float:
-        return self.evaluate_stacked(np.concatenate(u.x) - np.concatenate(ref.x),
-                                     u.lam - ref.lam)
-
-    def evaluate_stacked(self, dx: np.ndarray, dlam: np.ndarray) -> float:
-        """phi of a stacked primal difference ``dx`` and a multiplier difference ``dlam``."""
-        total = float(dlam @ dlam) / (2.0 * self.gamma * self.rho)
-        for index, W in self._groups:
-            d = dx[index][:, :, None]
-            total += 0.5 * float((d * (W @ d)).sum())
-        return total
+        """phi of ``u`` about ``ref``: one row of :meth:`evaluate_rows`."""
+        dx = np.concatenate(u.x) - np.concatenate(ref.x)
+        return float(self.evaluate_rows(dx[None], (u.lam - ref.lam)[None])[0])
 
     def evaluate_rows(self, DX: np.ndarray, DLAM: np.ndarray) -> np.ndarray:
         """phi of each row of stacked primal differences ``DX`` and multiplier differences ``DLAM``.
 
-        Equal to :meth:`evaluate_stacked` row by row up to round-off: each
-        block size costs one batched product per block over all rows.
+        Each block size costs one batched product per block over all rows.
         """
         total = (DLAM * DLAM).sum(axis=1) / (2.0 * self.gamma * self.rho)
         for index, W in self._groups:

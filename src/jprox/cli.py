@@ -257,6 +257,9 @@ def cmd_sweep(args) -> int:
             _fail_flags("invalid --seeds: expected a comma-separated list of integers")
         if not seeds:
             _fail_flags("invalid --seeds: list is empty")
+        repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+        if repeated:
+            _fail_flags(f"invalid --seeds: seed {repeated[0]} listed twice")
     rho_grid = exp.default_rho_grid(instance)
     gamma_grid = exp.GAMMA_GRID
     if args.rho_grid:

@@ -246,26 +246,20 @@ def _offsets_of(blocks) -> np.ndarray:
     return np.concatenate(([0], np.cumsum([len(b) for b in blocks])))
 
 
-def block_distance(dx: np.ndarray, dlam: np.ndarray, offsets) -> float:
-    """Largest of ``||dlam||`` and the block norms ``||dx[o_i:o_{i+1}]||``.
-
-    ``dx`` is a stacked primal vector (or difference) with block starts
-    ``offsets[:-1]``; every block is nonempty.  A non-finite entry makes
-    the result non-finite.
-    """
-    worst = float(np.add.reduceat(dx * dx, offsets[:-1]).max())
-    lam_sq = float(dlam @ dlam)
-    return math.sqrt(max(worst, lam_sq) if math.isfinite(lam_sq) else lam_sq)
-
-
 def block_distances(DX: np.ndarray, DLAM: np.ndarray, offsets) -> np.ndarray:
-    """:func:`block_distance` of each row of ``DX`` (stacked primal) and ``DLAM``.
+    """Largest of ``||DLAM[j]||`` and the block norms ``||DX[j, o_i:o_{i+1}]||``, per row ``j``.
 
-    Equal to the one-row function up to round-off (the sums run in another
-    order); a non-finite entry makes its row's result non-finite.
+    Each row of ``DX`` is a stacked primal vector (or difference) with block
+    starts ``offsets[:-1]``; every block is nonempty.  A non-finite entry
+    makes its row's result non-finite.
     """
     worst = np.add.reduceat(DX * DX, offsets[:-1], axis=1).max(axis=1)
     return np.sqrt(np.maximum(worst, (DLAM * DLAM).sum(axis=1)))
+
+
+def block_distance(dx: np.ndarray, dlam: np.ndarray, offsets) -> float:
+    """:func:`block_distances` of the one row ``dx`` (stacked primal) and ``dlam``."""
+    return float(block_distances(dx[None], dlam[None], offsets)[0])
 
 
 def dis_metric(u: PrimalDualPoint, ref: PrimalDualPoint) -> float:

@@ -19,8 +19,8 @@ smallest block curvature bound: the dual function's gradient is
 
 When every block is quadratic and the sweep is not sequential, the block
 solves of one step are an affine map of ``(x, lam)``.  Such a run (up to a
-size cap, :data:`AFFINE_MAX_ENTRIES`) replaces them with one dense matvec
-and records its iterates :data:`RECORD_CHUNK` at a time.
+size cap, :data:`AFFINE_MAX_ENTRIES`) replaces them with one dense matvec.
+Either way, :func:`run` records its iterates :data:`RECORD_CHUNK` at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .problem import (
     LogisticQuadBlock,
     PrimalDualPoint,
     QuadraticBlock,
-    block_distance,
     block_distances,
     check_point,
     constraint_residual,
@@ -61,7 +60,7 @@ DIVERGENCE_LIMIT = 1e12
 #: most this many entries, ``sum n_i * (sum n_i + m)`` (8 MB of float64).
 AFFINE_MAX_ENTRIES = 2 ** 20
 
-#: An affine run takes this many steps between two batched recordings.
+#: A run takes this many steps between two batched recordings.
 RECORD_CHUNK = 64
 
 #: Absolute residual tolerance and iteration cap of a scalar block solve.
@@ -170,14 +169,14 @@ class SolverParams:
     dis_tol: float = 0.0
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise InvalidParameter("rho must be positive")
-        if self.gamma <= 0.0:
-            raise InvalidParameter("gamma must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
+            raise InvalidParameter("rho must be finite and positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise InvalidParameter("gamma must be finite and positive")
         if self.max_iters < 1:
             raise InvalidParameter("max_iters must be at least 1")
-        if self.dis_tol < 0.0:
-            raise InvalidParameter("dis_tol must be nonnegative")
+        if not (math.isfinite(self.dis_tol) and self.dis_tol >= 0.0):
+            raise InvalidParameter("dis_tol must be finite and nonnegative")
 
 
 CONVERGED = "converged"
@@ -192,11 +191,16 @@ class Trace:
     Columnar lists indexed by recorded iterate (k = 0 is the initial point):
     ``dis`` and ``phi`` hold ``None`` where the metric was unavailable.
     ``points`` is populated only when the run was asked to keep iterates.
-    ``failure`` names the block-solve failure that ended a diverged run, if
-    any.  ``timings`` holds the seconds spent preparing the block solves
-    (``prepare``), in steps (``step``) and recording iterates (``record``).
-    ``engine`` names the step that ran: ``"affine"`` (the dense map of an
-    all-quadratic Jacobi run) or ``"sweep"`` (the block sweep).
+    Every column holds exactly the rows a step-by-step loop would record,
+    though steps run and are recorded :data:`RECORD_CHUNK` at a time.
+    ``newton_max_residual`` is the worst scalar block-solve residual over
+    the recorded steps.  ``failure`` names the block-solve failure that
+    ended a diverged run, if any; a failure in a step past the stop row is
+    not kept.  ``timings`` holds the seconds spent preparing the block
+    solves (``prepare``), in steps (``step``) and recording iterates
+    (``record``).  ``engine`` names the step that ran: ``"affine"`` (the
+    dense map of an all-quadratic Jacobi run) or ``"sweep"`` (the block
+    sweep).
     """
 
     ks: list = field(default_factory=list)
@@ -546,11 +550,13 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     solves (an unknown method, a non-PSD proximal matrix, a problem without
     a positive curvature bound for dual decomposition) raise.
 
-    A run with an affine map (see :class:`_Prepared`) takes its steps
-    :data:`RECORD_CHUNK` at a time and records each chunk with batched
-    products.  It keeps the rows up to the first one that meets the stop
-    rule and ends in that row's state, so it records the rows of a
-    step-by-step loop; the steps taken past that row are discarded.
+    Every run takes its steps :data:`RECORD_CHUNK` at a time into
+    preallocated buffers and records each chunk with batched products; the
+    two engines (see :class:`_Prepared`) differ only in the step.  A chunk
+    keeps the rows up to the first one that meets the stop rule, and the
+    run ends in that row's state, so it records the rows of a step-by-step
+    loop.  A block-solve failure ends its chunk at the failed step; the
+    steps past the stop row are discarded, a failure among them included.
     """
     check_point(problem, u0)
     if reference is not None:
@@ -558,6 +564,7 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     trace = Trace(points=[] if record_points else None)
     clock = time.perf_counter()
     prepared = _Prepared(problem, params, method)
+    trace.engine = "sweep" if prepared.affine is None else "affine"
     offsets = prepared.offsets
     if reference is not None:
         x_ref, lam_ref = problem.stack(reference.x), reference.lam
@@ -567,26 +574,6 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     r = constraint_residual(problem, x)
     start = time.perf_counter()
     trace.timings["prepare"] = start - clock
-
-    def record(k: int) -> None:
-        if reference is not None:
-            dx, dlam = x - x_ref, lam - lam_ref
-            d = block_distance(dx, dlam, offsets)
-            gauge = d
-        else:
-            d = None
-            gauge = block_distance(x, lam, offsets)
-        trace.ks.append(k)
-        trace.dis.append(d)
-        trace.phi.append(None if phi is None else phi.evaluate_stacked(dx, dlam))
-        trace.primal_residual.append(math.sqrt(r @ r))
-        trace.elapsed.append(time.perf_counter() - start)
-        if trace.points is not None:
-            trace.points.append(PrimalDualPoint(problem.split(x.copy()), lam.copy()))
-        if not math.isfinite(gauge) or gauge > DIVERGENCE_LIMIT:
-            trace.status = DIVERGED
-        elif d is not None and d <= params.dis_tol:
-            trace.status = CONVERGED
 
     def record_rows(k: int, X: np.ndarray, LAM: np.ndarray, RN: np.ndarray,
                     elapsed: np.ndarray) -> int:
@@ -611,45 +598,37 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
             trace.status = DIVERGED if diverged[hits[0]] else CONVERGED
         return kept
 
+    size = min(RECORD_CHUNK, params.max_iters)
+    X, LAM = np.empty((size, x.size)), np.empty((size, lam.size))
+    RN, newton, elapsed = np.empty(size), np.empty(size), np.empty(size)
+    X[0], LAM[0], RN[0] = x, lam, math.sqrt(r @ r)
+    elapsed[0] = time.perf_counter() - start
+    record_rows(0, X[:1], LAM[:1], RN[:1], elapsed[:1])
     step_s = 0.0
     k = 0
-    if prepared.affine is None:
-        record(0)
+    # Steps past a divergent row may overflow; they are discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
         while trace.status == MAX_ITERS and k < params.max_iters:
-            k += 1
+            size = min(RECORD_CHUNK, params.max_iters - k)
+            failure = None
             clock = time.perf_counter()
-            try:
-                x, lam, r, newton_resid = _sweep(prepared, x, lam, r, order)
-            except (SubproblemFailed, NoBracket, MaxItersExceeded) as exc:
-                trace.status = DIVERGED
-                trace.failure = f"step {k}: {type(exc).__name__}: {exc}"
-                break
-            finally:
-                step_s += time.perf_counter() - clock
-            trace.newton_max_residual = max(trace.newton_max_residual, newton_resid)
-            record(k)
-    else:
-        trace.engine = "affine"
-        size = min(RECORD_CHUNK, params.max_iters)
-        X, LAM = np.empty((size, x.size)), np.empty((size, lam.size))
-        RN, elapsed = np.empty(size), np.empty(size)
-        X[0], LAM[0], RN[0] = x, lam, math.sqrt(r @ r)
-        elapsed[0] = time.perf_counter() - start
-        record_rows(0, X[:1], LAM[:1], RN[:1], elapsed[:1])
-        # Steps past a divergent row may overflow; they are discarded.
-        with np.errstate(over="ignore", invalid="ignore"):
-            while trace.status == MAX_ITERS and k < params.max_iters:
-                size = min(RECORD_CHUNK, params.max_iters - k)
-                clock = time.perf_counter()
-                for j in range(size):
-                    x, lam, r, _ = _sweep(prepared, x, lam, r, order)
-                    X[j], LAM[j], RN[j] = x, lam, math.sqrt(r @ r)
-                    elapsed[j] = time.perf_counter() - start
-                step_s += time.perf_counter() - clock
-                kept = record_rows(k + 1, X[:size], LAM[:size], RN[:size], elapsed[:size])
-                k += kept
-                if kept < size:
-                    x, lam = X[kept - 1].copy(), LAM[kept - 1].copy()
+            for j in range(size):
+                try:
+                    x, lam, r, newton[j] = _sweep(prepared, x, lam, r, order)
+                except (SubproblemFailed, NoBracket, MaxItersExceeded) as exc:
+                    failure = f"step {k + j + 1}: {type(exc).__name__}: {exc}"
+                    size = j
+                    break
+                X[j], LAM[j], RN[j] = x, lam, math.sqrt(r @ r)
+                elapsed[j] = time.perf_counter() - start
+            step_s += time.perf_counter() - clock
+            kept = record_rows(k + 1, X[:size], LAM[:size], RN[:size], elapsed[:size])
+            trace.newton_max_residual = float(newton[:kept].max(initial=trace.newton_max_residual))
+            k += kept
+            if kept < size:
+                x, lam = X[kept - 1].copy(), LAM[kept - 1].copy()
+            elif failure is not None and trace.status == MAX_ITERS:
+                trace.status, trace.failure = DIVERGED, failure
     trace.timings["step"] = step_s
     trace.timings["record"] = time.perf_counter() - start - step_s
     trace.final = PrimalDualPoint(problem.split(x), lam)

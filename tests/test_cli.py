@@ -344,6 +344,21 @@ def test_sweep_rejects_a_bad_grid(tmp_path, capsys, flag, value):
     assert not (tmp_path / "sweep").exists()
 
 
+def test_sweep_rejects_a_seed_listed_twice(tmp_path, capsys, monkeypatch):
+    from jprox import experiments
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("no cell may run")
+
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    monkeypatch.setattr(experiments, "run_sweep", no_sweep)
+    code = run_cli("sweep", "--input", str(inst), "--output", str(tmp_path / "sweep"),
+                   "--seeds", "0,0,1")
+    assert code == 2
+    assert "invalid --seeds: seed 0 listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "certify"])
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_command_rejects_a_bad_tol(tmp_path, capsys, command, value):

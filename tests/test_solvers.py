@@ -1,5 +1,6 @@
 """Engine tests: hand-expanded steps, order invariance, baselines, root solves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -672,6 +673,24 @@ def test_run_still_raises_on_prepare_failures():
             method="dual-decomp")
 
 
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0, -1.0])
+def test_solver_params_reject_a_rho_that_is_not_finite_and_positive(rho):
+    with pytest.raises(InvalidParameter, match="rho"):
+        SolverParams(rho=rho, gamma=1.0)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -1.0])
+def test_solver_params_reject_a_gamma_that_is_not_finite_and_positive(gamma):
+    with pytest.raises(InvalidParameter, match="gamma"):
+        SolverParams(rho=1.0, gamma=gamma)
+
+
+@pytest.mark.parametrize("dis_tol", [float("nan"), float("inf"), -1e-12])
+def test_solver_params_reject_a_dis_tol_that_is_not_finite_and_nonnegative(dis_tol):
+    with pytest.raises(InvalidParameter, match="dis_tol"):
+        SolverParams(rho=1.0, gamma=1.0, dis_tol=dis_tol)
+
+
 def test_scalar_newton_stops_when_the_bracket_is_two_adjacent_floats():
     # The root sits near 5564, where the residual's float spacing is about
     # 1e-12: no float meets |F| <= 1e-12 here, so the search must return the
@@ -792,10 +811,10 @@ def _stepwise(problem, params, u0, ref, method):
     return points, dis, status
 
 
-def _assert_rows_of_stepwise_loop(problem, params, u0, ref, method="jprox"):
+def _assert_rows_of_stepwise_loop(problem, params, u0, ref, method="jprox", engine="affine"):
     trace = run(problem, params, u0, reference=ref, method=method, record_points=True)
     points, dis, status = _stepwise(problem, params, u0, ref, method)
-    assert trace.engine == "affine"
+    assert trace.engine == engine
     assert trace.status == status
     assert trace.ks == list(range(len(points)))
     for got, want in zip(trace.points, points):
@@ -847,6 +866,148 @@ def test_affine_run_converged_at_the_reference_takes_no_step():
     params = SolverParams(rho=1.0, gamma=1.0, max_iters=100, dis_tol=1e-12)
     trace = _assert_rows_of_stepwise_loop(inst.problem, params, ref.copy(), ref)
     assert trace.status == "converged" and trace.ks == [0] and trace.dis == [0.0]
+
+
+# -- the chunked recording of the block sweep ---------------------------------------------
+
+def _sweep_run(family, rho, max_iters, dis_tol=0.0):
+    """Problem, parameters, start, reference and method of a block-sweep run.
+
+    ``"gs-lcqp"`` is Gauss-Seidel on an LCQP; ``"ra-6"`` is the proximal
+    Jacobi method on a resource-allocation problem with six scalar blocks.
+    """
+    if family == "gs-lcqp":
+        inst = generate_lcqp(3, 6, 4, seed=13)
+        problem, ref, method = inst.problem, inst.optimum(), "gauss-seidel"
+    else:
+        problem = generate_resource_alloc(6, seed=0).problem
+        ref, method = reference_solution(problem).point, "jprox"
+    params = SolverParams(rho=rho, gamma=1.0, policy=StandardProximal(5.0),
+                          max_iters=max_iters, dis_tol=dis_tol)
+    return problem, params, PrimalDualPoint.zeros(problem), ref, method
+
+
+def _gauss_seidel_counterexample():
+    """Three scalar quadratic blocks on which Gauss-Seidel ADMM diverges.
+
+    The coupling matrix is the counterexample of Chen, He, Ye and Yuan
+    (Math. Program. 2016) to the convergence of multi-block ADMM; the
+    curvature 0.01 keeps the blocks strongly convex without stopping the
+    growth.  The optimum is the origin.
+    """
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 2.0]])
+    return BlockProblem(tuple(QuadraticBlock(np.array([[0.01]]), np.zeros(1)) for _ in range(3)),
+                        tuple(A[:, [i]] for i in range(3)), np.zeros(3))
+
+
+@pytest.mark.parametrize("family, rho", [("gs-lcqp", 1.0), ("ra-6", 0.1)])
+def test_block_sweep_run_converges_mid_chunk(family, rho):
+    problem, params, u0, ref, method = _sweep_run(family, rho, 3000, dis_tol=1e-8)
+    trace = _assert_rows_of_stepwise_loop(problem, params, u0, ref, method, engine="sweep")
+    assert trace.status == "converged"
+    assert trace.ks[-1] > solvers.RECORD_CHUNK and trace.ks[-1] % solvers.RECORD_CHUNK != 0
+
+
+def test_gauss_seidel_lcqp_run_diverges_mid_chunk():
+    problem = _gauss_seidel_counterexample()
+    params = SolverParams(rho=1.0, gamma=1.0, max_iters=3000)
+    u0 = PrimalDualPoint([np.ones(1)] * 3, np.ones(3))
+    trace = _assert_rows_of_stepwise_loop(problem, params, u0, PrimalDualPoint.zeros(problem),
+                                          "gauss-seidel", engine="sweep")
+    assert trace.status == "diverged" and trace.failure is None
+    assert trace.ks[-1] > solvers.RECORD_CHUNK and trace.ks[-1] % solvers.RECORD_CHUNK != 0
+
+
+def test_resource_allocation_run_diverges_mid_chunk():
+    problem, params, u0, ref, method = _sweep_run("ra-6", 10.0, 3000)
+    trace = _assert_rows_of_stepwise_loop(problem, params, u0, ref, method, engine="sweep")
+    assert trace.status == "diverged" and trace.failure is None
+    assert 0 < trace.ks[-1] < solvers.RECORD_CHUNK
+
+
+@pytest.mark.parametrize("family", ["gs-lcqp", "ra-6"])
+@pytest.mark.parametrize("max_iters", [1, 10, 64, 150])
+def test_block_sweep_run_stops_at_max_iters_inside_or_at_a_chunk(family, max_iters):
+    problem, params, u0, ref, method = _sweep_run(family, 1.0, max_iters)
+    trace = _assert_rows_of_stepwise_loop(problem, params, u0, ref, method, engine="sweep")
+    assert trace.status == "max_iters"
+    assert trace.ks[-1] == max_iters
+
+
+def _fail_scalar_solves_from_call(monkeypatch, first_failing_call):
+    """Make every ``_solve_scalar`` call from the ``first_failing_call``-th on raise."""
+    calls = []
+    original = solvers._solve_scalar
+
+    def counting(*args):
+        calls.append(args)
+        if len(calls) >= first_failing_call:
+            raise MaxItersExceeded("injected failure")
+        return original(*args)
+
+    monkeypatch.setattr(solvers, "_solve_scalar", counting)
+
+
+def _assert_same_rows(got, want):
+    for column in ("ks", "dis", "phi", "primal_residual"):
+        assert getattr(got, column) == getattr(want, column), column
+    for a, b in zip(got.points + [got.final], want.points + [want.final]):
+        assert all(np.array_equal(x, y) for x, y in zip(a.x, b.x))
+        assert np.array_equal(a.lam, b.lam)
+    assert got.newton_max_residual == want.newton_max_residual
+
+
+def test_run_keeps_the_rows_before_a_block_solve_failure_mid_chunk(monkeypatch):
+    # Six scalar blocks make six scalar solves per step: call 421 is the
+    # first of step 71, the seventh step of the second chunk.
+    problem, params, u0, ref, method = _sweep_run("ra-6", 1.0, 200)
+    want = run(problem, dataclasses.replace(params, max_iters=70), u0, reference=ref,
+               record_points=True)
+    _fail_scalar_solves_from_call(monkeypatch, 421)
+    trace = run(problem, params, u0, reference=ref, record_points=True)
+    assert trace.status == "diverged"
+    assert trace.ks == list(range(71))
+    assert trace.failure == "step 71: MaxItersExceeded: injected failure"
+    _assert_same_rows(trace, want)
+
+
+@pytest.mark.parametrize("failing_step", [62, 63, 64])
+def test_a_failure_in_a_discarded_step_is_not_kept(monkeypatch, failing_step):
+    # Gauss-Seidel converges at step 61 here; every step from failing_step on fails.
+    ra = generate_resource_alloc(6, seed=0)
+    ref = reference_solution(ra.problem).point
+    params = SolverParams(rho=1.0, gamma=1.0, max_iters=3000, dis_tol=1e-8)
+    u0 = PrimalDualPoint.zeros(ra.problem)
+    want = run(ra.problem, params, u0, reference=ref, method="gauss-seidel", record_points=True)
+    assert want.status == "converged" and want.ks[-1] == 61
+    _fail_scalar_solves_from_call(monkeypatch, 6 * (failing_step - 1) + 1)
+    trace = run(ra.problem, params, u0, reference=ref, method="gauss-seidel",
+                record_points=True)
+    assert trace.status == "converged"
+    assert trace.failure is None
+    _assert_same_rows(trace, want)
+
+
+def test_newton_residual_is_the_worst_over_the_kept_steps(monkeypatch):
+    # Each scalar solve reports its call count as its residual, so the
+    # worst residual grows with every step, discarded steps included.
+    calls = []
+    original = solvers._solve_scalar
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)[0], float(len(calls))
+
+    monkeypatch.setattr(solvers, "_solve_scalar", counting)
+    problem, params, u0, ref, method = _sweep_run("ra-6", 0.1, 3000, dis_tol=1e-8)
+    trace = run(problem, params, u0, reference=ref, method=method)
+    k = trace.ks[-1]
+    assert trace.status == "converged" and k % solvers.RECORD_CHUNK != 0
+    calls.clear()
+    capped = run(problem, dataclasses.replace(params, max_iters=k, dis_tol=0.0), u0,
+                 reference=ref, method=method)
+    assert capped.ks[-1] == k
+    assert trace.newton_max_residual == capped.newton_max_residual == 6.0 * k
 
 
 @pytest.mark.parametrize("method", ["jprox", "jacobi-plain", "dual-decomp"])
