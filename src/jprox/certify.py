@@ -40,7 +40,7 @@ from .linalg import (
     smallest_singular_value_stacked,
     spectral_norm,
 )
-from .problem import BlockProblem, PrimalDualPoint, QuadraticBlock
+from .problem import BlockProblem, PrimalDualPoint
 from .solvers import ExplicitProximal, ProximalPolicy, ProxLinear, StandardProximal, materialize_policy
 
 #: Strong-convexity floor: moduli at or below this certify rates uselessly close
@@ -78,14 +78,11 @@ class ProblemConstants:
     rank_deficient: bool = False
 
 
-def _block_constants(f) -> tuple:
-    """(gradient Lipschitz constant, strong-convexity modulus) of one block.
-
-    A scalar block's curvature ranges over ``[a, a + b^2/4]``.  The modulus
-    convention halves the block's curvature bound.
-    """
-    lipschitz = spectral_norm(f.H) if isinstance(f, QuadraticBlock) else f.a + 0.25 * f.b * f.b
-    return lipschitz, 0.5 * f.min_curvature
+def _require_positive(**values) -> None:
+    """Raise :class:`InvalidParameter` unless every value is finite and positive."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidParameter(f"{name} must be finite and positive, got {value!r}")
 
 
 def estimate_constants(problem: BlockProblem) -> ProblemConstants:
@@ -94,9 +91,10 @@ def estimate_constants(problem: BlockProblem) -> ProblemConstants:
     Raises :class:`NotStronglyConvex` when the worst modulus is at or below
     ``ALPHA_TOL``; the exception carries the offending value.
     """
-    pairs = [_block_constants(f) for f in problem.objectives]
-    L_list = tuple(p[0] for p in pairs)
-    alpha = min(p[1] for p in pairs)
+    # A block's gradient Lipschitz constant is the top of its curvature range;
+    # the modulus convention halves the bottom.
+    L_list = tuple(f.max_curvature for f in problem.objectives)
+    alpha = min(0.5 * f.min_curvature for f in problem.objectives)
     if alpha <= ALPHA_TOL:
         raise NotStronglyConvex(
             f"strong-convexity modulus {alpha:.3e} is at or below the floor {ALPHA_TOL:g}",
@@ -136,8 +134,7 @@ def max_feasible_s(consts: ProblemConstants, rho: float, N: int) -> float:
     ``s * (rho^2 * D * ||A_i||^2 + L/N) < alpha / (2N)`` for every block;
     certificates use half this value so the inequality holds with margin.
     """
-    if rho <= 0.0:
-        raise InvalidParameter("rho must be positive")
+    _require_positive(rho=rho)
     bound = consts.alpha / (2.0 * N)
     return min(bound / (rho * rho * consts.D * nrm * nrm + consts.L / N) for nrm in consts.A_norms)
 
@@ -179,10 +176,9 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
-    if s <= 0.0:
-        raise InvalidParameter("s must be positive")
+    _require_positive(s=s)
     xi = tuple(xi) if xi is not None else uniform_xi(gamma, problem.N)
-    if len(xi) != problem.N or any(x <= 0.0 for x in xi):
+    if len(xi) != problem.N or not all(math.isfinite(x) and x > 0.0 for x in xi):
         raise InvalidParameter("need one positive split weight per block")
     eigs = [
         _xi_margin(Ai.T @ Ai, np.asarray(Pi, dtype=float), rho, s, rho / xi_i)
@@ -230,8 +226,7 @@ def compute_sigma(gamma: float, rho: float, s: float, c_A: float, mu_s: float) -
     singular value is pulled back to just inside that range (the distance
     bound it certifies holds a fortiori for any smaller constant).
     """
-    if min(gamma, rho, s) <= 0.0:
-        raise InvalidParameter("gamma, rho and s must be positive")
+    _require_positive(gamma=gamma, rho=rho, s=s)
     if c_A < 0.0 or mu_s < 0.0:
         raise ValueError("c_A and mu_s must be nonnegative")
     cap = 1.0 / math.sqrt(2.0 * gamma * rho * s)
@@ -325,8 +320,7 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     """
     cert = Certificate(rho=rho, gamma=gamma, policy=describe_policy(policy),
                        passed=False, seed=seed)
-    if rho <= 0.0:
-        raise InvalidParameter("rho must be positive")
+    _require_positive(rho=rho)
     if not 0.0 < gamma < 2.0:
         cert.failure = "GammaOutOfRange"
         cert.margins = {"gamma": gamma}

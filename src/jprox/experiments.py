@@ -41,8 +41,10 @@ from .problem import (
     QuadraticBlock,
     kkt_map,
     kkt_residual,
+    pack_array,
     problem_from_dict,
     problem_to_dict,
+    unpack_array,
 )
 from .solvers import ProxLinear, SolverParams, StandardProximal, run
 
@@ -386,23 +388,26 @@ def instance_to_dict(instance: Instance) -> dict:
     d["seed"] = instance.seed
     if isinstance(instance, LcqpInstance):
         d["kind"] = "lcqp"
-        d["xstar"] = [xi.tolist() for xi in instance.xstar]
-        d["lambdastar"] = instance.lambdastar.tolist()
+        d["xstar"] = [pack_array(xi) for xi in instance.xstar]
+        d["lambdastar"] = pack_array(instance.lambdastar)
         if instance.proximal_source:
-            d["proximal_source"] = [P.tolist() for P in instance.proximal_source]
+            d["proximal_source"] = [pack_array(P) for P in instance.proximal_source]
     else:
         d["kind"] = "resource_alloc"
     return d
+
+
+def _unpack_list(items, key: str) -> tuple:
+    return tuple(unpack_array(a, f"{key}[{i}]") for i, a in enumerate(items))
 
 
 def instance_from_dict(d: dict) -> Instance:
     problem = problem_from_dict(d)
     seed = int(d.get("seed", 0))
     if d.get("kind") == "lcqp" or "xstar" in d:
-        xstar = tuple(np.array(xi, dtype=float) for xi in d["xstar"])
-        lamstar = np.array(d["lambdastar"], dtype=float)
-        src = tuple(np.array(P, dtype=float) for P in d.get("proximal_source", []))
-        return LcqpInstance(problem, xstar, lamstar, seed, src)
+        return LcqpInstance(problem, _unpack_list(d["xstar"], "xstar"),
+                            unpack_array(d["lambdastar"], "lambdastar"), seed,
+                            _unpack_list(d.get("proximal_source", []), "proximal_source"))
     if not all(isinstance(f, LogisticQuadBlock) for f in problem.objectives):
         raise ValueError("resource allocation instances need scalar logistic blocks")
     return ResourceAllocInstance(problem, seed)

@@ -8,6 +8,8 @@ JSON serialization of problem data.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import min_eigenvalue_sym, require_symmetric
+from .linalg import require_symmetric
 
 
 def log1pexp(t: float) -> float:
@@ -48,23 +50,37 @@ def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     return x
 
 
+def _finite_vector(x, n: int, name: str) -> np.ndarray:
+    x = _as_vector(x, n, name)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} entries must be finite")
+    return x
+
+
 @dataclass(frozen=True)
 class QuadraticBlock:
     """Strongly convex quadratic ``0.5 * x' H x + q' x`` with symmetric PD ``H``.
 
-    ``min_curvature`` is ``lambda_min(H)``, computed once from the stored ``H``.
+    ``min_curvature`` and ``max_curvature`` are ``lambda_min(H)`` and
+    ``lambda_max(H)``, both from one eigensolve of the stored ``H``.
     """
 
     H: np.ndarray
     q: np.ndarray
     min_curvature: float = field(init=False, repr=False, compare=False)
+    max_curvature: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = require_symmetric(self.H, "QuadraticBlock.H")
-        q = _as_vector(self.q, H.shape[0], "QuadraticBlock.q")
+        if H.shape[0] == 0:
+            raise ValueError("QuadraticBlock.H: empty matrix has no eigenvalues")
+        q = _finite_vector(self.q, H.shape[0], "QuadraticBlock.q")
         object.__setattr__(self, "H", _frozen(H))
         object.__setattr__(self, "q", _frozen(q))
-        object.__setattr__(self, "min_curvature", min_eigenvalue_sym(self.H))
+        # Symmetrize so round-off in the input cannot leak into the spectrum.
+        w = np.linalg.eigvalsh(0.5 * (self.H + self.H.T))
+        object.__setattr__(self, "min_curvature", float(w[0]))
+        object.__setattr__(self, "max_curvature", float(w[-1]))
         if self.min_curvature <= 0.0:
             raise NotPositiveDefinite("QuadraticBlock.H must be positive definite")
 
@@ -121,6 +137,11 @@ class LogisticQuadBlock:
         """Lower bound ``a`` of :meth:`curvature`."""
         return self.a
 
+    @property
+    def max_curvature(self) -> float:
+        """Upper bound ``a + b^2/4`` of :meth:`curvature`."""
+        return self.a + 0.25 * self.b * self.b
+
     def curvature(self, x0: float) -> float:
         """Second derivative ``a + b^2 * s * (1 - s)``; bounded by ``a + b^2/4``."""
         s = sigmoid(self.b * (x0 - self.dshift))
@@ -170,7 +191,7 @@ class BlockProblem:
                 )
             if not np.all(np.isfinite(Ai)):
                 raise ValueError(f"A[{i}] entries must be finite")
-        c = _frozen(_as_vector(self.c, m, "BlockProblem.c"))
+        c = _frozen(_finite_vector(self.c, m, "BlockProblem.c"))
         object.__setattr__(self, "objectives", objectives)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "c", c)
@@ -342,17 +363,51 @@ def augmented_lagrangian(problem: BlockProblem, u: PrimalDualPoint, rho: float) 
 
 # -- JSON serialization -------------------------------------------------------
 #
-# Matrices are stored as nested row arrays of decimal numbers.  Python's json
-# module emits shortest round-trip representations, so write -> read is
-# value-exact for every finite float64.
+# Problem and instance files are JSON.  Every float array in them is stored as
+# ``{"shape": [...], "f8": "<base64>"}``: the base64 text of the array's
+# little-endian float64 bytes in C order, so write -> read is bit-exact and a
+# read costs no decimal parsing.  Scalar coefficients stay JSON numbers.
+
+def pack_array(a) -> dict:
+    """The ``{"shape", "f8"}`` payload of a float array (see the comment above)."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def unpack_array(d, name: str = "array") -> np.ndarray:
+    """The float64 array of a :func:`pack_array` payload; ``name`` labels errors.
+
+    Raises ``ValueError`` for anything else, a nested list of numbers included
+    (the format of older files, which must be regenerated from their seed).
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{name}: expected a {{'shape', 'f8'}} array payload, got a "
+                         f"{type(d).__name__}; regenerate the file from its seed")
+    missing = [key for key in ("shape", "f8") if key not in d]
+    if missing:
+        raise ValueError(f"{name}: array payload has no {' or '.join(missing)} key")
+    shape, text = d["shape"], d["f8"]
+    if not (isinstance(shape, list)
+            and all(type(k) is int and k >= 0 for k in shape)):
+        raise ValueError(f"{name}: shape must be a list of nonnegative integers, got {shape!r}")
+    if not isinstance(text, str):
+        raise ValueError(f"{name}: f8 must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{name}: invalid base64 ({exc})") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{name}: {len(raw)} bytes do not hold float64 shape {tuple(shape)}")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
 
 def _block_to_dict(f: BlockObjective, Ai: np.ndarray) -> dict:
     if isinstance(f, QuadraticBlock):
         return {
             "type": "quadratic",
-            "H": f.H.tolist(),
-            "q": f.q.tolist(),
-            "A": Ai.tolist(),
+            "H": pack_array(f.H),
+            "q": pack_array(f.q),
+            "A": pack_array(Ai),
         }
     return {
         "type": "logistic_quad",
@@ -360,37 +415,36 @@ def _block_to_dict(f: BlockObjective, Ai: np.ndarray) -> dict:
         "b": f.b,
         "cshift": f.cshift,
         "dshift": f.dshift,
-        "A": Ai.tolist(),
+        "A": pack_array(Ai),
     }
 
 
-def _block_from_dict(d: dict) -> tuple:
+def _block_from_dict(d: dict, name: str) -> tuple:
     kind = d.get("type")
     if kind == "quadratic":
-        return QuadraticBlock(np.array(d["H"], dtype=float), np.array(d["q"], dtype=float)), np.array(d["A"], dtype=float)
-    if kind == "logistic_quad":
-        return (
-            LogisticQuadBlock(float(d["a"]), float(d["b"]), float(d["cshift"]), float(d["dshift"])),
-            np.array(d["A"], dtype=float),
-        )
-    raise ValueError(f"unknown block type {kind!r}")
+        f = QuadraticBlock(unpack_array(d["H"], f"{name}.H"), unpack_array(d["q"], f"{name}.q"))
+    elif kind == "logistic_quad":
+        f = LogisticQuadBlock(float(d["a"]), float(d["b"]), float(d["cshift"]), float(d["dshift"]))
+    else:
+        raise ValueError(f"{name}: unknown block type {kind!r}")
+    return f, unpack_array(d["A"], f"{name}.A")
 
 
 def problem_to_dict(problem: BlockProblem) -> dict:
     return {
         "N": problem.N,
         "m": problem.m,
-        "c": problem.c.tolist(),
+        "c": pack_array(problem.c),
         "blocks": [_block_to_dict(f, Ai) for f, Ai in zip(problem.objectives, problem.A)],
     }
 
 
 def problem_from_dict(d: dict) -> BlockProblem:
-    blocks = [_block_from_dict(b) for b in d["blocks"]]
+    blocks = [_block_from_dict(b, f"blocks[{i}]") for i, b in enumerate(d["blocks"])]
     problem = BlockProblem(
         tuple(f for f, _ in blocks),
         tuple(Ai for _, Ai in blocks),
-        np.array(d["c"], dtype=float),
+        unpack_array(d["c"], "c"),
     )
     if problem.N != int(d["N"]) or problem.m != int(d["m"]):
         raise ValueError("problem dimensions disagree with the N/m fields")

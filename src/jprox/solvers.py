@@ -78,8 +78,8 @@ def _tau_for(tau, i: int, n_blocks: int) -> float:
         if len(taus) != n_blocks:
             raise DimensionMismatch(f"expected {n_blocks} tau values, got {len(taus)}")
         t = float(taus[i])
-    if t <= 0.0:
-        raise InvalidParameter("tau must be positive")
+    if not (math.isfinite(t) and t > 0.0):
+        raise InvalidParameter("tau must be finite and positive")
     return t
 
 
@@ -118,8 +118,8 @@ def materialize_P(policy: ProximalPolicy, rho: float, A_i, index: int = 0,
     Raises :class:`NotPSD` when a prox-linear ``tau_i`` falls below
     ``rho * ||A_i||^2`` or an explicit matrix has an eigenvalue below -1e-10.
     """
-    if rho <= 0.0:
-        raise InvalidParameter("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise InvalidParameter("rho must be finite and positive")
     A_i = np.asarray(A_i, dtype=float)
     n = A_i.shape[1]
     if policy is None:

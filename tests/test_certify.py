@@ -25,6 +25,7 @@ from jprox.errors import (
     CertificationError,
     GammaOutOfRange,
     InsufficientData,
+    InvalidParameter,
     NotStronglyConvex,
 )
 from jprox.experiments import generate_lcqp
@@ -123,6 +124,26 @@ def test_max_feasible_s_worked_example():
 def test_max_feasible_s_small_rho_limit():
     s_bar = max_feasible_s(unit_consts(), rho=1e-9, N=1)
     assert s_bar == pytest.approx(0.5, rel=1e-6)  # alpha / (2 L)
+
+
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0])
+def test_max_feasible_s_rejects_a_rho_that_is_not_finite_and_positive(rho):
+    with pytest.raises(InvalidParameter, match="rho"):
+        max_feasible_s(unit_consts(), rho=rho, N=1)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), 0.0])
+def test_check_xi_condition_rejects_an_s_that_is_not_finite_and_positive(s):
+    p = generate_lcqp(2, 4, 3, seed=0).problem
+    with pytest.raises(InvalidParameter, match="s must"):
+        check_xi_condition(p, 1.0, 1.0, s, [np.eye(3), np.eye(3)])
+
+
+@pytest.mark.parametrize("name", ["gamma", "rho", "s"])
+def test_compute_sigma_rejects_a_nan_parameter(name):
+    args = {"gamma": 1.0, "rho": 1.0, "s": 0.1, name: float("nan")}
+    with pytest.raises(InvalidParameter, match=name):
+        compute_sigma(args["gamma"], args["rho"], args["s"], c_A=1.0, mu_s=0.5)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -271,6 +292,14 @@ def test_certify_gamma_out_of_range():
     cert = certify(inst.problem, 1.0, 2.5, None)
     assert not cert.passed
     assert cert.failure == "GammaOutOfRange"
+
+
+@pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+def test_certify_rejects_a_rho_that_is_not_finite(rho):
+    # A NaN rho used to pass the guard and fail later as NotSymmetric.
+    p = generate_lcqp(2, 4, 3, seed=1).problem
+    with pytest.raises(InvalidParameter, match="rho"):
+        certify(p, rho, 1.0, StandardProximal(1.0))
 
 
 def test_certify_not_strongly_convex_margins():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jprox.cli import CSV_HEADER, main, read_trace_csv
+from jprox.problem import pack_array, unpack_array
 
 
 def run_cli(*argv):
@@ -42,8 +43,8 @@ def test_generate_ra_writes_scalar_blocks(tmp_path):
     assert len(data["blocks"]) == 6
     for b in data["blocks"]:
         assert b["type"] == "logistic_quad"
-        assert b["A"] == [[1.0]]
-    assert data["c"] == [0.0]
+        assert unpack_array(b["A"]).tolist() == [[1.0]]
+    assert unpack_array(data["c"]).tolist() == [0.0]
 
 
 def test_generate_rejects_bad_block_count(tmp_path, capsys):
@@ -118,6 +119,25 @@ def test_certify_corrupt_input_exits_3(tmp_path):
     bad.write_text("{not json")
     code = run_cli("certify", "--input", str(bad), "--output", str(tmp_path / "c.json"))
     assert code == 3
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda b: b.update(q=unpack_array(b["q"]).tolist()), "regenerate"),
+    (lambda b: b["q"].update(f8="not*base64"), "base64"),
+    (lambda b: b["q"].update(shape=[5]), "bytes"),
+    (lambda b: b["q"].pop("shape"), "shape"),
+    (lambda b: b["q"].pop("f8"), "f8"),
+    (lambda b: b.update(q=pack_array(np.r_[np.nan, unpack_array(b["q"])[1:]])), "finite"),
+], ids=["list-format", "bad-base64", "byte-count", "no-shape", "no-f8", "nan-q"])
+def test_certify_malformed_payload_exits_3(tmp_path, capsys, corrupt, message):
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=1)
+    data = json.loads(inst.read_text())
+    corrupt(data["blocks"][1])
+    inst.write_text(json.dumps(data))
+    code = run_cli("certify", "--input", str(inst), "--output", str(tmp_path / "c.json"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "malformed instance file" in err and message in err
 
 
 # -- solve ------------------------------------------------------------------------

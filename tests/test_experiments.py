@@ -442,6 +442,30 @@ def test_lcqp_instance_roundtrip(tmp_path):
         assert np.array_equal(Ai, Bi)
 
 
+def decimal_arrays(node, path="instance") -> list:
+    """Paths under ``node`` that hold a list of floats or a list of lists."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in decimal_arrays(v, f"{path}.{k}")]
+    if isinstance(node, list):
+        if any(isinstance(v, (float, list)) for v in node):
+            return [path]
+        return [p for i, v in enumerate(node) for p in decimal_arrays(v, f"{path}[{i}]")]
+    return []
+
+
+def test_decimal_arrays_finds_a_nested_float_list():
+    d = {"xstar": [{"shape": [2], "f8": ""}], "q": [1.0], "P": [{"H": [[1.0]]}]}
+    assert decimal_arrays(d) == ["instance.q", "instance.P[0].H"]
+
+
+@pytest.mark.parametrize("kind", ["lcqp", "ra"])
+def test_instance_dict_stores_every_float_array_as_a_payload(kind):
+    inst = generate_lcqp(3, 6, 4, seed=8) if kind == "lcqp" else generate_resource_alloc(4, 3)
+    d = instance_to_dict(inst)
+    assert kind == "ra" or "proximal_source" in d
+    assert decimal_arrays(d) == []
+
+
 def test_resource_alloc_instance_roundtrip(tmp_path):
     inst = generate_resource_alloc(6, seed=3)
     path = tmp_path / "ra.json"

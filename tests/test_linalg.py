@@ -186,6 +186,30 @@ def test_spectral_norm_transpose_invariant(seed):
     assert spectral_norm(A) == pytest.approx(spectral_norm(A.T), rel=1e-12)
 
 
+def _matrix(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(len(kind))
+    if kind == "tall":
+        return rng.standard_normal((40, 9))
+    if kind == "wide":
+        return rng.standard_normal((9, 40))
+    if kind == "rank-1":
+        return np.outer(rng.standard_normal(12), rng.standard_normal(7))
+    return np.zeros((5, 8))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("kind", ["tall", "wide", "rank-1", "zero"])
+def test_spectral_norm_matches_svd(kind, scale):
+    A = scale * _matrix(kind)
+    expected = float(np.linalg.svd(A, compute_uv=False)[0])
+    assert spectral_norm(A) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_spectral_norm_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        spectral_norm(np.array([[1.0, np.nan]]))
+
+
 def test_spectral_norm_rejects_empty():
     with pytest.raises(ValueError):
         spectral_norm(np.zeros((0, 3)))

@@ -1,11 +1,13 @@
 """Problem model tests: values, gradients, diagnostics, serialization."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from jprox.errors import DimensionMismatch
 from jprox.experiments import generate_lcqp
@@ -20,9 +22,11 @@ from jprox.problem import (
     constraint_residual,
     kkt_residual,
     load_problem,
+    pack_array,
     problem_from_dict,
     problem_to_dict,
     save_problem,
+    unpack_array,
 )
 
 
@@ -297,6 +301,44 @@ def test_problem_roundtrip_logistic():
     loaded = problem_from_dict(problem_to_dict(p))
     for f1, f2 in zip(p.objectives, loaded.objectives):
         assert (f1.a, f1.b, f1.cshift, f1.dshift) == (f2.a, f2.b, f2.cshift, f2.dshift)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+              elements=st.floats(width=64)))
+@example(np.array([-0.0, 5e-324, 2.5e-310, 1e308, -1e308]))
+@example(np.array([[-0.0, 1e-320], [1e308, -1e308], [np.inf, np.nan]]))
+def test_pack_unpack_is_bit_exact(a):
+    b = unpack_array(json.loads(json.dumps(pack_array(a))))
+    assert b.dtype == np.float64 and b.shape == a.shape
+    assert b.tobytes() == a.tobytes()
+
+
+def test_problem_dict_payload_layout():
+    p = scalar_problem(n_blocks=1, c=-0.5)
+    assert problem_to_dict(p)["c"] == {"shape": [1], "f8": "AAAAAAAA4L8="}
+
+
+def test_quadratic_block_rejects_non_finite_q():
+    with pytest.raises(ValueError, match="q entries must be finite"):
+        QuadraticBlock(np.eye(2), [np.nan, 1.0])
+    with pytest.raises(ValueError, match="q entries must be finite"):
+        QuadraticBlock(np.eye(2), [1.0, -np.inf])
+
+
+def test_block_problem_rejects_non_finite_c():
+    with pytest.raises(ValueError, match="c entries must be finite"):
+        scalar_problem(c=np.nan)
+    with pytest.raises(ValueError, match="c entries must be finite"):
+        scalar_problem(c=np.inf)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_quadratic_block_max_curvature_is_the_svd_norm_of_H(seed):
+    for f in generate_lcqp(3, 5, 6, seed=seed).problem.objectives:
+        assert f.max_curvature == pytest.approx(np.linalg.svd(f.H, compute_uv=False)[0],
+                                                rel=1e-13)
+        assert 0.0 < f.min_curvature <= f.max_curvature
 
 
 def test_block_problem_rejects_objectives_outside_the_block_set():

@@ -77,6 +77,20 @@ def test_prox_linear_margin_eigenvalue():
     assert np.linalg.eigvalsh(P)[0] >= 0.1 * coupling * (1.0 - 1e-8)
 
 
+@pytest.mark.parametrize("policy", [StandardProximal, ProxLinear])
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0])
+def test_materialize_P_rejects_a_tau_that_is_not_finite_and_positive(policy, tau):
+    # StandardProximal(nan) used to materialize an all-NaN P_i.
+    with pytest.raises(InvalidParameter, match="tau"):
+        materialize_P(policy(tau), rho=1.0, A_i=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0])
+def test_materialize_P_rejects_a_rho_that_is_not_finite_and_positive(rho):
+    with pytest.raises(InvalidParameter, match="rho"):
+        materialize_P(StandardProximal(1.0), rho=rho, A_i=np.ones((2, 2)))
+
+
 def test_prox_linear_rejects_small_tau():
     A = np.eye(3)
     with pytest.raises(NotPSD):
