@@ -8,6 +8,7 @@ from .certify import (
     RateFit,
     certify,
     check_xi_condition,
+    closed_form_mu_s,
     compute_mu_s,
     compute_sigma,
     estimate_constants,
@@ -29,6 +30,7 @@ from .experiments import (
 )
 from .linalg import (
     generalized_max_eigenvalue,
+    gram_spectrum,
     min_eigenvalue_sym,
     smallest_singular_value_stacked,
     solve_spd,

@@ -12,6 +12,16 @@ and produces the certified per-iteration contraction factor
 
     sigma = max(1 - 2*gamma*rho*s*c_A^2, mu_s)  in (0, 1).
 
+Every spectral quantity of a coupling matrix comes from one cached
+eigendecomposition of ``A_i'A_i`` per block (``BlockProblem.gram_spectra``):
+the norms ``||A_i||``, the tau search, and ``mu_s``.  Without a proximal
+term and for the standard and prox-linear policies, both matrices of the
+``mu_s`` pencil are polynomials in ``A_i'A_i``, so ``mu_s`` is a maximum of
+ratios over its eigenvalues; an explicit ``P_i`` takes the dense
+generalized eigensolve of :func:`compute_mu_s`, which also serves as the
+oracle of the closed form.  The coupling condition is always checked on
+the dense matrices.
+
 All checks are reported with margins; a failed certificate is data, not an
 exception, so callers can still run the solver on uncertified parameters.
 """
@@ -32,16 +42,19 @@ from .errors import (
     InsufficientData,
     InvalidParameter,
     NonPositiveWeight,
+    NotPositiveDefinite,
     NotStronglyConvex,
 )
-from .linalg import (
-    generalized_max_eigenvalue,
-    min_eigenvalue_sym,
-    smallest_singular_value_stacked,
-    spectral_norm,
-)
+from .linalg import generalized_max_eigenvalue, min_eigenvalue_sym, smallest_singular_value_stacked
 from .problem import BlockProblem, PrimalDualPoint
-from .solvers import ExplicitProximal, ProximalPolicy, ProxLinear, StandardProximal, materialize_policy
+from .solvers import (
+    ExplicitProximal,
+    ProximalPolicy,
+    ProxLinear,
+    StandardProximal,
+    materialize_policy,
+    policy_eigenvalues,
+)
 
 #: Strong-convexity floor: moduli at or below this certify rates uselessly close
 #: to 1 and are treated as numerically not strongly convex.
@@ -100,7 +113,7 @@ def estimate_constants(problem: BlockProblem) -> ProblemConstants:
             f"strong-convexity modulus {alpha:.3e} is at or below the floor {ALPHA_TOL:g}",
             alpha=alpha,
         )
-    A_norms = tuple(spectral_norm(Ai) for Ai in problem.A)
+    A_norms = tuple(g.norm for g in problem.gram_spectra())
     c_A, deficient = smallest_singular_value_stacked(problem.A)
     return ProblemConstants(
         alpha=alpha,
@@ -187,6 +200,14 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
     return XiCheck(all(e > 0.0 for e in eigs), tuple(eigs), xi)
 
 
+def _mu_s_pencil(consts: ProblemConstants, rho: float, s: float, N: int) -> tuple:
+    """``(coef, gap)`` of the ``mu_s`` pencil; :class:`NonPositiveWeight` unless ``gap > 0``."""
+    gap = consts.alpha - 2.0 * consts.L * s
+    if gap <= 0.0:
+        raise NonPositiveWeight(f"alpha - 2*L*s = {gap:.3e} must be positive")
+    return rho + 4.0 * N * s * rho * rho * consts.D, gap
+
+
 def compute_mu_s(problem: BlockProblem, consts: ProblemConstants, rho: float, s: float,
                  P_list: Sequence[np.ndarray]) -> float:
     """Tightest factor bounding the k-state weights by the Lyapunov weights.
@@ -194,12 +215,11 @@ def compute_mu_s(problem: BlockProblem, consts: ProblemConstants, rho: float, s:
     Returns the largest generalized eigenvalue over blocks of
     ``(rho + 4*N*s*rho^2*D) * A_i'A_i + P_i`` against
     ``rho*A_i'A_i + P_i + 2*(alpha - 2*L*s) * I``; below 1 whenever ``s`` is
-    admissible.
+    admissible.  One dense generalized eigensolve per block, for any
+    symmetric ``P_i``: :func:`certify` takes this path for an explicit
+    policy, and it is the oracle of :func:`closed_form_mu_s`.
     """
-    gap = consts.alpha - 2.0 * consts.L * s
-    if gap <= 0.0:
-        raise NonPositiveWeight(f"alpha - 2*L*s = {gap:.3e} must be positive")
-    coef = rho + 4.0 * problem.N * s * rho * rho * consts.D
+    coef, gap = _mu_s_pencil(consts, rho, s, problem.N)
     worst = -math.inf
     for Ai, Pi in zip(problem.A, P_list):
         AtA = Ai.T @ Ai
@@ -207,6 +227,30 @@ def compute_mu_s(problem: BlockProblem, consts: ProblemConstants, rho: float, s:
         left = coef * AtA + Pi
         right = rho * AtA + Pi + 2.0 * gap * np.eye(AtA.shape[0])
         worst = max(worst, generalized_max_eigenvalue(left, right))
+    return worst
+
+
+def closed_form_mu_s(problem: BlockProblem, consts: ProblemConstants, rho: float, s: float,
+                     policy: ProximalPolicy) -> float:
+    """:func:`compute_mu_s` from the cached Gram spectra, for a non-explicit policy.
+
+    With ``d_j`` the eigenvalues of ``A_i'A_i`` and ``p_j`` the matching
+    eigenvalues of ``P_i`` (``0``, ``tau_i`` or ``tau_i - rho*d_j``), both
+    pencil matrices share the eigenvectors of ``A_i'A_i``, so ``mu_s`` is
+    ``max_j (coef*d_j + p_j) / (rho*d_j + p_j + 2*gap)`` over all blocks.
+    Raises :class:`NotPositiveDefinite` when a denominator is not positive,
+    as the dense pencil solve does.
+    """
+    coef, gap = _mu_s_pencil(consts, rho, s, problem.N)
+    worst = -math.inf
+    for i, g in enumerate(problem.gram_spectra()):
+        d = g.eigenvalues
+        p = policy_eigenvalues(policy, rho, d, i, problem.N)
+        right = rho * d + p + 2.0 * gap
+        if not np.all(right > 0.0):
+            raise NotPositiveDefinite(f"block {i}: right matrix of the mu_s pencil is not "
+                                      "positive definite")
+        worst = max(worst, float(np.max((coef * d + p) / right)))
     return worst
 
 
@@ -338,7 +382,10 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     P_list = materialize_policy(policy, rho, problem)
 
     xi_check = check_xi_condition(problem, rho, gamma, s, P_list)
-    mu = compute_mu_s(problem, consts, rho, s, P_list)
+    if isinstance(policy, ExplicitProximal):
+        mu = compute_mu_s(problem, consts, rho, s, P_list)
+    else:
+        mu = closed_form_mu_s(problem, consts, rho, s, policy)
     sig = compute_sigma(gamma, rho, s, consts.c_A, mu)
 
     cert.s = s
@@ -527,10 +574,11 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
     or ``tau*I``), and so is the condition matrix ``B - 8*s*B^2 - c*A'A``.
     With ``d`` the eigenvalues of ``A'A`` and ``b`` the matching eigenvalues
     of ``B``, its smallest eigenvalue is ``min_j (b_j - 8*s*b_j^2 - c*d_j)``:
-    the search needs one eigendecomposition per block and O(n) work per
-    step.  The boundary it finds is confirmed with the dense check that
-    :func:`check_xi_condition` runs, and nudged up by relative steps from
-    1e-12 until that check passes, so every returned weight passes it.
+    the search reads the problem's cached eigenvalues of ``A'A`` and does
+    O(n) work per step.  The boundary it finds is confirmed with the dense
+    check that :func:`check_xi_condition` runs, and nudged up by relative
+    steps from 1e-12 until that check passes, so every returned weight
+    passes it.
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
@@ -540,9 +588,9 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
     s = 0.5 * max_feasible_s(consts, rho, problem.N)
     coupling = rho / ((1.0 - XI_SLACK) * (2.0 - gamma) / problem.N)
     taus = []
-    for i, Ai in enumerate(problem.A):
+    for i, (Ai, g) in enumerate(zip(problem.A, problem.gram_spectra())):
         AtA = Ai.T @ Ai
-        d = np.linalg.eigvalsh(AtA)
+        d = g.eigenvalues
         b0 = rho * d if kind == "standard" else np.zeros_like(d)
         eye = np.eye(AtA.shape[0])
 
@@ -611,7 +659,7 @@ def fallback_tau(problem: BlockProblem, rho: float, gamma: float,
     else:
         raise InvalidParameter(f"unknown policy kind {kind!r}")
     taus = []
-    for Ai in problem.A:
-        nrm2 = spectral_norm(Ai) ** 2
+    for g in problem.gram_spectra():
+        nrm2 = g.norm ** 2
         taus.append(max(1.5 * rho * factor * nrm2, 1e-8 * max(1.0, rho * nrm2)))
     return taus

@@ -33,7 +33,7 @@ from .errors import (
     JproxError,
     SingularKkt,
 )
-from .linalg import smallest_singular_value_stacked, spectral_norm
+from .linalg import smallest_singular_value_stacked
 from .problem import (
     BlockProblem,
     LogisticQuadBlock,
@@ -44,6 +44,7 @@ from .problem import (
     pack_array,
     problem_from_dict,
     problem_to_dict,
+    require_list,
     unpack_array,
 )
 from .solvers import ProxLinear, SolverParams, StandardProximal, run
@@ -316,7 +317,7 @@ def resolve_policy(problem: BlockProblem, rho: float, gamma: float, policy,
     # The prox-linear coupling margin tau - 8*s*tau^2 - c*||A_i||^2 is concave
     # in tau and peaks at 1/(16*s), which the choice of s keeps at or above the
     # floor, so raising a passing weight to the floor keeps it passing.
-    return ProxLinear([max(t, rho * spectral_norm(Ai) ** 2) for t, Ai in zip(taus, problem.A)])
+    return ProxLinear([max(t, rho * g.norm ** 2) for t, g in zip(taus, problem.gram_spectra())])
 
 
 def instance_reference(instance: Instance) -> PrimalDualPoint:
@@ -398,12 +399,14 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def _unpack_list(items, key: str) -> tuple:
-    return tuple(unpack_array(a, f"{key}[{i}]") for i, a in enumerate(items))
+    return tuple(unpack_array(a, f"{key}[{i}]") for i, a in enumerate(require_list(items, key)))
 
 
 def instance_from_dict(d: dict) -> Instance:
     problem = problem_from_dict(d)
-    seed = int(d.get("seed", 0))
+    seed = d.get("seed", 0)
+    if type(seed) is not int:
+        raise ValueError(f"seed: expected an integer, got {seed!r}")
     if d.get("kind") == "lcqp" or "xstar" in d:
         return LcqpInstance(problem, _unpack_list(d["xstar"], "xstar"),
                             unpack_array(d["lambdastar"], "lambdastar"), seed,

@@ -118,27 +118,42 @@ def min_eigenvalue_sym(S, name: str = "matrix") -> float:
     return float(w[0])
 
 
-def spectral_norm(A) -> float:
-    """Largest singular value of a (possibly rectangular) matrix.
+class GramSpectrum(NamedTuple):
+    """Eigenvalues of ``A'A`` together with the spectral norm of ``A``."""
 
-    Computed as ``sqrt(lambda_max)`` of the smaller Gram matrix (``A'A`` or
-    ``AA'``): a symmetric eigensolve of size ``min(m, n)`` instead of a full
-    SVD.  Forming the Gram matrix squares the conditioning of the small
-    singular values only; its largest eigenvalue stays accurate to a few
-    ``eps`` relative.  ``A`` is first divided by ``max |a_ij|`` so that the
-    products neither overflow nor underflow for entries near 1e+-150.
+    eigenvalues: np.ndarray
+    norm: float
+
+
+def gram_spectrum(A) -> GramSpectrum:
+    """Ascending eigenvalues of ``A'A``, one per column of ``A``, and ``||A||_2``.
+
+    One symmetric eigensolve of the smaller Gram matrix (``A'A`` or
+    ``AA'``); the ``n - m`` further eigenvalues of ``A'A`` for a wide ``A``
+    are exact zeros.  Forming the Gram matrix squares the conditioning of
+    the small singular values only; its largest eigenvalue stays accurate
+    to a few ``eps`` relative.  ``A`` is first divided by ``max |a_ij|`` so
+    that the products neither overflow nor underflow for entries near
+    1e+-150, and the norm is rescaled without squaring that factor.
+    Round-off below zero is clipped; the eigenvalue array is read-only.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
-        raise ValueError(f"spectral_norm: expected a nonempty 2-d array, got shape {A.shape}")
+        raise ValueError(f"expected a nonempty 2-d array, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
-        raise ValueError("spectral_norm: entries must be finite")
+        raise ValueError("matrix entries must be finite")
+    m, n = A.shape
     scale = float(np.max(np.abs(A)))
-    if scale == 0.0:
-        return 0.0
-    S = A / scale
-    gram = S.T @ S if S.shape[0] >= S.shape[1] else S @ S.T
-    return scale * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    S = A / scale if scale > 0.0 else A
+    e = np.maximum(np.linalg.eigvalsh(S.T @ S if m >= n else S @ S.T), 0.0)
+    w = scale * scale * np.concatenate((np.zeros(n - e.shape[0]), e))
+    w.setflags(write=False)
+    return GramSpectrum(w, scale * math.sqrt(float(e[-1])))
+
+
+def spectral_norm(A) -> float:
+    """Largest singular value of a (possibly rectangular) matrix: ``gram_spectrum(A).norm``."""
+    return gram_spectrum(A).norm
 
 
 class StackedSingularValue(NamedTuple):

@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import require_symmetric
+from .linalg import gram_spectrum, require_symmetric
 
 
 def log1pexp(t: float) -> float:
@@ -198,6 +198,7 @@ class BlockProblem:
         offsets = np.concatenate(([0], np.cumsum([f.dim for f in objectives])))
         object.__setattr__(self, "_offsets", tuple(int(o) for o in offsets))
         object.__setattr__(self, "_stacked_A", None)
+        object.__setattr__(self, "_gram_spectra", None)
 
     @property
     def N(self) -> int:
@@ -227,6 +228,17 @@ class BlockProblem:
         if self._stacked_A is None:
             object.__setattr__(self, "_stacked_A", _frozen(np.hstack(self.A)))
         return self._stacked_A
+
+    def gram_spectra(self) -> tuple:
+        """The :class:`~jprox.linalg.GramSpectrum` of every ``A_i``.
+
+        Each holds the ascending eigenvalues of ``A_i'A_i`` and ``||A_i||``.
+        Built on first use with one eigensolve per block and cached; the
+        eigenvalue arrays are read-only.
+        """
+        if self._gram_spectra is None:
+            object.__setattr__(self, "_gram_spectra", tuple(gram_spectrum(Ai) for Ai in self.A))
+        return self._gram_spectra
 
     def stack(self, x) -> np.ndarray:
         """The stacked primal vector of ``x``: a list of blocks or an already stacked vector."""
@@ -401,6 +413,27 @@ def unpack_array(d, name: str = "array") -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
+def _require_object(d, name: str) -> dict:
+    """``d`` when it is a JSON object; otherwise ``ValueError`` naming the field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{name}: expected a JSON object, got a {type(d).__name__}")
+    return d
+
+
+def require_list(d, name: str) -> list:
+    """``d`` when it is a JSON array; otherwise ``ValueError`` naming the field."""
+    if not isinstance(d, list):
+        raise ValueError(f"{name}: expected a JSON array, got a {type(d).__name__}")
+    return d
+
+
+def _number(d: dict, key: str, name: str) -> float:
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name}.{key}: expected a number, got a {type(value).__name__}")
+    return float(value)
+
+
 def _block_to_dict(f: BlockObjective, Ai: np.ndarray) -> dict:
     if isinstance(f, QuadraticBlock):
         return {
@@ -420,11 +453,11 @@ def _block_to_dict(f: BlockObjective, Ai: np.ndarray) -> dict:
 
 
 def _block_from_dict(d: dict, name: str) -> tuple:
-    kind = d.get("type")
+    kind = _require_object(d, name).get("type")
     if kind == "quadratic":
         f = QuadraticBlock(unpack_array(d["H"], f"{name}.H"), unpack_array(d["q"], f"{name}.q"))
     elif kind == "logistic_quad":
-        f = LogisticQuadBlock(float(d["a"]), float(d["b"]), float(d["cshift"]), float(d["dshift"]))
+        f = LogisticQuadBlock(*(_number(d, key, name) for key in ("a", "b", "cshift", "dshift")))
     else:
         raise ValueError(f"{name}: unknown block type {kind!r}")
     return f, unpack_array(d["A"], f"{name}.A")
@@ -440,13 +473,16 @@ def problem_to_dict(problem: BlockProblem) -> dict:
 
 
 def problem_from_dict(d: dict) -> BlockProblem:
-    blocks = [_block_from_dict(b, f"blocks[{i}]") for i, b in enumerate(d["blocks"])]
+    """The problem of a :func:`problem_to_dict` object; ``ValueError`` names a malformed field."""
+    d = _require_object(d, "top level")
+    blocks = [_block_from_dict(b, f"blocks[{i}]")
+              for i, b in enumerate(require_list(d["blocks"], "blocks"))]
     problem = BlockProblem(
         tuple(f for f, _ in blocks),
         tuple(Ai for _, Ai in blocks),
         unpack_array(d["c"], "c"),
     )
-    if problem.N != int(d["N"]) or problem.m != int(d["m"]):
+    if d["N"] != problem.N or d["m"] != problem.m:
         raise ValueError("problem dimensions disagree with the N/m fields")
     return problem
 

@@ -112,11 +112,12 @@ ProximalPolicy = Optional[Union[StandardProximal, ProxLinear, ExplicitProximal]]
 
 
 def materialize_P(policy: ProximalPolicy, rho: float, A_i, index: int = 0,
-                  n_blocks: int = 1) -> np.ndarray:
+                  n_blocks: int = 1, A_norm: Optional[float] = None) -> np.ndarray:
     """Materialize the proximal matrix for one block.
 
     Raises :class:`NotPSD` when a prox-linear ``tau_i`` falls below
     ``rho * ||A_i||^2`` or an explicit matrix has an eigenvalue below -1e-10.
+    ``A_norm`` is ``||A_i||`` when the caller already holds it.
     """
     if not (math.isfinite(rho) and rho > 0.0):
         raise InvalidParameter("rho must be finite and positive")
@@ -128,7 +129,7 @@ def materialize_P(policy: ProximalPolicy, rho: float, A_i, index: int = 0,
         return _tau_for(policy.tau, index, n_blocks) * np.eye(n)
     if isinstance(policy, ProxLinear):
         tau = _tau_for(policy.tau, index, n_blocks)
-        coupling = rho * spectral_norm(A_i) ** 2
+        coupling = rho * (spectral_norm(A_i) if A_norm is None else A_norm) ** 2
         if tau < coupling - 1e-10 * (1.0 + coupling):
             raise NotPSD(
                 f"prox-linear block {index}: tau={tau:.6g} below rho*||A||^2={coupling:.6g}"
@@ -150,10 +151,36 @@ def materialize_P(policy: ProximalPolicy, rho: float, A_i, index: int = 0,
 
 
 def materialize_policy(policy: ProximalPolicy, rho: float, problem: BlockProblem) -> list:
-    """Proximal matrices for every block of ``problem``."""
+    """Proximal matrices for every block of ``problem``.
+
+    The prox-linear floor check reads ``||A_i||`` from the problem's cached
+    Gram spectra.
+    """
+    norms = ([g.norm for g in problem.gram_spectra()] if isinstance(policy, ProxLinear)
+             else [None] * problem.N)
     return [
-        materialize_P(policy, rho, Ai, i, problem.N) for i, Ai in enumerate(problem.A)
+        materialize_P(policy, rho, Ai, i, problem.N, norm)
+        for i, (Ai, norm) in enumerate(zip(problem.A, norms))
     ]
+
+
+def policy_eigenvalues(policy: ProximalPolicy, rho: float, d: np.ndarray, index: int = 0,
+                       n_blocks: int = 1) -> np.ndarray:
+    """Eigenvalues of the materialized ``P_i``, paired with the eigenvalues ``d`` of ``A_i'A_i``.
+
+    No policy, the standard and the prox-linear policy make ``P_i`` a
+    polynomial in ``A_i'A_i`` (``0``, ``tau_i*I``, ``tau_i*I - rho*A_i'A_i``),
+    so it shares the eigenvectors of ``A_i'A_i``; entry ``j`` is ``0``,
+    ``tau_i`` or ``tau_i - rho*d_j``.  An explicit ``P_i`` has no such form
+    and raises ``TypeError``.  Validation is :func:`materialize_P`'s.
+    """
+    if policy is None:
+        return np.zeros_like(d)
+    if isinstance(policy, StandardProximal):
+        return np.full_like(d, _tau_for(policy.tau, index, n_blocks))
+    if isinstance(policy, ProxLinear):
+        return _tau_for(policy.tau, index, n_blocks) - rho * d
+    raise TypeError(f"proximal policy {policy!r} is not a polynomial in A_i'A_i")
 
 
 # -- parameters and trace ------------------------------------------------------

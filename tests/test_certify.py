@@ -12,6 +12,7 @@ from jprox.certify import (
     ProblemConstants,
     certify,
     check_xi_condition,
+    closed_form_mu_s,
     compute_mu_s,
     compute_sigma,
     estimate_constants,
@@ -26,9 +27,10 @@ from jprox.errors import (
     GammaOutOfRange,
     InsufficientData,
     InvalidParameter,
+    NotPositiveDefinite,
     NotStronglyConvex,
 )
-from jprox.experiments import generate_lcqp
+from jprox.experiments import GAMMA_GRID, default_rho_grid, generate_lcqp, resolve_policy
 from jprox.problem import (
     BlockProblem,
     LogisticQuadBlock,
@@ -107,6 +109,36 @@ def test_constants_consistency_with_random_directions():
         lam /= np.linalg.norm(lam)
         total = sum(np.linalg.norm(Ai.T @ lam) ** 2 for Ai in inst.problem.A)
         assert total >= consts.c_A ** 2 * (1.0 - 1e-9)
+
+
+def _coupling_matrix(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(len(kind))
+    if kind == "tall":
+        return rng.standard_normal((40, 9))
+    if kind == "wide":
+        return rng.standard_normal((9, 40))
+    if kind == "rank-1":
+        return np.outer(rng.standard_normal(12), rng.standard_normal(7))
+    return np.zeros((5, 8))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("kind", ["tall", "wide", "rank-1", "zero"])
+def test_cached_gram_spectrum_matches_svd(kind, scale):
+    # A wide block (m < n_i) has a singular A'A; an unscaled A'A would
+    # overflow at entries near 1e150.
+    A = scale * _coupling_matrix(kind)
+    m, n = A.shape
+    p = BlockProblem((QuadraticBlock(np.eye(n), np.zeros(n)),), (A,), np.zeros(m))
+    svals = np.linalg.svd(A, compute_uv=False)
+    assert estimate_constants(p).A_norms[0] == pytest.approx(float(svals[0]), rel=1e-13, abs=0.0)
+    (spectrum,) = p.gram_spectra()
+    assert spectrum is p.gram_spectra()[0]
+    assert not spectrum.eigenvalues.flags.writeable
+    d = spectrum.eigenvalues
+    assert d.shape == (n,) and np.all(np.isfinite(d)) and np.all(np.diff(d) >= 0.0)
+    expected = np.sort(np.concatenate((np.zeros(n - svals.size), svals * svals)))
+    assert np.max(np.abs(d - expected)) <= 1e-13 * float(svals[0]) ** 2
 
 
 # -- max_feasible_s -----------------------------------------------------------------
@@ -233,6 +265,64 @@ def test_mu_s_below_one_at_admissible_s(seed):
         assert compute_mu_s(inst.problem, consts, rho, s, P_list) < 1.0
 
 
+@st.composite
+def mu_s_cases(draw):
+    """A random problem, a non-explicit policy and an admissible ``(rho, s)``."""
+    N = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    dims = [draw(st.integers(1, 6)) for _ in range(N)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = [draw(st.sampled_from(["gaussian", "gaussian", "rank-1", "zero"])) for _ in dims]
+    A = []
+    for n, shape in zip(dims, shapes):
+        if shape == "gaussian":
+            A.append(rng.standard_normal((m, n)))
+        elif shape == "rank-1":
+            A.append(np.outer(rng.standard_normal(m), rng.standard_normal(n)))
+        else:
+            A.append(np.zeros((m, n)))
+    blocks = tuple(QuadraticBlock(np.diag(rng.uniform(0.5, 3.0, n)), np.zeros(n)) for n in dims)
+    problem = BlockProblem(blocks, tuple(A), np.zeros(m))
+    rho = draw(st.floats(0.01, 10.0))
+    kind = draw(st.sampled_from(["standard", "proxlinear", "none"]))
+    factors = rng.uniform(0.0, 3.0, N)
+    if kind == "standard":
+        policy = StandardProximal(list(1e-3 + 10.0 * factors))
+    elif kind == "proxlinear":
+        policy = ProxLinear([rho * float(np.linalg.norm(Ai, 2)) ** 2 * (1.0 + f) + 1e-3
+                             for Ai, f in zip(A, factors)])
+    else:
+        policy = None
+    consts = estimate_constants(problem)
+    s = 0.5 * max_feasible_s(consts, rho, N)
+    return problem, consts, rho, s, policy
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu_s_cases())
+def test_closed_form_mu_s_matches_dense_pencil(case):
+    problem, consts, rho, s, policy = case
+    P_list = materialize_policy(policy, rho, problem)
+    expected = compute_mu_s(problem, consts, rho, s, P_list)
+    assert closed_form_mu_s(problem, consts, rho, s, policy) == pytest.approx(
+        expected, rel=1e-10, abs=0.0)
+
+
+def test_closed_form_mu_s_raises_like_the_dense_pencil(monkeypatch):
+    # No valid policy reaches a non-positive denominator, so the policy
+    # eigenvalues are replaced by those of P = -10*I, which the dense solve rejects.
+    import importlib
+
+    module = importlib.import_module("jprox.certify")
+    p = single_block_problem()
+    consts = unit_consts(norms=(1.0,))
+    with pytest.raises(NotPositiveDefinite):
+        compute_mu_s(p, consts, 1.0, 0.1, [-10.0 * np.eye(3)])
+    monkeypatch.setattr(module, "policy_eigenvalues", lambda policy, rho, d, i, N: d * 0.0 - 10.0)
+    with pytest.raises(NotPositiveDefinite):
+        closed_form_mu_s(p, consts, 1.0, 0.1, StandardProximal(1.0))
+
+
 # -- compute_sigma -----------------------------------------------------------------------
 
 def test_sigma_takes_max_branch():
@@ -285,6 +375,50 @@ def test_certify_passes_on_desk_instance():
     assert cert.margins["alpha_2Ls"] > 0.0
     assert cert.margins["xi_sum_slack"] > 0.0
     assert all(e > 0.0 for e in cert.margins["xi_pd_min_eigs"])
+
+
+def dense_certificate(problem, rho, gamma, policy, consts):
+    """(passed, failure, sigma) assembled from the dense checks, mirroring :func:`certify`."""
+    s = 0.5 * max_feasible_s(consts, rho, problem.N)
+    P_list = materialize_policy(policy, rho, problem)
+    xi = check_xi_condition(problem, rho, gamma, s, P_list)
+    mu = compute_mu_s(problem, consts, rho, s, P_list)
+    sig = compute_sigma(gamma, rho, s, consts.c_A, mu)
+    if not xi.passed:
+        failure = "XiConditionFailed"
+    elif not 0.0 < mu < 1.0:
+        failure = "MuOutOfRange"
+    elif not sig.in_range:
+        failure = "SigmaOutOfRange"
+    elif consts.alpha - 2.0 * consts.L * s <= 0.0:
+        failure = "NonPositiveWeight"
+    else:
+        failure = None
+    return failure is None, failure, sig.sigma, xi.passed
+
+
+@pytest.mark.parametrize("kind", ["standard", "proxlinear"])
+@pytest.mark.parametrize("shape", [(3, 20, 8), (3, 12, 5)])
+def test_certify_matches_dense_certificate_on_default_grid(kind, shape):
+    inst = generate_lcqp(*shape, seed=0)
+    problem = inst.problem
+    consts = estimate_constants(problem)
+    searched = 0
+    for rho in default_rho_grid(inst):
+        for gamma in GAMMA_GRID:
+            policy = resolve_policy(problem, rho, gamma, "auto", consts, kind=kind)
+            cert = certify(problem, rho, gamma, policy, consts=consts)
+            passed, failure, sigma, xi_passed = dense_certificate(problem, rho, gamma, policy,
+                                                                  consts)
+            assert (cert.passed, cert.failure) == (passed, failure), (rho, gamma)
+            assert cert.sigma == pytest.approx(sigma, rel=1e-12, abs=0.0), (rho, gamma)
+            try:
+                smallest_certified_tau(problem, rho, gamma, kind=kind, consts=consts)
+            except CertificationError:
+                continue  # "auto" fell back to the classical threshold
+            assert xi_passed, (rho, gamma)
+            searched += 1
+    assert searched >= 15
 
 
 def test_certify_gamma_out_of_range():

@@ -1,10 +1,12 @@
 """Command-line tests: exit codes, file formats, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import jprox.experiments as exp
 from jprox.cli import CSV_HEADER, main, read_trace_csv
 from jprox.problem import pack_array, unpack_array
 
@@ -138,6 +140,44 @@ def test_certify_malformed_payload_exits_3(tmp_path, capsys, corrupt, message):
     err = capsys.readouterr().err
     assert code == 3
     assert "malformed instance file" in err and message in err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: d["blocks"][0].update(a=[1.0]), "blocks[0].a: expected a number"),
+    (lambda d: [d], "top level: expected a JSON object"),
+    (lambda d: d.update(blocks=3), "blocks: expected a JSON array"),
+    (lambda d: d["blocks"].__setitem__(1, 7), "blocks[1]: expected a JSON object"),
+    (lambda d: d.update(seed=[0]), "seed: expected an integer"),
+], ids=["list-coefficient", "top-level-list", "blocks-number", "block-number", "seed-list"])
+def test_certify_malformed_field_type_exits_3(tmp_path, capsys, corrupt, message):
+    # A field of the wrong JSON type must not escape as a TypeError traceback.
+    inst = make_instance(tmp_path, "ra", N=3, seed=0)
+    data = json.loads(inst.read_text())
+    inst.write_text(json.dumps(corrupt(data) or data))
+    code = run_cli("certify", "--input", str(inst), "--output", str(tmp_path / "c.json"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"malformed instance file {inst}: " in err and message in err
+
+
+def test_certify_auto_takes_one_gram_eigensolve_per_block(tmp_path, count_calls):
+    inst = make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0)
+    gram = count_calls("jprox.linalg", "gram_spectrum")
+    pencil = count_calls("jprox.linalg", "generalized_max_eigenvalue")
+    norms = count_calls("jprox.linalg", "spectral_norm")
+    assert run_cli("certify", "--input", str(inst), "--tau", "auto",
+                   "--output", str(tmp_path / "c.json")) == 0
+    assert (len(gram), len(pencil), len(norms)) == (3, 0, 0)
+
+
+def test_certify_explicit_policy_solves_one_pencil_per_block(tmp_path, count_calls):
+    inst = exp.load_instance(make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0))
+    path = tmp_path / "explicit.json"
+    exp.save_instance(dataclasses.replace(inst, proximal_source=(200.0 * np.eye(5),) * 3), path)
+    pencil = count_calls("jprox.linalg", "generalized_max_eigenvalue")
+    assert run_cli("certify", "--input", str(path), "--policy", "explicit",
+                   "--output", str(tmp_path / "c.json")) == 0
+    assert len(pencil) == 3
 
 
 # -- solve ------------------------------------------------------------------------

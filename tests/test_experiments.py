@@ -424,6 +424,17 @@ def test_run_sweep_estimates_constants_once_per_instance(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("policy", ["auto", ProxLinear(1e4)], ids=["auto", "proxlinear"])
+def test_run_sweep_builds_each_gram_spectrum_once(count_calls, policy):
+    instances = [generate_lcqp(3, 6, 4, seed=0), generate_lcqp(2, 5, 3, seed=1)]
+    gram = count_calls("jprox.linalg", "gram_spectrum")
+    sweep = SweepConfig(rho_grid=(0.03, 1.0, 5.0, 10.0), gamma_grid=GAMMA_GRID, max_iters=20)
+    cells = run_sweep(instances, sweep, policy)
+    assert len(cells) == 32 and all(cell.error is None for cell in cells.values())
+    assert [args[0].shape for args in gram] == [A.shape for inst in instances
+                                                for A in inst.problem.A]
+
+
 # -- instance files -----------------------------------------------------------------------------
 
 def test_lcqp_instance_roundtrip(tmp_path):
