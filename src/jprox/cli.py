@@ -99,7 +99,7 @@ def write_trace_csv(trace, path) -> None:
 
 
 def read_trace_csv(path) -> dict:
-    """Columns of a trace CSV; raises ``ValueError`` on a wrong header or cell."""
+    """Columns of a trace CSV; raises ``ValueError`` on a wrong header, row or cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -107,6 +107,9 @@ def read_trace_csv(path) -> dict:
             raise ValueError(f"{path}: unexpected header")
         cols = {name: [] for name in header}
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"line {reader.line_num} has {len(row)} cells, "
+                                 f"expected {len(header)}")
             for name, cell in zip(header, row):
                 if name == "k":
                     cols[name].append(int(cell))
@@ -273,6 +276,9 @@ def cmd_sweep(args) -> int:
         if seed == instance.seed:
             instances.append(instance)
         elif isinstance(instance, exp.LcqpInstance):
+            if len(set(problem.dims)) > 1:
+                _fail_flags(f"invalid --seeds: the generator cannot redraw blocks of "
+                            f"differing sizes {problem.dims}")
             instances.append(exp.generate_lcqp(problem.N, problem.m, problem.dims[0], seed))
         else:
             instances.append(exp.generate_resource_alloc(problem.N, seed))

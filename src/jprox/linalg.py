@@ -1,7 +1,7 @@
 """Dense matrix primitives: SPD solves, extremal eigenvalues, singular values.
 
 Everything here is a pure function of float64 arrays and uses deterministic
-dense factorizations (LAPACK via numpy/scipy), so identical inputs always
+dense factorizations (LAPACK via numpy alone), so identical inputs always
 produce identical outputs.  Problem sizes in this package are at most a few
 hundred, where dense methods are both the simplest and the fastest option;
 sparse formats and Krylov iterations are deliberately out of scope.
@@ -13,7 +13,6 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefinite, NotSymmetric
 
@@ -23,7 +22,7 @@ SYMMETRY_RTOL = 1e-10
 #: Target relative residual of SPD solves: ||Mx - b|| <= tol * (1 + ||b||).
 SPD_RESIDUAL_RTOL = 1e-10
 
-#: Safety factor on the ``n * eps * cond(M)`` bound of a Cholesky solve's relative residual.
+#: Safety factor on the ``n * eps * cond(M)`` bound of an SPD solve's relative residual.
 REFINE_GROWTH = 4.0
 
 #: A stacked singular value below this fraction of the largest flags rank deficiency.
@@ -58,31 +57,35 @@ def require_symmetric(S, name: str = "matrix") -> np.ndarray:
     return S
 
 
-class SpdFactor:
-    """Cholesky factorization of a symmetric positive-definite matrix.
+def _inverse_cholesky(M: np.ndarray, name: str) -> np.ndarray:
+    """Inverse of the lower Cholesky factor of ``M``; raises :class:`NotPositiveDefinite`."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(M))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"{name}: {exc}") from exc
 
-    The factorization, the LAPACK triangular solver and a condition
-    estimate are computed once; :meth:`solve` then costs one ``potrs`` call.
-    A backward-stable Cholesky solve misses ``Mx = b`` by at most about
-    ``n * eps * cond(M) * ||b||``.  Only when the estimate puts that bound
-    above half of ``SPD_RESIDUAL_RTOL`` does :meth:`solve` check the
-    residual and apply one step of iterative refinement, which keeps
-    ``||Mx - b|| <= SPD_RESIDUAL_RTOL * (1 + ||b||)`` on any reasonably
-    conditioned input.
+
+class SpdFactor:
+    """Explicit inverse of a symmetric positive-definite matrix, built from its Cholesky factor.
+
+    The inverse and the exact 1-norm condition number ``||M||_1 ||M^-1||_1``
+    are computed once; :meth:`solve` then costs one product with the
+    inverse, for one right-hand side or a matrix of them.  Such a solve
+    misses ``Mx = b`` by at most about ``n * eps * cond(M) * ||b||``.  Only
+    when that bound exceeds half of ``SPD_RESIDUAL_RTOL`` does :meth:`solve`
+    check the residual and apply one step of iterative refinement, which
+    keeps ``||Mx - b|| <= SPD_RESIDUAL_RTOL * (1 + ||b||)`` for every
+    right-hand side on any reasonably conditioned input.
     """
 
     def __init__(self, M, name: str = "matrix"):
         M = require_symmetric(M, name)
         self._M = M
-        try:
-            self._c, _ = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(f"{name}: {exc}") from exc
-        self._potrs, pocon = scipy.linalg.get_lapack_funcs(("potrs", "pocon"), (M,))
-        rcond, _ = pocon(self._c, float(np.max(np.sum(np.abs(M), axis=0))), uplo="L")
-        n = M.shape[0]
-        self.checks_residual = bool(REFINE_GROWTH * n * np.finfo(float).eps
-                                    > 0.5 * SPD_RESIDUAL_RTOL * rcond)
+        Linv = _inverse_cholesky(M, name)
+        self._inv = Linv.T @ Linv
+        cond = np.linalg.norm(M, 1) * np.linalg.norm(self._inv, 1)
+        self.checks_residual = bool(REFINE_GROWTH * M.shape[0] * np.finfo(float).eps * cond
+                                    > 0.5 * SPD_RESIDUAL_RTOL)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -90,12 +93,13 @@ class SpdFactor:
 
     def solve(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        x, _ = self._potrs(self._c, b, lower=True)
+        x = self._inv @ b
         if self.checks_residual:
             resid = b - self._M @ x
-            target = 0.5 * SPD_RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b)))
-            if float(np.linalg.norm(resid)) > target:
-                x = x + self._potrs(self._c, resid, lower=True)[0]
+            target = 0.5 * SPD_RESIDUAL_RTOL * (1.0 + np.linalg.norm(b, axis=0))
+            refine = np.linalg.norm(resid, axis=0) > target
+            if np.any(refine):
+                x = x + self._inv @ (resid * refine)  # columns within target: no change
         return x
 
 
@@ -203,10 +207,6 @@ def generalized_max_eigenvalue(M, Npd, name: str = "pencil") -> float:
     Npd = require_symmetric(Npd, f"{name}: right matrix")
     if M.shape != Npd.shape:
         raise ValueError(f"{name}: shapes {M.shape} and {Npd.shape} differ")
-    try:
-        w = scipy.linalg.eigh(
-            0.5 * (M + M.T), 0.5 * (Npd + Npd.T), eigvals_only=True, check_finite=False
-        )
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name}: right matrix is not positive definite") from exc
-    return float(w[-1])
+    Linv = _inverse_cholesky(0.5 * (Npd + Npd.T), f"{name}: right matrix")
+    G = Linv @ M @ Linv.T
+    return float(np.linalg.eigvalsh(0.5 * (G + G.T))[-1])

@@ -467,13 +467,7 @@ class _Prepared:
         so its rows of ``T_x`` are ``K_i^-1 [B_i E_i - rho*A_i'A | A_i']``
         (``E_i`` selects block ``i`` of ``x``) and its offset is
         ``K_i^-1 (rho*A_i'c - q_i)``.  The map and its offset are views of one
-        array that holds the right-hand sides and is solved in place.
-
-        The solves use numpy, not the block's scipy Cholesky factor: numpy and
-        scipy may each bring their own threaded BLAS, and a many-column scipy
-        solve left scipy's threads spinning beside the numpy matvecs of every
-        step that followed, which made a run's steps 30-60 % slower on two
-        cores.
+        array that holds the right-hand sides and then their solutions.
         """
         problem, rho = self.problem, self.rho
         A, n = problem.stacked_A(), problem.offsets[-1]
@@ -485,7 +479,7 @@ class _Prepared:
         for b in self.blocks:
             Tb[b.sl, b.sl] += b.B
         for b in self.blocks:
-            Tb[b.sl] = np.linalg.solve(b.factor.matrix, Tb[b.sl])
+            Tb[b.sl] = b.factor.solve(Tb[b.sl])
         return Tb[:, :-1], Tb[:, -1]
 
 

@@ -419,6 +419,24 @@ def test_sweep_rejects_a_seed_listed_twice(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "sweep").exists()
 
 
+def test_sweep_rejects_extra_seeds_for_blocks_of_differing_sizes(tmp_path, capsys):
+    from jprox.problem import BlockProblem, QuadraticBlock
+
+    inst = exp.load_instance(make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0))
+    f0 = inst.problem.objectives[0]
+    problem = BlockProblem((QuadraticBlock(f0.H[:2, :2], f0.q[:2]), inst.problem.objectives[1]),
+                           (inst.problem.A[0][:, :2], inst.problem.A[1]), inst.problem.c)
+    path = tmp_path / "mixed.json"
+    exp.save_instance(dataclasses.replace(inst, problem=problem, proximal_source=(),
+                                          xstar=(inst.xstar[0][:2], inst.xstar[1])), path)
+    code = run_cli("sweep", "--input", str(path), "--output", str(tmp_path / "sweep"),
+                   "--seeds", "0,1", "--rho-grid", "1", "--gamma-grid", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid --seeds" in err and "(2, 3)" in err
+    assert not (tmp_path / "sweep").exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "certify"])
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_command_rejects_a_bad_tol(tmp_path, capsys, command, value):
@@ -470,6 +488,15 @@ def test_report_on_a_malformed_trace_exits_3(tmp_path, capsys, content):
     (sweep_dir / name).write_text(content)
     assert run_cli("report", "--input", str(sweep_dir)) == 3
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["1,0.5", "0,1.0,,1.0,0.0,7"])
+def test_report_rejects_a_trace_row_of_the_wrong_length(tmp_path, capsys, row):
+    sweep_dir, manifest = small_sweep(tmp_path)
+    path = sweep_dir / manifest["cells"][0]["trace"]
+    path.write_text(f"{CSV_HEADER}\n0,1.0,,1.0,0.0\n{row}\n")
+    assert run_cli("report", "--input", str(sweep_dir)) == 3
+    assert f"malformed trace file {path}" in capsys.readouterr().err
 
 
 def test_sweep_manifest_records_the_engine(tmp_path):

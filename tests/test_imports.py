@@ -1,6 +1,12 @@
-"""Every import and every private top-level name of a package module is read in that module."""
+"""Every import and every private top-level name of a package module is read in that module.
+
+The package's runtime imports are the standard library, numpy and the package itself.
+"""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +73,44 @@ def test_dead_private_names_finds_an_unread_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_dead_private_names(path):
     assert dead_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level modules imported by ``source`` outside the standard library, numpy and jprox."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "jprox"}
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - allowed)
+
+
+def test_foreign_imports_finds_a_third_party_module():
+    source = "import os.path\nimport scipy.linalg\nfrom numpy import linalg\nfrom . import errors\n"
+    assert foreign_imports(source) == ["scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_stdlib_numpy_and_jprox(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_commands_run_without_loading_scipy(tmp_path):
+    script = f"""
+import sys
+import jprox
+from jprox.cli import main
+inst, out = {str(tmp_path / "inst.json")!r}, {str(tmp_path)!r}
+assert main(["generate", "lcqp", "--N", "2", "--m", "4", "--n", "3", "--output", inst]) == 0
+assert main(["certify", "--input", inst, "--output", out + "/cert.json"]) == 0
+assert main(["solve", "--input", inst, "--method", "gauss-seidel", "--max-iters", "50",
+             "--output", out + "/trace.csv"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

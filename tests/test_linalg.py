@@ -128,7 +128,7 @@ def test_spd_factor_checks_residual_only_when_poorly_conditioned():
     assert not factor.checks_residual
     b = rng.standard_normal(6)
     expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(well, lower=True), b)
-    assert np.array_equal(factor.solve(b), expected)
+    np.testing.assert_allclose(factor.solve(b), expected, rtol=1e-13)
 
     hilbert = scipy.linalg.hilbert(4)  # condition number about 1.6e4
     factor = SpdFactor(hilbert)
@@ -137,6 +137,26 @@ def test_spd_factor_checks_residual_only_when_poorly_conditioned():
         b = rng.standard_normal(4)
         x = factor.solve(b)
         assert np.linalg.norm(hilbert @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("kind", ["well", "hilbert"])
+def test_spd_factor_solves_a_matrix_of_right_hand_sides_column_by_column(kind):
+    rng = np.random.default_rng(17)
+    n = 6
+    if kind == "well":
+        M = random_spd(rng, n)
+    else:
+        i = np.arange(n)
+        M = 1.0 / (i[:, None] + i[None, :] + 1.0)
+        assert np.linalg.cond(M) > 1e5
+    B = rng.standard_normal((n, 5)) * np.array([1e-6, 1e-3, 1.0, 1e3, 1e6])
+    factor = SpdFactor(M)
+    assert factor.checks_residual == (kind == "hilbert")
+    X = factor.solve(B)
+    assert X.shape == B.shape
+    for j in range(B.shape[1]):
+        b = B[:, j]
+        assert np.linalg.norm(M @ X[:, j] - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
 
 
 # -- min_eigenvalue_sym ------------------------------------------------------------
