@@ -14,7 +14,11 @@ and produces the certified per-iteration contraction factor
 
 Every spectral quantity of a coupling matrix comes from one cached
 eigendecomposition of ``A_i'A_i`` per block (``BlockProblem.gram_spectra``):
-the norms ``||A_i||``, the tau search, and ``mu_s``.  Without a proximal
+the norms ``||A_i||``, the certified proximal weights, and ``mu_s``.  For
+the standard and prox-linear policies the coupling condition on each
+eigenvalue is a concave quadratic in the weight ``tau``, so
+:func:`smallest_certified_tau` reads each block's certified interval in
+closed form and confirms its weight with one dense check.  Without a proximal
 term and for the standard and prox-linear policies, both matrices of the
 ``mu_s`` pencil are polynomials in ``A_i'A_i``, so ``mu_s`` is a maximum of
 ratios over its eigenvalues; an explicit ``P_i`` takes the dense
@@ -178,21 +182,18 @@ class XiCheck:
 
 
 def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float,
-                       P_list: Sequence[np.ndarray],
-                       xi: Optional[Sequence[float]] = None) -> XiCheck:
-    """Check the per-block coupling condition for given split weights.
+                       P_list: Sequence[np.ndarray]) -> XiCheck:
+    """Check the per-block coupling condition for the uniform split weights.
 
     With ``B_i = rho*A_i'A_i + P_i``, each block must satisfy
     ``B_i - 8*s*B_i^2 - (rho/xi_i)*A_i'A_i`` positive definite while the
-    ``xi_i`` sum stays below ``2 - gamma``.  Defaults to the uniform split
-    ``xi_i = (1 - 1e-6) * (2 - gamma) / N``.
+    ``xi_i`` sum stays below ``2 - gamma``; the split is
+    ``xi_i = (1 - 1e-6) * (2 - gamma) / N`` (:func:`uniform_xi`).
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
     _require_positive(s=s)
-    xi = tuple(xi) if xi is not None else uniform_xi(gamma, problem.N)
-    if len(xi) != problem.N or not all(math.isfinite(x) and x > 0.0 for x in xi):
-        raise InvalidParameter("need one positive split weight per block")
+    xi = uniform_xi(gamma, problem.N)
     eigs = [
         _xi_margin(Ai.T @ Ai, np.asarray(Pi, dtype=float), rho, s, rho / xi_i)
         for Ai, Pi, xi_i in zip(problem.A, P_list, xi)
@@ -565,20 +566,19 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
                            safety: float = 1.5) -> list:
     """Per-block smallest proximal weight passing the coupling condition, scaled.
 
-    For each block, bisects the positive-definiteness margin of the uniform
-    split condition over ``tau`` and returns ``safety`` times the boundary
-    value.  ``kind`` selects the standard (``tau*I``) or prox-linear
-    (``tau*I - rho*A'A``) materialization.
-
-    Both make ``B = rho*A'A + P`` a polynomial in ``A'A`` (``rho*A'A + tau*I``
-    or ``tau*I``), and so is the condition matrix ``B - 8*s*B^2 - c*A'A``.
-    With ``d`` the eigenvalues of ``A'A`` and ``b`` the matching eigenvalues
-    of ``B``, its smallest eigenvalue is ``min_j (b_j - 8*s*b_j^2 - c*d_j)``:
-    the search reads the problem's cached eigenvalues of ``A'A`` and does
-    O(n) work per step.  The boundary it finds is confirmed with the dense
-    check that :func:`check_xi_condition` runs, and nudged up by relative
-    steps from 1e-12 until that check passes, so every returned weight
-    passes it.
+    ``kind`` selects the standard (``tau*I``) or prox-linear
+    (``tau*I - rho*A'A``) materialization.  Both make the condition matrix
+    ``B - 8*s*B^2 - c*A'A`` (``B = rho*A'A + P``, ``c = rho/xi`` from
+    :func:`uniform_xi`) a polynomial in ``A'A``: for each cached eigenvalue
+    ``d_j`` of ``A'A`` it has the eigenvalue ``b - 8*s*b^2 - c*d_j``, concave
+    in ``b = b0_j + tau`` (``b0 = rho*d``, or 0 for prox-linear) and positive
+    strictly between its roots.  With ``r_j = sqrt(1 - 32*s*c*d_j)`` a block's
+    certified weights are thus ``lo < tau < hi``, where
+    ``lo = max_j(2*c*d_j/(1 + r_j) - b0_j)`` and ``hi = min_j((1 + r_j)/(16*s) - b0_j)``;
+    an empty interval raises :class:`CertificationError`.  Returns ``safety*lo``
+    when it is below ``hi`` and passes the dense check :func:`check_xi_condition`
+    runs (one eigensolve per block), else the boundary (round-off-sized when
+    ``lo <= 0``) nudged up by relative steps from 1e-12 until that check passes.
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
@@ -586,58 +586,38 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
         raise InvalidParameter(f"unknown policy kind {kind!r}")
     consts = consts if consts is not None else estimate_constants(problem)
     s = 0.5 * max_feasible_s(consts, rho, problem.N)
-    coupling = rho / ((1.0 - XI_SLACK) * (2.0 - gamma) / problem.N)
     taus = []
-    for i, (Ai, g) in enumerate(zip(problem.A, problem.gram_spectra())):
-        AtA = Ai.T @ Ai
+    blocks = zip(problem.A, problem.gram_spectra(), uniform_xi(gamma, problem.N))
+    for i, (Ai, g, xi) in enumerate(blocks):
+        c = rho / xi
         d = g.eigenvalues
-        b0 = rho * d if kind == "standard" else np.zeros_like(d)
-        eye = np.eye(AtA.shape[0])
-
-        def pd_margin(tau: float) -> float:
-            b = b0 + tau
-            return float(np.min(b - 8.0 * s * b * b - coupling * d))
-
-        def dense_margin(tau: float) -> float:
-            P = tau * eye if kind == "standard" else tau * eye - rho * AtA
-            return _xi_margin(AtA, P, rho, s, coupling)
-
-        def confirmed(tau: float) -> float:
-            for k in range(60):
-                if dense_margin(tau) > 0.0:
-                    return tau
-                tau *= 1.0 + 1e-12 * 2.0 ** k
-            raise CertificationError(
-                f"block {i}: the dense coupling check rejects the spectral boundary "
-                f"(rho={rho:g}, gamma={gamma:g})"
-            )
-
-        scale = max(coupling * consts.A_norms[i] ** 2, 1.0)
-        if pd_margin(0.0) > 0.0:
-            taus.append(confirmed(1e-12 * scale))
-            continue
-        lo, hi = 0.0, None
-        probe = scale * 2.0 ** -10
-        for _ in range(60):
-            if pd_margin(probe) > 0.0:
-                hi = probe
-                break
-            lo = probe
-            probe *= 2.0
-        if hi is None:
+        b0 = rho * d if kind == "standard" else 0.0
+        disc = 1.0 - 32.0 * s * c * d
+        r = np.sqrt(np.maximum(disc, 0.0))
+        # 2*c*d/(1 + r) is the lower root (1 - r)/(16*s) without the cancellation.
+        lo = float(np.max(2.0 * c * d / (1.0 + r) - b0))
+        hi = float(np.min((1.0 + r) / (16.0 * s) - b0))
+        if np.any(disc <= 0.0) or hi <= max(lo, 0.0):
             raise CertificationError(
                 f"block {i}: no proximal weight satisfies the coupling condition "
                 f"(rho={rho:g}, gamma={gamma:g})"
             )
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if pd_margin(mid) > 0.0:
-                hi = mid
+        AtA = Ai.T @ Ai
+        P0 = -rho * AtA if kind == "proxlinear" else 0.0  # P = tau*I + P0
+        eye = np.eye(AtA.shape[0])
+        tau = safety * lo
+        if not (0.0 < tau < hi and _xi_margin(AtA, tau * eye + P0, rho, s, c) > 0.0):
+            tau = lo if lo > 0.0 else 1e-12 * max(c * consts.A_norms[i] ** 2, 1.0)
+            for k in range(60):
+                if _xi_margin(AtA, tau * eye + P0, rho, s, c) > 0.0:
+                    break
+                tau *= 1.0 + 1e-12 * 2.0 ** k
             else:
-                lo = mid
-        hi = confirmed(hi)
-        tau = safety * hi
-        taus.append(tau if dense_margin(tau) > 0.0 else hi)
+                raise CertificationError(
+                    f"block {i}: the dense coupling check rejects the spectral boundary "
+                    f"(rho={rho:g}, gamma={gamma:g})"
+                )
+        taus.append(tau)
     return taus
 
 

@@ -67,18 +67,26 @@ def _nonnegative(value: float, flag: str) -> float:
     return value
 
 
+def _distinct(values: list, flag: str, what: str) -> None:
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        _fail_flags(f"invalid {flag}: {what} {repeated[0]:g} listed twice")
+
+
 def _positive_list(text: str, flag: str) -> tuple:
-    """A comma-separated list of positive numbers."""
+    """A comma-separated list of distinct positive numbers."""
     try:
         values = [float(s) for s in text.split(",")]
     except ValueError:
         _fail_flags(f"invalid {flag}: expected a comma-separated list of positive numbers")
-    return tuple(_positive(v, flag) for v in values)
+    values = [_positive(v, flag) for v in values]
+    _distinct(values, flag, "value")
+    return tuple(values)
 
 
-def _at_least_one(value: int, flag: str) -> int:
-    if value < 1:
-        _fail_flags(f"invalid {flag}: must be at least 1")
+def _at_least(value: int, least: int, flag: str) -> int:
+    if value < least:
+        _fail_flags(f"invalid {flag}: must be at least {least}")
     return value
 
 
@@ -151,11 +159,11 @@ def _load_instance(path):
 # -- commands -----------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    seed = args.seed
-    N = _at_least_one(args.N, "--N")
+    seed = _at_least(args.seed, 0, "--seed")
+    N = _at_least(args.N, 1, "--N")
     if args.kind == "lcqp":
-        m = _at_least_one(args.m, "--m")
-        n = _at_least_one(args.n, "--n")
+        m = _at_least(args.m, 1, "--m")
+        n = _at_least(args.n, 1, "--n")
         instance = exp.generate_lcqp(N, m, n, seed)
     else:
         instance = exp.generate_resource_alloc(N, seed)
@@ -206,7 +214,7 @@ def cmd_solve(args) -> int:
     problem = instance.problem
     rho = _positive(args.rho, "--rho")
     gamma = _positive(args.gamma, "--gamma")
-    max_iters = _at_least_one(args.max_iters, "--max-iters")
+    max_iters = _at_least(args.max_iters, 1, "--max-iters")
     tol = _nonnegative(args.tol, "--tol")
     consts = try_estimate_constants(problem)
     policy = build_policy(instance, rho, gamma, args.policy, args.tau, consts)
@@ -260,16 +268,15 @@ def cmd_sweep(args) -> int:
             _fail_flags("invalid --seeds: expected a comma-separated list of integers")
         if not seeds:
             _fail_flags("invalid --seeds: list is empty")
-        repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
-        if repeated:
-            _fail_flags(f"invalid --seeds: seed {repeated[0]} listed twice")
+        seeds = [_at_least(s, 0, "--seeds") for s in seeds]
+        _distinct(seeds, "--seeds", "seed")
     rho_grid = exp.default_rho_grid(instance)
     gamma_grid = exp.GAMMA_GRID
     if args.rho_grid:
         rho_grid = _positive_list(args.rho_grid, "--rho-grid")
     if args.gamma_grid:
         gamma_grid = _positive_list(args.gamma_grid, "--gamma-grid")
-    max_iters = _at_least_one(args.max_iters, "--max-iters")
+    max_iters = _at_least(args.max_iters, 1, "--max-iters")
 
     instances = []
     for seed in seeds:
@@ -326,10 +333,13 @@ def cmd_sweep(args) -> int:
 #: Keys ``report`` reads from a sweep manifest and from each of its cells.
 MANIFEST_KEYS = ("rho_grid", "gamma_grid", "cells")
 CELL_KEYS = ("rho", "gamma", "seed", "status")
+#: JSON number types; ``bool`` is left out, though a subclass of ``int``.
+NUMBER = (int, float)
+CELL_TYPES = {"rho": NUMBER, "gamma": NUMBER, "seed": (int,)}
 
 
 def _read_manifest(path: Path) -> dict:
-    """A sweep manifest with every key ``report`` reads; a parse failure is an ``IOError``."""
+    """A sweep manifest with every key ``report`` reads, of the JSON type it reads."""
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
@@ -339,12 +349,20 @@ def _read_manifest(path: Path) -> dict:
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise IOError(f"malformed manifest {path}: missing {', '.join(missing)}")
+    for key in ("rho_grid", "gamma_grid"):
+        if not isinstance(manifest[key], list) or any(type(v) not in NUMBER for v in manifest[key]):
+            raise IOError(f"malformed manifest {path}: {key} is not a list of numbers")
+    if not isinstance(manifest["cells"], list):
+        raise IOError(f"malformed manifest {path}: cells is not a list")
     if not manifest["cells"]:
         raise IOError(f"{path} lists no cells")
     for i, cell in enumerate(manifest["cells"]):
         missing = [key for key in CELL_KEYS if not isinstance(cell, dict) or key not in cell]
         if missing:
             raise IOError(f"malformed manifest {path}: cell {i} lacks {', '.join(missing)}")
+        wrong = [key for key, types in CELL_TYPES.items() if type(cell[key]) not in types]
+        if wrong:
+            raise IOError(f"malformed manifest {path}: cell {i}: wrong type for {', '.join(wrong)}")
     return manifest
 
 

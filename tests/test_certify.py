@@ -582,8 +582,8 @@ def test_certified_tau_at_unit_safety_passes_dense_check(kind):
                 assert res.passed, (shape, seed, rho, gamma)
 
 
-@pytest.mark.parametrize("kind", ["standard", "proxlinear"])
-def test_tau_search_makes_few_dense_eigensolves(monkeypatch, kind):
+def dense_eigensolves_of_tau_search(monkeypatch, kind):
+    """``(N, calls)``: the dense eigensolves of one search on an LCQP (3, 30, 12) at (1, 1)."""
     import importlib
 
     module = importlib.import_module("jprox.certify")
@@ -598,7 +598,54 @@ def test_tau_search_makes_few_dense_eigensolves(monkeypatch, kind):
     consts = estimate_constants(p)
     monkeypatch.setattr(module, "min_eigenvalue_sym", counting)
     smallest_certified_tau(p, 1.0, 1.0, kind=kind, consts=consts)
-    assert 0 < len(calls) <= 3 * p.N
+    return p.N, calls
+
+
+@pytest.mark.parametrize("kind", ["standard", "proxlinear"])
+def test_tau_search_makes_few_dense_eigensolves(monkeypatch, kind):
+    N, calls = dense_eigensolves_of_tau_search(monkeypatch, kind)
+    assert 0 < len(calls) <= 3 * N
+
+
+@pytest.mark.parametrize("kind", ["standard", "proxlinear"])
+def test_tau_search_makes_one_dense_eigensolve_per_block(monkeypatch, kind):
+    # The interval comes in closed form; only the scaled weight is checked densely.
+    N, calls = dense_eigensolves_of_tau_search(monkeypatch, kind)
+    assert calls == [(12, 12)] * N
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(1, 4),
+    m=st.integers(1, 8),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2 ** 32 - 1),
+    kind=st.sampled_from(["standard", "proxlinear"]),
+    rho_gamma=st.sampled_from([(0.03, 0.1), (1.0, 0.5), (1.0, 1.5), (5.0, 1.9), (10.0, 1.0)]),
+)
+def test_certified_tau_is_the_dense_boundary(N, m, n, seed, kind, rho_gamma):
+    rho, gamma = rho_gamma
+    p = generate_lcqp(N, m, n, seed=seed).problem
+    consts = estimate_constants(p)
+    try:
+        taus = smallest_certified_tau(p, rho, gamma, kind=kind, consts=consts, safety=1.0)
+    except CertificationError:
+        return
+    s = 0.5 * max_feasible_s(consts, rho, N)
+
+    def xi_check(weights):
+        # P is built as materialize_policy builds it, without its prox-linear
+        # PSD floor, which one block at gamma < 1 sits below.
+        P_list = [t * np.eye(n) - (rho * (Ai.T @ Ai) if kind == "proxlinear" else 0.0)
+                  for t, Ai in zip(weights, p.A)]
+        return check_xi_condition(p, rho, gamma, s, P_list)
+
+    assert xi_check(taus).passed
+    below = xi_check([(1.0 - 1e-6) * t for t in taus])
+    cxi = rho / uniform_xi(gamma, N)[0]
+    for i, (tau, nrm) in enumerate(zip(taus, consts.A_norms)):
+        if tau > 1e-6 * max(cxi * nrm ** 2, 1.0):  # the boundary is above round-off
+            assert below.min_eigs[i] <= 0.0, i
 
 
 # -- Lyapunov function -----------------------------------------------------------------------

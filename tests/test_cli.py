@@ -56,6 +56,14 @@ def test_generate_rejects_bad_block_count(tmp_path, capsys):
     assert "--N" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["lcqp", "ra"])
+def test_generate_rejects_a_negative_seed(tmp_path, capsys, kind):
+    out = tmp_path / "x.json"
+    assert run_cli("generate", kind, "--N", "2", "--seed", "-1", "--output", str(out)) == 2
+    assert "invalid --seed: must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as info:
         run_cli("generate", "lcqp", "--N", "2", "--frobnicate", "1")
@@ -394,7 +402,8 @@ def test_report_on_missing_trace_exits_3(tmp_path):
 # -- flag and parse failures ------------------------------------------------------
 
 @pytest.mark.parametrize("flag, value", [("--rho-grid", "abc"), ("--gamma-grid", "1,,2"),
-                                         ("--rho-grid", "1,-2"), ("--gamma-grid", "nan")])
+                                         ("--rho-grid", "1,-2"), ("--gamma-grid", "nan"),
+                                         ("--rho-grid", "1,1"), ("--gamma-grid", "0.5,0.5")])
 def test_sweep_rejects_a_bad_grid(tmp_path, capsys, flag, value):
     inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
     code = run_cli("sweep", "--input", str(inst), "--output", str(tmp_path / "sweep"),
@@ -416,6 +425,15 @@ def test_sweep_rejects_a_seed_listed_twice(tmp_path, capsys, monkeypatch):
                    "--seeds", "0,0,1")
     assert code == 2
     assert "invalid --seeds: seed 0 listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_rejects_a_negative_seed(tmp_path, capsys):
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    code = run_cli("sweep", "--input", str(inst), "--output", str(tmp_path / "sweep"),
+                   "--seeds", "1,-2")
+    assert code == 2
+    assert "invalid --seeds: must be at least 0" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
 
 
@@ -472,6 +490,20 @@ def test_report_on_a_cell_without_its_rho_exits_3(tmp_path, capsys):
     (sweep_dir / "manifest.json").write_text(json.dumps(manifest))
     assert run_cli("report", "--input", str(sweep_dir)) == 3
     assert "manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("cell", "rho", "1"), ("cell", "gamma", None), ("cell", "seed", 0.5), ("cell", "seed", True),
+    ("manifest", "rho_grid", "1"), ("manifest", "gamma_grid", [1, "0.5"]),
+    ("manifest", "cells", {"rho": 1}),
+])
+def test_report_on_a_value_of_the_wrong_type_exits_3(tmp_path, capsys, where, key, value):
+    sweep_dir, manifest = small_sweep(tmp_path)
+    (manifest["cells"][0] if where == "cell" else manifest)[key] = value
+    (sweep_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("report", "--input", str(sweep_dir)) == 3
+    err = capsys.readouterr().err
+    assert f"malformed manifest {sweep_dir / 'manifest.json'}" in err and key in err
 
 
 def test_report_on_an_unparsable_manifest_exits_3(tmp_path, capsys):
