@@ -12,7 +12,9 @@ and produces the certified per-iteration contraction factor
 
     sigma = max(1 - 2*gamma*rho*s*c_A^2, mu_s)  in (0, 1).
 
-Every spectral quantity of a coupling matrix comes from one cached
+The constants, the Gram spectra and the Gram matrices ``A_i'A_i`` are
+computed once per loaded problem and cached on it (``BlockProblem``).
+Every spectral quantity of a coupling matrix comes from one
 eigendecomposition of ``A_i'A_i`` per block (``BlockProblem.gram_spectra``):
 the norms ``||A_i||``, the certified proximal weights, and ``mu_s``.  For
 the standard and prox-linear policies the coupling condition on each
@@ -49,7 +51,7 @@ from .errors import (
     NotPositiveDefinite,
     NotStronglyConvex,
 )
-from .linalg import generalized_max_eigenvalue, min_eigenvalue_sym, smallest_singular_value_stacked
+from .linalg import generalized_max_eigenvalue, min_eigenvalue_sym
 from .problem import BlockProblem, PrimalDualPoint
 from .solvers import (
     ExplicitProximal,
@@ -92,7 +94,6 @@ class ProblemConstants:
     D: float
     c_A: float
     A_norms: tuple
-    rank_deficient: bool = False
 
 
 def _require_positive(**values) -> None:
@@ -106,7 +107,8 @@ def estimate_constants(problem: BlockProblem) -> ProblemConstants:
     """Compute :class:`ProblemConstants` for a problem.
 
     Raises :class:`NotStronglyConvex` when the worst modulus is at or below
-    ``ALPHA_TOL``; the exception carries the offending value.
+    ``ALPHA_TOL``; the exception carries the offending value.  Costs O(N)
+    after the first call, which fills the problem's spectral caches.
     """
     # A block's gradient Lipschitz constant is the top of its curvature range;
     # the modulus convention halves the bottom.
@@ -118,30 +120,14 @@ def estimate_constants(problem: BlockProblem) -> ProblemConstants:
             alpha=alpha,
         )
     A_norms = tuple(g.norm for g in problem.gram_spectra())
-    c_A, deficient = smallest_singular_value_stacked(problem.A)
     return ProblemConstants(
         alpha=alpha,
         L_list=L_list,
         L=max(L_list) ** 2,
         D=sum(nrm * nrm for nrm in A_norms),
-        c_A=c_A,
+        c_A=problem.stacked_singular_value().value,
         A_norms=A_norms,
-        rank_deficient=deficient,
     )
-
-
-def try_estimate_constants(problem: BlockProblem) -> Optional[ProblemConstants]:
-    """:func:`estimate_constants`, or ``None`` when the problem is not strongly convex.
-
-    Lets a command compute the constants once and pass them to the tau
-    search, :func:`certify` and :class:`PhiWeights`; with ``None`` each of
-    them reports the failure its own way (fallback weights, a failed
-    certificate).
-    """
-    try:
-        return estimate_constants(problem)
-    except NotStronglyConvex:
-        return None
 
 
 def max_feasible_s(consts: ProblemConstants, rho: float, N: int) -> float:
@@ -195,8 +181,8 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
     _require_positive(s=s)
     xi = uniform_xi(gamma, problem.N)
     eigs = [
-        _xi_margin(Ai.T @ Ai, np.asarray(Pi, dtype=float), rho, s, rho / xi_i)
-        for Ai, Pi, xi_i in zip(problem.A, P_list, xi)
+        _xi_margin(AtA, np.asarray(Pi, dtype=float), rho, s, rho / xi_i)
+        for AtA, Pi, xi_i in zip(problem.gram_matrices(), P_list, xi)
     ]
     return XiCheck(all(e > 0.0 for e in eigs), tuple(eigs), xi)
 
@@ -222,8 +208,7 @@ def compute_mu_s(problem: BlockProblem, consts: ProblemConstants, rho: float, s:
     """
     coef, gap = _mu_s_pencil(consts, rho, s, problem.N)
     worst = -math.inf
-    for Ai, Pi in zip(problem.A, P_list):
-        AtA = Ai.T @ Ai
+    for AtA, Pi in zip(problem.gram_matrices(), P_list):
         Pi = np.asarray(Pi, dtype=float)
         left = coef * AtA + Pi
         right = rho * AtA + Pi + 2.0 * gap * np.eye(AtA.shape[0])
@@ -356,7 +341,7 @@ def certificate_from_dict(d: dict) -> Certificate:
 
 
 def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPolicy,
-            consts: Optional[ProblemConstants] = None, seed: Optional[int] = None) -> Certificate:
+            seed: Optional[int] = None) -> Certificate:
     """Run the full certification pipeline for one parameter choice.
 
     Never raises on a certifiability failure: the returned certificate has
@@ -371,7 +356,7 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
         cert.margins = {"gamma": gamma}
         return cert
     try:
-        consts = consts if consts is not None else estimate_constants(problem)
+        consts = estimate_constants(problem)
     except NotStronglyConvex as exc:
         cert.failure = "NotStronglyConvex"
         cert.margins = {"alpha": exc.alpha, "alpha_floor": ALPHA_TOL}
@@ -439,13 +424,14 @@ class PhiWeights:
 
     @classmethod
     def build(cls, problem: BlockProblem, gamma: float, rho: float, s: float,
-              P_list: Sequence[np.ndarray], consts: ProblemConstants) -> "PhiWeights":
+              P_list: Sequence[np.ndarray]) -> "PhiWeights":
+        consts = estimate_constants(problem)
         gap = consts.alpha - 2.0 * consts.L * s
         if gap <= 0.0:
             raise NonPositiveWeight(f"alpha - 2*L*s = {gap:.3e} must be positive")
         W = [
-            rho * (Ai.T @ Ai) + np.asarray(Pi, dtype=float) + 2.0 * gap * np.eye(Ai.shape[1])
-            for Ai, Pi in zip(problem.A, P_list)
+            rho * AtA + np.asarray(Pi, dtype=float) + 2.0 * gap * np.eye(AtA.shape[0])
+            for AtA, Pi in zip(problem.gram_matrices(), P_list)
         ]
         return cls(gamma, rho, W)
 
@@ -467,19 +453,17 @@ class PhiWeights:
 
 
 def certify_with_phi(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPolicy,
-                     consts: Optional[ProblemConstants] = None,
                      seed: Optional[int] = None) -> tuple:
     """:func:`certify`, plus the Lyapunov weights a run records when it passes.
 
     Returns ``(certificate, PhiWeights or None)``; the weights are built only
     for a passed certificate.
     """
-    cert = certify(problem, rho, gamma, policy, consts=consts, seed=seed)
+    cert = certify(problem, rho, gamma, policy, seed=seed)
     if not cert.passed:
         return cert, None
-    consts = consts if consts is not None else estimate_constants(problem)
     P_list = materialize_policy(policy, rho, problem)
-    return cert, PhiWeights.build(problem, gamma, rho, cert.s, P_list, consts)
+    return cert, PhiWeights.build(problem, gamma, rho, cert.s, P_list)
 
 
 @dataclass
@@ -496,9 +480,8 @@ class ContractionReport:
 
 
 def verify_contraction(points: Sequence[PrimalDualPoint], cert: Certificate,
-                       ref: PrimalDualPoint, problem: BlockProblem, gamma: float,
-                       rho: float, P_list: Sequence[np.ndarray],
-                       consts: ProblemConstants) -> ContractionReport:
+                       ref: PrimalDualPoint, problem: BlockProblem,
+                       P_list: Sequence[np.ndarray]) -> ContractionReport:
     """Check ``phi(u^{k+1}) <= sigma * phi(u^k) + 1e-12 * (1 + phi(u^k))`` pairwise.
 
     Ratios are recorded as ``nan`` when the previous value sits at or below
@@ -507,7 +490,7 @@ def verify_contraction(points: Sequence[PrimalDualPoint], cert: Certificate,
     """
     if not cert.passed:
         raise ValueError("verify_contraction requires a passed certificate")
-    weights = PhiWeights.build(problem, gamma, rho, cert.s, P_list, consts)
+    weights = PhiWeights.build(problem, cert.gamma, cert.rho, cert.s, P_list)
     phis = [weights.evaluate(u, ref) for u in points]
     ratios = []
     violations = []
@@ -561,9 +544,7 @@ def fit_linear_rate(values: Sequence[float], tail_fraction: float = 0.5) -> Rate
 # -- certified proximal weights ---------------------------------------------------
 
 def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
-                           kind: str = "standard",
-                           consts: Optional[ProblemConstants] = None,
-                           safety: float = 1.5) -> list:
+                           kind: str = "standard", safety: float = 1.5) -> list:
     """Per-block smallest proximal weight passing the coupling condition, scaled.
 
     ``kind`` selects the standard (``tau*I``) or prox-linear
@@ -584,11 +565,11 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
     if kind not in ("standard", "proxlinear"):
         raise InvalidParameter(f"unknown policy kind {kind!r}")
-    consts = consts if consts is not None else estimate_constants(problem)
+    consts = estimate_constants(problem)
     s = 0.5 * max_feasible_s(consts, rho, problem.N)
     taus = []
-    blocks = zip(problem.A, problem.gram_spectra(), uniform_xi(gamma, problem.N))
-    for i, (Ai, g, xi) in enumerate(blocks):
+    blocks = zip(problem.gram_matrices(), problem.gram_spectra(), uniform_xi(gamma, problem.N))
+    for i, (AtA, g, xi) in enumerate(blocks):
         c = rho / xi
         d = g.eigenvalues
         b0 = rho * d if kind == "standard" else 0.0
@@ -602,7 +583,6 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
                 f"block {i}: no proximal weight satisfies the coupling condition "
                 f"(rho={rho:g}, gamma={gamma:g})"
             )
-        AtA = Ai.T @ Ai
         P0 = -rho * AtA if kind == "proxlinear" else 0.0  # P = tau*I + P0
         eye = np.eye(AtA.shape[0])
         tau = safety * lo

@@ -19,12 +19,7 @@ import sys
 from pathlib import Path
 
 from . import experiments as exp
-from .certify import (
-    certify,
-    certify_with_phi,
-    estimate_constants,
-    try_estimate_constants,
-)
+from .certify import certify, certify_with_phi, estimate_constants
 from .errors import JproxError
 from .problem import PrimalDualPoint
 from .solvers import (
@@ -67,20 +62,18 @@ def _nonnegative(value: float, flag: str) -> float:
     return value
 
 
-def _distinct(values: list, flag: str, what: str) -> None:
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        _fail_flags(f"invalid {flag}: {what} {repeated[0]:g} listed twice")
-
-
 def _positive_list(text: str, flag: str) -> tuple:
-    """A comma-separated list of distinct positive numbers."""
+    """Comma-separated positive numbers with distinct ``:g`` texts, which name trace files."""
+    items = [s.strip() for s in text.split(",")]
     try:
-        values = [float(s) for s in text.split(",")]
+        values = [float(s) for s in items]
     except ValueError:
         _fail_flags(f"invalid {flag}: expected a comma-separated list of positive numbers")
-    values = [_positive(v, flag) for v in values]
-    _distinct(values, flag, "value")
+    names = [f"{_positive(v, flag):g}" for v in values]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            _fail_flags(f"invalid {flag}: values {items[names.index(name)]} and {items[i]} "
+                        f"both format as {name}")
     return tuple(values)
 
 
@@ -126,12 +119,8 @@ def read_trace_csv(path) -> dict:
     return cols
 
 
-def build_policy(instance, rho: float, gamma: float, name: str, tau, consts=None):
-    """Materialize the requested proximal policy for one instance.
-
-    ``consts`` (the instance's :class:`ProblemConstants`, or ``None``) is
-    handed to the certified-weight search of ``tau="auto"``.
-    """
+def build_policy(instance, rho: float, gamma: float, name: str, tau):
+    """Materialize the requested proximal policy for one instance."""
     problem = instance.problem
     if name == "none":
         return None
@@ -143,7 +132,7 @@ def build_policy(instance, rho: float, gamma: float, name: str, tau, consts=None
     if name not in ("standard", "proxlinear"):
         _fail_flags(f"invalid --policy: unknown policy {name!r}")
     if tau == "auto":
-        return exp.resolve_policy(problem, rho, gamma, "auto", consts, kind=name)
+        return exp.resolve_policy(problem, rho, gamma, "auto", kind=name)
     return StandardProximal(tau) if name == "standard" else ProxLinear(tau)
 
 
@@ -196,9 +185,8 @@ def cmd_certify(args) -> int:
         cert.save(args.output)
         print("certification failed: gamma out of (0,2)", file=sys.stderr)
         return EXIT_CERT
-    consts = try_estimate_constants(instance.problem)
-    policy = build_policy(instance, rho, gamma, args.policy, args.tau, consts)
-    cert = certify(instance.problem, rho, gamma, policy, consts=consts, seed=instance.seed)
+    policy = build_policy(instance, rho, gamma, args.policy, args.tau)
+    cert = certify(instance.problem, rho, gamma, policy, seed=instance.seed)
     cert.save(args.output)
     if cert.passed:
         print(f"certified: sigma={cert.sigma:.12g} s={cert.s:.6g} mu_s={cert.mu_s:.6g}")
@@ -216,14 +204,13 @@ def cmd_solve(args) -> int:
     gamma = _positive(args.gamma, "--gamma")
     max_iters = _at_least(args.max_iters, 1, "--max-iters")
     tol = _nonnegative(args.tol, "--tol")
-    consts = try_estimate_constants(problem)
-    policy = build_policy(instance, rho, gamma, args.policy, args.tau, consts)
+    policy = build_policy(instance, rho, gamma, args.policy, args.tau)
     params = SolverParams(rho=rho, gamma=gamma, policy=policy,
                           max_iters=max_iters, dis_tol=tol)
     reference = exp.instance_reference(instance)
     phi_ctx = None
     if args.method == "jprox":
-        _, phi_ctx = certify_with_phi(problem, rho, gamma, policy, consts, instance.seed)
+        _, phi_ctx = certify_with_phi(problem, rho, gamma, policy, instance.seed)
     u0 = reference.copy() if args.u0 == "reference" else PrimalDualPoint.zeros(problem)
     trace = run(problem, params, u0, reference=reference, phi_context=phi_ctx,
                 method=args.method)
@@ -269,7 +256,9 @@ def cmd_sweep(args) -> int:
         if not seeds:
             _fail_flags("invalid --seeds: list is empty")
         seeds = [_at_least(s, 0, "--seeds") for s in seeds]
-        _distinct(seeds, "--seeds", "seed")
+        repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+        if repeated:
+            _fail_flags(f"invalid --seeds: seed {repeated[0]} listed twice")
     rho_grid = exp.default_rho_grid(instance)
     gamma_grid = exp.GAMMA_GRID
     if args.rho_grid:
@@ -335,7 +324,26 @@ MANIFEST_KEYS = ("rho_grid", "gamma_grid", "cells")
 CELL_KEYS = ("rho", "gamma", "seed", "status")
 #: JSON number types; ``bool`` is left out, though a subclass of ``int``.
 NUMBER = (int, float)
-CELL_TYPES = {"rho": NUMBER, "gamma": NUMBER, "seed": (int,)}
+NULL = type(None)
+#: JSON types of the cell fields ``report`` reads; ``a.b`` is key ``b`` of the object at ``a``.
+CELL_TYPES = {"rho": NUMBER, "gamma": NUMBER, "seed": (int,), "trace": (str, NULL),
+              "certificate": (dict, NULL), "certificate.sigma": NUMBER + (NULL,),
+              "certificate.passed": (bool,), "dis_rate": (dict, NULL),
+              "dis_rate.rate": NUMBER + (NULL,), "phi_rate": (dict, NULL),
+              "phi_rate.rate": NUMBER + (NULL,)}
+
+
+def _wrong_cell_fields(cell: dict) -> list:
+    """The keys of :data:`CELL_TYPES` whose value in ``cell`` has another JSON type."""
+    wrong = []
+    for key, types in CELL_TYPES.items():
+        outer, _, inner = key.partition(".")
+        value = cell.get(outer)
+        if inner and type(value) is not dict:
+            continue  # a null object has no keys; any other type is reported as ``outer``
+        if type(value.get(inner) if inner else value) not in types:
+            wrong.append(key)
+    return wrong
 
 
 def _read_manifest(path: Path) -> dict:
@@ -360,7 +368,7 @@ def _read_manifest(path: Path) -> dict:
         missing = [key for key in CELL_KEYS if not isinstance(cell, dict) or key not in cell]
         if missing:
             raise IOError(f"malformed manifest {path}: cell {i} lacks {', '.join(missing)}")
-        wrong = [key for key, types in CELL_TYPES.items() if type(cell[key]) not in types]
+        wrong = _wrong_cell_fields(cell)
         if wrong:
             raise IOError(f"malformed manifest {path}: cell {i}: wrong type for {', '.join(wrong)}")
     return manifest

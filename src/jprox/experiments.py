@@ -19,13 +19,11 @@ import numpy as np
 
 from .certify import (
     Certificate,
-    ProblemConstants,
     RateFit,
     certify_with_phi,
     fallback_tau,
     fit_linear_rate,
     smallest_certified_tau,
-    try_estimate_constants,
 )
 from .errors import (
     DegenerateAfterRetries,
@@ -296,7 +294,7 @@ class SweepCell:
 
 
 def resolve_policy(problem: BlockProblem, rho: float, gamma: float, policy,
-                   consts: Optional[ProblemConstants] = None, kind: str = "standard"):
+                   kind: str = "standard"):
     """Turn a policy request into a concrete policy.
 
     ``"auto"`` builds a ``kind`` (``"standard"`` or ``"proxlinear"``)
@@ -309,7 +307,7 @@ def resolve_policy(problem: BlockProblem, rho: float, gamma: float, policy,
     if policy != "auto":
         return policy
     try:
-        taus = smallest_certified_tau(problem, rho, gamma, kind=kind, consts=consts)
+        taus = smallest_certified_tau(problem, rho, gamma, kind=kind)
     except JproxError:
         taus = fallback_tau(problem, rho, gamma, kind=kind)
     if kind != "proxlinear":
@@ -327,16 +325,14 @@ def instance_reference(instance: Instance) -> PrimalDualPoint:
     return reference_solution(instance.problem).point
 
 
-def _run_cell(instance: Instance, reference: PrimalDualPoint,
-              consts: Optional[ProblemConstants], rho: float, gamma: float,
+def _run_cell(instance: Instance, reference: PrimalDualPoint, rho: float, gamma: float,
               sweep: SweepConfig, policy) -> SweepCell:
     start = time.perf_counter()
     cell = SweepCell(rho=rho, gamma=gamma, seed=instance.seed)
     problem = instance.problem
     try:
-        concrete = resolve_policy(problem, rho, gamma, policy, consts)
-        cell.certificate, phi_ctx = certify_with_phi(problem, rho, gamma, concrete, consts,
-                                                     instance.seed)
+        concrete = resolve_policy(problem, rho, gamma, policy)
+        cell.certificate, phi_ctx = certify_with_phi(problem, rho, gamma, concrete, instance.seed)
         params = SolverParams(rho=rho, gamma=gamma, policy=concrete,
                               max_iters=sweep.max_iters, dis_tol=sweep.dis_tol)
         cell.trace = run(problem, params, PrimalDualPoint.zeros(problem),
@@ -371,11 +367,9 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
     """
     if isinstance(instances, (LcqpInstance, ResourceAllocInstance)):
         instances = [instances]
-    consts = {inst.seed: try_estimate_constants(inst.problem) for inst in instances}
     refs = {inst.seed: instance_reference(inst) for inst in instances}
     return {
-        (rho, gamma, inst.seed): _run_cell(inst, refs[inst.seed], consts[inst.seed], rho, gamma,
-                                           sweep, policy)
+        (rho, gamma, inst.seed): _run_cell(inst, refs[inst.seed], rho, gamma, sweep, policy)
         for inst in instances
         for rho in sweep.rho_grid
         for gamma in sweep.gamma_grid

@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import gram_spectrum, require_symmetric
+from .linalg import gram_spectrum, require_symmetric, smallest_singular_value_stacked
 
 
 def log1pexp(t: float) -> float:
@@ -199,6 +199,8 @@ class BlockProblem:
         object.__setattr__(self, "_offsets", tuple(int(o) for o in offsets))
         object.__setattr__(self, "_stacked_A", None)
         object.__setattr__(self, "_gram_spectra", None)
+        object.__setattr__(self, "_gram_matrices", None)
+        object.__setattr__(self, "_stacked_singular_value", None)
 
     @property
     def N(self) -> int:
@@ -239,6 +241,19 @@ class BlockProblem:
         if self._gram_spectra is None:
             object.__setattr__(self, "_gram_spectra", tuple(gram_spectrum(Ai) for Ai in self.A))
         return self._gram_spectra
+
+    def gram_matrices(self) -> tuple:
+        """Every block's ``A_i'A_i``; built on first use and cached, read-only."""
+        if self._gram_matrices is None:
+            object.__setattr__(self, "_gram_matrices", tuple(_frozen(Ai.T @ Ai) for Ai in self.A))
+        return self._gram_matrices
+
+    def stacked_singular_value(self):
+        """:func:`~jprox.linalg.smallest_singular_value_stacked` of ``A``: one SVD, cached."""
+        if self._stacked_singular_value is None:
+            object.__setattr__(self, "_stacked_singular_value",
+                               smallest_singular_value_stacked(self.A))
+        return self._stacked_singular_value
 
     def stack(self, x) -> np.ndarray:
         """The stacked primal vector of ``x``: a list of blocks or an already stacked vector."""

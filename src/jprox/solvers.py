@@ -445,7 +445,7 @@ class _Prepared:
         self.blocks = []
         o = problem.offsets
         for i, (f, Ai, Pi) in enumerate(zip(problem.objectives, problem.A, P_list)):
-            sl, AtA = slice(o[i], o[i + 1]), Ai.T @ Ai
+            sl, AtA = slice(o[i], o[i + 1]), problem.gram_matrices()[i]
             if isinstance(f, QuadraticBlock):
                 factor = SpdFactor(f.H + rho * AtA + Pi, "block subproblem matrix")
                 block = _Block(sl, Ai, np.ascontiguousarray(Ai.T), rho * AtA + Pi, f, factor, 0.0)

@@ -64,7 +64,7 @@ def certified_run(inst, rho, gamma, max_iters, dis_tol=0.0, record_points=False)
     cert = certify(inst.problem, rho, gamma, policy, seed=inst.seed)
     consts = estimate_constants(inst.problem)
     P_list = materialize_policy(policy, rho, inst.problem)
-    ctx = PhiWeights.build(inst.problem, gamma, rho, cert.s, P_list, consts) \
+    ctx = PhiWeights.build(inst.problem, gamma, rho, cert.s, P_list) \
         if cert.passed else None
     params = SolverParams(rho=rho, gamma=gamma, policy=policy,
                           max_iters=max_iters, dis_tol=dis_tol)
@@ -82,8 +82,7 @@ def test_criterion_1_certified_contraction():
     assert cert.passed
     assert 0.0 < cert.sigma < 1.0
     assert len(trace.points) == 501
-    audit = verify_contraction(trace.points, cert, inst.optimum(), inst.problem,
-                               1.0, 1.0, P_list, consts)
+    audit = verify_contraction(trace.points, cert, inst.optimum(), inst.problem, P_list)
     assert audit.violations == []
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

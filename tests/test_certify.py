@@ -406,14 +406,14 @@ def test_certify_matches_dense_certificate_on_default_grid(kind, shape):
     searched = 0
     for rho in default_rho_grid(inst):
         for gamma in GAMMA_GRID:
-            policy = resolve_policy(problem, rho, gamma, "auto", consts, kind=kind)
-            cert = certify(problem, rho, gamma, policy, consts=consts)
+            policy = resolve_policy(problem, rho, gamma, "auto", kind=kind)
+            cert = certify(problem, rho, gamma, policy)
             passed, failure, sigma, xi_passed = dense_certificate(problem, rho, gamma, policy,
                                                                   consts)
             assert (cert.passed, cert.failure) == (passed, failure), (rho, gamma)
             assert cert.sigma == pytest.approx(sigma, rel=1e-12, abs=0.0), (rho, gamma)
             try:
-                smallest_certified_tau(problem, rho, gamma, kind=kind, consts=consts)
+                smallest_certified_tau(problem, rho, gamma, kind=kind)
             except CertificationError:
                 continue  # "auto" fell back to the classical threshold
             assert xi_passed, (rho, gamma)
@@ -572,8 +572,7 @@ def test_certified_tau_at_unit_safety_passes_dense_check(kind):
                 if kind == "proxlinear" and p.N < 2.0 - gamma:
                     continue  # one block at gamma < 1: the boundary is below rho*||A||^2
                 try:
-                    taus = smallest_certified_tau(p, rho, gamma, kind=kind, consts=consts,
-                                                  safety=1.0)
+                    taus = smallest_certified_tau(p, rho, gamma, kind=kind, safety=1.0)
                 except CertificationError:
                     continue
                 s = 0.5 * max_feasible_s(consts, rho, p.N)
@@ -597,7 +596,7 @@ def dense_eigensolves_of_tau_search(monkeypatch, kind):
     p = generate_lcqp(3, 30, 12, seed=0).problem
     consts = estimate_constants(p)
     monkeypatch.setattr(module, "min_eigenvalue_sym", counting)
-    smallest_certified_tau(p, 1.0, 1.0, kind=kind, consts=consts)
+    smallest_certified_tau(p, 1.0, 1.0, kind=kind)
     return p.N, calls
 
 
@@ -628,7 +627,7 @@ def test_certified_tau_is_the_dense_boundary(N, m, n, seed, kind, rho_gamma):
     p = generate_lcqp(N, m, n, seed=seed).problem
     consts = estimate_constants(p)
     try:
-        taus = smallest_certified_tau(p, rho, gamma, kind=kind, consts=consts, safety=1.0)
+        taus = smallest_certified_tau(p, rho, gamma, kind=kind, safety=1.0)
     except CertificationError:
         return
     s = 0.5 * max_feasible_s(consts, rho, N)
@@ -658,14 +657,14 @@ def phi_ingredients(seed=0, rho=1.0, gamma=1.0, tau=2.0):
     return inst, consts, s, P_list
 
 
-def phi_value(problem, u, ref, gamma, rho, s, P_list, consts):
-    return PhiWeights.build(problem, gamma, rho, s, P_list, consts).evaluate(u, ref)
+def phi_value(problem, u, ref, gamma, rho, s, P_list):
+    return PhiWeights.build(problem, gamma, rho, s, P_list).evaluate(u, ref)
 
 
 def test_phi_zero_at_reference():
     inst, consts, s, P_list = phi_ingredients()
     ref = inst.optimum()
-    assert phi_value(inst.problem, ref, ref, 1.0, 1.0, s, P_list, consts) == 0.0
+    assert phi_value(inst.problem, ref, ref, 1.0, 1.0, s, P_list) == 0.0
 
 
 def test_phi_multiplier_only_term():
@@ -675,7 +674,7 @@ def test_phi_multiplier_only_term():
     v = np.arange(1.0, 7.0)
     u.lam = u.lam + v
     gamma, rho = 1.3, 0.7
-    phi = phi_value(inst.problem, u, ref, gamma, rho, s, P_list, consts)
+    phi = phi_value(inst.problem, u, ref, gamma, rho, s, P_list)
     assert phi == pytest.approx(float(v @ v) / (2 * gamma * rho), rel=1e-12)
 
 
@@ -691,7 +690,7 @@ def test_phi_matches_term_by_term_oracle():
         W = rho * Ai.T @ Ai + Pi + 2.0 * gap * np.eye(4)
         d = xi - ri
         expected += 0.5 * float(d @ W @ d)
-    got = phi_value(inst.problem, u, ref, gamma, rho, s, P_list, consts)
+    got = phi_value(inst.problem, u, ref, gamma, rho, s, P_list)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -718,7 +717,7 @@ def test_phi_dominates_identity_parts():
     gap = consts.alpha - 2.0 * consts.L * s
     for _ in range(20):
         u = PrimalDualPoint([rng.standard_normal(4) for _ in range(3)], rng.standard_normal(6))
-        phi = phi_value(inst.problem, u, ref, gamma, rho, s, P_list, consts)
+        phi = phi_value(inst.problem, u, ref, gamma, rho, s, P_list)
         dlam = float(np.linalg.norm(u.lam - ref.lam) ** 2)
         dx = sum(float(np.linalg.norm(xi - ri) ** 2) for xi, ri in zip(u.x, ref.x))
         assert phi >= dlam / (2 * gamma * rho) - 1e-12
@@ -741,8 +740,7 @@ def certified_setup(seed=0, rho=1.0, gamma=1.0):
 def test_verify_contraction_constant_sequence_passes():
     inst, policy, cert, consts, P_list = certified_setup()
     ref = inst.optimum()
-    report = verify_contraction([ref.copy() for _ in range(5)], cert, ref,
-                                inst.problem, 1.0, 1.0, P_list, consts)
+    report = verify_contraction([ref.copy() for _ in range(5)], cert, ref, inst.problem, P_list)
     assert report.ok
     assert all(math.isnan(r) for r in report.ratios)
 
@@ -752,8 +750,7 @@ def test_verify_contraction_on_certified_run():
     params = SolverParams(rho=1.0, gamma=1.0, policy=policy, max_iters=500)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
                 reference=inst.optimum(), record_points=True)
-    report = verify_contraction(trace.points, cert, inst.optimum(), inst.problem,
-                                1.0, 1.0, P_list, consts)
+    report = verify_contraction(trace.points, cert, inst.optimum(), inst.problem, P_list)
     assert report.ok
 
 
@@ -768,8 +765,7 @@ def test_verify_contraction_from_random_starting_points():
         )
         trace = run(inst.problem, params, u0, reference=inst.optimum(),
                     record_points=True)
-        report = verify_contraction(trace.points, cert, inst.optimum(),
-                                    inst.problem, 1.0, 1.0, P_list, consts)
+        report = verify_contraction(trace.points, cert, inst.optimum(), inst.problem, P_list)
         assert report.ok
 
 
@@ -780,12 +776,10 @@ def test_verify_contraction_negative_control():
     params = SolverParams(rho=1.0, gamma=1.0, policy=policy, max_iters=100)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
                 reference=inst.optimum(), record_points=True)
-    report = verify_contraction(trace.points, cert, inst.optimum(), inst.problem,
-                                1.0, 1.0, P_list, consts)
+    report = verify_contraction(trace.points, cert, inst.optimum(), inst.problem, P_list)
     empirical = max(r for r in report.ratios if not math.isnan(r))
     bogus = dataclasses.replace(cert, sigma=0.5 * empirical)
-    bad = verify_contraction(trace.points, bogus, inst.optimum(), inst.problem,
-                             1.0, 1.0, P_list, consts)
+    bad = verify_contraction(trace.points, bogus, inst.optimum(), inst.problem, P_list)
     assert bad.violations
 
 
@@ -832,7 +826,7 @@ def test_certified_sigma_bounds_exact_one_step_factor():
             e[j] = 1.0
             out = step(p, unpack(pack(ustar) + e, p), params)
             T[:, j] = pack(out) - base
-        weights = PhiWeights.build(p, gamma, rho, cert.s, P_list, consts)
+        weights = PhiWeights.build(p, gamma, rho, cert.s, P_list)
         W = scipy.linalg.block_diag(
             *[0.5 * Wi for Wi in weights.W], np.eye(p.m) / (2.0 * gamma * rho)
         )

@@ -82,23 +82,17 @@ def test_certify_success(tmp_path):
     assert 0.0 < cert["sigma"] < 1.0
 
 
-@pytest.mark.parametrize("command", ["certify", "solve"])
-def test_command_estimates_constants_once(tmp_path, monkeypatch, command):
-    import importlib
-
-    module = importlib.import_module("jprox.certify")
-    calls = []
-    original = module.estimate_constants
-
-    def counting(problem):
-        calls.append(problem)
-        return original(problem)
-
+@pytest.mark.parametrize("command, flags", [
+    ("certify", ("--tau", "auto")),
+    ("solve", ("--tau", "auto")),
+    ("sweep", ("--max-iters", "20")),  # the 16-cell default grid
+], ids=["certify", "solve", "sweep"])
+def test_command_estimates_constants_once(tmp_path, count_calls, command, flags):
     inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
-    monkeypatch.setattr(module, "estimate_constants", counting)
-    assert run_cli(command, "--input", str(inst), "--tau", "auto",
+    svd = count_calls("jprox.linalg", "smallest_singular_value_stacked")
+    assert run_cli(command, "--input", str(inst), *flags,
                    "--output", str(tmp_path / "out")) == 0
-    assert len(calls) == 1
+    assert len(svd) == 1
 
 
 def test_certify_prox_linear_auto_on_one_block_at_small_gamma(tmp_path):
@@ -413,6 +407,21 @@ def test_sweep_rejects_a_bad_grid(tmp_path, capsys, flag, value):
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rho-grid", "1,1.0000001", "values 1 and 1.0000001 both format as 1"),
+    ("--gamma-grid", "0.5, 1.5, 0.500000001", "values 0.5 and 0.500000001 both format as 0.5"),
+], ids=["rho", "gamma"])
+def test_sweep_rejects_grid_values_that_would_share_a_file_name(tmp_path, capsys, flag, value,
+                                                                message):
+    # The :g text of a grid value names its trace CSVs and report SVGs.
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    code = run_cli("sweep", "--input", str(inst), "--output", str(tmp_path / "sweep"),
+                   "--max-iters", "5", flag, value)
+    assert code == 2
+    assert f"invalid {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_rejects_a_seed_listed_twice(tmp_path, capsys, monkeypatch):
     from jprox import experiments
 
@@ -496,6 +505,13 @@ def test_report_on_a_cell_without_its_rho_exits_3(tmp_path, capsys):
     ("cell", "rho", "1"), ("cell", "gamma", None), ("cell", "seed", 0.5), ("cell", "seed", True),
     ("manifest", "rho_grid", "1"), ("manifest", "gamma_grid", [1, "0.5"]),
     ("manifest", "cells", {"rho": 1}),
+    ("cell", "certificate", [0.5]),
+    ("cell", "certificate", {"sigma": "0.5", "passed": True}),
+    ("cell", "certificate", {"sigma": 0.5, "passed": "yes"}),
+    ("cell", "dis_rate", {"rate": True}),
+    ("cell", "phi_rate", {"rate": "0.9"}),
+    ("cell", "phi_rate", 0.9),
+    ("cell", "trace", 7),
 ])
 def test_report_on_a_value_of_the_wrong_type_exits_3(tmp_path, capsys, where, key, value):
     sweep_dir, manifest = small_sweep(tmp_path)

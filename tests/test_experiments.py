@@ -405,23 +405,13 @@ def test_resolve_policy_auto_builds_requested_kind():
         ProxLinear(fallback_tau(flat, 1.0, 1.0, kind="proxlinear"))
 
 
-def test_run_sweep_estimates_constants_once_per_instance(monkeypatch):
-    import importlib
-
-    module = importlib.import_module("jprox.certify")
-    calls = []
-    original = module.estimate_constants
-
-    def counting(problem):
-        calls.append(problem)
-        return original(problem)
-
-    monkeypatch.setattr(module, "estimate_constants", counting)
+def test_run_sweep_estimates_constants_once_per_instance(count_calls):
     inst = generate_lcqp(3, 6, 4, seed=0)
+    svd = count_calls("jprox.linalg", "smallest_singular_value_stacked")
     sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20)
     cells = run_sweep(inst, sweep)
     assert all(cell.error is None for cell in cells.values())
-    assert len(calls) == 1
+    assert len(svd) == 1
 
 
 @pytest.mark.parametrize("policy", ["auto", ProxLinear(1e4)], ids=["auto", "proxlinear"])

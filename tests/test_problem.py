@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from jprox.errors import DimensionMismatch
 from jprox.experiments import generate_lcqp
+from jprox.linalg import smallest_singular_value_stacked
 from jprox.problem import (
     BlockProblem,
     LogisticQuadBlock,
@@ -190,6 +191,35 @@ def test_stacked_layout_offsets_and_split():
     assert A is p.stacked_A()
     assert np.array_equal(A, np.hstack(p.A))
     assert not A.flags.writeable
+
+
+def uneven_coupling_problem():
+    """A tall (5x3) and a wide (5x8) coupling block."""
+    rng = np.random.default_rng(21)
+    A = (rng.standard_normal((5, 3)), rng.standard_normal((5, 8)))
+    blocks = tuple(QuadraticBlock(np.eye(Ai.shape[1]), np.zeros(Ai.shape[1])) for Ai in A)
+    return BlockProblem(blocks, A, np.zeros(5))
+
+
+def test_gram_matrices_are_exact_cached_and_read_only():
+    p = uneven_coupling_problem()
+    grams = p.gram_matrices()
+    assert grams is p.gram_matrices()
+    assert len(grams) == p.N
+    for G, Ai in zip(grams, p.A):
+        expected = Ai.T @ Ai
+        assert G.shape == expected.shape and G.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            G[0, 0] = 1.0
+
+
+def test_stacked_singular_value_is_exact_and_cached(count_calls):
+    p = uneven_coupling_problem()
+    svd = count_calls("jprox.linalg", "smallest_singular_value_stacked")
+    first = p.stacked_singular_value()
+    assert first is p.stacked_singular_value()
+    assert len(svd) == 1
+    assert first == smallest_singular_value_stacked(p.A)
 
 
 # -- kkt_residual ----------------------------------------------------------------------
