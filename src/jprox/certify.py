@@ -12,6 +12,11 @@ and produces the certified per-iteration contraction factor
 
     sigma = max(1 - 2*gamma*rho*s*c_A^2, mu_s)  in (0, 1).
 
+A certificate is the pair (sigma, phi): a passed :class:`Certificate`
+carries the weights of ``phi`` (:class:`PhiWeights`), built once from the
+``P_i`` and ``s`` it checked.  A run records ``phi`` with them and
+:func:`verify_contraction` audits a recorded run against them.
+
 The constants, the Gram spectra and the Gram matrices ``A_i'A_i`` are
 computed once per loaded problem and cached on it (``BlockProblem``).
 Every spectral quantity of a coupling matrix comes from one
@@ -291,6 +296,10 @@ class Certificate:
     eigenvalues positive, split-weight slack positive, and both
     ``mu_s`` and ``sigma`` inside (0, 1).  A failed certificate records which
     condition broke in ``failure`` and keeps whatever was computed.
+
+    A passed certificate carries the Lyapunov weights of the ``phi`` it
+    certifies (``weights``, built from the ``P_i`` and ``s`` it checked);
+    they are not serialized, so a failed or loaded certificate has ``None``.
     """
 
     rho: float
@@ -304,6 +313,7 @@ class Certificate:
     sigma: Optional[float] = None
     margins: dict = field(default_factory=dict)
     seed: Optional[int] = None
+    weights: Optional[PhiWeights] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -346,7 +356,8 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
 
     Never raises on a certifiability failure: the returned certificate has
     ``passed=False`` and names the broken condition, so the solver can still
-    be run on the same parameters.
+    be run on the same parameters.  A passed certificate carries the
+    :class:`PhiWeights` of its ``phi``.
     """
     cert = Certificate(rho=rho, gamma=gamma, policy=describe_policy(policy),
                        passed=False, seed=seed)
@@ -400,6 +411,7 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
         cert.failure = "NonPositiveWeight"
     else:
         cert.passed = True
+        cert.weights = PhiWeights.build(problem, gamma, rho, s, P_list)
     return cert
 
 
@@ -452,20 +464,6 @@ class PhiWeights:
         return total
 
 
-def certify_with_phi(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPolicy,
-                     seed: Optional[int] = None) -> tuple:
-    """:func:`certify`, plus the Lyapunov weights a run records when it passes.
-
-    Returns ``(certificate, PhiWeights or None)``; the weights are built only
-    for a passed certificate.
-    """
-    cert = certify(problem, rho, gamma, policy, seed=seed)
-    if not cert.passed:
-        return cert, None
-    P_list = materialize_policy(policy, rho, problem)
-    return cert, PhiWeights.build(problem, gamma, rho, cert.s, P_list)
-
-
 @dataclass
 class ContractionReport:
     """Per-step contraction audit of an iterate sequence."""
@@ -480,17 +478,18 @@ class ContractionReport:
 
 
 def verify_contraction(points: Sequence[PrimalDualPoint], cert: Certificate,
-                       ref: PrimalDualPoint, problem: BlockProblem,
-                       P_list: Sequence[np.ndarray]) -> ContractionReport:
+                       ref: PrimalDualPoint) -> ContractionReport:
     """Check ``phi(u^{k+1}) <= sigma * phi(u^k) + 1e-12 * (1 + phi(u^k))`` pairwise.
 
+    ``phi`` is weighted by the certificate's own :class:`PhiWeights`.
     Ratios are recorded as ``nan`` when the previous value sits at or below
-    1e-14 (a degenerate 0/0 step counts as a pass).  Requires a passed
-    certificate; violations on a certified run indicate a bug.
+    1e-14 (a degenerate 0/0 step counts as a pass).  Requires a certificate
+    that carries its weights, that is, one :func:`certify` passed (not one
+    loaded from JSON); violations on a certified run indicate a bug.
     """
-    if not cert.passed:
-        raise ValueError("verify_contraction requires a passed certificate")
-    weights = PhiWeights.build(problem, cert.gamma, cert.rho, cert.s, P_list)
+    weights = cert.weights
+    if weights is None:
+        raise ValueError("verify_contraction requires a passed certificate with its weights")
     phis = [weights.evaluate(u, ref) for u in points]
     ratios = []
     violations = []

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import experiments as exp
-from .certify import certify, certify_with_phi, estimate_constants
+from .certify import certify, estimate_constants
 from .errors import JproxError
 from .problem import PrimalDualPoint
 from .solvers import (
@@ -178,7 +178,6 @@ def cmd_certify(args) -> int:
     instance = _load_instance(args.input)
     rho = _positive(args.rho, "--rho")
     gamma = _positive(args.gamma, "--gamma")
-    _nonnegative(args.tol, "--tol")
     if not 0.0 < gamma < 2.0:
         # Still produce a certificate file so the failure and margins are on disk.
         cert = certify(instance.problem, rho, gamma, None, seed=instance.seed)
@@ -208,23 +207,16 @@ def cmd_solve(args) -> int:
     params = SolverParams(rho=rho, gamma=gamma, policy=policy,
                           max_iters=max_iters, dis_tol=tol)
     reference = exp.instance_reference(instance)
-    phi_ctx = None
-    if args.method == "jprox":
-        _, phi_ctx = certify_with_phi(problem, rho, gamma, policy, instance.seed)
+    phi_ctx = (certify(problem, rho, gamma, policy, instance.seed).weights
+               if args.method == "jprox" else None)
     u0 = reference.copy() if args.u0 == "reference" else PrimalDualPoint.zeros(problem)
     trace = run(problem, params, u0, reference=reference, phi_context=phi_ctx,
                 method=args.method)
     write_trace_csv(trace, args.output)
     if args.plot:
         plot_path = Path(args.output).with_suffix(".svg")
-        line_plot_svg(
-            plot_path,
-            [(args.method, trace.ks, trace.dis)],
-            title=f"rho={rho:g} gamma={gamma:g}",
-            xlabel="k",
-            ylabel="log10 dis",
-            logy=True,
-        )
+        line_plot_svg(plot_path, [(args.method, trace.ks, trace.dis)],
+                      title=f"rho={rho:g} gamma={gamma:g}")
     final_dis = trace.dis[-1]
     if trace.failure is not None:
         print(trace.failure, file=sys.stderr)
@@ -415,15 +407,11 @@ def cmd_report(args) -> int:
     written = 0
     for gamma in gamma_grid:
         svg = outdir / f"fixed_gamma{gamma:g}.svg"
-        line_plot_svg(svg, series_for("gamma", gamma),
-                      title=f"gamma={gamma:g}, seed {plot_seed}",
-                      xlabel="k", ylabel="log10 dis", logy=True)
+        line_plot_svg(svg, series_for("gamma", gamma), title=f"gamma={gamma:g}, seed {plot_seed}")
         written += 1
     for rho in rho_grid:
         svg = outdir / f"fixed_rho{rho:g}.svg"
-        line_plot_svg(svg, series_for("rho", rho),
-                      title=f"rho={rho:g}, seed {plot_seed}",
-                      xlabel="k", ylabel="log10 dis", logy=True)
+        line_plot_svg(svg, series_for("rho", rho), title=f"rho={rho:g}, seed {plot_seed}")
         written += 1
 
     lines = ["rho gamma seed status sigma dis_rate phi_rate within_bound"]
@@ -465,20 +453,18 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", default="instance.json")
 
-    def solver_flags(p, tol_default: float):
+    def parameter_flags(p):
         p.add_argument("--rho", type=float, default=1.0)
         p.add_argument("--gamma", type=float, default=1.0)
         p.add_argument("--policy", choices=["standard", "proxlinear", "none", "explicit"],
                        default="standard")
         p.add_argument("--tau", default="auto",
                        help="positive number, or 'auto' for certified weights")
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=4000)
-        p.add_argument("--tol", type=float, default=tol_default)
 
     cer = sub.add_parser("certify", help="certify (rho, gamma, policy) for an instance")
     cer.add_argument("--input", required=True)
     cer.add_argument("--output", default="certificate.json")
-    solver_flags(cer, 0.0)
+    parameter_flags(cer)
 
     sol = sub.add_parser("solve", help="run a solver and write a CSV trace")
     sol.add_argument("--input", required=True)
@@ -486,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--method", choices=list(METHODS), default="jprox")
     sol.add_argument("--u0", choices=["zeros", "reference"], default="zeros")
     sol.add_argument("--plot", action="store_true")
-    solver_flags(sol, 1e-10)
+    parameter_flags(sol)
+    sol.add_argument("--max-iters", dest="max_iters", type=int, default=4000)
+    sol.add_argument("--tol", type=float, default=1e-10)
 
     swp = sub.add_parser("sweep", help="run a (rho, gamma) grid campaign")
     swp.add_argument("--input", required=True)

@@ -1,4 +1,4 @@
-"""Benchmark generators, reference solutions, the convergence metric, and sweeps.
+"""Benchmark generators, reference solutions, sweeps and instance files.
 
 Two seeded problem families are provided: a linearly constrained quadratic
 program with dense Gaussian data and a scalar resource-allocation problem
@@ -20,7 +20,7 @@ import numpy as np
 from .certify import (
     Certificate,
     RateFit,
-    certify_with_phi,
+    certify,
     fallback_tau,
     fit_linear_rate,
     smallest_certified_tau,
@@ -332,13 +332,14 @@ def _run_cell(instance: Instance, reference: PrimalDualPoint, rho: float, gamma:
     problem = instance.problem
     try:
         concrete = resolve_policy(problem, rho, gamma, policy)
-        cell.certificate, phi_ctx = certify_with_phi(problem, rho, gamma, concrete, instance.seed)
+        cell.certificate = certify(problem, rho, gamma, concrete, instance.seed)
+        weights = cell.certificate.weights
         params = SolverParams(rho=rho, gamma=gamma, policy=concrete,
                               max_iters=sweep.max_iters, dis_tol=sweep.dis_tol)
         cell.trace = run(problem, params, PrimalDualPoint.zeros(problem),
-                         reference=reference, phi_context=phi_ctx)
+                         reference=reference, phi_context=weights)
         cell.dis_rate = _fit_series([d for d in cell.trace.dis if d is not None])
-        if phi_ctx is not None:
+        if weights is not None:
             cell.phi_rate = _fit_series([p for p in cell.trace.phi if p is not None])
     except (JproxError, np.linalg.LinAlgError) as exc:
         cell.error = f"{type(exc).__name__}: {exc}"

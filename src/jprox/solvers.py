@@ -341,7 +341,7 @@ def _solve_quadratic(factor: SpdFactor, At_i: np.ndarray, B_i: np.ndarray, q: np
 
 
 def solve_block_quadratic(block: QuadraticBlock, A_i, P_i, rho: float, lam_k,
-                          g_minus_i, c, x_i_k, factor: Optional[SpdFactor] = None) -> np.ndarray:
+                          g_minus_i, c, x_i_k) -> np.ndarray:
     """Exact solve of a quadratic block subproblem.
 
     Solves ``(H + rho*A'A + P) x = A' lam - q - rho*A'(g_minus_i - c) + P x_k``
@@ -352,8 +352,7 @@ def solve_block_quadratic(block: QuadraticBlock, A_i, P_i, rho: float, lam_k,
     A_i = np.asarray(A_i, dtype=float)
     P_i = np.asarray(P_i, dtype=float)
     x_i_k = np.asarray(x_i_k, dtype=float)
-    if factor is None:
-        factor = SpdFactor(block.H + rho * (A_i.T @ A_i) + P_i, "block subproblem matrix")
+    factor = SpdFactor(block.H + rho * (A_i.T @ A_i) + P_i, "block subproblem matrix")
     w = np.asarray(lam_k) - rho * (np.asarray(g_minus_i) + A_i @ x_i_k - np.asarray(c))
     return _solve_quadratic(factor, A_i.T, rho * (A_i.T @ A_i) + P_i, block.q, w, x_i_k)
 
@@ -559,9 +558,9 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     The trace records the initial point as iterate 0 and one row per step.
     ``dis`` (largest block-wise or multiplier distance to ``reference``)
     is recorded when a reference is given, and the run stops once it falls
-    to ``params.dis_tol``.  ``phi_context`` is the certification module's
-    ``PhiWeights``; its value is recorded per iterate when both it and a
-    reference are present.
+    to ``params.dis_tol``.  ``phi_context`` is a passed certificate's
+    ``weights`` (:class:`jprox.certify.PhiWeights`); ``phi`` is recorded per
+    iterate when both it and a reference are present.
 
     A run is declared divergent when the error metric (or, absent a
     reference, the iterate magnitude) exceeds 1e12 or turns non-finite, or

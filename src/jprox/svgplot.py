@@ -1,4 +1,4 @@
-"""Minimal static SVG line plots (polylines and axes, no external renderer)."""
+"""Minimal static SVG plots of log10 dis against k (polylines and axes, no external renderer)."""
 
 from __future__ import annotations
 
@@ -37,23 +37,19 @@ def _fmt(v: float) -> str:
     return f"{v:.3g}"
 
 
-def line_plot_svg(path, series: Sequence[tuple], title: str = "",
-                  xlabel: str = "k", ylabel: str = "value", logy: bool = False) -> None:
-    """Write a line plot to ``path``.
+def line_plot_svg(path, series: Sequence[tuple], title: str = "") -> None:
+    """Write a plot of ``log10 y`` against ``k`` to ``path``.
 
-    ``series`` is a sequence of ``(label, xs, ys)`` triples.  With ``logy``
-    the y-values are plotted as log10 (non-positive entries are dropped).
+    ``series`` is a sequence of ``(label, xs, ys)`` triples; ``None``,
+    non-positive and non-finite entries are dropped.
     """
     plotted = []
     for label, xs, ys in series:
         pts = []
         for x, y in zip(xs, ys):
-            if y is None:
+            if y is None or y <= 0.0:
                 continue
-            if logy:
-                if y <= 0.0:
-                    continue
-                y = math.log10(y)
+            y = math.log10(y)
             if math.isfinite(x) and math.isfinite(y):
                 pts.append((float(x), float(y)))
         if pts:
@@ -111,12 +107,12 @@ def line_plot_svg(path, series: Sequence[tuple], title: str = "",
         )
     out.append(
         f'<text x="{MARGIN_LEFT + inner_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="13">k</text>'
     )
     out.append(
         f'<text x="16" y="{MARGIN_TOP + inner_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {MARGIN_TOP + inner_h / 2:.1f})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {MARGIN_TOP + inner_h / 2:.1f})">log10 dis</text>'
     )
     for idx, (label, pts) in enumerate(plotted):
         color = PALETTE[idx % len(PALETTE)]

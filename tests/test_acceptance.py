@@ -82,7 +82,7 @@ def test_criterion_1_certified_contraction():
     assert cert.passed
     assert 0.0 < cert.sigma < 1.0
     assert len(trace.points) == 501
-    audit = verify_contraction(trace.points, cert, inst.optimum(), inst.problem, P_list)
+    audit = verify_contraction(trace.points, cert, inst.optimum())
     assert audit.violations == []
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -740,7 +740,7 @@ def certified_setup(seed=0, rho=1.0, gamma=1.0):
 def test_verify_contraction_constant_sequence_passes():
     inst, policy, cert, consts, P_list = certified_setup()
     ref = inst.optimum()
-    report = verify_contraction([ref.copy() for _ in range(5)], cert, ref, inst.problem, P_list)
+    report = verify_contraction([ref.copy() for _ in range(5)], cert, ref)
     assert report.ok
     assert all(math.isnan(r) for r in report.ratios)
 
@@ -750,7 +750,7 @@ def test_verify_contraction_on_certified_run():
     params = SolverParams(rho=1.0, gamma=1.0, policy=policy, max_iters=500)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
                 reference=inst.optimum(), record_points=True)
-    report = verify_contraction(trace.points, cert, inst.optimum(), inst.problem, P_list)
+    report = verify_contraction(trace.points, cert, inst.optimum())
     assert report.ok
 
 
@@ -765,7 +765,7 @@ def test_verify_contraction_from_random_starting_points():
         )
         trace = run(inst.problem, params, u0, reference=inst.optimum(),
                     record_points=True)
-        report = verify_contraction(trace.points, cert, inst.optimum(), inst.problem, P_list)
+        report = verify_contraction(trace.points, cert, inst.optimum())
         assert report.ok
 
 
@@ -776,11 +776,67 @@ def test_verify_contraction_negative_control():
     params = SolverParams(rho=1.0, gamma=1.0, policy=policy, max_iters=100)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
                 reference=inst.optimum(), record_points=True)
-    report = verify_contraction(trace.points, cert, inst.optimum(), inst.problem, P_list)
+    report = verify_contraction(trace.points, cert, inst.optimum())
     empirical = max(r for r in report.ratios if not math.isnan(r))
     bogus = dataclasses.replace(cert, sigma=0.5 * empirical)
-    bad = verify_contraction(trace.points, bogus, inst.optimum(), inst.problem, P_list)
+    bad = verify_contraction(trace.points, bogus, inst.optimum())
     assert bad.violations
+
+
+# -- the certificate's weights --------------------------------------------------------------------
+
+def test_passed_certificates_carry_the_weights_of_their_phi():
+    inst = generate_lcqp(3, 6, 4, seed=0)
+    problem = inst.problem
+    passed = 0
+    for rho in default_rho_grid(inst):
+        for gamma in GAMMA_GRID:
+            policy = resolve_policy(problem, rho, gamma, "auto")
+            cert = certify(problem, rho, gamma, policy)
+            if not cert.passed:
+                assert cert.weights is None, (rho, gamma)
+                continue
+            P_list = materialize_policy(policy, rho, problem)
+            want = PhiWeights.build(problem, gamma, rho, cert.s, P_list)
+            assert (cert.weights.gamma, cert.weights.rho) == (gamma, rho)
+            assert [W.tobytes() for W in cert.weights.W] == [W.tobytes() for W in want.W]
+            passed += 1
+    assert passed > 0
+
+
+@pytest.mark.parametrize("policy, gamma", [(None, 1.0), (StandardProximal(1.0), 2.5)],
+                         ids=["no-proximal-term", "gamma-out-of-range"])
+def test_failed_certificate_carries_no_weights(policy, gamma):
+    cert = certify(generate_lcqp(3, 6, 4, seed=0).problem, 1.0, gamma, policy)
+    assert not cert.passed
+    assert cert.weights is None
+
+
+def test_weights_are_not_serialized_and_a_loaded_certificate_cannot_be_audited():
+    from jprox.certify import certificate_from_dict
+
+    inst, policy, cert, consts, P_list = certified_setup()
+    assert cert.weights is not None
+    d = cert.to_dict()
+    assert "weights" not in d
+    loaded = certificate_from_dict(d)
+    assert loaded.weights is None
+    ref = inst.optimum()
+    with pytest.raises(ValueError, match="weights"):
+        verify_contraction([ref.copy(), ref.copy()], loaded, ref)
+
+
+def test_run_sweep_materializes_each_cell_policy_twice(count_calls):
+    from jprox.experiments import SweepConfig, run_sweep
+
+    inst = generate_lcqp(3, 6, 4, seed=0)
+    calls = count_calls("jprox.solvers", "materialize_policy")
+    cells = run_sweep(inst, SweepConfig(rho_grid=(1.0, 5.0), gamma_grid=(0.5, 1.5),
+                                        max_iters=20))
+    assert len(cells) == 4
+    assert all(cell.error is None for cell in cells.values())
+    # Once in certify, once in the run's preparation.
+    assert len(calls) == 2 * len(cells)
 
 
 def test_certified_sigma_bounds_exact_one_step_factor():

@@ -70,6 +70,17 @@ def test_unknown_flag_exits_2(tmp_path):
     assert info.value.code == 2
 
 
+
+@pytest.mark.parametrize("flag, value", [("--tol", "1"), ("--max-iters", "5")])
+def test_certify_has_no_run_flags(tmp_path, flag, value):
+    # certify runs no solver, so it takes no stopping tolerance or iteration budget.
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    out = tmp_path / "cert.json"
+    with pytest.raises(SystemExit) as info:
+        run_cli("certify", "--input", str(inst), "--output", str(out), flag, value)
+    assert info.value.code == 2
+    assert not out.exists()
+
 # -- certify ----------------------------------------------------------------------
 
 def test_certify_success(tmp_path):
@@ -464,7 +475,7 @@ def test_sweep_rejects_extra_seeds_for_blocks_of_differing_sizes(tmp_path, capsy
     assert not (tmp_path / "sweep").exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("command", ["solve"])
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_command_rejects_a_bad_tol(tmp_path, capsys, command, value):
     inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)

@@ -627,7 +627,7 @@ def _oracle_trace(problem, method, params, u0, ref, weights, steps):
 @pytest.mark.parametrize("family", ["lcqp-3-10-4", "lcqp-1-6-3", "ra-6"])
 @pytest.mark.parametrize("method", ["jprox", "jacobi-plain", "gauss-seidel", "dual-decomp"])
 def test_run_matches_per_block_oracle(family, method):
-    from jprox.certify import certify_with_phi
+    from jprox.certify import certify
     from jprox.experiments import instance_reference, resolve_policy
 
     if family.startswith("lcqp"):
@@ -643,7 +643,7 @@ def test_run_matches_per_block_oracle(family, method):
     problem = inst.problem
     rho, gamma = 1.0, 1.5
     policy = resolve_policy(problem, rho, gamma, "auto")
-    _, weights = certify_with_phi(problem, rho, gamma, policy)
+    weights = certify(problem, rho, gamma, policy).weights
     weights = weights if method == "jprox" else None
     params = SolverParams(rho=rho, gamma=gamma, policy=policy, max_iters=200)
     trace = run(problem, params, u0, reference=ref, phi_context=weights, method=method)
