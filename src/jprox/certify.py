@@ -423,16 +423,20 @@ class PhiWeights:
     def __init__(self, gamma: float, rho: float, W: Sequence[np.ndarray]):
         self.gamma = gamma
         self.rho = rho
-        self.W = [np.asarray(Wi, dtype=float) for Wi in W]
+        W = [np.asarray(Wi, dtype=float) for Wi in W]
         # Blocks of equal size share one batched product: (index into the
         # stacked primal vector, stacked weights), one pair per block size.
-        sizes = [Wi.shape[0] for Wi in self.W]
+        # Each W[i] is kept once, as a view into its group's stack.
+        sizes = [Wi.shape[0] for Wi in W]
         starts = np.concatenate(([0], np.cumsum(sizes)))
+        self.W = [None] * len(W)
         self._groups = []
         for n in sorted(set(sizes)):
             members = [i for i, size in enumerate(sizes) if size == n]
-            self._groups.append((starts[members][:, None] + np.arange(n),
-                                 np.stack([self.W[i] for i in members])))
+            stacked = np.stack([W[i] for i in members])
+            self._groups.append((starts[members][:, None] + np.arange(n), stacked))
+            for i, Wi in zip(members, stacked):
+                self.W[i] = Wi
 
     @classmethod
     def build(cls, problem: BlockProblem, gamma: float, rho: float, s: float,

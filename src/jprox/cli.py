@@ -7,12 +7,14 @@ table from a sweep directory).
 
 Exit codes are a stable contract: 0 success, 2 flag validation, 3 I/O or
 parse or generation failure, 4 certification failed, 5 divergence.
+
+Trace CSVs are written a block of rows at a time, each block one ``%``
+format over the repeated row format, and read back line by line.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -89,33 +91,60 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
+#: ``write_trace_csv`` formats this many rows with one ``%`` operation.
+CSV_BLOCK_ROWS = 4096
+
+
 def write_trace_csv(trace, path) -> None:
-    lines = [CSV_HEADER]
-    for i, k in enumerate(trace.ks):
-        lines.append(
-            f"{k},{_fmt(trace.dis[i])},{_fmt(trace.phi[i])},"
-            f"{_fmt(trace.primal_residual[i])},{_fmt(trace.elapsed[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a trace's columns as CSV, ``%.17g`` per value and an empty cell per ``None``.
+
+    Rows are formatted in blocks of :data:`CSV_BLOCK_ROWS`, each with one
+    ``%`` operation over the repeated row format, and each block is written
+    as it is made.  A column that holds ``None`` in a block is formatted
+    value by value for that block.
+    """
+    columns = (trace.dis, trace.phi, trace.primal_residual, trace.elapsed)
+    width = 1 + len(columns)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for lo in range(0, len(trace.ks), CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, len(trace.ks))
+            cells, formats = [None] * (width * (hi - lo)), ["%d"]
+            cells[0::width] = trace.ks[lo:hi]
+            for c, column in enumerate(columns, 1):
+                block = column[lo:hi]
+                if None in block:
+                    formats.append("%s")
+                    block = [_fmt(v) for v in block]
+                else:
+                    formats.append("%.17g")
+                cells[c::width] = block
+            fh.write((",".join(formats) + "\n") * (hi - lo) % tuple(cells))
 
 
 def read_trace_csv(path) -> dict:
-    """Columns of a trace CSV; raises ``ValueError`` on a wrong header, row or cell."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if ",".join(header) != CSV_HEADER:
+    """Columns of a trace CSV; raises ``ValueError`` on a wrong header, row or cell.
+
+    The file is read line by line into the five columns.
+    """
+    names = CSV_HEADER.split(",")
+    cols = {name: [] for name in names}
+    ks, dis, phi, residual, elapsed = cols.values()
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header")
-        cols = {name: [] for name in header}
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"line {reader.line_num} has {len(row)} cells, "
-                                 f"expected {len(header)}")
-            for name, cell in zip(header, row):
-                if name == "k":
-                    cols[name].append(int(cell))
-                else:
-                    cols[name].append(float(cell) if cell else None)
+        for line_num, line in enumerate(fh, 2):
+            line = line.rstrip("\n")
+            row = line.split(",") if line else []
+            if len(row) != len(names):
+                raise ValueError(f"line {line_num} has {len(row)} cells, "
+                                 f"expected {len(names)}")
+            k, d, p, r, e = row
+            ks.append(int(k))
+            dis.append(float(d) if d else None)
+            phi.append(float(p) if p else None)
+            residual.append(float(r) if r else None)
+            elapsed.append(float(e) if e else None)
     return cols
 
 

@@ -160,6 +160,8 @@ def generate_lcqp(N: int, m: int, n: int, seed: int) -> LcqpInstance:
         tuple(A),
         c,
     )
+    # The accepted draw's SVD is the problem's: its A holds the same values.
+    object.__setattr__(problem, "_stacked_singular_value", sv)
     instance = LcqpInstance(problem, tuple(xstar), lamstar, seed, P_src)
     resid = kkt_residual(problem, instance.optimum())
     if resid > 1e-9:

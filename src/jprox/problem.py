@@ -353,9 +353,13 @@ def constraint_residual(problem: BlockProblem, x) -> np.ndarray:
     """``sum_i A_i x_i - c`` as one stacked matvec.
 
     ``x`` is a list of blocks or the stacked primal vector; both give the
-    same result bit for bit.
+    same result bit for bit.  A stacked float64 vector of the right length
+    is used as it is; anything else goes through :meth:`BlockProblem.stack`.
     """
-    return problem.stacked_A() @ problem.stack(x) - problem.c
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 1
+            and x.shape[0] == problem.offsets[-1]):
+        x = problem.stack(x)
+    return problem.stacked_A() @ x - problem.c
 
 
 def kkt_map(problem: BlockProblem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:

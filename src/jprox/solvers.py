@@ -19,8 +19,10 @@ smallest block curvature bound: the dual function's gradient is
 
 When every block is quadratic and the sweep is not sequential, the block
 solves of one step are an affine map of ``(x, lam)``.  Such a run (up to a
-size cap, :data:`AFFINE_MAX_ENTRIES`) replaces them with one dense matvec.
-Either way, :func:`run` records its iterates :data:`RECORD_CHUNK` at a time.
+size cap, :data:`AFFINE_MAX_ENTRIES`) replaces them with one dense matvec,
+written with the dual step straight into the row of the chunk buffer that
+holds the new iterate (:func:`_affine_steps`).  Either way, :func:`run`
+records its iterates :data:`RECORD_CHUNK` at a time.
 """
 
 from __future__ import annotations
@@ -512,21 +514,44 @@ def _block_solves(prepared: _Prepared, x: np.ndarray, lam: np.ndarray, r: np.nda
 
 def _sweep(prepared: _Prepared, x: np.ndarray, lam: np.ndarray, r: np.ndarray,
            order: Sequence[int]):
-    """One step: the new ``x``, then ``lam <- lam - dual_step * r``.
+    """One block-sweep step: the new ``x``, then ``lam <- lam - dual_step * r``.
 
     ``x`` is the stacked primal vector and ``r = A x - c`` its constraint
-    residual.  The new ``x`` is the one matvec ``T_x [x; lam] + b_x`` when
-    the run has an affine map, else the block solves of
-    :func:`_block_solves`.  Returns the new ``x``, ``lam``, their constraint
-    residual and the worst Newton residual.
+    residual.  Returns the new ``x``, ``lam``, their constraint residual and
+    the worst Newton residual.
     """
-    if prepared.affine is not None:
-        T, b = prepared.affine
-        x_new, newton_worst = T @ np.concatenate((x, lam)) + b, 0.0
-    else:
-        x_new, newton_worst = _block_solves(prepared, x, lam, r, order)
+    x_new, newton_worst = _block_solves(prepared, x, lam, r, order)
     r = constraint_residual(prepared.problem, x_new)
     return x_new, lam - prepared.dual_step * r, r, newton_worst
+
+
+def _affine_steps(prepared: _Prepared, z: np.ndarray, Z: np.ndarray, RN: np.ndarray,
+                  elapsed: np.ndarray, start: float) -> None:
+    """Affine-map steps written straight into the rows of ``Z``.
+
+    Row ``j`` of ``Z`` is the iterate ``[x; lam]`` one step after row
+    ``j-1`` (after ``z`` for row 0): ``x <- T_x [x; lam] + b_x``, then
+    ``lam <- lam - dual_step * (A x - c)``.  ``RN[j]`` gets the norm of
+    row ``j``'s constraint residual and ``elapsed[j]`` the seconds since
+    ``start``.  The operands and their order are those of
+    ``T_x @ np.concatenate((x, lam)) + b_x``, so the rows are the same bit
+    for bit.
+    """
+    T, b = prepared.affine
+    problem, dual_step = prepared.problem, prepared.dual_step
+    n = b.size
+    tmp = np.empty(problem.m)
+    prev = z
+    for j, row in enumerate(Z):
+        x_row, lam_row = row[:n], row[n:]
+        np.matmul(T, prev, out=x_row)
+        x_row += b
+        r = constraint_residual(problem, x_row)
+        np.multiply(r, dual_step, out=tmp)
+        np.subtract(prev[n:], tmp, out=lam_row)
+        RN[j] = math.sqrt(r @ r)
+        elapsed[j] = time.perf_counter() - start
+        prev = row
 
 
 def step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
@@ -544,7 +569,13 @@ def step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
     elif sorted(order) != list(range(problem.N)):
         raise ValueError("order must visit every block exactly once")
     x = problem.stack(u.x)
-    x, lam, _, _ = _sweep(prepared, x, u.lam, constraint_residual(problem, x), order)
+    if prepared.affine is None:
+        x, lam, _, _ = _sweep(prepared, x, u.lam, constraint_residual(problem, x), order)
+    else:
+        Z = np.empty((1, x.size + problem.m))
+        _affine_steps(prepared, np.concatenate((x, u.lam)), Z, np.empty(1), np.empty(1),
+                      time.perf_counter())
+        x, lam = Z[0, :x.size], Z[0, x.size:]
     return PrimalDualPoint(problem.split(x), lam)
 
 
@@ -570,9 +601,11 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     solves (an unknown method, a non-PSD proximal matrix, a problem without
     a positive curvature bound for dual decomposition) raise.
 
-    Every run takes its steps :data:`RECORD_CHUNK` at a time into
-    preallocated buffers and records each chunk with batched products; the
-    two engines (see :class:`_Prepared`) differ only in the step.  A chunk
+    Every run takes its steps :data:`RECORD_CHUNK` at a time into one
+    preallocated ``(chunk, n + m)`` buffer of ``[x; lam]`` rows and records
+    each chunk with batched products; the two engines (see
+    :class:`_Prepared`) differ only in the step, and the affine step writes
+    each iterate straight into its row.  A chunk
     keeps the rows up to the first one that meets the stop rule, and the
     run ends in that row's state, so it records the rows of a step-by-step
     loop.  A block-solve failure ends its chunk at the failed step; the
@@ -618,12 +651,16 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
             trace.status = DIVERGED if diverged[hits[0]] else CONVERGED
         return kept
 
+    n = x.size
     size = min(RECORD_CHUNK, params.max_iters)
-    X, LAM = np.empty((size, x.size)), np.empty((size, lam.size))
-    RN, newton, elapsed = np.empty(size), np.empty(size), np.empty(size)
+    # Row j of a chunk is the iterate [x; lam] of its j-th step.
+    Z = np.empty((size, n + problem.m))
+    X, LAM = Z[:, :n], Z[:, n:]
+    RN, newton, elapsed = np.empty(size), np.zeros(size), np.empty(size)
     X[0], LAM[0], RN[0] = x, lam, math.sqrt(r @ r)
     elapsed[0] = time.perf_counter() - start
     record_rows(0, X[:1], LAM[:1], RN[:1], elapsed[:1])
+    z = Z[0].copy()  # the state the next chunk starts from, outside the buffer
     step_s = 0.0
     k = 0
     # Steps past a divergent row may overflow; they are discarded.
@@ -632,24 +669,28 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
             size = min(RECORD_CHUNK, params.max_iters - k)
             failure = None
             clock = time.perf_counter()
-            for j in range(size):
-                try:
-                    x, lam, r, newton[j] = _sweep(prepared, x, lam, r, order)
-                except (SubproblemFailed, NoBracket, MaxItersExceeded) as exc:
-                    failure = f"step {k + j + 1}: {type(exc).__name__}: {exc}"
-                    size = j
-                    break
-                X[j], LAM[j], RN[j] = x, lam, math.sqrt(r @ r)
-                elapsed[j] = time.perf_counter() - start
+            if prepared.affine is not None:
+                _affine_steps(prepared, z, Z[:size], RN, elapsed, start)
+            else:
+                x, lam = z[:n], z[n:]
+                for j in range(size):
+                    try:
+                        x, lam, r, newton[j] = _sweep(prepared, x, lam, r, order)
+                    except (SubproblemFailed, NoBracket, MaxItersExceeded) as exc:
+                        failure = f"step {k + j + 1}: {type(exc).__name__}: {exc}"
+                        size = j
+                        break
+                    X[j], LAM[j], RN[j] = x, lam, math.sqrt(r @ r)
+                    elapsed[j] = time.perf_counter() - start
             step_s += time.perf_counter() - clock
             kept = record_rows(k + 1, X[:size], LAM[:size], RN[:size], elapsed[:size])
             trace.newton_max_residual = float(newton[:kept].max(initial=trace.newton_max_residual))
             k += kept
-            if kept < size:
-                x, lam = X[kept - 1].copy(), LAM[kept - 1].copy()
-            elif failure is not None and trace.status == MAX_ITERS:
+            if kept:
+                z = Z[kept - 1].copy()
+            if failure is not None and trace.status == MAX_ITERS:
                 trace.status, trace.failure = DIVERGED, failure
     trace.timings["step"] = step_s
     trace.timings["record"] = time.perf_counter() - start - step_s
-    trace.final = PrimalDualPoint(problem.split(x), lam)
+    trace.final = PrimalDualPoint(problem.split(z[:n]), z[n:])
     return trace

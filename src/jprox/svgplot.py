@@ -1,10 +1,15 @@
-"""Minimal static SVG plots of log10 dis against k (polylines and axes, no external renderer)."""
+"""Minimal static SVG plots of log10 dis against k (polylines and axes, no external renderer).
+
+Points are filtered and scaled as numpy arrays, one series at a time.
+"""
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_LEFT, MARGIN_RIGHT = 70, 20
@@ -27,6 +32,8 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list:
     t = first
     while t <= hi + 1e-12 * span:
         ticks.append(t)
+        if t + step == t:  # step below the spacing of floats at t: no next tick
+            break
         t += step
     return ticks
 
@@ -41,25 +48,27 @@ def line_plot_svg(path, series: Sequence[tuple], title: str = "") -> None:
     """Write a plot of ``log10 y`` against ``k`` to ``path``.
 
     ``series`` is a sequence of ``(label, xs, ys)`` triples; ``None``,
-    non-positive and non-finite entries are dropped.
+    non-positive and non-finite entries are dropped.  Each series is
+    filtered and scaled as numpy arrays and written with one ``%``
+    operation; ``math.log10`` takes the logarithms, since ``np.log10`` may
+    differ from it in the last bit.
     """
     plotted = []
     for label, xs, ys in series:
-        pts = []
-        for x, y in zip(xs, ys):
-            if y is None or y <= 0.0:
-                continue
-            y = math.log10(y)
-            if math.isfinite(x) and math.isfinite(y):
-                pts.append((float(x), float(y)))
-        if pts:
-            plotted.append((label, pts))
+        x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+        n = min(x.size, y.size)
+        keep = y[:n] > 0.0
+        x = x[:n][keep]
+        y = np.fromiter(map(math.log10, y[:n][keep].tolist()), dtype=float, count=x.size)
+        finite = np.isfinite(x) & np.isfinite(y)
+        if finite.any():
+            plotted.append((label, x[finite], y[finite]))
 
     if plotted:
-        xlo = min(p[0] for _, pts in plotted for p in pts)
-        xhi = max(p[0] for _, pts in plotted for p in pts)
-        ylo = min(p[1] for _, pts in plotted for p in pts)
-        yhi = max(p[1] for _, pts in plotted for p in pts)
+        xlo = float(min(x.min() for _, x, _ in plotted))
+        xhi = float(max(x.max() for _, x, _ in plotted))
+        ylo = float(min(y.min() for _, _, y in plotted))
+        yhi = float(max(y.max() for _, _, y in plotted))
     else:
         xlo, xhi, ylo, yhi = 0.0, 1.0, 0.0, 1.0
     if xhi == xlo:
@@ -114,9 +123,10 @@ def line_plot_svg(path, series: Sequence[tuple], title: str = "") -> None:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 16 {MARGIN_TOP + inner_h / 2:.1f})">log10 dis</text>'
     )
-    for idx, (label, pts) in enumerate(plotted):
+    for idx, (label, x, y) in enumerate(plotted):
         color = PALETTE[idx % len(PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        cells = np.column_stack((sx(x), sy(y))).ravel().tolist()
+        coords = " ".join(["%.2f,%.2f"] * x.size) % tuple(cells)
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         out.append(
             f'<text x="{WIDTH - MARGIN_RIGHT - 6}" y="{MARGIN_TOP + 16 + 16 * idx}" '

@@ -709,6 +709,20 @@ def test_phi_weights_of_uneven_blocks_match_term_by_term_oracle():
     assert weights.evaluate(u, ref) == pytest.approx(expected, rel=1e-13)
 
 
+def test_phi_weights_keep_each_matrix_once_as_a_view_of_its_group():
+    rng = np.random.default_rng(14)
+    W = []
+    for n in (3, 1, 3, 2, 1):
+        B = rng.standard_normal((n, n))
+        W.append(B @ B.T + np.eye(n))
+    weights = PhiWeights(0.7, 1.9, W)
+    assert [Wi.tobytes() for Wi in weights.W] == [Wi.tobytes() for Wi in W]
+    for Wi in weights.W:
+        assert Wi.base is not None
+        assert any(Wi.base is stacked for _, stacked in weights._groups)
+    assert sum(stacked.nbytes for _, stacked in weights._groups) == sum(Wi.nbytes for Wi in W)
+
+
 def test_phi_dominates_identity_parts():
     inst, consts, s, P_list = phi_ingredients(seed=9)
     rng = np.random.default_rng(11)

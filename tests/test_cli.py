@@ -39,6 +39,20 @@ def test_generate_lcqp_writes_blocks(tmp_path):
     assert "xstar" in data and "lambdastar" in data and data["seed"] == 0
 
 
+def test_generate_lcqp_takes_the_stacked_svd_once(tmp_path, count_calls, capsys):
+    from jprox.linalg import smallest_singular_value_stacked
+
+    svd = count_calls("jprox.linalg", "smallest_singular_value_stacked")
+    assert run_cli("generate", "lcqp", "--N", "3", "--m", "12", "--n", "5",
+                   "--output", str(tmp_path / "x.json")) == 0
+    assert len(svd) == 1
+    assert "c_A=" in capsys.readouterr().out
+    problem = exp.generate_lcqp(3, 12, 5, 0).problem
+    cached = problem.stacked_singular_value()
+    fresh = smallest_singular_value_stacked(problem.A)
+    assert (cached.value.hex(), cached.rank_deficient) == (fresh.value.hex(), fresh.rank_deficient)
+
+
 def test_generate_ra_writes_scalar_blocks(tmp_path):
     path = make_instance(tmp_path, "ra", N=6, seed=0)
     data = json.loads(path.read_text())

@@ -406,8 +406,9 @@ def test_resolve_policy_auto_builds_requested_kind():
 
 
 def test_run_sweep_estimates_constants_once_per_instance(count_calls):
-    inst = generate_lcqp(3, 6, 4, seed=0)
+    # Counted from generation on: the generator's SVD is the problem's.
     svd = count_calls("jprox.linalg", "smallest_singular_value_stacked")
+    inst = generate_lcqp(3, 6, 4, seed=0)
     sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20)
     cells = run_sweep(inst, sweep)
     assert all(cell.error is None for cell in cells.values())

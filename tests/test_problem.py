@@ -181,6 +181,23 @@ def test_constraint_residual_rejects_wrong_lengths():
         constraint_residual(p, [np.zeros(1), np.zeros(2), np.zeros(1)])
 
 
+def test_constraint_residual_takes_any_stacked_vector_as_its_float64_copy():
+    rng = np.random.default_rng(22)
+    A = (rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
+    p = BlockProblem(
+        tuple(QuadraticBlock(np.eye(Ai.shape[1]), np.zeros(Ai.shape[1])) for Ai in A),
+        A,
+        rng.standard_normal(4),
+    )
+    want = p.stacked_A() @ np.array([1.0, -2.0, 3.0, 0.0, 5.0]) - p.c
+    strided = np.array([1.0, 9.0, -2.0, 9.0, 3.0, 9.0, 0.0, 9.0, 5.0, 9.0])[::2]
+    for x in (np.array([1, -2, 3, 0, 5]), np.array([1, -2, 3, 0, 5], dtype=np.float32),
+              strided):
+        assert constraint_residual(p, x).tobytes() == want.tobytes(), x
+    with pytest.raises(DimensionMismatch):
+        constraint_residual(p, np.zeros(6))
+
+
 def test_stacked_layout_offsets_and_split():
     inst = generate_lcqp(3, 6, 4, seed=0)
     p = inst.problem

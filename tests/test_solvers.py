@@ -882,6 +882,46 @@ def test_affine_run_converged_at_the_reference_takes_no_step():
     assert trace.status == "converged" and trace.ks == [0] and trace.dis == [0.0]
 
 
+@pytest.mark.parametrize("max_iters", [1, 64, 150])
+def test_buffered_affine_rows_equal_the_unbuffered_formula(max_iters):
+    # Reference: the affine step as one expression per row, on fresh arrays.
+    inst = generate_lcqp(3, 6, 4, seed=13)
+    problem = inst.problem
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(10.0),
+                          max_iters=max_iters)
+    prepared = solvers._Prepared(problem, params, "jprox")
+    T, b = prepared.affine
+    u0 = random_point(problem, 3)
+    trace = run(problem, params, u0, record_points=True)
+    assert trace.engine == "affine" and trace.ks[-1] == max_iters
+    x, lam = np.concatenate(u0.x), u0.lam
+    for k, point in enumerate(trace.points[1:], 1):
+        x = T @ np.concatenate((x, lam)) + b
+        r = problem.stacked_A() @ x - problem.c
+        lam = lam - prepared.dual_step * r
+        assert np.concatenate(point.x).tobytes() == x.tobytes(), k
+        assert point.lam.tobytes() == lam.tobytes(), k
+        assert trace.primal_residual[k] == math.sqrt(r @ r), k
+    assert np.concatenate(trace.final.x).tobytes() == x.tobytes()
+    assert trace.final.lam.tobytes() == lam.tobytes()
+    one = step(problem, u0, params)
+    assert np.concatenate(one.x).tobytes() == np.concatenate(trace.points[1].x).tobytes()
+    assert one.lam.tobytes() == trace.points[1].lam.tobytes()
+
+
+@pytest.mark.parametrize("family", ["lcqp", "ra"])
+def test_the_final_point_keeps_no_chunk_buffer_alive(family):
+    problem = (generate_lcqp(2, 4, 3, seed=5) if family == "lcqp"
+               else generate_resource_alloc(6, seed=2)).problem
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(4.0),
+                          max_iters=2 * solvers.RECORD_CHUNK + 5)
+    trace = run(problem, params, random_point(problem, 8))
+    assert trace.ks[-1] == params.max_iters
+    for a in (*trace.final.x, trace.final.lam):
+        owner = a if a.base is None else a.base
+        assert owner.nbytes <= 8 * (sum(problem.dims) + problem.m)
+
+
 # -- the chunked recording of the block sweep ---------------------------------------------
 
 def _sweep_run(family, rho, max_iters, dis_tol=0.0):
