@@ -25,13 +25,14 @@ the norms ``||A_i||``, the certified proximal weights, and ``mu_s``.  For
 the standard and prox-linear policies the coupling condition on each
 eigenvalue is a concave quadratic in the weight ``tau``, so
 :func:`smallest_certified_tau` reads each block's certified interval in
-closed form and confirms its weight with one dense check.  Without a proximal
-term and for the standard and prox-linear policies, both matrices of the
-``mu_s`` pencil are polynomials in ``A_i'A_i``, so ``mu_s`` is a maximum of
-ratios over its eigenvalues; an explicit ``P_i`` takes the dense
-generalized eigensolve of :func:`compute_mu_s`, which also serves as the
-oracle of the closed form.  The coupling condition is always checked on
-the dense matrices.
+closed form and confirms its weight with one dense check; :func:`certify`,
+the one place an ``"auto"`` request becomes weights, keeps those margins.
+Without a proximal term and for the standard and prox-linear policies,
+both matrices of the ``mu_s`` pencil are polynomials in ``A_i'A_i``, so
+``mu_s`` is a maximum of ratios over its eigenvalues; an explicit ``P_i``
+takes the dense generalized eigensolve of :func:`compute_mu_s`, which also
+serves as the oracle of the closed form.  The coupling condition is always
+checked on the dense matrices.
 
 All checks are reported with margins; a failed certificate is data, not an
 exception, so callers can still run the solver on uncertified parameters.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -52,6 +53,7 @@ from .errors import (
     GammaOutOfRange,
     InsufficientData,
     InvalidParameter,
+    JproxError,
     NonPositiveWeight,
     NotPositiveDefinite,
     NotStronglyConvex,
@@ -273,18 +275,17 @@ def compute_sigma(gamma: float, rho: float, s: float, c_A: float, mu_s: float) -
 
 # -- certificates ---------------------------------------------------------------
 
+#: The name of each weight policy, in certificates and in the weight search.
+TAU_KINDS = {StandardProximal: "standard", ProxLinear: "proxlinear"}
+
+
 def describe_policy(policy: ProximalPolicy) -> dict:
     if policy is None:
         return {"kind": "none"}
-    if isinstance(policy, StandardProximal):
+    if type(policy) in TAU_KINDS:
         tau = policy.tau if np.isscalar(policy.tau) else list(map(float, policy.tau))
-        return {"kind": "standard", "tau": tau}
-    if isinstance(policy, ProxLinear):
-        tau = policy.tau if np.isscalar(policy.tau) else list(map(float, policy.tau))
-        return {"kind": "proxlinear", "tau": tau}
-    if isinstance(policy, ExplicitProximal):
-        return {"kind": "explicit"}
-    return {"kind": repr(policy)}
+        return {"kind": TAU_KINDS[type(policy)], "tau": tau}
+    return {"kind": "explicit" if isinstance(policy, ExplicitProximal) else repr(policy)}
 
 
 @dataclass
@@ -298,8 +299,9 @@ class Certificate:
     condition broke in ``failure`` and keeps whatever was computed.
 
     A passed certificate carries the Lyapunov weights of the ``phi`` it
-    certifies (``weights``, built from the ``P_i`` and ``s`` it checked);
-    they are not serialized, so a failed or loaded certificate has ``None``.
+    certifies (``weights``, built from the ``P_i`` and ``s`` it checked); every
+    certificate :func:`certify` returns keeps the concrete policy it checked
+    (``proximal``).  Neither is serialized: a loaded one has ``None`` for both.
     """
 
     rho: float
@@ -314,21 +316,13 @@ class Certificate:
     margins: dict = field(default_factory=dict)
     seed: Optional[int] = None
     weights: Optional[PhiWeights] = field(default=None, repr=False, compare=False)
+    proximal: ProximalPolicy = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "gamma": self.gamma,
-            "policy": self.policy,
-            "passed": self.passed,
-            "failure": self.failure,
-            "s": self.s,
-            "xi": list(self.xi) if self.xi is not None else None,
-            "mu_s": self.mu_s,
-            "sigma": self.sigma,
-            "margins": self.margins,
-            "seed": self.seed,
-        }
+        """Every field in declaration order, but the unserialized ``weights`` and ``proximal``."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        d["xi"] = list(self.xi) if self.xi is not None else None
+        return d
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
@@ -352,15 +346,24 @@ def certificate_from_dict(d: dict) -> Certificate:
 
 def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPolicy,
             seed: Optional[int] = None) -> Certificate:
-    """Run the full certification pipeline for one parameter choice.
+    """Resolve a policy request, then certify the concrete policy.
+
+    A ``StandardProximal("auto")`` or ``ProxLinear("auto")`` request resolves
+    to 1.5 times the smallest certified weights (:func:`smallest_certified_tau`),
+    else to :func:`fallback_tau`, with prox-linear weights raised to the PSD
+    floor ``rho*||A_i||^2``; it raises :class:`GammaOutOfRange` for ``gamma``
+    outside (0, 2).  The concrete policy is the certificate's ``proximal``,
+    and the search's dense coupling margins are its own, so each block's
+    coupling matrix is built once.
 
     Never raises on a certifiability failure: the returned certificate has
     ``passed=False`` and names the broken condition, so the solver can still
     be run on the same parameters.  A passed certificate carries the
     :class:`PhiWeights` of its ``phi``.
     """
+    policy, known = _resolve(problem, rho, gamma, policy)
     cert = Certificate(rho=rho, gamma=gamma, policy=describe_policy(policy),
-                       passed=False, seed=seed)
+                       passed=False, seed=seed, proximal=policy)
     _require_positive(rho=rho)
     if not 0.0 < gamma < 2.0:
         cert.failure = "GammaOutOfRange"
@@ -373,42 +376,41 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
         cert.margins = {"alpha": exc.alpha, "alpha_floor": ALPHA_TOL}
         return cert
 
-    s_bar = max_feasible_s(consts, rho, problem.N)
-    s = 0.5 * s_bar
+    s = 0.5 * max_feasible_s(consts, rho, problem.N)
+    _require_positive(s=s)
     gap = consts.alpha - 2.0 * consts.L * s
     P_list = materialize_policy(policy, rho, problem)
 
-    xi_check = check_xi_condition(problem, rho, gamma, s, P_list)
+    # The dense check of check_xi_condition, on the blocks the search left unchecked.
+    xi = uniform_xi(gamma, problem.N)
+    min_eigs = [m if m is not None else _xi_margin(AtA, Pi, rho, s, rho / xi_i)
+                for AtA, Pi, xi_i, m in zip(problem.gram_matrices(), P_list, xi, known)]
     if isinstance(policy, ExplicitProximal):
         mu = compute_mu_s(problem, consts, rho, s, P_list)
     else:
         mu = closed_form_mu_s(problem, consts, rho, s, policy)
     sig = compute_sigma(gamma, rho, s, consts.c_A, mu)
 
-    cert.s = s
-    cert.xi = xi_check.xi
-    cert.mu_s = mu
-    cert.sigma = sig.sigma
+    cert.s, cert.xi, cert.mu_s, cert.sigma = s, xi, mu, sig.sigma
     cert.margins = {
         "s_margin": consts.alpha / (2.0 * problem.N)
         - s * max(rho * rho * consts.D * nrm * nrm + consts.L / problem.N
                   for nrm in consts.A_norms),
         "alpha_2Ls": gap,
-        "xi_pd_min_eigs": list(xi_check.min_eigs),
-        "xi_sum_slack": (2.0 - gamma) - sum(xi_check.xi),
+        "xi_pd_min_eigs": min_eigs,
+        "xi_sum_slack": (2.0 - gamma) - sum(xi),
         "mu_margin": 1.0 - mu,
         "sigma_margin": 1.0 - sig.sigma,
         "dual_branch": sig.dual_branch,
         "c_A_used": sig.c_A_used,
     }
-    if not xi_check.passed:
+    # No NonPositiveWeight branch: s <= alpha/(4L), so gap >= alpha/2 > 0.
+    if not all(e > 0.0 for e in min_eigs):
         cert.failure = "XiConditionFailed"
     elif not (0.0 < mu < 1.0):
         cert.failure = "MuOutOfRange"
     elif not sig.in_range:
         cert.failure = "SigmaOutOfRange"
-    elif gap <= 0.0:
-        cert.failure = "NonPositiveWeight"
     else:
         cert.passed = True
         cert.weights = PhiWeights.build(problem, gamma, rho, s, P_list)
@@ -441,10 +443,7 @@ class PhiWeights:
     @classmethod
     def build(cls, problem: BlockProblem, gamma: float, rho: float, s: float,
               P_list: Sequence[np.ndarray]) -> "PhiWeights":
-        consts = estimate_constants(problem)
-        gap = consts.alpha - 2.0 * consts.L * s
-        if gap <= 0.0:
-            raise NonPositiveWeight(f"alpha - 2*L*s = {gap:.3e} must be positive")
+        _, gap = _mu_s_pencil(estimate_constants(problem), rho, s, problem.N)
         W = [
             rho * AtA + np.asarray(Pi, dtype=float) + 2.0 * gap * np.eye(AtA.shape[0])
             for AtA, Pi in zip(problem.gram_matrices(), P_list)
@@ -564,13 +563,20 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
     runs (one eigensolve per block), else the boundary (round-off-sized when
     ``lo <= 0``) nudged up by relative steps from 1e-12 until that check passes.
     """
+    return _certified_taus(problem, rho, gamma, kind, safety)[0]
+
+
+def _certified_taus(problem: BlockProblem, rho: float, gamma: float, kind: str,
+                    safety: float = 1.5) -> tuple:
+    """:func:`smallest_certified_tau` as ``(taus, margins)``: ``margins[i]`` is the
+    dense coupling margin (:func:`_xi_margin`) that confirmed ``taus[i]``."""
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
-    if kind not in ("standard", "proxlinear"):
+    if kind not in TAU_KINDS.values():
         raise InvalidParameter(f"unknown policy kind {kind!r}")
     consts = estimate_constants(problem)
     s = 0.5 * max_feasible_s(consts, rho, problem.N)
-    taus = []
+    taus, margins = [], []
     blocks = zip(problem.gram_matrices(), problem.gram_spectra(), uniform_xi(gamma, problem.N))
     for i, (AtA, g, xi) in enumerate(blocks):
         c = rho / xi
@@ -589,10 +595,12 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
         P0 = -rho * AtA if kind == "proxlinear" else 0.0  # P = tau*I + P0
         eye = np.eye(AtA.shape[0])
         tau = safety * lo
-        if not (0.0 < tau < hi and _xi_margin(AtA, tau * eye + P0, rho, s, c) > 0.0):
+        margin = _xi_margin(AtA, tau * eye + P0, rho, s, c) if 0.0 < tau < hi else 0.0
+        if not margin > 0.0:
             tau = lo if lo > 0.0 else 1e-12 * max(c * consts.A_norms[i] ** 2, 1.0)
             for k in range(60):
-                if _xi_margin(AtA, tau * eye + P0, rho, s, c) > 0.0:
+                margin = _xi_margin(AtA, tau * eye + P0, rho, s, c)
+                if margin > 0.0:
                     break
                 tau *= 1.0 + 1e-12 * 2.0 ** k
             else:
@@ -601,7 +609,27 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
                     f"(rho={rho:g}, gamma={gamma:g})"
                 )
         taus.append(tau)
-    return taus
+        margins.append(margin)
+    return taus, margins
+
+
+def _resolve(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPolicy) -> tuple:
+    """``(policy, known)``: the concrete policy :func:`certify` resolves a request to, and
+    the dense margin that confirmed each block's weight in the search (else ``None``)."""
+    known = [None] * problem.N
+    if not (type(policy) in TAU_KINDS and isinstance(policy.tau, str) and policy.tau == "auto"):
+        return policy, known
+    kind = TAU_KINDS[type(policy)]
+    try:
+        taus, known = _certified_taus(problem, rho, gamma, kind)
+    except JproxError:
+        taus = fallback_tau(problem, rho, gamma, kind)
+    # The prox-linear coupling margin tau - 8*s*tau^2 - c*||A_i||^2 is concave
+    # in tau and peaks at 1/(16*s), which the choice of s keeps at or above the
+    # floor, so raising a passing weight to the floor keeps it passing.
+    floors = [rho * g.norm ** 2 if kind == "proxlinear" else 0.0 for g in problem.gram_spectra()]
+    return (type(policy)([max(t, f) for t, f in zip(taus, floors)]),
+            [m if t >= f else None for t, f, m in zip(taus, floors, known)])
 
 
 def fallback_tau(problem: BlockProblem, rho: float, gamma: float,
@@ -621,8 +649,5 @@ def fallback_tau(problem: BlockProblem, rho: float, gamma: float,
         factor = problem.N / (2.0 - gamma)
     else:
         raise InvalidParameter(f"unknown policy kind {kind!r}")
-    taus = []
-    for g in problem.gram_spectra():
-        nrm2 = g.norm ** 2
-        taus.append(max(1.5 * rho * factor * nrm2, 1e-8 * max(1.0, rho * nrm2)))
-    return taus
+    nrm2s = [g.norm ** 2 for g in problem.gram_spectra()]
+    return [max(1.5 * rho * factor * nrm2, 1e-8 * max(1.0, rho * nrm2)) for nrm2 in nrm2s]

@@ -86,9 +86,7 @@ def _at_least(value: int, least: int, flag: str) -> int:
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return f"{float(v):.17g}"
+    return "" if v is None else f"{float(v):.17g}"
 
 
 #: ``write_trace_csv`` formats this many rows with one ``%`` operation.
@@ -148,9 +146,12 @@ def read_trace_csv(path) -> dict:
     return cols
 
 
-def build_policy(instance, rho: float, gamma: float, name: str, tau):
-    """Materialize the requested proximal policy for one instance."""
-    problem = instance.problem
+def build_policy(instance, name: str, tau):
+    """The proximal policy request that ``--policy`` and ``--tau`` name.
+
+    ``--tau auto`` stays a request (``StandardProximal("auto")`` or
+    ``ProxLinear("auto")``), which :func:`~jprox.certify.certify` resolves.
+    """
     if name == "none":
         return None
     if name == "explicit":
@@ -158,10 +159,6 @@ def build_policy(instance, rho: float, gamma: float, name: str, tau):
         if not src:
             _fail_flags("invalid --policy: explicit needs an instance with stored proximal matrices")
         return ExplicitProximal(src)
-    if name not in ("standard", "proxlinear"):
-        _fail_flags(f"invalid --policy: unknown policy {name!r}")
-    if tau == "auto":
-        return exp.resolve_policy(problem, rho, gamma, "auto", kind=name)
     return StandardProximal(tau) if name == "standard" else ProxLinear(tau)
 
 
@@ -207,18 +204,16 @@ def cmd_certify(args) -> int:
     instance = _load_instance(args.input)
     rho = _positive(args.rho, "--rho")
     gamma = _positive(args.gamma, "--gamma")
-    if not 0.0 < gamma < 2.0:
-        # Still produce a certificate file so the failure and margins are on disk.
-        cert = certify(instance.problem, rho, gamma, None, seed=instance.seed)
-        cert.save(args.output)
-        print("certification failed: gamma out of (0,2)", file=sys.stderr)
-        return EXIT_CERT
-    policy = build_policy(instance, rho, gamma, args.policy, args.tau)
+    # Out of (0, 2) there is no policy to resolve; the failed certificate still goes to disk.
+    policy = build_policy(instance, args.policy, args.tau) if gamma < 2.0 else None
     cert = certify(instance.problem, rho, gamma, policy, seed=instance.seed)
     cert.save(args.output)
     if cert.passed:
         print(f"certified: sigma={cert.sigma:.12g} s={cert.s:.6g} mu_s={cert.mu_s:.6g}")
         return EXIT_OK
+    if cert.failure == "GammaOutOfRange":
+        print("certification failed: gamma out of (0,2)", file=sys.stderr)
+        return EXIT_CERT
     print(f"certification failed: {cert.failure}", file=sys.stderr)
     for key, val in cert.margins.items():
         print(f"  {key} = {val}", file=sys.stderr)
@@ -232,15 +227,15 @@ def cmd_solve(args) -> int:
     gamma = _positive(args.gamma, "--gamma")
     max_iters = _at_least(args.max_iters, 1, "--max-iters")
     tol = _nonnegative(args.tol, "--tol")
-    policy = build_policy(instance, rho, gamma, args.policy, args.tau)
-    params = SolverParams(rho=rho, gamma=gamma, policy=policy,
+    policy = build_policy(instance, args.policy, args.tau)
+    # Only jprox reads P_i and gamma: the baselines run without a certificate.
+    cert = certify(problem, rho, gamma, policy, instance.seed) if args.method == "jprox" else None
+    params = SolverParams(rho=rho, gamma=gamma, policy=cert.proximal if cert else None,
                           max_iters=max_iters, dis_tol=tol)
     reference = exp.instance_reference(instance)
-    phi_ctx = (certify(problem, rho, gamma, policy, instance.seed).weights
-               if args.method == "jprox" else None)
     u0 = reference.copy() if args.u0 == "reference" else PrimalDualPoint.zeros(problem)
-    trace = run(problem, params, u0, reference=reference, phi_context=phi_ctx,
-                method=args.method)
+    trace = run(problem, params, u0, reference=reference,
+                phi_context=cert.weights if cert else None, method=args.method)
     write_trace_csv(trace, args.output)
     if args.plot:
         plot_path = Path(args.output).with_suffix(".svg")
@@ -260,9 +255,8 @@ def _cell_name(rho: float, gamma: float, seed: int) -> str:
 
 
 def _rate_to_dict(rate) -> dict | None:
-    if rate is None:
-        return None
-    return {"rate": rate.rate, "r_squared": rate.r_squared, "flat": rate.flat}
+    return None if rate is None else {"rate": rate.rate, "r_squared": rate.r_squared,
+                                      "flat": rate.flat}
 
 
 def cmd_sweep(args) -> int:
@@ -301,7 +295,7 @@ def cmd_sweep(args) -> int:
             instances.append(exp.generate_resource_alloc(problem.N, seed))
 
     sweep = exp.SweepConfig(rho_grid=rho_grid, gamma_grid=gamma_grid, max_iters=max_iters)
-    results = exp.run_sweep(instances, sweep, policy="auto")
+    results = exp.run_sweep(instances, sweep)
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)

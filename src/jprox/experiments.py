@@ -17,14 +17,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .certify import (
-    Certificate,
-    RateFit,
-    certify,
-    fallback_tau,
-    fit_linear_rate,
-    smallest_certified_tau,
-)
+from .certify import Certificate, RateFit, certify, fit_linear_rate
 from .errors import (
     DegenerateAfterRetries,
     InsufficientData,
@@ -45,7 +38,7 @@ from .problem import (
     require_list,
     unpack_array,
 )
-from .solvers import ProxLinear, SolverParams, StandardProximal, run
+from .solvers import SolverParams, StandardProximal, run
 
 #: Generated stacks must clear this smallest singular value (kept as a hard
 #: floor so downstream rank assumptions hold).
@@ -276,7 +269,12 @@ class SweepConfig:
 
 @dataclass
 class SweepCell:
-    """One (rho, gamma, seed) cell of a sweep; ``wall_s`` is its wall time in seconds."""
+    """One (rho, gamma, seed) cell of a sweep; ``wall_s`` is its wall time in seconds.
+
+    The certificate's ``weights`` are dropped once the cell's run ends:
+    nothing reads them afterwards, and a sweep would otherwise keep every
+    passed cell's weights alive.
+    """
 
     rho: float
     gamma: float
@@ -290,34 +288,7 @@ class SweepCell:
 
     @property
     def status(self) -> str:
-        if self.error is not None:
-            return "error"
-        return self.trace.status
-
-
-def resolve_policy(problem: BlockProblem, rho: float, gamma: float, policy,
-                   kind: str = "standard"):
-    """Turn a policy request into a concrete policy.
-
-    ``"auto"`` builds a ``kind`` (``"standard"`` or ``"proxlinear"``)
-    proximal policy from the smallest certified per-block weights (scaled by
-    1.5); when certification is unavailable it falls back to the classical
-    sufficiency threshold.  Prox-linear weights are raised to the floor
-    ``rho*||A_i||^2`` below which ``P_i = tau_i*I - rho*A_i'A_i`` is not
-    positive semi-definite.  Concrete policy objects pass through unchanged.
-    """
-    if policy != "auto":
-        return policy
-    try:
-        taus = smallest_certified_tau(problem, rho, gamma, kind=kind)
-    except JproxError:
-        taus = fallback_tau(problem, rho, gamma, kind=kind)
-    if kind != "proxlinear":
-        return StandardProximal(taus)
-    # The prox-linear coupling margin tau - 8*s*tau^2 - c*||A_i||^2 is concave
-    # in tau and peaks at 1/(16*s), which the choice of s keeps at or above the
-    # floor, so raising a passing weight to the floor keeps it passing.
-    return ProxLinear([max(t, rho * g.norm ** 2) for t, g in zip(taus, problem.gram_spectra())])
+        return "error" if self.error is not None else self.trace.status
 
 
 def instance_reference(instance: Instance) -> PrimalDualPoint:
@@ -333,18 +304,18 @@ def _run_cell(instance: Instance, reference: PrimalDualPoint, rho: float, gamma:
     cell = SweepCell(rho=rho, gamma=gamma, seed=instance.seed)
     problem = instance.problem
     try:
-        concrete = resolve_policy(problem, rho, gamma, policy)
-        cell.certificate = certify(problem, rho, gamma, concrete, instance.seed)
-        weights = cell.certificate.weights
-        params = SolverParams(rho=rho, gamma=gamma, policy=concrete,
+        cert = cell.certificate = certify(problem, rho, gamma, policy, instance.seed)
+        params = SolverParams(rho=rho, gamma=gamma, policy=cert.proximal,
                               max_iters=sweep.max_iters, dis_tol=sweep.dis_tol)
         cell.trace = run(problem, params, PrimalDualPoint.zeros(problem),
-                         reference=reference, phi_context=weights)
+                         reference=reference, phi_context=cert.weights)
         cell.dis_rate = _fit_series([d for d in cell.trace.dis if d is not None])
-        if weights is not None:
+        if cert.passed:
             cell.phi_rate = _fit_series([p for p in cell.trace.phi if p is not None])
     except (JproxError, np.linalg.LinAlgError) as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
+    if cell.certificate is not None:
+        cell.certificate.weights = None
     cell.wall_s = time.perf_counter() - start
     return cell
 
@@ -361,12 +332,15 @@ def _fit_series(values) -> Optional[RateFit]:
 
 
 def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig,
-              policy="auto") -> dict:
+              policy=StandardProximal("auto")) -> dict:
     """Run every (rho, gamma) cell for every instance, from a zero start.
 
-    Returns a dict keyed by ``(rho, gamma, seed)``.  Cells run one after
-    another in key order (instance, then rho, then gamma); per-cell failures
-    are recorded in the cell, never raised.
+    Each cell certifies ``policy`` (:func:`jprox.certify.certify`, which
+    resolves an ``"auto"`` request into that cell's weights) and runs the
+    concrete policy of its certificate.  Returns a dict keyed by
+    ``(rho, gamma, seed)``.  Cells run one after another in key order
+    (instance, then rho, then gamma); per-cell failures are recorded in the
+    cell, never raised.
     """
     if isinstance(instances, (LcqpInstance, ResourceAllocInstance)):
         instances = [instances]

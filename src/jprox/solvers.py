@@ -73,6 +73,9 @@ NEWTON_MAX_ITERS = 100
 # -- proximal policies ---------------------------------------------------------
 
 def _tau_for(tau, i: int, n_blocks: int) -> float:
+    if isinstance(tau, str):
+        raise InvalidParameter(f"tau {tau!r} is a request, not a weight: certify resolves "
+                               "'auto' into weights (Certificate.proximal)")
     if np.isscalar(tau):
         t = float(tau)
     else:
@@ -87,7 +90,10 @@ def _tau_for(tau, i: int, n_blocks: int) -> float:
 
 @dataclass(frozen=True)
 class StandardProximal:
-    """``P_i = tau_i * I`` with ``tau_i > 0`` (scalar broadcasts to all blocks)."""
+    """``P_i = tau_i * I`` with ``tau_i > 0`` (scalar broadcasts to all blocks).
+
+    ``tau="auto"`` here and in :class:`ProxLinear` is a request; ``certify`` resolves it.
+    """
 
     tau: Union[float, Sequence[float]]
 

@@ -16,6 +16,7 @@ from jprox.certify import (
     compute_mu_s,
     compute_sigma,
     estimate_constants,
+    fallback_tau,
     fit_linear_rate,
     max_feasible_s,
     smallest_certified_tau,
@@ -27,10 +28,18 @@ from jprox.errors import (
     GammaOutOfRange,
     InsufficientData,
     InvalidParameter,
+    JproxError,
     NotPositiveDefinite,
     NotStronglyConvex,
 )
-from jprox.experiments import GAMMA_GRID, default_rho_grid, generate_lcqp, resolve_policy
+from jprox.experiments import (
+    GAMMA_GRID,
+    default_rho_grid,
+    generate_lcqp,
+    generate_resource_alloc,
+    instance_from_dict,
+    instance_to_dict,
+)
 from jprox.problem import (
     BlockProblem,
     LogisticQuadBlock,
@@ -404,10 +413,11 @@ def test_certify_matches_dense_certificate_on_default_grid(kind, shape):
     problem = inst.problem
     consts = estimate_constants(problem)
     searched = 0
+    request = REQUESTS[kind]("auto")
     for rho in default_rho_grid(inst):
         for gamma in GAMMA_GRID:
-            policy = resolve_policy(problem, rho, gamma, "auto", kind=kind)
-            cert = certify(problem, rho, gamma, policy)
+            cert = certify(problem, rho, gamma, request)
+            policy = cert.proximal
             passed, failure, sigma, xi_passed = dense_certificate(problem, rho, gamma, policy,
                                                                   consts)
             assert (cert.passed, cert.failure) == (passed, failure), (rho, gamma)
@@ -805,8 +815,8 @@ def test_passed_certificates_carry_the_weights_of_their_phi():
     passed = 0
     for rho in default_rho_grid(inst):
         for gamma in GAMMA_GRID:
-            policy = resolve_policy(problem, rho, gamma, "auto")
-            cert = certify(problem, rho, gamma, policy)
+            cert = certify(problem, rho, gamma, StandardProximal("auto"))
+            policy = cert.proximal
             if not cert.passed:
                 assert cert.weights is None, (rho, gamma)
                 continue
@@ -851,6 +861,108 @@ def test_run_sweep_materializes_each_cell_policy_twice(count_calls):
     assert all(cell.error is None for cell in cells.values())
     # Once in certify, once in the run's preparation.
     assert len(calls) == 2 * len(cells)
+
+
+# -- resolving an "auto" request -------------------------------------------------------------------
+
+REQUESTS = {"standard": StandardProximal, "proxlinear": ProxLinear}
+
+
+def two_pass_policy(problem, rho, gamma, kind):
+    """The concrete policy of an "auto" request, resolved in a pass of its own before certify."""
+    try:
+        taus = smallest_certified_tau(problem, rho, gamma, kind=kind)
+    except JproxError:
+        taus = fallback_tau(problem, rho, gamma, kind=kind)
+    if kind != "proxlinear":
+        return StandardProximal(taus)
+    return ProxLinear([max(t, rho * g.norm ** 2) for t, g in zip(taus, problem.gram_spectra())])
+
+
+def assert_one_pass_equals_two(problem, rho, gamma, kind):
+    """The certificate of an "auto" request equals that of its two-pass policy."""
+    policy = two_pass_policy(problem, rho, gamma, kind)
+    one = certify(problem, rho, gamma, REQUESTS[kind]("auto"))
+    two = certify(problem, rho, gamma, policy)
+    assert one.to_dict() == two.to_dict(), (rho, gamma, kind)
+    assert one.proximal == two.proximal == policy, (rho, gamma, kind)
+    assert (one.weights is None) == (two.weights is None), (rho, gamma, kind)
+    if one.weights is not None:
+        assert [W.tobytes() for W in one.weights.W] == [W.tobytes() for W in two.weights.W]
+    return policy
+
+
+def test_one_pass_certificate_equals_two_passes():
+    floored = fallback = 0
+    for shape in [(3, 20, 8), (3, 100, 40), (1, 6, 3)]:
+        for seed in range(3):
+            inst = generate_lcqp(*shape, seed=seed)
+            p = inst.problem
+            for rho in default_rho_grid(inst):
+                for gamma in GAMMA_GRID:
+                    for kind in REQUESTS:
+                        policy = assert_one_pass_equals_two(p, rho, gamma, kind)
+                        try:
+                            searched = smallest_certified_tau(p, rho, gamma, kind=kind)
+                        except CertificationError:
+                            fallback += 1
+                            continue
+                        floored += policy.tau != searched
+    assert floored > 0 and fallback > 0
+
+
+def test_one_pass_certificate_equals_two_passes_without_strong_convexity():
+    d = instance_to_dict(generate_resource_alloc(4, seed=101))
+    d["blocks"][0]["a"] = 1e-9
+    p = instance_from_dict(d).problem
+    for kind in REQUESTS:
+        with pytest.raises(NotStronglyConvex):
+            smallest_certified_tau(p, 1.0, 1.0, kind=kind)
+        assert_one_pass_equals_two(p, 1.0, 1.0, kind)
+        assert certify(p, 1.0, 1.0, REQUESTS[kind]("auto")).failure == "NotStronglyConvex"
+
+
+@pytest.mark.parametrize("kind", list(REQUESTS))
+def test_auto_request_with_gamma_out_of_range_raises(kind):
+    p = generate_lcqp(3, 20, 8, seed=0).problem
+    with pytest.raises(GammaOutOfRange):
+        two_pass_policy(p, 1.0, 2.5, kind)
+    with pytest.raises(GammaOutOfRange):
+        certify(p, 1.0, 2.5, REQUESTS[kind]("auto"))
+
+
+@pytest.mark.parametrize("shape, gamma, kind, floored", [
+    ((3, 20, 8), 1.0, "standard", 0),
+    ((3, 20, 8), 1.0, "proxlinear", 0),
+    ((1, 6, 3), 0.1, "proxlinear", 1),
+], ids=["standard", "proxlinear", "proxlinear-floored"])
+def test_auto_certificate_builds_each_coupling_matrix_once(count_calls, shape, gamma, kind,
+                                                           floored):
+    # The search's dense margins serve as the certificate's; a block raised to
+    # the prox-linear floor is checked again.  Two passes made 2N eigensolves.
+    p = generate_lcqp(*shape, seed=0).problem
+    eigs = count_calls("jprox.linalg", "min_eigenvalue_sym")
+    smallest_certified_tau(p, 1.0, gamma, kind=kind)
+    assert len(eigs) == p.N
+    eigs.clear()
+    cert = certify(p, 1.0, gamma, REQUESTS[kind]("auto"))
+    assert cert.passed
+    assert len(eigs) == p.N + floored
+
+
+def test_unresolved_request_fails_loudly():
+    from jprox.solvers import materialize_P, step
+
+    inst = generate_lcqp(2, 5, 3, seed=0)
+    p = inst.problem
+    for request in (StandardProximal("auto"), ProxLinear("auto")):
+        params = SolverParams(rho=1.0, gamma=1.0, policy=request, max_iters=5)
+        with pytest.raises(InvalidParameter, match="certify resolves"):
+            materialize_P(request, 1.0, p.A[0])
+        with pytest.raises(InvalidParameter, match="certify resolves"):
+            step(p, PrimalDualPoint.zeros(p), params)
+        with pytest.raises(InvalidParameter, match="certify resolves"):
+            run(p, params, PrimalDualPoint.zeros(p))
 
 
 def test_certified_sigma_bounds_exact_one_step_factor():

@@ -365,6 +365,37 @@ def test_solve_on_uncertifiable_instance_still_runs(tmp_path):
     assert cols["k"][-1] == 60
 
 
+BASELINES = ["jacobi-plain", "gauss-seidel", "dual-decomp"]
+
+
+@pytest.mark.parametrize("method", BASELINES)
+def test_solve_baseline_ignores_gamma_policy_and_tau(tmp_path, count_calls, method):
+    # The baselines read neither P_i nor gamma: a gamma outside (0, 2) or a
+    # weight request neither fails them nor starts the weight search.
+    inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
+    search = count_calls("jprox.certify", "_certified_taus")
+    certs = count_calls("jprox.certify", "certify")
+    rows = []
+    for i, flags in enumerate([("--gamma", "1"), ("--gamma", "2.5"),
+                               ("--gamma", "2.5", "--policy", "proxlinear", "--tau", "auto")]):
+        out = tmp_path / f"trace{i}.csv"
+        code = run_cli("solve", "--input", str(inst), "--method", method, *flags,
+                       "--max-iters", "50", "--output", str(out))
+        assert code in (0, 5)
+        rows.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+    assert rows[0] == rows[1] == rows[2]
+    assert (search, certs) == ([], [])
+
+
+@pytest.mark.parametrize("method", ["jprox"] + BASELINES)
+def test_solve_explicit_policy_without_stored_matrices_exits_2(tmp_path, capsys, method):
+    inst = make_instance(tmp_path, "ra", N=3, seed=0)
+    code = run_cli("solve", "--input", str(inst), "--method", method, "--policy", "explicit",
+                   "--output", str(tmp_path / "t.csv"))
+    assert code == 2
+    assert "--policy" in capsys.readouterr().err
+
+
 # -- sweep and report ----------------------------------------------------------------
 
 def test_sweep_and_report_roundtrip(tmp_path):

@@ -17,7 +17,6 @@ from jprox.experiments import (
     instance_to_dict,
     load_instance,
     reference_solution,
-    resolve_policy,
     run_sweep,
     save_instance,
 )
@@ -389,20 +388,31 @@ def test_run_sweep_records_an_invalid_penalty_as_an_error_cell():
 
 
 def test_resolve_policy_auto_builds_requested_kind():
-    from jprox.certify import fallback_tau, smallest_certified_tau
+    # certify resolves an "auto" request into the concrete policy of its certificate.
+    from jprox.certify import certify, fallback_tau, smallest_certified_tau
 
     p = generate_lcqp(3, 6, 4, seed=0).problem
-    standard = resolve_policy(p, 1.0, 1.0, "auto")
-    linear = resolve_policy(p, 1.0, 1.0, "auto", kind="proxlinear")
+    standard = certify(p, 1.0, 1.0, StandardProximal("auto")).proximal
+    linear = certify(p, 1.0, 1.0, ProxLinear("auto")).proximal
     assert standard == StandardProximal(smallest_certified_tau(p, 1.0, 1.0))
     assert linear == ProxLinear(smallest_certified_tau(p, 1.0, 1.0, kind="proxlinear"))
     concrete = StandardProximal(2.0)
-    assert resolve_policy(p, 1.0, 1.0, concrete) is concrete
+    assert certify(p, 1.0, 1.0, concrete).proximal is concrete
     d = instance_to_dict(generate_resource_alloc(4, seed=101))
     d["blocks"][0]["a"] = 1e-9
     flat = instance_from_dict(d).problem
-    assert resolve_policy(flat, 1.0, 1.0, "auto", kind="proxlinear") == \
+    assert certify(flat, 1.0, 1.0, ProxLinear("auto")).proximal == \
         ProxLinear(fallback_tau(flat, 1.0, 1.0, kind="proxlinear"))
+
+
+def test_run_sweep_cells_hold_no_weights():
+    # A cell's run records phi with its certificate's weights; nothing reads
+    # them afterwards (the manifest writes to_dict()), so the cell drops them.
+    inst = generate_lcqp(3, 6, 4, seed=0)
+    sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=50)
+    cells = run_sweep(inst, sweep).values()
+    assert any(cell.certificate.passed and cell.trace.phi[-1] is not None for cell in cells)
+    assert all(cell.certificate.weights is None for cell in cells)
 
 
 def test_run_sweep_estimates_constants_once_per_instance(count_calls):
@@ -415,7 +425,8 @@ def test_run_sweep_estimates_constants_once_per_instance(count_calls):
     assert len(svd) == 1
 
 
-@pytest.mark.parametrize("policy", ["auto", ProxLinear(1e4)], ids=["auto", "proxlinear"])
+@pytest.mark.parametrize("policy", [StandardProximal("auto"), ProxLinear(1e4)],
+                         ids=["auto", "proxlinear"])
 def test_run_sweep_builds_each_gram_spectrum_once(count_calls, policy):
     instances = [generate_lcqp(3, 6, 4, seed=0), generate_lcqp(2, 5, 3, seed=1)]
     gram = count_calls("jprox.linalg", "gram_spectrum")
@@ -491,7 +502,7 @@ def test_resolve_policy_prox_linear_weights_reach_the_psd_floor():
     p = generate_lcqp(1, 6, 3, seed=0).problem
     floor = spectral_norm(p.A[0]) ** 2
     assert smallest_certified_tau(p, 1.0, 0.1, kind="proxlinear")[0] < floor
-    policy = resolve_policy(p, 1.0, 0.1, "auto", kind="proxlinear")
+    policy = certify(p, 1.0, 0.1, ProxLinear("auto")).proximal
     assert policy == ProxLinear([floor])
     materialize_policy(policy, 1.0, p)
     assert certify(p, 1.0, 0.1, policy).passed
@@ -500,7 +511,7 @@ def test_resolve_policy_prox_linear_weights_reach_the_psd_floor():
     flat = BlockProblem((LogisticQuadBlock(1e-4, 1.0, 0.0, 0.0),), (np.ones((1, 1)),),
                         np.zeros(1))
     assert fallback_tau(flat, 1.0, 0.1, kind="proxlinear")[0] < 1.0
-    policy = resolve_policy(flat, 1.0, 0.1, "auto", kind="proxlinear")
+    policy = certify(flat, 1.0, 0.1, ProxLinear("auto")).proximal
     assert policy == ProxLinear([1.0])
     materialize_policy(policy, 1.0, flat)
 

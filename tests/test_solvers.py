@@ -628,7 +628,7 @@ def _oracle_trace(problem, method, params, u0, ref, weights, steps):
 @pytest.mark.parametrize("method", ["jprox", "jacobi-plain", "gauss-seidel", "dual-decomp"])
 def test_run_matches_per_block_oracle(family, method):
     from jprox.certify import certify
-    from jprox.experiments import instance_reference, resolve_policy
+    from jprox.experiments import instance_reference
 
     if family.startswith("lcqp"):
         inst = generate_lcqp(*(int(v) for v in family.split("-")[1:]), seed=3)
@@ -642,8 +642,8 @@ def test_run_matches_per_block_oracle(family, method):
         u0 = PrimalDualPoint([np.ones(1)] * 6, np.ones(1))
     problem = inst.problem
     rho, gamma = 1.0, 1.5
-    policy = resolve_policy(problem, rho, gamma, "auto")
-    weights = certify(problem, rho, gamma, policy).weights
+    cert = certify(problem, rho, gamma, StandardProximal("auto"))
+    policy, weights = cert.proximal, cert.weights
     weights = weights if method == "jprox" else None
     params = SolverParams(rho=rho, gamma=gamma, policy=policy, max_iters=200)
     trace = run(problem, params, u0, reference=ref, phi_context=weights, method=method)
