@@ -21,6 +21,7 @@ from .certify import Certificate, RateFit, certify, fit_linear_rate
 from .errors import (
     DegenerateAfterRetries,
     InsufficientData,
+    InvalidParameter,
     JproxError,
     SingularKkt,
 )
@@ -340,10 +341,15 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
     concrete policy of its certificate.  Returns a dict keyed by
     ``(rho, gamma, seed)``.  Cells run one after another in key order
     (instance, then rho, then gamma); per-cell failures are recorded in the
-    cell, never raised.
+    cell, never raised.  Two instances with one seed raise
+    :class:`InvalidParameter` before any cell runs.
     """
     if isinstance(instances, (LcqpInstance, ResourceAllocInstance)):
         instances = [instances]
+    seeds = [inst.seed for inst in instances]
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise InvalidParameter(f"two instances share seed {repeated[0]}: cells are keyed by seed")
     refs = {inst.seed: instance_reference(inst) for inst in instances}
     return {
         (rho, gamma, inst.seed): _run_cell(inst, refs[inst.seed], rho, gamma, sweep, policy)

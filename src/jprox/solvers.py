@@ -10,7 +10,7 @@ Three baselines run beside it: the same scheme with ``P_i = 0`` and
 decomposition.  :data:`METHODS` is the one table of what sets the four
 apart: the penalty and the proximal term of the block subproblems, whether
 the sweep is sequential, and the dual step size.  :func:`run` and
-:func:`step` both read it and run the same block sweep and per-block solve.
+:func:`step` both read it and run the same step loop.
 
 Dual decomposition solves unpenalized subproblems and takes the constant
 dual step ``1/L_d = mu / ||[A_1 ... A_N]||_2^2``, where ``mu`` is the
@@ -19,10 +19,11 @@ smallest block curvature bound: the dual function's gradient is
 
 When every block is quadratic and the sweep is not sequential, the block
 solves of one step are an affine map of ``(x, lam)``.  Such a run (up to a
-size cap, :data:`AFFINE_MAX_ENTRIES`) replaces them with one dense matvec,
-written with the dual step straight into the row of the chunk buffer that
-holds the new iterate (:func:`_affine_steps`).  Either way, :func:`run`
-records its iterates :data:`RECORD_CHUNK` at a time.
+size cap, :data:`AFFINE_MAX_ENTRIES`) replaces them with one dense matvec.
+The two engines differ only in that new ``x``: one step loop
+(:func:`_steps`) writes it, with the dual step, straight into the row of a
+buffer that holds the new iterate.  :func:`run` takes and records its
+iterates :data:`RECORD_CHUNK` at a time; :func:`step` is one row of the loop.
 """
 
 from __future__ import annotations
@@ -233,9 +234,9 @@ class Trace:
     ended a diverged run, if any; a failure in a step past the stop row is
     not kept.  ``timings`` holds the seconds spent preparing the block
     solves (``prepare``), in steps (``step``) and recording iterates
-    (``record``).  ``engine`` names the step that ran: ``"affine"`` (the
-    dense map of an all-quadratic Jacobi run) or ``"sweep"`` (the block
-    sweep).
+    (``record``).  ``engine`` names the primal update that ran in the step
+    loop: ``"affine"`` (the dense map of an all-quadratic Jacobi run) or
+    ``"sweep"`` (the block solves).
     """
 
     ks: list = field(default_factory=list)
@@ -273,27 +274,16 @@ def _newton_bisection(fun, dfun, x0: float, tol: float, max_iters: int):
         raise NoBracket("residual is not finite at the starting point")
     if abs(f0) <= tol:
         return x0, abs(f0), 0
-    step = 1.0
-    if f0 > 0.0:
-        hi = x0
-        lo = x0
-        for _ in range(60):
-            lo = x0 - step
-            if fun(lo) <= 0.0:
-                break
-            step *= 2.0
-        else:
-            raise NoBracket("no sign change within 60 doublings below the start")
+    step, sign = 1.0, -1.0 if f0 > 0.0 else 1.0
+    for _ in range(60):
+        far = x0 + sign * step
+        if sign * fun(far) >= 0.0:
+            break
+        step *= 2.0
     else:
-        lo = x0
-        hi = x0
-        for _ in range(60):
-            hi = x0 + step
-            if fun(hi) >= 0.0:
-                break
-            step *= 2.0
-        else:
-            raise NoBracket("no sign change within 60 doublings above the start")
+        side = "below" if sign < 0.0 else "above"
+        raise NoBracket(f"no sign change within 60 doublings {side} the start")
+    lo, hi = (far, x0) if sign < 0.0 else (x0, far)
     x, f = x0, f0
     for it in range(1, max_iters + 1):
         d = dfun(x)
@@ -426,19 +416,23 @@ class _Block(NamedTuple):
 
 
 class _Prepared:
-    """Iteration-independent data of one method's block sweep for ``params``.
+    """Iteration-independent data of one method's step for ``params``.
 
-    The sweep works on the stacked primal vector ``x`` (block ``i`` is
+    The step works on the stacked primal vector ``x`` (block ``i`` is
     ``x[offsets[i]:offsets[i+1]]``) and the multiplier; ``blocks`` holds one
-    :class:`_Block` per block, ``rho`` is the subproblems' penalty (0 for
-    dual decomposition) and ``dual_step`` the step size of the dual update.
-    ``affine`` is the pair ``(T_x, b_x)`` of the dense primal map
-    ``x+ = T_x [x; lam] + b_x`` when every block is quadratic, the sweep is
-    not sequential and ``T_x`` has at most :data:`AFFINE_MAX_ENTRIES`
-    entries; else ``None``.
+    :class:`_Block` per block and ``order`` the order in which the block
+    solves visit them (default ``0..N-1``), ``rho`` is the subproblems'
+    penalty (0 for dual decomposition) and ``dual_step`` the step size of the
+    dual update.  ``update`` is the primal update of :func:`_steps`, chosen
+    here once: :func:`_affine_update` when every block is quadratic, the
+    sweep is not sequential and the dense map ``T_x`` has at most
+    :data:`AFFINE_MAX_ENTRIES` entries, else :func:`_block_solves`.
+    ``affine`` is then the pair ``(T_x, b_x)`` of the primal map
+    ``x+ = T_x [x; lam] + b_x``, else ``None``; ``engine`` names the choice.
     """
 
-    def __init__(self, problem: BlockProblem, params: SolverParams, method: str):
+    def __init__(self, problem: BlockProblem, params: SolverParams, method: str,
+                 order: Optional[Sequence[int]] = None):
         if method not in METHODS:
             raise InvalidParameter(f"unknown method {method!r}")
         spec = METHODS[method]
@@ -462,10 +456,13 @@ class _Prepared:
                 _check_scalar_slope(f, block.B, block.P)
             self.blocks.append(block)
         n = o[-1]
-        self.affine = None
+        self.affine, self.update, self.engine = None, _block_solves, "sweep"
         if (not self.sequential and all(b.factor is not None for b in self.blocks)
                 and n * (n + problem.m) <= AFFINE_MAX_ENTRIES):
-            self.affine = self._affine_map()
+            self.affine, self.update, self.engine = self._affine_map(), _affine_update, "affine"
+        self.order = range(problem.N) if order is None else order
+        if sorted(self.order) != list(range(problem.N)):
+            raise ValueError("order must visit every block exactly once")
 
     def _affine_map(self):
         """``(T_x, b_x)``: one multi-column solve with ``K_i = H_i + B_i`` per block.
@@ -490,74 +487,73 @@ class _Prepared:
         return Tb[:, :-1], Tb[:, -1]
 
 
-def _block_solves(prepared: _Prepared, x: np.ndarray, lam: np.ndarray, r: np.ndarray,
-                  order: Sequence[int]):
-    """The new stacked ``x`` from one block solve per block, and the worst Newton residual.
+# -- the one step loop ---------------------------------------------------------
 
-    Block ``i`` solves its subproblem with ``w = lam - rho*(A x - c)`` and
+def _block_solves(prepared: _Prepared, z: np.ndarray, r: np.ndarray, x_row: np.ndarray) -> float:
+    """The new stacked ``x`` into ``x_row`` by one block solve per block.
+
+    ``z`` is the iterate ``[x; lam]`` and ``r = A x - c``.  Block ``i``
+    solves its subproblem with ``w = lam - rho*(A x - c)`` and
     ``v_i = A_i' w + B_i x_i``.  A Jacobi sweep forms ``w`` once from the
-    k-state, so the processing order cannot affect the result; a sequential
-    sweep updates it after every block (Gauss-Seidel).
+    k-state, so ``prepared.order`` cannot affect the result; a
+    sequential sweep updates it after every block (Gauss-Seidel).  Returns
+    the worst Newton residual.
     """
-    rho = prepared.rho
-    w = lam - rho * r
-    x_new = x.copy()
+    rho, n = prepared.rho, x_row.size
+    x, w = z[:n], z[n:] - rho * r
     newton_worst = 0.0
-    for i in order:
+    for i in prepared.order:
         sl, Ai, At_i, B_i, f, factor, P_i = prepared.blocks[i]
         x_i = x[sl]
         if factor is not None:
-            x_new[sl] = _solve_quadratic(factor, At_i, B_i, f.q, w, x_i)
+            x_row[sl] = _solve_quadratic(factor, At_i, B_i, f.q, w, x_i)
         else:
             x0 = float(x_i[0])
             root, resid = _solve_scalar(f, B_i, -float(At_i @ w) - B_i * x0, P_i, x0)
-            x_new[sl] = root
+            x_row[sl] = root
             newton_worst = max(newton_worst, resid)
         if prepared.sequential:
-            w = w - rho * (Ai @ (x_new[sl] - x_i))
-    return x_new, newton_worst
+            w = w - rho * (Ai @ (x_row[sl] - x_i))
+    return newton_worst
 
 
-def _sweep(prepared: _Prepared, x: np.ndarray, lam: np.ndarray, r: np.ndarray,
-           order: Sequence[int]):
-    """One block-sweep step: the new ``x``, then ``lam <- lam - dual_step * r``.
-
-    ``x`` is the stacked primal vector and ``r = A x - c`` its constraint
-    residual.  Returns the new ``x``, ``lam``, their constraint residual and
-    the worst Newton residual.
-    """
-    x_new, newton_worst = _block_solves(prepared, x, lam, r, order)
-    r = constraint_residual(prepared.problem, x_new)
-    return x_new, lam - prepared.dual_step * r, r, newton_worst
+def _affine_update(prepared: _Prepared, z: np.ndarray, r: np.ndarray, x_row: np.ndarray) -> float:
+    """``x_row <- T_x z + b_x``, bit for bit ``T_x @ z + b_x``; no Newton residual."""
+    np.matmul(prepared.affine[0], z, out=x_row)
+    x_row += prepared.affine[1]
+    return 0.0
 
 
-def _affine_steps(prepared: _Prepared, z: np.ndarray, Z: np.ndarray, RN: np.ndarray,
-                  elapsed: np.ndarray, start: float) -> None:
-    """Affine-map steps written straight into the rows of ``Z``.
+def _steps(prepared: _Prepared, z: np.ndarray, r: np.ndarray, Z: np.ndarray, RN: np.ndarray,
+           newton: np.ndarray, elapsed: np.ndarray, start: float):
+    """Steps written straight into the rows of ``Z``: the loop of both engines.
 
     Row ``j`` of ``Z`` is the iterate ``[x; lam]`` one step after row
-    ``j-1`` (after ``z`` for row 0): ``x <- T_x [x; lam] + b_x``, then
-    ``lam <- lam - dual_step * (A x - c)``.  ``RN[j]`` gets the norm of
-    row ``j``'s constraint residual and ``elapsed[j]`` the seconds since
-    ``start``.  The operands and their order are those of
-    ``T_x @ np.concatenate((x, lam)) + b_x``, so the rows are the same bit
-    for bit.
+    ``j-1`` (after ``z``, whose constraint residual is ``r``, for row 0):
+    ``x`` from ``prepared.update``, then ``lam <- lam - dual_step * (A x - c)``.
+    ``newton[j]`` gets the step's worst Newton residual, ``RN[j]`` the norm
+    of row ``j``'s constraint residual and ``elapsed[j]`` the seconds since
+    ``start``.  Returns the number of rows written, the constraint residual
+    of the last one and the block-solve failure that stopped the loop
+    (``None`` when every row was written).
     """
-    T, b = prepared.affine
-    problem, dual_step = prepared.problem, prepared.dual_step
-    n = b.size
+    problem, dual_step, update = prepared.problem, prepared.dual_step, prepared.update
+    n = problem.offsets[-1]
     tmp = np.empty(problem.m)
     prev = z
     for j, row in enumerate(Z):
         x_row, lam_row = row[:n], row[n:]
-        np.matmul(T, prev, out=x_row)
-        x_row += b
+        try:
+            newton[j] = update(prepared, prev, r, x_row)
+        except (SubproblemFailed, NoBracket, MaxItersExceeded) as exc:
+            return j, r, exc
         r = constraint_residual(problem, x_row)
         np.multiply(r, dual_step, out=tmp)
         np.subtract(prev[n:], tmp, out=lam_row)
         RN[j] = math.sqrt(r @ r)
         elapsed[j] = time.perf_counter() - start
         prev = row
+    return len(Z), r, None
 
 
 def step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
@@ -566,23 +562,18 @@ def step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
 
     ``order`` is the order in which the sweep visits the blocks (default
     ``0..N-1``).  Only the sequential Gauss-Seidel step depends on it; every
-    other method gives the same result bit for bit under any order.
+    other method gives the same result bit for bit under any order.  A
+    block-solve failure raises.
     """
     check_point(problem, u)
-    prepared = _Prepared(problem, params, method)
-    if order is None:
-        order = range(problem.N)
-    elif sorted(order) != list(range(problem.N)):
-        raise ValueError("order must visit every block exactly once")
+    prepared = _Prepared(problem, params, method, order)
     x = problem.stack(u.x)
-    if prepared.affine is None:
-        x, lam, _, _ = _sweep(prepared, x, u.lam, constraint_residual(problem, x), order)
-    else:
-        Z = np.empty((1, x.size + problem.m))
-        _affine_steps(prepared, np.concatenate((x, u.lam)), Z, np.empty(1), np.empty(1),
-                      time.perf_counter())
-        x, lam = Z[0, :x.size], Z[0, x.size:]
-    return PrimalDualPoint(problem.split(x), lam)
+    Z = np.empty((1, x.size + problem.m))
+    _, _, failure = _steps(prepared, np.concatenate((x, u.lam)), constraint_residual(problem, x),
+                           Z, np.empty(1), np.empty(1), np.empty(1), time.perf_counter())
+    if failure is not None:
+        raise failure
+    return PrimalDualPoint(problem.split(Z[0, :x.size]), Z[0, x.size:])
 
 
 # -- the run loop --------------------------------------------------------------
@@ -607,11 +598,11 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     solves (an unknown method, a non-PSD proximal matrix, a problem without
     a positive curvature bound for dual decomposition) raise.
 
-    Every run takes its steps :data:`RECORD_CHUNK` at a time into one
-    preallocated ``(chunk, n + m)`` buffer of ``[x; lam]`` rows and records
+    Every run takes its steps :data:`RECORD_CHUNK` at a time with
+    :func:`_steps`, which writes each iterate straight into its row of one
+    preallocated ``(chunk, n + m)`` buffer of ``[x; lam]`` rows, and records
     each chunk with batched products; the two engines (see
-    :class:`_Prepared`) differ only in the step, and the affine step writes
-    each iterate straight into its row.  A chunk
+    :class:`_Prepared`) differ only in the new ``x``.  A chunk
     keeps the rows up to the first one that meets the stop rule, and the
     run ends in that row's state, so it records the rows of a step-by-step
     loop.  A block-solve failure ends its chunk at the failed step; the
@@ -623,12 +614,11 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     trace = Trace(points=[] if record_points else None)
     clock = time.perf_counter()
     prepared = _Prepared(problem, params, method)
-    trace.engine = "sweep" if prepared.affine is None else "affine"
+    trace.engine = prepared.engine
     offsets = prepared.offsets
     if reference is not None:
         x_ref, lam_ref = problem.stack(reference.x), reference.lam
     phi = phi_context if reference is not None else None
-    order = range(problem.N)
     x, lam = problem.stack(u0.x), u0.lam.copy()
     r = constraint_residual(problem, x)
     start = time.perf_counter()
@@ -673,29 +663,17 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     with np.errstate(over="ignore", invalid="ignore"):
         while trace.status == MAX_ITERS and k < params.max_iters:
             size = min(RECORD_CHUNK, params.max_iters - k)
-            failure = None
             clock = time.perf_counter()
-            if prepared.affine is not None:
-                _affine_steps(prepared, z, Z[:size], RN, elapsed, start)
-            else:
-                x, lam = z[:n], z[n:]
-                for j in range(size):
-                    try:
-                        x, lam, r, newton[j] = _sweep(prepared, x, lam, r, order)
-                    except (SubproblemFailed, NoBracket, MaxItersExceeded) as exc:
-                        failure = f"step {k + j + 1}: {type(exc).__name__}: {exc}"
-                        size = j
-                        break
-                    X[j], LAM[j], RN[j] = x, lam, math.sqrt(r @ r)
-                    elapsed[j] = time.perf_counter() - start
+            size, r, failure = _steps(prepared, z, r, Z[:size], RN, newton, elapsed, start)
             step_s += time.perf_counter() - clock
             kept = record_rows(k + 1, X[:size], LAM[:size], RN[:size], elapsed[:size])
             trace.newton_max_residual = float(newton[:kept].max(initial=trace.newton_max_residual))
+            if failure is not None and trace.status == MAX_ITERS:
+                trace.status = DIVERGED
+                trace.failure = f"step {k + size + 1}: {type(failure).__name__}: {failure}"
             k += kept
             if kept:
                 z = Z[kept - 1].copy()
-            if failure is not None and trace.status == MAX_ITERS:
-                trace.status, trace.failure = DIVERGED, failure
     trace.timings["step"] = step_s
     trace.timings["record"] = time.perf_counter() - start - step_s
     trace.final = PrimalDualPoint(problem.split(z[:n]), z[n:])

@@ -380,6 +380,21 @@ def test_run_sweep_propagates_errors_that_no_cell_can_cause(monkeypatch):
         run_sweep(generate_lcqp(2, 5, 3, seed=0), sweep)
 
 
+def test_run_sweep_rejects_instances_that_share_a_seed(monkeypatch):
+    # Cells and references are keyed by seed: two instances with one seed
+    # would share a reference and overwrite each other's cells.
+    import jprox.experiments as experiments
+    from jprox.errors import InvalidParameter
+
+    ran = []
+    monkeypatch.setattr(experiments, "instance_reference", lambda inst: ran.append(inst))
+    monkeypatch.setattr(experiments, "_run_cell", lambda *args: ran.append(args))
+    instances = [generate_lcqp(3, 6, 4, 0), generate_lcqp(2, 5, 3, 0)]
+    with pytest.raises(InvalidParameter, match="seed 0"):
+        run_sweep(instances, SweepConfig((1.0,), (1.0,), max_iters=50))
+    assert ran == []
+
+
 def test_run_sweep_records_an_invalid_penalty_as_an_error_cell():
     sweep = SweepConfig(rho_grid=(-1.0,), gamma_grid=(1.0,), max_iters=10)
     cell = run_sweep(generate_lcqp(2, 5, 3, seed=0), sweep)[(-1.0, 1.0, 0)]

@@ -228,6 +228,15 @@ def test_scalar_newton_no_bracket_beyond_expansion_range():
         scalar_solve(block, rho=1.0, lam_k=1e20, g_minus_i=0.0, c=0.0, x_k=0.0, P_scalar=0.0)
 
 
+@pytest.mark.parametrize("shift, side", [(1e20, "below"), (-1e20, "above")])
+def test_scalar_newton_bracket_search_names_the_side_it_searched(shift, side):
+    from jprox.errors import NoBracket
+
+    # The root x = -shift lies past the reach of 60 doublings from 0.
+    with pytest.raises(NoBracket, match=f"^no sign change within 60 doublings {side} the start$"):
+        solvers._newton_bisection(lambda x: x + shift, lambda x: 1.0, 0.0, 1e-12, 100)
+
+
 # -- the jprox step ------------------------------------------------------------------------
 
 def test_step_fixed_point_single_block():
@@ -673,6 +682,27 @@ def test_run_turns_a_block_solve_failure_into_divergence(monkeypatch):
     assert trace.final.x[0][0] == 0.0
 
 
+@pytest.mark.parametrize("method", ["jprox", "gauss-seidel"])
+def test_step_raises_a_block_solve_failure(monkeypatch, method):
+    def fails(*args):
+        raise MaxItersExceeded("injected failure")
+
+    monkeypatch.setattr(solvers, "_solve_scalar", fails)
+    ra = generate_resource_alloc(6, seed=0)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(5.0))
+    with pytest.raises(MaxItersExceeded, match="injected failure"):
+        step(ra.problem, PrimalDualPoint.zeros(ra.problem), params, method=method)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 4], [5, 4, 3, 2, 1, 0, 0]])
+def test_step_rejects_an_order_that_does_not_visit_every_block_once(order):
+    ra = generate_resource_alloc(6, seed=0)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(5.0))
+    with pytest.raises(ValueError, match="order must visit every block exactly once"):
+        step(ra.problem, PrimalDualPoint.zeros(ra.problem), params, method="gauss-seidel",
+             order=order)
+
+
 def test_run_still_raises_on_prepare_failures():
     p = two_scalar_blocks()
     indefinite = ExplicitProximal([np.array([[-1.0]]), np.array([[1.0]])])
@@ -939,6 +969,64 @@ def _sweep_run(family, rho, max_iters, dis_tol=0.0):
     params = SolverParams(rho=rho, gamma=1.0, policy=StandardProximal(5.0),
                           max_iters=max_iters, dis_tol=dis_tol)
     return problem, params, PrimalDualPoint.zeros(problem), ref, method
+
+
+@pytest.mark.parametrize("family", ["gs-lcqp", "ra-6"])
+def test_block_sweep_run_computes_one_constraint_residual_per_iterate(monkeypatch, family):
+    calls = []
+    original = solvers.constraint_residual
+
+    def counting(problem, x):
+        calls.append(len(x))
+        return original(problem, x)
+
+    problem, params, u0, ref, method = _sweep_run(family, 1.0, 20)
+    monkeypatch.setattr(solvers, "constraint_residual", counting)
+    trace = run(problem, params, u0, reference=ref, method=method, record_points=True)
+    assert trace.engine == "sweep" and len(trace) == 21
+    assert len(calls) == len(trace)
+    for point, recorded in zip(trace.points, trace.primal_residual):
+        assert recorded == float(np.linalg.norm(original(problem, point.x)))
+
+
+def _formula_sweep_step(prepared, x, lam):
+    """One block-sweep step as formulas on fresh arrays, blocks in the order ``0..N-1``."""
+    problem, rho = prepared.problem, prepared.rho
+    A = problem.stacked_A()
+    w = lam - rho * (A @ x - problem.c)
+    x_new = x.copy()
+    for b in prepared.blocks:
+        x_i = x[b.sl]
+        if b.factor is not None:
+            x_new[b.sl] = b.factor.solve(b.At @ w + b.B @ x_i - b.f.q)
+        else:
+            x0 = float(x_i[0])
+            x_new[b.sl] = solvers._solve_scalar(b.f, b.B, -float(b.At @ w) - b.B * x0, b.P, x0)[0]
+        if prepared.sequential:
+            w = w - rho * (b.A @ (x_new[b.sl] - x_i))
+    r = A @ x_new - problem.c
+    return x_new, lam - prepared.dual_step * r, r
+
+
+@pytest.mark.parametrize("family", ["gs-lcqp", "ra-6"])
+@pytest.mark.parametrize("max_iters", [1, 64, 150])
+def test_buffered_block_sweep_rows_equal_the_unbuffered_formula(family, max_iters):
+    problem, params, _, _, method = _sweep_run(family, 1.0, max_iters)
+    prepared = solvers._Prepared(problem, params, method)
+    u0 = random_point(problem, 3)
+    trace = run(problem, params, u0, method=method, record_points=True)
+    assert trace.engine == "sweep" and trace.ks[-1] == max_iters
+    x, lam = np.concatenate(u0.x), u0.lam
+    for k, point in enumerate(trace.points[1:], 1):
+        x, lam, r = _formula_sweep_step(prepared, x, lam)
+        assert np.concatenate(point.x).tobytes() == x.tobytes(), k
+        assert point.lam.tobytes() == lam.tobytes(), k
+        assert trace.primal_residual[k] == math.sqrt(r @ r), k
+    assert np.concatenate(trace.final.x).tobytes() == x.tobytes()
+    assert trace.final.lam.tobytes() == lam.tobytes()
+    one = step(problem, u0, params, method=method)
+    assert np.concatenate(one.x).tobytes() == np.concatenate(trace.points[1].x).tobytes()
+    assert one.lam.tobytes() == trace.points[1].lam.tobytes()
 
 
 def _gauss_seidel_counterexample():
