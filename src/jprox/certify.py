@@ -25,14 +25,15 @@ the norms ``||A_i||``, the certified proximal weights, and ``mu_s``.  For
 the standard and prox-linear policies the coupling condition on each
 eigenvalue is a concave quadratic in the weight ``tau``, so
 :func:`smallest_certified_tau` reads each block's certified interval in
-closed form and confirms its weight with one dense check; :func:`certify`,
-the one place an ``"auto"`` request becomes weights, keeps those margins.
-Without a proximal term and for the standard and prox-linear policies,
-both matrices of the ``mu_s`` pencil are polynomials in ``A_i'A_i``, so
-``mu_s`` is a maximum of ratios over its eigenvalues; an explicit ``P_i``
-takes the dense generalized eigensolve of :func:`compute_mu_s`, which also
-serves as the oracle of the closed form.  The coupling condition is always
-checked on the dense matrices.
+closed form and only proposes a weight; it builds the dense coupling matrix
+only on the interval's boundary, where round-off decides the sign.
+:func:`certify`, the one place an ``"auto"`` request becomes weights, checks
+the coupling condition of every policy once, on the dense matrices
+(:func:`check_xi_condition`).  Without a proximal term and for the standard
+and prox-linear policies, both matrices of the ``mu_s`` pencil are
+polynomials in ``A_i'A_i``, so ``mu_s`` is a maximum of ratios over its
+eigenvalues; an explicit ``P_i`` takes the dense generalized eigensolve of
+:func:`compute_mu_s`, which also serves as the oracle of the closed form.
 
 All checks are reported with margins; a failed certificate is data, not an
 exception, so callers can still run the solver on uncertified parameters.
@@ -177,6 +178,8 @@ class XiCheck:
 def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float,
                        P_list: Sequence[np.ndarray]) -> XiCheck:
     """Check the per-block coupling condition for the uniform split weights.
+
+    The one coupling check :func:`certify` runs, for every policy.
 
     With ``B_i = rho*A_i'A_i + P_i``, each block must satisfy
     ``B_i - 8*s*B_i^2 - (rho/xi_i)*A_i'A_i`` positive definite while the
@@ -352,16 +355,16 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     to 1.5 times the smallest certified weights (:func:`smallest_certified_tau`),
     else to :func:`fallback_tau`, with prox-linear weights raised to the PSD
     floor ``rho*||A_i||^2``; it raises :class:`GammaOutOfRange` for ``gamma``
-    outside (0, 2).  The concrete policy is the certificate's ``proximal``,
-    and the search's dense coupling margins are its own, so each block's
-    coupling matrix is built once.
+    outside (0, 2).  The concrete policy is the certificate's ``proximal``.
+    Whatever the policy, the coupling condition is checked here, once per
+    block, by :func:`check_xi_condition`.
 
     Never raises on a certifiability failure: the returned certificate has
     ``passed=False`` and names the broken condition, so the solver can still
     be run on the same parameters.  A passed certificate carries the
     :class:`PhiWeights` of its ``phi``.
     """
-    policy, known = _resolve(problem, rho, gamma, policy)
+    policy = _resolve(problem, rho, gamma, policy)
     cert = Certificate(rho=rho, gamma=gamma, policy=describe_policy(policy),
                        passed=False, seed=seed, proximal=policy)
     _require_positive(rho=rho)
@@ -380,32 +383,28 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     _require_positive(s=s)
     gap = consts.alpha - 2.0 * consts.L * s
     P_list = materialize_policy(policy, rho, problem)
-
-    # The dense check of check_xi_condition, on the blocks the search left unchecked.
-    xi = uniform_xi(gamma, problem.N)
-    min_eigs = [m if m is not None else _xi_margin(AtA, Pi, rho, s, rho / xi_i)
-                for AtA, Pi, xi_i, m in zip(problem.gram_matrices(), P_list, xi, known)]
+    xi_check = check_xi_condition(problem, rho, gamma, s, P_list)
     if isinstance(policy, ExplicitProximal):
         mu = compute_mu_s(problem, consts, rho, s, P_list)
     else:
         mu = closed_form_mu_s(problem, consts, rho, s, policy)
     sig = compute_sigma(gamma, rho, s, consts.c_A, mu)
 
-    cert.s, cert.xi, cert.mu_s, cert.sigma = s, xi, mu, sig.sigma
+    cert.s, cert.xi, cert.mu_s, cert.sigma = s, xi_check.xi, mu, sig.sigma
     cert.margins = {
         "s_margin": consts.alpha / (2.0 * problem.N)
         - s * max(rho * rho * consts.D * nrm * nrm + consts.L / problem.N
                   for nrm in consts.A_norms),
         "alpha_2Ls": gap,
-        "xi_pd_min_eigs": min_eigs,
-        "xi_sum_slack": (2.0 - gamma) - sum(xi),
+        "xi_pd_min_eigs": list(xi_check.min_eigs),
+        "xi_sum_slack": (2.0 - gamma) - sum(xi_check.xi),
         "mu_margin": 1.0 - mu,
         "sigma_margin": 1.0 - sig.sigma,
         "dual_branch": sig.dual_branch,
         "c_A_used": sig.c_A_used,
     }
     # No NonPositiveWeight branch: s <= alpha/(4L), so gap >= alpha/2 > 0.
-    if not all(e > 0.0 for e in min_eigs):
+    if not xi_check.passed:
         cert.failure = "XiConditionFailed"
     elif not (0.0 < mu < 1.0):
         cert.failure = "MuOutOfRange"
@@ -559,24 +558,19 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
     certified weights are thus ``lo < tau < hi``, where
     ``lo = max_j(2*c*d_j/(1 + r_j) - b0_j)`` and ``hi = min_j((1 + r_j)/(16*s) - b0_j)``;
     an empty interval raises :class:`CertificationError`.  Returns ``safety*lo``
-    when it is below ``hi`` and passes the dense check :func:`check_xi_condition`
-    runs (one eigensolve per block), else the boundary (round-off-sized when
-    ``lo <= 0``) nudged up by relative steps from 1e-12 until that check passes.
+    when it lies strictly inside the interval and above 0, with no dense check.
+    Otherwise it returns the boundary (round-off-sized when ``lo <= 0``),
+    nudged up by relative steps from 1e-12 until the dense coupling matrix
+    of :func:`check_xi_condition` is positive definite.  The weights are a
+    proposal: :func:`certify` checks them.
     """
-    return _certified_taus(problem, rho, gamma, kind, safety)[0]
-
-
-def _certified_taus(problem: BlockProblem, rho: float, gamma: float, kind: str,
-                    safety: float = 1.5) -> tuple:
-    """:func:`smallest_certified_tau` as ``(taus, margins)``: ``margins[i]`` is the
-    dense coupling margin (:func:`_xi_margin`) that confirmed ``taus[i]``."""
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
     if kind not in TAU_KINDS.values():
         raise InvalidParameter(f"unknown policy kind {kind!r}")
     consts = estimate_constants(problem)
     s = 0.5 * max_feasible_s(consts, rho, problem.N)
-    taus, margins = [], []
+    taus = []
     blocks = zip(problem.gram_matrices(), problem.gram_spectra(), uniform_xi(gamma, problem.N))
     for i, (AtA, g, xi) in enumerate(blocks):
         c = rho / xi
@@ -592,15 +586,14 @@ def _certified_taus(problem: BlockProblem, rho: float, gamma: float, kind: str,
                 f"block {i}: no proximal weight satisfies the coupling condition "
                 f"(rho={rho:g}, gamma={gamma:g})"
             )
-        P0 = -rho * AtA if kind == "proxlinear" else 0.0  # P = tau*I + P0
-        eye = np.eye(AtA.shape[0])
         tau = safety * lo
-        margin = _xi_margin(AtA, tau * eye + P0, rho, s, c) if 0.0 < tau < hi else 0.0
-        if not margin > 0.0:
+        if not max(lo, 0.0) < tau < hi:
+            # On the boundary round-off decides the sign: nudge up until the dense check passes.
+            P0 = -rho * AtA if kind == "proxlinear" else 0.0  # P = tau*I + P0
+            eye = np.eye(AtA.shape[0])
             tau = lo if lo > 0.0 else 1e-12 * max(c * consts.A_norms[i] ** 2, 1.0)
             for k in range(60):
-                margin = _xi_margin(AtA, tau * eye + P0, rho, s, c)
-                if margin > 0.0:
+                if _xi_margin(AtA, tau * eye + P0, rho, s, c) > 0.0:
                     break
                 tau *= 1.0 + 1e-12 * 2.0 ** k
             else:
@@ -609,27 +602,24 @@ def _certified_taus(problem: BlockProblem, rho: float, gamma: float, kind: str,
                     f"(rho={rho:g}, gamma={gamma:g})"
                 )
         taus.append(tau)
-        margins.append(margin)
-    return taus, margins
+    return taus
 
 
-def _resolve(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPolicy) -> tuple:
-    """``(policy, known)``: the concrete policy :func:`certify` resolves a request to, and
-    the dense margin that confirmed each block's weight in the search (else ``None``)."""
-    known = [None] * problem.N
+def _resolve(problem: BlockProblem, rho: float, gamma: float,
+             policy: ProximalPolicy) -> ProximalPolicy:
+    """The concrete policy :func:`certify` resolves an ``"auto"`` request to; any other as given."""
     if not (type(policy) in TAU_KINDS and isinstance(policy.tau, str) and policy.tau == "auto"):
-        return policy, known
+        return policy
     kind = TAU_KINDS[type(policy)]
     try:
-        taus, known = _certified_taus(problem, rho, gamma, kind)
+        taus = smallest_certified_tau(problem, rho, gamma, kind)
     except JproxError:
         taus = fallback_tau(problem, rho, gamma, kind)
     # The prox-linear coupling margin tau - 8*s*tau^2 - c*||A_i||^2 is concave
     # in tau and peaks at 1/(16*s), which the choice of s keeps at or above the
     # floor, so raising a passing weight to the floor keeps it passing.
     floors = [rho * g.norm ** 2 if kind == "proxlinear" else 0.0 for g in problem.gram_spectra()]
-    return (type(policy)([max(t, f) for t, f in zip(taus, floors)]),
-            [m if t >= f else None for t, f, m in zip(taus, floors, known)])
+    return type(policy)([max(t, f) for t, f in zip(taus, floors)])
 
 
 def fallback_tau(problem: BlockProblem, rho: float, gamma: float,

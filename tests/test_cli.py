@@ -197,6 +197,18 @@ def test_certify_auto_takes_one_gram_eigensolve_per_block(tmp_path, count_calls)
     assert (len(gram), len(pencil), len(norms)) == (3, 0, 0)
 
 
+def test_certify_auto_runs_the_weight_search_once(tmp_path, count_calls):
+    inst = make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0)
+    search = count_calls("jprox.certify", "smallest_certified_tau")
+    assert run_cli("certify", "--input", str(inst), "--tau", "auto",
+                   "--output", str(tmp_path / "auto.json")) == 0
+    assert len(search) == 1
+    search.clear()
+    assert run_cli("certify", "--input", str(inst), "--tau", "2",
+                   "--output", str(tmp_path / "two.json")) in (0, 4)
+    assert search == []
+
+
 def test_certify_explicit_policy_solves_one_pencil_per_block(tmp_path, count_calls):
     inst = exp.load_instance(make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0))
     path = tmp_path / "explicit.json"
@@ -373,7 +385,7 @@ def test_solve_baseline_ignores_gamma_policy_and_tau(tmp_path, count_calls, meth
     # The baselines read neither P_i nor gamma: a gamma outside (0, 2) or a
     # weight request neither fails them nor starts the weight search.
     inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
-    search = count_calls("jprox.certify", "_certified_taus")
+    search = count_calls("jprox.certify", "smallest_certified_tau")
     certs = count_calls("jprox.certify", "certify")
     rows = []
     for i, flags in enumerate([("--gamma", "1"), ("--gamma", "2.5"),
@@ -394,6 +406,18 @@ def test_solve_explicit_policy_without_stored_matrices_exits_2(tmp_path, capsys,
                    "--output", str(tmp_path / "t.csv"))
     assert code == 2
     assert "--policy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["1", "2.5"])
+def test_certify_explicit_policy_without_stored_matrices_exits_2(tmp_path, capsys, gamma):
+    # The flags are checked before gamma is: a gamma outside (0, 2) does not hide them.
+    inst = make_instance(tmp_path, "ra", N=3, seed=0)
+    out = tmp_path / "c.json"
+    code = run_cli("certify", "--input", str(inst), "--gamma", gamma, "--policy", "explicit",
+                   "--output", str(out))
+    assert code == 2
+    assert "--policy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- sweep and report ----------------------------------------------------------------
