@@ -47,8 +47,6 @@ from .problem import (
     constraint_residual,
     dis_metric,
     kkt_residual,
-    load_problem,
-    save_problem,
 )
 from .solvers import (
     METHODS,

@@ -25,15 +25,15 @@ the norms ``||A_i||``, the certified proximal weights, and ``mu_s``.  For
 the standard and prox-linear policies the coupling condition on each
 eigenvalue is a concave quadratic in the weight ``tau``, so
 :func:`smallest_certified_tau` reads each block's certified interval in
-closed form and only proposes a weight; it builds the dense coupling matrix
-only on the interval's boundary, where round-off decides the sign.
+closed form and picks a weight strictly inside it, with no dense matrix.
 :func:`certify`, the one place an ``"auto"`` request becomes weights, checks
 the coupling condition of every policy once, on the dense matrices
-(:func:`check_xi_condition`).  Without a proximal term and for the standard
-and prox-linear policies, both matrices of the ``mu_s`` pencil are
-polynomials in ``A_i'A_i``, so ``mu_s`` is a maximum of ratios over its
-eigenvalues; an explicit ``P_i`` takes the dense generalized eigensolve of
-:func:`compute_mu_s`, which also serves as the oracle of the closed form.
+(:func:`check_xi_condition`, the only builder of the coupling matrix).
+Without a proximal term and for the standard and prox-linear policies, both
+matrices of the ``mu_s`` pencil are polynomials in ``A_i'A_i``, so ``mu_s``
+is a maximum of ratios over its eigenvalues; an explicit ``P_i`` takes the
+dense generalized eigensolve of :func:`compute_mu_s`, which also serves as
+the oracle of the closed form.
 
 All checks are reported with margins; a failed certificate is data, not an
 exception, so callers can still run the solver on uncertified parameters.
@@ -83,6 +83,9 @@ CA_CLAMP_MARGIN = 1e-9
 
 #: Values at or below this floor are dropped before fitting a decay rate.
 RATE_FIT_FLOOR = 1e-14
+
+#: The weight search proposes this multiple of a block's certified lower end.
+TAU_SAFETY = 1.5
 
 
 @dataclass(frozen=True)
@@ -155,17 +158,6 @@ def uniform_xi(gamma: float, N: int) -> tuple:
     return tuple((1.0 - XI_SLACK) * (2.0 - gamma) / N for _ in range(N))
 
 
-def _xi_margin(AtA: np.ndarray, P: np.ndarray, rho: float, s: float,
-               coupling: float) -> float:
-    """Smallest eigenvalue of ``B - 8*s*B^2 - coupling*A'A`` with ``B = rho*A'A + P``.
-
-    The one place the dense coupling-condition matrix is built.
-    """
-    B = rho * AtA + P
-    M = B - 8.0 * s * (B @ B) - coupling * AtA
-    return min_eigenvalue_sym(0.5 * (M + M.T))
-
-
 @dataclass(frozen=True)
 class XiCheck:
     """Outcome of the per-block positive-definiteness condition."""
@@ -179,21 +171,25 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
                        P_list: Sequence[np.ndarray]) -> XiCheck:
     """Check the per-block coupling condition for the uniform split weights.
 
-    The one coupling check :func:`certify` runs, for every policy.
+    The one coupling check :func:`certify` runs, for every policy, and the
+    only code that builds the dense coupling matrix.
 
     With ``B_i = rho*A_i'A_i + P_i``, each block must satisfy
     ``B_i - 8*s*B_i^2 - (rho/xi_i)*A_i'A_i`` positive definite while the
     ``xi_i`` sum stays below ``2 - gamma``; the split is
-    ``xi_i = (1 - 1e-6) * (2 - gamma) / N`` (:func:`uniform_xi`).
+    ``xi_i = (1 - 1e-6) * (2 - gamma) / N`` (:func:`uniform_xi`).  The
+    margins ``min_eigs`` are the smallest eigenvalues of these matrices,
+    one dense eigensolve per block.
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
     _require_positive(s=s)
     xi = uniform_xi(gamma, problem.N)
-    eigs = [
-        _xi_margin(AtA, np.asarray(Pi, dtype=float), rho, s, rho / xi_i)
-        for AtA, Pi, xi_i in zip(problem.gram_matrices(), P_list, xi)
-    ]
+    eigs = []
+    for AtA, Pi, xi_i in zip(problem.gram_matrices(), P_list, xi):
+        B = rho * AtA + np.asarray(Pi, dtype=float)
+        M = B - 8.0 * s * (B @ B) - (rho / xi_i) * AtA
+        eigs.append(min_eigenvalue_sym(0.5 * (M + M.T)))
     return XiCheck(all(e > 0.0 for e in eigs), tuple(eigs), xi)
 
 
@@ -352,12 +348,12 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     """Resolve a policy request, then certify the concrete policy.
 
     A ``StandardProximal("auto")`` or ``ProxLinear("auto")`` request resolves
-    to 1.5 times the smallest certified weights (:func:`smallest_certified_tau`),
-    else to :func:`fallback_tau`, with prox-linear weights raised to the PSD
-    floor ``rho*||A_i||^2``; it raises :class:`GammaOutOfRange` for ``gamma``
-    outside (0, 2).  The concrete policy is the certificate's ``proximal``.
-    Whatever the policy, the coupling condition is checked here, once per
-    block, by :func:`check_xi_condition`.
+    to the weights of :func:`smallest_certified_tau`, else to :func:`fallback_tau`,
+    with prox-linear weights raised to the PSD floor ``rho*||A_i||^2``; it
+    raises :class:`GammaOutOfRange` for ``gamma`` outside (0, 2).  The concrete
+    policy is the certificate's ``proximal``.  Whatever the policy, the
+    coupling condition is checked here, once per block, by
+    :func:`check_xi_condition`.
 
     Never raises on a certifiability failure: the returned certificate has
     ``passed=False`` and names the broken condition, so the solver can still
@@ -544,9 +540,9 @@ def fit_linear_rate(values: Sequence[float], tail_fraction: float = 0.5) -> Rate
 
 # -- certified proximal weights ---------------------------------------------------
 
-def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
-                           kind: str = "standard", safety: float = 1.5) -> list:
-    """Per-block smallest proximal weight passing the coupling condition, scaled.
+def _certified_intervals(problem: BlockProblem, rho: float, gamma: float,
+                         kind: str) -> list:
+    """Per-block interval ``(lo, hi)`` of the proximal weights passing the coupling condition.
 
     ``kind`` selects the standard (``tau*I``) or prox-linear
     (``tau*I - rho*A'A``) materialization.  Both make the condition matrix
@@ -557,23 +553,16 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
     strictly between its roots.  With ``r_j = sqrt(1 - 32*s*c*d_j)`` a block's
     certified weights are thus ``lo < tau < hi``, where
     ``lo = max_j(2*c*d_j/(1 + r_j) - b0_j)`` and ``hi = min_j((1 + r_j)/(16*s) - b0_j)``;
-    an empty interval raises :class:`CertificationError`.  Returns ``safety*lo``
-    when it lies strictly inside the interval and above 0, with no dense check.
-    Otherwise it returns the boundary (round-off-sized when ``lo <= 0``),
-    nudged up by relative steps from 1e-12 until the dense coupling matrix
-    of :func:`check_xi_condition` is positive definite.  The weights are a
-    proposal: :func:`certify` checks them.
+    an empty interval (``hi <= max(lo, 0)``) raises :class:`CertificationError`.
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
     if kind not in TAU_KINDS.values():
         raise InvalidParameter(f"unknown policy kind {kind!r}")
-    consts = estimate_constants(problem)
-    s = 0.5 * max_feasible_s(consts, rho, problem.N)
-    taus = []
-    blocks = zip(problem.gram_matrices(), problem.gram_spectra(), uniform_xi(gamma, problem.N))
-    for i, (AtA, g, xi) in enumerate(blocks):
-        c = rho / xi
+    s = 0.5 * max_feasible_s(estimate_constants(problem), rho, problem.N)
+    c = rho / uniform_xi(gamma, problem.N)[0]
+    intervals = []
+    for i, g in enumerate(problem.gram_spectra()):
         d = g.eigenvalues
         b0 = rho * d if kind == "standard" else 0.0
         disc = 1.0 - 32.0 * s * c * d
@@ -586,22 +575,29 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
                 f"block {i}: no proximal weight satisfies the coupling condition "
                 f"(rho={rho:g}, gamma={gamma:g})"
             )
-        tau = safety * lo
-        if not max(lo, 0.0) < tau < hi:
-            # On the boundary round-off decides the sign: nudge up until the dense check passes.
-            P0 = -rho * AtA if kind == "proxlinear" else 0.0  # P = tau*I + P0
-            eye = np.eye(AtA.shape[0])
-            tau = lo if lo > 0.0 else 1e-12 * max(c * consts.A_norms[i] ** 2, 1.0)
-            for k in range(60):
-                if _xi_margin(AtA, tau * eye + P0, rho, s, c) > 0.0:
-                    break
-                tau *= 1.0 + 1e-12 * 2.0 ** k
-            else:
-                raise CertificationError(
-                    f"block {i}: the dense coupling check rejects the spectral boundary "
-                    f"(rho={rho:g}, gamma={gamma:g})"
-                )
-        taus.append(tau)
+        intervals.append((lo, hi))
+    return intervals
+
+
+def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
+                           kind: str = "standard") -> list:
+    """Per-block proximal weight strictly inside its certified interval ``(lo, hi)``.
+
+    The intervals come from :func:`_certified_intervals`.  The weight is
+    ``TAU_SAFETY*lo`` when that is below ``hi``, else ``(lo + hi)/2``; when
+    ``lo <= 0`` it is the round-off-sized ``1e-12*max(c*||A_i||^2, 1)``, at
+    most ``hi/2``.  No dense matrix is built: :func:`certify` checks the weights.
+    """
+    intervals = _certified_intervals(problem, rho, gamma, kind)
+    c = rho / uniform_xi(gamma, problem.N)[0]
+    taus = []
+    for (lo, hi), g in zip(intervals, problem.gram_spectra()):
+        if lo <= 0.0:
+            taus.append(min(1e-12 * max(c * g.norm ** 2, 1.0), 0.5 * hi))
+        elif TAU_SAFETY * lo < hi:
+            taus.append(TAU_SAFETY * lo)
+        else:
+            taus.append(0.5 * (lo + hi))
     return taus
 
 

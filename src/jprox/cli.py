@@ -205,9 +205,11 @@ def cmd_certify(args) -> int:
     rho = _positive(args.rho, "--rho")
     gamma = _positive(args.gamma, "--gamma")
     policy = build_policy(instance, args.policy, args.tau)
-    # Out of (0, 2) there is no policy to resolve; the failed certificate still goes to disk.
-    cert = certify(instance.problem, rho, gamma, policy if gamma < 2.0 else None,
-                   seed=instance.seed)
+    # Out of (0, 2) an "auto" request has no weights to resolve to; the failed
+    # certificate still goes to disk, and names any concrete policy.
+    if gamma >= 2.0 and policy in (StandardProximal("auto"), ProxLinear("auto")):
+        policy = None
+    cert = certify(instance.problem, rho, gamma, policy, seed=instance.seed)
     cert.save(args.output)
     if cert.passed:
         print(f"certified: sigma={cert.sigma:.12g} s={cert.s:.6g} mu_s={cert.mu_s:.6g}")

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import base64
 import binascii
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -504,11 +502,3 @@ def problem_from_dict(d: dict) -> BlockProblem:
     if d["N"] != problem.N or d["m"] != problem.m:
         raise ValueError("problem dimensions disagree with the N/m fields")
     return problem
-
-
-def save_problem(problem: BlockProblem, path) -> None:
-    Path(path).write_text(json.dumps(problem_to_dict(problem)), encoding="utf-8")
-
-
-def load_problem(path) -> BlockProblem:
-    return problem_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jprox.certify import (
+    TAU_SAFETY,
     PhiWeights,
     ProblemConstants,
+    _certified_intervals,
     certify,
     check_xi_condition,
     closed_form_mu_s,
@@ -474,16 +476,26 @@ def test_certify_roundtrip(tmp_path):
     assert loaded.xi == cert.xi
 
 
+def lower_end_weights(p, rho, gamma, kind, factor):
+    """Each block's certified lower end times ``factor``, at most its interval's midpoint.
+
+    Where the lower end is at or below 0 the search's round-off-sized weight stands in.
+    """
+    searched = smallest_certified_tau(p, rho, gamma, kind=kind)
+    return [min(factor * lo, 0.5 * (lo + hi)) if lo > 0.0 else tau
+            for (lo, hi), tau in zip(_certified_intervals(p, rho, gamma, kind), searched)]
+
+
 def test_smallest_certified_tau_is_minimal_and_feasible():
     inst = generate_lcqp(3, 8, 4, seed=3)
     consts = estimate_constants(inst.problem)
     s = 0.5 * max_feasible_s(consts, 1.0, 3)
-    taus = smallest_certified_tau(inst.problem, 1.0, 1.0, safety=1.0)
+    taus = lower_end_weights(inst.problem, 1.0, 1.0, "standard", 1.0 + 1e-6)
     res = check_xi_condition(inst.problem, 1.0, 1.0, s,
                              materialize_policy(StandardProximal(taus), 1.0, inst.problem))
     assert res.passed
     # Slightly below the boundary the condition must fail for some block.
-    shrunk = [0.98 * t for t in taus]
+    shrunk = [0.98 * lo for lo, _ in _certified_intervals(inst.problem, 1.0, 1.0, "standard")]
     res2 = check_xi_condition(inst.problem, 1.0, 1.0, s,
                               materialize_policy(StandardProximal(shrunk), 1.0, inst.problem))
     assert not res2.passed
@@ -499,13 +511,13 @@ def test_smallest_certified_tau_prox_linear_scalar_formula():
     inst = generate_lcqp(1, 5, 3, seed=2)
     consts = estimate_constants(inst.problem)
     s = 0.5 * max_feasible_s(consts, 1.0, 1)
-    taus = smallest_certified_tau(inst.problem, 1.0, 1.0, kind="proxlinear", safety=1.0)
+    (lo, _), = _certified_intervals(inst.problem, 1.0, 1.0, "proxlinear")
     cxi = 1.0 / uniform_xi(1.0, 1)[0]
     # Boundary of tau - 8 s tau^2 - cxi ||A||^2 > 0 (smaller root).
     nrm2 = consts.A_norms[0] ** 2
     disc = math.sqrt(1.0 - 32.0 * s * cxi * nrm2)
     tau_lo = (1.0 - disc) / (16.0 * s)
-    assert taus[0] == pytest.approx(tau_lo, rel=1e-6)
+    assert lo == pytest.approx(tau_lo, rel=1e-6)
 
 
 # -- spectral tau search ---------------------------------------------------------------------
@@ -571,8 +583,9 @@ def test_spectral_tau_matches_dense_bisection(kind, shape):
 
 @pytest.mark.parametrize("kind", ["standard", "proxlinear"])
 def test_certified_tau_at_unit_safety_passes_dense_check(kind):
+    # Just above each block's certified lower end the dense check passes.
     # Includes a single block with a singular A'A at gamma < 1, where the
-    # boundary sits at round-off level.
+    # lower end is 0 and the search's weight is round-off-sized.
     make = StandardProximal if kind == "standard" else ProxLinear
     for shape in TAU_SHAPES + [(1, 3, 6), (3, 40, 15)]:
         for seed in (0, 3):
@@ -582,7 +595,7 @@ def test_certified_tau_at_unit_safety_passes_dense_check(kind):
                 if kind == "proxlinear" and p.N < 2.0 - gamma:
                     continue  # one block at gamma < 1: the boundary is below rho*||A||^2
                 try:
-                    taus = smallest_certified_tau(p, rho, gamma, kind=kind, safety=1.0)
+                    taus = lower_end_weights(p, rho, gamma, kind, 1.0 + 1e-6)
                 except CertificationError:
                     continue
                 s = 0.5 * max_feasible_s(consts, rho, p.N)
@@ -591,41 +604,28 @@ def test_certified_tau_at_unit_safety_passes_dense_check(kind):
                 assert res.passed, (shape, seed, rho, gamma)
 
 
-def dense_eigensolves_of_tau_search(monkeypatch, kind, safety=1.5):
-    """``(N, calls)``: the dense eigensolves of one search on an LCQP (3, 30, 12) at (1, 1)."""
-    import importlib
-
-    module = importlib.import_module("jprox.certify")
-    calls = []
-    original = module.min_eigenvalue_sym
-
-    def counting(S, *args, **kwargs):
-        calls.append(S.shape)
-        return original(S, *args, **kwargs)
-
+def dense_eigensolves_of_tau_search(count_calls, kind):
+    """``(problem, calls)``: dense eigensolves of one search on an LCQP (3, 30, 12) at (1, 1)."""
     p = generate_lcqp(3, 30, 12, seed=0).problem
-    consts = estimate_constants(p)
-    monkeypatch.setattr(module, "min_eigenvalue_sym", counting)
-    smallest_certified_tau(p, 1.0, 1.0, kind=kind, safety=safety)
-    return p.N, calls
+    calls = count_calls("jprox.linalg", "min_eigenvalue_sym")
+    smallest_certified_tau(p, 1.0, 1.0, kind=kind)
+    return p, calls
 
 
 @pytest.mark.parametrize("kind", ["standard", "proxlinear"])
-def test_tau_search_makes_few_dense_eigensolves(monkeypatch, kind):
-    # A weight on the interval's boundary is nudged up a few times at most.
-    N, calls = dense_eigensolves_of_tau_search(monkeypatch, kind, safety=1.0)
-    assert N <= len(calls) <= 3 * N
-
-
-@pytest.mark.parametrize("kind", ["standard", "proxlinear"])
-def test_tau_search_makes_one_dense_eigensolve_per_block(monkeypatch, kind):
-    # The interval comes in closed form: the scaled weight, strictly inside it,
-    # is only proposed (certify checks it); at safety 1 every block's weight is
-    # the boundary, where round-off decides the sign, so each is checked densely.
-    N, calls = dense_eigensolves_of_tau_search(monkeypatch, kind)
+def test_tau_search_makes_few_dense_eigensolves(count_calls, kind):
+    # The search is arithmetic on the closed-form interval: no dense eigensolve.
+    _, calls = dense_eigensolves_of_tau_search(count_calls, kind)
     assert calls == []
-    N, calls = dense_eigensolves_of_tau_search(monkeypatch, kind, safety=1.0)
-    assert len(calls) >= N
+
+
+@pytest.mark.parametrize("kind", ["standard", "proxlinear"])
+def test_tau_search_makes_one_dense_eigensolve_per_block(count_calls, kind):
+    # The search only proposes; the one dense eigensolve per block is certify's.
+    p, calls = dense_eigensolves_of_tau_search(count_calls, kind)
+    assert calls == []
+    assert certify(p, 1.0, 1.0, REQUESTS[kind]("auto")).passed
+    assert len(calls) == p.N
 
 
 @settings(max_examples=200, deadline=None)
@@ -642,7 +642,7 @@ def test_certified_tau_is_the_dense_boundary(N, m, n, seed, kind, rho_gamma):
     p = generate_lcqp(N, m, n, seed=seed).problem
     consts = estimate_constants(p)
     try:
-        taus = smallest_certified_tau(p, rho, gamma, kind=kind, safety=1.0)
+        taus = lower_end_weights(p, rho, gamma, kind, 1.0 + 1e-6)
     except CertificationError:
         return
     s = 0.5 * max_feasible_s(consts, rho, N)
@@ -655,10 +655,11 @@ def test_certified_tau_is_the_dense_boundary(N, m, n, seed, kind, rho_gamma):
         return check_xi_condition(p, rho, gamma, s, P_list)
 
     assert xi_check(taus).passed
-    below = xi_check([(1.0 - 1e-6) * t for t in taus])
+    los = [lo for lo, _ in _certified_intervals(p, rho, gamma, kind)]
+    below = xi_check([(1.0 - 1e-6) * lo for lo in los])
     cxi = rho / uniform_xi(gamma, N)[0]
-    for i, (tau, nrm) in enumerate(zip(taus, consts.A_norms)):
-        if tau > 1e-6 * max(cxi * nrm ** 2, 1.0):  # the boundary is above round-off
+    for i, (lo, nrm) in enumerate(zip(los, consts.A_norms)):
+        if lo > 1e-6 * max(cxi * nrm ** 2, 1.0):  # the boundary is above round-off
             assert below.min_eigs[i] <= 0.0, i
 
 
@@ -962,7 +963,8 @@ def test_auto_certificate_builds_each_coupling_matrix_once(count_calls, shape, g
     n=st.integers(1, 6),
     seed=st.integers(0, 2 ** 32 - 1),
     kind=st.sampled_from(list(REQUESTS)),
-    rho_gamma=st.sampled_from([(0.03, 0.1), (1.0, 0.5), (1.0, 1.5), (5.0, 1.9), (10.0, 1.0)]),
+    rho_gamma=st.sampled_from([(0.03, 0.1), (1.0, 0.5), (1.0, 1.5), (5.0, 1.9), (10.0, 1.0),
+                               (0.1, 1.9), (1.0, 1.99), (10.0, 1.5)]),
 )
 def test_searched_weight_passes_the_one_dense_check(N, m, n, seed, kind, rho_gamma):
     # The search checks a weight strictly inside its interval only in closed
@@ -980,6 +982,56 @@ def test_searched_weight_passes_the_one_dense_check(N, m, n, seed, kind, rho_gam
     cert = certify(p, rho, gamma, REQUESTS[kind]("auto"))
     assert cert.proximal == policy
     assert np.array(cert.margins["xi_pd_min_eigs"]).tobytes() == np.array(xi.min_eigs).tobytes()
+
+
+# Cells where TAU_SAFETY times a block's lower end leaves its interval.
+MIDPOINT_CELLS = {
+    "lcqp-3-12-5": (lambda: generate_lcqp(3, 12, 5, seed=0), 0.1, 1.9),
+    "lcqp-3-4-8": (lambda: generate_lcqp(3, 4, 8, seed=0), 1.0, 1.99),
+    "ra-20": (lambda: generate_resource_alloc(20, seed=2), 0.1, 1.9),
+    "ra-1": (lambda: generate_resource_alloc(1, seed=0), 10.0, 1.5),
+}
+
+
+@pytest.mark.parametrize("kind", list(REQUESTS))
+@pytest.mark.parametrize("cell", list(MIDPOINT_CELLS))
+def test_weight_is_the_midpoint_where_the_scaled_lower_end_leaves_the_interval(
+        count_calls, cell, kind):
+    make, rho, gamma = MIDPOINT_CELLS[cell]
+    p = make().problem
+    intervals = _certified_intervals(p, rho, gamma, kind)
+    eigs = count_calls("jprox.linalg", "min_eigenvalue_sym")
+    taus = smallest_certified_tau(p, rho, gamma, kind=kind)
+    assert eigs == []
+    assert any(TAU_SAFETY * lo >= hi for lo, hi in intervals)
+    for tau, (lo, hi) in zip(taus, intervals):
+        want = TAU_SAFETY * lo if TAU_SAFETY * lo < hi else 0.5 * (lo + hi)
+        assert tau.hex() == want.hex()
+    cert = certify(p, rho, gamma, REQUESTS[kind]("auto"))
+    assert cert.passed
+    assert cert.proximal == REQUESTS[kind](taus)
+    assert len(eigs) == p.N
+
+
+@pytest.mark.parametrize("seed, gamma, weight", [
+    (0, 0.1, 4.428720032961639e-12),
+    (1, 0.5, 2.8671714835923473e-12),
+    (2, 0.1, 6.080428889591435e-12),
+])
+def test_weight_is_round_off_sized_where_the_lower_end_is_zero(count_calls, seed, gamma,
+                                                                weight):
+    # One block with a singular A'A at gamma < 1: every weight in (0, hi)
+    # passes, and the search keeps its round-off-sized 1e-12*c*||A||^2.
+    p = generate_lcqp(1, 3, 6, seed=seed).problem
+    (lo, hi), = _certified_intervals(p, 1.0, gamma, "standard")
+    assert lo <= 0.0 < weight < 0.5 * hi
+    eigs = count_calls("jprox.linalg", "min_eigenvalue_sym")
+    assert smallest_certified_tau(p, 1.0, gamma) == [weight]
+    assert eigs == []
+    cert = certify(p, 1.0, gamma, StandardProximal("auto"))
+    assert cert.passed
+    assert cert.proximal == StandardProximal([weight])
+    assert len(eigs) == p.N
 
 
 def test_unresolved_request_fails_loudly():

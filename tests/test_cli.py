@@ -137,6 +137,23 @@ def test_certify_gamma_out_of_range(tmp_path, capsys):
     assert "gamma out of (0,2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, policy", [
+    (("--tau", "auto"), {"kind": "none"}),
+    (("--tau", "1"), {"kind": "standard", "tau": 1.0}),
+    (("--policy", "explicit"), {"kind": "explicit"}),
+], ids=["auto", "tau-1", "explicit"])
+def test_certify_gamma_out_of_range_records_the_concrete_policy(tmp_path, flags, policy):
+    # Only an "auto" request has no weights to resolve to out of (0, 2).
+    inst = exp.load_instance(make_instance(tmp_path, "lcqp", N=3, m=6, n=3, seed=0))
+    path = tmp_path / "explicit.json"
+    exp.save_instance(dataclasses.replace(inst, proximal_source=(np.eye(3),) * 3), path)
+    out = tmp_path / "cert.json"
+    assert run_cli("certify", "--input", str(path), "--gamma", "2.5", *flags,
+                   "--output", str(out)) == 4
+    cert = json.loads(out.read_text())
+    assert (cert["passed"], cert["failure"], cert["policy"]) == (False, "GammaOutOfRange", policy)
+
+
 def test_certify_missing_input_exits_3(tmp_path):
     code = run_cli("certify", "--input", str(tmp_path / "nope.json"),
                    "--output", str(tmp_path / "cert.json"))

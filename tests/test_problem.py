@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from jprox.errors import DimensionMismatch
-from jprox.experiments import generate_lcqp
+from jprox.experiments import generate_lcqp, load_instance, save_instance
 from jprox.linalg import smallest_singular_value_stacked
 from jprox.problem import (
     BlockProblem,
@@ -22,11 +22,9 @@ from jprox.problem import (
     block_value,
     constraint_residual,
     kkt_residual,
-    load_problem,
     pack_array,
     problem_from_dict,
     problem_to_dict,
-    save_problem,
     unpack_array,
 )
 
@@ -325,9 +323,9 @@ def test_augmented_lagrangian_penalty_difference_identity():
 
 def test_problem_roundtrip_quadratic(tmp_path):
     inst = generate_lcqp(3, 6, 4, seed=2)
-    path = tmp_path / "problem.json"
-    save_problem(inst.problem, path)
-    loaded = load_problem(path)
+    path = tmp_path / "instance.json"
+    save_instance(inst, path)
+    loaded = load_instance(path).problem
     assert loaded.N == inst.problem.N
     assert loaded.m == inst.problem.m
     for f1, f2, A1, A2 in zip(

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jprox.solvers as solvers
-from jprox.certify import smallest_certified_tau
+from jprox.certify import _certified_intervals
 from jprox.errors import InvalidParameter, MaxItersExceeded, NotPSD, NotStronglyConvex
 from jprox.experiments import generate_lcqp, generate_resource_alloc, reference_solution
 from jprox.problem import (
@@ -393,7 +393,8 @@ def test_run_reaches_solution_with_certified_weights():
     # around 0.9946 on this instance, so the 1e-6 error level needs ~2600
     # iterations; the budget below leaves headroom.
     inst = generate_lcqp(3, 20, 5, seed=0)
-    taus = smallest_certified_tau(inst.problem, rho=1.0, gamma=1.5, safety=1.0)
+    intervals = _certified_intervals(inst.problem, rho=1.0, gamma=1.5, kind="standard")
+    taus = [(1.0 + 1e-6) * lo for lo, _ in intervals]
     params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(taus),
                           max_iters=4000, dis_tol=0.0)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
