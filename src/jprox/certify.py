@@ -27,13 +27,13 @@ eigenvalue is a concave quadratic in the weight ``tau``, so
 :func:`smallest_certified_tau` reads each block's certified interval in
 closed form and picks a weight strictly inside it, with no dense matrix.
 :func:`certify`, the one place an ``"auto"`` request becomes weights, checks
-the coupling condition of every policy once, on the dense matrices
-(:func:`check_xi_condition`, the only builder of the coupling matrix).
-Without a proximal term and for the standard and prox-linear policies, both
-matrices of the ``mu_s`` pencil are polynomials in ``A_i'A_i``, so ``mu_s``
-is a maximum of ratios over its eigenvalues; an explicit ``P_i`` takes the
-dense generalized eigensolve of :func:`compute_mu_s`, which also serves as
-the oracle of the closed form.
+the coupling condition of every policy once (:func:`check_xi_condition`).
+Without a proximal term and for the standard and prox-linear policies, the
+coupling matrix and both matrices of the ``mu_s`` pencil are polynomials in
+``A_i'A_i``, so the coupling margin is a minimum and ``mu_s`` a maximum over
+its eigenvalues, with no matrix built.  An explicit ``P_i`` takes one dense
+eigensolve of the coupling matrix and the dense generalized eigensolve of
+:func:`compute_mu_s`; both also serve as the oracles of the closed forms.
 
 All checks are reported with margins; a failed certificate is data, not an
 exception, so callers can still run the solver on uncertified parameters.
@@ -168,28 +168,40 @@ class XiCheck:
 
 
 def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float,
-                       P_list: Sequence[np.ndarray]) -> XiCheck:
+                       policy: ProximalPolicy) -> XiCheck:
     """Check the per-block coupling condition for the uniform split weights.
 
-    The one coupling check :func:`certify` runs, for every policy, and the
-    only code that builds the dense coupling matrix.
-
-    With ``B_i = rho*A_i'A_i + P_i``, each block must satisfy
+    The one coupling check :func:`certify` runs.  With
+    ``B_i = rho*A_i'A_i + P_i``, each block must satisfy
     ``B_i - 8*s*B_i^2 - (rho/xi_i)*A_i'A_i`` positive definite while the
     ``xi_i`` sum stays below ``2 - gamma``; the split is
     ``xi_i = (1 - 1e-6) * (2 - gamma) / N`` (:func:`uniform_xi`).  The
-    margins ``min_eigs`` are the smallest eigenvalues of these matrices,
-    one dense eigensolve per block.
+    margins ``min_eigs`` are the smallest eigenvalues of these matrices.
+
+    Without a proximal term and for the standard and prox-linear policies,
+    ``B_i`` is a polynomial in ``A_i'A_i``, so no matrix is built: with
+    ``d_j`` the cached eigenvalues of ``A_i'A_i`` and
+    ``b_j = rho*d_j + p_j`` (``p_j`` from :func:`policy_eigenvalues`), the
+    margin is ``min_j(b_j - 8*s*b_j^2 - (rho/xi_i)*d_j)``.  An
+    :class:`ExplicitProximal` policy takes one dense eigensolve per block of
+    the coupling matrix built from its ``P_i``; wrapping the materialized
+    matrices of another policy in one gives the dense oracle of the closed form.
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
     _require_positive(s=s)
     xi = uniform_xi(gamma, problem.N)
     eigs = []
-    for AtA, Pi, xi_i in zip(problem.gram_matrices(), P_list, xi):
-        B = rho * AtA + np.asarray(Pi, dtype=float)
-        M = B - 8.0 * s * (B @ B) - (rho / xi_i) * AtA
-        eigs.append(min_eigenvalue_sym(0.5 * (M + M.T)))
+    if isinstance(policy, ExplicitProximal):
+        for AtA, Pi, xi_i in zip(problem.gram_matrices(), policy.P, xi):
+            B = rho * AtA + np.asarray(Pi, dtype=float)
+            M = B - 8.0 * s * (B @ B) - (rho / xi_i) * AtA
+            eigs.append(min_eigenvalue_sym(0.5 * (M + M.T)))
+    else:
+        for i, (g, xi_i) in enumerate(zip(problem.gram_spectra(), xi)):
+            d = g.eigenvalues
+            b = rho * d + policy_eigenvalues(policy, rho, d, i, problem.N)
+            eigs.append(float(np.min(b - 8.0 * s * b * b - (rho / xi_i) * d)))
     return XiCheck(all(e > 0.0 for e in eigs), tuple(eigs), xi)
 
 
@@ -353,7 +365,8 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     raises :class:`GammaOutOfRange` for ``gamma`` outside (0, 2).  The concrete
     policy is the certificate's ``proximal``.  Whatever the policy, the
     coupling condition is checked here, once per block, by
-    :func:`check_xi_condition`.
+    :func:`check_xi_condition`: in closed form, or densely for an explicit
+    policy.
 
     Never raises on a certifiability failure: the returned certificate has
     ``passed=False`` and names the broken condition, so the solver can still
@@ -379,7 +392,7 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     _require_positive(s=s)
     gap = consts.alpha - 2.0 * consts.L * s
     P_list = materialize_policy(policy, rho, problem)
-    xi_check = check_xi_condition(problem, rho, gamma, s, P_list)
+    xi_check = check_xi_condition(problem, rho, gamma, s, policy)
     if isinstance(policy, ExplicitProximal):
         mu = compute_mu_s(problem, consts, rho, s, P_list)
     else:

@@ -167,7 +167,7 @@ def _load_instance(path):
         return exp.load_instance(path)
     except FileNotFoundError:
         raise IOError(f"instance file not found: {path}")
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise IOError(f"malformed instance file {path}: {exc}")
 
 

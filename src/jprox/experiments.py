@@ -9,10 +9,9 @@ Randomness is confined to ``numpy.random.default_rng(seed)``, so identical
 
 from __future__ import annotations
 
-import json
 import time
+import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -33,11 +32,6 @@ from .problem import (
     QuadraticBlock,
     kkt_map,
     kkt_residual,
-    pack_array,
-    problem_from_dict,
-    problem_to_dict,
-    require_list,
-    unpack_array,
 )
 from .solvers import SolverParams, StandardProximal, run
 
@@ -360,42 +354,121 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
 
 
 # -- instance files ----------------------------------------------------------------
+#
+# An instance file is one uncompressed ``.npz`` archive, written by ``np.savez``
+# and read by ``np.load(allow_pickle=False)``, so write -> read is bit-exact and
+# a read decodes no text.  With ``m = len(c)`` and ``n_i`` the columns of
+# ``A_i``, its members are:
+#
+#   kind              0-d string, "lcqp" or "resource_alloc"
+#   seed              0-d integer
+#   c                 float64 (m,)
+#   A_0 ... A_{N-1}   float64 (m, n_i); (m, 1) for resource allocation
+#   lcqp only         H_i (n_i, n_i), q_i (n_i,), xstar_i (n_i,), lambdastar (m,),
+#                     and P_i (n_i, n_i) when the instance stores proximal matrices
+#   resource_alloc    a, b, cshift, dshift: float64 (N,), one entry per block
+#
+# Every float64 member must be finite.
 
-def instance_to_dict(instance: Instance) -> dict:
-    d = problem_to_dict(instance.problem)
-    d["seed"] = instance.seed
-    if isinstance(instance, LcqpInstance):
-        d["kind"] = "lcqp"
-        d["xstar"] = [pack_array(xi) for xi in instance.xstar]
-        d["lambdastar"] = pack_array(instance.lambdastar)
-        if instance.proximal_source:
-            d["proximal_source"] = [pack_array(P) for P in instance.proximal_source]
-    else:
-        d["kind"] = "resource_alloc"
-    return d
+#: The members holding a resource-allocation instance's block coefficients.
+RA_COEFFICIENTS = ("a", "b", "cshift", "dshift")
 
+#: The dtype test of each kind of archive member, by the name errors give it.
+MEMBER_DTYPES = {"float64": lambda t: t == np.float64, "integer": lambda t: t.kind in "iu",
+                 "string": lambda t: t.kind == "U"}
 
-def _unpack_list(items, key: str) -> tuple:
-    return tuple(unpack_array(a, f"{key}[{i}]") for i, a in enumerate(require_list(items, key)))
-
-
-def instance_from_dict(d: dict) -> Instance:
-    problem = problem_from_dict(d)
-    seed = d.get("seed", 0)
-    if type(seed) is not int:
-        raise ValueError(f"seed: expected an integer, got {seed!r}")
-    if d.get("kind") == "lcqp" or "xstar" in d:
-        return LcqpInstance(problem, _unpack_list(d["xstar"], "xstar"),
-                            unpack_array(d["lambdastar"], "lambdastar"), seed,
-                            _unpack_list(d.get("proximal_source", []), "proximal_source"))
-    if not all(isinstance(f, LogisticQuadBlock) for f in problem.objectives):
-        raise ValueError("resource allocation instances need scalar logistic blocks")
-    return ResourceAllocInstance(problem, seed)
+#: What reading a damaged archive or member can raise.
+ARCHIVE_ERRORS = (ValueError, OSError, EOFError, zipfile.BadZipFile)
 
 
 def save_instance(instance: Instance, path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(instance)), encoding="utf-8")
+    """Write ``instance`` to exactly ``path`` as an instance archive (members above)."""
+    p = instance.problem
+    arrays = {"seed": np.array(instance.seed), "c": p.c}
+    arrays.update((f"A_{i}", Ai) for i, Ai in enumerate(p.A))
+    if isinstance(instance, LcqpInstance):
+        arrays["kind"] = np.array("lcqp")
+        for i, (f, x) in enumerate(zip(p.objectives, instance.xstar)):
+            arrays.update({f"H_{i}": f.H, f"q_{i}": f.q, f"xstar_{i}": x})
+        arrays["lambdastar"] = instance.lambdastar
+        arrays.update((f"P_{i}", P) for i, P in enumerate(instance.proximal_source))
+    else:
+        arrays["kind"] = np.array("resource_alloc")
+        arrays.update((name, getattr(instance, name)) for name in RA_COEFFICIENTS)
+    # An open handle: given a path without the suffix, np.savez would append ".npz".
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _member(archive, name: str, shape: tuple = (), dtype: str = "float64") -> np.ndarray:
+    """Member ``name`` of ``archive``: a ``dtype`` array of ``shape``, where -1 is any length.
+
+    Raises ``ValueError`` naming the member when it is missing, unreadable,
+    not a plain array, of another dtype or shape, or, for float64, not finite.
+    """
+    if name not in archive.files:
+        raise ValueError(f"{name}: missing member")
+    try:
+        a = archive[name]
+    except ARCHIVE_ERRORS as exc:  # an object array is refused without pickle
+        raise ValueError(f"{name}: unreadable member ({exc})") from None
+    if not isinstance(a, np.ndarray):
+        raise ValueError(f"{name}: not a .npy array")
+    if not MEMBER_DTYPES[dtype](a.dtype):
+        raise ValueError(f"{name}: expected {dtype} entries, got dtype {a.dtype}")
+    if a.ndim != len(shape) or any(k not in (-1, got) for k, got in zip(shape, a.shape)):
+        want = " x ".join("any" if k < 0 else str(k) for k in shape) or "0-d"
+        raise ValueError(f"{name}: expected shape {want}, got {a.shape}")
+    if dtype == "float64" and not np.all(np.isfinite(a)):
+        raise ValueError(f"{name}: entries must be finite")
+    return a
+
+
+def _block(member: str, make, *args):
+    """``make(*args)``, with a rejection re-raised as a ``ValueError`` naming ``member``."""
+    try:
+        return make(*args)
+    except (ValueError, JproxError) as exc:
+        raise ValueError(f"{member}: {exc}") from None
+
+
+def _instance_from_archive(z) -> Instance:
+    kind = _member(z, "kind", dtype="string").item()
+    if kind not in ("lcqp", "resource_alloc"):
+        raise ValueError(f"kind: unknown instance kind {kind!r}")
+    seed = int(_member(z, "seed", dtype="integer"))
+    c = _member(z, "c", (-1,))
+    m, N = c.shape[0], sum(name.startswith("A_") for name in z.files)
+    # With no A_i member at all, A_0 is reported missing.
+    A = tuple(_member(z, f"A_{i}", (m, -1 if kind == "lcqp" else 1)) for i in range(max(N, 1)))
+    if kind == "resource_alloc":
+        rows = zip(*(_member(z, name, (N,)) for name in RA_COEFFICIENTS))
+        blocks = tuple(_block("a", LogisticQuadBlock, *map(float, row)) for row in rows)
+        return ResourceAllocInstance(BlockProblem(blocks, A, c), seed)
+    dims = [Ai.shape[1] for Ai in A]
+    blocks = tuple(_block(f"H_{i}", QuadraticBlock, _member(z, f"H_{i}", (n, n)),
+                          _member(z, f"q_{i}", (n,))) for i, n in enumerate(dims))
+    xstar = tuple(_member(z, f"xstar_{i}", (n,)) for i, n in enumerate(dims))
+    P = tuple(_member(z, f"P_{i}", (n, n)) for i, n in enumerate(dims)) if "P_0" in z.files else ()
+    return LcqpInstance(BlockProblem(blocks, A, c), xstar, _member(z, "lambdastar", (m,)), seed, P)
 
 
 def load_instance(path) -> Instance:
-    return instance_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The instance in the archive at ``path`` (members above).
+
+    Raises ``FileNotFoundError`` for a missing file, and ``ValueError`` for
+    any other fault, naming the member where one is at fault.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(1) == b"{":
+            raise ValueError("a JSON instance file, a format jprox no longer reads: "
+                             "regenerate it from its seed with `jprox generate`")
+        fh.seek(0)
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except ARCHIVE_ERRORS as exc:
+            raise ValueError(f"not an .npz instance archive ({exc})") from None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz instance archive (a single .npy array)")
+        with archive:
+            return _instance_from_archive(archive)

@@ -28,6 +28,10 @@ REFINE_GROWTH = 4.0
 #: A stacked singular value below this fraction of the largest flags rank deficiency.
 RANK_DEFICIENT_RTOL = 1e-12
 
+#: The stacked singular value is read from the Gram matrix, of order ``k``
+#: and eigenvalues ``w``, while ``k * eps * w_max / w_min`` is at most this.
+GRAM_COND_LIMIT = 1e-8
+
 
 def symmetry_defect(S: np.ndarray) -> float:
     """Largest absolute entry of ``S - S.T``."""
@@ -177,6 +181,11 @@ def smallest_singular_value_stacked(blocks: Sequence[np.ndarray]) -> StackedSing
     is the best constant ``c`` with ``sqrt(sum_i ||A_i.T y||^2) >= c ||y||``
     over the row space of the stack.
 
+    The value comes from one eigensolve of the smaller Gram matrix of the
+    stack, of order ``k = min(sum(n_i), m)``, after dividing the stack by
+    ``max |a_ij|``.  Only a stack whose Gram eigenvalues ``w`` fail
+    ``k * eps * w_max <= GRAM_COND_LIMIT * w_min`` takes an SVD.
+
     ``rank_deficient`` is set when the value falls below
     ``RANK_DEFICIENT_RTOL`` times the largest singular value; the caller
     decides whether that is fatal.
@@ -191,8 +200,18 @@ def smallest_singular_value_stacked(blocks: Sequence[np.ndarray]) -> StackedSing
                 f"smallest_singular_value_stacked: block {idx} has shape {A.shape}, "
                 f"expected {m} rows"
             )
-    stack = np.vstack([A.T for A in mats])
-    svals = np.linalg.svd(stack, compute_uv=False)
+    S = np.hstack(mats)
+    scale = float(np.max(np.abs(S))) if S.size else 0.0
+    if scale > 0.0 and math.isfinite(scale):
+        S = S / scale
+        w = np.linalg.eigvalsh(S @ S.T if S.shape[1] >= S.shape[0] else S.T @ S)
+        # Forming the Gram matrix and its eigensolve move each eigenvalue by
+        # about k*eps*w_max (Weyl), so sqrt(w_min) is off by at most about
+        # k*eps*w_max / (2*w_min) <= GRAM_COND_LIMIT / 2 relative.  Such a
+        # stack is far from rank deficient: sqrt(w_min/w_max) > 1e-4.
+        if w[0] > 0.0 and w.shape[0] * np.finfo(float).eps * w[-1] <= GRAM_COND_LIMIT * w[0]:
+            return StackedSingularValue(scale * math.sqrt(float(w[0])), False)
+    svals = np.linalg.svd(np.vstack([A.T for A in mats]), compute_uv=False)
     value = float(svals[-1])
     return StackedSingularValue(value, bool(value <= RANK_DEFICIENT_RTOL * float(svals[0])))
 

@@ -2,14 +2,11 @@
 
 A problem is ``min sum_i f_i(x_i)`` subject to the coupling constraint
 ``sum_i A_i x_i = c``.  This module holds the block objective variants,
-the problem container, evaluation and optimality diagnostics, and the
-JSON serialization of problem data.
+the problem container, and evaluation and optimality diagnostics.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -388,117 +385,3 @@ def augmented_lagrangian(problem: BlockProblem, u: PrimalDualPoint, rho: float) 
     for f, xi in zip(problem.objectives, u.x):
         total += block_value(f, xi)
     return total - float(u.lam @ r) + 0.5 * rho * float(r @ r)
-
-
-# -- JSON serialization -------------------------------------------------------
-#
-# Problem and instance files are JSON.  Every float array in them is stored as
-# ``{"shape": [...], "f8": "<base64>"}``: the base64 text of the array's
-# little-endian float64 bytes in C order, so write -> read is bit-exact and a
-# read costs no decimal parsing.  Scalar coefficients stay JSON numbers.
-
-def pack_array(a) -> dict:
-    """The ``{"shape", "f8"}`` payload of a float array (see the comment above)."""
-    a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def unpack_array(d, name: str = "array") -> np.ndarray:
-    """The float64 array of a :func:`pack_array` payload; ``name`` labels errors.
-
-    Raises ``ValueError`` for anything else, a nested list of numbers included
-    (the format of older files, which must be regenerated from their seed).
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"{name}: expected a {{'shape', 'f8'}} array payload, got a "
-                         f"{type(d).__name__}; regenerate the file from its seed")
-    missing = [key for key in ("shape", "f8") if key not in d]
-    if missing:
-        raise ValueError(f"{name}: array payload has no {' or '.join(missing)} key")
-    shape, text = d["shape"], d["f8"]
-    if not (isinstance(shape, list)
-            and all(type(k) is int and k >= 0 for k in shape)):
-        raise ValueError(f"{name}: shape must be a list of nonnegative integers, got {shape!r}")
-    if not isinstance(text, str):
-        raise ValueError(f"{name}: f8 must be a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"{name}: invalid base64 ({exc})") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{name}: {len(raw)} bytes do not hold float64 shape {tuple(shape)}")
-    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
-
-
-def _require_object(d, name: str) -> dict:
-    """``d`` when it is a JSON object; otherwise ``ValueError`` naming the field."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{name}: expected a JSON object, got a {type(d).__name__}")
-    return d
-
-
-def require_list(d, name: str) -> list:
-    """``d`` when it is a JSON array; otherwise ``ValueError`` naming the field."""
-    if not isinstance(d, list):
-        raise ValueError(f"{name}: expected a JSON array, got a {type(d).__name__}")
-    return d
-
-
-def _number(d: dict, key: str, name: str) -> float:
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name}.{key}: expected a number, got a {type(value).__name__}")
-    return float(value)
-
-
-def _block_to_dict(f: BlockObjective, Ai: np.ndarray) -> dict:
-    if isinstance(f, QuadraticBlock):
-        return {
-            "type": "quadratic",
-            "H": pack_array(f.H),
-            "q": pack_array(f.q),
-            "A": pack_array(Ai),
-        }
-    return {
-        "type": "logistic_quad",
-        "a": f.a,
-        "b": f.b,
-        "cshift": f.cshift,
-        "dshift": f.dshift,
-        "A": pack_array(Ai),
-    }
-
-
-def _block_from_dict(d: dict, name: str) -> tuple:
-    kind = _require_object(d, name).get("type")
-    if kind == "quadratic":
-        f = QuadraticBlock(unpack_array(d["H"], f"{name}.H"), unpack_array(d["q"], f"{name}.q"))
-    elif kind == "logistic_quad":
-        f = LogisticQuadBlock(*(_number(d, key, name) for key in ("a", "b", "cshift", "dshift")))
-    else:
-        raise ValueError(f"{name}: unknown block type {kind!r}")
-    return f, unpack_array(d["A"], f"{name}.A")
-
-
-def problem_to_dict(problem: BlockProblem) -> dict:
-    return {
-        "N": problem.N,
-        "m": problem.m,
-        "c": pack_array(problem.c),
-        "blocks": [_block_to_dict(f, Ai) for f, Ai in zip(problem.objectives, problem.A)],
-    }
-
-
-def problem_from_dict(d: dict) -> BlockProblem:
-    """The problem of a :func:`problem_to_dict` object; ``ValueError`` names a malformed field."""
-    d = _require_object(d, "top level")
-    blocks = [_block_from_dict(b, f"blocks[{i}]")
-              for i, b in enumerate(require_list(d["blocks"], "blocks"))]
-    problem = BlockProblem(
-        tuple(f for f, _ in blocks),
-        tuple(Ai for _, Ai in blocks),
-        unpack_array(d["c"], "c"),
-    )
-    if d["N"] != problem.N or d["m"] != problem.m:
-        raise ValueError("problem dimensions disagree with the N/m fields")
-    return problem

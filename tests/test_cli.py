@@ -2,17 +2,37 @@
 
 import dataclasses
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
 import jprox.experiments as exp
 from jprox.cli import CSV_HEADER, main, read_trace_csv
-from jprox.problem import pack_array, unpack_array
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def read_members(path) -> dict:
+    """Every member of the instance archive at ``path``."""
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def write_members(path, members: dict) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def edit_members(edit):
+    """A file corruption that applies ``edit`` to the archive's member dict."""
+    def corrupt(path):
+        members = read_members(path)
+        edit(members)
+        write_members(path, members)
+    return corrupt
 
 
 def make_instance(tmp_path, kind="lcqp", **kw):
@@ -32,11 +52,11 @@ def make_instance(tmp_path, kind="lcqp", **kw):
 
 def test_generate_lcqp_writes_blocks(tmp_path):
     path = make_instance(tmp_path, "lcqp", N=3, m=10, n=4, seed=0)
-    data = json.loads(path.read_text())
-    assert data["N"] == 3
-    assert len(data["blocks"]) == 3
-    assert all(b["type"] == "quadratic" for b in data["blocks"])
-    assert "xstar" in data and "lambdastar" in data and data["seed"] == 0
+    data = read_members(path)
+    assert data["kind"].item() == "lcqp" and data["seed"].item() == 0
+    assert sorted(k for k in data if k.startswith("A_")) == ["A_0", "A_1", "A_2"]
+    assert all(data[f"H_{i}"].shape == (4, 4) and data[f"q_{i}"].shape == (4,) for i in range(3))
+    assert "xstar_2" in data and data["lambdastar"].shape == (10,)
 
 
 def test_generate_lcqp_takes_the_stacked_svd_once(tmp_path, count_calls, capsys):
@@ -55,12 +75,22 @@ def test_generate_lcqp_takes_the_stacked_svd_once(tmp_path, count_calls, capsys)
 
 def test_generate_ra_writes_scalar_blocks(tmp_path):
     path = make_instance(tmp_path, "ra", N=6, seed=0)
-    data = json.loads(path.read_text())
-    assert len(data["blocks"]) == 6
-    for b in data["blocks"]:
-        assert b["type"] == "logistic_quad"
-        assert unpack_array(b["A"]).tolist() == [[1.0]]
-    assert unpack_array(data["c"]).tolist() == [0.0]
+    data = read_members(path)
+    assert data["kind"].item() == "resource_alloc"
+    assert [data[f"A_{i}"].tolist() for i in range(6)] == [[[1.0]]] * 6 and "A_6" not in data
+    assert all(data[key].shape == (6,) for key in ("a", "b", "cshift", "dshift"))
+    assert data["c"].tolist() == [0.0]
+
+
+def test_generate_writes_exactly_the_output_path(tmp_path):
+    # np.savez appends ".npz" to a path string; generate writes the path it is given.
+    out = tmp_path / "instance.json"
+    assert run_cli("generate", "lcqp", "--N", "2", "--m", "4", "--n", "3",
+                   "--output", str(out)) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["instance.json"]
+    assert zipfile.is_zipfile(out)
+    assert run_cli("certify", "--input", str(out), "--tau", "auto",
+                   "--output", str(tmp_path / "cert.json")) == 0
 
 
 def test_generate_rejects_bad_block_count(tmp_path, capsys):
@@ -167,37 +197,77 @@ def test_certify_corrupt_input_exits_3(tmp_path):
     assert code == 3
 
 
+def object_member(members):
+    members["q_1"] = np.array([1.0, "x", None], dtype=object)
+
+
+def raw_member(path):
+    # A member that is not a .npy file at all.
+    members = read_members(path)
+    del members["c"]
+    write_members(path, members)
+    with zipfile.ZipFile(path, "a") as archive:
+        archive.writestr("c.npy", b"not an array")
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def single_array(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+# Each JSON-era fault id names its archive counterpart: an old-format file
+# (list-format), an undecodable member (bad-base64), a member whose size does
+# not fit its block (byte-count), a member of the wrong rank (no-shape), a
+# missing member (no-f8) and a non-finite entry (nan-q).
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda b: b.update(q=unpack_array(b["q"]).tolist()), "regenerate"),
-    (lambda b: b["q"].update(f8="not*base64"), "base64"),
-    (lambda b: b["q"].update(shape=[5]), "bytes"),
-    (lambda b: b["q"].pop("shape"), "shape"),
-    (lambda b: b["q"].pop("f8"), "f8"),
-    (lambda b: b.update(q=pack_array(np.r_[np.nan, unpack_array(b["q"])[1:]])), "finite"),
-], ids=["list-format", "bad-base64", "byte-count", "no-shape", "no-f8", "nan-q"])
+    (lambda path: path.write_text('{"N": 2, "m": 4, "blocks": []}'), "regenerate it from its seed"),
+    (edit_members(object_member), "q_1: unreadable member"),
+    (edit_members(lambda d: d.update(q_1=np.zeros(5))), "q_1: expected shape 3, got (5,)"),
+    (edit_members(lambda d: d.update(q_1=d["q_1"][None])), "q_1: expected shape 3, got (1, 3)"),
+    (edit_members(lambda d: d.pop("q_1")), "q_1: missing member"),
+    (edit_members(lambda d: d["q_1"].__setitem__(0, np.nan)), "q_1: entries must be finite"),
+    (edit_members(lambda d: d.update(q_1=d["q_1"].astype(np.float32))),
+     "q_1: expected float64 entries, got dtype float32"),
+    (edit_members(lambda d: d.update(P_1=d["P_1"][:2])), "P_1: expected shape 3 x 3"),
+    (edit_members(lambda d: d.update(H_1=-d["H_1"])), "H_1: QuadraticBlock.H must be positive"),
+    (raw_member, "c: not a .npy array"),
+    (truncate, "not an .npz instance archive"),
+    (lambda path: path.write_bytes(b"\x00" * 64), "not an .npz instance archive"),
+], ids=["list-format", "bad-base64", "byte-count", "no-shape", "no-f8", "nan-q", "float32-q",
+        "short-P", "indefinite-H", "raw-member", "truncated", "not-zip"])
 def test_certify_malformed_payload_exits_3(tmp_path, capsys, corrupt, message):
     inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=1)
-    data = json.loads(inst.read_text())
-    corrupt(data["blocks"][1])
-    inst.write_text(json.dumps(data))
+    corrupt(inst)
     code = run_cli("certify", "--input", str(inst), "--output", str(tmp_path / "c.json"))
     err = capsys.readouterr().err
     assert code == 3
-    assert "malformed instance file" in err and message in err
+    assert f"malformed instance file {inst}: " in err and message in err
 
 
+# Each JSON-era fault id names its archive counterpart: a coefficient of the
+# wrong rank (list-coefficient), a file that is one array and not an archive
+# (top-level-list), a coupling member that is a number (blocks-number) or an
+# integer array (block-number), and a seed that is a list (seed-list).
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda d: d["blocks"][0].update(a=[1.0]), "blocks[0].a: expected a number"),
-    (lambda d: [d], "top level: expected a JSON object"),
-    (lambda d: d.update(blocks=3), "blocks: expected a JSON array"),
-    (lambda d: d["blocks"].__setitem__(1, 7), "blocks[1]: expected a JSON object"),
-    (lambda d: d.update(seed=[0]), "seed: expected an integer"),
-], ids=["list-coefficient", "top-level-list", "blocks-number", "block-number", "seed-list"])
+    (edit_members(lambda d: d.update(a=d["a"][:, None])), "a: expected shape 3, got (3, 1)"),
+    (single_array, "not an .npz instance archive"),
+    (edit_members(lambda d: d.update(A_0=np.float64(1.0))), "A_0: expected shape 1 x 1, got ()"),
+    (edit_members(lambda d: d.update(A_1=d["A_1"].astype(int))),
+     "A_1: expected float64 entries, got dtype int"),
+    (edit_members(lambda d: d.update(seed=d["seed"][None])), "seed: expected shape 0-d, got (1,)"),
+    (edit_members(lambda d: d.update(seed=np.array(0.5))), "seed: expected integer entries, got dtype float64"),
+    (edit_members(lambda d: d.update(kind=np.array("lp"))), "kind: unknown instance kind 'lp'"),
+    (edit_members(lambda d: d["a"].__setitem__(1, -1.0)), "a: LogisticQuadBlock.a must be"),
+], ids=["list-coefficient", "top-level-list", "blocks-number", "block-number", "seed-list",
+        "seed-float", "unknown-kind", "negative-a"])
 def test_certify_malformed_field_type_exits_3(tmp_path, capsys, corrupt, message):
-    # A field of the wrong JSON type must not escape as a TypeError traceback.
+    # A member of the wrong dtype or shape must not escape as a traceback.
     inst = make_instance(tmp_path, "ra", N=3, seed=0)
-    data = json.loads(inst.read_text())
-    inst.write_text(json.dumps(corrupt(data) or data))
+    corrupt(inst)
     code = run_cli("certify", "--input", str(inst), "--output", str(tmp_path / "c.json"))
     err = capsys.readouterr().err
     assert code == 3
@@ -212,6 +282,19 @@ def test_certify_auto_takes_one_gram_eigensolve_per_block(tmp_path, count_calls)
     assert run_cli("certify", "--input", str(inst), "--tau", "auto",
                    "--output", str(tmp_path / "c.json")) == 0
     assert (len(gram), len(pencil), len(norms)) == (3, 0, 0)
+
+
+@pytest.mark.parametrize("policy", ["standard", "proxlinear", "none"])
+def test_certify_takes_no_svd_and_builds_no_coupling_matrix(tmp_path, count_calls, monkeypatch,
+                                                            policy):
+    # c_A comes from the Gram matrix and the coupling margins in closed form.
+    inst = make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0)
+    eigs = count_calls("jprox.linalg", "min_eigenvalue_sym")
+    svd, real_svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd.append(a) or real_svd(*a, **k))
+    assert run_cli("certify", "--input", str(inst), "--policy", policy,
+                   "--output", str(tmp_path / "c.json")) in (0, 4)
+    assert (eigs, svd) == ([], [])
 
 
 def test_certify_auto_runs_the_weight_search_once(tmp_path, count_calls):
@@ -378,9 +461,9 @@ def test_solve_deterministic_apart_from_elapsed(tmp_path):
 def test_solve_on_uncertifiable_instance_still_runs(tmp_path):
     # A block modulus at the floor: certification fails, the engine still runs.
     ra = make_instance(tmp_path, "ra", N=4, seed=0)
-    data = json.loads(ra.read_text())
-    data["blocks"][0]["a"] = 1e-6
-    ra.write_text(json.dumps(data))
+    data = read_members(ra)
+    data["a"][0] = 1e-6
+    write_members(ra, data)
     cert_out = tmp_path / "cert.json"
     assert run_cli("certify", "--input", str(ra), "--rho", "1", "--gamma", "1",
                    "--output", str(cert_out)) == 4

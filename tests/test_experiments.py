@@ -1,4 +1,7 @@
-"""Generator, reference, metric, and sweep tests."""
+"""Generator, reference, metric, sweep and instance-file tests."""
+
+import dataclasses
+import zipfile
 
 import numpy as np
 import pytest
@@ -13,14 +16,16 @@ from jprox.experiments import (
     default_rho_grid,
     generate_lcqp,
     generate_resource_alloc,
-    instance_from_dict,
-    instance_to_dict,
     load_instance,
     reference_solution,
     run_sweep,
     save_instance,
 )
-from jprox.linalg import smallest_singular_value_stacked
+from jprox.linalg import (
+    RANK_DEFICIENT_RTOL,
+    StackedSingularValue,
+    smallest_singular_value_stacked,
+)
 from jprox.problem import (
     BlockProblem,
     PrimalDualPoint,
@@ -59,6 +64,31 @@ def test_generate_lcqp_proximal_source_is_psd():
     assert len(inst.proximal_source) == 3
     for P in inst.proximal_source:
         assert np.linalg.eigvalsh(P)[0] >= -1e-12
+
+
+def svd_stacked_singular_value(blocks) -> StackedSingularValue:
+    """The stacked singular value and rank flag as an SVD alone gives them."""
+    svals = np.linalg.svd(np.vstack([A.T for A in blocks]), compute_uv=False)
+    return StackedSingularValue(float(svals[-1]),
+                                bool(svals[-1] <= RANK_DEFICIENT_RTOL * svals[0]))
+
+
+@pytest.mark.parametrize("shape", [(3, 100, 40), (3, 400, 150), (3, 12, 5)])
+def test_generate_lcqp_draws_as_with_the_svd(monkeypatch, shape):
+    # The Gram-matrix value takes every accept/reject decision the SVD took,
+    # so every generated array is the same bit for bit.
+    for seed in range(3):
+        inst = generate_lcqp(*shape, seed=seed)
+        with monkeypatch.context() as patched:
+            patched.setattr("jprox.experiments.smallest_singular_value_stacked",
+                            svd_stacked_singular_value)
+            ref = generate_lcqp(*shape, seed=seed)
+        pairs = [(inst.problem.c, ref.problem.c), (inst.lambdastar, ref.lambdastar)]
+        pairs += list(zip(inst.problem.A, ref.problem.A)) + list(zip(inst.xstar, ref.xstar))
+        pairs += list(zip(inst.proximal_source, ref.proximal_source))
+        pairs += [(f.H, g.H) for f, g in zip(inst.problem.objectives, ref.problem.objectives)]
+        pairs += [(f.q, g.q) for f, g in zip(inst.problem.objectives, ref.problem.objectives)]
+        assert all(a.tobytes() == b.tobytes() for a, b in pairs), seed
 
 
 def test_generate_lcqp_deterministic():
@@ -337,15 +367,19 @@ def test_run_sweep_certified_cells_respect_rate_bound():
     assert checked >= 2
 
 
+def with_first_modulus(inst, a):
+    """A resource-allocation instance with block 0's quadratic coefficient set to ``a``."""
+    p = inst.problem
+    objectives = (dataclasses.replace(p.objectives[0], a=a),) + p.objectives[1:]
+    return dataclasses.replace(inst, problem=BlockProblem(objectives, p.A, p.c))
+
+
 def test_run_sweep_records_cell_failures_without_raising():
     # A modulus at the floor cannot be certified; cells still complete with
     # fallback weights and a failed certificate.
     inst = generate_resource_alloc(4, seed=101)
     assert min(inst.a) / 2.0 > 0  # sanity: generator gave positive moduli
-    tiny = instance_from_dict(instance_to_dict(inst))
-    d = instance_to_dict(inst)
-    d["blocks"][0]["a"] = 1e-9
-    tiny = instance_from_dict(d)
+    tiny = with_first_modulus(inst, 1e-9)
     sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(1.0,), max_iters=50)
     cells = run_sweep(tiny, sweep)
     cell = cells[(1.0, 1.0, 101)]
@@ -413,9 +447,7 @@ def test_resolve_policy_auto_builds_requested_kind():
     assert linear == ProxLinear(smallest_certified_tau(p, 1.0, 1.0, kind="proxlinear"))
     concrete = StandardProximal(2.0)
     assert certify(p, 1.0, 1.0, concrete).proximal is concrete
-    d = instance_to_dict(generate_resource_alloc(4, seed=101))
-    d["blocks"][0]["a"] = 1e-9
-    flat = instance_from_dict(d).problem
+    flat = with_first_modulus(generate_resource_alloc(4, seed=101), 1e-9).problem
     assert certify(flat, 1.0, 1.0, ProxLinear("auto")).proximal == \
         ProxLinear(fallback_tau(flat, 1.0, 1.0, kind="proxlinear"))
 
@@ -454,6 +486,51 @@ def test_run_sweep_builds_each_gram_spectrum_once(count_calls, policy):
 
 # -- instance files -----------------------------------------------------------------------------
 
+def instance_arrays(inst) -> dict:
+    """Every array and scalar an instance file stores, by archive member name."""
+    p = inst.problem
+    out = {"seed": inst.seed, "c": p.c}
+    out.update((f"A_{i}", Ai) for i, Ai in enumerate(p.A))
+    if isinstance(inst, LcqpInstance):
+        for i, (f, x) in enumerate(zip(p.objectives, inst.xstar)):
+            out.update({f"H_{i}": f.H, f"q_{i}": f.q, f"xstar_{i}": x})
+        out["lambdastar"] = inst.lambdastar
+        out.update((f"P_{i}", P) for i, P in enumerate(inst.proximal_source))
+    else:
+        out.update(a=inst.a, b=inst.b, cshift=inst.cshift, dshift=inst.dshift)
+    return out
+
+
+def mixed_size_instance():
+    """An LCQP instance whose blocks have 2 and 3 columns, without proximal matrices."""
+    inst = generate_lcqp(2, 4, 3, seed=0)
+    f0, p = inst.problem.objectives[0], inst.problem
+    problem = BlockProblem((QuadraticBlock(f0.H[:2, :2], f0.q[:2]), p.objectives[1]),
+                           (p.A[0][:, :2], p.A[1]), p.c)
+    return dataclasses.replace(inst, problem=problem, proximal_source=(),
+                               xstar=(inst.xstar[0][:2], inst.xstar[1]))
+
+
+ROUND_TRIP_INSTANCES = {
+    "lcqp": lambda: generate_lcqp(3, 6, 4, seed=8),
+    "ra": lambda: generate_resource_alloc(6, seed=3),
+    "mixed-size": mixed_size_instance,
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIP_INSTANCES))
+def test_instance_round_trip_is_bit_exact(tmp_path, name):
+    inst = ROUND_TRIP_INSTANCES[name]()
+    path = tmp_path / "instance.json"
+    save_instance(inst, path)
+    loaded = load_instance(path)
+    assert type(loaded) is type(inst)
+    want, got = instance_arrays(inst), instance_arrays(loaded)
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
 def test_lcqp_instance_roundtrip(tmp_path):
     inst = generate_lcqp(3, 6, 4, seed=8)
     path = tmp_path / "inst.json"
@@ -464,34 +541,28 @@ def test_lcqp_instance_roundtrip(tmp_path):
     for a, b in zip(inst.xstar, loaded.xstar):
         assert np.array_equal(a, b)
     assert np.array_equal(inst.lambdastar, loaded.lambdastar)
+    assert len(loaded.proximal_source) == 3
     for a, b in zip(inst.proximal_source, loaded.proximal_source):
         assert np.array_equal(a, b)
     for Ai, Bi in zip(inst.problem.A, loaded.problem.A):
         assert np.array_equal(Ai, Bi)
 
 
-def decimal_arrays(node, path="instance") -> list:
-    """Paths under ``node`` that hold a list of floats or a list of lists."""
-    if isinstance(node, dict):
-        return [p for k, v in node.items() for p in decimal_arrays(v, f"{path}.{k}")]
-    if isinstance(node, list):
-        if any(isinstance(v, (float, list)) for v in node):
-            return [path]
-        return [p for i, v in enumerate(node) for p in decimal_arrays(v, f"{path}[{i}]")]
-    return []
-
-
-def test_decimal_arrays_finds_a_nested_float_list():
-    d = {"xstar": [{"shape": [2], "f8": ""}], "q": [1.0], "P": [{"H": [[1.0]]}]}
-    assert decimal_arrays(d) == ["instance.q", "instance.P[0].H"]
-
-
 @pytest.mark.parametrize("kind", ["lcqp", "ra"])
-def test_instance_dict_stores_every_float_array_as_a_payload(kind):
+def test_instance_archive_stores_every_float_array_as_float64(tmp_path, kind):
     inst = generate_lcqp(3, 6, 4, seed=8) if kind == "lcqp" else generate_resource_alloc(4, 3)
-    d = instance_to_dict(inst)
-    assert kind == "ra" or "proximal_source" in d
-    assert decimal_arrays(d) == []
+    path = tmp_path / "instance.json"
+    save_instance(inst, path)
+    with zipfile.ZipFile(path) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    assert set(members) == set(instance_arrays(inst)) | {"kind"}
+    assert members["kind"].shape == () and members["kind"].item() == (
+        "lcqp" if kind == "lcqp" else "resource_alloc")
+    assert members.pop("seed").dtype.kind == "i"
+    members.pop("kind")
+    assert all(a.dtype == np.float64 for a in members.values())
 
 
 def test_resource_alloc_instance_roundtrip(tmp_path):

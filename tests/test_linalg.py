@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from jprox.errors import NotPositiveDefinite, NotSymmetric
+from jprox.experiments import generate_lcqp
 from jprox.linalg import (
+    GRAM_COND_LIMIT,
     SpdFactor,
     generalized_max_eigenvalue,
     min_eigenvalue_sym,
@@ -287,6 +289,64 @@ def test_stacked_flags_rank_deficiency():
     res = smallest_singular_value_stacked([A, A])
     assert res.rank_deficient
     assert res.value == pytest.approx(0.0, abs=1e-12)
+
+
+def stack_svd(blocks) -> np.ndarray:
+    """Singular values of the stacked transposes, by the SVD."""
+    return np.linalg.svd(np.vstack([A.T for A in blocks]), compute_uv=False)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """A list that grows by one per ``np.linalg.svd`` call."""
+    calls, svd = [], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("sizes, m", [((3, 2, 4), 6), ((2, 2), 7), ((1,), 3)],
+                         ids=["tall", "wide", "wide-one-block"])
+def test_stacked_gram_value_matches_the_svd_within_its_bound(svd_calls, sizes, m, scale):
+    # Tall stacks (sum n_i >= m) take the m x m Gram matrix, wide ones the
+    # other; entries near 1e+-150 neither overflow nor underflow.
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        unit = [rng.standard_normal((m, n)) for n in sizes]
+        want = stack_svd(unit)[-1]
+        svd_calls.clear()
+        res = smallest_singular_value_stacked([scale * A for A in unit])
+        assert svd_calls == []
+        assert abs(res.value / scale - want) <= GRAM_COND_LIMIT * want
+        assert not res.rank_deficient
+
+
+@pytest.mark.parametrize("shape", [(3, 100, 40), (3, 400, 150), (3, 12, 5)])
+def test_stacked_gram_value_is_the_svd_to_1e12_on_benchmark_shapes(svd_calls, shape):
+    for seed in range(3):
+        A = generate_lcqp(*shape, seed=seed).problem.A
+        svd_calls.clear()
+        got = smallest_singular_value_stacked(A).value
+        assert svd_calls == []
+        assert got == pytest.approx(stack_svd(A)[-1], rel=1e-12, abs=0.0)
+
+
+def test_stacked_past_the_conditioning_limit_takes_the_svd(svd_calls):
+    # Singular values 1 and 1e-5: 2*eps*1e10 is far above GRAM_COND_LIMIT.
+    rng = np.random.default_rng(43)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+    V, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    stack = U @ np.diag([1.0, 1e-5]) @ V.T
+    blocks = [stack[:2].T, stack[2:].T]
+    res = smallest_singular_value_stacked(blocks)
+    assert len(svd_calls) == 1
+    assert res.value == stack_svd(blocks)[-1]
+    assert res.value == pytest.approx(1e-5, rel=1e-9)
 
 
 # -- generalized_max_eigenvalue -------------------------------------------------------

@@ -1,6 +1,5 @@
 """Problem model tests: values, gradients, diagnostics, serialization."""
 
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from jprox.errors import DimensionMismatch
-from jprox.experiments import generate_lcqp, load_instance, save_instance
+from jprox.experiments import (
+    LcqpInstance,
+    ResourceAllocInstance,
+    generate_lcqp,
+    load_instance,
+    save_instance,
+)
 from jprox.linalg import smallest_singular_value_stacked
 from jprox.problem import (
     BlockProblem,
@@ -22,10 +27,6 @@ from jprox.problem import (
     block_value,
     constraint_residual,
     kkt_residual,
-    pack_array,
-    problem_from_dict,
-    problem_to_dict,
-    unpack_array,
 )
 
 
@@ -337,31 +338,52 @@ def test_problem_roundtrip_quadratic(tmp_path):
     assert np.array_equal(inst.problem.c, loaded.c)
 
 
-def test_problem_roundtrip_logistic():
+def test_problem_roundtrip_logistic(tmp_path):
     p = BlockProblem(
         (LogisticQuadBlock(0.5, -1.25, 3.75, -2.5), LogisticQuadBlock(1.0, 2.0, 0.1, 0.2)),
         (np.ones((1, 1)), np.ones((1, 1))),
         np.zeros(1),
     )
-    loaded = problem_from_dict(problem_to_dict(p))
+    path = tmp_path / "ra.json"
+    save_instance(ResourceAllocInstance(p, seed=4), path)
+    loaded = load_instance(path).problem
     for f1, f2 in zip(p.objectives, loaded.objectives):
         assert (f1.a, f1.b, f1.cshift, f1.dshift) == (f2.a, f2.b, f2.cshift, f2.dshift)
 
 
-@settings(max_examples=200, deadline=None)
-@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
-              elements=st.floats(width=64)))
-@example(np.array([-0.0, 5e-324, 2.5e-310, 1e308, -1e308]))
-@example(np.array([[-0.0, 1e-320], [1e308, -1e308], [np.inf, np.nan]]))
-def test_pack_unpack_is_bit_exact(a):
-    b = unpack_array(json.loads(json.dumps(pack_array(a))))
-    assert b.dtype == np.float64 and b.shape == a.shape
-    assert b.tobytes() == a.tobytes()
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
-def test_problem_dict_payload_layout():
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    arrays(np.float64, (m,), elements=FINITE),
+    arrays(np.float64, st.tuples(st.just(m), st.integers(1, 4)), elements=FINITE))))
+@example((np.array([-0.0, 5e-324, 2.5e-310, 1e308, -1e308]), np.full((5, 1), -1e-320)))
+def test_instance_archive_is_bit_exact(tmp_path_factory, arrays_mc):
+    # Any finite float64 survives a write and a read bit for bit: -0.0,
+    # subnormals and values near the overflow threshold included.
+    c, A = arrays_mc
+    n = A.shape[1]
+    problem = BlockProblem((QuadraticBlock(np.eye(n), A[0]),), (A,), c)
+    inst = LcqpInstance(problem, (A[-1],), c[::-1], seed=0)
+    path = tmp_path_factory.mktemp("archive") / "instance.json"
+    save_instance(inst, path)
+    loaded = load_instance(path)
+    got = loaded.problem
+    for a, b in [(A, got.A[0]), (c, got.c), (A[0], got.objectives[0].q),
+                 (A[-1], loaded.xstar[0]), (c[::-1], loaded.lambdastar)]:
+        assert b.dtype == np.float64 and b.shape == a.shape
+        assert b.tobytes() == np.ascontiguousarray(a).tobytes()
+
+
+def test_instance_archive_member_layout(tmp_path):
+    # A member is a little-endian float64 .npy array of the stored shape.
+    path = tmp_path / "instance.json"
     p = scalar_problem(n_blocks=1, c=-0.5)
-    assert problem_to_dict(p)["c"] == {"shape": [1], "f8": "AAAAAAAA4L8="}
+    save_instance(LcqpInstance(p, (np.zeros(1),), np.zeros(1), seed=0), path)
+    with np.load(path, allow_pickle=False) as archive:
+        c = archive["c"]
+    assert (c.dtype.str, c.shape, c.tobytes().hex()) == ("<f8", (1,), "000000000000e0bf")
 
 
 def test_quadratic_block_rejects_non_finite_q():
