@@ -2,7 +2,6 @@
 
 from .certify import (
     Certificate,
-    ContractionReport,
     PhiWeights,
     ProblemConstants,
     RateFit,
@@ -15,7 +14,6 @@ from .certify import (
     fit_linear_rate,
     max_feasible_s,
     smallest_certified_tau,
-    verify_contraction,
 )
 from .experiments import (
     LcqpInstance,
@@ -33,7 +31,6 @@ from .linalg import (
     gram_spectrum,
     min_eigenvalue_sym,
     smallest_singular_value_stacked,
-    solve_spd,
     spectral_norm,
 )
 from .problem import (
@@ -41,11 +38,8 @@ from .problem import (
     LogisticQuadBlock,
     PrimalDualPoint,
     QuadraticBlock,
-    augmented_lagrangian,
     block_gradient,
-    block_value,
     constraint_residual,
-    dis_metric,
     kkt_residual,
 )
 from .solvers import (

@@ -14,8 +14,8 @@ and produces the certified per-iteration contraction factor
 
 A certificate is the pair (sigma, phi): a passed :class:`Certificate`
 carries the weights of ``phi`` (:class:`PhiWeights`), built once from the
-``P_i`` and ``s`` it checked.  A run records ``phi`` with them and
-:func:`verify_contraction` audits a recorded run against them.
+``P_i`` and ``s`` it checked.  A run given them records ``phi`` per row
+(``Trace.phi``), where ``phi[k+1] <= sigma * phi[k]`` can be checked.
 
 The constants, the Gram spectra and the Gram matrices ``A_i'A_i`` are
 computed once per loaded problem and cached on it (``BlockProblem``).
@@ -136,7 +136,7 @@ def estimate_constants(problem: BlockProblem) -> ProblemConstants:
         L_list=L_list,
         L=max(L_list) ** 2,
         D=sum(nrm * nrm for nrm in A_norms),
-        c_A=problem.stacked_singular_value().value,
+        c_A=problem.stacked_singular_value(),
         A_norms=A_norms,
     )
 
@@ -312,7 +312,7 @@ class Certificate:
     A passed certificate carries the Lyapunov weights of the ``phi`` it
     certifies (``weights``, built from the ``P_i`` and ``s`` it checked); every
     certificate :func:`certify` returns keeps the concrete policy it checked
-    (``proximal``).  Neither is serialized: a loaded one has ``None`` for both.
+    (``proximal``).  Neither is serialized.
     """
 
     rho: float
@@ -337,22 +337,6 @@ class Certificate:
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
-
-
-def certificate_from_dict(d: dict) -> Certificate:
-    return Certificate(
-        rho=float(d["rho"]),
-        gamma=float(d["gamma"]),
-        policy=dict(d.get("policy", {})),
-        passed=bool(d["passed"]),
-        failure=d.get("failure"),
-        s=d.get("s"),
-        xi=tuple(d["xi"]) if d.get("xi") is not None else None,
-        mu_s=d.get("mu_s"),
-        sigma=d.get("sigma"),
-        margins=dict(d.get("margins", {})),
-        seed=d.get("seed"),
-    )
 
 
 def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPolicy,
@@ -425,7 +409,7 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     return cert
 
 
-# -- Lyapunov function and contraction verification -----------------------------
+# -- Lyapunov function -----------------------------------------------------------
 
 class PhiWeights:
     """Precomputed weights of the Lyapunov distance for one parameter choice."""
@@ -473,44 +457,6 @@ class PhiWeights:
             D = DX[:, index].transpose(1, 0, 2)
             total += 0.5 * (D * (D @ W)).sum(axis=(0, 2))
         return total
-
-
-@dataclass
-class ContractionReport:
-    """Per-step contraction audit of an iterate sequence."""
-
-    phis: list
-    ratios: list
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_contraction(points: Sequence[PrimalDualPoint], cert: Certificate,
-                       ref: PrimalDualPoint) -> ContractionReport:
-    """Check ``phi(u^{k+1}) <= sigma * phi(u^k) + 1e-12 * (1 + phi(u^k))`` pairwise.
-
-    ``phi`` is weighted by the certificate's own :class:`PhiWeights`.
-    Ratios are recorded as ``nan`` when the previous value sits at or below
-    1e-14 (a degenerate 0/0 step counts as a pass).  Requires a certificate
-    that carries its weights, that is, one :func:`certify` passed (not one
-    loaded from JSON); violations on a certified run indicate a bug.
-    """
-    weights = cert.weights
-    if weights is None:
-        raise ValueError("verify_contraction requires a passed certificate with its weights")
-    phis = [weights.evaluate(u, ref) for u in points]
-    ratios = []
-    violations = []
-    for k in range(len(phis) - 1):
-        prev, curr = phis[k], phis[k + 1]
-        ratios.append(curr / prev if prev > 1e-14 else math.nan)
-        bound = cert.sigma * prev + 1e-12 * (1.0 + prev)
-        if curr > bound:
-            violations.append((k, prev, curr, bound))
-    return ContractionReport(phis, ratios, violations)
 
 
 # -- decay-rate fitting ----------------------------------------------------------

@@ -79,22 +79,12 @@ class LcqpInstance:
         return PrimalDualPoint([xi.copy() for xi in self.xstar], self.lambdastar.copy())
 
 
-def _block_coefficients(name: str) -> property:
-    return property(lambda self: np.array([getattr(f, name) for f in self.problem.objectives]),
-                    doc=f"The blocks' ``{name}`` coefficients, one per block.")
-
-
 @dataclass(frozen=True)
 class ResourceAllocInstance:
     """A generated scalar resource-allocation instance; its coefficients live in its blocks."""
 
     problem: BlockProblem
     seed: int
-
-    a = _block_coefficients("a")
-    b = _block_coefficients("b")
-    cshift = _block_coefficients("cshift")
-    dshift = _block_coefficients("dshift")
 
 
 Instance = Union[LcqpInstance, ResourceAllocInstance]
@@ -123,7 +113,7 @@ def generate_lcqp(N: int, m: int, n: int, seed: int) -> LcqpInstance:
     for _ in range(GENERATION_RETRIES):
         cand = [rng.standard_normal((m, n)) for _ in range(N)]
         sv = smallest_singular_value_stacked(cand)
-        if sv.value > STACK_MIN_SV:
+        if sv > STACK_MIN_SV:
             A = cand
             break
     if A is None:
@@ -148,7 +138,7 @@ def generate_lcqp(N: int, m: int, n: int, seed: int) -> LcqpInstance:
         tuple(A),
         c,
     )
-    # The accepted draw's SVD is the problem's: its A holds the same values.
+    # The accepted draw's stacked singular value is the problem's: its A holds the same values.
     object.__setattr__(problem, "_stacked_singular_value", sv)
     instance = LcqpInstance(problem, tuple(xstar), lamstar, seed, P_src)
     resid = kkt_residual(problem, instance.optimum())
@@ -394,7 +384,8 @@ def save_instance(instance: Instance, path) -> None:
         arrays.update((f"P_{i}", P) for i, P in enumerate(instance.proximal_source))
     else:
         arrays["kind"] = np.array("resource_alloc")
-        arrays.update((name, getattr(instance, name)) for name in RA_COEFFICIENTS)
+        arrays.update((name, np.array([getattr(f, name) for f in p.objectives]))
+                      for name in RA_COEFFICIENTS)
     # An open handle: given a path without the suffix, np.savez would append ".npz".
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)

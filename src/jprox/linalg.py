@@ -25,9 +25,6 @@ SPD_RESIDUAL_RTOL = 1e-10
 #: Safety factor on the ``n * eps * cond(M)`` bound of an SPD solve's relative residual.
 REFINE_GROWTH = 4.0
 
-#: A stacked singular value below this fraction of the largest flags rank deficiency.
-RANK_DEFICIENT_RTOL = 1e-12
-
 #: The stacked singular value is read from the Gram matrix, of order ``k``
 #: and eigenvalues ``w``, while ``k * eps * w_max / w_min`` is at most this.
 GRAM_COND_LIMIT = 1e-8
@@ -91,10 +88,6 @@ class SpdFactor:
         self.checks_residual = bool(REFINE_GROWTH * M.shape[0] * np.finfo(float).eps * cond
                                     > 0.5 * SPD_RESIDUAL_RTOL)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._M
-
     def solve(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         x = self._inv @ b
@@ -105,15 +98,6 @@ class SpdFactor:
             if np.any(refine):
                 x = x + self._inv @ (resid * refine)  # columns within target: no change
         return x
-
-
-def solve_spd(M, b) -> np.ndarray:
-    """Solve ``M x = b`` for symmetric positive-definite ``M``.
-
-    Raises :class:`NotPositiveDefinite` when the Cholesky factorization
-    encounters a non-positive pivot.
-    """
-    return SpdFactor(M, "solve_spd").solve(b)
 
 
 def min_eigenvalue_sym(S, name: str = "matrix") -> float:
@@ -164,14 +148,7 @@ def spectral_norm(A) -> float:
     return gram_spectrum(A).norm
 
 
-class StackedSingularValue(NamedTuple):
-    """Smallest singular value of a vertically stacked transpose block matrix."""
-
-    value: float
-    rank_deficient: bool
-
-
-def smallest_singular_value_stacked(blocks: Sequence[np.ndarray]) -> StackedSingularValue:
+def smallest_singular_value_stacked(blocks: Sequence[np.ndarray]) -> float:
     """Smallest singular value of ``[A_1.T; A_2.T; ...; A_N.T]``.
 
     Each block must have the same number of rows ``m``; the stack then has
@@ -185,10 +162,6 @@ def smallest_singular_value_stacked(blocks: Sequence[np.ndarray]) -> StackedSing
     stack, of order ``k = min(sum(n_i), m)``, after dividing the stack by
     ``max |a_ij|``.  Only a stack whose Gram eigenvalues ``w`` fail
     ``k * eps * w_max <= GRAM_COND_LIMIT * w_min`` takes an SVD.
-
-    ``rank_deficient`` is set when the value falls below
-    ``RANK_DEFICIENT_RTOL`` times the largest singular value; the caller
-    decides whether that is fatal.
     """
     if not blocks:
         raise ValueError("smallest_singular_value_stacked: need at least one block")
@@ -210,10 +183,8 @@ def smallest_singular_value_stacked(blocks: Sequence[np.ndarray]) -> StackedSing
         # k*eps*w_max / (2*w_min) <= GRAM_COND_LIMIT / 2 relative.  Such a
         # stack is far from rank deficient: sqrt(w_min/w_max) > 1e-4.
         if w[0] > 0.0 and w.shape[0] * np.finfo(float).eps * w[-1] <= GRAM_COND_LIMIT * w[0]:
-            return StackedSingularValue(scale * math.sqrt(float(w[0])), False)
-    svals = np.linalg.svd(np.vstack([A.T for A in mats]), compute_uv=False)
-    value = float(svals[-1])
-    return StackedSingularValue(value, bool(value <= RANK_DEFICIENT_RTOL * float(svals[0])))
+            return scale * math.sqrt(float(w[0]))
+    return float(np.linalg.svd(np.vstack([A.T for A in mats]), compute_uv=False)[-1])
 
 
 def generalized_max_eigenvalue(M, Npd, name: str = "pencil") -> float:

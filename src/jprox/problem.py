@@ -243,8 +243,12 @@ class BlockProblem:
             object.__setattr__(self, "_gram_matrices", tuple(_frozen(Ai.T @ Ai) for Ai in self.A))
         return self._gram_matrices
 
-    def stacked_singular_value(self):
-        """:func:`~jprox.linalg.smallest_singular_value_stacked` of ``A``: one SVD, cached."""
+    def stacked_singular_value(self) -> float:
+        """:func:`~jprox.linalg.smallest_singular_value_stacked` of ``A``.
+
+        Built on first use from one eigensolve of the stack's smaller Gram
+        matrix (an SVD only for an ill-conditioned stack) and cached.
+        """
         if self._stacked_singular_value is None:
             object.__setattr__(self, "_stacked_singular_value",
                                smallest_singular_value_stacked(self.A))
@@ -285,10 +289,6 @@ class PrimalDualPoint:
         return cls([np.zeros(n) for n in problem.dims], np.zeros(problem.m))
 
 
-def _offsets_of(blocks) -> np.ndarray:
-    return np.concatenate(([0], np.cumsum([len(b) for b in blocks])))
-
-
 def block_distances(DX: np.ndarray, DLAM: np.ndarray, offsets) -> np.ndarray:
     """Largest of ``||DLAM[j]||`` and the block norms ``||DX[j, o_i:o_{i+1}]||``, per row ``j``.
 
@@ -305,18 +305,6 @@ def block_distance(dx: np.ndarray, dlam: np.ndarray, offsets) -> float:
     return float(block_distances(dx[None], dlam[None], offsets)[0])
 
 
-def dis_metric(u: PrimalDualPoint, ref: PrimalDualPoint) -> float:
-    """Largest block-wise primal distance or multiplier distance."""
-    if len(u.x) != len(ref.x):
-        raise DimensionMismatch(f"{len(u.x)} blocks vs {len(ref.x)}")
-    if u.lam.shape != ref.lam.shape:
-        raise DimensionMismatch("multiplier lengths differ")
-    if any(xi.shape != ri.shape for xi, ri in zip(u.x, ref.x)):
-        raise DimensionMismatch("block lengths differ")
-    return block_distance(np.concatenate(u.x) - np.concatenate(ref.x), u.lam - ref.lam,
-                          _offsets_of(u.x))
-
-
 def check_point(problem: BlockProblem, u: PrimalDualPoint) -> None:
     if len(u.x) != problem.N:
         raise DimensionMismatch(f"point has {len(u.x)} blocks, problem has {problem.N}")
@@ -327,15 +315,6 @@ def check_point(problem: BlockProblem, u: PrimalDualPoint) -> None:
         raise DimensionMismatch(
             f"multiplier length {u.lam.shape[0]}, expected {problem.m}"
         )
-
-
-def block_value(f: BlockObjective, x) -> float:
-    """Objective value of a single block."""
-    x = _as_vector(x, f.dim, "block_value input")
-    v = f.value(x)
-    if not math.isfinite(v):
-        raise ValueError("block value is not finite")
-    return v
 
 
 def block_gradient(f: BlockObjective, x) -> np.ndarray:
@@ -370,18 +349,3 @@ def kkt_residual(problem: BlockProblem, u: PrimalDualPoint) -> float:
     F = kkt_map(problem, problem.stack(u.x), u.lam)
     n = problem.offsets[-1]
     return block_distance(F[:n], F[n:], problem.offsets)
-
-
-def augmented_lagrangian(problem: BlockProblem, u: PrimalDualPoint, rho: float) -> float:
-    """``sum_i f_i(x_i) - <lam, r> + (rho/2) ||r||^2`` with ``r`` the constraint residual.
-
-    ``rho`` may be zero, which evaluates the plain Lagrangian.
-    """
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
-    check_point(problem, u)
-    r = constraint_residual(problem, u.x)
-    total = 0.0
-    for f, xi in zip(problem.objectives, u.x):
-        total += block_value(f, xi)
-    return total - float(u.lam @ r) + 0.5 * rho * float(r @ r)

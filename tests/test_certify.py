@@ -1,4 +1,4 @@
-"""Certification tests: constants, feasibility conditions, rate, Lyapunov audit."""
+"""Certification tests: constants, feasibility conditions, rate, Lyapunov contraction."""
 
 import dataclasses
 import math
@@ -24,7 +24,6 @@ from jprox.certify import (
     max_feasible_s,
     smallest_certified_tau,
     uniform_xi,
-    verify_contraction,
 )
 from jprox.errors import (
     CertificationError,
@@ -56,6 +55,7 @@ from jprox.solvers import (
     materialize_policy,
     policy_eigenvalues,
     run,
+    step,
 )
 
 
@@ -472,19 +472,19 @@ def test_certify_not_strongly_convex_margins():
 
 
 def test_certify_roundtrip(tmp_path):
-    from jprox.certify import certificate_from_dict
+    import json
 
     inst = generate_lcqp(2, 4, 3, seed=5)
     taus = smallest_certified_tau(inst.problem, rho=1.0, gamma=0.5)
     cert = certify(inst.problem, 1.0, 0.5, StandardProximal(taus), seed=5)
+    assert cert.weights is not None
     path = tmp_path / "cert.json"
     cert.save(path)
-    import json
-
-    loaded = certificate_from_dict(json.loads(path.read_text()))
-    assert loaded.passed == cert.passed
-    assert loaded.sigma == cert.sigma
-    assert loaded.xi == cert.xi
+    saved = json.loads(path.read_text())
+    assert saved["passed"] == cert.passed
+    assert saved["sigma"] == cert.sigma
+    assert tuple(saved["xi"]) == cert.xi
+    assert "weights" not in saved and "proximal" not in saved
 
 
 def lower_end_weights(p, rho, gamma, kind, factor):
@@ -791,7 +791,12 @@ def test_phi_dominates_identity_parts():
         assert phi >= gap * dx - 1e-12
 
 
-# -- verify_contraction ------------------------------------------------------------------------
+# -- the contraction on recorded runs ----------------------------------------------------------
+
+def contraction_violations(phi, sigma) -> list:
+    """Steps ``k`` with ``phi[k+1] > sigma*phi[k] + 1e-12*(1 + phi[k])``."""
+    return [k for k in range(len(phi) - 1) if phi[k + 1] > sigma * phi[k] + 1e-12 * (1.0 + phi[k])]
+
 
 def certified_setup(seed=0, rho=1.0, gamma=1.0):
     inst = generate_lcqp(3, 6, 4, seed=seed)
@@ -805,20 +810,25 @@ def certified_setup(seed=0, rho=1.0, gamma=1.0):
 
 
 def test_verify_contraction_constant_sequence_passes():
+    # The optimum is a fixed point of the step, so phi stays at 0 up to
+    # round-off: every ratio is a degenerate 0/0, and the bound holds.
     inst, policy, cert, consts, P_list = certified_setup()
     ref = inst.optimum()
-    report = verify_contraction([ref.copy() for _ in range(5)], cert, ref)
-    assert report.ok
-    assert all(math.isnan(r) for r in report.ratios)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=policy)
+    points = [ref]
+    for _ in range(4):
+        points.append(step(inst.problem, points[-1], params))
+    phi = [cert.weights.evaluate(u, ref) for u in points]
+    assert contraction_violations(phi, cert.sigma) == []
+    assert all(p <= 1e-14 for p in phi[:-1])
 
 
 def test_verify_contraction_on_certified_run():
     inst, policy, cert, consts, P_list = certified_setup(seed=2)
     params = SolverParams(rho=1.0, gamma=1.0, policy=policy, max_iters=500)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
-                reference=inst.optimum(), record_points=True)
-    report = verify_contraction(trace.points, cert, inst.optimum())
-    assert report.ok
+                reference=inst.optimum(), phi_context=cert.weights)
+    assert contraction_violations(trace.phi, cert.sigma) == []
 
 
 def test_verify_contraction_from_random_starting_points():
@@ -831,23 +841,30 @@ def test_verify_contraction_from_random_starting_points():
             scale * rng.standard_normal(6),
         )
         trace = run(inst.problem, params, u0, reference=inst.optimum(),
-                    record_points=True)
-        report = verify_contraction(trace.points, cert, inst.optimum())
-        assert report.ok
+                    phi_context=cert.weights)
+        assert contraction_violations(trace.phi, cert.sigma) == []
 
 
 def test_verify_contraction_negative_control():
-    import dataclasses
-
     inst, policy, cert, consts, P_list = certified_setup(seed=3)
     params = SolverParams(rho=1.0, gamma=1.0, policy=policy, max_iters=100)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
-                reference=inst.optimum(), record_points=True)
-    report = verify_contraction(trace.points, cert, inst.optimum())
-    empirical = max(r for r in report.ratios if not math.isnan(r))
-    bogus = dataclasses.replace(cert, sigma=0.5 * empirical)
-    bad = verify_contraction(trace.points, bogus, inst.optimum())
-    assert bad.violations
+                reference=inst.optimum(), phi_context=cert.weights)
+    phi = trace.phi
+    empirical = max(curr / prev for prev, curr in zip(phi, phi[1:]) if prev > 1e-14)
+    assert contraction_violations(phi, 0.5 * empirical)
+
+
+def test_phi_weights_evaluate_matches_the_recorded_phi():
+    # PhiWeights.evaluate (one point) and the run's batched phi rows are one formula.
+    inst, policy, cert, consts, P_list = certified_setup(seed=2)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=policy, max_iters=200)
+    ref = inst.optimum()
+    trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem), reference=ref,
+                phi_context=cert.weights, record_points=True)
+    assert len(trace.points) == len(trace.phi) == 201
+    for u, phi in zip(trace.points, trace.phi):
+        assert cert.weights.evaluate(u, ref) == pytest.approx(phi, rel=1e-12, abs=0.0)
 
 
 # -- the certificate's weights --------------------------------------------------------------------
@@ -877,20 +894,6 @@ def test_failed_certificate_carries_no_weights(policy, gamma):
     cert = certify(generate_lcqp(3, 6, 4, seed=0).problem, 1.0, gamma, policy)
     assert not cert.passed
     assert cert.weights is None
-
-
-def test_weights_are_not_serialized_and_a_loaded_certificate_cannot_be_audited():
-    from jprox.certify import certificate_from_dict
-
-    inst, policy, cert, consts, P_list = certified_setup()
-    assert cert.weights is not None
-    d = cert.to_dict()
-    assert "weights" not in d
-    loaded = certificate_from_dict(d)
-    assert loaded.weights is None
-    ref = inst.optimum()
-    with pytest.raises(ValueError, match="weights"):
-        verify_contraction([ref.copy(), ref.copy()], loaded, ref)
 
 
 def test_run_sweep_materializes_each_cell_policy_twice(count_calls):

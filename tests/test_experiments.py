@@ -21,19 +21,26 @@ from jprox.experiments import (
     run_sweep,
     save_instance,
 )
-from jprox.linalg import (
-    RANK_DEFICIENT_RTOL,
-    StackedSingularValue,
-    smallest_singular_value_stacked,
-)
+from jprox.linalg import smallest_singular_value_stacked
 from jprox.problem import (
     BlockProblem,
     PrimalDualPoint,
     QuadraticBlock,
-    dis_metric,
+    block_distance,
     kkt_residual,
 )
-from jprox.solvers import ProxLinear, StandardProximal
+from jprox.solvers import ProxLinear, SolverParams, StandardProximal, run
+
+
+def dis(u, ref) -> float:
+    """Largest block-wise primal distance or multiplier distance of ``u`` from ``ref``."""
+    offsets = np.cumsum([0] + [xi.size for xi in u.x])
+    return block_distance(np.concatenate(u.x) - np.concatenate(ref.x), u.lam - ref.lam, offsets)
+
+
+def coefficients(inst, name: str) -> np.ndarray:
+    """The ``name`` coefficient of each block of a resource-allocation instance."""
+    return np.array([getattr(f, name) for f in inst.problem.objectives])
 
 
 # -- generator: quadratic family -----------------------------------------------------
@@ -50,7 +57,7 @@ def test_generate_lcqp_accepts_reference_configs(config):
 
 def test_generate_lcqp_stack_invariant():
     inst = generate_lcqp(3, 10, 4, seed=5)
-    assert smallest_singular_value_stacked(inst.problem.A).value > 1e-8
+    assert smallest_singular_value_stacked(inst.problem.A) > 1e-8
 
 
 def test_generate_lcqp_objectives_strictly_pd():
@@ -66,11 +73,9 @@ def test_generate_lcqp_proximal_source_is_psd():
         assert np.linalg.eigvalsh(P)[0] >= -1e-12
 
 
-def svd_stacked_singular_value(blocks) -> StackedSingularValue:
-    """The stacked singular value and rank flag as an SVD alone gives them."""
-    svals = np.linalg.svd(np.vstack([A.T for A in blocks]), compute_uv=False)
-    return StackedSingularValue(float(svals[-1]),
-                                bool(svals[-1] <= RANK_DEFICIENT_RTOL * svals[0]))
+def svd_stacked_singular_value(blocks) -> float:
+    """The stacked singular value as an SVD alone gives it."""
+    return float(np.linalg.svd(np.vstack([A.T for A in blocks]), compute_uv=False)[-1])
 
 
 @pytest.mark.parametrize("shape", [(3, 100, 40), (3, 400, 150), (3, 12, 5)])
@@ -118,13 +123,12 @@ def test_generate_lcqp_wide_constraint_projects_multiplier():
 def test_generate_lcqp_exhausts_retries_on_degenerate_stacks(monkeypatch):
     import jprox.experiments as exp_mod
     from jprox.errors import DegenerateAfterRetries
-    from jprox.linalg import StackedSingularValue
 
     calls = {"n": 0}
 
     def always_degenerate(blocks):
         calls["n"] += 1
-        return StackedSingularValue(0.0, True)
+        return 0.0
 
     monkeypatch.setattr(exp_mod, "smallest_singular_value_stacked", always_degenerate)
     with pytest.raises(DegenerateAfterRetries):
@@ -147,17 +151,18 @@ def test_generate_resource_alloc_reference_sizes(N):
 def test_generate_resource_alloc_coefficient_ranges():
     for seed in range(1000):
         inst = generate_resource_alloc(2, seed=seed)
-        assert np.all((inst.a >= 0.0) & (inst.a <= 2.0))
-        assert np.all((inst.b >= -2.0) & (inst.b <= 2.0))
-        assert np.all((inst.cshift >= -10.0) & (inst.cshift <= 10.0))
-        assert np.all((inst.dshift >= -10.0) & (inst.dshift <= 10.0))
+        a, b, cshift, dshift = (coefficients(inst, name) for name in ("a", "b", "cshift", "dshift"))
+        assert np.all((a >= 0.0) & (a <= 2.0))
+        assert np.all((b >= -2.0) & (b <= 2.0))
+        assert np.all((cshift >= -10.0) & (cshift <= 10.0))
+        assert np.all((dshift >= -10.0) & (dshift <= 10.0))
 
 
 def test_generate_resource_alloc_deterministic():
     a = generate_resource_alloc(6, seed=77)
     b = generate_resource_alloc(6, seed=77)
-    assert np.array_equal(a.a, b.a)
-    assert np.array_equal(a.dshift, b.dshift)
+    assert np.array_equal(coefficients(a, "a"), coefficients(b, "a"))
+    assert np.array_equal(coefficients(a, "dshift"), coefficients(b, "dshift"))
 
 
 # -- dis metric --------------------------------------------------------------------------
@@ -165,7 +170,7 @@ def test_generate_resource_alloc_deterministic():
 def test_dis_zero_at_reference():
     inst = generate_lcqp(2, 4, 3, seed=2)
     u = inst.optimum()
-    assert dis_metric(u, inst.optimum()) == 0.0
+    assert dis(u, inst.optimum()) == 0.0
 
 
 def test_dis_single_perturbed_block():
@@ -174,7 +179,7 @@ def test_dis_single_perturbed_block():
     v = np.zeros(3)
     v[1] = 0.7
     u.x[1] = u.x[1] + v
-    assert dis_metric(u, inst.optimum()) == pytest.approx(0.7, rel=1e-15)
+    assert dis(u, inst.optimum()) == pytest.approx(0.7, rel=1e-15)
 
 
 def test_dis_matches_max_over_norms_oracle():
@@ -186,7 +191,7 @@ def test_dis_matches_max_over_norms_oracle():
         [float(np.linalg.norm(xi - ri)) for xi, ri in zip(u.x, ref.x)]
         + [float(np.linalg.norm(u.lam - ref.lam))]
     )
-    assert dis_metric(u, ref) == expected
+    assert dis(u, ref) == expected
 
 
 def test_dis_zero_iff_identical():
@@ -194,15 +199,17 @@ def test_dis_zero_iff_identical():
     u = inst.optimum()
     v = inst.optimum()
     v.x[0] = v.x[0] + 1e-13
-    assert dis_metric(u, v) > 0.0
-    assert dis_metric(u, v) < 1e-12
+    assert dis(u, v) > 0.0
+    assert dis(u, v) < 1e-12
 
 
 def test_dis_dimension_mismatch():
+    # A run measures dis against its reference, which must have the problem's blocks.
     inst = generate_lcqp(2, 4, 3, seed=6)
     other = generate_lcqp(3, 4, 3, seed=6)
     with pytest.raises(DimensionMismatch):
-        dis_metric(inst.optimum(), other.optimum())
+        run(inst.problem, SolverParams(rho=1.0, gamma=1.0), PrimalDualPoint.zeros(inst.problem),
+            reference=other.optimum(), method="jacobi-plain")
 
 
 # -- reference solutions ------------------------------------------------------------------
@@ -210,7 +217,7 @@ def test_dis_dimension_mismatch():
 def test_reference_matches_constructed_optimum():
     inst = generate_lcqp(3, 8, 4, seed=11)
     ref = reference_solution(inst.problem)
-    assert dis_metric(ref.point, inst.optimum()) <= 1e-8
+    assert dis(ref.point, inst.optimum()) <= 1e-8
     assert ref.kkt_residual <= 1e-9
 
 
@@ -255,7 +262,7 @@ def test_reference_solves_quadratic_kkt_system_in_one_step(shape, seed):
         start += f.dim
     z, *_ = np.linalg.lstsq(K, np.concatenate([-f.q for f in p.objectives] + [p.c]), rcond=None)
     oracle = PrimalDualPoint(np.split(z[:n], np.cumsum(p.dims)[:-1]), z[n:])
-    assert dis_metric(reference_solution(p).point, oracle) <= 1e-14
+    assert dis(reference_solution(p).point, oracle) <= 1e-14
 
 
 def _allocation_oracle(inst):
@@ -265,7 +272,7 @@ def _allocation_oracle(inst):
     ``f_i'(x) = lam`` by its own bisection.  Each bisection runs until its
     bracket is two adjacent floats.
     """
-    a, b, cs, ds = inst.a, inst.b, inst.cshift, inst.dshift
+    a, b, cs, ds = (coefficients(inst, name) for name in ("a", "b", "cshift", "dshift"))
 
     def slope(x):
         return a * (x - cs) + b * 0.5 * (1.0 + np.tanh(0.5 * b * (x - ds)))
@@ -316,7 +323,7 @@ def test_reference_does_not_run_the_engine(monkeypatch):
     inst = generate_resource_alloc(6, seed=0)
     ref = experiments.reference_solution(inst.problem)
     assert ref.kkt_residual <= 1e-10
-    assert dis_metric(experiments.instance_reference(inst), ref.point) == 0.0
+    assert dis(experiments.instance_reference(inst), ref.point) == 0.0
 
 
 # -- sweeps ------------------------------------------------------------------------------------
@@ -378,7 +385,7 @@ def test_run_sweep_records_cell_failures_without_raising():
     # A modulus at the floor cannot be certified; cells still complete with
     # fallback weights and a failed certificate.
     inst = generate_resource_alloc(4, seed=101)
-    assert min(inst.a) / 2.0 > 0  # sanity: generator gave positive moduli
+    assert min(coefficients(inst, "a")) / 2.0 > 0  # sanity: generator gave positive moduli
     tiny = with_first_modulus(inst, 1e-9)
     sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(1.0,), max_iters=50)
     cells = run_sweep(tiny, sweep)
@@ -497,7 +504,7 @@ def instance_arrays(inst) -> dict:
         out["lambdastar"] = inst.lambdastar
         out.update((f"P_{i}", P) for i, P in enumerate(inst.proximal_source))
     else:
-        out.update(a=inst.a, b=inst.b, cshift=inst.cshift, dshift=inst.dshift)
+        out.update((name, coefficients(inst, name)) for name in ("a", "b", "cshift", "dshift"))
     return out
 
 
@@ -570,10 +577,8 @@ def test_resource_alloc_instance_roundtrip(tmp_path):
     path = tmp_path / "ra.json"
     save_instance(inst, path)
     loaded = load_instance(path)
-    assert np.array_equal(inst.a, loaded.a)
-    assert np.array_equal(inst.b, loaded.b)
-    assert np.array_equal(inst.cshift, loaded.cshift)
-    assert np.array_equal(inst.dshift, loaded.dshift)
+    for name in ("a", "b", "cshift", "dshift"):
+        assert np.array_equal(coefficients(inst, name), coefficients(loaded, name)), name
     assert loaded.seed == 3
 
 

@@ -4,6 +4,7 @@ The package's runtime imports are the standard library, numpy and the package it
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -114,3 +115,44 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+TRACER = SRC.parents[1] / "benchmarks" / "tracer.py"
+
+
+def tracer_target_names() -> set:
+    """The first attribute name of each ``benchmarks/tracer.py`` target: ``SpdFactor.solve`` gives
+    ``SpdFactor``."""
+    spec = importlib.util.spec_from_file_location("jprox_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {attr.split(".")[0] for _, _, attr, _, _ in module.TARGETS}
+
+
+def exported_names(source: str) -> list:
+    """Names that the ``from .module import ...`` statements of ``source`` bind."""
+    return [alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+
+
+def read_names(source: str) -> set:
+    """Names ``source`` reads: loaded ``ast.Name`` nodes and attribute names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_exported_names_and_read_names_find_their_names():
+    assert exported_names("from .a import x, y as z\nfrom numpy import w\n") == ["x", "z"]
+    assert read_names("v = x + np.y\n") == {"x", "np", "y"}
+
+
+def test_every_export_is_read_by_the_package_or_traced():
+    """An export that no other package module reads and the tracer does not wrap is dead."""
+    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in MODULES))
+    exports = exported_names((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(set(exports) - read - tracer_target_names()) == []

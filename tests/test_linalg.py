@@ -11,7 +11,6 @@ from jprox.linalg import (
     generalized_max_eigenvalue,
     min_eigenvalue_sym,
     smallest_singular_value_stacked,
-    solve_spd,
     spectral_norm,
 )
 
@@ -69,15 +68,15 @@ def random_spd(rng, n, shift=0.5):
     return B @ B.T + shift * np.eye(n)
 
 
-# -- solve_spd -------------------------------------------------------------------
+# -- SPD solves ------------------------------------------------------------------
 
 def test_solve_spd_identity():
-    x = solve_spd(np.eye(3), np.array([1.0, 2.0, 3.0]))
+    x = SpdFactor(np.eye(3)).solve(np.array([1.0, 2.0, 3.0]))
     assert np.allclose(x, [1.0, 2.0, 3.0], rtol=0, atol=1e-14)
 
 
 def test_solve_spd_diagonal():
-    x = solve_spd(np.diag([2.0, 4.0]), np.array([4.0, 8.0]))
+    x = SpdFactor(np.diag([2.0, 4.0])).solve(np.array([4.0, 8.0]))
     assert np.allclose(x, [2.0, 2.0], rtol=0, atol=1e-14)
 
 
@@ -85,7 +84,7 @@ def test_solve_spd_random_residual():
     rng = np.random.default_rng(7)
     M = random_spd(rng, 5)
     b = rng.standard_normal(5)
-    x = solve_spd(M, b)
+    x = SpdFactor(M).solve(b)
     assert np.linalg.norm(M @ x - b) < 1e-10
 
 
@@ -95,20 +94,20 @@ def test_solve_spd_residual_contract(seed):
     n = int(rng.integers(1, 12))
     M = random_spd(rng, n, shift=0.05)
     b = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n)
-    x = solve_spd(M, b)
+    x = SpdFactor(M).solve(b)
     assert np.linalg.norm(M @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
 
 
 def test_solve_spd_rejects_indefinite():
     M = np.diag([1.0, -1.0])
     with pytest.raises(NotPositiveDefinite):
-        solve_spd(M, np.ones(2))
+        SpdFactor(M).solve(np.ones(2))
 
 
 def test_solve_spd_rejects_asymmetric():
     M = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(NotSymmetric):
-        solve_spd(M, np.ones(2))
+        SpdFactor(M).solve(np.ones(2))
 
 
 def test_spd_factor_reuse():
@@ -240,21 +239,19 @@ def test_spectral_norm_rejects_empty():
 # -- smallest_singular_value_stacked -------------------------------------------------
 
 def test_stacked_single_identity():
-    res = smallest_singular_value_stacked([np.eye(4)])
-    assert res.value == pytest.approx(1.0, abs=1e-12)
-    assert not res.rank_deficient
+    assert smallest_singular_value_stacked([np.eye(4)]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stacked_two_identities():
     res = smallest_singular_value_stacked([np.eye(3), np.eye(3)])
-    assert res.value == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert res == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 def test_stacked_rayleigh_sampling_oracle():
     rng = np.random.default_rng(5)
     m = 6
     blocks = [rng.standard_normal((m, n)) for n in (3, 2, 4)]
-    c_A = smallest_singular_value_stacked(blocks).value
+    c_A = smallest_singular_value_stacked(blocks)
     for _ in range(100):
         lam = rng.standard_normal(m)
         lam /= np.linalg.norm(lam)
@@ -279,16 +276,14 @@ def test_stacked_squared_equals_gram_min_eig(seed):
     blocks = [rng.standard_normal((m, n)) for n in sizes]
     res = smallest_singular_value_stacked(blocks)
     gram_min = min_eigenvalue_sym(sum(A @ A.T for A in blocks))
-    assert res.value ** 2 == pytest.approx(gram_min, rel=1e-8, abs=1e-10)
+    assert res ** 2 == pytest.approx(gram_min, rel=1e-8, abs=1e-10)
 
 
 def test_stacked_flags_rank_deficiency():
     A = np.zeros((3, 2))
     A[0, 0] = 1.0
     A[1, 1] = 1.0
-    res = smallest_singular_value_stacked([A, A])
-    assert res.rank_deficient
-    assert res.value == pytest.approx(0.0, abs=1e-12)
+    assert smallest_singular_value_stacked([A, A]) == pytest.approx(0.0, abs=1e-12)
 
 
 def stack_svd(blocks) -> np.ndarray:
@@ -322,8 +317,7 @@ def test_stacked_gram_value_matches_the_svd_within_its_bound(svd_calls, sizes, m
         svd_calls.clear()
         res = smallest_singular_value_stacked([scale * A for A in unit])
         assert svd_calls == []
-        assert abs(res.value / scale - want) <= GRAM_COND_LIMIT * want
-        assert not res.rank_deficient
+        assert abs(res / scale - want) <= GRAM_COND_LIMIT * want
 
 
 @pytest.mark.parametrize("shape", [(3, 100, 40), (3, 400, 150), (3, 12, 5)])
@@ -331,7 +325,7 @@ def test_stacked_gram_value_is_the_svd_to_1e12_on_benchmark_shapes(svd_calls, sh
     for seed in range(3):
         A = generate_lcqp(*shape, seed=seed).problem.A
         svd_calls.clear()
-        got = smallest_singular_value_stacked(A).value
+        got = smallest_singular_value_stacked(A)
         assert svd_calls == []
         assert got == pytest.approx(stack_svd(A)[-1], rel=1e-12, abs=0.0)
 
@@ -345,8 +339,8 @@ def test_stacked_past_the_conditioning_limit_takes_the_svd(svd_calls):
     blocks = [stack[:2].T, stack[2:].T]
     res = smallest_singular_value_stacked(blocks)
     assert len(svd_calls) == 1
-    assert res.value == stack_svd(blocks)[-1]
-    assert res.value == pytest.approx(1e-5, rel=1e-9)
+    assert res == stack_svd(blocks)[-1]
+    assert res == pytest.approx(1e-5, rel=1e-9)
 
 
 # -- generalized_max_eigenvalue -------------------------------------------------------

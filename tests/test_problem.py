@@ -22,9 +22,7 @@ from jprox.problem import (
     LogisticQuadBlock,
     PrimalDualPoint,
     QuadraticBlock,
-    augmented_lagrangian,
     block_gradient,
-    block_value,
     constraint_residual,
     kkt_residual,
 )
@@ -44,21 +42,21 @@ def central_difference(f, x, step=1e-6):
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = step
-        g[j] = (block_value(f, x + e) - block_value(f, x - e)) / (2.0 * step)
+        g[j] = (f.value(x + e) - f.value(x - e)) / (2.0 * step)
     return g
 
 
-# -- block_value ------------------------------------------------------------------
+# -- block values -----------------------------------------------------------------
 
 def test_quadratic_value():
     f = QuadraticBlock(2.0 * np.eye(1), np.zeros(1))
-    assert block_value(f, np.array([1.0])) == pytest.approx(1.0, abs=1e-15)
+    assert f.value(np.array([1.0])) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_logistic_value_at_zero_coefficients():
     f = LogisticQuadBlock(0.0, 0.0, 0.0, 0.0)
     for x in (-3.0, 0.0, 7.5):
-        assert block_value(f, np.array([x])) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert f.value(np.array([x])) == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_logistic_value_high_precision_oracle():
@@ -67,13 +65,7 @@ def test_logistic_value_high_precision_oracle():
     f = LogisticQuadBlock(1.0, 1.0, 0.0, 0.0)
     mpmath.mp.dps = 50
     expected = float(mpmath.mpf("0.5") + mpmath.log(1 + mpmath.e))
-    assert block_value(f, np.array([1.0])) == pytest.approx(expected, rel=1e-15)
-
-
-def test_value_dimension_mismatch():
-    f = QuadraticBlock(np.eye(2), np.zeros(2))
-    with pytest.raises(DimensionMismatch):
-        block_value(f, np.zeros(3))
+    assert f.value(np.array([1.0])) == pytest.approx(expected, rel=1e-15)
 
 
 # -- block_gradient ----------------------------------------------------------------
@@ -114,7 +106,7 @@ def test_gradient_matches_central_differences(make_block):
 def test_logistic_overflow_safety():
     f = LogisticQuadBlock(1.0, 2.0, 0.0, 0.0)
     for x in (-1e6, -800.0, 800.0, 1e6):
-        v = block_value(f, np.array([x]))
+        v = f.value(np.array([x]))
         g = block_gradient(f, np.array([x]))[0]
         assert math.isfinite(v) and math.isfinite(g)
 
@@ -272,52 +264,6 @@ def test_kkt_residual_detects_perturbation():
         - inst.problem.A[0].T @ u.lam
     )
     assert res >= direct - 1e-12
-
-
-# -- augmented_lagrangian -----------------------------------------------------------------
-
-def test_augmented_lagrangian_feasible_point_is_plain_sum():
-    inst = generate_lcqp(3, 6, 4, seed=5)
-    u = inst.optimum()
-    total = sum(
-        block_value(f, xi) for f, xi in zip(inst.problem.objectives, u.x)
-    )
-    assert augmented_lagrangian(inst.problem, u, rho=2.5) == pytest.approx(total, rel=1e-12)
-
-
-def test_augmented_lagrangian_scalar_arithmetic():
-    p = scalar_problem(2, c=0.0)
-    u = PrimalDualPoint([np.array([1.0]), np.array([2.0])], np.zeros(1))
-    # residual r = 3, values sum to 0.5 + 2.0; with lam=0, rho=2: sum + r^2.
-    assert augmented_lagrangian(p, u, rho=2.0) == pytest.approx(2.5 + 9.0, rel=1e-14)
-
-
-def test_augmented_lagrangian_term_by_term_oracle():
-    rng = np.random.default_rng(17)
-    inst = generate_lcqp(3, 5, 3, seed=9)
-    u = PrimalDualPoint(
-        [rng.standard_normal(3) for _ in range(3)], rng.standard_normal(5)
-    )
-    rho = 1.7
-    r = sum(Ai @ xi for Ai, xi in zip(inst.problem.A, u.x)) - inst.problem.c
-    expected = (
-        sum(block_value(f, xi) for f, xi in zip(inst.problem.objectives, u.x))
-        - float(u.lam @ r)
-        + 0.5 * rho * float(r @ r)
-    )
-    assert augmented_lagrangian(inst.problem, u, rho) == pytest.approx(expected, rel=1e-12)
-
-
-def test_augmented_lagrangian_penalty_difference_identity():
-    rng = np.random.default_rng(23)
-    inst = generate_lcqp(2, 4, 3, seed=11)
-    u = PrimalDualPoint(
-        [rng.standard_normal(3) for _ in range(2)], rng.standard_normal(4)
-    )
-    rho = 3.0
-    r = constraint_residual(inst.problem, u.x)
-    diff = augmented_lagrangian(inst.problem, u, rho) - augmented_lagrangian(inst.problem, u, 0.0)
-    assert diff == pytest.approx(0.5 * rho * float(r @ r), rel=1e-12)
 
 
 # -- serialization -----------------------------------------------------------------------
