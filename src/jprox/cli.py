@@ -182,8 +182,6 @@ def cmd_generate(args) -> int:
         instance = exp.generate_lcqp(N, m, n, seed)
     else:
         instance = exp.generate_resource_alloc(N, seed)
-    out = Path(args.output)
-    exp.save_instance(instance, out)
     problem = instance.problem
     try:
         consts = estimate_constants(problem)
@@ -193,6 +191,9 @@ def cmd_generate(args) -> int:
         )
     except JproxError as exc:
         summary = f"constants unavailable ({exc})"
+    # The archive records the spectra the constants were just computed from.
+    out = Path(args.output)
+    exp.save_instance(instance, out)
     print(
         f"wrote {out}: kind={args.kind} N={problem.N} m={problem.m} "
         f"dims={list(problem.dims)} seed={seed} {summary}"

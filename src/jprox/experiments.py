@@ -9,6 +9,7 @@ Randomness is confined to ``numpy.random.default_rng(seed)``, so identical
 
 from __future__ import annotations
 
+import hashlib
 import time
 import zipfile
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .errors import (
     JproxError,
     SingularKkt,
 )
-from .linalg import smallest_singular_value_stacked
+from .linalg import GramSpectrum, smallest_singular_value_stacked
 from .problem import (
     BlockProblem,
     LogisticQuadBlock,
@@ -358,6 +359,24 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
 #                     and P_i (n_i, n_i) when the instance stores proximal matrices
 #   resource_alloc    a, b, cshift, dshift: float64 (N,), one entry per block
 #
+# ``save_instance`` also records the problem's spectra, which depend on the
+# instance alone, so that a read of the archive needs no eigensolve:
+#
+#   spectra_gram          float64 (sum n_i,), the ascending eigenvalues of every
+#                         A_i'A_i, block after block (BlockProblem.gram_spectra)
+#   spectra_norms         float64 (N,), every ||A_i||
+#   spectra_c_A           float64 0-d, BlockProblem.stacked_singular_value()
+#   spectra_curvatures    lcqp only: float64 (N, 2), each block's
+#                         (min_curvature, max_curvature)
+#   spectra_sha256        0-d string, the SHA-256 digest (_spectra_digest) of the
+#                         members the spectra are computed from: A_i, and H_i for lcqp
+#
+# A read uses the recorded spectra only when the digest matches the members
+# it read; an archive without the digest, or one whose A_i or H_i were edited
+# since it was written, has its spectra computed again, as any other problem
+# does.  With a matching digest the spectra members are checked like any
+# other member.  Spectra that are not all finite are not recorded.
+#
 # Every float64 member must be finite.
 
 #: The members holding a resource-allocation instance's block coefficients.
@@ -371,12 +390,48 @@ MEMBER_DTYPES = {"float64": lambda t: t == np.float64, "integer": lambda t: t.ki
 ARCHIVE_ERRORS = (ValueError, OSError, EOFError, zipfile.BadZipFile)
 
 
+#: The archive member holding the digest of the members the spectra come from.
+SPECTRA_DIGEST = "spectra_sha256"
+
+
+def _spectra_sources(arrays: dict, N: int, lcqp: bool) -> list:
+    """The ``(name, array)`` pairs a problem's spectra are computed from: ``A_i``, then ``H_i``."""
+    names = [f"A_{i}" for i in range(N)] + ([f"H_{i}" for i in range(N)] if lcqp else [])
+    return [(name, arrays[name]) for name in names]
+
+
+def _spectra_digest(sources) -> str:
+    """SHA-256 hex digest of each member's name, dtype, shape and C-order bytes."""
+    h = hashlib.sha256()
+    for name, a in sources:
+        h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+        h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
+
+
+def _spectra_members(p: BlockProblem, lcqp: bool) -> dict:
+    """The spectra members of ``p`` (layout above), computed where not cached yet."""
+    spectra = p.gram_spectra()
+    members = {"spectra_gram": np.concatenate([g.eigenvalues for g in spectra]),
+               "spectra_norms": np.array([g.norm for g in spectra]),
+               "spectra_c_A": np.array(p.stacked_singular_value())}
+    if lcqp:
+        members["spectra_curvatures"] = np.array(
+            [(f.min_curvature, f.max_curvature) for f in p.objectives])
+    return members
+
+
 def save_instance(instance: Instance, path) -> None:
-    """Write ``instance`` to exactly ``path`` as an instance archive (members above)."""
+    """Write ``instance`` to exactly ``path`` as an instance archive (members above).
+
+    The spectra members record the problem's cached spectra; those not yet
+    cached are computed first.
+    """
     p = instance.problem
+    lcqp = isinstance(instance, LcqpInstance)
     arrays = {"seed": np.array(instance.seed), "c": p.c}
     arrays.update((f"A_{i}", Ai) for i, Ai in enumerate(p.A))
-    if isinstance(instance, LcqpInstance):
+    if lcqp:
         arrays["kind"] = np.array("lcqp")
         for i, (f, x) in enumerate(zip(p.objectives, instance.xstar)):
             arrays.update({f"H_{i}": f.H, f"q_{i}": f.q, f"xstar_{i}": x})
@@ -386,6 +441,11 @@ def save_instance(instance: Instance, path) -> None:
         arrays["kind"] = np.array("resource_alloc")
         arrays.update((name, np.array([getattr(f, name) for f in p.objectives]))
                       for name in RA_COEFFICIENTS)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite spectra are not recorded
+        spectra = _spectra_members(p, lcqp)
+    if all(np.all(np.isfinite(a)) for a in spectra.values()):
+        arrays.update(spectra)
+        arrays[SPECTRA_DIGEST] = np.array(_spectra_digest(_spectra_sources(arrays, p.N, lcqp)))
     # An open handle: given a path without the suffix, np.savez would append ".npz".
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -423,25 +483,71 @@ def _block(member: str, make, *args):
         raise ValueError(f"{member}: {exc}") from None
 
 
+def _stored_spectra(z, arrays: dict, dims: list, lcqp: bool) -> Optional[dict]:
+    """The spectra members of ``z`` when its digest matches the members read into ``arrays``.
+
+    ``None`` without a digest or with one that does not match; with a
+    matching digest every spectra member must be present and well formed.
+    """
+    N = len(dims)
+    if SPECTRA_DIGEST not in z.files:
+        return None
+    digest = _spectra_digest(_spectra_sources(arrays, N, lcqp))
+    if _member(z, SPECTRA_DIGEST, dtype="string").item() != digest:
+        return None
+    spectra = {"spectra_gram": _member(z, "spectra_gram", (sum(dims),)),
+               "spectra_norms": _member(z, "spectra_norms", (N,)),
+               "spectra_c_A": _member(z, "spectra_c_A")}
+    if lcqp:
+        spectra["spectra_curvatures"] = _member(z, "spectra_curvatures", (N, 2))
+    return spectra
+
+
+def _seed_spectra(problem: BlockProblem, spectra: dict) -> None:
+    """Fill the Gram-spectrum and stacked-singular-value caches of ``problem`` from ``spectra``."""
+    gram = spectra["spectra_gram"]
+    gram.setflags(write=False)
+    o = problem.offsets
+    object.__setattr__(problem, "_gram_spectra", tuple(
+        GramSpectrum(gram[o[i]:o[i + 1]], float(nrm))
+        for i, nrm in enumerate(spectra["spectra_norms"])))
+    object.__setattr__(problem, "_stacked_singular_value", float(spectra["spectra_c_A"]))
+
+
 def _instance_from_archive(z) -> Instance:
     kind = _member(z, "kind", dtype="string").item()
     if kind not in ("lcqp", "resource_alloc"):
         raise ValueError(f"kind: unknown instance kind {kind!r}")
+    lcqp = kind == "lcqp"
     seed = int(_member(z, "seed", dtype="integer"))
     c = _member(z, "c", (-1,))
     m, N = c.shape[0], sum(name.startswith("A_") for name in z.files)
     # With no A_i member at all, A_0 is reported missing.
-    A = tuple(_member(z, f"A_{i}", (m, -1 if kind == "lcqp" else 1)) for i in range(max(N, 1)))
-    if kind == "resource_alloc":
-        rows = zip(*(_member(z, name, (N,)) for name in RA_COEFFICIENTS))
-        blocks = tuple(_block("a", LogisticQuadBlock, *map(float, row)) for row in rows)
-        return ResourceAllocInstance(BlockProblem(blocks, A, c), seed)
+    A = tuple(_member(z, f"A_{i}", (m, -1 if lcqp else 1)) for i in range(max(N, 1)))
     dims = [Ai.shape[1] for Ai in A]
-    blocks = tuple(_block(f"H_{i}", QuadraticBlock, _member(z, f"H_{i}", (n, n)),
-                          _member(z, f"q_{i}", (n,))) for i, n in enumerate(dims))
+    arrays = {f"A_{i}": Ai for i, Ai in enumerate(A)}
+    if lcqp:
+        for i, n in enumerate(dims):
+            arrays[f"H_{i}"] = _member(z, f"H_{i}", (n, n))
+            arrays[f"q_{i}"] = _member(z, f"q_{i}", (n,))
+    else:
+        arrays.update((name, _member(z, name, (N,))) for name in RA_COEFFICIENTS)
+    spectra = _stored_spectra(z, arrays, dims, lcqp)
+    if lcqp:
+        curvatures = spectra["spectra_curvatures"] if spectra else [None] * N
+        blocks = tuple(_block(f"H_{i}", QuadraticBlock, arrays[f"H_{i}"], arrays[f"q_{i}"], ci)
+                       for i, ci in enumerate(curvatures))
+    else:
+        rows = zip(*(arrays[name] for name in RA_COEFFICIENTS))
+        blocks = tuple(_block("a", LogisticQuadBlock, *map(float, row)) for row in rows)
+    problem = BlockProblem(blocks, A, c)
+    if spectra:
+        _seed_spectra(problem, spectra)
+    if not lcqp:
+        return ResourceAllocInstance(problem, seed)
     xstar = tuple(_member(z, f"xstar_{i}", (n,)) for i, n in enumerate(dims))
     P = tuple(_member(z, f"P_{i}", (n, n)) for i, n in enumerate(dims)) if "P_0" in z.files else ()
-    return LcqpInstance(BlockProblem(blocks, A, c), xstar, _member(z, "lambdastar", (m,)), seed, P)
+    return LcqpInstance(problem, xstar, _member(z, "lambdastar", (m,)), seed, P)
 
 
 def load_instance(path) -> Instance:

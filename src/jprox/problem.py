@@ -8,8 +8,8 @@ the problem container, and evaluation and optimality diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import InitVar, dataclass, field
+from typing import Optional, Union
 
 import numpy as np
 
@@ -57,25 +57,30 @@ class QuadraticBlock:
     """Strongly convex quadratic ``0.5 * x' H x + q' x`` with symmetric PD ``H``.
 
     ``min_curvature`` and ``max_curvature`` are ``lambda_min(H)`` and
-    ``lambda_max(H)``, both from one eigensolve of the stored ``H``.
+    ``lambda_max(H)``, both from one eigensolve of the stored ``H``, unless
+    ``curvature_range`` gives them as ``(lambda_min, lambda_max)`` already
+    computed for this ``H`` (an instance archive records them).
     """
 
     H: np.ndarray
     q: np.ndarray
+    curvature_range: InitVar[Optional[tuple]] = None
     min_curvature: float = field(init=False, repr=False, compare=False)
     max_curvature: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, curvature_range):
         H = require_symmetric(self.H, "QuadraticBlock.H")
         if H.shape[0] == 0:
             raise ValueError("QuadraticBlock.H: empty matrix has no eigenvalues")
         q = _finite_vector(self.q, H.shape[0], "QuadraticBlock.q")
         object.__setattr__(self, "H", _frozen(H))
         object.__setattr__(self, "q", _frozen(q))
-        # Symmetrize so round-off in the input cannot leak into the spectrum.
-        w = np.linalg.eigvalsh(0.5 * (self.H + self.H.T))
-        object.__setattr__(self, "min_curvature", float(w[0]))
-        object.__setattr__(self, "max_curvature", float(w[-1]))
+        if curvature_range is None:
+            # Symmetrize so round-off in the input cannot leak into the spectrum.
+            w = np.linalg.eigvalsh(0.5 * (self.H + self.H.T))
+            curvature_range = (w[0], w[-1])
+        object.__setattr__(self, "min_curvature", float(curvature_range[0]))
+        object.__setattr__(self, "max_curvature", float(curvature_range[1]))
         if self.min_curvature <= 0.0:
             raise NotPositiveDefinite("QuadraticBlock.H must be positive definite")
 

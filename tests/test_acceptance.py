@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import dis
 
 from jprox.certify import (
     PhiWeights,
@@ -31,7 +32,6 @@ from jprox.problem import (
     LogisticQuadBlock,
     PrimalDualPoint,
     QuadraticBlock,
-    block_distance,
     block_gradient,
     kkt_residual,
 )
@@ -42,12 +42,6 @@ from jprox.solvers import (
     run,
     step,
 )
-
-
-def dis(u, ref) -> float:
-    """Largest block-wise primal distance or multiplier distance of ``u`` from ``ref``."""
-    offsets = np.cumsum([0] + [xi.size for xi in u.x])
-    return block_distance(np.concatenate(u.x) - np.concatenate(ref.x), u.lam - ref.lam, offsets)
 
 
 def report(criterion: int, message: str) -> None:

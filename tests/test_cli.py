@@ -35,6 +35,12 @@ def edit_members(edit):
     return corrupt
 
 
+def drop_spectra(members):
+    """Remove the recorded spectra, as in an archive written before they were recorded."""
+    for name in [name for name in members if name.startswith("spectra_")]:
+        del members[name]
+
+
 def make_instance(tmp_path, kind="lcqp", **kw):
     path = tmp_path / f"{kind}.json"
     if kind == "lcqp":
@@ -144,6 +150,7 @@ def test_certify_success(tmp_path):
 ], ids=["certify", "solve", "sweep"])
 def test_command_estimates_constants_once(tmp_path, count_calls, command, flags):
     inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
+    edit_members(drop_spectra)(inst)
     svd = count_calls("jprox.linalg", "smallest_singular_value_stacked")
     assert run_cli(command, "--input", str(inst), *flags,
                    "--output", str(tmp_path / "out")) == 0
@@ -276,6 +283,7 @@ def test_certify_malformed_field_type_exits_3(tmp_path, capsys, corrupt, message
 
 def test_certify_auto_takes_one_gram_eigensolve_per_block(tmp_path, count_calls):
     inst = make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0)
+    edit_members(drop_spectra)(inst)
     gram = count_calls("jprox.linalg", "gram_spectrum")
     pencil = count_calls("jprox.linalg", "generalized_max_eigenvalue")
     norms = count_calls("jprox.linalg", "spectral_norm")
@@ -317,6 +325,144 @@ def test_certify_explicit_policy_solves_one_pencil_per_block(tmp_path, count_cal
     assert run_cli("certify", "--input", str(path), "--policy", "explicit",
                    "--output", str(tmp_path / "c.json")) == 0
     assert len(pencil) == 3
+
+
+# -- recorded spectra -------------------------------------------------------------
+
+GRID = [(rho, gamma) for rho in (0.03, 1.0, 5.0, 10.0) for gamma in (0.1, 0.5, 1.5, 1.9)]
+
+SPECTRA_SHAPES = {
+    "lcqp-3x400x150": dict(kind="lcqp", N=3, m=400, n=150),
+    "lcqp-3x100x40": dict(kind="lcqp", N=3, m=100, n=40),
+    "lcqp-3x12x5": dict(kind="lcqp", N=3, m=12, n=5),
+    "lcqp-wide": dict(kind="lcqp", N=3, m=4, n=6),  # m < n_i
+    "ra-6": dict(kind="ra", N=6),
+}
+
+
+@pytest.fixture(scope="module", params=list(SPECTRA_SHAPES))
+def archive_pair(request, tmp_path_factory):
+    """A generated archive, and a copy of it without the recorded spectra."""
+    tmp = tmp_path_factory.mktemp(request.param)
+    recorded = make_instance(tmp, **SPECTRA_SHAPES[request.param])
+    bare = tmp / "bare.npz"
+    bare.write_bytes(recorded.read_bytes())
+    edit_members(drop_spectra)(bare)
+    return recorded, bare
+
+
+def certificate_bytes(tmp_path, inst, *flags) -> list:
+    """Exit code and certificate file of ``certify`` on ``inst`` at every default grid cell."""
+    out = []
+    for rho, gamma in GRID:
+        path = tmp_path / "cert.json"
+        code = run_cli("certify", "--input", str(inst), "--rho", repr(rho), "--gamma",
+                       repr(gamma), *flags, "--output", str(path))
+        out.append((rho, gamma, code, path.read_bytes()))
+    return out
+
+
+def test_recorded_spectra_give_the_certificates_of_computed_ones(tmp_path, archive_pair):
+    recorded, bare = archive_pair
+    policies = ["standard", "proxlinear"]
+    if isinstance(exp.load_instance(recorded), exp.LcqpInstance):  # it stores P_i
+        policies.append("explicit")
+    for policy in policies:
+        flags = ("--tau", "auto", "--policy", policy)
+        assert certificate_bytes(tmp_path, recorded, *flags) == certificate_bytes(
+            tmp_path, bare, *flags), policy
+
+
+def test_recorded_spectra_are_the_computed_ones_bit_for_bit(archive_pair):
+    recorded, bare = (exp.load_instance(path).problem for path in archive_pair)
+    assert recorded._stacked_singular_value is not None and bare._stacked_singular_value is None
+    assert recorded.stacked_singular_value().hex() == bare.stacked_singular_value().hex()
+    for f, g in zip(recorded.objectives, bare.objectives):
+        assert f.min_curvature.hex() == g.min_curvature.hex()
+        assert f.max_curvature.hex() == g.max_curvature.hex()
+    for f, g in zip(recorded.gram_spectra(), bare.gram_spectra()):
+        assert list(map(float.hex, f.eigenvalues.tolist())) == list(
+            map(float.hex, g.eigenvalues.tolist()))
+        assert f.norm.hex() == g.norm.hex()
+        assert not f.eigenvalues.flags.writeable
+
+
+def swap_blocks(members):
+    for name in ("A", "H", "q", "xstar", "P"):
+        members[f"{name}_0"], members[f"{name}_1"] = members[f"{name}_1"], members[f"{name}_0"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(A_1=2.0 * d["A_1"]),
+    lambda d: d.update(H_1=2.0 * d["H_1"]),
+    swap_blocks,
+], ids=["scaled-A", "scaled-H", "swapped-blocks"])
+def test_edited_archive_is_certified_from_its_data(tmp_path, edit):
+    # The spectra members stay as written: stale for the edited data.
+    stale = make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0)
+    flags = ("--tau", "auto")
+    unedited = certificate_bytes(tmp_path, stale, *flags)
+    edit_members(edit)(stale)
+    bare = tmp_path / "bare.npz"
+    bare.write_bytes(stale.read_bytes())
+    edit_members(drop_spectra)(bare)
+    edited = certificate_bytes(tmp_path, stale, *flags)
+    assert edited == certificate_bytes(tmp_path, bare, *flags)
+    assert edited != unedited
+    problem = exp.load_instance(stale).problem
+    assert problem._stacked_singular_value is None
+
+
+def test_certify_on_recorded_spectra_makes_no_eigensolve(tmp_path, count_calls):
+    inst = make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0)
+    eigh = count_calls("numpy.linalg", "eigvalsh")
+    gram = count_calls("jprox.linalg", "gram_spectrum")
+    svd = count_calls("jprox.linalg", "smallest_singular_value_stacked")
+    assert run_cli("certify", "--input", str(inst), "--tau", "auto",
+                   "--output", str(tmp_path / "c.json")) == 0
+    assert (len(eigh), len(gram), len(svd)) == (0, 0, 0)
+    edit_members(drop_spectra)(inst)
+    assert run_cli("certify", "--input", str(inst), "--tau", "auto",
+                   "--output", str(tmp_path / "c.json")) == 0
+    # Three curvature, three Gram and one stacked eigensolve: 2N + 1.
+    assert (len(eigh), len(gram), len(svd)) == (7, 3, 1)
+
+
+def test_spectra_members_cannot_pass_for_blocks(tmp_path):
+    # N counts the A_i members and P_0 marks stored proximal matrices.
+    inst = make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0)
+    spectra = [name for name in read_members(inst) if name.startswith("spectra_")]
+    assert spectra and not [name for name in spectra if name.startswith(("A_", "H_", "P_"))]
+    edit_members(lambda d: [d.pop(f"P_{i}") for i in range(3)])(inst)
+    loaded = exp.load_instance(inst)
+    assert (loaded.problem.N, loaded.proximal_source) == (3, ())
+    assert loaded.problem._stacked_singular_value is not None
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("lcqp", lambda d: d.update(spectra_gram=d["spectra_gram"][:-1]),
+     "spectra_gram: expected shape 15, got (14,)"),
+    ("lcqp", lambda d: d.update(spectra_norms=d["spectra_norms"].astype(np.float32)),
+     "spectra_norms: expected float64 entries, got dtype float32"),
+    ("lcqp", lambda d: d.update(spectra_c_A=np.array(np.inf)),
+     "spectra_c_A: entries must be finite"),
+    ("lcqp", lambda d: d["spectra_curvatures"].__setitem__((1, 0), np.nan),
+     "spectra_curvatures: entries must be finite"),
+    ("lcqp", lambda d: d.update(spectra_curvatures=d["spectra_curvatures"].T),
+     "spectra_curvatures: expected shape 3 x 2, got (2, 3)"),
+    ("lcqp", lambda d: d.pop("spectra_c_A"), "spectra_c_A: missing member"),
+    ("lcqp", lambda d: d.update(spectra_sha256=np.array(1.0)),
+     "spectra_sha256: expected string entries, got dtype float64"),
+    ("ra", lambda d: d.update(spectra_gram=d["spectra_gram"][:, None]),
+     "spectra_gram: expected shape 6, got (6, 1)"),
+], ids=["short-gram", "float32-norms", "inf-c_A", "nan-curvature", "transposed-curvatures",
+        "no-c_A", "float-digest", "ra-gram-rank"])
+def test_malformed_spectra_under_a_matching_digest_exit_3(tmp_path, capsys, kind, edit, message):
+    inst = make_instance(tmp_path, kind, N=3 if kind == "lcqp" else 6, m=12, n=5, seed=0)
+    edit_members(edit)(inst)
+    code = run_cli("certify", "--input", str(inst), "--output", str(tmp_path / "c.json"))
+    assert code == 3
+    assert f"malformed instance file {inst}: {message}" in capsys.readouterr().err
 
 
 # -- solve ------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import zipfile
 
 import numpy as np
 import pytest
+from conftest import dis
 
 from jprox.errors import DimensionMismatch, SingularKkt
 from jprox.experiments import (
@@ -12,6 +13,7 @@ from jprox.experiments import (
     LcqpInstance,
     RHO_GRID_LARGE,
     RHO_GRID_SMALL,
+    SPECTRA_DIGEST,
     SweepConfig,
     default_rho_grid,
     generate_lcqp,
@@ -26,16 +28,9 @@ from jprox.problem import (
     BlockProblem,
     PrimalDualPoint,
     QuadraticBlock,
-    block_distance,
     kkt_residual,
 )
 from jprox.solvers import ProxLinear, SolverParams, StandardProximal, run
-
-
-def dis(u, ref) -> float:
-    """Largest block-wise primal distance or multiplier distance of ``u`` from ``ref``."""
-    offsets = np.cumsum([0] + [xi.size for xi in u.x])
-    return block_distance(np.concatenate(u.x) - np.concatenate(ref.x), u.lam - ref.lam, offsets)
 
 
 def coefficients(inst, name: str) -> np.ndarray:
@@ -564,12 +559,26 @@ def test_instance_archive_stores_every_float_array_as_float64(tmp_path, kind):
         assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
     with np.load(path, allow_pickle=False) as archive:
         members = {name: archive[name] for name in archive.files}
-    assert set(members) == set(instance_arrays(inst)) | {"kind"}
+    spectra = {"spectra_gram", "spectra_norms", "spectra_c_A", SPECTRA_DIGEST}
+    spectra |= {"spectra_curvatures"} if kind == "lcqp" else set()
+    assert set(members) == set(instance_arrays(inst)) | {"kind"} | spectra
     assert members["kind"].shape == () and members["kind"].item() == (
         "lcqp" if kind == "lcqp" else "resource_alloc")
     assert members.pop("seed").dtype.kind == "i"
+    assert members.pop(SPECTRA_DIGEST).dtype.kind == "U"
     members.pop("kind")
     assert all(a.dtype == np.float64 for a in members.values())
+
+
+def test_spectra_that_are_not_finite_are_not_recorded(tmp_path):
+    # ||A|| overflows for entries of 1e308; a read computes the spectra again.
+    A = np.full((2, 2), 1e308)
+    problem = BlockProblem((QuadraticBlock(np.eye(2), np.zeros(2)),), (A,), np.zeros(2))
+    path = tmp_path / "huge.npz"
+    save_instance(LcqpInstance(problem, (np.zeros(2),), np.zeros(2), seed=0), path)
+    with np.load(path, allow_pickle=False) as archive:
+        assert not [name for name in archive.files if name.startswith("spectra_")]
+    assert load_instance(path).problem._stacked_singular_value is None
 
 
 def test_resource_alloc_instance_roundtrip(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import dis
 
 import jprox.solvers as solvers
 from jprox.certify import _certified_intervals
@@ -17,7 +18,6 @@ from jprox.problem import (
     LogisticQuadBlock,
     PrimalDualPoint,
     QuadraticBlock,
-    block_distance,
     block_gradient,
     constraint_residual,
 )
@@ -32,12 +32,6 @@ from jprox.solvers import (
     solve_block_quadratic,
     step,
 )
-
-
-def dis(u, ref) -> float:
-    """Largest block-wise primal distance or multiplier distance of ``u`` from ``ref``."""
-    offsets = np.cumsum([0] + [xi.size for xi in u.x])
-    return block_distance(np.concatenate(u.x) - np.concatenate(ref.x), u.lam - ref.lam, offsets)
 
 
 def two_scalar_blocks():
