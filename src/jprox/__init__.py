@@ -49,7 +49,7 @@ from .solvers import (
     SolverParams,
     StandardProximal,
     Trace,
-    materialize_P,
+    materialize_policy,
     run,
     solve_block_quadratic,
     step,

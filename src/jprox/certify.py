@@ -21,17 +21,18 @@ The constants, the Gram spectra and the Gram matrices ``A_i'A_i`` are
 computed once per loaded problem and cached on it (``BlockProblem``).
 Every spectral quantity of a coupling matrix comes from one
 eigendecomposition of ``A_i'A_i`` per block (``BlockProblem.gram_spectra``):
-the norms ``||A_i||``, the certified proximal weights, and ``mu_s``.  For
-the standard and prox-linear policies the coupling condition on each
-eigenvalue is a concave quadratic in the weight ``tau``, so
+the norms ``||A_i||``, the certified proximal weights, and ``mu_s``.  Under
+a weight policy ``P_i = tau_i*I - coupling*rho*A_i'A_i`` (every fact of
+which is derived from its ``kind`` and ``coupling``) the coupling condition
+on each eigenvalue is a concave quadratic in ``tau``, so
 :func:`smallest_certified_tau` reads each block's certified interval in
 closed form and picks a weight strictly inside it, with no dense matrix.
 :func:`certify`, the one place an ``"auto"`` request becomes weights, checks
 the coupling condition of every policy once (:func:`check_xi_condition`).
-Without a proximal term and for the standard and prox-linear policies, the
-coupling matrix and both matrices of the ``mu_s`` pencil are polynomials in
-``A_i'A_i``, so the coupling margin is a minimum and ``mu_s`` a maximum over
-its eigenvalues, with no matrix built.  An explicit ``P_i`` takes one dense
+Without a proximal term and for a weight policy, the coupling matrix and
+both matrices of the ``mu_s`` pencil are polynomials in ``A_i'A_i``, so
+the coupling margin is a minimum and ``mu_s`` a maximum over its
+eigenvalues, with no matrix built.  An explicit ``P_i`` takes one dense
 eigensolve of the coupling matrix and the dense generalized eigensolve of
 :func:`compute_mu_s`; both also serve as the oracles of the closed forms.
 
@@ -51,6 +52,7 @@ import numpy as np
 
 from .errors import (
     CertificationError,
+    DimensionMismatch,
     GammaOutOfRange,
     InsufficientData,
     InvalidParameter,
@@ -62,9 +64,9 @@ from .errors import (
 from .linalg import generalized_max_eigenvalue, min_eigenvalue_sym
 from .problem import BlockProblem, PrimalDualPoint
 from .solvers import (
+    WEIGHT_POLICIES,
     ExplicitProximal,
     ProximalPolicy,
-    ProxLinear,
     StandardProximal,
     materialize_policy,
     policy_eigenvalues,
@@ -178,7 +180,7 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
     ``xi_i = (1 - 1e-6) * (2 - gamma) / N`` (:func:`uniform_xi`).  The
     margins ``min_eigs`` are the smallest eigenvalues of these matrices.
 
-    Without a proximal term and for the standard and prox-linear policies,
+    Without a proximal term and for the weight policies,
     ``B_i`` is a polynomial in ``A_i'A_i``, so no matrix is built: with
     ``d_j`` the cached eigenvalues of ``A_i'A_i`` and
     ``b_j = rho*d_j + p_j`` (``p_j`` from :func:`policy_eigenvalues`), the
@@ -186,6 +188,7 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
     :class:`ExplicitProximal` policy takes one dense eigensolve per block of
     the coupling matrix built from its ``P_i``; wrapping the materialized
     matrices of another policy in one gives the dense oracle of the closed form.
+    Not one explicit ``P_i`` per block raises :class:`DimensionMismatch`.
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
@@ -193,6 +196,8 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
     xi = uniform_xi(gamma, problem.N)
     eigs = []
     if isinstance(policy, ExplicitProximal):
+        if len(policy.P) != problem.N:
+            raise DimensionMismatch(f"{len(policy.P)} proximal matrices for {problem.N} blocks")
         for AtA, Pi, xi_i in zip(problem.gram_matrices(), policy.P, xi):
             B = rho * AtA + np.asarray(Pi, dtype=float)
             M = B - 8.0 * s * (B @ B) - (rho / xi_i) * AtA
@@ -225,6 +230,8 @@ def compute_mu_s(problem: BlockProblem, consts: ProblemConstants, rho: float, s:
     policy, and it is the oracle of :func:`closed_form_mu_s`.
     """
     coef, gap = _mu_s_pencil(consts, rho, s, problem.N)
+    if len(P_list) != problem.N:
+        raise DimensionMismatch(f"{len(P_list)} proximal matrices for {problem.N} blocks")
     worst = -math.inf
     for AtA, Pi in zip(problem.gram_matrices(), P_list):
         Pi = np.asarray(Pi, dtype=float)
@@ -286,17 +293,13 @@ def compute_sigma(gamma: float, rho: float, s: float, c_A: float, mu_s: float) -
 
 # -- certificates ---------------------------------------------------------------
 
-#: The name of each weight policy, in certificates and in the weight search.
-TAU_KINDS = {StandardProximal: "standard", ProxLinear: "proxlinear"}
-
-
 def describe_policy(policy: ProximalPolicy) -> dict:
     if policy is None:
         return {"kind": "none"}
-    if type(policy) in TAU_KINDS:
-        tau = policy.tau if np.isscalar(policy.tau) else list(map(float, policy.tau))
-        return {"kind": TAU_KINDS[type(policy)], "tau": tau}
-    return {"kind": "explicit" if isinstance(policy, ExplicitProximal) else repr(policy)}
+    if isinstance(policy, ExplicitProximal):
+        return {"kind": "explicit"}
+    tau = policy.tau if np.isscalar(policy.tau) else list(map(float, policy.tau))
+    return {"kind": policy.kind, "tau": tau}
 
 
 @dataclass
@@ -343,9 +346,9 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
             seed: Optional[int] = None) -> Certificate:
     """Resolve a policy request, then certify the concrete policy.
 
-    A ``StandardProximal("auto")`` or ``ProxLinear("auto")`` request resolves
-    to the weights of :func:`smallest_certified_tau`, else to :func:`fallback_tau`,
-    with prox-linear weights raised to the PSD floor ``rho*||A_i||^2``; it
+    A weight policy's ``"auto"`` request (``StandardProximal("auto")``)
+    resolves to the weights of :func:`smallest_certified_tau`, else to
+    :func:`fallback_tau`, raised to the PSD floor ``coupling*rho*||A_i||^2``; it
     raises :class:`GammaOutOfRange` for ``gamma`` outside (0, 2).  The concrete
     policy is the certificate's ``proximal``.  Whatever the policy, the
     coupling condition is checked here, once per block, by
@@ -377,10 +380,8 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     gap = consts.alpha - 2.0 * consts.L * s
     P_list = materialize_policy(policy, rho, problem)
     xi_check = check_xi_condition(problem, rho, gamma, s, policy)
-    if isinstance(policy, ExplicitProximal):
-        mu = compute_mu_s(problem, consts, rho, s, P_list)
-    else:
-        mu = closed_form_mu_s(problem, consts, rho, s, policy)
+    mu = (compute_mu_s(problem, consts, rho, s, P_list) if isinstance(policy, ExplicitProximal)
+          else closed_form_mu_s(problem, consts, rho, s, policy))
     sig = compute_sigma(gamma, rho, s, consts.c_A, mu)
 
     cert.s, cert.xi, cert.mu_s, cert.sigma = s, xi_check.xi, mu, sig.sigma
@@ -499,16 +500,23 @@ def fit_linear_rate(values: Sequence[float], tail_fraction: float = 0.5) -> Rate
 
 # -- certified proximal weights ---------------------------------------------------
 
+def _coupling(kind: str) -> int:
+    """The coupling term of the weight policy named ``kind`` (a key of ``WEIGHT_POLICIES``)."""
+    if kind not in WEIGHT_POLICIES:
+        raise InvalidParameter(f"unknown policy kind {kind!r}")
+    return WEIGHT_POLICIES[kind].coupling
+
+
 def _certified_intervals(problem: BlockProblem, rho: float, gamma: float,
                          kind: str) -> list:
     """Per-block interval ``(lo, hi)`` of the proximal weights passing the coupling condition.
 
-    ``kind`` selects the standard (``tau*I``) or prox-linear
-    (``tau*I - rho*A'A``) materialization.  Both make the condition matrix
-    ``B - 8*s*B^2 - c*A'A`` (``B = rho*A'A + P``, ``c = rho/xi`` from
-    :func:`uniform_xi`) a polynomial in ``A'A``: for each cached eigenvalue
-    ``d_j`` of ``A'A`` it has the eigenvalue ``b - 8*s*b^2 - c*d_j``, concave
-    in ``b = b0_j + tau`` (``b0 = rho*d``, or 0 for prox-linear) and positive
+    ``kind`` names the weight policy ``P = tau*I - coupling*rho*A'A``.  It
+    makes the condition matrix ``B - 8*s*B^2 - c*A'A`` (``B = rho*A'A + P``,
+    ``c = rho/xi`` from :func:`uniform_xi`) a polynomial in ``A'A``: for each
+    cached eigenvalue ``d_j`` of ``A'A`` it has the eigenvalue
+    ``b - 8*s*b^2 - c*d_j``, concave in ``b = b0_j + tau``
+    (``b0 = (1 - coupling)*rho*d``) and positive
     strictly between its roots.  With ``r_j = sqrt(1 - 32*s*c*d_j)`` a block's
     certified weights are thus ``lo < tau < hi``, where
     ``lo = max_j(2*c*d_j/(1 + r_j) - b0_j)`` and ``hi = min_j((1 + r_j)/(16*s) - b0_j)``;
@@ -516,14 +524,13 @@ def _certified_intervals(problem: BlockProblem, rho: float, gamma: float,
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
-    if kind not in TAU_KINDS.values():
-        raise InvalidParameter(f"unknown policy kind {kind!r}")
+    uncoupled = 1 - _coupling(kind)
     s = 0.5 * max_feasible_s(estimate_constants(problem), rho, problem.N)
     c = rho / uniform_xi(gamma, problem.N)[0]
     intervals = []
     for i, g in enumerate(problem.gram_spectra()):
         d = g.eigenvalues
-        b0 = rho * d if kind == "standard" else 0.0
+        b0 = uncoupled * rho * d
         disc = 1.0 - 32.0 * s * c * d
         r = np.sqrt(np.maximum(disc, 0.0))
         # 2*c*d/(1 + r) is the lower root (1 - r)/(16*s) without the cancellation.
@@ -539,7 +546,7 @@ def _certified_intervals(problem: BlockProblem, rho: float, gamma: float,
 
 
 def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
-                           kind: str = "standard") -> list:
+                           kind: str = StandardProximal.kind) -> list:
     """Per-block proximal weight strictly inside its certified interval ``(lo, hi)``.
 
     The intervals come from :func:`_certified_intervals`.  The weight is
@@ -563,36 +570,31 @@ def smallest_certified_tau(problem: BlockProblem, rho: float, gamma: float,
 def _resolve(problem: BlockProblem, rho: float, gamma: float,
              policy: ProximalPolicy) -> ProximalPolicy:
     """The concrete policy :func:`certify` resolves an ``"auto"`` request to; any other as given."""
-    if not (type(policy) in TAU_KINDS and isinstance(policy.tau, str) and policy.tau == "auto"):
+    if not (isinstance(getattr(policy, "tau", None), str) and policy.tau == "auto"):
         return policy
-    kind = TAU_KINDS[type(policy)]
     try:
-        taus = smallest_certified_tau(problem, rho, gamma, kind)
+        taus = smallest_certified_tau(problem, rho, gamma, policy.kind)
     except JproxError:
-        taus = fallback_tau(problem, rho, gamma, kind)
-    # The prox-linear coupling margin tau - 8*s*tau^2 - c*||A_i||^2 is concave
-    # in tau and peaks at 1/(16*s), which the choice of s keeps at or above the
-    # floor, so raising a passing weight to the floor keeps it passing.
-    floors = [rho * g.norm ** 2 if kind == "proxlinear" else 0.0 for g in problem.gram_spectra()]
+        taus = fallback_tau(problem, rho, gamma, policy.kind)
+    # Raised to the PSD floor coupling*rho*||A_i||^2.  The prox-linear coupling
+    # margin tau - 8*s*tau^2 - c*||A_i||^2 is concave in tau and peaks at
+    # 1/(16*s), which the choice of s keeps at or above the floor, so raising
+    # a passing weight to the floor keeps it passing.
+    floors = [policy.coupling * rho * g.norm ** 2 for g in problem.gram_spectra()]
     return type(policy)([max(t, f) for t, f in zip(taus, floors)])
 
 
 def fallback_tau(problem: BlockProblem, rho: float, gamma: float,
-                 kind: str = "standard") -> list:
+                 kind: str = StandardProximal.kind) -> list:
     """Proximal weights from the classical sufficiency thresholds.
 
     Used when certification is unavailable (for example, a block modulus at
-    the floor): 1.5 times ``rho * max(N/(2-gamma) - 1, 0) * ||A_i||^2`` for
-    the standard materialization, or ``rho * N/(2-gamma) * ||A_i||^2`` for
-    prox-linear, with a small positive floor to keep the engine well-posed.
+    the floor): 1.5 times ``rho * max(N/(2-gamma) - (1 - coupling), 0) * ||A_i||^2``
+    for the weight policy named ``kind``, with a small positive floor to keep
+    the engine well-posed.
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
-    if kind == "standard":
-        factor = max(problem.N / (2.0 - gamma) - 1.0, 0.0)
-    elif kind == "proxlinear":
-        factor = problem.N / (2.0 - gamma)
-    else:
-        raise InvalidParameter(f"unknown policy kind {kind!r}")
+    factor = max(problem.N / (2.0 - gamma) - (1 - _coupling(kind)), 0.0)
     nrm2s = [g.norm ** 2 for g in problem.gram_spectra()]
     return [max(1.5 * rho * factor * nrm2, 1e-8 * max(1.0, rho * nrm2)) for nrm2 in nrm2s]

@@ -27,8 +27,8 @@ from .problem import PrimalDualPoint
 from .solvers import (
     DIVERGED,
     METHODS,
+    WEIGHT_POLICIES,
     ExplicitProximal,
-    ProxLinear,
     SolverParams,
     StandardProximal,
     run,
@@ -149,8 +149,9 @@ def read_trace_csv(path) -> dict:
 def build_policy(instance, name: str, tau):
     """The proximal policy request that ``--policy`` and ``--tau`` name.
 
-    ``--tau auto`` stays a request (``StandardProximal("auto")`` or
-    ``ProxLinear("auto")``), which :func:`~jprox.certify.certify` resolves.
+    A weight policy's name (a key of ``WEIGHT_POLICIES``) gives that policy
+    with weight ``tau``; ``--tau auto`` stays a request, which
+    :func:`~jprox.certify.certify` resolves.
     """
     if name == "none":
         return None
@@ -159,7 +160,7 @@ def build_policy(instance, name: str, tau):
         if not src:
             _fail_flags("invalid --policy: explicit needs an instance with stored proximal matrices")
         return ExplicitProximal(src)
-    return StandardProximal(tau) if name == "standard" else ProxLinear(tau)
+    return WEIGHT_POLICIES[name](tau)
 
 
 def _load_instance(path):
@@ -208,7 +209,7 @@ def cmd_certify(args) -> int:
     policy = build_policy(instance, args.policy, args.tau)
     # Out of (0, 2) an "auto" request has no weights to resolve to; the failed
     # certificate still goes to disk, and names any concrete policy.
-    if gamma >= 2.0 and policy in (StandardProximal("auto"), ProxLinear("auto")):
+    if gamma >= 2.0 and getattr(policy, "tau", None) == "auto":
         policy = None
     cert = certify(instance.problem, rho, gamma, policy, seed=instance.seed)
     cert.save(args.output)
@@ -483,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     def parameter_flags(p):
         p.add_argument("--rho", type=float, default=1.0)
         p.add_argument("--gamma", type=float, default=1.0)
-        p.add_argument("--policy", choices=["standard", "proxlinear", "none", "explicit"],
-                       default="standard")
+        p.add_argument("--policy", choices=[*WEIGHT_POLICIES, "none", "explicit"],
+                       default=StandardProximal.kind)
         p.add_argument("--tau", default="auto",
                        help="positive number, or 'auto' for certified weights")
 

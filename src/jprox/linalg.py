@@ -138,7 +138,9 @@ def gram_spectrum(A) -> GramSpectrum:
     scale = float(np.max(np.abs(A)))
     S = A / scale if scale > 0.0 else A
     e = np.maximum(np.linalg.eigvalsh(S.T @ S if m >= n else S @ S.T), 0.0)
-    w = scale * scale * np.concatenate((np.zeros(n - e.shape[0]), e))
+    w = np.concatenate((np.zeros(n - e.shape[0]), e))
+    with np.errstate(over="ignore"):  # past scale*scale = inf, exact zeros still stay 0
+        w = scale * scale * w if math.isfinite(scale * scale) else scale * (scale * w)
     w.setflags(write=False)
     return GramSpectrum(w, scale * math.sqrt(float(e[-1])))
 

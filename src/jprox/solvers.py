@@ -5,6 +5,10 @@ iterate (Jacobi semantics), each block minimizing its share of the
 augmented Lagrangian plus a proximal term ``0.5 ||x_i - x_i^k||^2_{P_i}``,
 followed by the damped dual step ``lam <- lam - gamma*rho*(sum A_i x_i - c)``.
 
+``P_i`` is none, caller-supplied (:class:`ExplicitProximal`) or a weight
+policy ``tau_i*I - coupling*rho*A_i'A_i`` (:data:`WEIGHT_POLICIES`) whose
+class carries its ``kind`` and ``coupling``: everything else is derived from them.
+
 Three baselines run beside it: the same scheme with ``P_i = 0`` and
 ``gamma = 1`` (plain parallel ADMM), sequential Gauss-Seidel ADMM, and dual
 decomposition.  :data:`METHODS` is the one table of what sets the four
@@ -97,17 +101,20 @@ class StandardProximal:
     """
 
     tau: Union[float, Sequence[float]]
+    kind = "standard"  # the name in --policy and in certificates
+    coupling = 0  # P_i = tau_i*I - coupling*rho*A_i'A_i
 
 
 @dataclass(frozen=True)
 class ProxLinear:
     """``P_i = tau_i * I - rho * A_i' A_i``; cancels the coupling quadratic.
 
-    Positive semi-definiteness requires ``tau_i >= rho * ||A_i||^2``,
-    validated at materialization.
+    It is PSD for ``tau_i >= rho * ||A_i||^2``, validated at materialization.
     """
 
     tau: Union[float, Sequence[float]]
+    kind = "proxlinear"
+    coupling = 1
 
 
 @dataclass(frozen=True)
@@ -119,77 +126,63 @@ class ExplicitProximal:
 
 ProximalPolicy = Optional[Union[StandardProximal, ProxLinear, ExplicitProximal]]
 
-
-def materialize_P(policy: ProximalPolicy, rho: float, A_i, index: int = 0,
-                  n_blocks: int = 1, A_norm: Optional[float] = None) -> np.ndarray:
-    """Materialize the proximal matrix for one block.
-
-    Raises :class:`NotPSD` when a prox-linear ``tau_i`` falls below
-    ``rho * ||A_i||^2`` or an explicit matrix has an eigenvalue below -1e-10.
-    ``A_norm`` is ``||A_i||`` when the caller already holds it.
-    """
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise InvalidParameter("rho must be finite and positive")
-    A_i = np.asarray(A_i, dtype=float)
-    n = A_i.shape[1]
-    if policy is None:
-        return np.zeros((n, n))
-    if isinstance(policy, StandardProximal):
-        return _tau_for(policy.tau, index, n_blocks) * np.eye(n)
-    if isinstance(policy, ProxLinear):
-        tau = _tau_for(policy.tau, index, n_blocks)
-        coupling = rho * (spectral_norm(A_i) if A_norm is None else A_norm) ** 2
-        if tau < coupling - 1e-10 * (1.0 + coupling):
-            raise NotPSD(
-                f"prox-linear block {index}: tau={tau:.6g} below rho*||A||^2={coupling:.6g}"
-            )
-        return tau * np.eye(n) - rho * (A_i.T @ A_i)
-    if isinstance(policy, ExplicitProximal):
-        mats = list(policy.P)
-        if len(mats) <= index:
-            raise DimensionMismatch(f"explicit policy has no matrix for block {index}")
-        P = require_symmetric(mats[index], f"explicit P[{index}]")
-        if P.shape[0] != n:
-            raise DimensionMismatch(
-                f"explicit P[{index}] has size {P.shape[0]}, block has dimension {n}"
-            )
-        if min_eigenvalue_sym(P) < -1e-10:
-            raise NotPSD(f"explicit P[{index}] has an eigenvalue below -1e-10")
-        return np.array(P)
-    raise TypeError(f"unknown proximal policy {policy!r}")
+#: The weight policies ``P_i = tau_i*I - coupling*rho*A_i'A_i`` by ``kind``.
+WEIGHT_POLICIES = {cls.kind: cls for cls in (StandardProximal, ProxLinear)}
 
 
 def materialize_policy(policy: ProximalPolicy, rho: float, problem: BlockProblem) -> list:
     """Proximal matrices for every block of ``problem``.
 
-    The prox-linear floor check reads ``||A_i||`` from the problem's cached
-    Gram spectra.
+    A weight policy with ``coupling`` set reads ``A_i'A_i`` and ``||A_i||``
+    from the problem's caches.  Raises :class:`NotPSD` for ``tau_i`` below the
+    floor ``coupling*rho*||A_i||^2`` or an explicit ``P_i`` with an eigenvalue
+    below -1e-10, :class:`DimensionMismatch` unless there is one ``P_i`` per block.
     """
-    norms = ([g.norm for g in problem.gram_spectra()] if isinstance(policy, ProxLinear)
-             else [None] * problem.N)
-    return [
-        materialize_P(policy, rho, Ai, i, problem.N, norm)
-        for i, (Ai, norm) in enumerate(zip(problem.A, norms))
-    ]
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise InvalidParameter("rho must be finite and positive")
+    if policy is None:
+        return [np.zeros((n, n)) for n in problem.dims]
+    if isinstance(policy, ExplicitProximal):
+        if len(policy.P) != problem.N:
+            raise DimensionMismatch(f"{len(policy.P)} proximal matrices for {problem.N} blocks")
+        P_list = []
+        for i, (P, n) in enumerate(zip(policy.P, problem.dims)):
+            P = require_symmetric(P, f"explicit P[{i}]")
+            if P.shape[0] != n:
+                raise DimensionMismatch(f"explicit P[{i}] has size {P.shape[0]}, block has "
+                                        f"dimension {n}")
+            if min_eigenvalue_sym(P) < -1e-10:
+                raise NotPSD(f"explicit P[{i}] has an eigenvalue below -1e-10")
+            P_list.append(np.array(P))
+        return P_list
+    P_list = []
+    for i, n in enumerate(problem.dims):
+        tau = _tau_for(policy.tau, i, problem.N)
+        P = tau * np.eye(n)
+        if policy.coupling:
+            floor = policy.coupling * rho * problem.gram_spectra()[i].norm ** 2
+            if tau < floor - 1e-10 * (1.0 + floor):
+                raise NotPSD(f"prox-linear block {i}: tau={tau:.6g} below "
+                             f"rho*||A||^2={floor:.6g}")
+            P -= policy.coupling * rho * problem.gram_matrices()[i]
+        P_list.append(P)
+    return P_list
 
 
 def policy_eigenvalues(policy: ProximalPolicy, rho: float, d: np.ndarray, index: int = 0,
                        n_blocks: int = 1) -> np.ndarray:
     """Eigenvalues of the materialized ``P_i``, paired with the eigenvalues ``d`` of ``A_i'A_i``.
 
-    No policy, the standard and the prox-linear policy make ``P_i`` a
-    polynomial in ``A_i'A_i`` (``0``, ``tau_i*I``, ``tau_i*I - rho*A_i'A_i``),
-    so it shares the eigenvectors of ``A_i'A_i``; entry ``j`` is ``0``,
-    ``tau_i`` or ``tau_i - rho*d_j``.  An explicit ``P_i`` has no such form
-    and raises ``TypeError``.  Validation is :func:`materialize_P`'s.
+    No policy and a weight policy make ``P_i`` a polynomial in ``A_i'A_i``,
+    so entry ``j`` is ``0`` or ``tau_i - coupling*rho*d_j``.  An explicit
+    ``P_i`` has no such form and raises ``TypeError``.  Validation is
+    :func:`materialize_policy`'s.
     """
     if policy is None:
         return np.zeros_like(d)
-    if isinstance(policy, StandardProximal):
-        return np.full_like(d, _tau_for(policy.tau, index, n_blocks))
-    if isinstance(policy, ProxLinear):
-        return _tau_for(policy.tau, index, n_blocks) - rho * d
-    raise TypeError(f"proximal policy {policy!r} is not a polynomial in A_i'A_i")
+    if isinstance(policy, ExplicitProximal):
+        raise TypeError(f"proximal policy {policy!r} is not a polynomial in A_i'A_i")
+    return _tau_for(policy.tau, index, n_blocks) - policy.coupling * rho * d
 
 
 # -- parameters and trace ------------------------------------------------------

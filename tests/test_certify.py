@@ -27,6 +27,7 @@ from jprox.certify import (
 )
 from jprox.errors import (
     CertificationError,
+    DimensionMismatch,
     GammaOutOfRange,
     InsufficientData,
     InvalidParameter,
@@ -251,6 +252,21 @@ def test_xi_condition_prox_linear_structured_matrix():
         assert res.min_eigs[0] == pytest.approx(scalar_min, rel=1e-8)
 
 
+@pytest.mark.parametrize("count", [1, 5], ids=["too-few", "too-many"])
+def test_explicit_matrix_count_other_than_N_raises(count):
+    # zip used to cut the checks short: one matrix for three blocks passed.
+    p = generate_lcqp(3, 6, 4, seed=0).problem
+    policy = ExplicitProximal([50.0 * np.eye(4)] * count)
+    consts = estimate_constants(p)
+    s = 0.5 * max_feasible_s(consts, 1.0, p.N)
+    with pytest.raises(DimensionMismatch, match="3 blocks"):
+        check_xi_condition(p, 1.0, 1.0, s, policy)
+    with pytest.raises(DimensionMismatch, match="3 blocks"):
+        compute_mu_s(p, consts, 1.0, s, list(policy.P))
+    with pytest.raises(DimensionMismatch, match="3 blocks"):
+        certify(p, 1.0, 1.0, policy)
+
+
 # -- compute_mu_s ---------------------------------------------------------------------
 
 def test_mu_s_worked_scalar_example():
@@ -312,6 +328,29 @@ def mu_s_cases(draw):
     consts = estimate_constants(problem)
     s = 0.5 * max_feasible_s(consts, rho, N)
     return problem, consts, rho, s, policy
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu_s_cases(), st.booleans(), st.floats(0.0, 3.0))
+def test_materialized_policy_has_the_policy_eigenvalues(case, scalar_tau, lift):
+    # The two forms of a policy: the matrices the engine runs, and the
+    # eigenvalues the closed forms read off the Gram spectra.  A prox-linear
+    # weight is drawn at its PSD floor (lift = 0) or above it; a zero block's
+    # floor 0 is no weight, so it gets 1e-3.
+    problem, _, rho, _, policy = case
+    if isinstance(policy, ProxLinear):
+        floors = [rho * g.norm ** 2 for g in problem.gram_spectra()]
+        taus = [(1.0 + lift) * f or 1e-3 for f in floors]
+        policy = ProxLinear(max(taus) if scalar_tau else taus)
+    elif isinstance(policy, StandardProximal) and scalar_tau:
+        policy = StandardProximal(policy.tau[0])
+    P_list = materialize_policy(policy, rho, problem)
+    for i, (P, g) in enumerate(zip(P_list, problem.gram_spectra())):
+        dense = np.linalg.eigvalsh(P)
+        closed = np.sort(policy_eigenvalues(policy, rho, g.eigenvalues, i, problem.N))
+        # At the floor tau_i - rho*d_j cancels: the scale is the largest term.
+        largest = max(np.max(np.abs(closed)), rho * g.eigenvalues[-1])
+        assert np.max(np.abs(dense - closed)) <= 1e-12 * largest
 
 
 @settings(max_examples=200, deadline=None)
@@ -896,6 +935,17 @@ def test_failed_certificate_carries_no_weights(policy, gamma):
     assert cert.weights is None
 
 
+def test_weight_policies_read_the_cached_gram_matrices():
+    # A standard policy forms no A_i'A_i; a prox-linear one subtracts the
+    # problem's cached Gram matrices, the ones PhiWeights.build reads.
+    p = generate_lcqp(3, 6, 4, seed=0).problem
+    materialize_policy(StandardProximal(1.0), 2.0, p)
+    assert p._gram_matrices is None
+    tau = 2.0 * max(g.norm for g in p.gram_spectra()) ** 2
+    for P, AtA in zip(materialize_policy(ProxLinear(tau), 2.0, p), p.gram_matrices()):
+        assert np.array_equal(P, tau * np.eye(4) - 2.0 * AtA)
+
+
 def test_run_sweep_materializes_each_cell_policy_twice(count_calls):
     from jprox.experiments import SweepConfig, run_sweep
 
@@ -1130,14 +1180,14 @@ def test_weight_is_round_off_sized_where_the_lower_end_is_zero(count_calls, seed
 
 
 def test_unresolved_request_fails_loudly():
-    from jprox.solvers import materialize_P, step
+    from jprox.solvers import step
 
     inst = generate_lcqp(2, 5, 3, seed=0)
     p = inst.problem
     for request in (StandardProximal("auto"), ProxLinear("auto")):
         params = SolverParams(rho=1.0, gamma=1.0, policy=request, max_iters=5)
         with pytest.raises(InvalidParameter, match="certify resolves"):
-            materialize_P(request, 1.0, p.A[0])
+            materialize_policy(request, 1.0, p)
         with pytest.raises(InvalidParameter, match="certify resolves"):
             step(p, PrimalDualPoint.zeros(p), params)
         with pytest.raises(InvalidParameter, match="certify resolves"):

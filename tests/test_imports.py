@@ -156,3 +156,28 @@ def test_every_export_is_read_by_the_package_or_traced():
     read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in MODULES))
     exports = exported_names((SRC / "__init__.py").read_text(encoding="utf-8"))
     assert sorted(set(exports) - read - tracer_target_names()) == []
+
+
+def policy_kind_literals(source: str) -> list:
+    """Lines of ``source`` that hold the string constant ``"standard"`` or ``"proxlinear"``.
+
+    Docstrings and other bare string statements do not count.
+    """
+    tree = ast.parse(source)
+    bare = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in ("standard", "proxlinear")
+                  and id(node) not in bare)
+
+
+def test_policy_kind_literals_skips_docstrings():
+    source = ('"""standard"""\ndef f(kind="standard"):\n    """proxlinear"""\n'
+              '    return {"proxlinear": 1, "standard normal": 2}\n')
+    assert policy_kind_literals(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "solvers.py"],
+                         ids=lambda p: p.name)
+def test_policy_kinds_are_named_only_in_solvers(path):
+    """A weight policy's name is its class's ``kind``; no other module spells it out."""
+    assert policy_kind_literals(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,7 @@
 """Matrix primitive tests against independent dense oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from jprox.linalg import (
     GRAM_COND_LIMIT,
     SpdFactor,
     generalized_max_eigenvalue,
+    gram_spectrum,
     min_eigenvalue_sym,
     smallest_singular_value_stacked,
     spectral_norm,
@@ -234,6 +237,27 @@ def test_spectral_norm_rejects_non_finite():
 def test_spectral_norm_rejects_empty():
     with pytest.raises(ValueError):
         spectral_norm(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("A, zeros", [(np.full((2, 2), 1e308), 1), (np.full((2, 5), 1e300), 4),
+                                      (np.diag([1e200, 0.0]), 1)], ids=["rank-1", "wide", "diag"])
+def test_gram_spectrum_keeps_exact_zeros_when_the_squared_scale_overflows(A, zeros):
+    # scale*scale = inf used to turn every exact-zero eigenvalue into 0*inf = nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = gram_spectrum(A).eigenvalues
+    assert np.array_equal(w, [0.0] * zeros + [np.inf] * (w.size - zeros))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e100, 1e150])
+@pytest.mark.parametrize("kind", ["tall", "wide", "rank-1", "zero"])
+def test_gram_spectrum_scales_by_the_squared_scale_while_it_is_finite(kind, scale):
+    A = scale * _matrix(kind)
+    big = float(np.max(np.abs(A)))
+    S = A / big if big > 0.0 else A
+    e = np.maximum(np.linalg.eigvalsh(S.T @ S if A.shape[0] >= A.shape[1] else S @ S.T), 0.0)
+    expected = big * big * np.concatenate((np.zeros(A.shape[1] - e.size), e))
+    assert np.array_equal(gram_spectrum(A).eigenvalues, expected)
 
 
 # -- smallest_singular_value_stacked -------------------------------------------------

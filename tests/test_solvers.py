@@ -11,7 +11,13 @@ from conftest import dis
 
 import jprox.solvers as solvers
 from jprox.certify import _certified_intervals
-from jprox.errors import InvalidParameter, MaxItersExceeded, NotPSD, NotStronglyConvex
+from jprox.errors import (
+    DimensionMismatch,
+    InvalidParameter,
+    MaxItersExceeded,
+    NotPSD,
+    NotStronglyConvex,
+)
 from jprox.experiments import generate_lcqp, generate_resource_alloc, reference_solution
 from jprox.problem import (
     BlockProblem,
@@ -26,7 +32,6 @@ from jprox.solvers import (
     ProxLinear,
     SolverParams,
     StandardProximal,
-    materialize_P,
     materialize_policy,
     run,
     solve_block_quadratic,
@@ -54,17 +59,24 @@ def stationarity_defect(problem, u_prev, u_next, rho, P_list):
     return worst
 
 
-# -- materialize_P ---------------------------------------------------------------
+# -- materialize_policy ------------------------------------------------------------
+
+def one_block(A):
+    """A one-block problem with coupling matrix ``A`` and objective ``||x||^2/2``."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[1]
+    return BlockProblem((QuadraticBlock(np.eye(n), np.zeros(n)),), (A,), np.zeros(A.shape[0]))
+
 
 def test_standard_proximal_materialization():
-    P = materialize_P(StandardProximal(3.0), rho=1.0, A_i=np.ones((4, 2)))
+    P, = materialize_policy(StandardProximal(3.0), 1.0, one_block(np.ones((4, 2))))
     assert np.array_equal(P, np.diag([3.0, 3.0]))
 
 
 def test_prox_linear_boundary_is_zero_matrix():
     A = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 3)))[0]
     rho = 2.0
-    P = materialize_P(ProxLinear(rho * 1.0), rho=rho, A_i=A)
+    P, = materialize_policy(ProxLinear(rho * 1.0), rho, one_block(A))
     assert np.allclose(P, 0.0, atol=1e-12)
 
 
@@ -73,7 +85,7 @@ def test_prox_linear_margin_eigenvalue():
     A = rng.standard_normal((6, 3))
     rho = 1.5
     coupling = rho * np.linalg.svd(A, compute_uv=False)[0] ** 2
-    P = materialize_P(ProxLinear(1.1 * coupling), rho=rho, A_i=A)
+    P, = materialize_policy(ProxLinear(1.1 * coupling), rho, one_block(A))
     assert np.linalg.eigvalsh(P)[0] >= 0.1 * coupling * (1.0 - 1e-8)
 
 
@@ -82,28 +94,35 @@ def test_prox_linear_margin_eigenvalue():
 def test_materialize_P_rejects_a_tau_that_is_not_finite_and_positive(policy, tau):
     # StandardProximal(nan) used to materialize an all-NaN P_i.
     with pytest.raises(InvalidParameter, match="tau"):
-        materialize_P(policy(tau), rho=1.0, A_i=np.ones((2, 2)))
+        materialize_policy(policy(tau), 1.0, one_block(np.ones((2, 2))))
 
 
 @pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0])
 def test_materialize_P_rejects_a_rho_that_is_not_finite_and_positive(rho):
     with pytest.raises(InvalidParameter, match="rho"):
-        materialize_P(StandardProximal(1.0), rho=rho, A_i=np.ones((2, 2)))
+        materialize_policy(StandardProximal(1.0), rho, one_block(np.ones((2, 2))))
 
 
 def test_prox_linear_rejects_small_tau():
-    A = np.eye(3)
     with pytest.raises(NotPSD):
-        materialize_P(ProxLinear(0.5), rho=1.0, A_i=A)
+        materialize_policy(ProxLinear(0.5), 1.0, one_block(np.eye(3)))
 
 
 def test_explicit_rejects_indefinite():
     with pytest.raises(NotPSD):
-        materialize_P(ExplicitProximal([np.diag([1.0, -0.5])]), rho=1.0, A_i=np.ones((2, 2)))
+        materialize_policy(ExplicitProximal([np.diag([1.0, -0.5])]), 1.0,
+                           one_block(np.ones((2, 2))))
+
+
+@pytest.mark.parametrize("count", [2, 4], ids=["too-few", "too-many"])
+def test_materialize_policy_rejects_an_explicit_matrix_count_other_than_N(count):
+    p = generate_lcqp(3, 6, 4, seed=0).problem
+    with pytest.raises(DimensionMismatch, match="3 blocks"):
+        materialize_policy(ExplicitProximal([50.0 * np.eye(4)] * count), 1.0, p)
 
 
 def test_none_policy_is_zero():
-    P = materialize_P(None, rho=1.0, A_i=np.ones((3, 2)))
+    P, = materialize_policy(None, 1.0, one_block(np.ones((3, 2))))
     assert np.array_equal(P, np.zeros((2, 2)))
 
 
@@ -603,7 +622,7 @@ def _oracle_trace(problem, method, params, u0, ref, weights, steps):
     rho, gamma = params.rho, params.gamma
     penalty = 0.0 if method == "dual-decomp" else rho
     policy = params.policy if method == "jprox" else None
-    P_list = [materialize_P(policy, rho, Ai, i, problem.N) for i, Ai in enumerate(problem.A)]
+    P_list = materialize_policy(policy, rho, problem)
     sequential = method == "gauss-seidel"
     out = {"dis": [], "phi": [], "primal_residual": []}
 
