@@ -300,24 +300,16 @@ def cmd_sweep(args) -> int:
             instances.append(exp.generate_resource_alloc(problem.N, seed))
 
     sweep = exp.SweepConfig(rho_grid=rho_grid, gamma_grid=gamma_grid, max_iters=max_iters)
-    results = exp.run_sweep(instances, sweep)
-
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "input": str(args.input),
-        "rho_grid": list(rho_grid),
-        "gamma_grid": list(gamma_grid),
-        "seeds": seeds,
-        "max_iters": max_iters,
-        "cells": [],
-    }
-    succeeded = 0
-    for (rho, gamma, seed), cell in sorted(results.items()):
+    entries = []
+
+    def write_cell(cell) -> None:
+        """The cell's manifest entry, and its trace CSV; the trace is dropped once written."""
         entry = {
-            "rho": rho,
-            "gamma": gamma,
-            "seed": seed,
+            "rho": cell.rho,
+            "gamma": cell.gamma,
+            "seed": cell.seed,
             "status": cell.status,
             "certificate": cell.certificate.to_dict() if cell.certificate else None,
             "dis_rate": _rate_to_dict(cell.dis_rate),
@@ -329,13 +321,25 @@ def cmd_sweep(args) -> int:
             "wall_s": cell.wall_s,
         }
         if cell.trace is not None:
-            name = _cell_name(rho, gamma, seed)
+            name = _cell_name(cell.rho, cell.gamma, cell.seed)
             write_trace_csv(cell.trace, outdir / name)
             entry["trace"] = name
-            succeeded += 1
-        manifest["cells"].append(entry)
+            cell.trace = None
+        entries.append(entry)
+
+    exp.run_sweep(instances, sweep, on_cell=write_cell)
+    manifest = {
+        "input": str(args.input),
+        "rho_grid": list(rho_grid),
+        "gamma_grid": list(gamma_grid),
+        "seeds": seeds,
+        "max_iters": max_iters,
+        "workers": exp.sweep_workers(len(entries)),
+        "cells": sorted(entries, key=lambda e: (e["rho"], e["gamma"], e["seed"])),
+    }
+    succeeded = sum(entry["trace"] is not None for entry in entries)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-    print(f"sweep: {succeeded}/{len(manifest['cells'])} cells completed -> {outdir}")
+    print(f"sweep: {succeeded}/{len(entries)} cells completed -> {outdir}")
     return EXIT_OK if succeeded else EXIT_IO
 
 
@@ -404,6 +408,8 @@ def cmd_report(args) -> int:
     outdir = Path(args.output) if args.output else indir
     outdir.mkdir(parents=True, exist_ok=True)
 
+    plot_seed = min(cell["seed"] for cell in cells)
+    # Every trace is read and checked; only the plotted seed's k and dis columns are kept.
     traces = {}
     for cell in cells:
         if cell.get("trace"):
@@ -411,12 +417,11 @@ def cmd_report(args) -> int:
             if not path.exists():
                 raise IOError(f"missing trace file {path}")
             try:
-                traces[(cell["rho"], cell["gamma"], cell["seed"])] = read_trace_csv(path)
+                data = read_trace_csv(path)
             except ValueError as exc:  # includes UnicodeDecodeError
                 raise IOError(f"malformed trace file {path}: {exc}")
-
-    seeds = sorted({cell["seed"] for cell in cells})
-    plot_seed = seeds[0]
+            if cell["seed"] == plot_seed:
+                traces[(cell["rho"], cell["gamma"])] = (data["k"], data["dis"])
     rho_grid = manifest["rho_grid"]
     gamma_grid = manifest["gamma_grid"]
 
@@ -424,12 +429,11 @@ def cmd_report(args) -> int:
         out = []
         varying = rho_grid if fixed == "gamma" else gamma_grid
         for v in varying:
-            key = (v, value, plot_seed) if fixed == "gamma" else (value, v, plot_seed)
-            data = traces.get(key)
-            if data is None:
+            key = (v, value) if fixed == "gamma" else (value, v)
+            if key not in traces:
                 continue
             label = f"rho={v:g}" if fixed == "gamma" else f"gamma={v:g}"
-            out.append((label, data["k"], data["dis"]))
+            out.append((label, *traces[key]))
         return out
 
     written = 0

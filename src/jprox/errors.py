@@ -70,3 +70,7 @@ class SingularKkt(JproxError):
 
 class CertificationError(JproxError):
     """No certifiable parameter choice exists for the request."""
+
+
+class WorkerLost(JproxError):
+    """A sweep worker process ended before it returned its cell."""

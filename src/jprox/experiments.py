@@ -9,11 +9,14 @@ Randomness is confined to ``numpy.random.default_rng(seed)``, so identical
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import os
 import time
 import zipfile
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .errors import (
     InvalidParameter,
     JproxError,
     SingularKkt,
+    WorkerLost,
 )
 from .linalg import GramSpectrum, smallest_singular_value_stacked
 from .problem import (
@@ -317,17 +321,93 @@ def _fit_series(values) -> Optional[RateFit]:
     return None
 
 
+def sweep_workers(cells: int) -> int:
+    """Processes that run a sweep of ``cells`` cells: one per CPU this process may use,
+    at most one per cell."""
+    return min(len(os.sched_getaffinity(0)), cells)
+
+
+def _openblas_calls(name: str, restype, *argtypes) -> list:
+    """OpenBLAS's ``name`` function (``"set_num_threads"``, ``"get_num_threads"``) in each
+    OpenBLAS bundled with numpy, found by symbol and declared with ``restype`` and
+    ``argtypes``; empty where numpy uses another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = []
+    for path in sorted(libs.glob("lib*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
+                    f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, argtypes
+                found.append(fn)
+                break
+    return found
+
+
+def _one_blas_thread() -> None:
+    """Worker initializer: the bundled OpenBLAS runs on one thread, as the cells are small."""
+    for set_threads in _openblas_calls("set_num_threads", None, ctypes.c_int):
+        set_threads(1)
+
+
+def _sweep_tasks(instances: Sequence[Instance], sweep: SweepConfig, policy) -> list:
+    """The arguments of :func:`_run_cell` for every cell, in key order.
+
+    Each instance's cached Gram spectra and matrices, stacked ``A``,
+    ``c_A`` and its reference are computed here, once; they survive
+    pickling, so a cell run from a pickled task computes none of them.
+    """
+    tasks = []
+    for inst in instances:
+        p = inst.problem
+        p.gram_spectra(), p.gram_matrices(), p.stacked_A(), p.stacked_singular_value()
+        ref = instance_reference(inst)
+        tasks += [(inst, ref, rho, gamma, sweep, policy)
+                  for rho in sweep.rho_grid for gamma in sweep.gamma_grid]
+    return tasks
+
+
+def _run_pooled(tasks: list, workers: int, collect: Callable) -> None:
+    """``collect`` the cells of ``tasks``, in order, run on ``workers`` forked processes."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Fork, not spawn or forkserver: those leave a resource tracker process behind.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_one_blas_thread)
+    try:
+        collect(pool.map(_run_cell, *zip(*tasks)))
+    except BrokenProcessPool as exc:
+        raise WorkerLost(f"a sweep worker process ended before its cell did ({exc})") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig,
-              policy=StandardProximal("auto")) -> dict:
+              policy=StandardProximal("auto"),
+              on_cell: Optional[Callable[[SweepCell], None]] = None) -> dict:
     """Run every (rho, gamma) cell for every instance, from a zero start.
 
     Each cell certifies ``policy`` (:func:`jprox.certify.certify`, which
     resolves an ``"auto"`` request into that cell's weights) and runs the
     concrete policy of its certificate.  Returns a dict keyed by
-    ``(rho, gamma, seed)``.  Cells run one after another in key order
-    (instance, then rho, then gamma); per-cell failures are recorded in the
-    cell, never raised.  Two instances with one seed raise
-    :class:`InvalidParameter` before any cell runs.
+    ``(rho, gamma, seed)`` in key order (instance, then rho, then gamma),
+    and calls ``on_cell(cell)`` on each cell in that order as it arrives;
+    the dict holds the cells as ``on_cell`` left them.  Per-cell failures
+    are recorded in the cell, never raised.  Two instances with one seed
+    raise :class:`InvalidParameter` before any cell runs.
+
+    The cells run on :func:`sweep_workers` processes, one per CPU this
+    process may use and at most one per cell, forked from this one, each
+    with the bundled OpenBLAS on one thread; nothing sets their number or
+    start method.  With one CPU or one cell they run here, one after
+    another.  Each instance's constants and reference are computed here
+    before any cell runs.  A worker that dies raises :class:`WorkerLost`.
     """
     if isinstance(instances, (LcqpInstance, ResourceAllocInstance)):
         instances = [instances]
@@ -335,13 +415,21 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise InvalidParameter(f"two instances share seed {repeated[0]}: cells are keyed by seed")
-    refs = {inst.seed: instance_reference(inst) for inst in instances}
-    return {
-        (rho, gamma, inst.seed): _run_cell(inst, refs[inst.seed], rho, gamma, sweep, policy)
-        for inst in instances
-        for rho in sweep.rho_grid
-        for gamma in sweep.gamma_grid
-    }
+    tasks = _sweep_tasks(instances, sweep, policy)
+    cells = {}
+
+    def collect(arrived) -> None:
+        for cell in arrived:
+            cells[(cell.rho, cell.gamma, cell.seed)] = cell
+            if on_cell is not None:
+                on_cell(cell)
+
+    workers = sweep_workers(len(tasks))
+    if workers <= 1:
+        collect(_run_cell(*task) for task in tasks)
+    else:
+        _run_pooled(tasks, workers, collect)
+    return cells
 
 
 # -- instance files ----------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Shared pytest hooks, fixtures and helpers: FAIL lines for the acceptance criteria, call
-counting, and the ``dis`` distance of the engine tests."""
+counting, the CPU count a sweep sees and its worker processes, and the ``dis`` distance of the
+engine tests."""
 
 import importlib
+import multiprocessing
+import os
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,3 +59,33 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)``: this process may run on ``n`` CPUs, so a sweep runs on ``min(n, cells)`` workers.
+
+    ``cpus(1)`` keeps a sweep's cells in the test's process, where calls inside
+    them can be counted; ``cpus(2)`` forks two workers on any machine.
+    """
+    def set_count(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return set_count
+
+
+#: The test process; a forked sweep worker has another pid.
+TEST_PID = os.getpid()
+
+
+def child_pids() -> set:
+    """Process ids of this process's children: those the kernel lists, and multiprocessing's."""
+    listed = {int(pid) for path in Path("/proc/self/task").glob("*/children")
+              for pid in path.read_text().split()}
+    return listed | {p.pid for p in multiprocessing.active_children()}
+
+
+def exit_in_worker(*task):
+    """A sweep cell that ends its worker process at once; it never runs in the test process."""
+    assert os.getpid() != TEST_PID, "a pooled cell ran in the test process"
+    os._exit(1)

@@ -946,9 +946,10 @@ def test_weight_policies_read_the_cached_gram_matrices():
         assert np.array_equal(P, tau * np.eye(4) - 2.0 * AtA)
 
 
-def test_run_sweep_materializes_each_cell_policy_twice(count_calls):
+def test_run_sweep_materializes_each_cell_policy_twice(count_calls, cpus):
     from jprox.experiments import SweepConfig, run_sweep
 
+    cpus(1)  # cells run in this process, where their calls are counted
     inst = generate_lcqp(3, 6, 4, seed=0)
     calls = count_calls("jprox.solvers", "materialize_policy")
     cells = run_sweep(inst, SweepConfig(rho_grid=(1.0, 5.0), gamma_grid=(0.5, 1.5),

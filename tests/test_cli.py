@@ -6,6 +6,7 @@ import zipfile
 
 import numpy as np
 import pytest
+from conftest import child_pids, exit_in_worker
 
 import jprox.experiments as exp
 from jprox.cli import CSV_HEADER, main, read_trace_csv
@@ -148,7 +149,8 @@ def test_certify_success(tmp_path):
     ("solve", ("--tau", "auto")),
     ("sweep", ("--max-iters", "20")),  # the 16-cell default grid
 ], ids=["certify", "solve", "sweep"])
-def test_command_estimates_constants_once(tmp_path, count_calls, command, flags):
+def test_command_estimates_constants_once(tmp_path, count_calls, cpus, command, flags):
+    cpus(1)  # sweep cells run in this process, where their calls are counted
     inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
     edit_members(drop_spectra)(inst)
     svd = count_calls("jprox.linalg", "smallest_singular_value_stacked")
@@ -717,6 +719,73 @@ def test_report_on_missing_trace_exits_3(tmp_path):
     manifest = json.loads((sweep_dir / "manifest.json").read_text())
     (sweep_dir / manifest["cells"][0]["trace"]).unlink()
     assert run_cli("report", "--input", str(sweep_dir)) == 3
+
+
+def test_sweep_records_how_many_processes_ran_its_cells(tmp_path, cpus):
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    rates = []
+    for n, grid in ((1, "0.5,1"), (2, "0.5,1"), (2, "1")):
+        cpus(n)
+        sweep_dir = tmp_path / f"sweep{n}_{grid}"
+        assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir),
+                       "--rho-grid", grid, "--gamma-grid", "1", "--max-iters", "50") == 0
+        manifest = json.loads((sweep_dir / "manifest.json").read_text())
+        assert manifest["workers"] == min(n, len(manifest["cells"]))
+        if grid == "0.5,1":
+            # report ignores the count: without it, rates.txt is the same.
+            assert run_cli("report", "--input", str(sweep_dir)) == 0
+            rates.append((sweep_dir / "rates.txt").read_text())
+            del manifest["workers"]
+            (sweep_dir / "manifest.json").write_text(json.dumps(manifest))
+            assert run_cli("report", "--input", str(sweep_dir)) == 0
+            assert (sweep_dir / "rates.txt").read_text() == rates[-1]
+    assert rates[0] == rates[1]
+
+
+def test_sweep_on_two_workers_writes_what_one_worker_writes(tmp_path, cpus):
+    inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
+    written = []
+    for n in (1, 2):
+        cpus(n)
+        sweep_dir = tmp_path / f"sweep{n}"
+        before = child_pids()
+        assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir),
+                       "--seeds", "0,1", "--max-iters", "200") == 0
+        assert child_pids() <= before
+        manifest = json.loads((sweep_dir / "manifest.json").read_text())
+        for cell in manifest["cells"]:
+            del cell["timings"], cell["wall_s"]
+        del manifest["workers"], manifest["input"]
+        traces = {path.name: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+                  for path in sweep_dir.glob("*.csv")}
+        written.append((manifest, traces))
+    assert len(written[0][1]) == 32
+    assert written[1] == written[0]
+
+
+def test_sweep_whose_worker_dies_exits_3_without_a_manifest(tmp_path, cpus, monkeypatch, capsys):
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    cpus(2)
+    monkeypatch.setattr(exp, "_run_cell", exit_in_worker)
+    sweep_dir = tmp_path / "sweep"
+    before = child_pids()
+    assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir),
+                   "--rho-grid", "0.5,1", "--gamma-grid", "1", "--max-iters", "20") == 3
+    assert "WorkerLost: a sweep worker process ended" in capsys.readouterr().err
+    assert not (sweep_dir / "manifest.json").exists()
+    assert child_pids() <= before
+
+
+def test_report_on_a_malformed_trace_of_a_seed_it_does_not_plot_exits_3(tmp_path, capsys):
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    sweep_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir), "--seeds", "0,1",
+                   "--rho-grid", "1", "--gamma-grid", "1", "--max-iters", "50") == 0
+    manifest = json.loads((sweep_dir / "manifest.json").read_text())
+    name = next(cell["trace"] for cell in manifest["cells"] if cell["seed"] == 1)
+    (sweep_dir / name).write_text(CSV_HEADER + "\n0,x,,1.0,0.0\n")
+    assert run_cli("report", "--input", str(sweep_dir)) == 3
+    assert name in capsys.readouterr().err
 
 
 # -- flag and parse failures ------------------------------------------------------

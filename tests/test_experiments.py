@@ -1,19 +1,25 @@
 """Generator, reference, metric, sweep and instance-file tests."""
 
+import ast
+import ctypes
 import dataclasses
+import os
+import pickle
 import zipfile
 
 import numpy as np
 import pytest
-from conftest import dis
+from conftest import TEST_PID, child_pids, dis, exit_in_worker
 
-from jprox.errors import DimensionMismatch, SingularKkt
+import jprox.experiments as exp
+from jprox.errors import DimensionMismatch, SingularKkt, WorkerLost
 from jprox.experiments import (
     GAMMA_GRID,
     LcqpInstance,
     RHO_GRID_LARGE,
     RHO_GRID_SMALL,
     SPECTRA_DIGEST,
+    SweepCell,
     SweepConfig,
     default_rho_grid,
     generate_lcqp,
@@ -476,7 +482,8 @@ def test_run_sweep_estimates_constants_once_per_instance(count_calls):
 
 @pytest.mark.parametrize("policy", [StandardProximal("auto"), ProxLinear(1e4)],
                          ids=["auto", "proxlinear"])
-def test_run_sweep_builds_each_gram_spectrum_once(count_calls, policy):
+def test_run_sweep_builds_each_gram_spectrum_once(count_calls, cpus, policy):
+    cpus(1)  # cells run in this process, where their calls are counted
     instances = [generate_lcqp(3, 6, 4, seed=0), generate_lcqp(2, 5, 3, seed=1)]
     gram = count_calls("jprox.linalg", "gram_spectrum")
     sweep = SweepConfig(rho_grid=(0.03, 1.0, 5.0, 10.0), gamma_grid=GAMMA_GRID, max_iters=20)
@@ -616,8 +623,93 @@ def test_resolve_policy_prox_linear_weights_reach_the_psd_floor():
     materialize_policy(policy, 1.0, flat)
 
 
-def test_run_sweep_returns_cells_in_key_order():
+def test_run_sweep_returns_cells_in_key_order(cpus):
+    cpus(2)  # cells that finish early on one worker still arrive in key order
     inst = generate_lcqp(2, 5, 3, seed=4)
     sweep = SweepConfig(rho_grid=(5.0, 1.0), gamma_grid=(1.5, 0.5), max_iters=10)
-    cells = run_sweep(inst, sweep)
+    arrived = []
+    cells = run_sweep(inst, sweep, on_cell=arrived.append)
     assert list(cells) == [(5.0, 1.5, 4), (5.0, 0.5, 4), (1.0, 1.5, 4), (1.0, 0.5, 4)]
+    assert list(cells.values()) == arrived  # on_cell sees each cell as it arrives, in key order
+
+
+# -- sweeps on forked workers -------------------------------------------------------------------
+
+def cell_outcome(cell) -> str:
+    """Everything a cell yields but its times: certificate, trace columns but ``elapsed``,
+    status, rates and error, as exact text."""
+    trace = cell.trace
+    columns = None if trace is None else (trace.ks, trace.dis, trace.phi, trace.primal_residual,
+                                          trace.engine, trace.newton_max_residual, trace.failure)
+    cert = cell.certificate.to_dict() if cell.certificate else None
+    return repr((cert, cell.status, cell.dis_rate, cell.phi_rate, cell.error, columns))
+
+
+def blas_threads_cell(instance, reference, rho, gamma, sweep, policy):
+    """A cell that records its process id and OpenBLAS thread counts in ``error``."""
+    threads = [get() for get in exp._openblas_calls("get_num_threads", ctypes.c_int)]
+    return SweepCell(rho, gamma, instance.seed, error=repr((os.getpid(), threads)))
+
+
+@pytest.mark.parametrize("generate", [lambda seed: generate_lcqp(3, 20, 8, seed),
+                                      lambda seed: generate_resource_alloc(6, seed)],
+                         ids=["lcqp", "ra"])
+def test_pooled_cells_equal_one_worker_cells(cpus, count_calls, generate):
+    sweep = SweepConfig(RHO_GRID_SMALL, GAMMA_GRID, max_iters=300)
+    pooled = count_calls("jprox.experiments", "_run_pooled")
+    outcomes = []
+    for n in (1, 2):
+        cpus(n)
+        cells = run_sweep([generate(0), generate(1)], sweep)
+        outcomes.append({key: cell_outcome(cell) for key, cell in cells.items()})
+    assert len(pooled) == 1  # the two-worker sweep, and only it, ran on the pool
+    assert len(outcomes[0]) == 32
+    assert list(outcomes[1]) == list(outcomes[0])
+    assert outcomes[1] == outcomes[0]
+
+
+@pytest.mark.parametrize("generate, policy", [
+    (lambda: generate_lcqp(3, 20, 8, 0), StandardProximal("auto")),
+    (lambda: generate_lcqp(3, 20, 8, 0), ProxLinear("auto")),
+    (lambda: generate_resource_alloc(6, 0), StandardProximal("auto")),
+], ids=["lcqp-auto", "lcqp-proxlinear", "ra-auto"])
+def test_a_task_as_a_worker_gets_it_runs_without_an_eigensolve(count_calls, generate, policy):
+    # A worker unpickles its task; the instance's constants and reference come with it.
+    sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(0.5,), max_iters=50)
+    task = pickle.loads(pickle.dumps(exp._sweep_tasks([generate()], sweep, policy)[0]))
+    counted = {name: count_calls("numpy.linalg", name)
+               for name in ("eigvalsh", "eigh", "svd", "lstsq")}
+    cell = exp._run_cell(*task)
+    assert cell.error is None and cell.trace is not None
+    assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 0)
+
+
+def test_no_child_process_remains_after_a_pooled_run_sweep(cpus):
+    cpus(2)
+    before = child_pids()
+    cells = run_sweep(generate_lcqp(2, 5, 3, seed=0),
+                      SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20))
+    assert all(cell.error is None for cell in cells.values())
+    assert child_pids() <= before
+
+
+def test_a_sweep_worker_runs_one_openblas_thread(cpus, monkeypatch):
+    if not exp._openblas_calls("get_num_threads", ctypes.c_int):
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
+    cpus(2)
+    monkeypatch.setattr(exp, "_run_cell", blas_threads_cell)
+    cells = run_sweep(generate_lcqp(2, 5, 3, seed=0),
+                      SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0)))
+    reports = [ast.literal_eval(cell.error) for cell in cells.values()]
+    assert all(pid != TEST_PID for pid, _ in reports)
+    assert all(threads and set(threads) == {1} for _, threads in reports)
+
+
+def test_a_dead_sweep_worker_raises_worker_lost(cpus, monkeypatch):
+    cpus(2)
+    monkeypatch.setattr(exp, "_run_cell", exit_in_worker)
+    before = child_pids()
+    with pytest.raises(WorkerLost, match="sweep worker"):
+        run_sweep(generate_lcqp(2, 5, 3, seed=0),
+                  SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20))
+    assert child_pids() <= before
