@@ -203,9 +203,9 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
             M = B - 8.0 * s * (B @ B) - (rho / xi_i) * AtA
             eigs.append(min_eigenvalue_sym(0.5 * (M + M.T)))
     else:
-        for i, (g, xi_i) in enumerate(zip(problem.gram_spectra(), xi)):
-            d = g.eigenvalues
-            b = rho * d + policy_eigenvalues(policy, rho, d, i, problem.N)
+        ds = [g.eigenvalues for g in problem.gram_spectra()]
+        for d, p, xi_i in zip(ds, policy_eigenvalues(policy, rho, ds), xi):
+            b = rho * d + p
             eigs.append(float(np.min(b - 8.0 * s * b * b - (rho / xi_i) * d)))
     return XiCheck(all(e > 0.0 for e in eigs), tuple(eigs), xi)
 
@@ -254,9 +254,8 @@ def closed_form_mu_s(problem: BlockProblem, consts: ProblemConstants, rho: float
     """
     coef, gap = _mu_s_pencil(consts, rho, s, problem.N)
     worst = -math.inf
-    for i, g in enumerate(problem.gram_spectra()):
-        d = g.eigenvalues
-        p = policy_eigenvalues(policy, rho, d, i, problem.N)
+    ds = [g.eigenvalues for g in problem.gram_spectra()]
+    for i, (d, p) in enumerate(zip(ds, policy_eigenvalues(policy, rho, ds))):
         right = rho * d + p + 2.0 * gap
         if not np.all(right > 0.0):
             raise NotPositiveDefinite(f"block {i}: right matrix of the mu_s pencil is not "

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import experiments as exp
 from .certify import certify, estimate_constants
-from .errors import JproxError
+from .errors import InvalidParameter, JproxError
 from .problem import PrimalDualPoint
 from .solvers import (
     DIVERGED,
@@ -156,10 +156,9 @@ def build_policy(instance, name: str, tau):
     if name == "none":
         return None
     if name == "explicit":
-        src = getattr(instance, "proximal_source", ())
-        if not src:
+        if not instance.proximal_source:
             _fail_flags("invalid --policy: explicit needs an instance with stored proximal matrices")
-        return ExplicitProximal(src)
+        return ExplicitProximal(instance.proximal_source)
     return WEIGHT_POLICIES[name](tau)
 
 
@@ -174,31 +173,30 @@ def _load_instance(path):
 
 # -- commands -----------------------------------------------------------------
 
+#: ``generate``'s families by name: each calls its generator with the flags it reads.
+GENERATORS = {
+    "lcqp": lambda args, N, seed: exp.generate_lcqp(
+        N, _at_least(args.m, 1, "--m"), _at_least(args.n, 1, "--n"), seed),
+    "ra": lambda args, N, seed: exp.generate_resource_alloc(N, seed),
+}
+
+
 def cmd_generate(args) -> int:
     seed = _at_least(args.seed, 0, "--seed")
     N = _at_least(args.N, 1, "--N")
-    if args.kind == "lcqp":
-        m = _at_least(args.m, 1, "--m")
-        n = _at_least(args.n, 1, "--n")
-        instance = exp.generate_lcqp(N, m, n, seed)
-    else:
-        instance = exp.generate_resource_alloc(N, seed)
+    instance = GENERATORS[args.kind](args, N, seed)
     problem = instance.problem
     try:
         consts = estimate_constants(problem)
-        summary = (
-            f"alpha={consts.alpha:.6g} L={consts.L:.6g} D={consts.D:.6g} "
-            f"c_A={consts.c_A:.6g}"
-        )
+        summary = (f"alpha={consts.alpha:.6g} L={consts.L:.6g} D={consts.D:.6g} "
+                   f"c_A={consts.c_A:.6g}")
     except JproxError as exc:
         summary = f"constants unavailable ({exc})"
     # The archive records the spectra the constants were just computed from.
     out = Path(args.output)
     exp.save_instance(instance, out)
-    print(
-        f"wrote {out}: kind={args.kind} N={problem.N} m={problem.m} "
-        f"dims={list(problem.dims)} seed={seed} {summary}"
-    )
+    print(f"wrote {out}: kind={args.kind} N={problem.N} m={problem.m} "
+          f"dims={list(problem.dims)} seed={seed} {summary}")
     return EXIT_OK
 
 
@@ -233,11 +231,12 @@ def cmd_solve(args) -> int:
     max_iters = _at_least(args.max_iters, 1, "--max-iters")
     tol = _nonnegative(args.tol, "--tol")
     policy = build_policy(instance, args.policy, args.tau)
-    # Only jprox reads P_i and gamma: the baselines run without a certificate.
-    cert = certify(problem, rho, gamma, policy, instance.seed) if args.method == "jprox" else None
+    # Only a method that reads P_i (jprox) is certified: the baselines run without a certificate.
+    cert = (certify(problem, rho, gamma, policy, instance.seed) if METHODS[args.method].proximal
+            else None)
     params = SolverParams(rho=rho, gamma=gamma, policy=cert.proximal if cert else None,
                           max_iters=max_iters, dis_tol=tol)
-    reference = exp.instance_reference(instance)
+    reference = instance.optimum()
     u0 = reference.copy() if args.u0 == "reference" else PrimalDualPoint.zeros(problem)
     trace = run(problem, params, u0, reference=reference,
                 phi_context=cert.weights if cert else None, method=args.method)
@@ -266,7 +265,6 @@ def _rate_to_dict(rate) -> dict | None:
 
 def cmd_sweep(args) -> int:
     instance = _load_instance(args.input)
-    problem = instance.problem
     seeds = [instance.seed]
     if args.seeds:
         try:
@@ -279,7 +277,7 @@ def cmd_sweep(args) -> int:
         repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
         if repeated:
             _fail_flags(f"invalid --seeds: seed {repeated[0]} listed twice")
-    rho_grid = exp.default_rho_grid(instance)
+    rho_grid = instance.rho_grid
     gamma_grid = exp.GAMMA_GRID
     if args.rho_grid:
         rho_grid = _positive_list(args.rho_grid, "--rho-grid")
@@ -287,17 +285,11 @@ def cmd_sweep(args) -> int:
         gamma_grid = _positive_list(args.gamma_grid, "--gamma-grid")
     max_iters = _at_least(args.max_iters, 1, "--max-iters")
 
-    instances = []
-    for seed in seeds:
-        if seed == instance.seed:
-            instances.append(instance)
-        elif isinstance(instance, exp.LcqpInstance):
-            if len(set(problem.dims)) > 1:
-                _fail_flags(f"invalid --seeds: the generator cannot redraw blocks of "
-                            f"differing sizes {problem.dims}")
-            instances.append(exp.generate_lcqp(problem.N, problem.m, problem.dims[0], seed))
-        else:
-            instances.append(exp.generate_resource_alloc(problem.N, seed))
+    try:
+        instances = [instance if seed == instance.seed else instance.redraw(seed)
+                     for seed in seeds]
+    except InvalidParameter as exc:
+        _fail_flags(f"invalid --seeds: {exc}")
 
     sweep = exp.SweepConfig(rho_grid=rho_grid, gamma_grid=gamma_grid, max_iters=max_iters)
     outdir = Path(args.output)
@@ -457,7 +449,7 @@ def cmd_report(args) -> int:
             within = "yes" if phi_rate <= sigma + 0.02 else "NO"
         lines.append(
             f"{cell['rho']:g} {cell['gamma']:g} {cell['seed']} {cell['status']} "
-            f"{'' if sigma is None else format(sigma, '.6g')} "
+            f"{'' if sigma is None else repr(sigma)} "
             f"{'' if dis_rate is None else format(dis_rate, '.6g')} "
             f"{'' if phi_rate is None else format(phi_rate, '.6g')} {within}"
         )
@@ -478,12 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a seeded instance file")
-    gen.add_argument("kind", choices=["lcqp", "ra"])
+    gen.add_argument("kind", choices=list(GENERATORS))
     gen.add_argument("--N", type=int, required=True, help="number of blocks")
     gen.add_argument("--m", type=int, default=1, help="constraint rows (lcqp)")
     gen.add_argument("--n", type=int, default=1, help="per-block dimension (lcqp)")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--output", default="instance.json")
+    gen.add_argument("--output", default="instance.npz")
 
     def parameter_flags(p):
         p.add_argument("--rho", type=float, default=1.0)

@@ -4,7 +4,12 @@ Two seeded problem families are provided: a linearly constrained quadratic
 program with dense Gaussian data and a scalar resource-allocation problem
 (quadratic plus softplus blocks sharing a single budget constraint).
 Randomness is confined to ``numpy.random.default_rng(seed)``, so identical
-(seed, config) pairs reproduce instances and traces bit for bit.
+(seed, config) pairs reproduce instances and traces bit for bit.  A family's
+class (:data:`INSTANCE_KINDS`) is the one place that knows what sets it apart:
+its archive ``kind``, ``optimum()``, ``redraw(seed)``, ``rho_grid``,
+``proximal_source``, the columns of each archived ``A_i`` (-1 for any) and
+its own members of an instance file (``archive_members``, ``from_archive``;
+``jprox generate`` writes ``instance.npz`` unless given ``--output``).
 """
 
 from __future__ import annotations
@@ -70,6 +75,13 @@ def _repair_pd(S: np.ndarray, shift: float = PD_SHIFT) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+#: Reference experiment grids: damping values shared by both families,
+#: penalty values per family size.
+GAMMA_GRID = (0.1, 0.5, 1.5, 1.9)
+RHO_GRID_SMALL = (0.03, 1.0, 5.0, 10.0)
+RHO_GRID_LARGE = (1e-5, 0.1, 5.0, 10.0)
+
+
 @dataclass(frozen=True)
 class LcqpInstance:
     """A generated quadratic instance with its constructed optimum."""
@@ -79,9 +91,51 @@ class LcqpInstance:
     lambdastar: np.ndarray
     seed: int
     proximal_source: tuple = ()
+    kind = "lcqp"
+    block_columns = -1
 
     def optimum(self) -> PrimalDualPoint:
         return PrimalDualPoint([xi.copy() for xi in self.xstar], self.lambdastar.copy())
+
+    def redraw(self, seed: int) -> "LcqpInstance":
+        """This shape from ``seed``; blocks of differing sizes raise, as the generator draws none."""
+        dims = self.problem.dims
+        if len(set(dims)) > 1:
+            raise InvalidParameter(f"the generator cannot redraw blocks of differing sizes {dims}")
+        return generate_lcqp(self.problem.N, self.problem.m, dims[0], seed)
+
+    @property
+    def rho_grid(self) -> tuple:
+        return RHO_GRID_LARGE if self.problem.N >= 10 else RHO_GRID_SMALL
+
+    def archive_members(self) -> tuple:
+        """``(members, sources, spectra)``: this family's archive members, those of them the
+        spectra are computed from besides ``A_i``, and its own spectra members."""
+        objectives = self.problem.objectives
+        members = {}
+        for i, (f, x) in enumerate(zip(objectives, self.xstar)):
+            members.update({f"H_{i}": f.H, f"q_{i}": f.q, f"xstar_{i}": x})
+        members["lambdastar"] = self.lambdastar
+        members.update(_numbered("P", self.proximal_source))
+        curvatures = np.array([(f.min_curvature, f.max_curvature) for f in objectives])
+        return members, _numbered("H", [f.H for f in objectives]), {"spectra_curvatures": curvatures}
+
+    @classmethod
+    def from_archive(cls, z, seed: int, c: np.ndarray, A: tuple) -> "LcqpInstance":
+        """The instance in archive ``z``, whose shared members are read already."""
+        dims = [Ai.shape[1] for Ai in A]
+        H, q = {}, []
+        for i, n in enumerate(dims):
+            H[f"H_{i}"] = _member(z, f"H_{i}", (n, n))
+            q.append(_member(z, f"q_{i}", (n,)))
+        spectra = _stored_spectra(z, A, H, {"spectra_curvatures": (len(A), 2)})
+        curvatures = spectra["spectra_curvatures"] if spectra else [None] * len(A)
+        blocks = tuple(_block(name, QuadraticBlock, Hi, qi, ci)
+                       for (name, Hi), qi, ci in zip(H.items(), q, curvatures))
+        problem = _archived_problem(blocks, A, c, spectra)
+        xstar = tuple(_member(z, f"xstar_{i}", (n,)) for i, n in enumerate(dims))
+        P = tuple(_member(z, f"P_{i}", (n, n)) for i, n in enumerate(dims)) if "P_0" in z.files else ()
+        return cls(problem, xstar, _member(z, "lambdastar", c.shape), seed, P)
 
 
 @dataclass(frozen=True)
@@ -90,9 +144,36 @@ class ResourceAllocInstance:
 
     problem: BlockProblem
     seed: int
+    kind = "resource_alloc"
+    block_columns = 1
+    coefficients = ("a", "b", "cshift", "dshift")  # the archive members, one entry per block
+    rho_grid = RHO_GRID_SMALL
+    proximal_source = ()
+
+    def optimum(self) -> PrimalDualPoint:
+        """:func:`reference_solution`'s optimum: this family plants none."""
+        return reference_solution(self.problem).point
+
+    def redraw(self, seed: int) -> "ResourceAllocInstance":
+        return generate_resource_alloc(self.problem.N, seed)
+
+    def archive_members(self) -> tuple:
+        objectives = self.problem.objectives
+        return {name: np.array([getattr(f, name) for f in objectives])
+                for name in self.coefficients}, {}, {}
+
+    @classmethod
+    def from_archive(cls, z, seed: int, c: np.ndarray, A: tuple) -> "ResourceAllocInstance":
+        columns = [_member(z, name, (len(A),)) for name in cls.coefficients]
+        spectra = _stored_spectra(z, A, {}, {})
+        blocks = tuple(_block("a", LogisticQuadBlock, *map(float, row)) for row in zip(*columns))
+        return cls(_archived_problem(blocks, A, c, spectra), seed)
 
 
 Instance = Union[LcqpInstance, ResourceAllocInstance]
+
+#: The instance families by archive ``kind`` (see the module docstring).
+INSTANCE_KINDS = {cls.kind: cls for cls in (LcqpInstance, ResourceAllocInstance)}
 
 
 def generate_lcqp(N: int, m: int, n: int, seed: int) -> LcqpInstance:
@@ -138,11 +219,7 @@ def generate_lcqp(N: int, m: int, n: int, seed: int) -> LcqpInstance:
     c = np.zeros(m)
     for Ai, xi in zip(A, xstar):
         c += Ai @ xi
-    problem = BlockProblem(
-        tuple(QuadraticBlock(Hi, qi) for Hi, qi in zip(H, q)),
-        tuple(A),
-        c,
-    )
+    problem = BlockProblem(tuple(QuadraticBlock(Hi, qi) for Hi, qi in zip(H, q)), tuple(A), c)
     # The accepted draw's stacked singular value is the problem's: its A holds the same values.
     object.__setattr__(problem, "_stacked_singular_value", sv)
     instance = LcqpInstance(problem, tuple(xstar), lamstar, seed, P_src)
@@ -165,11 +242,8 @@ def generate_resource_alloc(N: int, seed: int) -> ResourceAllocInstance:
     b = rng.uniform(-2.0, 2.0, N)
     cshift = rng.uniform(-10.0, 10.0, N)
     dshift = rng.uniform(-10.0, 10.0, N)
-    problem = BlockProblem(
-        tuple(LogisticQuadBlock(a[i], b[i], cshift[i], dshift[i]) for i in range(N)),
-        tuple(np.ones((1, 1)) for _ in range(N)),
-        np.zeros(1),
-    )
+    problem = BlockProblem(tuple(map(LogisticQuadBlock, a, b, cshift, dshift)),
+                           tuple(np.ones((1, 1)) for _ in range(N)), np.zeros(1))
     return ResourceAllocInstance(problem, seed)
 
 
@@ -226,20 +300,6 @@ def reference_solution(problem: BlockProblem) -> ReferenceSolution:
 
 # -- sweeps ----------------------------------------------------------------------
 
-#: Reference experiment grids: damping values shared by both families,
-#: penalty values per family size.
-GAMMA_GRID = (0.1, 0.5, 1.5, 1.9)
-RHO_GRID_SMALL = (0.03, 1.0, 5.0, 10.0)
-RHO_GRID_LARGE = (1e-5, 0.1, 5.0, 10.0)
-
-
-def default_rho_grid(instance: Instance) -> tuple:
-    """Penalty grid used in the reference experiments for this family."""
-    if isinstance(instance, LcqpInstance) and instance.problem.N >= 10:
-        return RHO_GRID_LARGE
-    return RHO_GRID_SMALL
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid of (rho, gamma) cells and the iteration budget and tolerance of each run.
@@ -279,13 +339,6 @@ class SweepCell:
     @property
     def status(self) -> str:
         return "error" if self.error is not None else self.trace.status
-
-
-def instance_reference(instance: Instance) -> PrimalDualPoint:
-    """The optimum to measure ``dis`` against: the planted one, else :func:`reference_solution`."""
-    if isinstance(instance, LcqpInstance):
-        return instance.optimum()
-    return reference_solution(instance.problem).point
 
 
 def _run_cell(instance: Instance, reference: PrimalDualPoint, rho: float, gamma: float,
@@ -365,7 +418,7 @@ def _sweep_tasks(instances: Sequence[Instance], sweep: SweepConfig, policy) -> l
     for inst in instances:
         p = inst.problem
         p.gram_spectra(), p.gram_matrices(), p.stacked_A(), p.stacked_singular_value()
-        ref = instance_reference(inst)
+        ref = inst.optimum()
         tasks += [(inst, ref, rho, gamma, sweep, policy)
                   for rho in sweep.rho_grid for gamma in sweep.gamma_grid]
     return tasks
@@ -409,7 +462,7 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
     another.  Each instance's constants and reference are computed here
     before any cell runs.  A worker that dies raises :class:`WorkerLost`.
     """
-    if isinstance(instances, (LcqpInstance, ResourceAllocInstance)):
+    if not isinstance(instances, Sequence):
         instances = [instances]
     seeds = [inst.seed for inst in instances]
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
@@ -465,10 +518,8 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
 # does.  With a matching digest the spectra members are checked like any
 # other member.  Spectra that are not all finite are not recorded.
 #
-# Every float64 member must be finite.
-
-#: The members holding a resource-allocation instance's block coefficients.
-RA_COEFFICIENTS = ("a", "b", "cshift", "dshift")
+# Every float64 member must be finite.  Each family writes and reads its own
+# members (INSTANCE_KINDS); save_instance and load_instance do the shared ones.
 
 #: The dtype test of each kind of archive member, by the name errors give it.
 MEMBER_DTYPES = {"float64": lambda t: t == np.float64, "integer": lambda t: t.kind in "iu",
@@ -482,31 +533,26 @@ ARCHIVE_ERRORS = (ValueError, OSError, EOFError, zipfile.BadZipFile)
 SPECTRA_DIGEST = "spectra_sha256"
 
 
-def _spectra_sources(arrays: dict, N: int, lcqp: bool) -> list:
-    """The ``(name, array)`` pairs a problem's spectra are computed from: ``A_i``, then ``H_i``."""
-    names = [f"A_{i}" for i in range(N)] + ([f"H_{i}" for i in range(N)] if lcqp else [])
-    return [(name, arrays[name]) for name in names]
+def _numbered(prefix: str, arrays) -> dict:
+    """``arrays`` by archive member name: ``prefix_0``, ``prefix_1``, ..."""
+    return {f"{prefix}_{i}": a for i, a in enumerate(arrays)}
 
 
-def _spectra_digest(sources) -> str:
+def _spectra_digest(sources: dict) -> str:
     """SHA-256 hex digest of each member's name, dtype, shape and C-order bytes."""
     h = hashlib.sha256()
-    for name, a in sources:
+    for name, a in sources.items():
         h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
         h.update(np.ascontiguousarray(a))
     return h.hexdigest()
 
 
-def _spectra_members(p: BlockProblem, lcqp: bool) -> dict:
-    """The spectra members of ``p`` (layout above), computed where not cached yet."""
+def _spectra_members(p: BlockProblem) -> dict:
+    """The spectra members every family records (layout above), computed where not cached yet."""
     spectra = p.gram_spectra()
-    members = {"spectra_gram": np.concatenate([g.eigenvalues for g in spectra]),
-               "spectra_norms": np.array([g.norm for g in spectra]),
-               "spectra_c_A": np.array(p.stacked_singular_value())}
-    if lcqp:
-        members["spectra_curvatures"] = np.array(
-            [(f.min_curvature, f.max_curvature) for f in p.objectives])
-    return members
+    return {"spectra_gram": np.concatenate([g.eigenvalues for g in spectra]),
+            "spectra_norms": np.array([g.norm for g in spectra]),
+            "spectra_c_A": np.array(p.stacked_singular_value())}
 
 
 def save_instance(instance: Instance, path) -> None:
@@ -516,24 +562,15 @@ def save_instance(instance: Instance, path) -> None:
     cached are computed first.
     """
     p = instance.problem
-    lcqp = isinstance(instance, LcqpInstance)
-    arrays = {"seed": np.array(instance.seed), "c": p.c}
-    arrays.update((f"A_{i}", Ai) for i, Ai in enumerate(p.A))
-    if lcqp:
-        arrays["kind"] = np.array("lcqp")
-        for i, (f, x) in enumerate(zip(p.objectives, instance.xstar)):
-            arrays.update({f"H_{i}": f.H, f"q_{i}": f.q, f"xstar_{i}": x})
-        arrays["lambdastar"] = instance.lambdastar
-        arrays.update((f"P_{i}", P) for i, P in enumerate(instance.proximal_source))
-    else:
-        arrays["kind"] = np.array("resource_alloc")
-        arrays.update((name, np.array([getattr(f, name) for f in p.objectives]))
-                      for name in RA_COEFFICIENTS)
+    members, sources, spectra = instance.archive_members()
+    A = _numbered("A", p.A)
+    arrays = {"seed": np.array(instance.seed), "c": p.c, **A, "kind": np.array(instance.kind),
+              **members}
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite spectra are not recorded
-        spectra = _spectra_members(p, lcqp)
+        spectra = {**_spectra_members(p), **spectra}
     if all(np.all(np.isfinite(a)) for a in spectra.values()):
         arrays.update(spectra)
-        arrays[SPECTRA_DIGEST] = np.array(_spectra_digest(_spectra_sources(arrays, p.N, lcqp)))
+        arrays[SPECTRA_DIGEST] = np.array(_spectra_digest({**A, **sources}))
     # An open handle: given a path without the suffix, np.savez would append ".npz".
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -571,71 +608,45 @@ def _block(member: str, make, *args):
         raise ValueError(f"{member}: {exc}") from None
 
 
-def _stored_spectra(z, arrays: dict, dims: list, lcqp: bool) -> Optional[dict]:
-    """The spectra members of ``z`` when its digest matches the members read into ``arrays``.
-
-    ``None`` without a digest or with one that does not match; with a
-    matching digest every spectra member must be present and well formed.
-    """
-    N = len(dims)
+def _stored_spectra(z, A: tuple, sources: dict, shapes: dict) -> Optional[dict]:
+    """The spectra members of ``z`` when its digest matches ``A`` and a family's ``sources``,
+    else ``None``; with a matching digest every spectra member, the family's own of ``shapes``
+    among them, must be present and well formed."""
     if SPECTRA_DIGEST not in z.files:
         return None
-    digest = _spectra_digest(_spectra_sources(arrays, N, lcqp))
+    digest = _spectra_digest({**_numbered("A", A), **sources})
     if _member(z, SPECTRA_DIGEST, dtype="string").item() != digest:
         return None
-    spectra = {"spectra_gram": _member(z, "spectra_gram", (sum(dims),)),
-               "spectra_norms": _member(z, "spectra_norms", (N,)),
-               "spectra_c_A": _member(z, "spectra_c_A")}
-    if lcqp:
-        spectra["spectra_curvatures"] = _member(z, "spectra_curvatures", (N, 2))
-    return spectra
+    shapes = {"spectra_gram": (sum(Ai.shape[1] for Ai in A),), "spectra_norms": (len(A),),
+              "spectra_c_A": (), **shapes}
+    return {name: _member(z, name, shape) for name, shape in shapes.items()}
 
 
-def _seed_spectra(problem: BlockProblem, spectra: dict) -> None:
-    """Fill the Gram-spectrum and stacked-singular-value caches of ``problem`` from ``spectra``."""
-    gram = spectra["spectra_gram"]
-    gram.setflags(write=False)
-    o = problem.offsets
-    object.__setattr__(problem, "_gram_spectra", tuple(
-        GramSpectrum(gram[o[i]:o[i + 1]], float(nrm))
-        for i, nrm in enumerate(spectra["spectra_norms"])))
-    object.__setattr__(problem, "_stacked_singular_value", float(spectra["spectra_c_A"]))
+def _archived_problem(blocks: tuple, A: tuple, c, spectra: Optional[dict]) -> BlockProblem:
+    """The problem of an archive, its Gram-spectrum and ``c_A`` caches filled from ``spectra``."""
+    problem = BlockProblem(blocks, A, c)
+    if spectra:
+        gram = spectra["spectra_gram"]
+        gram.setflags(write=False)
+        o = problem.offsets
+        object.__setattr__(problem, "_gram_spectra", tuple(
+            GramSpectrum(gram[o[i]:o[i + 1]], float(nrm))
+            for i, nrm in enumerate(spectra["spectra_norms"])))
+        object.__setattr__(problem, "_stacked_singular_value", float(spectra["spectra_c_A"]))
+    return problem
 
 
 def _instance_from_archive(z) -> Instance:
     kind = _member(z, "kind", dtype="string").item()
-    if kind not in ("lcqp", "resource_alloc"):
+    if kind not in INSTANCE_KINDS:
         raise ValueError(f"kind: unknown instance kind {kind!r}")
-    lcqp = kind == "lcqp"
+    family = INSTANCE_KINDS[kind]
     seed = int(_member(z, "seed", dtype="integer"))
     c = _member(z, "c", (-1,))
-    m, N = c.shape[0], sum(name.startswith("A_") for name in z.files)
+    N = sum(name.startswith("A_") for name in z.files)
     # With no A_i member at all, A_0 is reported missing.
-    A = tuple(_member(z, f"A_{i}", (m, -1 if lcqp else 1)) for i in range(max(N, 1)))
-    dims = [Ai.shape[1] for Ai in A]
-    arrays = {f"A_{i}": Ai for i, Ai in enumerate(A)}
-    if lcqp:
-        for i, n in enumerate(dims):
-            arrays[f"H_{i}"] = _member(z, f"H_{i}", (n, n))
-            arrays[f"q_{i}"] = _member(z, f"q_{i}", (n,))
-    else:
-        arrays.update((name, _member(z, name, (N,))) for name in RA_COEFFICIENTS)
-    spectra = _stored_spectra(z, arrays, dims, lcqp)
-    if lcqp:
-        curvatures = spectra["spectra_curvatures"] if spectra else [None] * N
-        blocks = tuple(_block(f"H_{i}", QuadraticBlock, arrays[f"H_{i}"], arrays[f"q_{i}"], ci)
-                       for i, ci in enumerate(curvatures))
-    else:
-        rows = zip(*(arrays[name] for name in RA_COEFFICIENTS))
-        blocks = tuple(_block("a", LogisticQuadBlock, *map(float, row)) for row in rows)
-    problem = BlockProblem(blocks, A, c)
-    if spectra:
-        _seed_spectra(problem, spectra)
-    if not lcqp:
-        return ResourceAllocInstance(problem, seed)
-    xstar = tuple(_member(z, f"xstar_{i}", (n,)) for i, n in enumerate(dims))
-    P = tuple(_member(z, f"P_{i}", (n, n)) for i, n in enumerate(dims)) if "P_0" in z.files else ()
-    return LcqpInstance(problem, xstar, _member(z, "lambdastar", (m,)), seed, P)
+    A = tuple(_member(z, f"A_{i}", (c.shape[0], family.block_columns)) for i in range(max(N, 1)))
+    return family.from_archive(z, seed, c, A)
 
 
 def load_instance(path) -> Instance:

@@ -77,20 +77,18 @@ NEWTON_MAX_ITERS = 100
 
 # -- proximal policies ---------------------------------------------------------
 
-def _tau_for(tau, i: int, n_blocks: int) -> float:
+def _block_weights(tau, n_blocks: int) -> list:
+    """The weight ``tau_i`` of each of ``n_blocks`` blocks (a scalar broadcasts), validated."""
     if isinstance(tau, str):
         raise InvalidParameter(f"tau {tau!r} is a request, not a weight: certify resolves "
                                "'auto' into weights (Certificate.proximal)")
-    if np.isscalar(tau):
-        t = float(tau)
-    else:
-        taus = list(tau)
-        if len(taus) != n_blocks:
-            raise DimensionMismatch(f"expected {n_blocks} tau values, got {len(taus)}")
-        t = float(taus[i])
-    if not (math.isfinite(t) and t > 0.0):
+    taus = [tau] * n_blocks if np.isscalar(tau) else list(tau)
+    if len(taus) != n_blocks:
+        raise DimensionMismatch(f"expected {n_blocks} tau values, got {len(taus)}")
+    taus = [float(t) for t in taus]
+    if not all(math.isfinite(t) and t > 0.0 for t in taus):
         raise InvalidParameter("tau must be finite and positive")
-    return t
+    return taus
 
 
 @dataclass(frozen=True)
@@ -156,8 +154,7 @@ def materialize_policy(policy: ProximalPolicy, rho: float, problem: BlockProblem
             P_list.append(np.array(P))
         return P_list
     P_list = []
-    for i, n in enumerate(problem.dims):
-        tau = _tau_for(policy.tau, i, problem.N)
+    for i, (n, tau) in enumerate(zip(problem.dims, _block_weights(policy.tau, problem.N))):
         P = tau * np.eye(n)
         if policy.coupling:
             floor = policy.coupling * rho * problem.gram_spectra()[i].norm ** 2
@@ -169,20 +166,21 @@ def materialize_policy(policy: ProximalPolicy, rho: float, problem: BlockProblem
     return P_list
 
 
-def policy_eigenvalues(policy: ProximalPolicy, rho: float, d: np.ndarray, index: int = 0,
-                       n_blocks: int = 1) -> np.ndarray:
-    """Eigenvalues of the materialized ``P_i``, paired with the eigenvalues ``d`` of ``A_i'A_i``.
+def policy_eigenvalues(policy: ProximalPolicy, rho: float, ds: Sequence[np.ndarray]) -> list:
+    """Eigenvalues of each materialized ``P_i``, paired with the eigenvalues ``ds[i]`` of
+    ``A_i'A_i``.
 
     No policy and a weight policy make ``P_i`` a polynomial in ``A_i'A_i``,
-    so entry ``j`` is ``0`` or ``tau_i - coupling*rho*d_j``.  An explicit
-    ``P_i`` has no such form and raises ``TypeError``.  Validation is
-    :func:`materialize_policy`'s.
+    so entry ``j`` of block ``i`` is ``0`` or ``tau_i - coupling*rho*d_j``.
+    An explicit ``P_i`` has no such form and raises ``TypeError``.
+    Validation is :func:`materialize_policy`'s.
     """
     if policy is None:
-        return np.zeros_like(d)
+        return [np.zeros_like(d) for d in ds]
     if isinstance(policy, ExplicitProximal):
         raise TypeError(f"proximal policy {policy!r} is not a polynomial in A_i'A_i")
-    return _tau_for(policy.tau, index, n_blocks) - policy.coupling * rho * d
+    return [tau - policy.coupling * rho * d
+            for tau, d in zip(_block_weights(policy.tau, len(ds)), ds)]
 
 
 # -- parameters and trace ------------------------------------------------------

@@ -37,7 +37,6 @@ from jprox.errors import (
 )
 from jprox.experiments import (
     GAMMA_GRID,
-    default_rho_grid,
     generate_lcqp,
     generate_resource_alloc,
 )
@@ -345,9 +344,11 @@ def test_materialized_policy_has_the_policy_eigenvalues(case, scalar_tau, lift):
     elif isinstance(policy, StandardProximal) and scalar_tau:
         policy = StandardProximal(policy.tau[0])
     P_list = materialize_policy(policy, rho, problem)
-    for i, (P, g) in enumerate(zip(P_list, problem.gram_spectra())):
+    spectra = problem.gram_spectra()
+    closed_forms = policy_eigenvalues(policy, rho, [g.eigenvalues for g in spectra])
+    for P, g, closed in zip(P_list, spectra, closed_forms):
         dense = np.linalg.eigvalsh(P)
-        closed = np.sort(policy_eigenvalues(policy, rho, g.eigenvalues, i, problem.N))
+        closed = np.sort(closed)
         # At the floor tau_i - rho*d_j cancels: the scale is the largest term.
         largest = max(np.max(np.abs(closed)), rho * g.eigenvalues[-1])
         assert np.max(np.abs(dense - closed)) <= 1e-12 * largest
@@ -373,7 +374,8 @@ def test_closed_form_mu_s_raises_like_the_dense_pencil(monkeypatch):
     consts = unit_consts(norms=(1.0,))
     with pytest.raises(NotPositiveDefinite):
         compute_mu_s(p, consts, 1.0, 0.1, [-10.0 * np.eye(3)])
-    monkeypatch.setattr(module, "policy_eigenvalues", lambda policy, rho, d, i, N: d * 0.0 - 10.0)
+    monkeypatch.setattr(module, "policy_eigenvalues",
+                        lambda policy, rho, ds: [d * 0.0 - 10.0 for d in ds])
     with pytest.raises(NotPositiveDefinite):
         closed_form_mu_s(p, consts, 1.0, 0.1, StandardProximal(1.0))
 
@@ -466,7 +468,7 @@ def test_certify_matches_dense_certificate_on_default_grid(kind, shape):
     consts = estimate_constants(problem)
     searched = 0
     request = REQUESTS[kind]("auto")
-    for rho in default_rho_grid(inst):
+    for rho in inst.rho_grid:
         for gamma in GAMMA_GRID:
             cert = certify(problem, rho, gamma, request)
             policy = cert.proximal
@@ -912,7 +914,7 @@ def test_passed_certificates_carry_the_weights_of_their_phi():
     inst = generate_lcqp(3, 6, 4, seed=0)
     problem = inst.problem
     passed = 0
-    for rho in default_rho_grid(inst):
+    for rho in inst.rho_grid:
         for gamma in GAMMA_GRID:
             cert = certify(problem, rho, gamma, StandardProximal("auto"))
             policy = cert.proximal
@@ -995,7 +997,7 @@ def test_one_pass_certificate_equals_two_passes():
         for seed in range(3):
             inst = generate_lcqp(*shape, seed=seed)
             p = inst.problem
-            for rho in default_rho_grid(inst):
+            for rho in inst.rho_grid:
                 for gamma in GAMMA_GRID:
                     for kind in REQUESTS:
                         policy = assert_one_pass_equals_two(p, rho, gamma, kind)
@@ -1082,9 +1084,9 @@ def margin_tolerance(p, rho, gamma, s, policy):
     """Per block, ``1e-12 * max_j(|b_j| + 8*s*b_j^2 + c*d_j)``: the round-off band of a margin."""
     c = rho / uniform_xi(gamma, p.N)[0]
     bands = []
-    for i, g in enumerate(p.gram_spectra()):
-        d = g.eigenvalues
-        b = rho * d + policy_eigenvalues(policy, rho, d, i, p.N)
+    ds = [g.eigenvalues for g in p.gram_spectra()]
+    for d, eigenvalues in zip(ds, policy_eigenvalues(policy, rho, ds)):
+        b = rho * d + eigenvalues
         bands.append(1e-12 * float(np.max(np.abs(b) + 8.0 * s * b * b + c * d)))
     return np.array(bands)
 

@@ -89,6 +89,14 @@ def test_generate_ra_writes_scalar_blocks(tmp_path):
     assert data["c"].tolist() == [0.0]
 
 
+def test_generate_writes_instance_npz_by_default(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "ra", "--N", "3") == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["instance.npz"]
+    assert capsys.readouterr().out.startswith("wrote instance.npz: kind=ra N=3 ")
+    assert exp.load_instance(tmp_path / "instance.npz").problem.N == 3
+
+
 def test_generate_writes_exactly_the_output_path(tmp_path):
     # np.savez appends ".npz" to a path string; generate writes the path it is given.
     out = tmp_path / "instance.json"
@@ -705,6 +713,22 @@ def test_sweep_default_grid_has_sixteen_cells_and_eight_figures(tmp_path):
     assert len(list(report_dir.glob("*.svg"))) == 8
 
 
+def test_report_prints_each_sigma_as_the_manifest_holds_it(tmp_path):
+    # A passed sigma within 1e-6 of 1 printed as "1" with six significant digits.
+    inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
+    sweep_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir),
+                   "--rho-grid", "0.5,1", "--gamma-grid", "0.5,1", "--max-iters", "50") == 0
+    assert run_cli("report", "--input", str(sweep_dir)) == 0
+    cells = json.loads((sweep_dir / "manifest.json").read_text())["cells"]
+    rows = (sweep_dir / "rates.txt").read_text().splitlines()[1:]
+    assert len(rows) == len(cells) == 4
+    for row, cell in zip(rows, cells):
+        sigma = cell["certificate"]["sigma"]
+        assert f"{sigma:.6g}" != repr(sigma)
+        assert row.split(" ")[4] == repr(sigma) and float(row.split(" ")[4]) == sigma
+
+
 def test_report_on_empty_directory_exits_3(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -855,7 +879,7 @@ def test_sweep_rejects_extra_seeds_for_blocks_of_differing_sizes(tmp_path, capsy
                    "--seeds", "0,1", "--rho-grid", "1", "--gamma-grid", "1")
     assert code == 2
     err = capsys.readouterr().err
-    assert "invalid --seeds" in err and "(2, 3)" in err
+    assert err == "invalid --seeds: the generator cannot redraw blocks of differing sizes (2, 3)\n"
     assert not (tmp_path / "sweep").exists()
 
 

@@ -12,7 +12,7 @@ import pytest
 from conftest import TEST_PID, child_pids, dis, exit_in_worker
 
 import jprox.experiments as exp
-from jprox.errors import DimensionMismatch, SingularKkt, WorkerLost
+from jprox.errors import DimensionMismatch, InvalidParameter, SingularKkt, WorkerLost
 from jprox.experiments import (
     GAMMA_GRID,
     LcqpInstance,
@@ -21,7 +21,6 @@ from jprox.experiments import (
     SPECTRA_DIGEST,
     SweepCell,
     SweepConfig,
-    default_rho_grid,
     generate_lcqp,
     generate_resource_alloc,
     load_instance,
@@ -324,7 +323,7 @@ def test_reference_does_not_run_the_engine(monkeypatch):
     inst = generate_resource_alloc(6, seed=0)
     ref = experiments.reference_solution(inst.problem)
     assert ref.kkt_residual <= 1e-10
-    assert dis(experiments.instance_reference(inst), ref.point) == 0.0
+    assert dis(inst.optimum(), ref.point) == 0.0
 
 
 # -- sweeps ------------------------------------------------------------------------------------
@@ -332,8 +331,9 @@ def test_reference_does_not_run_the_engine(monkeypatch):
 def test_default_grids():
     small = generate_lcqp(3, 4, 3, seed=0)
     large = generate_lcqp(10, 4, 3, seed=0)
-    assert default_rho_grid(small) == RHO_GRID_SMALL
-    assert default_rho_grid(large) == RHO_GRID_LARGE
+    assert small.rho_grid == RHO_GRID_SMALL
+    assert large.rho_grid == RHO_GRID_LARGE
+    assert generate_resource_alloc(10, seed=0).rho_grid == RHO_GRID_SMALL
     assert GAMMA_GRID == (0.1, 0.5, 1.5, 1.9)
 
 
@@ -429,9 +429,9 @@ def test_run_sweep_rejects_instances_that_share_a_seed(monkeypatch):
     from jprox.errors import InvalidParameter
 
     ran = []
-    monkeypatch.setattr(experiments, "instance_reference", lambda inst: ran.append(inst))
-    monkeypatch.setattr(experiments, "_run_cell", lambda *args: ran.append(args))
     instances = [generate_lcqp(3, 6, 4, 0), generate_lcqp(2, 5, 3, 0)]
+    monkeypatch.setattr(experiments.LcqpInstance, "optimum", lambda inst: ran.append(inst))
+    monkeypatch.setattr(experiments, "_run_cell", lambda *args: ran.append(args))
     with pytest.raises(InvalidParameter, match="seed 0"):
         run_sweep(instances, SweepConfig((1.0,), (1.0,), max_iters=50))
     assert ran == []
@@ -520,6 +520,25 @@ def mixed_size_instance():
                                xstar=(inst.xstar[0][:2], inst.xstar[1]))
 
 
+@pytest.mark.parametrize("generate", [lambda seed: generate_lcqp(3, 6, 4, seed),
+                                      lambda seed: generate_resource_alloc(6, seed)],
+                         ids=["lcqp", "ra"])
+def test_redraw_is_a_fresh_draw_from_that_seed(tmp_path, generate):
+    path = tmp_path / "instance.npz"
+    save_instance(generate(0), path)
+    redrawn, fresh = load_instance(path).redraw(5), generate(5)
+    assert type(redrawn) is type(fresh) and redrawn.seed == 5
+    want, got = instance_arrays(fresh), instance_arrays(redrawn)
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
+def test_redraw_refuses_blocks_of_differing_sizes():
+    with pytest.raises(InvalidParameter, match=r"differing sizes \(2, 3\)"):
+        mixed_size_instance().redraw(1)
+
+
 ROUND_TRIP_INSTANCES = {
     "lcqp": lambda: generate_lcqp(3, 6, 4, seed=8),
     "ra": lambda: generate_resource_alloc(6, seed=3),
@@ -575,6 +594,24 @@ def test_instance_archive_stores_every_float_array_as_float64(tmp_path, kind):
     assert members.pop(SPECTRA_DIGEST).dtype.kind == "U"
     members.pop("kind")
     assert all(a.dtype == np.float64 for a in members.values())
+
+
+ARCHIVE_MEMBERS = {
+    "lcqp": ["seed", "c", "A_0", "A_1", "kind", "H_0", "q_0", "xstar_0", "H_1", "q_1", "xstar_1",
+             "lambdastar", "P_0", "P_1", "spectra_gram", "spectra_norms", "spectra_c_A",
+             "spectra_curvatures", SPECTRA_DIGEST],
+    "ra": ["seed", "c", "A_0", "A_1", "A_2", "kind", "a", "b", "cshift", "dshift",
+           "spectra_gram", "spectra_norms", "spectra_c_A", SPECTRA_DIGEST],
+}
+
+
+@pytest.mark.parametrize("kind", list(ARCHIVE_MEMBERS))
+def test_instance_archive_members_come_in_a_fixed_order(tmp_path, kind):
+    inst = generate_lcqp(2, 4, 3, seed=0) if kind == "lcqp" else generate_resource_alloc(3, 0)
+    path = tmp_path / "instance.npz"
+    save_instance(inst, path)
+    with zipfile.ZipFile(path) as archive:
+        assert archive.namelist() == [f"{name}.npy" for name in ARCHIVE_MEMBERS[kind]]
 
 
 def test_spectra_that_are_not_finite_are_not_recorded(tmp_path):

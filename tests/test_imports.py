@@ -181,3 +181,63 @@ def test_policy_kind_literals_skips_docstrings():
 def test_policy_kinds_are_named_only_in_solvers(path):
     """A weight policy's name is its class's ``kind``; no other module spells it out."""
     assert policy_kind_literals(path.read_text(encoding="utf-8")) == []
+
+
+INSTANCE_CLASSES = {"LcqpInstance", "ResourceAllocInstance"}
+INSTANCE_KIND_NAMES = ("lcqp", "resource_alloc")
+#: Where an instance family may be told apart: its class, the table of the classes, and
+#: ``generate``'s mapping of ``--m`` and ``--n`` to a generator.
+FAMILY_SCOPES = INSTANCE_CLASSES | {"INSTANCE_KINDS", "GENERATORS", "cmd_generate"}
+
+
+def family_branches(source: str) -> list:
+    """Lines of ``source``, outside :data:`FAMILY_SCOPES`, that hold a family's ``kind`` string
+    or check ``isinstance`` against an instance class or the table of them.
+
+    Docstrings and other bare string statements do not count.
+    """
+    tree = ast.parse(source)
+    bare = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    lines = []
+
+    def visit(node, allowed: bool) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            allowed = allowed or node.name in FAMILY_SCOPES
+        elif isinstance(node, ast.Assign):
+            allowed = allowed or any(isinstance(t, ast.Name) and t.id in FAMILY_SCOPES
+                                     for t in node.targets)
+        elif (not allowed and isinstance(node, ast.Constant)
+              and node.value in INSTANCE_KIND_NAMES and id(node) not in bare):
+            lines.append(node.lineno)
+        elif (not allowed and isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2
+              and read_names(ast.unparse(node.args[1])) & (INSTANCE_CLASSES | {"INSTANCE_KINDS"})):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, allowed)
+
+    visit(tree, False)
+    return sorted(lines)
+
+
+def test_family_branches_finds_kind_strings_and_isinstance_checks():
+    source = (
+        '"""lcqp"""\n'
+        'class LcqpInstance:\n    kind = "lcqp"\n'
+        'INSTANCE_KINDS = {"lcqp": LcqpInstance}\n'
+        'def cmd_generate(args):\n    return args.kind == "lcqp"\n'
+        'def save(inst):\n    """resource_alloc"""\n'
+        '    if isinstance(inst, exp.LcqpInstance):\n        return "resource_alloc"\n'
+        '    return isinstance(inst, tuple(INSTANCE_KINDS.values())) or isinstance(inst, dict)\n'
+    )
+    assert family_branches(source) == [9, 10, 11]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_instance_families_are_told_apart_only_by_their_classes(path):
+    """A family's ``kind``, optimum, redraw, grid and archive members live on its class."""
+    assert family_branches(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_names_no_instance_class():
+    assert read_names((SRC / "cli.py").read_text(encoding="utf-8")) & INSTANCE_CLASSES == set()

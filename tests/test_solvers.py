@@ -97,6 +97,30 @@ def test_materialize_P_rejects_a_tau_that_is_not_finite_and_positive(policy, tau
         materialize_policy(policy(tau), 1.0, one_block(np.ones((2, 2))))
 
 
+@pytest.mark.parametrize("tau, error, message", [
+    ("auto", InvalidParameter, "is a request, not a weight"),
+    ([1.0, 1.0], DimensionMismatch, "expected 3 tau values, got 2"),
+    ([1.0, float("nan"), 1.0], InvalidParameter, "tau must be finite and positive"),
+], ids=["request", "short-list", "nan-entry"])
+def test_a_weight_list_is_refused_alike_by_the_matrices_and_the_eigenvalues(tau, error, message):
+    p = generate_lcqp(3, 6, 4, seed=0).problem
+    with pytest.raises(error, match=message):
+        materialize_policy(StandardProximal(tau), 1.0, p)
+    with pytest.raises(error, match=message):
+        solvers.policy_eigenvalues(ProxLinear(tau), 1.0, [g.eigenvalues for g in p.gram_spectra()])
+
+
+def test_certify_validates_a_weight_list_once_per_call_site(count_calls):
+    # materialize_policy, check_xi_condition and closed_form_mu_s each validate
+    # the N weights once; validating them once per block took O(N^2) steps.
+    from jprox.certify import certify
+
+    problem = generate_resource_alloc(200, 1).problem
+    validations = count_calls("jprox.solvers", "_block_weights")
+    certify(problem, 1.0, 1.0, StandardProximal([1.0] * 200))
+    assert [len(args[0]) for args in validations] == [200] * 3
+
+
 @pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0])
 def test_materialize_P_rejects_a_rho_that_is_not_finite_and_positive(rho):
     with pytest.raises(InvalidParameter, match="rho"):
@@ -657,7 +681,6 @@ def _oracle_trace(problem, method, params, u0, ref, weights, steps):
 @pytest.mark.parametrize("method", ["jprox", "jacobi-plain", "gauss-seidel", "dual-decomp"])
 def test_run_matches_per_block_oracle(family, method):
     from jprox.certify import certify
-    from jprox.experiments import instance_reference
 
     if family.startswith("lcqp"):
         inst = generate_lcqp(*(int(v) for v in family.split("-")[1:]), seed=3)
@@ -665,7 +688,7 @@ def test_run_matches_per_block_oracle(family, method):
         u0 = PrimalDualPoint.zeros(inst.problem)
     else:
         inst = generate_resource_alloc(6, seed=1)
-        ref = instance_reference(inst)
+        ref = inst.optimum()
         # A zero start has a zero constraint residual here (c = 0), which
         # would leave the residual column without a scale to compare against.
         u0 = PrimalDualPoint([np.ones(1)] * 6, np.ones(1))
@@ -826,10 +849,10 @@ def test_affine_run_matches_per_block_oracle(N, n, m, seed, policy, method, rho,
 
 
 def test_affine_sweep_keeps_every_status_of_the_block_sweep(monkeypatch):
-    from jprox.experiments import GAMMA_GRID, SweepConfig, default_rho_grid, run_sweep
+    from jprox.experiments import GAMMA_GRID, SweepConfig, run_sweep
 
     inst = generate_lcqp(3, 100, 40, seed=0)
-    sweep = SweepConfig(rho_grid=default_rho_grid(inst), gamma_grid=GAMMA_GRID)
+    sweep = SweepConfig(rho_grid=inst.rho_grid, gamma_grid=GAMMA_GRID)
     affine = run_sweep(inst, sweep)
     monkeypatch.setattr(solvers, "AFFINE_MAX_ENTRIES", 0)
     blocks = run_sweep(inst, sweep)
