@@ -503,7 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a (rho, gamma) grid campaign")
     swp.add_argument("--input", required=True)
     swp.add_argument("--output", default="sweep")
-    swp.add_argument("--seeds", default="", help="comma-separated extra seeds")
+    swp.add_argument("--seeds", default="",
+                     help="comma-separated seeds to run, in place of the instance's own "
+                          "seed (default: the instance's seed only)")
     swp.add_argument("--rho-grid", dest="rho_grid", default="")
     swp.add_argument("--gamma-grid", dest="gamma_grid", default="")
     swp.add_argument("--max-iters", dest="max_iters", type=int, default=4000)

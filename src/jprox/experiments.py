@@ -7,9 +7,11 @@ Randomness is confined to ``numpy.random.default_rng(seed)``, so identical
 (seed, config) pairs reproduce instances and traces bit for bit.  A family's
 class (:data:`INSTANCE_KINDS`) is the one place that knows what sets it apart:
 its archive ``kind``, ``optimum()``, ``redraw(seed)``, ``rho_grid``,
-``proximal_source``, the columns of each archived ``A_i`` (-1 for any) and
-its own members of an instance file (``archive_members``, ``from_archive``;
-``jprox generate`` writes ``instance.npz`` unless given ``--output``).
+``proximal_source`` and its own members of an instance file
+(``archive_members``, ``from_archive``; ``jprox generate`` writes
+``instance.npz`` unless given ``--output``).  An instance file holds one
+member per array kind, whatever the number of blocks: the blocks of each
+are stacked or concatenated, and ``dims`` gives their sizes.
 """
 
 from __future__ import annotations
@@ -92,7 +94,6 @@ class LcqpInstance:
     seed: int
     proximal_source: tuple = ()
     kind = "lcqp"
-    block_columns = -1
 
     def optimum(self) -> PrimalDualPoint:
         return PrimalDualPoint([xi.copy() for xi in self.xstar], self.lambdastar.copy())
@@ -110,31 +111,28 @@ class LcqpInstance:
 
     def archive_members(self) -> tuple:
         """``(members, sources, spectra)``: this family's archive members, those of them the
-        spectra are computed from besides ``A_i``, and its own spectra members."""
+        spectra are computed from besides ``dims`` and ``A``, and its own spectra members."""
         objectives = self.problem.objectives
-        members = {}
-        for i, (f, x) in enumerate(zip(objectives, self.xstar)):
-            members.update({f"H_{i}": f.H, f"q_{i}": f.q, f"xstar_{i}": x})
-        members["lambdastar"] = self.lambdastar
-        members.update(_numbered("P", self.proximal_source))
+        H = np.concatenate([f.H.ravel() for f in objectives])
+        members = {"H": H, "q": np.concatenate([f.q for f in objectives]),
+                   "xstar": np.concatenate(self.xstar), "lambdastar": self.lambdastar}
+        if self.proximal_source:
+            members["P"] = np.concatenate([np.ravel(P) for P in self.proximal_source])
         curvatures = np.array([(f.min_curvature, f.max_curvature) for f in objectives])
-        return members, _numbered("H", [f.H for f in objectives]), {"spectra_curvatures": curvatures}
+        return members, {"H": H}, {"spectra_curvatures": curvatures}
 
     @classmethod
-    def from_archive(cls, z, seed: int, c: np.ndarray, A: tuple) -> "LcqpInstance":
+    def from_archive(cls, z, seed: int, dims: list, c: np.ndarray, A: np.ndarray) -> "LcqpInstance":
         """The instance in archive ``z``, whose shared members are read already."""
-        dims = [Ai.shape[1] for Ai in A]
-        H, q = {}, []
-        for i, n in enumerate(dims):
-            H[f"H_{i}"] = _member(z, f"H_{i}", (n, n))
-            q.append(_member(z, f"q_{i}", (n,)))
-        spectra = _stored_spectra(z, A, H, {"spectra_curvatures": (len(A), 2)})
-        curvatures = spectra["spectra_curvatures"] if spectra else [None] * len(A)
-        blocks = tuple(_block(name, QuadraticBlock, Hi, qi, ci)
-                       for (name, Hi), qi, ci in zip(H.items(), q, curvatures))
-        problem = _archived_problem(blocks, A, c, spectra)
-        xstar = tuple(_member(z, f"xstar_{i}", (n,)) for i, n in enumerate(dims))
-        P = tuple(_member(z, f"P_{i}", (n, n)) for i, n in enumerate(dims)) if "P_0" in z.files else ()
+        squares = sum(n * n for n in dims)
+        H, q = _member(z, "H", (squares,)), _member(z, "q", (sum(dims),))
+        spectra = _stored_spectra(z, dims, A, {"H": H}, {"spectra_curvatures": (len(dims), 2)})
+        curvatures = spectra["spectra_curvatures"] if spectra else [None] * len(dims)
+        blocks = tuple(_block(f"H: block {i}", QuadraticBlock, *args) for i, args in
+                       enumerate(zip(_blocks(H, dims, square=True), _blocks(q, dims), curvatures)))
+        problem = _archived_problem(blocks, dims, A, c, spectra)
+        xstar = tuple(_blocks(_member(z, "xstar", (sum(dims),)), dims))
+        P = tuple(_blocks(_member(z, "P", (squares,)), dims, square=True)) if "P" in z.files else ()
         return cls(problem, xstar, _member(z, "lambdastar", c.shape), seed, P)
 
 
@@ -145,7 +143,6 @@ class ResourceAllocInstance:
     problem: BlockProblem
     seed: int
     kind = "resource_alloc"
-    block_columns = 1
     coefficients = ("a", "b", "cshift", "dshift")  # the archive members, one entry per block
     rho_grid = RHO_GRID_SMALL
     proximal_source = ()
@@ -163,11 +160,13 @@ class ResourceAllocInstance:
                 for name in self.coefficients}, {}, {}
 
     @classmethod
-    def from_archive(cls, z, seed: int, c: np.ndarray, A: tuple) -> "ResourceAllocInstance":
-        columns = [_member(z, name, (len(A),)) for name in cls.coefficients]
-        spectra = _stored_spectra(z, A, {}, {})
-        blocks = tuple(_block("a", LogisticQuadBlock, *map(float, row)) for row in zip(*columns))
-        return cls(_archived_problem(blocks, A, c, spectra), seed)
+    def from_archive(cls, z, seed: int, dims: list, c: np.ndarray,
+                     A: np.ndarray) -> "ResourceAllocInstance":
+        columns = [_member(z, name, (len(dims),)) for name in cls.coefficients]
+        spectra = _stored_spectra(z, dims, A, {}, {})
+        blocks = tuple(_block(f"a: block {i}", LogisticQuadBlock, *map(float, row))
+                       for i, row in enumerate(zip(*columns)))
+        return cls(_archived_problem(blocks, dims, A, c, spectra), seed)
 
 
 Instance = Union[LcqpInstance, ResourceAllocInstance]
@@ -489,15 +488,18 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
 #
 # An instance file is one uncompressed ``.npz`` archive, written by ``np.savez``
 # and read by ``np.load(allow_pickle=False)``, so write -> read is bit-exact and
-# a read decodes no text.  With ``m = len(c)`` and ``n_i`` the columns of
-# ``A_i``, its members are:
+# a read decodes no text.  It holds one member per array kind, whatever the
+# number of blocks N.  With ``m = len(c)`` and ``n_i`` the size of block i, its
+# members are, in this order:
 #
 #   kind              0-d string, "lcqp" or "resource_alloc"
 #   seed              0-d integer
-#   c                 float64 (m,)
-#   A_0 ... A_{N-1}   float64 (m, n_i); (m, 1) for resource allocation
-#   lcqp only         H_i (n_i, n_i), q_i (n_i,), xstar_i (n_i,), lambdastar (m,),
-#                     and P_i (n_i, n_i) when the instance stores proximal matrices
+#   dims              integer (N,), every n_i
+#   c                 float64 (m,), at least one entry
+#   A                 float64 (m, sum n_i), [A_0 ... A_{N-1}]; n_i = 1 for resource allocation
+#   lcqp only         H float64 (sum n_i^2,), every H_i in C order, block after block;
+#                     q, xstar float64 (sum n_i,); lambdastar float64 (m,); and P, laid
+#                     out as H, when the instance stores proximal matrices
 #   resource_alloc    a, b, cshift, dshift: float64 (N,), one entry per block
 #
 # ``save_instance`` also records the problem's spectra, which depend on the
@@ -510,16 +512,17 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
 #   spectra_curvatures    lcqp only: float64 (N, 2), each block's
 #                         (min_curvature, max_curvature)
 #   spectra_sha256        0-d string, the SHA-256 digest (_spectra_digest) of the
-#                         members the spectra are computed from: A_i, and H_i for lcqp
+#                         members the spectra are computed from: dims, A, and H for lcqp
 #
 # A read uses the recorded spectra only when the digest matches the members
-# it read; an archive without the digest, or one whose A_i or H_i were edited
+# it read; an archive without the digest, or one whose dims, A or H were edited
 # since it was written, has its spectra computed again, as any other problem
 # does.  With a matching digest the spectra members are checked like any
 # other member.  Spectra that are not all finite are not recorded.
 #
 # Every float64 member must be finite.  Each family writes and reads its own
 # members (INSTANCE_KINDS); save_instance and load_instance do the shared ones.
+# A read checks each member whole and cuts its blocks out as views.
 
 #: The dtype test of each kind of archive member, by the name errors give it.
 MEMBER_DTYPES = {"float64": lambda t: t == np.float64, "integer": lambda t: t.kind in "iu",
@@ -533,15 +536,18 @@ ARCHIVE_ERRORS = (ValueError, OSError, EOFError, zipfile.BadZipFile)
 SPECTRA_DIGEST = "spectra_sha256"
 
 
-def _numbered(prefix: str, arrays) -> dict:
-    """``arrays`` by archive member name: ``prefix_0``, ``prefix_1``, ..."""
-    return {f"{prefix}_{i}": a for i, a in enumerate(arrays)}
+def _blocks(a: np.ndarray, dims: list, square: bool = False) -> list:
+    """Views of ``a`` block by block along its last axis: ``n_i`` entries each, or with
+    ``square`` an ``n_i x n_i`` matrix each from ``n_i**2`` entries in C order."""
+    parts = np.split(a, np.cumsum([n * n if square else n for n in dims])[:-1], axis=-1)
+    return [b.reshape(n, n) for b, n in zip(parts, dims)] if square else parts
 
 
-def _spectra_digest(sources: dict) -> str:
-    """SHA-256 hex digest of each member's name, dtype, shape and C-order bytes."""
+def _spectra_digest(dims: Sequence[int], A: np.ndarray, sources: dict) -> str:
+    """SHA-256 hex digest of the name, dtype, shape and C-order bytes of ``dims``, ``A`` and
+    each of a family's ``sources``."""
     h = hashlib.sha256()
-    for name, a in sources.items():
+    for name, a in {"dims": np.array(dims), "A": A, **sources}.items():
         h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
         h.update(np.ascontiguousarray(a))
     return h.hexdigest()
@@ -563,14 +569,14 @@ def save_instance(instance: Instance, path) -> None:
     """
     p = instance.problem
     members, sources, spectra = instance.archive_members()
-    A = _numbered("A", p.A)
-    arrays = {"seed": np.array(instance.seed), "c": p.c, **A, "kind": np.array(instance.kind),
-              **members}
+    A = p.stacked_A()
+    arrays = {"kind": np.array(instance.kind), "seed": np.array(instance.seed),
+              "dims": np.array(p.dims), "c": p.c, "A": A, **members}
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite spectra are not recorded
         spectra = {**_spectra_members(p), **spectra}
     if all(np.all(np.isfinite(a)) for a in spectra.values()):
         arrays.update(spectra)
-        arrays[SPECTRA_DIGEST] = np.array(_spectra_digest({**A, **sources}))
+        arrays[SPECTRA_DIGEST] = np.array(_spectra_digest(p.dims, A, sources))
     # An open handle: given a path without the suffix, np.savez would append ".npz".
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -608,30 +614,30 @@ def _block(member: str, make, *args):
         raise ValueError(f"{member}: {exc}") from None
 
 
-def _stored_spectra(z, A: tuple, sources: dict, shapes: dict) -> Optional[dict]:
-    """The spectra members of ``z`` when its digest matches ``A`` and a family's ``sources``,
-    else ``None``; with a matching digest every spectra member, the family's own of ``shapes``
-    among them, must be present and well formed."""
+def _stored_spectra(z, dims: list, A: np.ndarray, sources: dict, shapes: dict) -> Optional[dict]:
+    """The spectra members of ``z`` when its digest matches ``dims``, ``A`` and a family's
+    ``sources``, else ``None``; with a matching digest every spectra member, the family's own
+    of ``shapes`` among them, must be present and well formed."""
     if SPECTRA_DIGEST not in z.files:
         return None
-    digest = _spectra_digest({**_numbered("A", A), **sources})
-    if _member(z, SPECTRA_DIGEST, dtype="string").item() != digest:
+    if _member(z, SPECTRA_DIGEST, dtype="string").item() != _spectra_digest(dims, A, sources):
         return None
-    shapes = {"spectra_gram": (sum(Ai.shape[1] for Ai in A),), "spectra_norms": (len(A),),
-              "spectra_c_A": (), **shapes}
+    shapes = {"spectra_gram": (sum(dims),), "spectra_norms": (len(dims),), "spectra_c_A": (),
+              **shapes}
     return {name: _member(z, name, shape) for name, shape in shapes.items()}
 
 
-def _archived_problem(blocks: tuple, A: tuple, c, spectra: Optional[dict]) -> BlockProblem:
-    """The problem of an archive, its Gram-spectrum and ``c_A`` caches filled from ``spectra``."""
-    problem = BlockProblem(blocks, A, c)
+def _archived_problem(blocks: tuple, dims: list, A: np.ndarray, c,
+                      spectra: Optional[dict]) -> BlockProblem:
+    """The problem of an archive, its Gram-spectrum and ``c_A`` caches filled from ``spectra``;
+    a block whose size is not its objective's is reported against ``dims``."""
+    problem = _block("dims", BlockProblem, blocks, _blocks(A, dims), c)
     if spectra:
         gram = spectra["spectra_gram"]
         gram.setflags(write=False)
-        o = problem.offsets
         object.__setattr__(problem, "_gram_spectra", tuple(
-            GramSpectrum(gram[o[i]:o[i + 1]], float(nrm))
-            for i, nrm in enumerate(spectra["spectra_norms"])))
+            GramSpectrum(g, float(nrm))
+            for g, nrm in zip(_blocks(gram, dims), spectra["spectra_norms"])))
         object.__setattr__(problem, "_stacked_singular_value", float(spectra["spectra_c_A"]))
     return problem
 
@@ -640,31 +646,32 @@ def _instance_from_archive(z) -> Instance:
     kind = _member(z, "kind", dtype="string").item()
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"kind: unknown instance kind {kind!r}")
-    family = INSTANCE_KINDS[kind]
     seed = int(_member(z, "seed", dtype="integer"))
+    dims = _member(z, "dims", (-1,), "integer").tolist()
+    if not dims or min(dims) < 1:
+        raise ValueError("dims: expected at least one block, each of size at least 1")
     c = _member(z, "c", (-1,))
-    N = sum(name.startswith("A_") for name in z.files)
-    # With no A_i member at all, A_0 is reported missing.
-    A = tuple(_member(z, f"A_{i}", (c.shape[0], family.block_columns)) for i in range(max(N, 1)))
-    return family.from_archive(z, seed, c, A)
+    if not c.size:
+        raise ValueError("c: expected at least one entry")
+    A = _member(z, "A", (c.size, sum(dims)))
+    return INSTANCE_KINDS[kind].from_archive(z, seed, dims, c, A)
 
 
 def load_instance(path) -> Instance:
     """The instance in the archive at ``path`` (members above).
 
     Raises ``FileNotFoundError`` for a missing file, and ``ValueError`` for
-    any other fault, naming the member where one is at fault.
+    any other fault, naming the member where one is at fault.  Any file that
+    is not an archive holding ``dims`` (JSON, the per-block layout of earlier
+    versions, a truncated or a foreign file) gets one message.
     """
     with open(path, "rb") as fh:
-        if fh.read(1) == b"{":
-            raise ValueError("a JSON instance file, a format jprox no longer reads: "
-                             "regenerate it from its seed with `jprox generate`")
-        fh.seek(0)
         try:
             archive = np.load(fh, allow_pickle=False)
-        except ARCHIVE_ERRORS as exc:
-            raise ValueError(f"not an .npz instance archive ({exc})") from None
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz instance archive (a single .npy array)")
+        except ARCHIVE_ERRORS:
+            archive = None
+        if not isinstance(archive, np.lib.npyio.NpzFile) or "dims" not in archive.files:
+            raise ValueError("not an instance archive of this version of jprox: "
+                             "regenerate it from its seed with `jprox generate`")
         with archive:
             return _instance_from_archive(archive)

@@ -61,9 +61,9 @@ def test_generate_lcqp_writes_blocks(tmp_path):
     path = make_instance(tmp_path, "lcqp", N=3, m=10, n=4, seed=0)
     data = read_members(path)
     assert data["kind"].item() == "lcqp" and data["seed"].item() == 0
-    assert sorted(k for k in data if k.startswith("A_")) == ["A_0", "A_1", "A_2"]
-    assert all(data[f"H_{i}"].shape == (4, 4) and data[f"q_{i}"].shape == (4,) for i in range(3))
-    assert "xstar_2" in data and data["lambdastar"].shape == (10,)
+    assert data["dims"].tolist() == [4, 4, 4] and data["A"].shape == (10, 12)
+    assert data["H"].shape == (48,) and data["q"].shape == (12,)
+    assert data["xstar"].shape == (12,) and data["lambdastar"].shape == (10,)
 
 
 def test_generate_lcqp_takes_the_stacked_svd_once(tmp_path, count_calls, capsys):
@@ -84,7 +84,7 @@ def test_generate_ra_writes_scalar_blocks(tmp_path):
     path = make_instance(tmp_path, "ra", N=6, seed=0)
     data = read_members(path)
     assert data["kind"].item() == "resource_alloc"
-    assert [data[f"A_{i}"].tolist() for i in range(6)] == [[[1.0]]] * 6 and "A_6" not in data
+    assert data["dims"].tolist() == [1] * 6 and data["A"].tolist() == [[1.0] * 6]
     assert all(data[key].shape == (6,) for key in ("a", "b", "cshift", "dshift"))
     assert data["c"].tolist() == [0.0]
 
@@ -215,7 +215,7 @@ def test_certify_corrupt_input_exits_3(tmp_path):
 
 
 def object_member(members):
-    members["q_1"] = np.array([1.0, "x", None], dtype=object)
+    members["q"] = np.array([1.0, "x", None], dtype=object)
 
 
 def raw_member(path):
@@ -236,26 +236,50 @@ def single_array(path):
         np.save(fh, np.zeros(3))
 
 
+def per_block_layout(path):
+    """An instance file of the layout of earlier versions: one member per block of each array."""
+    inst = exp.generate_lcqp(2, 4, 3, seed=1)
+    p = inst.problem
+    members = {"seed": np.array(1), "c": p.c, **{f"A_{i}": Ai for i, Ai in enumerate(p.A)},
+               "kind": np.array("lcqp")}
+    for i, (f, x) in enumerate(zip(p.objectives, inst.xstar)):
+        members.update({f"H_{i}": f.H, f"q_{i}": f.q, f"xstar_{i}": x})
+    write_members(path, {**members, "lambdastar": inst.lambdastar})
+
+
+def foreign_zip(path):
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("readme.txt", "not an instance")
+
+
+#: The one refusal of a file that is not an instance archive of the current layout.
+REGENERATE = "regenerate it from its seed with `jprox generate`"
+
+
 # Each JSON-era fault id names its archive counterpart: an old-format file
 # (list-format), an undecodable member (bad-base64), a member whose size does
-# not fit its block (byte-count), a member of the wrong rank (no-shape), a
+# not fit its blocks (byte-count), a member of the wrong rank (no-shape), a
 # missing member (no-f8) and a non-finite entry (nan-q).
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda path: path.write_text('{"N": 2, "m": 4, "blocks": []}'), "regenerate it from its seed"),
-    (edit_members(object_member), "q_1: unreadable member"),
-    (edit_members(lambda d: d.update(q_1=np.zeros(5))), "q_1: expected shape 3, got (5,)"),
-    (edit_members(lambda d: d.update(q_1=d["q_1"][None])), "q_1: expected shape 3, got (1, 3)"),
-    (edit_members(lambda d: d.pop("q_1")), "q_1: missing member"),
-    (edit_members(lambda d: d["q_1"].__setitem__(0, np.nan)), "q_1: entries must be finite"),
-    (edit_members(lambda d: d.update(q_1=d["q_1"].astype(np.float32))),
-     "q_1: expected float64 entries, got dtype float32"),
-    (edit_members(lambda d: d.update(P_1=d["P_1"][:2])), "P_1: expected shape 3 x 3"),
-    (edit_members(lambda d: d.update(H_1=-d["H_1"])), "H_1: QuadraticBlock.H must be positive"),
+    (lambda path: path.write_text('{"N": 2, "m": 4, "blocks": []}'), REGENERATE),
+    (edit_members(object_member), "q: unreadable member"),
+    (edit_members(lambda d: d.update(q=np.zeros(5))), "q: expected shape 6, got (5,)"),
+    (edit_members(lambda d: d.update(q=d["q"][None])), "q: expected shape 6, got (1, 6)"),
+    (edit_members(lambda d: d.pop("q")), "q: missing member"),
+    (edit_members(lambda d: d["q"].__setitem__(0, np.nan)), "q: entries must be finite"),
+    (edit_members(lambda d: d.update(q=d["q"].astype(np.float32))),
+     "q: expected float64 entries, got dtype float32"),
+    (edit_members(lambda d: d.update(P=d["P"][:-1])), "P: expected shape 18, got (17,)"),
+    (edit_members(lambda d: d["H"][9:].__imul__(-1.0)),
+     "H: block 1: QuadraticBlock.H must be positive definite"),
     (raw_member, "c: not a .npy array"),
-    (truncate, "not an .npz instance archive"),
-    (lambda path: path.write_bytes(b"\x00" * 64), "not an .npz instance archive"),
+    (truncate, REGENERATE),
+    (lambda path: path.write_bytes(b"\x00" * 64), REGENERATE),
+    (per_block_layout, REGENERATE),
+    (foreign_zip, REGENERATE),
 ], ids=["list-format", "bad-base64", "byte-count", "no-shape", "no-f8", "nan-q", "float32-q",
-        "short-P", "indefinite-H", "raw-member", "truncated", "not-zip"])
+        "short-P", "indefinite-H", "raw-member", "truncated", "not-zip", "per-block-layout",
+        "foreign-zip"])
 def test_certify_malformed_payload_exits_3(tmp_path, capsys, corrupt, message):
     inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=1)
     corrupt(inst)
@@ -265,22 +289,42 @@ def test_certify_malformed_payload_exits_3(tmp_path, capsys, corrupt, message):
     assert f"malformed instance file {inst}: " in err and message in err
 
 
+def empty_constraint(members):
+    """No constraint row: ``c`` and ``A`` without entries, and no digest to vouch for spectra."""
+    members.update(c=np.zeros(0), A=np.zeros((0, members["A"].shape[1])))
+    del members[exp.SPECTRA_DIGEST]
+
+
+def wide_scalar_block(members):
+    """Two scalar blocks, the first of them given two columns of ``A``."""
+    members.update(dims=np.array([2, 1]), **{name: members[name][:2]
+                                            for name in ("a", "b", "cshift", "dshift")})
+
+
 # Each JSON-era fault id names its archive counterpart: a coefficient of the
 # wrong rank (list-coefficient), a file that is one array and not an archive
 # (top-level-list), a coupling member that is a number (blocks-number) or an
 # integer array (block-number), and a seed that is a list (seed-list).
 @pytest.mark.parametrize("corrupt, message", [
     (edit_members(lambda d: d.update(a=d["a"][:, None])), "a: expected shape 3, got (3, 1)"),
-    (single_array, "not an .npz instance archive"),
-    (edit_members(lambda d: d.update(A_0=np.float64(1.0))), "A_0: expected shape 1 x 1, got ()"),
-    (edit_members(lambda d: d.update(A_1=d["A_1"].astype(int))),
-     "A_1: expected float64 entries, got dtype int"),
+    (single_array, REGENERATE),
+    (edit_members(lambda d: d.update(A=np.float64(1.0))), "A: expected shape 1 x 3, got ()"),
+    (edit_members(lambda d: d.update(A=d["A"].astype(int))),
+     "A: expected float64 entries, got dtype int"),
     (edit_members(lambda d: d.update(seed=d["seed"][None])), "seed: expected shape 0-d, got (1,)"),
     (edit_members(lambda d: d.update(seed=np.array(0.5))), "seed: expected integer entries, got dtype float64"),
     (edit_members(lambda d: d.update(kind=np.array("lp"))), "kind: unknown instance kind 'lp'"),
-    (edit_members(lambda d: d["a"].__setitem__(1, -1.0)), "a: LogisticQuadBlock.a must be"),
+    (edit_members(lambda d: d["a"].__setitem__(1, -1.0)),
+     "a: block 1: LogisticQuadBlock.a must be nonnegative"),
+    (edit_members(empty_constraint), "c: expected at least one entry"),
+    (edit_members(lambda d: d.update(dims=np.array([1, 0, 2]))),
+     "dims: expected at least one block, each of size at least 1"),
+    (edit_members(lambda d: d.update(dims=np.array([1.0, 1.0, 1.0]))),
+     "dims: expected integer entries, got dtype float64"),
+    (edit_members(wide_scalar_block), "dims: A[0] has 2 columns but block 0 has dimension 1"),
 ], ids=["list-coefficient", "top-level-list", "blocks-number", "block-number", "seed-list",
-        "seed-float", "unknown-kind", "negative-a"])
+        "seed-float", "unknown-kind", "negative-a", "empty-c", "zero-dim", "float-dims",
+        "wide-scalar-block"])
 def test_certify_malformed_field_type_exits_3(tmp_path, capsys, corrupt, message):
     # A member of the wrong dtype or shape must not escape as a traceback.
     inst = make_instance(tmp_path, "ra", N=3, seed=0)
@@ -398,13 +442,15 @@ def test_recorded_spectra_are_the_computed_ones_bit_for_bit(archive_pair):
 
 
 def swap_blocks(members):
-    for name in ("A", "H", "q", "xstar", "P"):
-        members[f"{name}_0"], members[f"{name}_1"] = members[f"{name}_1"], members[f"{name}_0"]
+    """Swap blocks 0 and 1 of three blocks of 5 columns in every block-wise member."""
+    for name, n in (("A", 5), ("H", 25), ("q", 5), ("xstar", 5), ("P", 25)):
+        a = members[name]
+        members[name] = np.concatenate((a[..., n:2 * n], a[..., :n], a[..., 2 * n:]), axis=-1)
 
 
 @pytest.mark.parametrize("edit", [
-    lambda d: d.update(A_1=2.0 * d["A_1"]),
-    lambda d: d.update(H_1=2.0 * d["H_1"]),
+    lambda d: d["A"][:, 5:10].__imul__(2.0),
+    lambda d: d["H"][25:50].__imul__(2.0),
     swap_blocks,
 ], ids=["scaled-A", "scaled-H", "swapped-blocks"])
 def test_edited_archive_is_certified_from_its_data(tmp_path, edit):
@@ -439,11 +485,11 @@ def test_certify_on_recorded_spectra_makes_no_eigensolve(tmp_path, count_calls):
 
 
 def test_spectra_members_cannot_pass_for_blocks(tmp_path):
-    # N counts the A_i members and P_0 marks stored proximal matrices.
+    # N is the length of dims and a P member marks stored proximal matrices.
     inst = make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0)
     spectra = [name for name in read_members(inst) if name.startswith("spectra_")]
-    assert spectra and not [name for name in spectra if name.startswith(("A_", "H_", "P_"))]
-    edit_members(lambda d: [d.pop(f"P_{i}") for i in range(3)])(inst)
+    assert spectra and not set(spectra) & {"dims", "A", "H", "P"}
+    edit_members(lambda d: d.pop("P"))(inst)
     loaded = exp.load_instance(inst)
     assert (loaded.problem.N, loaded.proximal_source) == (3, ())
     assert loaded.problem._stacked_singular_value is not None
@@ -854,6 +900,20 @@ def test_sweep_rejects_a_seed_listed_twice(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "invalid --seeds: seed 0 listed twice" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_seeds_replace_the_instance_seed(tmp_path, capsys):
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    sweep_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir), "--seeds", "1",
+                   "--rho-grid", "1", "--gamma-grid", "1", "--max-iters", "20") == 0
+    manifest = json.loads((sweep_dir / "manifest.json").read_text())
+    assert manifest["seeds"] == [1] and [cell["seed"] for cell in manifest["cells"]] == [1]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        run_cli("sweep", "--help")
+    assert "seeds to run, in place of the instance's own seed" in " ".join(
+        capsys.readouterr().out.split())
 
 
 def test_sweep_rejects_a_negative_seed(tmp_path, capsys):

@@ -9,9 +9,12 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import TEST_PID, child_pids, dis, exit_in_worker
 
 import jprox.experiments as exp
+from jprox.certify import certify
 from jprox.errors import DimensionMismatch, InvalidParameter, SingularKkt, WorkerLost
 from jprox.experiments import (
     GAMMA_GRID,
@@ -496,18 +499,30 @@ def test_run_sweep_builds_each_gram_spectrum_once(count_calls, cpus, policy):
 # -- instance files -----------------------------------------------------------------------------
 
 def instance_arrays(inst) -> dict:
-    """Every array and scalar an instance file stores, by archive member name."""
+    """Every array and scalar an instance file stores, by archive member name; a member that
+    holds one entry or matrix per block maps to the list of its blocks."""
     p = inst.problem
-    out = {"seed": inst.seed, "c": p.c}
-    out.update((f"A_{i}", Ai) for i, Ai in enumerate(p.A))
+    out = {"seed": inst.seed, "dims": p.dims, "c": p.c, "A": list(p.A)}
     if isinstance(inst, LcqpInstance):
-        for i, (f, x) in enumerate(zip(p.objectives, inst.xstar)):
-            out.update({f"H_{i}": f.H, f"q_{i}": f.q, f"xstar_{i}": x})
-        out["lambdastar"] = inst.lambdastar
-        out.update((f"P_{i}", P) for i, P in enumerate(inst.proximal_source))
+        out.update(H=[f.H for f in p.objectives], q=[f.q for f in p.objectives],
+                   xstar=list(inst.xstar), lambdastar=inst.lambdastar)
+        if inst.proximal_source:
+            out["P"] = list(inst.proximal_source)
     else:
         out.update((name, coefficients(inst, name)) for name in ("a", "b", "cshift", "dshift"))
     return out
+
+
+def assert_same_arrays(got: dict, want: dict) -> None:
+    """The two :func:`instance_arrays` hold the same members, and every block of each has the
+    same shape, dtype and bytes."""
+    def blocks(value) -> list:
+        return [(b.shape, b.dtype.str, b.tobytes())
+                for b in map(np.asarray, value if isinstance(value, list) else [value])]
+
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert blocks(got[key]) == blocks(value), key
 
 
 def mixed_size_instance():
@@ -520,6 +535,57 @@ def mixed_size_instance():
                                xstar=(inst.xstar[0][:2], inst.xstar[1]))
 
 
+@st.composite
+def hand_built_lcqp(draw):
+    """An LCQP instance of N 1-4 blocks of 1-5 columns each, sizes drawn block by block, and
+    m 1-6 rows, with or without proximal matrices; its optimum is not planted."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    m, with_P = draw(st.integers(1, 6)), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def spd(n):
+        B = rng.standard_normal((n, n))
+        S = B @ B.T
+        return 0.5 * (S + S.T) + n * np.eye(n)
+
+    blocks = tuple(QuadraticBlock(spd(n), rng.standard_normal(n)) for n in dims)
+    problem = BlockProblem(blocks, tuple(rng.standard_normal((m, n)) for n in dims),
+                           rng.standard_normal(m))
+    P = tuple(spd(n) for n in dims) if with_P else ()
+    return LcqpInstance(problem, tuple(rng.standard_normal(n) for n in dims),
+                        rng.standard_normal(m), draw(st.integers(0, 2**31)), P)
+
+
+SEEDS = st.integers(0, 1000)
+
+ROUND_TRIP_FAMILIES = {
+    "lcqp": st.builds(generate_lcqp, st.integers(1, 4), st.integers(1, 6), st.integers(1, 5),
+                      SEEDS),
+    "ra": st.builds(generate_resource_alloc, st.integers(1, 8), SEEDS),
+    "mixed-size": hand_built_lcqp(),
+}
+
+
+@pytest.mark.parametrize("family", list(ROUND_TRIP_FAMILIES))
+def test_instance_round_trip_is_bit_exact(tmp_path, count_calls, family):
+    # The recorded spectra are used: neither the read nor certify --tau auto makes an eigensolve.
+    eigh = count_calls("numpy.linalg", "eigvalsh")
+    path = tmp_path / "instance.npz"
+
+    @settings(max_examples=15, deadline=None)
+    @given(inst=ROUND_TRIP_FAMILIES[family])
+    def round_trip(inst):
+        save_instance(inst, path)
+        eigh.clear()
+        loaded = load_instance(path)
+        certify(loaded.problem, 1.0, 1.0, StandardProximal("auto"), loaded.seed)
+        assert eigh == []
+        assert type(loaded) is type(inst)
+        assert_same_arrays(instance_arrays(loaded), instance_arrays(inst))
+
+    round_trip()
+
+
 @pytest.mark.parametrize("generate", [lambda seed: generate_lcqp(3, 6, 4, seed),
                                       lambda seed: generate_resource_alloc(6, seed)],
                          ids=["lcqp", "ra"])
@@ -528,35 +594,12 @@ def test_redraw_is_a_fresh_draw_from_that_seed(tmp_path, generate):
     save_instance(generate(0), path)
     redrawn, fresh = load_instance(path).redraw(5), generate(5)
     assert type(redrawn) is type(fresh) and redrawn.seed == 5
-    want, got = instance_arrays(fresh), instance_arrays(redrawn)
-    assert list(got) == list(want)
-    for key, value in want.items():
-        assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+    assert_same_arrays(instance_arrays(redrawn), instance_arrays(fresh))
 
 
 def test_redraw_refuses_blocks_of_differing_sizes():
     with pytest.raises(InvalidParameter, match=r"differing sizes \(2, 3\)"):
         mixed_size_instance().redraw(1)
-
-
-ROUND_TRIP_INSTANCES = {
-    "lcqp": lambda: generate_lcqp(3, 6, 4, seed=8),
-    "ra": lambda: generate_resource_alloc(6, seed=3),
-    "mixed-size": mixed_size_instance,
-}
-
-
-@pytest.mark.parametrize("name", list(ROUND_TRIP_INSTANCES))
-def test_instance_round_trip_is_bit_exact(tmp_path, name):
-    inst = ROUND_TRIP_INSTANCES[name]()
-    path = tmp_path / "instance.json"
-    save_instance(inst, path)
-    loaded = load_instance(path)
-    assert type(loaded) is type(inst)
-    want, got = instance_arrays(inst), instance_arrays(loaded)
-    assert list(got) == list(want)
-    for key, value in want.items():
-        assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
 
 
 def test_lcqp_instance_roundtrip(tmp_path):
@@ -591,27 +634,57 @@ def test_instance_archive_stores_every_float_array_as_float64(tmp_path, kind):
     assert members["kind"].shape == () and members["kind"].item() == (
         "lcqp" if kind == "lcqp" else "resource_alloc")
     assert members.pop("seed").dtype.kind == "i"
+    assert members.pop("dims").dtype.kind == "i"
     assert members.pop(SPECTRA_DIGEST).dtype.kind == "U"
     members.pop("kind")
     assert all(a.dtype == np.float64 for a in members.values())
 
 
 ARCHIVE_MEMBERS = {
-    "lcqp": ["seed", "c", "A_0", "A_1", "kind", "H_0", "q_0", "xstar_0", "H_1", "q_1", "xstar_1",
-             "lambdastar", "P_0", "P_1", "spectra_gram", "spectra_norms", "spectra_c_A",
-             "spectra_curvatures", SPECTRA_DIGEST],
-    "ra": ["seed", "c", "A_0", "A_1", "A_2", "kind", "a", "b", "cshift", "dshift",
+    "lcqp": ["kind", "seed", "dims", "c", "A", "H", "q", "xstar", "lambdastar", "P",
+             "spectra_gram", "spectra_norms", "spectra_c_A", "spectra_curvatures", SPECTRA_DIGEST],
+    "lcqp-without-P": ["kind", "seed", "dims", "c", "A", "H", "q", "xstar", "lambdastar",
+                       "spectra_gram", "spectra_norms", "spectra_c_A", "spectra_curvatures",
+                       SPECTRA_DIGEST],
+    "ra": ["kind", "seed", "dims", "c", "A", "a", "b", "cshift", "dshift",
            "spectra_gram", "spectra_norms", "spectra_c_A", SPECTRA_DIGEST],
+}
+
+ARCHIVE_INSTANCES = {
+    "lcqp": lambda: generate_lcqp(2, 4, 3, seed=0),
+    "lcqp-without-P": mixed_size_instance,
+    "ra": lambda: generate_resource_alloc(3, 0),
 }
 
 
 @pytest.mark.parametrize("kind", list(ARCHIVE_MEMBERS))
 def test_instance_archive_members_come_in_a_fixed_order(tmp_path, kind):
-    inst = generate_lcqp(2, 4, 3, seed=0) if kind == "lcqp" else generate_resource_alloc(3, 0)
     path = tmp_path / "instance.npz"
-    save_instance(inst, path)
+    save_instance(ARCHIVE_INSTANCES[kind](), path)
     with zipfile.ZipFile(path) as archive:
         assert archive.namelist() == [f"{name}.npy" for name in ARCHIVE_MEMBERS[kind]]
+
+
+@pytest.mark.parametrize("small, large, members", [
+    (lambda: generate_lcqp(2, 4, 3, seed=0), lambda: generate_lcqp(40, 4, 1, seed=0), 15),
+    (lambda: generate_resource_alloc(3, 0), lambda: generate_resource_alloc(300, 0), 13),
+], ids=["lcqp", "ra"])
+def test_load_instance_reads_as_many_members_for_any_block_count(tmp_path, monkeypatch,
+                                                                 small, large, members):
+    # A read takes every member once, and the members do not depend on the number of blocks.
+    read, real = [], np.lib.npyio.NpzFile.__getitem__
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                        lambda archive, key: read.append(key) or real(archive, key))
+    reads = []
+    for inst in (small(), large()):
+        path = tmp_path / "instance.npz"
+        save_instance(inst, path)
+        read.clear()
+        load_instance(path)
+        with zipfile.ZipFile(path) as archive:
+            assert sorted(read) == sorted(name[:-4] for name in archive.namelist())
+        reads.append(list(read))
+    assert reads[0] == reads[1] and len(reads[0]) == members
 
 
 def test_spectra_that_are_not_finite_are_not_recorded(tmp_path):
