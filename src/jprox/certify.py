@@ -12,10 +12,11 @@ and produces the certified per-iteration contraction factor
 
     sigma = max(1 - 2*gamma*rho*s*c_A^2, mu_s)  in (0, 1).
 
-A certificate is the pair (sigma, phi): a passed :class:`Certificate`
-carries the weights of ``phi`` (:class:`PhiWeights`), built once from the
-``P_i`` and ``s`` it checked.  A run given them records ``phi`` per row
-(``Trace.phi``), where ``phi[k+1] <= sigma * phi[k]`` can be checked.
+A certificate is the pair (sigma, phi): the weights of the ``phi`` a passed
+:class:`Certificate` certifies (:class:`PhiWeights`) are built from the
+``P_i`` and ``s`` it checked, by :meth:`PhiWeights.certified`, only where a
+run records ``phi`` per row (``Trace.phi``); there ``phi[k+1] <= sigma *
+phi[k]`` can be checked.
 
 The constants, the Gram spectra and the Gram matrices ``A_i'A_i`` are
 computed once per loaded problem and cached on it (``BlockProblem``).
@@ -311,10 +312,9 @@ class Certificate:
     ``mu_s`` and ``sigma`` inside (0, 1).  A failed certificate records which
     condition broke in ``failure`` and keeps whatever was computed.
 
-    A passed certificate carries the Lyapunov weights of the ``phi`` it
-    certifies (``weights``, built from the ``P_i`` and ``s`` it checked); every
-    certificate :func:`certify` returns keeps the concrete policy it checked
-    (``proximal``).  Neither is serialized.
+    Every certificate :func:`certify` returns keeps the concrete policy it
+    checked (``proximal``, not serialized); :meth:`PhiWeights.certified`
+    builds the Lyapunov weights of a passed one's ``phi`` from it.
     """
 
     rho: float
@@ -328,11 +328,10 @@ class Certificate:
     sigma: Optional[float] = None
     margins: dict = field(default_factory=dict)
     seed: Optional[int] = None
-    weights: Optional[PhiWeights] = field(default=None, repr=False, compare=False)
     proximal: ProximalPolicy = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        """Every field in declaration order, but the unserialized ``weights`` and ``proximal``."""
+        """Every field in declaration order, but the unserialized ``proximal``."""
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         d["xi"] = list(self.xi) if self.xi is not None else None
         return d
@@ -356,8 +355,8 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
 
     Never raises on a certifiability failure: the returned certificate has
     ``passed=False`` and names the broken condition, so the solver can still
-    be run on the same parameters.  A passed certificate carries the
-    :class:`PhiWeights` of its ``phi``.
+    be run on the same parameters.  No Lyapunov weights are built here
+    (:meth:`PhiWeights.certified`).
     """
     policy = _resolve(problem, rho, gamma, policy)
     cert = Certificate(rho=rho, gamma=gamma, policy=describe_policy(policy),
@@ -405,7 +404,6 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
         cert.failure = "SigmaOutOfRange"
     else:
         cert.passed = True
-        cert.weights = PhiWeights.build(problem, gamma, rho, s, P_list)
     return cert
 
 
@@ -441,6 +439,15 @@ class PhiWeights:
             for AtA, Pi in zip(problem.gram_matrices(), P_list)
         ]
         return cls(gamma, rho, W)
+
+    @classmethod
+    def certified(cls, problem: BlockProblem, cert: Certificate) -> Optional["PhiWeights"]:
+        """The weights of the ``phi`` that ``cert``, from :func:`certify` on ``problem``,
+        certifies; ``None`` when it failed."""
+        if not cert.passed:
+            return None
+        P_list = materialize_policy(cert.proximal, cert.rho, problem)
+        return cls.build(problem, cert.gamma, cert.rho, cert.s, P_list)
 
     def evaluate(self, u: PrimalDualPoint, ref: PrimalDualPoint) -> float:
         """phi of ``u`` about ``ref``: one row of :meth:`evaluate_rows`."""

@@ -8,8 +8,11 @@ table from a sweep directory).
 Exit codes are a stable contract: 0 success, 2 flag validation, 3 I/O or
 parse or generation failure, 4 certification failed, 5 divergence.
 
-Trace CSVs are written a block of rows at a time, each block one ``%``
-format over the repeated row format, and read back line by line.
+The trace CSV writer and reader are :mod:`jprox.experiments`'s.  A sweep's
+traces are written by the processes that ran its cells, and its manifest
+records each one's SHA-256 digest (``trace_sha256``).  ``report`` checks
+every listed trace against its digest and parses only the ``k`` and
+``dis`` columns of the traces it plots.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import sys
 from pathlib import Path
 
 from . import experiments as exp
-from .certify import certify, estimate_constants
+from .certify import PhiWeights, certify, estimate_constants
 from .errors import InvalidParameter, JproxError
+from .experiments import csv_cell, read_trace_csv, write_trace_csv
 from .problem import PrimalDualPoint
 from .solvers import (
     DIVERGED,
@@ -40,9 +44,6 @@ EXIT_FLAGS = 2
 EXIT_IO = 3
 EXIT_CERT = 4
 EXIT_DIVERGED = 5
-
-CSV_HEADER = "k,dis,phi,primal_residual,elapsed_seconds"
-
 
 class FlagError(Exception):
     """A flag failed validation; message names the offending flag."""
@@ -83,67 +84,6 @@ def _at_least(value: int, least: int, flag: str) -> int:
     if value < least:
         _fail_flags(f"invalid {flag}: must be at least {least}")
     return value
-
-
-def _fmt(v) -> str:
-    return "" if v is None else f"{float(v):.17g}"
-
-
-#: ``write_trace_csv`` formats this many rows with one ``%`` operation.
-CSV_BLOCK_ROWS = 4096
-
-
-def write_trace_csv(trace, path) -> None:
-    """Write a trace's columns as CSV, ``%.17g`` per value and an empty cell per ``None``.
-
-    Rows are formatted in blocks of :data:`CSV_BLOCK_ROWS`, each with one
-    ``%`` operation over the repeated row format, and each block is written
-    as it is made.  A column that holds ``None`` in a block is formatted
-    value by value for that block.
-    """
-    columns = (trace.dis, trace.phi, trace.primal_residual, trace.elapsed)
-    width = 1 + len(columns)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for lo in range(0, len(trace.ks), CSV_BLOCK_ROWS):
-            hi = min(lo + CSV_BLOCK_ROWS, len(trace.ks))
-            cells, formats = [None] * (width * (hi - lo)), ["%d"]
-            cells[0::width] = trace.ks[lo:hi]
-            for c, column in enumerate(columns, 1):
-                block = column[lo:hi]
-                if None in block:
-                    formats.append("%s")
-                    block = [_fmt(v) for v in block]
-                else:
-                    formats.append("%.17g")
-                cells[c::width] = block
-            fh.write((",".join(formats) + "\n") * (hi - lo) % tuple(cells))
-
-
-def read_trace_csv(path) -> dict:
-    """Columns of a trace CSV; raises ``ValueError`` on a wrong header, row or cell.
-
-    The file is read line by line into the five columns.
-    """
-    names = CSV_HEADER.split(",")
-    cols = {name: [] for name in names}
-    ks, dis, phi, residual, elapsed = cols.values()
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header")
-        for line_num, line in enumerate(fh, 2):
-            line = line.rstrip("\n")
-            row = line.split(",") if line else []
-            if len(row) != len(names):
-                raise ValueError(f"line {line_num} has {len(row)} cells, "
-                                 f"expected {len(names)}")
-            k, d, p, r, e = row
-            ks.append(int(k))
-            dis.append(float(d) if d else None)
-            phi.append(float(p) if p else None)
-            residual.append(float(r) if r else None)
-            elapsed.append(float(e) if e else None)
-    return cols
 
 
 def build_policy(instance, name: str, tau):
@@ -239,7 +179,8 @@ def cmd_solve(args) -> int:
     reference = instance.optimum()
     u0 = reference.copy() if args.u0 == "reference" else PrimalDualPoint.zeros(problem)
     trace = run(problem, params, u0, reference=reference,
-                phi_context=cert.weights if cert else None, method=args.method)
+                phi_context=PhiWeights.certified(problem, cert) if cert else None,
+                method=args.method)
     write_trace_csv(trace, args.output)
     if args.plot:
         plot_path = Path(args.output).with_suffix(".svg")
@@ -248,14 +189,10 @@ def cmd_solve(args) -> int:
     final_dis = trace.dis[-1]
     if trace.failure is not None:
         print(trace.failure, file=sys.stderr)
-    print(f"status={trace.status} iters={trace.ks[-1]} final_dis={_fmt(final_dis)}")
+    print(f"status={trace.status} iters={trace.ks[-1]} final_dis={csv_cell(final_dis)}")
     if trace.status == DIVERGED:
         return EXIT_DIVERGED
     return EXIT_OK
-
-
-def _cell_name(rho: float, gamma: float, seed: int) -> str:
-    return f"trace_rho{rho:g}_gamma{gamma:g}_seed{seed}.csv"
 
 
 def _rate_to_dict(rate) -> dict | None:
@@ -296,9 +233,9 @@ def cmd_sweep(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
 
-    def write_cell(cell) -> None:
-        """The cell's manifest entry, and its trace CSV; the trace is dropped once written."""
-        entry = {
+    def add_entry(cell) -> None:
+        """The cell's manifest entry; its trace was written by the process that ran it."""
+        entries.append({
             "rho": cell.rho,
             "gamma": cell.gamma,
             "seed": cell.seed,
@@ -307,19 +244,14 @@ def cmd_sweep(args) -> int:
             "dis_rate": _rate_to_dict(cell.dis_rate),
             "phi_rate": _rate_to_dict(cell.phi_rate),
             "error": cell.error,
-            "trace": None,
-            "timings": cell.trace.timings if cell.trace is not None else None,
-            "engine": cell.trace.engine if cell.trace is not None else None,
+            "trace": cell.trace_file,
+            "trace_sha256": cell.trace_sha256,
+            "timings": cell.timings,
+            "engine": cell.engine,
             "wall_s": cell.wall_s,
-        }
-        if cell.trace is not None:
-            name = _cell_name(cell.rho, cell.gamma, cell.seed)
-            write_trace_csv(cell.trace, outdir / name)
-            entry["trace"] = name
-            cell.trace = None
-        entries.append(entry)
+        })
 
-    exp.run_sweep(instances, sweep, on_cell=write_cell)
+    exp.run_sweep(instances, sweep, on_cell=add_entry, trace_dir=outdir)
     manifest = {
         "input": str(args.input),
         "rho_grid": list(rho_grid),
@@ -343,10 +275,10 @@ NUMBER = (int, float)
 NULL = type(None)
 #: JSON types of the cell fields ``report`` reads; ``a.b`` is key ``b`` of the object at ``a``.
 CELL_TYPES = {"rho": NUMBER, "gamma": NUMBER, "seed": (int,), "trace": (str, NULL),
-              "certificate": (dict, NULL), "certificate.sigma": NUMBER + (NULL,),
-              "certificate.passed": (bool,), "dis_rate": (dict, NULL),
-              "dis_rate.rate": NUMBER + (NULL,), "phi_rate": (dict, NULL),
-              "phi_rate.rate": NUMBER + (NULL,)}
+              "trace_sha256": (str, NULL), "certificate": (dict, NULL),
+              "certificate.sigma": NUMBER + (NULL,), "certificate.passed": (bool,),
+              "dis_rate": (dict, NULL), "dis_rate.rate": NUMBER + (NULL,),
+              "phi_rate": (dict, NULL), "phi_rate.rate": NUMBER + (NULL,)}
 
 
 def _wrong_cell_fields(cell: dict) -> list:
@@ -401,18 +333,21 @@ def cmd_report(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     plot_seed = min(cell["seed"] for cell in cells)
-    # Every trace is read and checked; only the plotted seed's k and dis columns are kept.
+    # Every trace is checked against its digest; only the plotted seed's k and dis are parsed.
     traces = {}
     for cell in cells:
         if cell.get("trace"):
             path = indir / cell["trace"]
             if not path.exists():
                 raise IOError(f"missing trace file {path}")
+            plotted = cell["seed"] == plot_seed
             try:
-                data = read_trace_csv(path)
+                if cell.get("trace_sha256") is None:
+                    raise ValueError("the manifest records no trace_sha256 for it")
+                data = read_trace_csv(path, ("k", "dis") if plotted else (), cell["trace_sha256"])
             except ValueError as exc:  # includes UnicodeDecodeError
                 raise IOError(f"malformed trace file {path}: {exc}")
-            if cell["seed"] == plot_seed:
+            if plotted:
                 traces[(cell["rho"], cell["gamma"])] = (data["k"], data["dis"])
     rho_grid = manifest["rho_grid"]
     gamma_grid = manifest["gamma_grid"]

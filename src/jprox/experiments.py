@@ -1,4 +1,4 @@
-"""Benchmark generators, reference solutions, sweeps and instance files.
+"""Benchmark generators, reference solutions, sweeps, instance files and trace files.
 
 Two seeded problem families are provided: a linearly constrained quadratic
 program with dense Gaussian data and a scalar resource-allocation problem
@@ -11,13 +11,19 @@ its archive ``kind``, ``optimum()``, ``redraw(seed)``, ``rho_grid``,
 (``archive_members``, ``from_archive``; ``jprox generate`` writes
 ``instance.npz`` unless given ``--output``).  An instance file holds one
 member per array kind, whatever the number of blocks: the blocks of each
-are stacked or concatenated, and ``dims`` gives their sizes.
+are stacked or concatenated, and ``dims`` gives their sizes.  A trace CSV
+is written once, by the process that ran its run, and hashed as it is
+written (:func:`write_trace_csv`); :func:`read_trace_csv` checks a digest
+and parses only the columns asked for.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
 import hashlib
+import io
+import math
 import os
 import time
 import zipfile
@@ -27,7 +33,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .certify import Certificate, RateFit, certify, fit_linear_rate
+from .certify import Certificate, PhiWeights, RateFit, certify, fit_linear_rate
 from .errors import (
     DegenerateAfterRetries,
     InsufficientData,
@@ -320,28 +326,32 @@ class SweepConfig:
 class SweepCell:
     """One (rho, gamma, seed) cell of a sweep; ``wall_s`` is its wall time in seconds.
 
-    The certificate's ``weights`` are dropped once the cell's run ends:
-    nothing reads them afterwards, and a sweep would otherwise keep every
-    passed cell's weights alive.
+    ``status`` is its run's status, or ``"error"`` when ``error`` names what
+    stopped the cell; ``engine`` and ``timings`` are its run's.  The cell of
+    a sweep that writes its traces holds no ``trace``: the process that ran
+    the cell wrote it to the file ``trace_file`` of the sweep's directory,
+    whose bytes have the SHA-256 hex digest ``trace_sha256``.
     """
 
     rho: float
     gamma: float
     seed: int
     certificate: Optional[Certificate] = None
+    status: str = "error"
+    engine: Optional[str] = None
+    timings: Optional[dict] = None
     trace: Optional[object] = None
+    trace_file: Optional[str] = None
+    trace_sha256: Optional[str] = None
     dis_rate: Optional[RateFit] = None
     phi_rate: Optional[RateFit] = None
     error: Optional[str] = None
     wall_s: float = 0.0
 
-    @property
-    def status(self) -> str:
-        return "error" if self.error is not None else self.trace.status
-
 
 def _run_cell(instance: Instance, reference: PrimalDualPoint, rho: float, gamma: float,
-              sweep: SweepConfig, policy) -> SweepCell:
+              sweep: SweepConfig, policy, trace_dir: Optional[Path]) -> SweepCell:
+    """One cell; with a ``trace_dir`` its trace is written there and dropped from the cell."""
     start = time.perf_counter()
     cell = SweepCell(rho=rho, gamma=gamma, seed=instance.seed)
     problem = instance.problem
@@ -350,15 +360,21 @@ def _run_cell(instance: Instance, reference: PrimalDualPoint, rho: float, gamma:
         params = SolverParams(rho=rho, gamma=gamma, policy=cert.proximal,
                               max_iters=sweep.max_iters, dis_tol=sweep.dis_tol)
         cell.trace = run(problem, params, PrimalDualPoint.zeros(problem),
-                         reference=reference, phi_context=cert.weights)
+                         reference=reference, phi_context=PhiWeights.certified(problem, cert))
         cell.dis_rate = _fit_series([d for d in cell.trace.dis if d is not None])
         if cert.passed:
             cell.phi_rate = _fit_series([p for p in cell.trace.phi if p is not None])
     except (JproxError, np.linalg.LinAlgError) as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
-    if cell.certificate is not None:
-        cell.certificate.weights = None
     cell.wall_s = time.perf_counter() - start
+    trace = cell.trace
+    if trace is not None:
+        cell.engine, cell.timings = trace.engine, trace.timings
+        cell.status = "error" if cell.error is not None else trace.status
+        if trace_dir is not None:
+            cell.trace_file = f"trace_rho{rho:g}_gamma{gamma:g}_seed{instance.seed}.csv"
+            cell.trace_sha256 = write_trace_csv(trace, Path(trace_dir) / cell.trace_file)
+            cell.trace = None
     return cell
 
 
@@ -406,7 +422,8 @@ def _one_blas_thread() -> None:
         set_threads(1)
 
 
-def _sweep_tasks(instances: Sequence[Instance], sweep: SweepConfig, policy) -> list:
+def _sweep_tasks(instances: Sequence[Instance], sweep: SweepConfig, policy,
+                 trace_dir: Optional[Path]) -> list:
     """The arguments of :func:`_run_cell` for every cell, in key order.
 
     Each instance's cached Gram spectra and matrices, stacked ``A``,
@@ -418,7 +435,7 @@ def _sweep_tasks(instances: Sequence[Instance], sweep: SweepConfig, policy) -> l
         p = inst.problem
         p.gram_spectra(), p.gram_matrices(), p.stacked_A(), p.stacked_singular_value()
         ref = inst.optimum()
-        tasks += [(inst, ref, rho, gamma, sweep, policy)
+        tasks += [(inst, ref, rho, gamma, sweep, policy, trace_dir)
                   for rho in sweep.rho_grid for gamma in sweep.gamma_grid]
     return tasks
 
@@ -442,7 +459,8 @@ def _run_pooled(tasks: list, workers: int, collect: Callable) -> None:
 
 def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig,
               policy=StandardProximal("auto"),
-              on_cell: Optional[Callable[[SweepCell], None]] = None) -> dict:
+              on_cell: Optional[Callable[[SweepCell], None]] = None,
+              trace_dir: Optional[Path] = None) -> dict:
     """Run every (rho, gamma) cell for every instance, from a zero start.
 
     Each cell certifies ``policy`` (:func:`jprox.certify.certify`, which
@@ -453,6 +471,13 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
     the dict holds the cells as ``on_cell`` left them.  Per-cell failures
     are recorded in the cell, never raised.  Two instances with one seed
     raise :class:`InvalidParameter` before any cell runs.
+
+    Without a ``trace_dir`` each cell holds its trace.  With one, the
+    process that ran a cell writes its trace CSV there
+    (:func:`write_trace_csv`, named ``trace_rho<rho>_gamma<gamma>_seed<seed>.csv``)
+    and the cell holds the file's name and digest instead, so no trace row
+    is sent back or kept here; a trace that cannot be written raises its
+    ``OSError`` and no further cell is collected.
 
     The cells run on :func:`sweep_workers` processes, one per CPU this
     process may use and at most one per cell, forked from this one, each
@@ -467,7 +492,7 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise InvalidParameter(f"two instances share seed {repeated[0]}: cells are keyed by seed")
-    tasks = _sweep_tasks(instances, sweep, policy)
+    tasks = _sweep_tasks(instances, sweep, policy, trace_dir)
     cells = {}
 
     def collect(arrived) -> None:
@@ -675,3 +700,87 @@ def load_instance(path) -> Instance:
                              "regenerate it from its seed with `jprox generate`")
         with archive:
             return _instance_from_archive(archive)
+
+
+# -- trace files -------------------------------------------------------------------
+#
+# A trace CSV has the header CSV_HEADER and one row per recorded iterate: the
+# integer k, then dis, phi, primal_residual and elapsed_seconds as %.17g, each
+# an empty cell where the trace holds None.
+
+CSV_HEADER = "k,dis,phi,primal_residual,elapsed_seconds"
+#: The columns of a trace CSV, in file order.
+TRACE_COLUMNS = tuple(CSV_HEADER.split(","))
+
+#: ``write_trace_csv`` formats this many rows with one ``%`` operation.
+CSV_BLOCK_ROWS = 4096
+
+
+def csv_cell(v) -> str:
+    """A trace CSV cell: ``%.17g``, or empty for ``None``."""
+    return "" if v is None else f"{float(v):.17g}"
+
+
+def write_trace_csv(trace, path) -> str:
+    """Write a trace's columns as CSV and return the SHA-256 hex digest of the bytes written.
+
+    Rows are formatted in blocks of :data:`CSV_BLOCK_ROWS`, each with one
+    ``%`` operation over the repeated row format, and each block is hashed
+    and written as it is made.  A column that holds ``None`` in a block is
+    formatted value by value for that block.
+    """
+    columns = (trace.dis, trace.phi, trace.primal_residual, trace.elapsed)
+    width = 1 + len(columns)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        put(CSV_HEADER + "\n")
+        for lo in range(0, len(trace.ks), CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, len(trace.ks))
+            cells, formats = [None] * (width * (hi - lo)), ["%d"]
+            cells[0::width] = trace.ks[lo:hi]
+            for c, column in enumerate(columns, 1):
+                block = column[lo:hi]
+                if None in block:
+                    formats.append("%s")
+                    block = [csv_cell(v) for v in block]
+                else:
+                    formats.append("%.17g")
+                cells[c::width] = block
+            put((",".join(formats) + "\n") * (hi - lo) % tuple(cells))
+    return digest.hexdigest()
+
+
+def read_trace_csv(path, names: Sequence[str] = TRACE_COLUMNS,
+                   sha256: Optional[str] = None) -> dict:
+    """The ``names`` columns of a trace CSV as float64 arrays, an empty cell as NaN.
+
+    With ``sha256``, the file's bytes must have that SHA-256 hex digest, and
+    with no ``names`` nothing else is read.  Every row must have a cell per
+    column, but only the ``names`` columns are parsed, line by line, each
+    value into its array as it is read.  Raises ``ValueError`` on a digest
+    that does not match and on a wrong header, row or cell.
+    """
+    data = Path(path).read_bytes()
+    if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
+        raise ValueError("its SHA-256 digest is not the trace_sha256 the manifest records")
+    if not names:
+        return {}
+    lines = io.BytesIO(data)
+    if lines.readline().rstrip(b"\r\n") != CSV_HEADER.encode():
+        raise ValueError(f"{path}: unexpected header")
+    picks = [TRACE_COLUMNS.index(name) for name in names]
+    cols = [array.array("d") for _ in names]
+    for line_num, line in enumerate(lines, 2):
+        line = line.rstrip(b"\r\n")
+        row = line.split(b",") if line else []
+        if len(row) != len(TRACE_COLUMNS):
+            raise ValueError(f"line {line_num} has {len(row)} cells, "
+                             f"expected {len(TRACE_COLUMNS)}")
+        for col, j in zip(cols, picks):
+            col.append(int(row[j]) if j == 0 else float(row[j]) if row[j] else math.nan)
+    return {name: np.array(col, dtype=float) for name, col in zip(names, cols)}

@@ -34,7 +34,8 @@ def pytest_runtest_makereport(item, call):
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """``count_calls(module, name)``: a list that grows by one per call of that function.
+    """``count_calls(module, name)``: a list that grows by one per call of that function
+    (or of that method, for a ``name`` of the form ``Class.method``).
 
     The function is replaced in ``module`` and in every ``jprox`` module
     namespace that holds it, so calls through any import of it are counted,
@@ -43,6 +44,9 @@ def count_calls(monkeypatch):
     def install(module_name: str, name: str) -> list:
         importlib.import_module("jprox.cli")  # loads every module that could hold it
         owner = importlib.import_module(module_name)
+        *classes, name = name.split(".")  # "Class.method" counts a method
+        for cls in classes:
+            owner = getattr(owner, cls)
         original = getattr(owner, name)
         calls = []
 

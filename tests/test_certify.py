@@ -518,7 +518,7 @@ def test_certify_roundtrip(tmp_path):
     inst = generate_lcqp(2, 4, 3, seed=5)
     taus = smallest_certified_tau(inst.problem, rho=1.0, gamma=0.5)
     cert = certify(inst.problem, 1.0, 0.5, StandardProximal(taus), seed=5)
-    assert cert.weights is not None
+    assert cert.passed
     path = tmp_path / "cert.json"
     cert.save(path)
     saved = json.loads(path.read_text())
@@ -859,7 +859,8 @@ def test_verify_contraction_constant_sequence_passes():
     points = [ref]
     for _ in range(4):
         points.append(step(inst.problem, points[-1], params))
-    phi = [cert.weights.evaluate(u, ref) for u in points]
+    weights = PhiWeights.certified(inst.problem, cert)
+    phi = [weights.evaluate(u, ref) for u in points]
     assert contraction_violations(phi, cert.sigma) == []
     assert all(p <= 1e-14 for p in phi[:-1])
 
@@ -868,7 +869,7 @@ def test_verify_contraction_on_certified_run():
     inst, policy, cert, consts, P_list = certified_setup(seed=2)
     params = SolverParams(rho=1.0, gamma=1.0, policy=policy, max_iters=500)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
-                reference=inst.optimum(), phi_context=cert.weights)
+                reference=inst.optimum(), phi_context=PhiWeights.certified(inst.problem, cert))
     assert contraction_violations(trace.phi, cert.sigma) == []
 
 
@@ -882,7 +883,7 @@ def test_verify_contraction_from_random_starting_points():
             scale * rng.standard_normal(6),
         )
         trace = run(inst.problem, params, u0, reference=inst.optimum(),
-                    phi_context=cert.weights)
+                    phi_context=PhiWeights.certified(inst.problem, cert))
         assert contraction_violations(trace.phi, cert.sigma) == []
 
 
@@ -890,7 +891,7 @@ def test_verify_contraction_negative_control():
     inst, policy, cert, consts, P_list = certified_setup(seed=3)
     params = SolverParams(rho=1.0, gamma=1.0, policy=policy, max_iters=100)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
-                reference=inst.optimum(), phi_context=cert.weights)
+                reference=inst.optimum(), phi_context=PhiWeights.certified(inst.problem, cert))
     phi = trace.phi
     empirical = max(curr / prev for prev, curr in zip(phi, phi[1:]) if prev > 1e-14)
     assert contraction_violations(phi, 0.5 * empirical)
@@ -901,30 +902,33 @@ def test_phi_weights_evaluate_matches_the_recorded_phi():
     inst, policy, cert, consts, P_list = certified_setup(seed=2)
     params = SolverParams(rho=1.0, gamma=1.0, policy=policy, max_iters=200)
     ref = inst.optimum()
+    weights = PhiWeights.certified(inst.problem, cert)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem), reference=ref,
-                phi_context=cert.weights, record_points=True)
+                phi_context=weights, record_points=True)
     assert len(trace.points) == len(trace.phi) == 201
     for u, phi in zip(trace.points, trace.phi):
-        assert cert.weights.evaluate(u, ref) == pytest.approx(phi, rel=1e-12, abs=0.0)
+        assert weights.evaluate(u, ref) == pytest.approx(phi, rel=1e-12, abs=0.0)
 
 
 # -- the certificate's weights --------------------------------------------------------------------
 
 def test_passed_certificates_carry_the_weights_of_their_phi():
+    # The weights of a passed certificate's phi are built from its P_i and s.
     inst = generate_lcqp(3, 6, 4, seed=0)
     problem = inst.problem
     passed = 0
     for rho in inst.rho_grid:
         for gamma in GAMMA_GRID:
             cert = certify(problem, rho, gamma, StandardProximal("auto"))
+            weights = PhiWeights.certified(problem, cert)
             policy = cert.proximal
             if not cert.passed:
-                assert cert.weights is None, (rho, gamma)
+                assert weights is None, (rho, gamma)
                 continue
             P_list = materialize_policy(policy, rho, problem)
             want = PhiWeights.build(problem, gamma, rho, cert.s, P_list)
-            assert (cert.weights.gamma, cert.weights.rho) == (gamma, rho)
-            assert [W.tobytes() for W in cert.weights.W] == [W.tobytes() for W in want.W]
+            assert (weights.gamma, weights.rho) == (gamma, rho)
+            assert [W.tobytes() for W in weights.W] == [W.tobytes() for W in want.W]
             passed += 1
     assert passed > 0
 
@@ -932,9 +936,10 @@ def test_passed_certificates_carry_the_weights_of_their_phi():
 @pytest.mark.parametrize("policy, gamma", [(None, 1.0), (StandardProximal(1.0), 2.5)],
                          ids=["no-proximal-term", "gamma-out-of-range"])
 def test_failed_certificate_carries_no_weights(policy, gamma):
-    cert = certify(generate_lcqp(3, 6, 4, seed=0).problem, 1.0, gamma, policy)
+    problem = generate_lcqp(3, 6, 4, seed=0).problem
+    cert = certify(problem, 1.0, gamma, policy)
     assert not cert.passed
-    assert cert.weights is None
+    assert PhiWeights.certified(problem, cert) is None
 
 
 def test_weight_policies_read_the_cached_gram_matrices():
@@ -948,18 +953,21 @@ def test_weight_policies_read_the_cached_gram_matrices():
         assert np.array_equal(P, tau * np.eye(4) - 2.0 * AtA)
 
 
-def test_run_sweep_materializes_each_cell_policy_twice(count_calls, cpus):
+def test_run_sweep_materializes_each_policy_for_certify_run_and_phi_weights(count_calls, cpus):
     from jprox.experiments import SweepConfig, run_sweep
 
     cpus(1)  # cells run in this process, where their calls are counted
     inst = generate_lcqp(3, 6, 4, seed=0)
     calls = count_calls("jprox.solvers", "materialize_policy")
     cells = run_sweep(inst, SweepConfig(rho_grid=(1.0, 5.0), gamma_grid=(0.5, 1.5),
-                                        max_iters=20))
+                                        max_iters=20), StandardProximal(20.0))
     assert len(cells) == 4
     assert all(cell.error is None for cell in cells.values())
-    # Once in certify, once in the run's preparation.
-    assert len(calls) == 2 * len(cells)
+    passed = sum(cell.certificate.passed for cell in cells.values())
+    assert passed == 1
+    # Once in certify, once in the run's preparation, and once for the phi
+    # weights of a passed certificate.
+    assert len(calls) == 2 * len(cells) + passed
 
 
 # -- resolving an "auto" request -------------------------------------------------------------------
@@ -985,9 +993,10 @@ def assert_one_pass_equals_two(problem, rho, gamma, kind):
     two = certify(problem, rho, gamma, policy)
     assert one.to_dict() == two.to_dict(), (rho, gamma, kind)
     assert one.proximal == two.proximal == policy, (rho, gamma, kind)
-    assert (one.weights is None) == (two.weights is None), (rho, gamma, kind)
-    if one.weights is not None:
-        assert [W.tobytes() for W in one.weights.W] == [W.tobytes() for W in two.weights.W]
+    one_w, two_w = PhiWeights.certified(problem, one), PhiWeights.certified(problem, two)
+    assert (one_w is None) == (two_w is None), (rho, gamma, kind)
+    if one_w is not None:
+        assert [W.tobytes() for W in one_w.W] == [W.tobytes() for W in two_w.W]
     return policy
 
 

@@ -1,6 +1,7 @@
 """Command-line tests: exit codes, file formats, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import zipfile
 
@@ -9,7 +10,8 @@ import pytest
 from conftest import child_pids, exit_in_worker
 
 import jprox.experiments as exp
-from jprox.cli import CSV_HEADER, main, read_trace_csv
+from jprox.cli import main, read_trace_csv
+from jprox.experiments import CSV_HEADER
 
 
 def run_cli(*argv):
@@ -359,6 +361,17 @@ def test_certify_takes_no_svd_and_builds_no_coupling_matrix(tmp_path, count_call
     assert (eigs, svd) == ([], [])
 
 
+@pytest.mark.parametrize("flags", [(), ("--tau", "2"), ("--policy", "none")],
+                         ids=["auto", "fixed-tau", "no-proximal-term"])
+def test_certify_forms_no_gram_matrix(tmp_path, count_calls, flags):
+    # certify reads the recorded Gram spectra; only a run's phi weights read A_i'A_i.
+    inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
+    grams = count_calls("jprox.problem", "BlockProblem.gram_matrices")
+    assert run_cli("certify", "--input", str(inst), "--output", str(tmp_path / "c.json"),
+                   *flags) in (0, 4)
+    assert grams == []
+
+
 def test_certify_auto_runs_the_weight_search_once(tmp_path, count_calls):
     inst = make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0)
     search = count_calls("jprox.certify", "smallest_certified_tau")
@@ -533,7 +546,7 @@ def test_solve_writes_exact_header_and_converges(tmp_path):
     assert first_line == CSV_HEADER
     cols = read_trace_csv(out)
     assert cols["dis"][-1] <= 1e-8
-    assert all(p is not None for p in cols["phi"])  # certified run records phi
+    assert not np.isnan(cols["phi"]).any()  # certified run records phi
 
 
 def test_solve_from_reference_single_row(tmp_path):
@@ -823,8 +836,8 @@ def test_sweep_on_two_workers_writes_what_one_worker_writes(tmp_path, cpus):
                        "--seeds", "0,1", "--max-iters", "200") == 0
         assert child_pids() <= before
         manifest = json.loads((sweep_dir / "manifest.json").read_text())
-        for cell in manifest["cells"]:
-            del cell["timings"], cell["wall_s"]
+        for cell in manifest["cells"]:  # the digest covers elapsed_seconds
+            del cell["timings"], cell["wall_s"], cell["trace_sha256"]
         del manifest["workers"], manifest["input"]
         traces = {path.name: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
                   for path in sweep_dir.glob("*.csv")}
@@ -856,6 +869,60 @@ def test_report_on_a_malformed_trace_of_a_seed_it_does_not_plot_exits_3(tmp_path
     (sweep_dir / name).write_text(CSV_HEADER + "\n0,x,,1.0,0.0\n")
     assert run_cli("report", "--input", str(sweep_dir)) == 3
     assert name in capsys.readouterr().err
+
+
+def test_sweep_manifest_records_the_digest_of_each_trace(tmp_path):
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    sweep_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir),
+                   "--rho-grid", "0.5,1", "--gamma-grid", "1", "--max-iters", "50") == 0
+    for cell in json.loads((sweep_dir / "manifest.json").read_text())["cells"]:
+        data = (sweep_dir / cell["trace"]).read_bytes()
+        assert cell["trace_sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_report_on_an_edited_trace_of_a_seed_it_does_not_plot_exits_3(tmp_path, capsys):
+    # One digit of a phi value: a well-formed trace, but not the one the sweep wrote.
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    sweep_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir), "--seeds", "0,1",
+                   "--rho-grid", "1", "--gamma-grid", "1", "--max-iters", "50") == 0
+    manifest = json.loads((sweep_dir / "manifest.json").read_text())
+    path = sweep_dir / next(cell["trace"] for cell in manifest["cells"] if cell["seed"] == 1)
+    header, first, *rest = path.read_text().splitlines()
+    k, dis, phi, *tail = first.split(",")
+    digit = next(i for i, ch in enumerate(phi) if ch in "123456789")
+    phi = phi[:digit] + str(int(phi[digit]) % 9 + 1) + phi[digit + 1:]
+    path.write_text("\n".join([header, ",".join([k, dis, phi, *tail]), *rest]) + "\n")
+    read_trace_csv(path)  # the parser alone accepts it
+    capsys.readouterr()
+    assert run_cli("report", "--input", str(sweep_dir)) == 3
+    assert f"malformed trace file {path}: its SHA-256 digest" in capsys.readouterr().err
+
+
+def test_report_on_a_listed_trace_without_its_digest_exits_3(tmp_path, capsys):
+    sweep_dir, manifest = small_sweep(tmp_path)
+    del manifest["cells"][0]["trace_sha256"]
+    (sweep_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("report", "--input", str(sweep_dir)) == 3
+    path = sweep_dir / manifest["cells"][0]["trace"]
+    assert f"malformed trace file {path}: the manifest records no trace_sha256" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sweep_that_cannot_write_a_trace_exits_3_without_a_manifest(tmp_path, cpus, capsys, n):
+    inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
+    cpus(n)
+    sweep_dir = tmp_path / "sweep"
+    blocked = sweep_dir / "trace_rho1_gamma1_seed0.csv"
+    blocked.mkdir(parents=True)
+    before = child_pids()
+    assert run_cli("sweep", "--input", str(inst), "--output", str(sweep_dir),
+                   "--rho-grid", "0.5,1", "--gamma-grid", "1", "--max-iters", "20") == 3
+    assert str(blocked) in capsys.readouterr().err
+    assert not (sweep_dir / "manifest.json").exists()
+    assert child_pids() <= before
 
 
 # -- flag and parse failures ------------------------------------------------------

@@ -27,6 +27,7 @@ from jprox.experiments import (
     generate_lcqp,
     generate_resource_alloc,
     load_instance,
+    read_trace_csv,
     reference_solution,
     run_sweep,
     save_instance,
@@ -465,12 +466,12 @@ def test_resolve_policy_auto_builds_requested_kind():
 
 def test_run_sweep_cells_hold_no_weights():
     # A cell's run records phi with its certificate's weights; nothing reads
-    # them afterwards (the manifest writes to_dict()), so the cell drops them.
+    # them afterwards (the manifest writes to_dict()), so the cell holds none.
     inst = generate_lcqp(3, 6, 4, seed=0)
     sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=50)
     cells = run_sweep(inst, sweep).values()
     assert any(cell.certificate.passed and cell.trace.phi[-1] is not None for cell in cells)
-    assert all(cell.certificate.weights is None for cell in cells)
+    assert all(b"PhiWeights" not in pickle.dumps(cell) for cell in cells)
 
 
 def test_run_sweep_estimates_constants_once_per_instance(count_calls):
@@ -755,7 +756,7 @@ def cell_outcome(cell) -> str:
     return repr((cert, cell.status, cell.dis_rate, cell.phi_rate, cell.error, columns))
 
 
-def blas_threads_cell(instance, reference, rho, gamma, sweep, policy):
+def blas_threads_cell(instance, reference, rho, gamma, sweep, policy, trace_dir):
     """A cell that records its process id and OpenBLAS thread counts in ``error``."""
     threads = [get() for get in exp._openblas_calls("get_num_threads", ctypes.c_int)]
     return SweepCell(rho, gamma, instance.seed, error=repr((os.getpid(), threads)))
@@ -786,12 +787,27 @@ def test_pooled_cells_equal_one_worker_cells(cpus, count_calls, generate):
 def test_a_task_as_a_worker_gets_it_runs_without_an_eigensolve(count_calls, generate, policy):
     # A worker unpickles its task; the instance's constants and reference come with it.
     sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(0.5,), max_iters=50)
-    task = pickle.loads(pickle.dumps(exp._sweep_tasks([generate()], sweep, policy)[0]))
+    task = pickle.loads(pickle.dumps(exp._sweep_tasks([generate()], sweep, policy, None)[0]))
     counted = {name: count_calls("numpy.linalg", name)
                for name in ("eigvalsh", "eigh", "svd", "lstsq")}
     cell = exp._run_cell(*task)
     assert cell.error is None and cell.trace is not None
     assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["one-worker", "pooled"])
+def test_a_cell_whose_trace_is_written_carries_no_rows(tmp_path, cpus, n):
+    # The process that ran a cell writes its trace; the cell that comes back
+    # holds the file's name and digest, not its 4001 rows (158,917 pickled
+    # bytes when it held them).
+    cpus(n)
+    sweep = SweepConfig(rho_grid=(5.0, 10.0), gamma_grid=(0.1,), max_iters=4000)
+    cells = run_sweep(generate_lcqp(3, 100, 40, seed=0), sweep, trace_dir=tmp_path)
+    for cell in cells.values():
+        assert cell.status == "max_iters" and cell.trace is None
+        rows = read_trace_csv(tmp_path / cell.trace_file, ("k",), cell.trace_sha256)["k"]
+        assert rows.tolist() == list(range(4001))
+        assert len(pickle.dumps(cell)) < 4096
 
 
 def test_no_child_process_remains_after_a_pooled_run_sweep(cpus):

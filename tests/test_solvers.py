@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import dis
 
 import jprox.solvers as solvers
-from jprox.certify import _certified_intervals
+from jprox.certify import PhiWeights, _certified_intervals
 from jprox.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -695,7 +695,7 @@ def test_run_matches_per_block_oracle(family, method):
     problem = inst.problem
     rho, gamma = 1.0, 1.5
     cert = certify(problem, rho, gamma, StandardProximal("auto"))
-    policy, weights = cert.proximal, cert.weights
+    policy, weights = cert.proximal, PhiWeights.certified(problem, cert)
     weights = weights if method == "jprox" else None
     params = SolverParams(rho=rho, gamma=gamma, policy=policy, max_iters=200)
     trace = run(problem, params, u0, reference=ref, phi_context=weights, method=method)
@@ -805,8 +805,6 @@ def test_run_records_phase_timings():
 # -- the affine engine of all-quadratic Jacobi runs -------------------------------------
 
 def _random_phi_weights(problem, gamma, rho, seed):
-    from jprox.certify import PhiWeights
-
     rng = np.random.default_rng(seed)
     W = []
     for n in problem.dims:

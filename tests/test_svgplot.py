@@ -1,9 +1,11 @@
-"""SVG plot tests: dropped points, empty plots, axis labels, and a per-point reference."""
+"""SVG plot tests: dropped points, empty plots, axis labels, a per-point reference, and the
+points a polyline keeps per pixel column (M4)."""
 
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,8 +62,34 @@ def test_a_range_one_float_wide_ends(tmp_path):
     assert len(polylines(path.read_text())[0]) == 2
 
 
+def column_runs(pxs) -> list:
+    """The index lists of the runs of consecutive points in one pixel column ``floor(px)``."""
+    runs = []
+    for i, px in enumerate(pxs):
+        if runs and math.floor(pxs[runs[-1][-1]]) == math.floor(px):
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return runs
+
+
+def m4_reference(pxs, ys) -> list:
+    """The sorted indices a plot keeps, one point at a time: every point of a run of at most
+    four, else the run's first, last, lowest and highest point (the first of equals)."""
+    kept = set()
+    for run in column_runs(pxs):
+        if len(run) <= 4:
+            kept.update(run)
+        else:
+            low = min(run, key=lambda i: ys[i])
+            high = max(run, key=lambda i: ys[i])
+            kept.update((run[0], run[-1], low, high))
+    return sorted(kept)
+
+
 def reference_plot(path, series, title=""):
-    """``line_plot_svg`` with a per-point loop: filter, scale and format one point at a time.
+    """``line_plot_svg`` with a per-point loop: filter, scale, select per pixel column
+    (:func:`m4_reference`) and format one point at a time.
 
     The ticks, tick labels and layout constants are the module's; every
     point is handled here with Python floats.
@@ -127,7 +155,8 @@ def reference_plot(path, series, title=""):
                f'transform="rotate(-90 16 {top + inner_h / 2:.1f})">log10 dis</text>')
     for idx, (label, pts) in enumerate(plotted):
         color = svgplot.PALETTE[idx % len(svgplot.PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        kept = m4_reference([sx(x) for x, _ in pts], [y for _, y in pts])
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in (pts[i] for i in kept))
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{W - right - 6}" y="{top + 16 + 16 * idx}" '
                    f'text-anchor="end" font-family="sans-serif" font-size="12" '
@@ -147,7 +176,10 @@ X_VALUES = st.one_of(st.integers(0, 10 ** 4), st.sampled_from([math.nan, math.in
 @st.composite
 def a_series(draw):
     size = draw(st.integers(1, 40))
-    xs = draw(st.lists(X_VALUES, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        xs = draw(st.lists(X_VALUES, min_size=size, max_size=size))
+    else:  # consecutive k: beside a series that reaches far, many points share a pixel column
+        xs = list(range(size))
     if draw(st.booleans()):
         ys = [draw(Y_VALUES)] * size  # a flat series
     else:
@@ -163,3 +195,40 @@ def test_plot_matches_the_per_point_reference_byte_for_byte(tmp_path_factory, se
     reference_plot(want, series, title="t")
     line_plot_svg(got, series, title="t")
     assert got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans())
+def test_a_polyline_keeps_the_first_last_lowest_and_highest_point_of_each_column(
+        tmp_path_factory, size, seed, ties):
+    # A trace: k increasing by 1 to 3, dis positive, with equal values when ``ties``.
+    rng = np.random.default_rng(seed)
+    ks = np.cumsum(rng.integers(1, 4, size)).tolist()
+    exponents = rng.normal(0.0, 3.0, size)
+    dis = (10.0 ** (np.round(exponents) if ties else exponents)).tolist()
+    path = tmp_path_factory.mktemp("plots") / "plot.svg"
+    line_plot_svg(path, [("dis", ks, dis)])
+    got = polylines(path.read_text())[0]
+
+    # Every point of the full series, scaled as the plot scales it.
+    logs = [math.log10(d) for d in dis]
+    xlo, xhi, ylo, yhi = min(ks), max(ks), min(logs), max(logs)
+    xhi, yhi = (xhi if xhi > xlo else xlo + 1.0), (yhi if yhi > ylo else ylo + 1.0)
+    inner_w = svgplot.WIDTH - svgplot.MARGIN_LEFT - svgplot.MARGIN_RIGHT
+    inner_h = svgplot.HEIGHT - svgplot.MARGIN_TOP - svgplot.MARGIN_BOTTOM
+    pxs = [svgplot.MARGIN_LEFT + (k - xlo) / (xhi - xlo) * inner_w for k in ks]
+    texts = [f"{px:.2f},{svgplot.MARGIN_TOP + (yhi - v) / (yhi - ylo) * inner_h:.2f}"
+             for px, v in zip(pxs, logs)]
+
+    columns = column_runs(pxs)
+    assert len(columns) == len({math.floor(px) for px in pxs})  # k increases: a run per column
+    want = set()
+    for column in columns:
+        if len(column) <= 4:
+            want.update(column)
+            continue
+        values = [logs[i] for i in column]
+        want.update((column[0], column[-1], column[values.index(min(values))],
+                     column[values.index(max(values))]))
+    assert got == [texts[i] for i in sorted(want)]
+    assert len(got) <= 4 * len(columns)

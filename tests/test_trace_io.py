@@ -1,11 +1,14 @@
-"""Trace CSV writer and reader against per-value references that share no code with them."""
+"""Trace CSV writer and reader against per-value references that share no code with them, and
+the SHA-256 digest the writer returns and the reader checks."""
 
+import hashlib
 import math
 import struct
 
+import numpy as np
 import pytest
 
-from jprox.cli import CSV_BLOCK_ROWS, CSV_HEADER, read_trace_csv, write_trace_csv
+from jprox.experiments import CSV_BLOCK_ROWS, CSV_HEADER, read_trace_csv, write_trace_csv
 from jprox.solvers import Trace
 
 COLUMNS = ("dis", "phi", "primal_residual", "elapsed")
@@ -63,21 +66,53 @@ def test_write_gives_the_bytes_of_a_per_value_loop(tmp_path, name):
 
 @pytest.mark.parametrize("name", TRACES)
 def test_read_returns_every_written_value_bit_for_bit(tmp_path, name):
+    # Every column reads back as float64, a None (an empty cell) as NaN.
     trace = TRACES[name]
     path = tmp_path / "t.csv"
     write_trace_csv(trace, path)
     cols = read_trace_csv(path)
     assert list(cols) == CSV_HEADER.split(",")
-    assert cols["k"] == trace.ks
+    assert all(col.dtype == np.float64 for col in cols.values())
+    assert cols["k"].tolist() == trace.ks
     for c in COLUMNS:
         want = getattr(trace, c)
-        got = cols["elapsed_seconds" if c == "elapsed" else c]
+        got = cols["elapsed_seconds" if c == "elapsed" else c].tolist()
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            if w is not None and math.isnan(w):
+            if w is None or math.isnan(w):
                 assert math.isnan(g)
             else:
                 assert bits(g) == bits(w), (c, g, w)
+
+
+@pytest.mark.parametrize("name", TRACES)
+def test_the_digest_is_that_of_the_bytes_written(tmp_path, name):
+    path = tmp_path / "t.csv"
+    digest = write_trace_csv(TRACES[name], path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert read_trace_csv(path, ("dis",), digest)["dis"].size == len(TRACES[name])
+
+
+def test_read_parses_only_the_columns_asked_for(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(CSV_HEADER + "\n0,1.5,x,y,z\n1,0.5,,,\n", encoding="utf-8")
+    cols = read_trace_csv(path, ("k", "dis"))
+    assert list(cols) == ["k", "dis"]
+    assert cols["k"].tolist() == [0, 1] and cols["dis"].tolist() == [1.5, 0.5]
+    with pytest.raises(ValueError, match="could not convert"):
+        read_trace_csv(path, ("phi",))
+
+
+def test_read_with_a_digest_refuses_any_other_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    digest = write_trace_csv(TRACES["all-set"], path)
+    text = path.read_text(encoding="utf-8")
+    assert read_trace_csv(path, (), digest) == {}
+    for edited in (text.replace("0.1", "0.2", 1), text[:-1], text + "\n"):
+        path.write_text(edited, encoding="utf-8")
+        for names in ((), ("k", "dis")):
+            with pytest.raises(ValueError, match="SHA-256 digest"):
+                read_trace_csv(path, names, digest)
 
 
 def test_read_accepts_crlf_line_endings(tmp_path):
@@ -85,7 +120,8 @@ def test_read_accepts_crlf_line_endings(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(reference_csv(trace).replace("\n", "\r\n").encode("utf-8"))
     cols = read_trace_csv(path)
-    assert cols["k"] == trace.ks and cols["dis"] == trace.dis
+    assert cols["k"].tolist() == trace.ks
+    assert [None if math.isnan(d) else d for d in cols["dis"].tolist()] == trace.dis
 
 
 def test_read_rejects_a_blank_line_in_the_middle(tmp_path):
