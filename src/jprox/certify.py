@@ -71,6 +71,7 @@ from .solvers import (
     StandardProximal,
     materialize_policy,
     policy_eigenvalues,
+    policy_weights,
 )
 
 #: Strong-convexity floor: moduli at or below this certify rates uselessly close
@@ -376,7 +377,11 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     s = 0.5 * max_feasible_s(consts, rho, problem.N)
     _require_positive(s=s)
     gap = consts.alpha - 2.0 * consts.L * s
-    P_list = materialize_policy(policy, rho, problem)
+    # Only an explicit P_i is read; a weight policy's floor is checked from the Gram spectra.
+    if isinstance(policy, ExplicitProximal):
+        P_list = materialize_policy(policy, rho, problem)
+    elif policy is not None:
+        policy_weights(policy, rho, problem)
     xi_check = check_xi_condition(problem, rho, gamma, s, policy)
     mu = (compute_mu_s(problem, consts, rho, s, P_list) if isinstance(policy, ExplicitProximal)
           else closed_form_mu_s(problem, consts, rho, s, policy))

@@ -21,13 +21,14 @@ dual step ``1/L_d = mu / ||[A_1 ... A_N]||_2^2``, where ``mu`` is the
 smallest block curvature bound: the dual function's gradient is
 ``L_d``-Lipschitz, and gradient ascent with step ``1/L_d`` converges.
 
-When every block is quadratic and the sweep is not sequential, the block
-solves of one step are an affine map of ``(x, lam)``.  Such a run (up to a
-size cap, :data:`AFFINE_MAX_ENTRIES`) replaces them with one dense matvec.
-The two engines differ only in that new ``x``: one step loop
-(:func:`_steps`) writes it, with the dual step, straight into the row of a
-buffer that holds the new iterate.  :func:`run` takes and records its
-iterates :data:`RECORD_CHUNK` at a time; :func:`step` is one row of the loop.
+When every block is quadratic and the sweep is not sequential, one step is
+an affine map of the iterate: ``[x; lam]+ = M [x; lam] + b``
+(:func:`affine_map`).  Such a run (up to a size cap,
+:data:`AFFINE_MAX_ENTRIES`) iterates that map, one dense matvec per step,
+in place of the block solves and the dual step.  One step loop
+(:func:`_steps`) writes each new iterate straight into the row of a buffer
+that holds it.  :func:`run` takes and records its iterates
+:data:`RECORD_CHUNK` at a time; :func:`step` is one row of the loop.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from .problem import (
 #: Iterates whose error metric (or magnitude) exceeds this are declared divergent.
 DIVERGENCE_LIMIT = 1e12
 
-#: All-quadratic Jacobi steps use the dense affine map ``T_x`` when it has at
-#: most this many entries, ``sum n_i * (sum n_i + m)`` (8 MB of float64).
+#: All-quadratic Jacobi steps iterate the dense map ``M`` of the whole step when
+#: it has at most this many entries, ``(sum n_i + m)**2`` (8 MiB of float64).
 AFFINE_MAX_ENTRIES = 2 ** 20
 
 #: A run takes this many steps between two batched recordings.
@@ -133,8 +134,9 @@ def materialize_policy(policy: ProximalPolicy, rho: float, problem: BlockProblem
 
     A weight policy with ``coupling`` set reads ``A_i'A_i`` and ``||A_i||``
     from the problem's caches.  Raises :class:`NotPSD` for ``tau_i`` below the
-    floor ``coupling*rho*||A_i||^2`` or an explicit ``P_i`` with an eigenvalue
-    below -1e-10, :class:`DimensionMismatch` unless there is one ``P_i`` per block.
+    floor ``coupling*rho*||A_i||^2`` (:func:`policy_weights`) or an explicit
+    ``P_i`` with an eigenvalue below -1e-10, :class:`DimensionMismatch`
+    unless there is one ``P_i`` per block.
     """
     if not (math.isfinite(rho) and rho > 0.0):
         raise InvalidParameter("rho must be finite and positive")
@@ -154,16 +156,29 @@ def materialize_policy(policy: ProximalPolicy, rho: float, problem: BlockProblem
             P_list.append(np.array(P))
         return P_list
     P_list = []
-    for i, (n, tau) in enumerate(zip(problem.dims, _block_weights(policy.tau, problem.N))):
+    for i, (n, tau) in enumerate(zip(problem.dims, policy_weights(policy, rho, problem))):
         P = tau * np.eye(n)
         if policy.coupling:
-            floor = policy.coupling * rho * problem.gram_spectra()[i].norm ** 2
-            if tau < floor - 1e-10 * (1.0 + floor):
-                raise NotPSD(f"prox-linear block {i}: tau={tau:.6g} below "
-                             f"rho*||A||^2={floor:.6g}")
             P -= policy.coupling * rho * problem.gram_matrices()[i]
         P_list.append(P)
     return P_list
+
+
+def policy_weights(policy: Union[StandardProximal, ProxLinear], rho: float,
+                   problem: BlockProblem) -> list:
+    """The weights ``tau_i`` of a weight policy, validated against its floor.
+
+    Raises :class:`NotPSD` for ``tau_i`` below ``coupling*rho*||A_i||^2``,
+    read from the cached Gram spectra, so no ``A_i'A_i`` is formed.
+    """
+    taus = _block_weights(policy.tau, problem.N)
+    if policy.coupling:
+        for i, (tau, gram) in enumerate(zip(taus, problem.gram_spectra())):
+            floor = policy.coupling * rho * gram.norm ** 2
+            if tau < floor - 1e-10 * (1.0 + floor):
+                raise NotPSD(f"prox-linear block {i}: tau={tau:.6g} below "
+                             f"rho*||A||^2={floor:.6g}")
+    return taus
 
 
 def policy_eigenvalues(policy: ProximalPolicy, rho: float, ds: Sequence[np.ndarray]) -> list:
@@ -414,12 +429,13 @@ class _Prepared:
     :class:`_Block` per block and ``order`` the order in which the block
     solves visit them (default ``0..N-1``), ``rho`` is the subproblems'
     penalty (0 for dual decomposition) and ``dual_step`` the step size of the
-    dual update.  ``update`` is the primal update of :func:`_steps`, chosen
-    here once: :func:`_affine_update` when every block is quadratic, the
-    sweep is not sequential and the dense map ``T_x`` has at most
-    :data:`AFFINE_MAX_ENTRIES` entries, else :func:`_block_solves`.
-    ``affine`` is then the pair ``(T_x, b_x)`` of the primal map
-    ``x+ = T_x [x; lam] + b_x``, else ``None``; ``engine`` names the choice.
+    dual update.  When the step is affine (every block is quadratic and the
+    sweep is not sequential) and its map has at most
+    :data:`AFFINE_MAX_ENTRIES` entries, ``affine`` is that map's pair
+    ``(M, b)`` (:meth:`_affine_map`) and :func:`_steps` iterates it with
+    :func:`_affine_update`; else ``affine`` is ``None`` and the step is the
+    block solves (:func:`_block_solves`) and the dual step.  ``engine``
+    names the choice.
     """
 
     def __init__(self, problem: BlockProblem, params: SolverParams, method: str,
@@ -434,6 +450,9 @@ class _Prepared:
         self.sequential = spec.sequential
         self.dual_step = spec.dual_step(params, problem)
         self.offsets = np.asarray(problem.offsets)
+        self.order = range(problem.N) if order is None else order
+        if sorted(self.order) != list(range(problem.N)):
+            raise ValueError("order must visit every block exactly once")
         self.blocks = []
         o = problem.offsets
         for i, (f, Ai, Pi) in enumerate(zip(problem.objectives, problem.A, P_list)):
@@ -446,36 +465,43 @@ class _Prepared:
                                float(Pi[0, 0]))
                 _check_scalar_slope(f, block.B, block.P)
             self.blocks.append(block)
-        n = o[-1]
-        self.affine, self.update, self.engine = None, _block_solves, "sweep"
-        if (not self.sequential and all(b.factor is not None for b in self.blocks)
-                and n * (n + problem.m) <= AFFINE_MAX_ENTRIES):
-            self.affine, self.update, self.engine = self._affine_map(), _affine_update, "affine"
-        self.order = range(problem.N) if order is None else order
-        if sorted(self.order) != list(range(problem.N)):
-            raise ValueError("order must visit every block exactly once")
+        fits = (o[-1] + problem.m) ** 2 <= AFFINE_MAX_ENTRIES
+        self.affine = self._affine_map() if fits else None
+        self.engine = "sweep" if self.affine is None else "affine"
 
     def _affine_map(self):
-        """``(T_x, b_x)``: one multi-column solve with ``K_i = H_i + B_i`` per block.
+        """``(M, b)``: the whole step ``[x; lam]+ = M [x; lam] + b``, the one builder.
 
-        Block ``i`` solves ``K_i x_i = A_i'(lam - rho*(A x - c)) + B_i x_i - q_i``,
-        so its rows of ``T_x`` are ``K_i^-1 [B_i E_i - rho*A_i'A | A_i']``
-        (``E_i`` selects block ``i`` of ``x``) and its offset is
-        ``K_i^-1 (rho*A_i'c - q_i)``.  The map and its offset are views of one
-        array that holds the right-hand sides and then their solutions.
+        Block ``i`` solves ``K_i x_i = A_i'(lam - rho*(A x - c)) + B_i x_i - q_i``
+        with ``K_i = H_i + B_i``, so the ``x`` rows ``[T_x | b_x]`` of block
+        ``i`` are ``K_i^-1 [B_i E_i - rho*A_i'A | A_i' | rho*A_i'c - q_i]``
+        (``E_i`` selects block ``i`` of ``x``): one multi-column solve per
+        block.  The dual step ``lam+ = lam - dual_step*(A x+ - c)`` makes the
+        ``lam`` rows ``[0 | I] - dual_step*A T_x`` and their offset
+        ``-dual_step*(A b_x - c)``.  ``M`` and ``b`` are views of one array
+        that holds the right-hand sides and then the map.  ``None`` for a
+        sequential sweep or a scalar block, whose step is not affine.
         """
-        problem, rho = self.problem, self.rho
-        A, n = problem.stacked_A(), problem.offsets[-1]
-        Tb = np.empty((n, n + problem.m + 1))
-        np.matmul(A.T, A, out=Tb[:, :n])
-        Tb[:, :n] *= -rho
-        Tb[:, n:-1] = A.T
-        Tb[:, -1] = rho * (A.T @ problem.c) - np.concatenate([b.f.q for b in self.blocks])
+        if self.sequential or any(b.factor is None for b in self.blocks):
+            return None
+        problem, rho, dual_step = self.problem, self.rho, self.dual_step
+        A, n, m = problem.stacked_A(), problem.offsets[-1], problem.m
+        Mb = np.empty((n + m, n + m + 1))
+        X, LAM = Mb[:n], Mb[n:]
+        np.matmul(A.T, A, out=X[:, :n])
+        X[:, :n] *= -rho
+        X[:, n:-1] = A.T
+        X[:, -1] = rho * (A.T @ problem.c) - np.concatenate([b.f.q for b in self.blocks])
         for b in self.blocks:
-            Tb[b.sl, b.sl] += b.B
+            X[b.sl, b.sl] += b.B
         for b in self.blocks:
-            Tb[b.sl] = b.factor.solve(Tb[b.sl])
-        return Tb[:, :-1], Tb[:, -1]
+            X[b.sl] = b.factor.solve(X[b.sl])
+        np.matmul(A, X, out=LAM)
+        LAM *= -dual_step
+        rows = np.arange(m)
+        LAM[rows, n + rows] += 1.0
+        LAM[:, -1] += dual_step * problem.c
+        return Mb[:, :-1], Mb[:, -1]
 
 
 # -- the one step loop ---------------------------------------------------------
@@ -508,11 +534,30 @@ def _block_solves(prepared: _Prepared, z: np.ndarray, r: np.ndarray, x_row: np.n
     return newton_worst
 
 
-def _affine_update(prepared: _Prepared, z: np.ndarray, r: np.ndarray, x_row: np.ndarray) -> float:
-    """``x_row <- T_x z + b_x``, bit for bit ``T_x @ z + b_x``; no Newton residual."""
-    np.matmul(prepared.affine[0], z, out=x_row)
-    x_row += prepared.affine[1]
-    return 0.0
+def _affine_update(prepared: _Prepared, z: np.ndarray, Z: np.ndarray, elapsed: np.ndarray,
+                   start: float) -> None:
+    """Row ``j`` of ``Z`` <- ``M @ (row j-1) + b`` (``z`` before row 0), bit for bit.
+
+    ``(M, b)`` is ``prepared.affine``; ``elapsed[j]`` gets the seconds since
+    ``start``.  The map covers the dual step, so a row costs one matvec and
+    one add.
+    """
+    M, b = prepared.affine
+    prev = z
+    for j, row in enumerate(Z):
+        np.matmul(M, prev, out=row)
+        row += b
+        elapsed[j] = time.perf_counter() - start
+        prev = row
+
+
+def _residual_norms(problem: BlockProblem, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[j] <- ||A X[j] - c||`` for every row of ``X`` from one product ``X A' - c``,
+    which is returned."""
+    R = X @ problem.stacked_A().T
+    R -= problem.c
+    np.sqrt(np.einsum("ij,ij->i", R, R), out=out)
+    return R
 
 
 def _steps(prepared: _Prepared, z: np.ndarray, r: np.ndarray, Z: np.ndarray, RN: np.ndarray,
@@ -520,22 +565,29 @@ def _steps(prepared: _Prepared, z: np.ndarray, r: np.ndarray, Z: np.ndarray, RN:
     """Steps written straight into the rows of ``Z``: the loop of both engines.
 
     Row ``j`` of ``Z`` is the iterate ``[x; lam]`` one step after row
-    ``j-1`` (after ``z``, whose constraint residual is ``r``, for row 0):
-    ``x`` from ``prepared.update``, then ``lam <- lam - dual_step * (A x - c)``.
-    ``newton[j]`` gets the step's worst Newton residual, ``RN[j]`` the norm
-    of row ``j``'s constraint residual and ``elapsed[j]`` the seconds since
-    ``start``.  Returns the number of rows written, the constraint residual
-    of the last one and the block-solve failure that stopped the loop
-    (``None`` when every row was written).
+    ``j-1`` (after ``z``, whose constraint residual is ``r``, for row 0).
+    The affine engine writes each row with :func:`_affine_update` and then
+    the norms of the rows' constraint residuals into ``RN`` from one product
+    (:func:`_residual_norms`).  The block sweep takes ``x`` from
+    :func:`_block_solves`, then ``lam <- lam - dual_step * (A x - c)``, and
+    writes the step's worst Newton residual to ``newton[j]`` and the norm of
+    row ``j``'s constraint residual to ``RN[j]``.  Both write ``elapsed[j]``,
+    the seconds since ``start``.  Returns the number of rows written, the
+    constraint residual of the last one and the block-solve failure that
+    stopped the loop (``None`` when every row was written).
     """
-    problem, dual_step, update = prepared.problem, prepared.dual_step, prepared.update
+    problem = prepared.problem
     n = problem.offsets[-1]
+    if prepared.affine is not None:
+        _affine_update(prepared, z, Z, elapsed, start)
+        return len(Z), _residual_norms(problem, Z[:, :n], RN[:len(Z)])[-1], None
+    dual_step = prepared.dual_step
     tmp = np.empty(problem.m)
     prev = z
     for j, row in enumerate(Z):
         x_row, lam_row = row[:n], row[n:]
         try:
-            newton[j] = update(prepared, prev, r, x_row)
+            newton[j] = _block_solves(prepared, prev, r, x_row)
         except (SubproblemFailed, NoBracket, MaxItersExceeded) as exc:
             return j, r, exc
         r = constraint_residual(problem, x_row)
@@ -545,6 +597,22 @@ def _steps(prepared: _Prepared, z: np.ndarray, r: np.ndarray, Z: np.ndarray, RN:
         elapsed[j] = time.perf_counter() - start
         prev = row
     return len(Z), r, None
+
+
+def affine_map(problem: BlockProblem, params: SolverParams, method: str = "jprox"):
+    """``(M, b)`` of one step of ``method``: ``[x; lam]+ = M [x; lam] + b``.
+
+    The step is affine for a Jacobi method (``jprox``, ``jacobi-plain``,
+    ``dual-decomp``) on a problem whose blocks are all quadratic; else this
+    raises :class:`InvalidParameter`.  Within :data:`AFFINE_MAX_ENTRIES` it
+    is the map that :func:`run` iterates.  ``M`` is ``(n + m, n + m)`` and
+    acts on the stacked iterate ``[x; lam]``.
+    """
+    prepared = _Prepared(problem, params, method)
+    affine = prepared.affine if prepared.affine is not None else prepared._affine_map()
+    if affine is None:
+        raise InvalidParameter("only a Jacobi step on quadratic blocks is affine")
+    return affine
 
 
 def step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
@@ -593,7 +661,7 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     :func:`_steps`, which writes each iterate straight into its row of one
     preallocated ``(chunk, n + m)`` buffer of ``[x; lam]`` rows, and records
     each chunk with batched products; the two engines (see
-    :class:`_Prepared`) differ only in the new ``x``.  A chunk
+    :class:`_Prepared`) differ only in how a row is written.  A chunk
     keeps the rows up to the first one that meets the stop rule, and the
     run ends in that row's state, so it records the rows of a step-by-step
     loop.  A block-solve failure ends its chunk at the failed step; the

@@ -33,6 +33,7 @@ from jprox.errors import (
     InvalidParameter,
     JproxError,
     NotPositiveDefinite,
+    NotPSD,
     NotStronglyConvex,
 )
 from jprox.experiments import (
@@ -953,7 +954,22 @@ def test_weight_policies_read_the_cached_gram_matrices():
         assert np.array_equal(P, tau * np.eye(4) - 2.0 * AtA)
 
 
-def test_run_sweep_materializes_each_policy_for_certify_run_and_phi_weights(count_calls, cpus):
+@pytest.mark.parametrize("tau", ["auto", 0.5], ids=["auto", "below-the-floor"])
+def test_prox_linear_certify_forms_no_gram_matrix(count_calls, tau):
+    # The floor rho*||A_i||^2 is checked from the Gram spectra; only an
+    # explicit policy's P_i is materialized in certify.
+    p = generate_lcqp(3, 6, 4, seed=0).problem
+    grams = count_calls("jprox.problem", "BlockProblem.gram_matrices")
+    if tau == "auto":
+        assert certify(p, 1.0, 0.5, ProxLinear(tau)).passed
+    else:
+        with pytest.raises(NotPSD, match=r"prox-linear block 0: tau=0\.5 below rho\*\|\|A\|\|\^2="):
+            certify(p, 1.0, 0.5, ProxLinear(tau))
+    assert grams == []
+    assert p._gram_matrices is None
+
+
+def test_run_sweep_materializes_each_policy_for_the_run_and_its_phi_weights(count_calls, cpus):
     from jprox.experiments import SweepConfig, run_sweep
 
     cpus(1)  # cells run in this process, where their calls are counted
@@ -965,9 +981,9 @@ def test_run_sweep_materializes_each_policy_for_certify_run_and_phi_weights(coun
     assert all(cell.error is None for cell in cells.values())
     passed = sum(cell.certificate.passed for cell in cells.values())
     assert passed == 1
-    # Once in certify, once in the run's preparation, and once for the phi
-    # weights of a passed certificate.
-    assert len(calls) == 2 * len(cells) + passed
+    # Once in the run's preparation and once for the phi weights of a passed
+    # certificate; certify materializes only an explicit policy.
+    assert len(calls) == len(cells) + passed
 
 
 # -- resolving an "auto" request -------------------------------------------------------------------

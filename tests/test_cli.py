@@ -361,8 +361,9 @@ def test_certify_takes_no_svd_and_builds_no_coupling_matrix(tmp_path, count_call
     assert (eigs, svd) == ([], [])
 
 
-@pytest.mark.parametrize("flags", [(), ("--tau", "2"), ("--policy", "none")],
-                         ids=["auto", "fixed-tau", "no-proximal-term"])
+@pytest.mark.parametrize("flags", [(), ("--tau", "2"), ("--policy", "none"),
+                                   ("--policy", "proxlinear")],
+                         ids=["auto", "fixed-tau", "no-proximal-term", "prox-linear-auto"])
 def test_certify_forms_no_gram_matrix(tmp_path, count_calls, flags):
     # certify reads the recorded Gram spectra; only a run's phi weights read A_i'A_i.
     inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)

@@ -322,14 +322,28 @@ def test_step_fixed_point_at_generated_optimum():
     assert dis(out, u) <= 1e-9
 
 
-def test_dual_update_identity_exact():
+def _dual_update_identity():
+    """A step's ``lam+`` and ``lam - gamma*rho*(A x+ - c)`` from the same ``x+``."""
     inst = generate_lcqp(3, 5, 3, seed=2)
     rng = np.random.default_rng(1)
     u = PrimalDualPoint([rng.standard_normal(3) for _ in range(3)], rng.standard_normal(5))
     params = SolverParams(rho=1.7, gamma=0.9, policy=StandardProximal(0.5))
     out = step(inst.problem, u, params)
-    expected = u.lam - params.gamma * params.rho * constraint_residual(inst.problem, out.x)
-    assert np.array_equal(out.lam, expected)
+    return out.lam, u.lam - params.gamma * params.rho * constraint_residual(inst.problem, out.x)
+
+
+def test_dual_update_identity_exact(monkeypatch):
+    # The block sweep computes the dual step from A x+ - c itself.
+    monkeypatch.setattr(solvers, "AFFINE_MAX_ENTRIES", 0)
+    got, expected = _dual_update_identity()
+    assert np.array_equal(got, expected)
+
+
+def test_dual_update_identity_holds_to_round_off_on_the_affine_engine():
+    # The affine engine folds the dual step into its map M, so lam+ = lam -
+    # gamma*rho*(A x+ - c) holds to round-off only (about 1e-15 here).
+    got, expected = _dual_update_identity()
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
 
 
 def test_stationarity_after_step_all_block_types():
@@ -504,25 +518,33 @@ def test_dual_decomposition_run_factorizes_each_block_once(monkeypatch):
 
 
 def test_run_computes_one_constraint_residual_per_iterate(monkeypatch):
-    import importlib
-
-    module = importlib.import_module("jprox.solvers")
-    calls = []
-    original = module.constraint_residual
+    # The affine engine computes the initial point's residual with
+    # constraint_residual and every other one per chunk, from one product.
+    residuals, chunks = [], []
+    original, norms = solvers.constraint_residual, solvers._residual_norms
 
     def counting(problem, x):
-        calls.append(len(x))
+        residuals.append(len(x))
         return original(problem, x)
 
+    def counting_norms(problem, X, out):
+        chunks.append(len(X))
+        return norms(problem, X, out)
+
     inst = generate_lcqp(3, 6, 4, seed=29)
-    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(2.0), max_iters=20)
-    monkeypatch.setattr(module, "constraint_residual", counting)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(10.0), max_iters=150)
+    monkeypatch.setattr(solvers, "constraint_residual", counting)
+    monkeypatch.setattr(solvers, "_residual_norms", counting_norms)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
                 reference=inst.optimum(), record_points=True)
-    assert len(trace) == 21
-    assert len(calls) == len(trace)
+    assert trace.engine == "affine" and len(trace) == 151
+    assert residuals == [12]
+    assert chunks == [64, 64, 22]
+    scale = np.linalg.norm(inst.problem.stacked_A(), 2) * max(
+        np.linalg.norm(np.concatenate(point.x)) for point in trace.points)
     for point, recorded in zip(trace.points, trace.primal_residual):
-        assert recorded == float(np.linalg.norm(original(inst.problem, point.x)))
+        want = float(np.linalg.norm(original(inst.problem, point.x)))
+        assert abs(recorded - want) <= 1e-14 * scale
 
 
 # -- uneven and mixed blocks ------------------------------------------------------------
@@ -874,6 +896,90 @@ def test_affine_sweep_keeps_every_status_of_the_block_sweep(monkeypatch):
         assert abs(got.ks[-1] - want.ks[-1]) <= 1 + math.ceil(gap / per_step), key
 
 
+def _map_from_steps(problem, params, method):
+    """``(M, b)`` assembled column by column from public block-sweep steps.
+
+    The step is affine, so ``b`` is the step from zero and column ``j`` of
+    ``M`` is the step from the unit vector ``e_j`` minus ``b``.
+    """
+    n = sum(problem.dims)
+
+    def stepped(z):
+        u = PrimalDualPoint(problem.split(z[:n].copy()), z[n:].copy())
+        out = step(problem, u, params, method=method)
+        return np.concatenate(out.x + [out.lam])
+
+    b = stepped(np.zeros(n + problem.m))
+    return np.column_stack([stepped(e) - b for e in np.eye(n + problem.m)]), b
+
+
+@pytest.mark.parametrize("method", ["jprox", "jacobi-plain", "dual-decomp"])
+def test_affine_map_matches_the_map_of_block_sweep_steps(monkeypatch, method):
+    inst = generate_lcqp(3, 6, 4, seed=5)
+    params = SolverParams(rho=1.3, gamma=0.7, policy=StandardProximal(2.0))
+    M, b = solvers.affine_map(inst.problem, params, method)
+    monkeypatch.setattr(solvers, "AFFINE_MAX_ENTRIES", 0)
+    M_steps, b_steps = _map_from_steps(inst.problem, params, method)
+    assert M.shape == (18, 18) and b.shape == (18,)
+    np.testing.assert_allclose(M, M_steps, rtol=1e-12, atol=1e-12 * np.abs(M_steps).max())
+    np.testing.assert_allclose(b, b_steps, rtol=1e-12, atol=1e-12 * np.abs(b_steps).max())
+    # Above the cap the same map is built on request.
+    assert all(np.array_equal(a, w) for a, w in zip(solvers.affine_map(inst.problem, params,
+                                                                        method), (M, b)))
+
+
+def test_affine_map_refuses_a_step_that_is_not_affine():
+    params = SolverParams(rho=1.0, gamma=1.0)
+    with pytest.raises(InvalidParameter, match="only a Jacobi step"):
+        solvers.affine_map(generate_lcqp(3, 6, 4, seed=5).problem, params, "gauss-seidel")
+    with pytest.raises(InvalidParameter, match="only a Jacobi step"):
+        solvers.affine_map(mixed_problem(), params)
+
+
+#: Entries of ``M`` below which the property below runs the affine engine:
+#: ``sum n_i + m <= 10``, so the drawn sizes fall on both sides.
+_PROPERTY_CAP = 100
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 4), n=st.integers(1, 5), m=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 16),
+       method=st.sampled_from(["jprox", "jacobi-plain", "dual-decomp"]),
+       rho=st.floats(0.1, 3.0), gamma=st.floats(0.1, 1.9), tau=st.floats(0.1, 10.0))
+def test_affine_rows_match_the_block_sweep_rows_on_both_sides_of_the_cap(N, n, m, seed, method,
+                                                                         rho, gamma, tau):
+    # Over 300 steps the two engines' iterates differ by round-off: at most
+    # 2.3e-13 of the larger distance to the optimum (row 0's or row k's) in
+    # 300 drawn runs, against a bound of 1e-10.  The runs have no reference,
+    # so no row can meet the stop rule by round-off (a 1x1 problem can land
+    # on its optimum exactly); runs that diverge stop at the same step up to one.
+    from jprox.errors import DegenerateAfterRetries
+
+    try:
+        inst = generate_lcqp(N, m, n, seed)
+    except DegenerateAfterRetries:
+        assume(False)
+    problem, ref = inst.problem, inst.optimum()
+    params = SolverParams(rho=rho, gamma=gamma, policy=StandardProximal(tau), max_iters=300)
+    u0 = random_point(problem, seed)
+    traces = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for cap in (_PROPERTY_CAP, 0):
+            patch.setattr(solvers, "AFFINE_MAX_ENTRIES", cap)
+            traces[cap] = run(problem, params, u0, method=method, record_points=True)
+    got, want = traces[_PROPERTY_CAP], traces[0]
+    fused = (sum(problem.dims) + problem.m) ** 2 <= _PROPERTY_CAP
+    assert (got.engine, want.engine) == ("affine" if fused else "sweep", "sweep")
+    assert abs(len(got) - len(want)) <= (1 if "diverged" in (got.status, want.status) else 0)
+    z_ref = np.concatenate(ref.x + [ref.lam])
+    scale0 = np.linalg.norm(np.concatenate(u0.x + [u0.lam]) - z_ref)
+    for k, (g, w) in enumerate(zip(got.points, want.points)):
+        zg, zw = np.concatenate(g.x + [g.lam]), np.concatenate(w.x + [w.lam])
+        if not fused:
+            assert zg.tobytes() == zw.tobytes(), k
+        assert np.linalg.norm(zg - zw) <= 1e-10 * max(scale0, np.linalg.norm(zw - z_ref)), k
+
+
 def _stepwise(problem, params, u0, ref, method):
     """Points, ``dis`` and status of a loop of public steps under the run's stop rule."""
     from jprox.problem import block_distance
@@ -955,26 +1061,30 @@ def test_affine_run_converged_at_the_reference_takes_no_step():
 
 @pytest.mark.parametrize("max_iters", [1, 64, 150])
 def test_buffered_affine_rows_equal_the_unbuffered_formula(max_iters):
-    # Reference: the affine step as one expression per row, on fresh arrays.
+    # Reference: each row as the expression M @ z + b on fresh arrays, and the
+    # residual norms of each chunk's rows from one product X A' - c.
     inst = generate_lcqp(3, 6, 4, seed=13)
     problem = inst.problem
     params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(10.0),
                           max_iters=max_iters)
-    prepared = solvers._Prepared(problem, params, "jprox")
-    T, b = prepared.affine
+    M, b = solvers._Prepared(problem, params, "jprox").affine
     u0 = random_point(problem, 3)
     trace = run(problem, params, u0, record_points=True)
     assert trace.engine == "affine" and trace.ks[-1] == max_iters
-    x, lam = np.concatenate(u0.x), u0.lam
+    n, A, c = sum(problem.dims), problem.stacked_A(), problem.c
+    z = np.concatenate(u0.x + [u0.lam])
+    rows = []
     for k, point in enumerate(trace.points[1:], 1):
-        x = T @ np.concatenate((x, lam)) + b
-        r = problem.stacked_A() @ x - problem.c
-        lam = lam - prepared.dual_step * r
-        assert np.concatenate(point.x).tobytes() == x.tobytes(), k
-        assert point.lam.tobytes() == lam.tobytes(), k
-        assert trace.primal_residual[k] == math.sqrt(r @ r), k
-    assert np.concatenate(trace.final.x).tobytes() == x.tobytes()
-    assert trace.final.lam.tobytes() == lam.tobytes()
+        z = M @ z + b
+        rows.append(z)
+        assert np.concatenate(point.x).tobytes() == z[:n].tobytes(), k
+        assert point.lam.tobytes() == z[n:].tobytes(), k
+    assert np.concatenate(trace.final.x).tobytes() == z[:n].tobytes()
+    assert trace.final.lam.tobytes() == z[n:].tobytes()
+    for start in range(0, max_iters, solvers.RECORD_CHUNK):
+        R = np.stack(rows[start:start + solvers.RECORD_CHUNK])[:, :n] @ A.T - c
+        recorded = trace.primal_residual[1 + start:1 + start + len(R)]
+        assert np.sqrt(np.einsum("ij,ij->i", R, R)).tolist() == recorded, start
     one = step(problem, u0, params)
     assert np.concatenate(one.x).tobytes() == np.concatenate(trace.points[1].x).tobytes()
     assert one.lam.tobytes() == trace.points[1].lam.tobytes()
@@ -1211,10 +1321,10 @@ def test_other_runs_take_the_block_sweep(monkeypatch):
     assert _engine(lcqp, "gauss-seidel") == "sweep"
     assert _engine(mixed_problem()) == "sweep"
     assert _engine(generate_resource_alloc(6, seed=0).problem) == "sweep"
-    # T_x of this problem has 12 * (12 + 6) = 216 entries.
-    monkeypatch.setattr(solvers, "AFFINE_MAX_ENTRIES", 215)
+    # M of this problem has (12 + 6)**2 = 324 entries.
+    monkeypatch.setattr(solvers, "AFFINE_MAX_ENTRIES", 323)
     assert _engine(lcqp) == "sweep"
-    monkeypatch.setattr(solvers, "AFFINE_MAX_ENTRIES", 216)
+    monkeypatch.setattr(solvers, "AFFINE_MAX_ENTRIES", 324)
     assert _engine(lcqp) == "affine"
 
 
