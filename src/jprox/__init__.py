@@ -8,7 +8,6 @@ from .certify import (
     certify,
     check_xi_condition,
     closed_form_mu_s,
-    compute_mu_s,
     compute_sigma,
     estimate_constants,
     fit_linear_rate,
@@ -44,7 +43,6 @@ from .problem import (
 )
 from .solvers import (
     METHODS,
-    ExplicitProximal,
     ProxLinear,
     SolverParams,
     StandardProximal,

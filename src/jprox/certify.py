@@ -22,20 +22,17 @@ The constants, the Gram spectra and the Gram matrices ``A_i'A_i`` are
 computed once per loaded problem and cached on it (``BlockProblem``).
 Every spectral quantity of a coupling matrix comes from one
 eigendecomposition of ``A_i'A_i`` per block (``BlockProblem.gram_spectra``):
-the norms ``||A_i||``, the certified proximal weights, and ``mu_s``.  Under
-a weight policy ``P_i = tau_i*I - coupling*rho*A_i'A_i`` (every fact of
-which is derived from its ``kind`` and ``coupling``) the coupling condition
-on each eigenvalue is a concave quadratic in ``tau``, so
+the norms ``||A_i||``, the certified proximal weights, and ``mu_s``.  A
+policy is none or a weight policy ``P_i = tau_i*I - coupling*rho*A_i'A_i``
+(every fact of which is derived from its ``kind`` and ``coupling``), so the
+coupling matrix and both matrices of the ``mu_s`` pencil are polynomials in
+``A_i'A_i``: the coupling margin is a minimum and ``mu_s`` a maximum over
+its eigenvalues, with no matrix built.  The coupling condition on each
+eigenvalue is a concave quadratic in ``tau``, so
 :func:`smallest_certified_tau` reads each block's certified interval in
-closed form and picks a weight strictly inside it, with no dense matrix.
-:func:`certify`, the one place an ``"auto"`` request becomes weights, checks
-the coupling condition of every policy once (:func:`check_xi_condition`).
-Without a proximal term and for a weight policy, the coupling matrix and
-both matrices of the ``mu_s`` pencil are polynomials in ``A_i'A_i``, so
-the coupling margin is a minimum and ``mu_s`` a maximum over its
-eigenvalues, with no matrix built.  An explicit ``P_i`` takes one dense
-eigensolve of the coupling matrix and the dense generalized eigensolve of
-:func:`compute_mu_s`; both also serve as the oracles of the closed forms.
+closed form and picks a weight strictly inside it.  :func:`certify`, the
+one place an ``"auto"`` request becomes weights, checks the coupling
+condition of every policy once (:func:`check_xi_condition`).
 
 All checks are reported with margins; a failed certificate is data, not an
 exception, so callers can still run the solver on uncertified parameters.
@@ -53,7 +50,6 @@ import numpy as np
 
 from .errors import (
     CertificationError,
-    DimensionMismatch,
     GammaOutOfRange,
     InsufficientData,
     InvalidParameter,
@@ -62,11 +58,9 @@ from .errors import (
     NotPositiveDefinite,
     NotStronglyConvex,
 )
-from .linalg import generalized_max_eigenvalue, min_eigenvalue_sym
 from .problem import BlockProblem, PrimalDualPoint
 from .solvers import (
     WEIGHT_POLICIES,
-    ExplicitProximal,
     ProximalPolicy,
     StandardProximal,
     materialize_policy,
@@ -182,33 +176,20 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
     ``xi_i = (1 - 1e-6) * (2 - gamma) / N`` (:func:`uniform_xi`).  The
     margins ``min_eigs`` are the smallest eigenvalues of these matrices.
 
-    Without a proximal term and for the weight policies,
     ``B_i`` is a polynomial in ``A_i'A_i``, so no matrix is built: with
     ``d_j`` the cached eigenvalues of ``A_i'A_i`` and
     ``b_j = rho*d_j + p_j`` (``p_j`` from :func:`policy_eigenvalues`), the
-    margin is ``min_j(b_j - 8*s*b_j^2 - (rho/xi_i)*d_j)``.  An
-    :class:`ExplicitProximal` policy takes one dense eigensolve per block of
-    the coupling matrix built from its ``P_i``; wrapping the materialized
-    matrices of another policy in one gives the dense oracle of the closed form.
-    Not one explicit ``P_i`` per block raises :class:`DimensionMismatch`.
+    margin is ``min_j(b_j - 8*s*b_j^2 - (rho/xi_i)*d_j)``.
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
     _require_positive(s=s)
     xi = uniform_xi(gamma, problem.N)
     eigs = []
-    if isinstance(policy, ExplicitProximal):
-        if len(policy.P) != problem.N:
-            raise DimensionMismatch(f"{len(policy.P)} proximal matrices for {problem.N} blocks")
-        for AtA, Pi, xi_i in zip(problem.gram_matrices(), policy.P, xi):
-            B = rho * AtA + np.asarray(Pi, dtype=float)
-            M = B - 8.0 * s * (B @ B) - (rho / xi_i) * AtA
-            eigs.append(min_eigenvalue_sym(0.5 * (M + M.T)))
-    else:
-        ds = [g.eigenvalues for g in problem.gram_spectra()]
-        for d, p, xi_i in zip(ds, policy_eigenvalues(policy, rho, ds), xi):
-            b = rho * d + p
-            eigs.append(float(np.min(b - 8.0 * s * b * b - (rho / xi_i) * d)))
+    ds = [g.eigenvalues for g in problem.gram_spectra()]
+    for d, p, xi_i in zip(ds, policy_eigenvalues(policy, rho, ds), xi):
+        b = rho * d + p
+        eigs.append(float(np.min(b - 8.0 * s * b * b - (rho / xi_i) * d)))
     return XiCheck(all(e > 0.0 for e in eigs), tuple(eigs), xi)
 
 
@@ -220,39 +201,19 @@ def _mu_s_pencil(consts: ProblemConstants, rho: float, s: float, N: int) -> tupl
     return rho + 4.0 * N * s * rho * rho * consts.D, gap
 
 
-def compute_mu_s(problem: BlockProblem, consts: ProblemConstants, rho: float, s: float,
-                 P_list: Sequence[np.ndarray]) -> float:
-    """Tightest factor bounding the k-state weights by the Lyapunov weights.
-
-    Returns the largest generalized eigenvalue over blocks of
-    ``(rho + 4*N*s*rho^2*D) * A_i'A_i + P_i`` against
-    ``rho*A_i'A_i + P_i + 2*(alpha - 2*L*s) * I``; below 1 whenever ``s`` is
-    admissible.  One dense generalized eigensolve per block, for any
-    symmetric ``P_i``: :func:`certify` takes this path for an explicit
-    policy, and it is the oracle of :func:`closed_form_mu_s`.
-    """
-    coef, gap = _mu_s_pencil(consts, rho, s, problem.N)
-    if len(P_list) != problem.N:
-        raise DimensionMismatch(f"{len(P_list)} proximal matrices for {problem.N} blocks")
-    worst = -math.inf
-    for AtA, Pi in zip(problem.gram_matrices(), P_list):
-        Pi = np.asarray(Pi, dtype=float)
-        left = coef * AtA + Pi
-        right = rho * AtA + Pi + 2.0 * gap * np.eye(AtA.shape[0])
-        worst = max(worst, generalized_max_eigenvalue(left, right))
-    return worst
-
-
 def closed_form_mu_s(problem: BlockProblem, consts: ProblemConstants, rho: float, s: float,
                      policy: ProximalPolicy) -> float:
-    """:func:`compute_mu_s` from the cached Gram spectra, for a non-explicit policy.
+    """Tightest factor bounding the k-state weights by the Lyapunov weights.
 
-    With ``d_j`` the eigenvalues of ``A_i'A_i`` and ``p_j`` the matching
-    eigenvalues of ``P_i`` (``0``, ``tau_i`` or ``tau_i - rho*d_j``), both
-    pencil matrices share the eigenvectors of ``A_i'A_i``, so ``mu_s`` is
+    It is the largest generalized eigenvalue over blocks of
+    ``coef*A_i'A_i + P_i`` (``coef = rho + 4*N*s*rho^2*D``) against
+    ``rho*A_i'A_i + P_i + 2*gap*I`` (``gap = alpha - 2*L*s``); below 1
+    whenever ``s`` is admissible.  With ``d_j`` the cached eigenvalues of
+    ``A_i'A_i`` and ``p_j`` the matching eigenvalues of ``P_i`` (``0``,
+    ``tau_i`` or ``tau_i - rho*d_j``), both pencil matrices share the
+    eigenvectors of ``A_i'A_i``, so ``mu_s`` is
     ``max_j (coef*d_j + p_j) / (rho*d_j + p_j + 2*gap)`` over all blocks.
-    Raises :class:`NotPositiveDefinite` when a denominator is not positive,
-    as the dense pencil solve does.
+    Raises :class:`NotPositiveDefinite` when a denominator is not positive.
     """
     coef, gap = _mu_s_pencil(consts, rho, s, problem.N)
     worst = -math.inf
@@ -297,8 +258,6 @@ def compute_sigma(gamma: float, rho: float, s: float, c_A: float, mu_s: float) -
 def describe_policy(policy: ProximalPolicy) -> dict:
     if policy is None:
         return {"kind": "none"}
-    if isinstance(policy, ExplicitProximal):
-        return {"kind": "explicit"}
     tau = policy.tau if np.isscalar(policy.tau) else list(map(float, policy.tau))
     return {"kind": policy.kind, "tau": tau}
 
@@ -350,9 +309,8 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     :func:`fallback_tau`, raised to the PSD floor ``coupling*rho*||A_i||^2``; it
     raises :class:`GammaOutOfRange` for ``gamma`` outside (0, 2).  The concrete
     policy is the certificate's ``proximal``.  Whatever the policy, the
-    coupling condition is checked here, once per block, by
-    :func:`check_xi_condition`: in closed form, or densely for an explicit
-    policy.
+    coupling condition is checked here, once per block and in closed form,
+    by :func:`check_xi_condition`.
 
     Never raises on a certifiability failure: the returned certificate has
     ``passed=False`` and names the broken condition, so the solver can still
@@ -377,14 +335,11 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     s = 0.5 * max_feasible_s(consts, rho, problem.N)
     _require_positive(s=s)
     gap = consts.alpha - 2.0 * consts.L * s
-    # Only an explicit P_i is read; a weight policy's floor is checked from the Gram spectra.
-    if isinstance(policy, ExplicitProximal):
-        P_list = materialize_policy(policy, rho, problem)
-    elif policy is not None:
+    # A weight policy's floor is checked from the Gram spectra; no P_i is formed.
+    if policy is not None:
         policy_weights(policy, rho, problem)
     xi_check = check_xi_condition(problem, rho, gamma, s, policy)
-    mu = (compute_mu_s(problem, consts, rho, s, P_list) if isinstance(policy, ExplicitProximal)
-          else closed_form_mu_s(problem, consts, rho, s, policy))
+    mu = closed_form_mu_s(problem, consts, rho, s, policy)
     sig = compute_sigma(gamma, rho, s, consts.c_A, mu)
 
     cert.s, cert.xi, cert.mu_s, cert.sigma = s, xi_check.xi, mu, sig.sigma

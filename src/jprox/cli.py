@@ -32,7 +32,6 @@ from .solvers import (
     DIVERGED,
     METHODS,
     WEIGHT_POLICIES,
-    ExplicitProximal,
     SolverParams,
     StandardProximal,
     run,
@@ -86,7 +85,7 @@ def _at_least(value: int, least: int, flag: str) -> int:
     return value
 
 
-def build_policy(instance, name: str, tau):
+def build_policy(name: str, tau):
     """The proximal policy request that ``--policy`` and ``--tau`` name.
 
     A weight policy's name (a key of ``WEIGHT_POLICIES``) gives that policy
@@ -95,10 +94,6 @@ def build_policy(instance, name: str, tau):
     """
     if name == "none":
         return None
-    if name == "explicit":
-        if not instance.proximal_source:
-            _fail_flags("invalid --policy: explicit needs an instance with stored proximal matrices")
-        return ExplicitProximal(instance.proximal_source)
     return WEIGHT_POLICIES[name](tau)
 
 
@@ -144,7 +139,7 @@ def cmd_certify(args) -> int:
     instance = _load_instance(args.input)
     rho = _positive(args.rho, "--rho")
     gamma = _positive(args.gamma, "--gamma")
-    policy = build_policy(instance, args.policy, args.tau)
+    policy = build_policy(args.policy, args.tau)
     # Out of (0, 2) an "auto" request has no weights to resolve to; the failed
     # certificate still goes to disk, and names any concrete policy.
     if gamma >= 2.0 and getattr(policy, "tau", None) == "auto":
@@ -170,7 +165,7 @@ def cmd_solve(args) -> int:
     gamma = _positive(args.gamma, "--gamma")
     max_iters = _at_least(args.max_iters, 1, "--max-iters")
     tol = _nonnegative(args.tol, "--tol")
-    policy = build_policy(instance, args.policy, args.tau)
+    policy = build_policy(args.policy, args.tau)
     # Only a method that reads P_i (jprox) is certified: the baselines run without a certificate.
     cert = (certify(problem, rho, gamma, policy, instance.seed) if METHODS[args.method].proximal
             else None)
@@ -415,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     def parameter_flags(p):
         p.add_argument("--rho", type=float, default=1.0)
         p.add_argument("--gamma", type=float, default=1.0)
-        p.add_argument("--policy", choices=[*WEIGHT_POLICIES, "none", "explicit"],
+        p.add_argument("--policy", choices=[*WEIGHT_POLICIES, "none"],
                        default=StandardProximal.kind)
         p.add_argument("--tau", default="auto",
                        help="positive number, or 'auto' for certified weights")

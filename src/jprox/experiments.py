@@ -6,8 +6,8 @@ program with dense Gaussian data and a scalar resource-allocation problem
 Randomness is confined to ``numpy.random.default_rng(seed)``, so identical
 (seed, config) pairs reproduce instances and traces bit for bit.  A family's
 class (:data:`INSTANCE_KINDS`) is the one place that knows what sets it apart:
-its archive ``kind``, ``optimum()``, ``redraw(seed)``, ``rho_grid``,
-``proximal_source`` and its own members of an instance file
+its archive ``kind``, ``optimum()``, ``redraw(seed)``, ``rho_grid`` and
+its own members of an instance file
 (``archive_members``, ``from_archive``; ``jprox generate`` writes
 ``instance.npz`` unless given ``--output``).  An instance file holds one
 member per array kind, whatever the number of blocks: the blocks of each
@@ -69,13 +69,6 @@ def _symmetrized_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return 0.5 * (B + B.T)
 
 
-def _repair_psd(S: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues to zero (PSD repair, keeps the eigenbasis)."""
-    w, V = np.linalg.eigh(S)
-    M = (V * np.clip(w, 0.0, None)) @ V.T
-    return 0.5 * (M + M.T)
-
-
 def _repair_pd(S: np.ndarray, shift: float = PD_SHIFT) -> np.ndarray:
     """Reflect eigenvalues to ``|w| + shift`` (strict PD repair)."""
     w, V = np.linalg.eigh(S)
@@ -98,7 +91,6 @@ class LcqpInstance:
     xstar: tuple
     lambdastar: np.ndarray
     seed: int
-    proximal_source: tuple = ()
     kind = "lcqp"
 
     def optimum(self) -> PrimalDualPoint:
@@ -122,24 +114,21 @@ class LcqpInstance:
         H = np.concatenate([f.H.ravel() for f in objectives])
         members = {"H": H, "q": np.concatenate([f.q for f in objectives]),
                    "xstar": np.concatenate(self.xstar), "lambdastar": self.lambdastar}
-        if self.proximal_source:
-            members["P"] = np.concatenate([np.ravel(P) for P in self.proximal_source])
         curvatures = np.array([(f.min_curvature, f.max_curvature) for f in objectives])
         return members, {"H": H}, {"spectra_curvatures": curvatures}
 
     @classmethod
     def from_archive(cls, z, seed: int, dims: list, c: np.ndarray, A: np.ndarray) -> "LcqpInstance":
-        """The instance in archive ``z``, whose shared members are read already."""
-        squares = sum(n * n for n in dims)
-        H, q = _member(z, "H", (squares,)), _member(z, "q", (sum(dims),))
+        """The instance in archive ``z``, whose shared members are read already; a ``P``
+        member, which earlier versions wrote, is not read."""
+        H, q = _member(z, "H", (sum(n * n for n in dims),)), _member(z, "q", (sum(dims),))
         spectra = _stored_spectra(z, dims, A, {"H": H}, {"spectra_curvatures": (len(dims), 2)})
         curvatures = spectra["spectra_curvatures"] if spectra else [None] * len(dims)
         blocks = tuple(_block(f"H: block {i}", QuadraticBlock, *args) for i, args in
                        enumerate(zip(_blocks(H, dims, square=True), _blocks(q, dims), curvatures)))
         problem = _archived_problem(blocks, dims, A, c, spectra)
         xstar = tuple(_blocks(_member(z, "xstar", (sum(dims),)), dims))
-        P = tuple(_blocks(_member(z, "P", (squares,)), dims, square=True)) if "P" in z.files else ()
-        return cls(problem, xstar, _member(z, "lambdastar", c.shape), seed, P)
+        return cls(problem, xstar, _member(z, "lambdastar", c.shape), seed)
 
 
 @dataclass(frozen=True)
@@ -151,7 +140,6 @@ class ResourceAllocInstance:
     kind = "resource_alloc"
     coefficients = ("a", "b", "cshift", "dshift")  # the archive members, one entry per block
     rho_grid = RHO_GRID_SMALL
-    proximal_source = ()
 
     def optimum(self) -> PrimalDualPoint:
         """:func:`reference_solution`'s optimum: this family plants none."""
@@ -187,9 +175,10 @@ def generate_lcqp(N: int, m: int, n: int, seed: int) -> LcqpInstance:
     Coupling matrices are i.i.d. standard normal, redrawn (up to 20 times)
     until the stacked transpose clears a smallest singular value of 1e-8.
     Objective matrices come from symmetrized Gaussian draws repaired to
-    strict positive definiteness; a PSD companion matrix per block (same
-    recipe, clipped at zero) is kept for explicit-proximal experiments.
-    The optimum is planted: ``q_i = -H_i x_i* + A_i' lam*`` and
+    strict positive definiteness.  The ``N`` Gaussian ``n x n`` draws before
+    them are taken and discarded: earlier versions made a stored proximal
+    matrix of each, and skipping them would change every later array.  The
+    optimum is planted: ``q_i = -H_i x_i* + A_i' lam*`` and
     ``c = sum_i A_i x_i*``.
 
     When the blocks provide fewer than ``m`` total columns, the multiplier
@@ -211,7 +200,7 @@ def generate_lcqp(N: int, m: int, n: int, seed: int) -> LcqpInstance:
         raise DegenerateAfterRetries(
             f"no full-rank stack after {GENERATION_RETRIES} draws (N={N}, m={m}, n={n})"
         )
-    P_src = tuple(_repair_psd(_symmetrized_gaussian(rng, n)) for _ in range(N))
+    rng.standard_normal((N, n, n))  # the discarded draws (see above)
     H = [_repair_pd(_symmetrized_gaussian(rng, n)) for _ in range(N)]
     xstar = [rng.standard_normal(n) for _ in range(N)]
     lamstar = rng.standard_normal(m)
@@ -227,7 +216,7 @@ def generate_lcqp(N: int, m: int, n: int, seed: int) -> LcqpInstance:
     problem = BlockProblem(tuple(QuadraticBlock(Hi, qi) for Hi, qi in zip(H, q)), tuple(A), c)
     # The accepted draw's stacked singular value is the problem's: its A holds the same values.
     object.__setattr__(problem, "_stacked_singular_value", sv)
-    instance = LcqpInstance(problem, tuple(xstar), lamstar, seed, P_src)
+    instance = LcqpInstance(problem, tuple(xstar), lamstar, seed)
     resid = kkt_residual(problem, instance.optimum())
     if resid > 1e-9:
         raise DegenerateAfterRetries(f"constructed optimum has KKT residual {resid:.3e}")
@@ -523,8 +512,7 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
 #   c                 float64 (m,), at least one entry
 #   A                 float64 (m, sum n_i), [A_0 ... A_{N-1}]; n_i = 1 for resource allocation
 #   lcqp only         H float64 (sum n_i^2,), every H_i in C order, block after block;
-#                     q, xstar float64 (sum n_i,); lambdastar float64 (m,); and P, laid
-#                     out as H, when the instance stores proximal matrices
+#                     q, xstar float64 (sum n_i,); lambdastar float64 (m,)
 #   resource_alloc    a, b, cshift, dshift: float64 (N,), one entry per block
 #
 # ``save_instance`` also records the problem's spectra, which depend on the
@@ -547,7 +535,9 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
 #
 # Every float64 member must be finite.  Each family writes and reads its own
 # members (INSTANCE_KINDS); save_instance and load_instance do the shared ones.
-# A read checks each member whole and cuts its blocks out as views.
+# A read checks each member whole and cuts its blocks out as views.  A member
+# no family reads (the proximal matrices P that earlier LCQP archives hold) is
+# left unread.
 
 #: The dtype test of each kind of archive member, by the name errors give it.
 MEMBER_DTYPES = {"float64": lambda t: t == np.float64, "integer": lambda t: t.kind in "iu",

@@ -5,9 +5,9 @@ iterate (Jacobi semantics), each block minimizing its share of the
 augmented Lagrangian plus a proximal term ``0.5 ||x_i - x_i^k||^2_{P_i}``,
 followed by the damped dual step ``lam <- lam - gamma*rho*(sum A_i x_i - c)``.
 
-``P_i`` is none, caller-supplied (:class:`ExplicitProximal`) or a weight
-policy ``tau_i*I - coupling*rho*A_i'A_i`` (:data:`WEIGHT_POLICIES`) whose
-class carries its ``kind`` and ``coupling``: everything else is derived from them.
+``P_i`` is none or a weight policy ``tau_i*I - coupling*rho*A_i'A_i``
+(:data:`WEIGHT_POLICIES`) whose class carries its ``kind`` and
+``coupling``: everything else is derived from them.
 
 Three baselines run beside it: the same scheme with ``P_i = 0`` and
 ``gamma = 1`` (plain parallel ADMM), sequential Gauss-Seidel ADMM, and dual
@@ -49,7 +49,7 @@ from .errors import (
     NotStronglyConvex,
     SubproblemFailed,
 )
-from .linalg import SpdFactor, min_eigenvalue_sym, spectral_norm, require_symmetric
+from .linalg import SpdFactor, spectral_norm
 from .problem import (
     BlockProblem,
     LogisticQuadBlock,
@@ -116,14 +116,7 @@ class ProxLinear:
     coupling = 1
 
 
-@dataclass(frozen=True)
-class ExplicitProximal:
-    """Caller-supplied symmetric PSD ``P_i`` per block."""
-
-    P: Sequence[np.ndarray]
-
-
-ProximalPolicy = Optional[Union[StandardProximal, ProxLinear, ExplicitProximal]]
+ProximalPolicy = Optional[Union[StandardProximal, ProxLinear]]
 
 #: The weight policies ``P_i = tau_i*I - coupling*rho*A_i'A_i`` by ``kind``.
 WEIGHT_POLICIES = {cls.kind: cls for cls in (StandardProximal, ProxLinear)}
@@ -134,27 +127,12 @@ def materialize_policy(policy: ProximalPolicy, rho: float, problem: BlockProblem
 
     A weight policy with ``coupling`` set reads ``A_i'A_i`` and ``||A_i||``
     from the problem's caches.  Raises :class:`NotPSD` for ``tau_i`` below the
-    floor ``coupling*rho*||A_i||^2`` (:func:`policy_weights`) or an explicit
-    ``P_i`` with an eigenvalue below -1e-10, :class:`DimensionMismatch`
-    unless there is one ``P_i`` per block.
+    floor ``coupling*rho*||A_i||^2`` (:func:`policy_weights`).
     """
     if not (math.isfinite(rho) and rho > 0.0):
         raise InvalidParameter("rho must be finite and positive")
     if policy is None:
         return [np.zeros((n, n)) for n in problem.dims]
-    if isinstance(policy, ExplicitProximal):
-        if len(policy.P) != problem.N:
-            raise DimensionMismatch(f"{len(policy.P)} proximal matrices for {problem.N} blocks")
-        P_list = []
-        for i, (P, n) in enumerate(zip(policy.P, problem.dims)):
-            P = require_symmetric(P, f"explicit P[{i}]")
-            if P.shape[0] != n:
-                raise DimensionMismatch(f"explicit P[{i}] has size {P.shape[0]}, block has "
-                                        f"dimension {n}")
-            if min_eigenvalue_sym(P) < -1e-10:
-                raise NotPSD(f"explicit P[{i}] has an eigenvalue below -1e-10")
-            P_list.append(np.array(P))
-        return P_list
     P_list = []
     for i, (n, tau) in enumerate(zip(problem.dims, policy_weights(policy, rho, problem))):
         P = tau * np.eye(n)
@@ -185,15 +163,12 @@ def policy_eigenvalues(policy: ProximalPolicy, rho: float, ds: Sequence[np.ndarr
     """Eigenvalues of each materialized ``P_i``, paired with the eigenvalues ``ds[i]`` of
     ``A_i'A_i``.
 
-    No policy and a weight policy make ``P_i`` a polynomial in ``A_i'A_i``,
-    so entry ``j`` of block ``i`` is ``0`` or ``tau_i - coupling*rho*d_j``.
-    An explicit ``P_i`` has no such form and raises ``TypeError``.
-    Validation is :func:`materialize_policy`'s.
+    Every policy makes ``P_i`` a polynomial in ``A_i'A_i``, so entry ``j``
+    of block ``i`` is ``0`` or ``tau_i - coupling*rho*d_j``.  Validation is
+    :func:`materialize_policy`'s.
     """
     if policy is None:
         return [np.zeros_like(d) for d in ds]
-    if isinstance(policy, ExplicitProximal):
-        raise TypeError(f"proximal policy {policy!r} is not a polynomial in A_i'A_i")
     return [tau - policy.coupling * rho * d
             for tau, d in zip(_block_weights(policy.tau, len(ds)), ds)]
 

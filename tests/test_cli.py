@@ -189,13 +189,10 @@ def test_certify_gamma_out_of_range(tmp_path, capsys):
 @pytest.mark.parametrize("flags, policy", [
     (("--tau", "auto"), {"kind": "none"}),
     (("--tau", "1"), {"kind": "standard", "tau": 1.0}),
-    (("--policy", "explicit"), {"kind": "explicit"}),
-], ids=["auto", "tau-1", "explicit"])
+], ids=["auto", "tau-1"])
 def test_certify_gamma_out_of_range_records_the_concrete_policy(tmp_path, flags, policy):
     # Only an "auto" request has no weights to resolve to out of (0, 2).
-    inst = exp.load_instance(make_instance(tmp_path, "lcqp", N=3, m=6, n=3, seed=0))
-    path = tmp_path / "explicit.json"
-    exp.save_instance(dataclasses.replace(inst, proximal_source=(np.eye(3),) * 3), path)
+    path = make_instance(tmp_path, "lcqp", N=3, m=6, n=3, seed=0)
     out = tmp_path / "cert.json"
     assert run_cli("certify", "--input", str(path), "--gamma", "2.5", *flags,
                    "--output", str(out)) == 4
@@ -271,7 +268,6 @@ REGENERATE = "regenerate it from its seed with `jprox generate`"
     (edit_members(lambda d: d["q"].__setitem__(0, np.nan)), "q: entries must be finite"),
     (edit_members(lambda d: d.update(q=d["q"].astype(np.float32))),
      "q: expected float64 entries, got dtype float32"),
-    (edit_members(lambda d: d.update(P=d["P"][:-1])), "P: expected shape 18, got (17,)"),
     (edit_members(lambda d: d["H"][9:].__imul__(-1.0)),
      "H: block 1: QuadraticBlock.H must be positive definite"),
     (raw_member, "c: not a .npy array"),
@@ -280,7 +276,7 @@ REGENERATE = "regenerate it from its seed with `jprox generate`"
     (per_block_layout, REGENERATE),
     (foreign_zip, REGENERATE),
 ], ids=["list-format", "bad-base64", "byte-count", "no-shape", "no-f8", "nan-q", "float32-q",
-        "short-P", "indefinite-H", "raw-member", "truncated", "not-zip", "per-block-layout",
+        "indefinite-H", "raw-member", "truncated", "not-zip", "per-block-layout",
         "foreign-zip"])
 def test_certify_malformed_payload_exits_3(tmp_path, capsys, corrupt, message):
     inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=1)
@@ -385,16 +381,6 @@ def test_certify_auto_runs_the_weight_search_once(tmp_path, count_calls):
     assert search == []
 
 
-def test_certify_explicit_policy_solves_one_pencil_per_block(tmp_path, count_calls):
-    inst = exp.load_instance(make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0))
-    path = tmp_path / "explicit.json"
-    exp.save_instance(dataclasses.replace(inst, proximal_source=(200.0 * np.eye(5),) * 3), path)
-    pencil = count_calls("jprox.linalg", "generalized_max_eigenvalue")
-    assert run_cli("certify", "--input", str(path), "--policy", "explicit",
-                   "--output", str(tmp_path / "c.json")) == 0
-    assert len(pencil) == 3
-
-
 # -- recorded spectra -------------------------------------------------------------
 
 GRID = [(rho, gamma) for rho in (0.03, 1.0, 5.0, 10.0) for gamma in (0.1, 0.5, 1.5, 1.9)]
@@ -432,10 +418,7 @@ def certificate_bytes(tmp_path, inst, *flags) -> list:
 
 def test_recorded_spectra_give_the_certificates_of_computed_ones(tmp_path, archive_pair):
     recorded, bare = archive_pair
-    policies = ["standard", "proxlinear"]
-    if isinstance(exp.load_instance(recorded), exp.LcqpInstance):  # it stores P_i
-        policies.append("explicit")
-    for policy in policies:
+    for policy in ("standard", "proxlinear"):
         flags = ("--tau", "auto", "--policy", policy)
         assert certificate_bytes(tmp_path, recorded, *flags) == certificate_bytes(
             tmp_path, bare, *flags), policy
@@ -457,7 +440,7 @@ def test_recorded_spectra_are_the_computed_ones_bit_for_bit(archive_pair):
 
 def swap_blocks(members):
     """Swap blocks 0 and 1 of three blocks of 5 columns in every block-wise member."""
-    for name, n in (("A", 5), ("H", 25), ("q", 5), ("xstar", 5), ("P", 25)):
+    for name, n in (("A", 5), ("H", 25), ("q", 5), ("xstar", 5)):
         a = members[name]
         members[name] = np.concatenate((a[..., n:2 * n], a[..., :n], a[..., 2 * n:]), axis=-1)
 
@@ -499,14 +482,56 @@ def test_certify_on_recorded_spectra_makes_no_eigensolve(tmp_path, count_calls):
 
 
 def test_spectra_members_cannot_pass_for_blocks(tmp_path):
-    # N is the length of dims and a P member marks stored proximal matrices.
+    # N is the length of dims.
     inst = make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0)
     spectra = [name for name in read_members(inst) if name.startswith("spectra_")]
-    assert spectra and not set(spectra) & {"dims", "A", "H", "P"}
-    edit_members(lambda d: d.pop("P"))(inst)
+    assert spectra and not set(spectra) & {"dims", "A", "H"}
     loaded = exp.load_instance(inst)
-    assert (loaded.problem.N, loaded.proximal_source) == (3, ())
+    assert loaded.problem.N == 3
     assert loaded.problem._stacked_singular_value is not None
+
+
+def with_stored_P(members):
+    """The archive layout of earlier versions: a ``P`` member after ``lambdastar``, laid out
+    as ``H``, holding a symmetric PSD matrix per block."""
+    rng = np.random.default_rng(7)
+    P = []
+    for n in members["dims"].tolist():
+        B = rng.standard_normal((n, n))
+        P.append((B @ B.T).ravel())
+    names = list(members)
+    at = names.index("lambdastar") + 1
+    reordered = {name: members[name] for name in names[:at]}
+    reordered["P"] = np.concatenate(P)
+    reordered.update((name, members[name]) for name in names[at:])
+    members.clear()
+    members.update(reordered)
+
+
+def test_an_archive_with_stored_P_loads_as_the_one_without(tmp_path):
+    # No code reads P: the problem, optimum, spectra and certificates are those without it.
+    plain = make_instance(tmp_path, "lcqp", N=3, m=12, n=5, seed=0)
+    old = tmp_path / "old.npz"
+    old.write_bytes(plain.read_bytes())
+    edit_members(with_stored_P)(old)
+    assert len(read_members(plain)) == 14 and len(read_members(old)) == 15
+    a, b = exp.load_instance(plain), exp.load_instance(old)
+    for x, y in [(a.problem.c, b.problem.c), (a.lambdastar, b.lambdastar),
+                 *zip(a.problem.A, b.problem.A), *zip(a.xstar, b.xstar),
+                 *[(f.H, g.H) for f, g in zip(a.problem.objectives, b.problem.objectives)],
+                 *[(f.q, g.q) for f, g in zip(a.problem.objectives, b.problem.objectives)],
+                 *zip(a.optimum().x, b.optimum().x), (a.optimum().lam, b.optimum().lam),
+                 *[(f.eigenvalues, g.eigenvalues)
+                   for f, g in zip(a.problem.gram_spectra(), b.problem.gram_spectra())]]:
+        assert x.tobytes() == y.tobytes()
+    assert b.problem._stacked_singular_value is not None
+    assert a.problem.stacked_singular_value() == b.problem.stacked_singular_value()
+    for f, g in zip(a.problem.objectives, b.problem.objectives):
+        assert (f.min_curvature, f.max_curvature) == (g.min_curvature, g.max_curvature)
+    for policy in ("standard", "proxlinear", "none"):
+        flags = ("--tau", "auto", "--policy", policy)
+        assert certificate_bytes(tmp_path, plain, *flags) == certificate_bytes(
+            tmp_path, old, *flags), policy
 
 
 @pytest.mark.parametrize("kind, edit, message", [
@@ -715,13 +740,17 @@ def test_solve_baseline_ignores_gamma_policy_and_tau(tmp_path, count_calls, meth
     assert (search, certs) == ([], [])
 
 
+# No instance stores proximal matrices, and --policy has no "explicit" choice.
 @pytest.mark.parametrize("method", ["jprox"] + BASELINES)
 def test_solve_explicit_policy_without_stored_matrices_exits_2(tmp_path, capsys, method):
     inst = make_instance(tmp_path, "ra", N=3, seed=0)
-    code = run_cli("solve", "--input", str(inst), "--method", method, "--policy", "explicit",
-                   "--output", str(tmp_path / "t.csv"))
-    assert code == 2
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as info:
+        run_cli("solve", "--input", str(inst), "--method", method, "--policy", "explicit",
+                "--output", str(out))
+    assert info.value.code == 2
     assert "--policy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("gamma", ["1", "2.5"])
@@ -729,11 +758,24 @@ def test_certify_explicit_policy_without_stored_matrices_exits_2(tmp_path, capsy
     # The flags are checked before gamma is: a gamma outside (0, 2) does not hide them.
     inst = make_instance(tmp_path, "ra", N=3, seed=0)
     out = tmp_path / "c.json"
-    code = run_cli("certify", "--input", str(inst), "--gamma", gamma, "--policy", "explicit",
-                   "--output", str(out))
-    assert code == 2
+    with pytest.raises(SystemExit) as info:
+        run_cli("certify", "--input", str(inst), "--gamma", gamma, "--policy", "explicit",
+                "--output", str(out))
+    assert info.value.code == 2
     assert "--policy" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "solve", "sweep"])
+def test_explicit_policy_exits_2_and_writes_no_file(tmp_path, capsys, command):
+    # The choice is gone from certify and solve, and sweep never took --policy.
+    inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        run_cli(command, "--input", str(inst), "--policy", "explicit", "--output", str(out))
+    assert info.value.code == 2
+    assert "--policy" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [inst.name]
 
 
 # -- sweep and report ----------------------------------------------------------------
@@ -1001,7 +1043,7 @@ def test_sweep_rejects_extra_seeds_for_blocks_of_differing_sizes(tmp_path, capsy
     problem = BlockProblem((QuadraticBlock(f0.H[:2, :2], f0.q[:2]), inst.problem.objectives[1]),
                            (inst.problem.A[0][:, :2], inst.problem.A[1]), inst.problem.c)
     path = tmp_path / "mixed.json"
-    exp.save_instance(dataclasses.replace(inst, problem=problem, proximal_source=(),
+    exp.save_instance(dataclasses.replace(inst, problem=problem,
                                           xstar=(inst.xstar[0][:2], inst.xstar[1])), path)
     code = run_cli("sweep", "--input", str(path), "--output", str(tmp_path / "sweep"),
                    "--seeds", "0,1", "--rho-grid", "1", "--gamma-grid", "1")

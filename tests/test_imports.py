@@ -76,16 +76,20 @@ def test_module_has_no_dead_private_names(path):
     assert dead_private_names(path.read_text(encoding="utf-8")) == []
 
 
-def foreign_imports(source: str) -> list:
-    """Top-level modules imported by ``source`` outside the standard library, numpy and jprox."""
-    allowed = set(sys.stdlib_module_names) | {"numpy", "jprox"}
+def imported_modules(source: str) -> set:
+    """The top-level module of each import in ``source``; a relative import counts as ``"."``."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.split(".")[0])
-    return sorted(names - allowed)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module.split(".")[0] if node.level == 0 else ".")
+    return names
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level modules imported by ``source`` outside the standard library, numpy and jprox."""
+    return sorted(imported_modules(source) - set(sys.stdlib_module_names) - {"numpy", "jprox", "."})
 
 
 def test_foreign_imports_finds_a_third_party_module():
@@ -241,3 +245,48 @@ def test_instance_families_are_told_apart_only_by_their_classes(path):
 
 def test_cli_names_no_instance_class():
     assert read_names((SRC / "cli.py").read_text(encoding="utf-8")) & INSTANCE_CLASSES == set()
+
+
+#: Names of the explicit-proximal policy, which left the package: no module may bind or read them.
+REMOVED_NAMES = {"ExplicitProximal", "proximal_source", "compute_mu_s", "_repair_psd"}
+
+
+def identifiers(source: str) -> set:
+    """Every name ``source`` binds or reads: names, attributes, definitions, arguments, keyword
+    arguments and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.update({node.name.split(".")[-1], node.asname} - {None})
+    return names
+
+
+def test_identifiers_finds_every_kind_of_name():
+    source = ("from .solvers import ExplicitProximal as EP\n"
+              "class Inst:\n    proximal_source: tuple = ()\n"
+              "def _repair_psd(S, *, compute_mu_s=None):\n    return f(x=S).attr\n")
+    assert REMOVED_NAMES <= identifiers(source)
+    assert {"EP", "Inst", "S", "f", "x", "attr"} <= identifiers(source)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_explicit_policy_is_gone(path):
+    """Every ``P_i`` is a weight policy or none; the stored matrices and their checks are gone."""
+    assert identifiers(path.read_text(encoding="utf-8")) & REMOVED_NAMES == set()
+
+
+def test_the_dense_oracle_imports_no_jprox_module():
+    """The oracle shares no code with the closed forms it checks."""
+    assert imported_modules("import jprox.linalg\nfrom . import x\n") == {"jprox", "."}
+    oracle = Path(__file__).with_name("oracle.py").read_text(encoding="utf-8")
+    assert imported_modules(oracle) <= {"numpy", "scipy"}

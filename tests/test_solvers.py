@@ -28,7 +28,6 @@ from jprox.problem import (
     constraint_residual,
 )
 from jprox.solvers import (
-    ExplicitProximal,
     ProxLinear,
     SolverParams,
     StandardProximal,
@@ -130,19 +129,6 @@ def test_materialize_P_rejects_a_rho_that_is_not_finite_and_positive(rho):
 def test_prox_linear_rejects_small_tau():
     with pytest.raises(NotPSD):
         materialize_policy(ProxLinear(0.5), 1.0, one_block(np.eye(3)))
-
-
-def test_explicit_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        materialize_policy(ExplicitProximal([np.diag([1.0, -0.5])]), 1.0,
-                           one_block(np.ones((2, 2))))
-
-
-@pytest.mark.parametrize("count", [2, 4], ids=["too-few", "too-many"])
-def test_materialize_policy_rejects_an_explicit_matrix_count_other_than_N(count):
-    p = generate_lcqp(3, 6, 4, seed=0).problem
-    with pytest.raises(DimensionMismatch, match="3 blocks"):
-        materialize_policy(ExplicitProximal([50.0 * np.eye(4)] * count), 1.0, p)
 
 
 def test_none_policy_is_zero():
@@ -770,9 +756,10 @@ def test_step_rejects_an_order_that_does_not_visit_every_block_once(order):
 
 def test_run_still_raises_on_prepare_failures():
     p = two_scalar_blocks()
-    indefinite = ExplicitProximal([np.array([[-1.0]]), np.array([[1.0]])])
+    # A prox-linear weight below its floor rho*||A_i||^2 = 1 leaves P_i indefinite.
+    below_floor = ProxLinear([0.5, 1.0])
     with pytest.raises(NotPSD):
-        run(p, SolverParams(rho=1.0, gamma=1.0, policy=indefinite), PrimalDualPoint.zeros(p))
+        run(p, SolverParams(rho=1.0, gamma=1.0, policy=below_floor), PrimalDualPoint.zeros(p))
     with pytest.raises(InvalidParameter):
         run(p, SolverParams(rho=1.0, gamma=1.0), PrimalDualPoint.zeros(p), method="newton")
     # A zero curvature bound leaves dual decomposition without a step.
@@ -837,8 +824,7 @@ def _random_phi_weights(problem, gamma, rho, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(N=st.integers(1, 4), n=st.integers(1, 5), m=st.integers(1, 8),
-       seed=st.integers(0, 2 ** 16), policy=st.sampled_from(["standard", "proxlinear",
-                                                              "explicit", "none"]),
+       seed=st.integers(0, 2 ** 16), policy=st.sampled_from(["standard", "proxlinear", "none"]),
        method=st.sampled_from(["jprox", "jacobi-plain", "dual-decomp"]),
        rho=st.floats(0.1, 3.0), gamma=st.floats(0.1, 1.9), tau=st.floats(0.1, 10.0))
 def test_affine_run_matches_per_block_oracle(N, n, m, seed, policy, method, rho, gamma, tau):
@@ -852,7 +838,6 @@ def test_affine_run_matches_per_block_oracle(N, n, m, seed, policy, method, rho,
     concrete = {
         "standard": StandardProximal(tau),
         "proxlinear": ProxLinear([rho * np.linalg.norm(Ai, 2) ** 2 + tau for Ai in problem.A]),
-        "explicit": ExplicitProximal(inst.proximal_source),
         "none": None,
     }[policy]
     params = SolverParams(rho=rho, gamma=gamma, policy=concrete, max_iters=50)
