@@ -467,11 +467,16 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command line ``argv`` and return its exit code, argparse's own included.
+
+    With ``argv=None`` it reads ``sys.argv`` and exits the process with the code.
+    """
     try:
+        args = build_parser().parse_args(argv)
         _validate_tau(args)
         code = COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse's own exit: 2 for a bad flag, 0 for --help
+        code = exc.code
     except FlagError as exc:
         print(str(exc), file=sys.stderr)
         code = EXIT_FLAGS

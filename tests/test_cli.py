@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 import zipfile
 
 import numpy as np
@@ -126,10 +127,16 @@ def test_generate_rejects_a_negative_seed(tmp_path, capsys, kind):
 
 
 def test_unknown_flag_exits_2(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        run_cli("generate", "lcqp", "--N", "2", "--frobnicate", "1")
-    assert info.value.code == 2
+    assert run_cli("generate", "lcqp", "--N", "2", "--frobnicate", "1") == 2
 
+
+@pytest.mark.parametrize("argv, code", [(["generate", "lcqp", "--frobnicate", "1"], 2),
+                                        (["sweep", "--help"], 0)])
+def test_main_without_argv_exits_the_process_with_argparse_codes(monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["jprox", *argv])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == code
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "1"), ("--max-iters", "5")])
@@ -137,9 +144,7 @@ def test_certify_has_no_run_flags(tmp_path, flag, value):
     # certify runs no solver, so it takes no stopping tolerance or iteration budget.
     inst = make_instance(tmp_path, "lcqp", N=2, m=4, n=3, seed=0)
     out = tmp_path / "cert.json"
-    with pytest.raises(SystemExit) as info:
-        run_cli("certify", "--input", str(inst), "--output", str(out), flag, value)
-    assert info.value.code == 2
+    assert run_cli("certify", "--input", str(inst), "--output", str(out), flag, value) == 2
     assert not out.exists()
 
 # -- certify ----------------------------------------------------------------------
@@ -745,10 +750,8 @@ def test_solve_baseline_ignores_gamma_policy_and_tau(tmp_path, count_calls, meth
 def test_solve_explicit_policy_without_stored_matrices_exits_2(tmp_path, capsys, method):
     inst = make_instance(tmp_path, "ra", N=3, seed=0)
     out = tmp_path / "t.csv"
-    with pytest.raises(SystemExit) as info:
-        run_cli("solve", "--input", str(inst), "--method", method, "--policy", "explicit",
-                "--output", str(out))
-    assert info.value.code == 2
+    assert run_cli("solve", "--input", str(inst), "--method", method, "--policy", "explicit",
+                   "--output", str(out)) == 2
     assert "--policy" in capsys.readouterr().err
     assert not out.exists()
 
@@ -758,10 +761,8 @@ def test_certify_explicit_policy_without_stored_matrices_exits_2(tmp_path, capsy
     # The flags are checked before gamma is: a gamma outside (0, 2) does not hide them.
     inst = make_instance(tmp_path, "ra", N=3, seed=0)
     out = tmp_path / "c.json"
-    with pytest.raises(SystemExit) as info:
-        run_cli("certify", "--input", str(inst), "--gamma", gamma, "--policy", "explicit",
-                "--output", str(out))
-    assert info.value.code == 2
+    assert run_cli("certify", "--input", str(inst), "--gamma", gamma, "--policy", "explicit",
+                   "--output", str(out)) == 2
     assert "--policy" in capsys.readouterr().err
     assert not out.exists()
 
@@ -771,9 +772,8 @@ def test_explicit_policy_exits_2_and_writes_no_file(tmp_path, capsys, command):
     # The choice is gone from certify and solve, and sweep never took --policy.
     inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as info:
-        run_cli(command, "--input", str(inst), "--policy", "explicit", "--output", str(out))
-    assert info.value.code == 2
+    assert run_cli(command, "--input", str(inst), "--policy", "explicit", "--output",
+                   str(out)) == 2
     assert "--policy" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [inst.name]
 
@@ -1020,8 +1020,7 @@ def test_sweep_seeds_replace_the_instance_seed(tmp_path, capsys):
     manifest = json.loads((sweep_dir / "manifest.json").read_text())
     assert manifest["seeds"] == [1] and [cell["seed"] for cell in manifest["cells"]] == [1]
     capsys.readouterr()
-    with pytest.raises(SystemExit):
-        run_cli("sweep", "--help")
+    assert run_cli("sweep", "--help") == 0
     assert "seeds to run, in place of the instance's own seed" in " ".join(
         capsys.readouterr().out.split())
 

@@ -39,9 +39,15 @@ TRACE = "k,dis,phi,primal_residual,elapsed_seconds\n0,1,,0.5,{}\n1,0.5,,0.25,{}\
 @pytest.mark.parametrize("name, a, b, verdict", [
     ("t.csv", TRACE.format(0.1, 0.2), TRACE.format(0.3, 0.4), "match"),
     ("t.csv", TRACE.format(0.1, 0.2), TRACE.format(0.1, 0.2).replace("0.5,,", "0.75,,"),
-     "dis max rel diff 0.333"),
+     "last k 1 / 1; dis max diff 0.25 of max(dis_0, dis_k)"),
     ("t.csv", TRACE.format(0.1, 0.2), TRACE.format(0.1, 0.2) + "2,0.1,,0.1,0.3\n",
-     "rows 2 != 3"),
+     "last k 1 / 2"),
+    # A round-off move near the optimum: 0.0193 relative to the row, 2e-13 of dis_0.
+    ("t.csv", TRACE.format(0.1, 0.2).replace("0.5,,", "1.04e-11,,"),
+     TRACE.format(0.1, 0.2).replace("0.5,,", "1.06e-11,,"),
+     "last k 1 / 1; dis max diff 2e-13 of max(dis_0, dis_k)"),
+    ("t.csv", TRACE.format(0.1, 0.2), TRACE.format(0.1, 0.2).replace("1,0.5,,", "1,,,"),
+     "last k 1 / 1; dis max diff inf of max(dis_0, dis_k)"),
     ("manifest.json", json.dumps({"cells": [{"status": "x", "wall_s": 1.0, "timings": {"a": 1},
                                              "trace_sha256": "ab"}]}),
      json.dumps({"cells": [{"status": "x", "wall_s": 2.0, "timings": {"a": 2},
@@ -52,7 +58,8 @@ TRACE = "k,dis,phi,primal_residual,elapsed_seconds\n0,1,,0.5,{}\n1,0.5,,0.25,{}\
     ("i.npz", {"A": np.ones(2)}, {"A": np.zeros(2)}, "member A.npy differs"),
     ("rates.txt", "rho gamma\n", "rho gamma\n", "match"),
     ("rates.txt", "rho gamma\n", "rho  gamma\n", "differs"),
-], ids=["trace-elapsed", "trace-dis", "trace-rows", "manifest-times", "manifest-status",
+], ids=["trace-elapsed", "trace-dis", "trace-rows", "trace-dis-at-round-off",
+        "trace-dis-on-one-side", "manifest-times", "manifest-status",
         "archive-member-only-in-a", "archive-member-differs", "text-same", "text-differs"])
 def test_compare_file_normalizes_only_times_and_zip_timestamps(tmp_path, tool, name, a, b,
                                                                verdict):

@@ -822,12 +822,32 @@ def _random_phi_weights(problem, gamma, rho, seed):
     return PhiWeights(gamma, rho, W)
 
 
+#: The draws of the oracle properties of the affine engine.
+_ORACLE_DRAWS = dict(
+    N=st.integers(1, 4), n=st.integers(1, 5), m=st.integers(1, 8),
+    seed=st.integers(0, 2 ** 16), policy=st.sampled_from(["standard", "proxlinear", "none"]),
+    method=st.sampled_from(["jprox", "jacobi-plain", "dual-decomp"]),
+    rho=st.floats(0.1, 3.0), gamma=st.floats(0.1, 1.9), tau=st.floats(0.1, 10.0))
+
+
 @settings(max_examples=60, deadline=None)
-@given(N=st.integers(1, 4), n=st.integers(1, 5), m=st.integers(1, 8),
-       seed=st.integers(0, 2 ** 16), policy=st.sampled_from(["standard", "proxlinear", "none"]),
-       method=st.sampled_from(["jprox", "jacobi-plain", "dual-decomp"]),
-       rho=st.floats(0.1, 3.0), gamma=st.floats(0.1, 1.9), tau=st.floats(0.1, 10.0))
+@given(**_ORACLE_DRAWS)
 def test_affine_run_matches_per_block_oracle(N, n, m, seed, policy, method, rho, gamma, tau):
+    _assert_affine_run_matches_oracle(N, n, m, seed, policy, method, rho, gamma, tau,
+                                      max_iters=50)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_ORACLE_DRAWS)
+def test_power_chunks_match_per_block_oracle(N, n, m, seed, policy, method, rho, gamma, tau):
+    # With the break-even at 0 every run past its first chunk takes power chunks.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "POWER_MIN_STEPS", 0)
+        _assert_affine_run_matches_oracle(N, n, m, seed, policy, method, rho, gamma, tau,
+                                          max_iters=3 * solvers.RECORD_CHUNK + 10)
+
+
+def _assert_affine_run_matches_oracle(N, n, m, seed, policy, method, rho, gamma, tau, max_iters):
     from jprox.errors import DegenerateAfterRetries
 
     try:
@@ -840,7 +860,7 @@ def test_affine_run_matches_per_block_oracle(N, n, m, seed, policy, method, rho,
         "proxlinear": ProxLinear([rho * np.linalg.norm(Ai, 2) ** 2 + tau for Ai in problem.A]),
         "none": None,
     }[policy]
-    params = SolverParams(rho=rho, gamma=gamma, policy=concrete, max_iters=50)
+    params = SolverParams(rho=rho, gamma=gamma, policy=concrete, max_iters=max_iters)
     ref = inst.optimum()
     u0 = random_point(problem, seed)
     weights = _random_phi_weights(problem, gamma, rho, seed)
@@ -926,13 +946,31 @@ def test_affine_map_refuses_a_step_that_is_not_affine():
 _PROPERTY_CAP = 100
 
 
+#: The draws of the properties that compare the affine engine with the block sweep.
+_CAP_DRAWS = dict(
+    N=st.integers(1, 4), n=st.integers(1, 5), m=st.integers(1, 8),
+    seed=st.integers(0, 2 ** 16), method=st.sampled_from(["jprox", "jacobi-plain", "dual-decomp"]),
+    rho=st.floats(0.1, 3.0), gamma=st.floats(0.1, 1.9), tau=st.floats(0.1, 10.0))
+
+
 @settings(max_examples=40, deadline=None)
-@given(N=st.integers(1, 4), n=st.integers(1, 5), m=st.integers(1, 8),
-       seed=st.integers(0, 2 ** 16),
-       method=st.sampled_from(["jprox", "jacobi-plain", "dual-decomp"]),
-       rho=st.floats(0.1, 3.0), gamma=st.floats(0.1, 1.9), tau=st.floats(0.1, 10.0))
+@given(**_CAP_DRAWS)
 def test_affine_rows_match_the_block_sweep_rows_on_both_sides_of_the_cap(N, n, m, seed, method,
                                                                          rho, gamma, tau):
+    _assert_affine_rows_match_block_sweep_rows(N, n, m, seed, method, rho, gamma, tau)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_CAP_DRAWS)
+def test_power_rows_match_the_block_sweep_rows_on_both_sides_of_the_cap(N, n, m, seed, method,
+                                                                        rho, gamma, tau):
+    # With the break-even at 0 every affine run takes power chunks after step 64.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "POWER_MIN_STEPS", 0)
+        _assert_affine_rows_match_block_sweep_rows(N, n, m, seed, method, rho, gamma, tau)
+
+
+def _assert_affine_rows_match_block_sweep_rows(N, n, m, seed, method, rho, gamma, tau):
     # Over 300 steps the two engines' iterates differ by round-off: at most
     # 2.3e-13 of the larger distance to the optimum (row 0's or row k's) in
     # 300 drawn runs, against a bound of 1e-10.  The runs have no reference,
@@ -987,18 +1025,24 @@ def _stepwise(problem, params, u0, ref, method):
     return points, dis, status
 
 
-def _assert_rows_of_stepwise_loop(problem, params, u0, ref, method="jprox", engine="affine"):
+def _assert_rows_of_stepwise_loop(problem, params, u0, ref, method="jprox", engine="affine",
+                                  rel=0.0):
+    """The run's rows are the loop's: bit for bit, or with ``rel`` within
+    ``rel * max(dis_0, dis_k)`` of them (distance and ``dis`` alike)."""
     trace = run(problem, params, u0, reference=ref, method=method, record_points=True)
-    points, dis, status = _stepwise(problem, params, u0, ref, method)
+    points, dis_loop, status = _stepwise(problem, params, u0, ref, method)
     assert trace.engine == engine
     assert trace.status == status
     assert trace.ks == list(range(len(points)))
-    for got, want in zip(trace.points, points):
+    for k, (got, want) in enumerate(zip(trace.points, points)):
+        if rel:
+            assert dis(got, want) <= rel * max(dis_loop[0], dis_loop[k]), k
+            continue
         for a, b in zip(got.x, want.x):
             assert np.array_equal(a, b)
         assert np.array_equal(got.lam, want.lam)
-    for g, w in zip(trace.dis, dis):
-        assert abs(g - w) <= 1e-14 * w
+    for g, w in zip(trace.dis, dis_loop):
+        assert abs(g - w) <= max(1e-14 * w, rel * max(dis_loop[0], w))
     for a, b in zip(trace.final.x, trace.points[-1].x):
         assert np.array_equal(a, b)
     assert np.array_equal(trace.final.lam, trace.points[-1].lam)
@@ -1006,11 +1050,15 @@ def _assert_rows_of_stepwise_loop(problem, params, u0, ref, method="jprox", engi
 
 
 def test_affine_run_converges_mid_chunk():
+    # The run takes power chunks after step 64, whose rows agree with the loop's
+    # to round-off: the stop rule sits far above it and keeps the step count.
     inst = generate_lcqp(3, 6, 4, seed=13)
     params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(10.0), max_iters=3000,
                           dis_tol=1e-8)
+    assert params.max_iters - solvers.RECORD_CHUNK >= solvers.POWER_MIN_STEPS
     trace = _assert_rows_of_stepwise_loop(inst.problem, params,
-                                          PrimalDualPoint.zeros(inst.problem), inst.optimum())
+                                          PrimalDualPoint.zeros(inst.problem), inst.optimum(),
+                                          rel=1e-10)
     assert trace.status == "converged"
     assert trace.ks[-1] > solvers.RECORD_CHUNK and trace.ks[-1] % solvers.RECORD_CHUNK != 0
 
@@ -1086,6 +1134,125 @@ def test_the_final_point_keeps_no_chunk_buffer_alive(family):
     for a in (*trace.final.x, trace.final.lam):
         owner = a if a.base is None else a.base
         assert owner.nbytes <= 8 * (sum(problem.dims) + problem.m)
+
+
+# -- power chunks of long affine runs -------------------------------------------------------
+
+def _power_of(problem, params):
+    """``(M, b)`` of one step, ``(P, b_p)`` of ``RECORD_CHUNK`` steps as a run builds them, and
+    the spare chunk buffer the build hands back."""
+    prepared = solvers._Prepared(problem, params, "jprox")
+    M, b = (a.copy() for a in prepared.affine)
+    spare = prepared.power_up()
+    assert prepared.span == solvers.RECORD_CHUNK
+    return M, b, *prepared.affine, spare
+
+
+@pytest.mark.parametrize("shape", [(3, 6, 4), (2, 30, 20)], ids=["d18", "d70"])
+def test_power_up_builds_the_chunk_map_and_a_spare_chunk_buffer(shape):
+    # n + m is 18 (below the chunk length, so the squarings' temporary is
+    # sized by the chunk, not by M) and 70.  P matches numpy's matrix power and
+    # b_p the explicit sum within 1e-13 of their largest entries (the largest
+    # differences seen are 0 and 5e-15 of it).
+    p = solvers.RECORD_CHUNK
+    inst = generate_lcqp(*shape, seed=13)
+    d = sum(inst.problem.dims) + inst.problem.m
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(50.0))
+    M, b, P, b_p, spare = _power_of(inst.problem, params)
+    assert P.shape == (d, d) and spare.shape == (p, d)
+    assert not np.shares_memory(spare, P) and not np.shares_memory(spare, b_p)
+    want = np.linalg.matrix_power(M, p)
+    assert np.abs(P - want).max() <= 1e-13 * np.abs(want).max()
+    want = sum(np.linalg.matrix_power(M, j) @ b for j in range(p))
+    assert np.abs(b_p - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", [(3, 6, 4), (2, 30, 20)], ids=["d18", "d70"])
+def test_power_rows_equal_the_chunk_formula(shape):
+    # Reference: the first chunk's rows as M @ z + b on fresh arrays, then
+    # each later chunk as the previous chunk's rows times P' plus b_p, from
+    # the map a fresh build gives.  The run is the shortest that switches.
+    p = solvers.RECORD_CHUNK
+    inst = generate_lcqp(*shape, seed=13)
+    problem = inst.problem
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(50.0),
+                          max_iters=p + solvers.POWER_MIN_STEPS + 10)
+    M, b, P, b_p, _ = _power_of(problem, params)
+    u0 = random_point(problem, 3)
+    trace = run(problem, params, u0, record_points=True)
+    assert trace.ks[-1] == params.max_iters
+    rows = [np.concatenate(u.x + [u.lam]) for u in trace.points]
+    z = rows[0]
+    for k in range(1, p + 1):
+        z = M @ z + b
+        assert rows[k].tobytes() == z.tobytes(), k
+    for start in range(p + 1, len(rows), p):
+        chunk = rows[start:start + p]
+        want = np.stack(rows[start - p:start - p + len(chunk)]) @ P.T + b_p
+        assert np.stack(chunk).tobytes() == want.tobytes(), start
+        assert len(set(trace.elapsed[start:start + p])) == 1, start
+    n, A, c = sum(problem.dims), problem.stacked_A(), problem.c
+    for start in range(1, len(rows), p):
+        R = np.stack(rows[start:start + p])[:, :n] @ A.T - c
+        recorded = trace.primal_residual[start:start + len(R)]
+        assert np.sqrt(np.einsum("ij,ij->i", R, R)).tolist() == recorded, start
+    final = np.concatenate(trace.final.x + [trace.final.lam])
+    assert final.tobytes() == rows[-1].tobytes()
+
+
+def test_a_run_below_the_break_even_builds_no_power(monkeypatch):
+    builds = []
+    power_up = solvers._Prepared.power_up
+    monkeypatch.setattr(solvers._Prepared, "power_up",
+                        lambda self: builds.append(self) or power_up(self))
+    inst = generate_lcqp(3, 6, 4, seed=13)
+    below = solvers.RECORD_CHUNK + solvers.POWER_MIN_STEPS - 1
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(10.0), max_iters=below)
+    trace = _assert_rows_of_stepwise_loop(inst.problem, params,
+                                          PrimalDualPoint.zeros(inst.problem), inst.optimum())
+    assert trace.ks[-1] == below and builds == []
+    # One step more reaches the break-even, and the run builds the power once.
+    run(inst.problem, dataclasses.replace(params, max_iters=below + 1),
+        PrimalDualPoint.zeros(inst.problem))
+    assert len(builds) == 1
+
+
+def test_power_run_diverges_within_one_step_of_the_loop():
+    # rho(M) is about 1.07 here: the run leaves 1e12 in a power chunk, 429
+    # steps in.  Its dis agrees with the loop's within 1e-10 of the larger of
+    # dis_0 and dis_k as it grows.
+    inst = generate_lcqp(3, 6, 4, seed=1)
+    problem, ref, u0 = inst.problem, inst.optimum(), PrimalDualPoint.zeros(inst.problem)
+    params = SolverParams(rho=0.3, gamma=1.0, policy=StandardProximal(0.5), max_iters=3000)
+    assert params.max_iters - solvers.RECORD_CHUNK >= solvers.POWER_MIN_STEPS
+    trace = run(problem, params, u0, reference=ref)
+    _, dis_loop, status = _stepwise(problem, params, u0, ref, "jprox")
+    assert trace.status == status == "diverged"
+    assert trace.ks[-1] > solvers.RECORD_CHUNK and trace.ks[-1] % solvers.RECORD_CHUNK != 0
+    assert abs(trace.ks[-1] - (len(dis_loop) - 1)) <= 1
+    for k, (g, w) in enumerate(zip(trace.dis[:-1], dis_loop)):
+        assert abs(g - w) <= 1e-10 * max(dis_loop[0], w), k
+
+
+def test_the_power_build_counts_as_preparation(monkeypatch):
+    import time
+
+    power_up = solvers._Prepared.power_up
+
+    def slow_power_up(self):
+        time.sleep(0.05)
+        return power_up(self)
+
+    monkeypatch.setattr(solvers._Prepared, "power_up", slow_power_up)
+    monkeypatch.setattr(solvers, "POWER_MIN_STEPS", 0)
+    inst = generate_lcqp(3, 6, 4, seed=13)
+    params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(10.0), max_iters=200)
+    start = time.perf_counter()
+    trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem))
+    wall = time.perf_counter() - start
+    assert trace.ks[-1] == params.max_iters and trace.timings["prepare"] >= 0.05
+    assert trace.timings["step"] < 0.05 and trace.timings["record"] < 0.05
+    assert sum(trace.timings.values()) <= wall
 
 
 # -- the chunked recording of the block sweep ---------------------------------------------
@@ -1332,6 +1499,15 @@ def test_building_the_affine_map_adds_no_spd_factor(monkeypatch):
 
 
 def test_affine_run_with_a_poorly_conditioned_block_matches_the_oracle():
+    _assert_poorly_conditioned_run_matches_oracle(max_iters=50)
+
+
+def test_power_run_with_a_poorly_conditioned_block_matches_the_oracle(monkeypatch):
+    monkeypatch.setattr(solvers, "POWER_MIN_STEPS", 0)
+    _assert_poorly_conditioned_run_matches_oracle(max_iters=3 * solvers.RECORD_CHUNK + 10)
+
+
+def _assert_poorly_conditioned_run_matches_oracle(max_iters):
     rng = np.random.default_rng(7)
     Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     H = Q @ np.diag([1e-3, 1.0, 1e3]) @ Q.T
@@ -1341,7 +1517,7 @@ def test_affine_run_with_a_poorly_conditioned_block_matches_the_oracle():
         (0.01 * rng.standard_normal((2, 3)), rng.standard_normal((2, 2))),
         rng.standard_normal(2),
     )
-    params = SolverParams(rho=0.5, gamma=1.0, policy=None, max_iters=50)
+    params = SolverParams(rho=0.5, gamma=1.0, policy=None, max_iters=max_iters)
     prepared = solvers._Prepared(problem, params, "jacobi-plain")
     block = prepared.blocks[0]
     assert np.linalg.cond(block.f.H + block.B) > 1e5

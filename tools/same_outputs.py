@@ -23,8 +23,11 @@ commands leave.  Only what is expected to differ is normalized: the
 ``elapsed_seconds`` column of a trace CSV; each manifest cell's ``timings``,
 ``wall_s`` and ``trace_sha256``; and the zip timestamps of an instance
 archive, which is compared member by member.  One line per command and per
-file says ``match`` or what differs; the last line is a summary.  The exit
-status is 0 when everything matches, else 1.
+file says ``match`` or what differs; for a trace that differs, that is each
+side's last ``k``, the largest ``dis`` difference over ``max(dis_0, dis_k)``
+(the scale of the engine tests, so a round-off move near the optimum reads
+as round-off), and every other column's largest relative difference.  The
+last line is a summary.  The exit status is 0 when everything matches, else 1.
 """
 
 from __future__ import annotations
@@ -145,6 +148,21 @@ def _relative_difference(a: str, b: str) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _scaled_dis_difference(a: list, b: list) -> float:
+    """Largest ``|dis_a[k] - dis_b[k]|`` over ``max(dis_0, dis_k)`` of both sides, on the rows
+    both have: the scale of the engine tests, on which a round-off move near the optimum stays
+    at round-off.  ``inf`` where only one side has a value."""
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        if "" in (x, y, a[0], b[0]):
+            return math.inf
+        scale = max(abs(float(v)) for v in (a[0], b[0], x, y))
+        worst = max(worst, abs(float(x) - float(y)) / scale)
+    return worst
+
+
 def compare_file(rel: str, a: Path, b: Path) -> str:
     """``"match"``, or what differs between the two copies of output file ``rel``."""
     if not a.exists() or not b.exists():
@@ -164,8 +182,13 @@ def compare_file(rel: str, a: Path, b: Path) -> str:
             return "match"
         if ha != hb:
             return "header differs"
-        notes = [f"rows {len(ra)} != {len(rb)}"] if len(ra) != len(rb) else []
+        notes = [f"last k {ra[-1][0] if ra else None} / {rb[-1][0] if rb else None}"]
         for j, name in enumerate(ha):
+            if name == "dis":
+                worst = _scaled_dis_difference([x[j] for x in ra], [y[j] for y in rb])
+                if worst:
+                    notes.append(f"dis max diff {worst:.3g} of max(dis_0, dis_k)")
+                continue
             worst = max((_relative_difference(x[j], y[j]) for x, y in zip(ra, rb)), default=0.0)
             if worst:
                 notes.append(f"{name} max rel diff {worst:.3g}")
