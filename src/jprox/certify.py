@@ -446,7 +446,7 @@ def fit_linear_rate(values: Sequence[float], tail_fraction: float = 0.5) -> Rate
     """
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("tail_fraction must be in (0, 1]")
-    vals = np.asarray(list(values), dtype=float)
+    vals = np.asarray(values, dtype=float)
     start = len(vals) - math.ceil(len(vals) * tail_fraction)
     idx = np.arange(start, len(vals))
     window = vals[idx]

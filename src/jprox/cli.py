@@ -26,7 +26,7 @@ from pathlib import Path
 from . import experiments as exp
 from .certify import PhiWeights, certify, estimate_constants
 from .errors import InvalidParameter, JproxError
-from .experiments import csv_cell, read_trace_csv, write_trace_csv
+from .experiments import read_trace_csv, write_trace_csv
 from .problem import PrimalDualPoint
 from .solvers import (
     DIVERGED,
@@ -181,10 +181,9 @@ def cmd_solve(args) -> int:
         plot_path = Path(args.output).with_suffix(".svg")
         line_plot_svg(plot_path, [(args.method, trace.ks, trace.dis)],
                       title=f"rho={rho:g} gamma={gamma:g}")
-    final_dis = trace.dis[-1]
     if trace.failure is not None:
         print(trace.failure, file=sys.stderr)
-    print(f"status={trace.status} iters={trace.ks[-1]} final_dis={csv_cell(final_dis)}")
+    print(f"status={trace.status} iters={trace.ks[-1]} final_dis={trace.dis[-1]:.17g}")
     if trace.status == DIVERGED:
         return EXIT_DIVERGED
     return EXIT_OK

@@ -12,9 +12,11 @@ its own members of an instance file
 ``instance.npz`` unless given ``--output``).  An instance file holds one
 member per array kind, whatever the number of blocks: the blocks of each
 are stacked or concatenated, and ``dims`` gives their sizes.  A trace CSV
-is written once, by the process that ran its run, and hashed as it is
-written (:func:`write_trace_csv`); :func:`read_trace_csv` checks a digest
-and parses only the columns asked for.
+is written once, from the trace's numpy columns by the process that ran
+its run, and hashed as it is written (:func:`write_trace_csv`);
+:func:`read_trace_csv` checks a digest and parses only the columns asked
+for.  A sweep cell fits its rates to the ``dis`` and ``phi`` columns as
+they are.
 """
 
 from __future__ import annotations
@@ -350,9 +352,9 @@ def _run_cell(instance: Instance, reference: PrimalDualPoint, rho: float, gamma:
                               max_iters=sweep.max_iters, dis_tol=sweep.dis_tol)
         cell.trace = run(problem, params, PrimalDualPoint.zeros(problem),
                          reference=reference, phi_context=PhiWeights.certified(problem, cert))
-        cell.dis_rate = _fit_series([d for d in cell.trace.dis if d is not None])
+        cell.dis_rate = _fit_series(cell.trace.dis)
         if cert.passed:
-            cell.phi_rate = _fit_series([p for p in cell.trace.phi if p is not None])
+            cell.phi_rate = _fit_series(cell.trace.phi)
     except (JproxError, np.linalg.LinAlgError) as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
     cell.wall_s = time.perf_counter() - start
@@ -696,7 +698,7 @@ def load_instance(path) -> Instance:
 #
 # A trace CSV has the header CSV_HEADER and one row per recorded iterate: the
 # integer k, then dis, phi, primal_residual and elapsed_seconds as %.17g, each
-# an empty cell where the trace holds None.
+# an empty cell in every row where the trace did not record that column.
 
 CSV_HEADER = "k,dis,phi,primal_residual,elapsed_seconds"
 #: The columns of a trace CSV, in file order.
@@ -706,21 +708,18 @@ TRACE_COLUMNS = tuple(CSV_HEADER.split(","))
 CSV_BLOCK_ROWS = 4096
 
 
-def csv_cell(v) -> str:
-    """A trace CSV cell: ``%.17g``, or empty for ``None``."""
-    return "" if v is None else f"{float(v):.17g}"
-
-
 def write_trace_csv(trace, path) -> str:
     """Write a trace's columns as CSV and return the SHA-256 hex digest of the bytes written.
 
-    Rows are formatted in blocks of :data:`CSV_BLOCK_ROWS`, each with one
-    ``%`` operation over the repeated row format, and each block is hashed
-    and written as it is made.  A column that holds ``None`` in a block is
-    formatted value by value for that block.
+    One row format serves the whole trace, with an empty cell for a column
+    the trace did not record (``None``).  Rows are formatted in blocks of
+    :data:`CSV_BLOCK_ROWS`, each with one ``%`` operation over the repeated
+    row format and the block's recorded columns side by side, and each
+    block is hashed and written as it is made.
     """
     columns = (trace.dis, trace.phi, trace.primal_residual, trace.elapsed)
-    width = 1 + len(columns)
+    recorded = [col for col in columns if col is not None]
+    row = ",".join(["%d"] + ["" if col is None else "%.17g" for col in columns]) + "\n"
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def put(text: str) -> None:
@@ -729,19 +728,10 @@ def write_trace_csv(trace, path) -> str:
             fh.write(data)
 
         put(CSV_HEADER + "\n")
-        for lo in range(0, len(trace.ks), CSV_BLOCK_ROWS):
-            hi = min(lo + CSV_BLOCK_ROWS, len(trace.ks))
-            cells, formats = [None] * (width * (hi - lo)), ["%d"]
-            cells[0::width] = trace.ks[lo:hi]
-            for c, column in enumerate(columns, 1):
-                block = column[lo:hi]
-                if None in block:
-                    formats.append("%s")
-                    block = [csv_cell(v) for v in block]
-                else:
-                    formats.append("%.17g")
-                cells[c::width] = block
-            put((",".join(formats) + "\n") * (hi - lo) % tuple(cells))
+        for lo in range(0, len(trace), CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, len(trace))
+            cells = np.column_stack([trace.ks[lo:hi], *(col[lo:hi] for col in recorded)])
+            put(row * (hi - lo) % tuple(cells.ravel().tolist()))
     return digest.hexdigest()
 
 

@@ -217,11 +217,11 @@ DIVERGED = "diverged"
 
 @dataclass
 class Trace:
-    """Per-iteration records of a run.
+    """Per-iteration records of a run: float64 arrays whose row ``k`` is iterate ``k``.
 
-    Columnar lists indexed by recorded iterate (k = 0 is the initial point):
-    ``dis`` and ``phi`` hold ``None`` where the metric was unavailable.
-    ``points`` is populated only when the run was asked to keep iterates.
+    ``k = 0`` is the initial point and ``ks`` is ``range(len(trace))``.
+    ``dis`` and ``phi`` are ``None`` when the run did not record them;
+    ``points``, kept on request, holds each iterate ``[x; lam]`` as a row.
     Steps run and are recorded :data:`RECORD_CHUNK` at a time.  Every
     column holds exactly the rows a step-by-step loop would record, except
     past the first chunk of a long affine run (:data:`POWER_MIN_STEPS`):
@@ -238,21 +238,25 @@ class Trace:
     all-quadratic Jacobi run) or ``"sweep"`` (the block solves).
     """
 
-    ks: list = field(default_factory=list)
-    dis: list = field(default_factory=list)
-    phi: list = field(default_factory=list)
-    primal_residual: list = field(default_factory=list)
-    elapsed: list = field(default_factory=list)
+    dis: Optional[np.ndarray] = None
+    phi: Optional[np.ndarray] = None
+    primal_residual: np.ndarray = field(default_factory=lambda: np.empty(0))
+    elapsed: np.ndarray = field(default_factory=lambda: np.empty(0))
     status: str = MAX_ITERS
     final: Optional[PrimalDualPoint] = None
-    points: Optional[list] = None
+    points: Optional[np.ndarray] = None
     newton_max_residual: float = 0.0
     failure: Optional[str] = None
     timings: dict = field(default_factory=dict)
     engine: str = "sweep"
 
+    @property
+    def ks(self) -> range:
+        """The recorded iterates' indices, ``range(len(self))``."""
+        return range(len(self))
+
     def __len__(self) -> int:
-        return len(self.ks)
+        return len(self.primal_residual)
 
 
 # -- scalar root finding -------------------------------------------------------
@@ -673,7 +677,8 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     is recorded when a reference is given, and the run stops once it falls
     to ``params.dis_tol``.  ``phi_context`` is a passed certificate's
     ``weights`` (:class:`jprox.certify.PhiWeights`); ``phi`` is recorded per
-    iterate when both it and a reference are present.
+    iterate when both it and a reference are present; with ``record_points``
+    the iterates are the rows of ``points``.
 
     A run is declared divergent when the error metric (or, absent a
     reference, the iterate magnitude) exceeds 1e12 or turns non-finite, or
@@ -694,14 +699,15 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     writes each chunk from the previous one into a second buffer, the two
     buffers taking turns.  A chunk keeps the rows up to the first one that
     meets the stop rule, and the run ends in that row's state, so it records
-    the rows of a step-by-step loop (to round-off past a switch).  A
-    block-solve failure ends its chunk at the failed step; the steps past
-    the stop row are discarded, a failure among them included.
+    the rows of a step-by-step loop (to round-off past a switch), and each
+    column's kept slices are joined once, when the run ends.  A block-solve
+    failure ends its chunk at the failed step; the steps past the stop row
+    are discarded, a failure among them included.
     """
     check_point(problem, u0)
     if reference is not None:
         check_point(problem, reference)
-    trace = Trace(points=[] if record_points else None)
+    trace = Trace()
     clock = time.perf_counter()
     prepared = _Prepared(problem, params, method)
     trace.engine = prepared.engine
@@ -713,31 +719,31 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     r = constraint_residual(problem, x)
     start = time.perf_counter()
     trace.timings["prepare"] = start - clock
+    n = x.size
+    parts = {"dis": [], "phi": [], "primal_residual": [], "elapsed": [], "points": []}
 
-    def record_rows(k: int, X: np.ndarray, LAM: np.ndarray, RN: np.ndarray,
-                    elapsed: np.ndarray) -> int:
-        """Record rows ``X[j], LAM[j]`` as iterates ``k + j`` up to the first
+    def record_rows(Z: np.ndarray, RN: np.ndarray, elapsed: np.ndarray) -> int:
+        """Record the rows ``[x; lam]`` of ``Z`` as the next iterates up to the first
         that meets the stop rule; return how many were kept."""
+        X, LAM = Z[:, :n], Z[:, n:]
         DX, DLAM = (X - x_ref, LAM - lam_ref) if reference is not None else (X, LAM)
         gauge = block_distances(DX, DLAM, offsets)
         diverged = ~(gauge <= DIVERGENCE_LIMIT)
         stops = diverged | (gauge <= params.dis_tol) if reference is not None else diverged
         hits = np.flatnonzero(stops)
-        kept = int(hits[0]) + 1 if hits.size else len(X)
-        trace.ks.extend(range(k, k + kept))
-        trace.dis.extend(gauge[:kept].tolist() if reference is not None else [None] * kept)
-        trace.phi.extend([None] * kept if phi is None
-                         else phi.evaluate_rows(DX[:kept], DLAM[:kept]).tolist())
-        trace.primal_residual.extend(RN[:kept].tolist())
-        trace.elapsed.extend(elapsed[:kept].tolist())
-        if trace.points is not None:
-            trace.points.extend(PrimalDualPoint(problem.split(X[j].copy()), LAM[j].copy())
-                                for j in range(kept))
+        kept = int(hits[0]) + 1 if hits.size else len(Z)
+        if reference is not None:
+            parts["dis"].append(gauge[:kept])
+        if phi is not None:
+            parts["phi"].append(phi.evaluate_rows(DX[:kept], DLAM[:kept]))
+        parts["primal_residual"].append(RN[:kept].copy())
+        parts["elapsed"].append(elapsed[:kept].copy())
+        if record_points:
+            parts["points"].append(Z[:kept].copy())
         if hits.size:
             trace.status = DIVERGED if diverged[hits[0]] else CONVERGED
         return kept
 
-    n = x.size
     size = min(RECORD_CHUNK, params.max_iters)
     # Row j of a chunk is the iterate [x; lam] of its j-th step.
     Z = np.empty((size, n + problem.m))
@@ -745,7 +751,7 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     RN, newton, elapsed = np.empty(size), np.zeros(size), np.empty(size)
     Z[0, :n], Z[0, n:], RN[0] = x, lam, math.sqrt(r @ r)
     elapsed[0] = time.perf_counter() - start
-    record_rows(0, Z[:1, :n], Z[:1, n:], RN[:1], elapsed[:1])
+    record_rows(Z[:1], RN[:1], elapsed[:1])
     z = Z[0].copy()  # the state the next chunk starts from, outside the buffer
     step_s = power_s = 0.0
     k = 0
@@ -764,7 +770,7 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
             clock = time.perf_counter()
             size, r, failure = _steps(prepared, source, r, Z[:size], RN, newton, elapsed, start)
             step_s += time.perf_counter() - clock
-            kept = record_rows(k + 1, Z[:size, :n], Z[:size, n:], RN[:size], elapsed[:size])
+            kept = record_rows(Z[:size], RN[:size], elapsed[:size])
             trace.newton_max_residual = float(newton[:kept].max(initial=trace.newton_max_residual))
             if failure is not None and trace.status == MAX_ITERS:
                 trace.status = DIVERGED
@@ -772,6 +778,9 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
             k += kept
             if kept:
                 z = Z[kept - 1].copy()
+    for name, chunks in parts.items():
+        if chunks:
+            setattr(trace, name, np.concatenate(chunks))
     trace.timings["prepare"] += power_s
     trace.timings["step"] = step_s
     trace.timings["record"] = time.perf_counter() - start - step_s - power_s

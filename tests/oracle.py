@@ -1,10 +1,11 @@
 """Dense oracles of the certificate's closed forms, built from raw arrays.
 
-Each function takes the coupling matrices ``A_i``, the proximal matrices
-``P_i`` and scalars, builds the paper's matrices densely and solves them
-with ``scipy.linalg.eigh``.  Nothing here imports jprox, so an oracle shares
-no code with the closed form it checks: jprox reads the same quantities off
-the cached eigenvalues of ``A_i'A_i`` without building a matrix.
+Each function takes raw arrays (the coupling matrices ``A_i``, the proximal
+matrices ``P_i``, the objectives' ``H_i`` or coefficients) and scalars,
+builds the paper's matrices densely and solves them with ``scipy.linalg``.
+Nothing here imports jprox, so an oracle shares no code with the closed form
+it checks: jprox reads the same quantities off the cached eigenvalues of
+``A_i'A_i`` without building a matrix.
 """
 
 import numpy as np
@@ -21,6 +22,33 @@ def uniform_xi(gamma: float, N: int) -> float:
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
+
+
+class Constants:
+    """The problem constants: strong-convexity modulus ``alpha``, ``L``, ``D`` and ``c_A``."""
+
+    def __init__(self, alpha: float, L: float, D: float, c_A: float):
+        self.alpha, self.L, self.D, self.c_A = alpha, L, D, c_A
+
+
+def constants(A, H=None, a=None, b=None) -> Constants:
+    """The constants of an LCQP (every ``H_i``) or a resource allocation (``a_i``, ``b_i``).
+
+    A quadratic block's curvature lies in ``[lambda_min(H_i), lambda_max(H_i)]``;
+    ``a_i x^2/2 + log(1 + exp(b_i x))`` (shifted) has curvature in
+    ``[a_i, a_i + b_i^2/4]``.  ``alpha`` is half the smallest curvature bound,
+    ``L`` the square of the largest, ``D = sum ||A_i||^2``, and ``c_A`` the
+    smallest singular value of the stacked ``[A_1'; ...; A_N']``.
+    """
+    if H is not None:
+        spectra = [scipy.linalg.eigh(_sym(np.asarray(Hi)), eigvals_only=True) for Hi in H]
+        lows, highs = [w[0] for w in spectra], [w[-1] for w in spectra]
+    else:
+        lows = list(a)
+        highs = [ai + bi * bi / 4.0 for ai, bi in zip(a, b)]
+    return Constants(alpha=0.5 * min(lows), L=max(highs) ** 2,
+                     D=sum(scipy.linalg.svdvals(Ai)[0] ** 2 for Ai in A),
+                     c_A=scipy.linalg.svdvals(np.vstack([Ai.T for Ai in A]))[-1])
 
 
 def proximal_matrices(A, taus, coupling: int, rho: float) -> list:

@@ -159,8 +159,8 @@ def test_criterion_5_linear_rate_fit():
         cert, consts, P_list, trace = certified_run(
             inst, rho=1.0, gamma=gamma, max_iters=6000, dis_tol=1e-10)
         assert cert.passed
-        dis_fit = fit_linear_rate([d for d in trace.dis if d is not None], 0.5)
-        phi_fit = fit_linear_rate([p for p in trace.phi if p is not None], 0.5)
+        dis_fit = fit_linear_rate(trace.dis, 0.5)
+        phi_fit = fit_linear_rate(trace.phi, 0.5)
         assert dis_fit.r_squared > 0.99
         assert dis_fit.rate < 1.0
         assert phi_fit.rate <= cert.sigma + 0.02
@@ -182,8 +182,7 @@ def test_criterion_6_penalty_ranking():
                                   max_iters=1500, dis_tol=1e-10)
             trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
                         reference=inst.optimum())
-            rates[rho] = fit_linear_rate(
-                [d for d in trace.dis if d is not None], 0.5).rate
+            rates[rho] = fit_linear_rate(trace.dis, 0.5).rate
         best = min(rates, key=rates.get)
         details.append(f"seed {seed} best rho={best:g}")
         if best == 1.0:
@@ -204,7 +203,7 @@ def test_criterion_7_resource_allocation():
                              dis_tol=1e-10),
                 PrimalDualPoint.zeros(inst.problem), reference=ref.point)
     assert 0.0 < solve.newton_max_residual <= 1e-10
-    fit = fit_linear_rate([d for d in solve.dis if d is not None], 0.5)
+    fit = fit_linear_rate(solve.dis, 0.5)
     assert fit.r_squared > 0.99
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import scipy.linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from jprox.certify import (
+    ALPHA_TOL,
     TAU_SAFETY,
     PhiWeights,
     ProblemConstants,
@@ -27,6 +29,7 @@ from jprox.certify import (
 )
 from jprox.errors import (
     CertificationError,
+    DegenerateAfterRetries,
     DimensionMismatch,
     GammaOutOfRange,
     InsufficientData,
@@ -69,6 +72,47 @@ def single_block_problem(H_scale=2.0, n=3):
 
 
 # -- estimate_constants -----------------------------------------------------------
+
+def raw_constants(problem):
+    """The oracle's constants of an LCQP or a resource allocation, from its raw arrays."""
+    objectives = problem.objectives
+    if all(isinstance(f, QuadraticBlock) for f in objectives):
+        return oracle.constants(problem.A, H=[f.H for f in objectives])
+    return oracle.constants(problem.A, a=[f.a for f in objectives], b=[f.b for f in objectives])
+
+
+@st.composite
+def generated_instances(draw):
+    """A small generated LCQP or resource-allocation instance."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        return generate_resource_alloc(draw(st.integers(1, 8)), seed)
+    try:
+        return generate_lcqp(draw(st.integers(1, 4)), draw(st.integers(1, 8)),
+                             draw(st.integers(1, 6)), seed)
+    except DegenerateAfterRetries:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated_instances())
+def test_estimate_constants_matches_the_dense_oracle(inst):
+    # c_A comes from the stack's smaller Gram matrix while k*eps*w_max/w_min <= 1e-8
+    # (linalg.GRAM_COND_LIMIT), which costs relative accuracy k*eps*cond^2 in it:
+    # 1.5e-10 on generate_lcqp(2, 6, 3, seed=736).
+    problem = inst.problem
+    want = raw_constants(problem)
+    if want.alpha <= ALPHA_TOL:
+        with pytest.raises(NotStronglyConvex):
+            estimate_constants(problem)
+        return
+    got = estimate_constants(problem)
+    for name in ("alpha", "L", "D"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-10, abs=0.0), name
+    sv = scipy.linalg.svdvals(np.vstack([Ai.T for Ai in problem.A]))
+    gram_rtol = sv.size * np.finfo(float).eps * (sv[0] / sv[-1]) ** 2
+    assert got.c_A == pytest.approx(want.c_A, rel=max(1e-10, gram_rtol), abs=0.0)
+
 
 def test_constants_worked_single_block():
     consts = estimate_constants(single_block_problem())
@@ -269,13 +313,13 @@ def test_explicit_matrix_count_other_than_N_raises(count):
     # zip used to cut the checks short: one matrix for three blocks passed.
     # The dense oracle takes explicit matrices; jprox takes one weight per block.
     p = generate_lcqp(3, 6, 4, seed=0).problem
-    consts = estimate_constants(p)
-    s = 0.5 * max_feasible_s(consts, 1.0, p.N)
+    s = 0.5 * max_feasible_s(estimate_constants(p), 1.0, p.N)
+    raw = raw_constants(p)
     P = [50.0 * np.eye(4)] * count
     with pytest.raises(ValueError, match="3 blocks"):
         oracle.coupling_margins(p.A, P, 1.0, 1.0, s)
     with pytest.raises(ValueError, match="3 blocks"):
-        oracle.mu_s(p.A, P, 1.0, s, consts.alpha, consts.L, consts.D)
+        oracle.mu_s(p.A, P, 1.0, s, raw.alpha, raw.L, raw.D)
     policy = StandardProximal([50.0] * count)
     with pytest.raises(DimensionMismatch, match="expected 3 tau values"):
         check_xi_condition(p, 1.0, 1.0, s, policy)
@@ -286,7 +330,8 @@ def test_explicit_matrix_count_other_than_N_raises(count):
 # -- mu_s -----------------------------------------------------------------------------
 
 def dense_mu_s(problem, consts, rho, s, policy):
-    """The oracle's dense ``mu_s`` pencil of ``policy`` on ``problem``'s raw arrays."""
+    """The oracle's dense ``mu_s`` pencil of ``policy`` on ``problem``'s raw arrays, with the
+    constants ``consts`` (:func:`raw_constants`, or a worked example's)."""
     return oracle.mu_s(problem.A, dense_policy(policy, rho, problem), rho, s,
                        consts.alpha, consts.L, consts.D)
 
@@ -302,9 +347,8 @@ def test_mu_s_worked_scalar_example():
 
 def test_mu_s_small_s_strictly_below_one():
     p = single_block_problem()
-    consts = estimate_constants(p)
-    assert dense_mu_s(p, consts, 1.0, 1e-12, None) < 1.0
-    assert closed_form_mu_s(p, consts, 1.0, 1e-12, None) < 1.0
+    assert dense_mu_s(p, raw_constants(p), 1.0, 1e-12, None) < 1.0
+    assert closed_form_mu_s(p, estimate_constants(p), 1.0, 1e-12, None) < 1.0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -314,7 +358,7 @@ def test_mu_s_below_one_at_admissible_s(seed):
     policy = StandardProximal(1.0)
     for rho in (0.1, 1.0, 5.0):
         s = 0.5 * max_feasible_s(consts, rho, inst.problem.N)
-        assert dense_mu_s(inst.problem, consts, rho, s, policy) < 1.0
+        assert dense_mu_s(inst.problem, raw_constants(inst.problem), rho, s, policy) < 1.0
         assert closed_form_mu_s(inst.problem, consts, rho, s, policy) < 1.0
 
 
@@ -380,7 +424,7 @@ def test_materialized_policy_has_the_policy_eigenvalues(case, scalar_tau, lift):
 @given(mu_s_cases())
 def test_closed_form_mu_s_matches_dense_pencil(case):
     problem, consts, rho, s, policy = case
-    expected = dense_mu_s(problem, consts, rho, s, policy)
+    expected = dense_mu_s(problem, raw_constants(problem), rho, s, policy)
     assert closed_form_mu_s(problem, consts, rho, s, policy) == pytest.approx(
         expected, rel=1e-10, abs=0.0)
 
@@ -392,13 +436,13 @@ def test_closed_form_mu_s_raises_like_the_dense_pencil(monkeypatch):
 
     module = importlib.import_module("jprox.certify")
     p = single_block_problem()
-    consts = unit_consts(norms=(1.0,))
+    raw = raw_constants(p)
     with pytest.raises(np.linalg.LinAlgError):
-        oracle.mu_s(p.A, [-10.0 * np.eye(3)], 1.0, 0.1, consts.alpha, consts.L, consts.D)
+        oracle.mu_s(p.A, [-10.0 * np.eye(3)], 1.0, 0.1, raw.alpha, raw.L, raw.D)
     monkeypatch.setattr(module, "policy_eigenvalues",
                         lambda policy, rho, ds: [d * 0.0 - 10.0 for d in ds])
     with pytest.raises(NotPositiveDefinite):
-        closed_form_mu_s(p, consts, 1.0, 0.1, StandardProximal(1.0))
+        closed_form_mu_s(p, unit_consts(norms=(1.0,)), 1.0, 0.1, StandardProximal(1.0))
 
 
 # -- compute_sigma -----------------------------------------------------------------------
@@ -460,7 +504,7 @@ def dense_certificate(problem, rho, gamma, policy, consts):
     """(passed, failure, sigma) assembled from the dense oracles, mirroring :func:`certify`."""
     s = 0.5 * max_feasible_s(consts, rho, problem.N)
     xi_passed = all(e > 0.0 for e in dense_margins(problem, rho, gamma, s, policy))
-    mu = dense_mu_s(problem, consts, rho, s, policy)
+    mu = dense_mu_s(problem, raw_constants(problem), rho, s, policy)
     sig = compute_sigma(gamma, rho, s, consts.c_A, mu)
     if not xi_passed:
         failure = "XiConditionFailed"
@@ -919,7 +963,9 @@ def test_phi_weights_evaluate_matches_the_recorded_phi():
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem), reference=ref,
                 phi_context=weights, record_points=True)
     assert len(trace.points) == len(trace.phi) == 201
-    for u, phi in zip(trace.points, trace.phi):
+    n = sum(inst.problem.dims)
+    for row, phi in zip(trace.points, trace.phi):
+        u = PrimalDualPoint(inst.problem.split(row[:n]), row[n:])
         assert weights.evaluate(u, ref) == pytest.approx(phi, rel=1e-12, abs=0.0)
 
 

@@ -411,7 +411,7 @@ def test_run_sweep_full_grid_cells():
         assert cell.certificate is not None
         assert cell.trace is not None
         if cell.certificate.passed:
-            assert any(p is not None for p in cell.trace.phi)
+            assert cell.trace.phi is not None
 
 
 def test_run_sweep_deterministic():
@@ -419,8 +419,8 @@ def test_run_sweep_deterministic():
     sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(0.5,), max_iters=100)
     t1 = run_sweep(inst, sweep)[(1.0, 0.5, 1)].trace
     t2 = run_sweep(inst, sweep)[(1.0, 0.5, 1)].trace
-    assert t1.dis == t2.dis
-    assert t1.primal_residual == t2.primal_residual
+    assert np.array_equal(t1.dis, t2.dis)
+    assert np.array_equal(t1.primal_residual, t2.primal_residual)
 
 
 def test_run_sweep_certified_cells_respect_rate_bound():
@@ -529,7 +529,7 @@ def test_run_sweep_cells_hold_no_weights():
     inst = generate_lcqp(3, 6, 4, seed=0)
     sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=50)
     cells = run_sweep(inst, sweep).values()
-    assert any(cell.certificate.passed and cell.trace.phi[-1] is not None for cell in cells)
+    assert any(cell.certificate.passed and cell.trace.phi is not None for cell in cells)
     assert all(b"PhiWeights" not in pickle.dumps(cell) for cell in cells)
 
 
@@ -800,12 +800,19 @@ def test_run_sweep_returns_cells_in_key_order(cpus):
 
 # -- sweeps on forked workers -------------------------------------------------------------------
 
+def exact_column(column):
+    """A trace column as exact text: ``None``, or its dtype, shape and bytes (numpy's
+    ``repr`` rounds to 8 digits and elides long arrays)."""
+    return None if column is None else (column.dtype.str, column.shape, column.tobytes())
+
+
 def cell_outcome(cell) -> str:
     """Everything a cell yields but its times: certificate, trace columns but ``elapsed``,
     status, rates and error, as exact text."""
     trace = cell.trace
-    columns = None if trace is None else (trace.ks, trace.dis, trace.phi, trace.primal_residual,
-                                          trace.engine, trace.newton_max_residual, trace.failure)
+    columns = None if trace is None else (
+        trace.ks, *map(exact_column, (trace.dis, trace.phi, trace.primal_residual)),
+        trace.engine, trace.newton_max_residual, trace.failure)
     cert = cell.certificate.to_dict() if cell.certificate else None
     return repr((cert, cell.status, cell.dis_rate, cell.phi_rate, cell.error, columns))
 

@@ -405,7 +405,7 @@ def test_plain_step_trace_matches_engine_with_none_policy():
     params = SolverParams(rho=1.0, gamma=1.0, policy=None, max_iters=50)
     t1 = run(inst.problem, params, u, reference=inst.optimum(), method="jprox")
     t2 = run(inst.problem, params, u, reference=inst.optimum(), method="jacobi-plain")
-    assert t1.dis == t2.dis
+    assert np.array_equal(t1.dis, t2.dis)
 
 
 # -- dual decomposition ------------------------------------------------------------------
@@ -420,6 +420,12 @@ def test_dual_decomposition_fixed_point_at_dual_optimum():
 
 
 # -- run loop ----------------------------------------------------------------------------
+
+def recorded_points(problem, trace) -> list:
+    """The rows ``[x; lam]`` of ``trace.points`` as points."""
+    n = sum(problem.dims)
+    return [PrimalDualPoint(problem.split(row[:n]), row[n:]) for row in trace.points]
+
 
 def test_run_converges_immediately_from_reference():
     inst = generate_lcqp(2, 4, 3, seed=37)
@@ -442,7 +448,7 @@ def test_run_reaches_solution_with_certified_weights():
                           max_iters=4000, dis_tol=0.0)
     trace = run(inst.problem, params, PrimalDualPoint.zeros(inst.problem),
                 reference=inst.optimum())
-    assert min(d for d in trace.dis if d is not None) < 1e-6
+    assert trace.dis.min() < 1e-6
     # The limit agrees with the independent stationarity-system solve.
     ref = reference_solution(inst.problem)
     assert dis(trace.final, ref.point) < 1e-6
@@ -477,8 +483,8 @@ def test_run_iterates_equal_public_steps(method, family):
     params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(2.0), max_iters=5)
     u = PrimalDualPoint.zeros(problem)
     trace = run(problem, params, u, method=method, record_points=True)
-    assert trace.ks == list(range(6))
-    for k, got in enumerate(trace.points):
+    assert trace.ks == range(6)
+    for k, got in enumerate(recorded_points(problem, trace)):
         for a, b in zip(got.x, u.x):
             assert np.array_equal(a, b), (k, a, b)
         assert np.array_equal(got.lam, u.lam), k
@@ -526,10 +532,10 @@ def test_run_computes_one_constraint_residual_per_iterate(monkeypatch):
     assert trace.engine == "affine" and len(trace) == 151
     assert residuals == [12]
     assert chunks == [64, 64, 22]
-    scale = np.linalg.norm(inst.problem.stacked_A(), 2) * max(
-        np.linalg.norm(np.concatenate(point.x)) for point in trace.points)
-    for point, recorded in zip(trace.points, trace.primal_residual):
-        want = float(np.linalg.norm(original(inst.problem, point.x)))
+    X = trace.points[:, :sum(inst.problem.dims)]
+    scale = np.linalg.norm(inst.problem.stacked_A(), 2) * np.linalg.norm(X, axis=1).max()
+    for x, recorded in zip(X, trace.primal_residual):
+        want = float(np.linalg.norm(original(inst.problem, inst.problem.split(x))))
         assert abs(recorded - want) <= 1e-14 * scale
 
 
@@ -588,8 +594,8 @@ def test_mixed_blocks_run_equals_public_steps(method):
     params = SolverParams(rho=1.0, gamma=1.5, policy=StandardProximal(2.0), max_iters=5)
     u = random_point(p, 3)
     trace = run(p, params, u, method=method, record_points=True)
-    assert trace.ks == list(range(6))
-    for k, got in enumerate(trace.points):
+    assert trace.ks == range(6)
+    for k, got in enumerate(recorded_points(p, trace)):
         for a, b in zip(got.x, u.x):
             assert np.array_equal(a, b), (k, a, b)
         assert np.array_equal(got.lam, u.lam), k
@@ -711,7 +717,7 @@ def test_run_matches_per_block_oracle(family, method):
     for column in ("dis", "phi", "primal_residual"):
         got, want = getattr(trace, column), oracle[column]
         if want[0] is None:
-            assert all(v is None for v in got)
+            assert got is None
             continue
         for k, (g, w) in enumerate(zip(got, want)):
             assert abs(g - w) <= 1e-10 * max(abs(want[0]), abs(w)), (column, k, g, w)
@@ -728,7 +734,7 @@ def test_run_turns_a_block_solve_failure_into_divergence(monkeypatch):
     params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(5.0), max_iters=50)
     trace = run(ra.problem, params, PrimalDualPoint.zeros(ra.problem))
     assert trace.status == "diverged"
-    assert trace.ks == [0]
+    assert trace.ks == range(1)
     assert "MaxItersExceeded" in trace.failure
     assert trace.final.x[0][0] == 0.0
 
@@ -996,8 +1002,7 @@ def _assert_affine_rows_match_block_sweep_rows(N, n, m, seed, method, rho, gamma
     assert abs(len(got) - len(want)) <= (1 if "diverged" in (got.status, want.status) else 0)
     z_ref = np.concatenate(ref.x + [ref.lam])
     scale0 = np.linalg.norm(np.concatenate(u0.x + [u0.lam]) - z_ref)
-    for k, (g, w) in enumerate(zip(got.points, want.points)):
-        zg, zw = np.concatenate(g.x + [g.lam]), np.concatenate(w.x + [w.lam])
+    for k, (zg, zw) in enumerate(zip(got.points, want.points)):
         if not fused:
             assert zg.tobytes() == zw.tobytes(), k
         assert np.linalg.norm(zg - zw) <= 1e-10 * max(scale0, np.linalg.norm(zw - z_ref)), k
@@ -1033,8 +1038,8 @@ def _assert_rows_of_stepwise_loop(problem, params, u0, ref, method="jprox", engi
     points, dis_loop, status = _stepwise(problem, params, u0, ref, method)
     assert trace.engine == engine
     assert trace.status == status
-    assert trace.ks == list(range(len(points)))
-    for k, (got, want) in enumerate(zip(trace.points, points)):
+    assert trace.ks == range(len(points))
+    for k, (got, want) in enumerate(zip(recorded_points(problem, trace), points)):
         if rel:
             assert dis(got, want) <= rel * max(dis_loop[0], dis_loop[k]), k
             continue
@@ -1043,9 +1048,8 @@ def _assert_rows_of_stepwise_loop(problem, params, u0, ref, method="jprox", engi
         assert np.array_equal(got.lam, want.lam)
     for g, w in zip(trace.dis, dis_loop):
         assert abs(g - w) <= max(1e-14 * w, rel * max(dis_loop[0], w))
-    for a, b in zip(trace.final.x, trace.points[-1].x):
-        assert np.array_equal(a, b)
-    assert np.array_equal(trace.final.lam, trace.points[-1].lam)
+    final = np.concatenate(trace.final.x + [trace.final.lam])
+    assert np.array_equal(final, trace.points[-1])
     return trace
 
 
@@ -1089,7 +1093,8 @@ def test_affine_run_converged_at_the_reference_takes_no_step():
     ref = inst.optimum()
     params = SolverParams(rho=1.0, gamma=1.0, max_iters=100, dis_tol=1e-12)
     trace = _assert_rows_of_stepwise_loop(inst.problem, params, ref.copy(), ref)
-    assert trace.status == "converged" and trace.ks == [0] and trace.dis == [0.0]
+    assert trace.status == "converged" and trace.ks == range(1)
+    assert np.array_equal(trace.dis, [0.0])
 
 
 @pytest.mark.parametrize("max_iters", [1, 64, 150])
@@ -1107,20 +1112,20 @@ def test_buffered_affine_rows_equal_the_unbuffered_formula(max_iters):
     n, A, c = sum(problem.dims), problem.stacked_A(), problem.c
     z = np.concatenate(u0.x + [u0.lam])
     rows = []
-    for k, point in enumerate(trace.points[1:], 1):
+    for k, row in enumerate(trace.points[1:], 1):
         z = M @ z + b
         rows.append(z)
-        assert np.concatenate(point.x).tobytes() == z[:n].tobytes(), k
-        assert point.lam.tobytes() == z[n:].tobytes(), k
+        assert row[:n].tobytes() == z[:n].tobytes(), k
+        assert row[n:].tobytes() == z[n:].tobytes(), k
     assert np.concatenate(trace.final.x).tobytes() == z[:n].tobytes()
     assert trace.final.lam.tobytes() == z[n:].tobytes()
     for start in range(0, max_iters, solvers.RECORD_CHUNK):
         R = np.stack(rows[start:start + solvers.RECORD_CHUNK])[:, :n] @ A.T - c
         recorded = trace.primal_residual[1 + start:1 + start + len(R)]
-        assert np.sqrt(np.einsum("ij,ij->i", R, R)).tolist() == recorded, start
+        assert np.sqrt(np.einsum("ij,ij->i", R, R)).tobytes() == recorded.tobytes(), start
     one = step(problem, u0, params)
-    assert np.concatenate(one.x).tobytes() == np.concatenate(trace.points[1].x).tobytes()
-    assert one.lam.tobytes() == trace.points[1].lam.tobytes()
+    assert np.concatenate(one.x).tobytes() == trace.points[1, :n].tobytes()
+    assert one.lam.tobytes() == trace.points[1, n:].tobytes()
 
 
 @pytest.mark.parametrize("family", ["lcqp", "ra"])
@@ -1181,21 +1186,21 @@ def test_power_rows_equal_the_chunk_formula(shape):
     u0 = random_point(problem, 3)
     trace = run(problem, params, u0, record_points=True)
     assert trace.ks[-1] == params.max_iters
-    rows = [np.concatenate(u.x + [u.lam]) for u in trace.points]
+    rows = trace.points
     z = rows[0]
     for k in range(1, p + 1):
         z = M @ z + b
         assert rows[k].tobytes() == z.tobytes(), k
     for start in range(p + 1, len(rows), p):
         chunk = rows[start:start + p]
-        want = np.stack(rows[start - p:start - p + len(chunk)]) @ P.T + b_p
-        assert np.stack(chunk).tobytes() == want.tobytes(), start
+        want = rows[start - p:start - p + len(chunk)] @ P.T + b_p
+        assert chunk.tobytes() == want.tobytes(), start
         assert len(set(trace.elapsed[start:start + p])) == 1, start
     n, A, c = sum(problem.dims), problem.stacked_A(), problem.c
     for start in range(1, len(rows), p):
-        R = np.stack(rows[start:start + p])[:, :n] @ A.T - c
+        R = rows[start:start + p, :n] @ A.T - c
         recorded = trace.primal_residual[start:start + len(R)]
-        assert np.sqrt(np.einsum("ij,ij->i", R, R)).tolist() == recorded, start
+        assert np.sqrt(np.einsum("ij,ij->i", R, R)).tobytes() == recorded.tobytes(), start
     final = np.concatenate(trace.final.x + [trace.final.lam])
     assert final.tobytes() == rows[-1].tobytes()
 
@@ -1288,7 +1293,7 @@ def test_block_sweep_run_computes_one_constraint_residual_per_iterate(monkeypatc
     trace = run(problem, params, u0, reference=ref, method=method, record_points=True)
     assert trace.engine == "sweep" and len(trace) == 21
     assert len(calls) == len(trace)
-    for point, recorded in zip(trace.points, trace.primal_residual):
+    for point, recorded in zip(recorded_points(problem, trace), trace.primal_residual):
         assert recorded == float(np.linalg.norm(original(problem, point.x)))
 
 
@@ -1319,17 +1324,17 @@ def test_buffered_block_sweep_rows_equal_the_unbuffered_formula(family, max_iter
     u0 = random_point(problem, 3)
     trace = run(problem, params, u0, method=method, record_points=True)
     assert trace.engine == "sweep" and trace.ks[-1] == max_iters
-    x, lam = np.concatenate(u0.x), u0.lam
-    for k, point in enumerate(trace.points[1:], 1):
+    x, lam, n = np.concatenate(u0.x), u0.lam, sum(problem.dims)
+    for k, row in enumerate(trace.points[1:], 1):
         x, lam, r = _formula_sweep_step(prepared, x, lam)
-        assert np.concatenate(point.x).tobytes() == x.tobytes(), k
-        assert point.lam.tobytes() == lam.tobytes(), k
+        assert row[:n].tobytes() == x.tobytes(), k
+        assert row[n:].tobytes() == lam.tobytes(), k
         assert trace.primal_residual[k] == math.sqrt(r @ r), k
     assert np.concatenate(trace.final.x).tobytes() == x.tobytes()
     assert trace.final.lam.tobytes() == lam.tobytes()
     one = step(problem, u0, params, method=method)
-    assert np.concatenate(one.x).tobytes() == np.concatenate(trace.points[1].x).tobytes()
-    assert one.lam.tobytes() == trace.points[1].lam.tobytes()
+    assert np.concatenate(one.x).tobytes() == trace.points[1, :n].tobytes()
+    assert one.lam.tobytes() == trace.points[1, n:].tobytes()
 
 
 def _gauss_seidel_counterexample():
@@ -1394,11 +1399,11 @@ def _fail_scalar_solves_from_call(monkeypatch, first_failing_call):
 
 
 def _assert_same_rows(got, want):
-    for column in ("ks", "dis", "phi", "primal_residual"):
-        assert getattr(got, column) == getattr(want, column), column
-    for a, b in zip(got.points + [got.final], want.points + [want.final]):
-        assert all(np.array_equal(x, y) for x, y in zip(a.x, b.x))
-        assert np.array_equal(a.lam, b.lam)
+    assert got.ks == want.ks and got.phi is want.phi is None
+    for column in ("dis", "primal_residual", "points"):
+        assert np.array_equal(getattr(got, column), getattr(want, column)), column
+    assert all(np.array_equal(x, y) for x, y in zip(got.final.x, want.final.x))
+    assert np.array_equal(got.final.lam, want.final.lam)
     assert got.newton_max_residual == want.newton_max_residual
 
 
@@ -1411,7 +1416,7 @@ def test_run_keeps_the_rows_before_a_block_solve_failure_mid_chunk(monkeypatch):
     _fail_scalar_solves_from_call(monkeypatch, 421)
     trace = run(problem, params, u0, reference=ref, record_points=True)
     assert trace.status == "diverged"
-    assert trace.ks == list(range(71))
+    assert trace.ks == range(71)
     assert trace.failure == "step 71: MaxItersExceeded: injected failure"
     _assert_same_rows(trace, want)
 

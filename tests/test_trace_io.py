@@ -17,21 +17,23 @@ SUBNORMAL = 5e-324
 
 def reference_csv(trace) -> str:
     """The trace CSV written one value at a time."""
-    def cell(v):
-        return "" if v is None else f"{float(v):.17g}"
+    def cell(column, i):
+        return "" if column is None else f"{float(column[i]):.17g}"
 
     lines = [CSV_HEADER]
     for i, k in enumerate(trace.ks):
-        lines.append(",".join([str(k)] + [cell(getattr(trace, c)[i]) for c in COLUMNS]))
+        lines.append(",".join([str(k)] + [cell(getattr(trace, c), i) for c in COLUMNS]))
     return "\n".join(lines) + "\n"
 
 
 def make_trace(rows: int, **columns) -> Trace:
-    """A trace of ``rows`` rows; unnamed columns hold distinct finite values."""
-    trace = Trace(ks=list(range(rows)))
-    for j, name in enumerate(COLUMNS):
-        setattr(trace, name, columns.get(name, [(i + 1) * 0.1 ** (j + 1) for i in range(rows)]))
-    return trace
+    """A trace of ``rows`` rows; a column given as ``None`` is absent, and unnamed columns
+    hold distinct finite values."""
+    values = {name: [(i + 1) * 0.1 ** (j + 1) for i in range(rows)]
+              for j, name in enumerate(COLUMNS)}
+    values.update(columns)
+    return Trace(**{name: None if v is None else np.array(v, dtype=float)
+                    for name, v in values.items()})
 
 
 SPECIAL = [math.nan, math.inf, -math.inf, -2.5, -0.0, 0.0, SUBNORMAL, 2.2250738585072014e-308 / 3,
@@ -39,21 +41,20 @@ SPECIAL = [math.nan, math.inf, -math.inf, -2.5, -0.0, 0.0, SUBNORMAL, 2.22507385
 
 TRACES = {
     "all-set": make_trace(5),
-    "no-phi": make_trace(4, phi=[None] * 4),
-    "mixed-none": make_trace(6, dis=[1.0, None, 0.5, None, None, 0.25]),
+    "no-phi": make_trace(4, phi=None),
+    "no-dis": make_trace(4, dis=None),
     "special": make_trace(len(SPECIAL), dis=SPECIAL, phi=SPECIAL[::-1],
                           primal_residual=[-v for v in SPECIAL]),
     "one-row": make_trace(1),
     "empty": make_trace(0),
-    "crosses-block": make_trace(
-        CSV_BLOCK_ROWS + 3,
-        phi=[0.5 ** i for i in range(CSV_BLOCK_ROWS)] + [None, 1.0, None],
-    ),
+    "crosses-block": make_trace(CSV_BLOCK_ROWS + 3,
+                                phi=[0.5 ** i for i in range(CSV_BLOCK_ROWS + 3)]),
+    "crosses-block-no-phi": make_trace(CSV_BLOCK_ROWS + 3, phi=None),
 }
 
 
 def bits(v):
-    return None if v is None else struct.pack("<d", v)
+    return struct.pack("<d", v)
 
 
 @pytest.mark.parametrize("name", TRACES)
@@ -66,20 +67,23 @@ def test_write_gives_the_bytes_of_a_per_value_loop(tmp_path, name):
 
 @pytest.mark.parametrize("name", TRACES)
 def test_read_returns_every_written_value_bit_for_bit(tmp_path, name):
-    # Every column reads back as float64, a None (an empty cell) as NaN.
+    # Every column reads back as float64, an absent one (empty cells) as NaN.
     trace = TRACES[name]
     path = tmp_path / "t.csv"
     write_trace_csv(trace, path)
     cols = read_trace_csv(path)
     assert list(cols) == CSV_HEADER.split(",")
     assert all(col.dtype == np.float64 for col in cols.values())
-    assert cols["k"].tolist() == trace.ks
+    assert cols["k"].tolist() == list(trace.ks)
     for c in COLUMNS:
         want = getattr(trace, c)
         got = cols["elapsed_seconds" if c == "elapsed" else c].tolist()
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            if w is None or math.isnan(w):
+        assert len(got) == len(trace)
+        if want is None:
+            assert all(math.isnan(g) for g in got), c
+            continue
+        for g, w in zip(got, want.tolist()):
+            if math.isnan(w):
                 assert math.isnan(g)
             else:
                 assert bits(g) == bits(w), (c, g, w)
@@ -116,12 +120,13 @@ def test_read_with_a_digest_refuses_any_other_bytes(tmp_path):
 
 
 def test_read_accepts_crlf_line_endings(tmp_path):
-    trace = TRACES["mixed-none"]
+    trace = TRACES["no-phi"]
     path = tmp_path / "t.csv"
     path.write_bytes(reference_csv(trace).replace("\n", "\r\n").encode("utf-8"))
     cols = read_trace_csv(path)
-    assert cols["k"].tolist() == trace.ks
-    assert [None if math.isnan(d) else d for d in cols["dis"].tolist()] == trace.dis
+    assert cols["k"].tolist() == list(trace.ks)
+    assert cols["dis"].tobytes() == trace.dis.tobytes()
+    assert np.isnan(cols["phi"]).all()
 
 
 def test_read_rejects_a_blank_line_in_the_middle(tmp_path):
