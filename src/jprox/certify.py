@@ -98,7 +98,6 @@ class ProblemConstants:
     """
 
     alpha: float
-    L_list: tuple
     L: float
     D: float
     c_A: float
@@ -121,7 +120,6 @@ def estimate_constants(problem: BlockProblem) -> ProblemConstants:
     """
     # A block's gradient Lipschitz constant is the top of its curvature range;
     # the modulus convention halves the bottom.
-    L_list = tuple(f.max_curvature for f in problem.objectives)
     alpha = min(0.5 * f.min_curvature for f in problem.objectives)
     if alpha <= ALPHA_TOL:
         raise NotStronglyConvex(
@@ -131,8 +129,7 @@ def estimate_constants(problem: BlockProblem) -> ProblemConstants:
     A_norms = tuple(g.norm for g in problem.gram_spectra())
     return ProblemConstants(
         alpha=alpha,
-        L_list=L_list,
-        L=max(L_list) ** 2,
+        L=max(f.max_curvature for f in problem.objectives) ** 2,
         D=sum(nrm * nrm for nrm in A_norms),
         c_A=problem.stacked_singular_value(),
         A_norms=A_norms,
@@ -255,13 +252,6 @@ def compute_sigma(gamma: float, rho: float, s: float, c_A: float, mu_s: float) -
 
 # -- certificates ---------------------------------------------------------------
 
-def describe_policy(policy: ProximalPolicy) -> dict:
-    if policy is None:
-        return {"kind": "none"}
-    tau = policy.tau if np.isscalar(policy.tau) else list(map(float, policy.tau))
-    return {"kind": policy.kind, "tau": tau}
-
-
 @dataclass
 class Certificate:
     """Outcome of a certification attempt, with pass/fail margins.
@@ -272,14 +262,14 @@ class Certificate:
     ``mu_s`` and ``sigma`` inside (0, 1).  A failed certificate records which
     condition broke in ``failure`` and keeps whatever was computed.
 
-    Every certificate :func:`certify` returns keeps the concrete policy it
-    checked (``proximal``, not serialized); :meth:`PhiWeights.certified`
-    builds the Lyapunov weights of a passed one's ``phi`` from it.
+    ``proximal`` is the concrete policy it checked, which :meth:`to_dict`
+    writes as the object ``policy``; :meth:`PhiWeights.certified` builds
+    the Lyapunov weights of a passed one's ``phi`` from it.
     """
 
     rho: float
     gamma: float
-    policy: dict
+    proximal: ProximalPolicy
     passed: bool
     failure: Optional[str] = None
     s: Optional[float] = None
@@ -288,13 +278,15 @@ class Certificate:
     sigma: Optional[float] = None
     margins: dict = field(default_factory=dict)
     seed: Optional[int] = None
-    proximal: ProximalPolicy = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        """Every field in declaration order, but the unserialized ``proximal``."""
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        """Every field in declaration order, ``proximal`` as the object ``policy``."""
+        p = self.proximal
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["proximal"] = {"kind": "none"} if p is None else {
+            "kind": p.kind, "tau": p.tau if np.isscalar(p.tau) else list(map(float, p.tau))}
         d["xi"] = list(self.xi) if self.xi is not None else None
-        return d
+        return {"policy" if key == "proximal" else key: value for key, value in d.items()}
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
@@ -318,8 +310,7 @@ def certify(problem: BlockProblem, rho: float, gamma: float, policy: ProximalPol
     (:meth:`PhiWeights.certified`).
     """
     policy = _resolve(problem, rho, gamma, policy)
-    cert = Certificate(rho=rho, gamma=gamma, policy=describe_policy(policy),
-                       passed=False, seed=seed, proximal=policy)
+    cert = Certificate(rho=rho, gamma=gamma, proximal=policy, passed=False, seed=seed)
     _require_positive(rho=rho)
     if not 0.0 < gamma < 2.0:
         cert.failure = "GammaOutOfRange"

@@ -9,10 +9,11 @@ Exit codes are a stable contract: 0 success, 2 flag validation, 3 I/O or
 parse or generation failure, 4 certification failed, 5 divergence.
 
 The trace CSV writer and reader are :mod:`jprox.experiments`'s.  A sweep's
-traces are written by the processes that ran its cells, and its manifest
-records each one's SHA-256 digest (``trace_sha256``).  ``report`` checks
-every listed trace against its digest and parses only the ``k`` and
-``dis`` columns of the traces it plots.
+traces are written by the processes that ran its cells.  Each manifest
+entry is a cell's ``SweepCell.to_dict()``, with its trace's SHA-256 digest
+(``trace_sha256``).  ``report`` checks every listed trace against its
+digest and parses only the ``k`` and ``dis`` columns of the traces it
+plots.
 """
 
 from __future__ import annotations
@@ -189,11 +190,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _rate_to_dict(rate) -> dict | None:
-    return None if rate is None else {"rate": rate.rate, "r_squared": rate.r_squared,
-                                      "flat": rate.flat}
-
-
 def cmd_sweep(args) -> int:
     instance = _load_instance(args.input)
     seeds = [instance.seed]
@@ -226,26 +222,9 @@ def cmd_sweep(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
-
-    def add_entry(cell) -> None:
-        """The cell's manifest entry; its trace was written by the process that ran it."""
-        entries.append({
-            "rho": cell.rho,
-            "gamma": cell.gamma,
-            "seed": cell.seed,
-            "status": cell.status,
-            "certificate": cell.certificate.to_dict() if cell.certificate else None,
-            "dis_rate": _rate_to_dict(cell.dis_rate),
-            "phi_rate": _rate_to_dict(cell.phi_rate),
-            "error": cell.error,
-            "trace": cell.trace_file,
-            "trace_sha256": cell.trace_sha256,
-            "timings": cell.timings,
-            "engine": cell.engine,
-            "wall_s": cell.wall_s,
-        })
-
-    exp.run_sweep(instances, sweep, on_cell=add_entry, trace_dir=outdir)
+    # Each cell's trace was written by the process that ran it.
+    exp.run_sweep(instances, sweep, on_cell=lambda cell: entries.append(cell.to_dict()),
+                  trace_dir=outdir)
     manifest = {
         "input": str(args.input),
         "rho_grid": list(rho_grid),

@@ -29,7 +29,7 @@ import math
 import os
 import time
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -315,57 +315,62 @@ class SweepConfig:
 
 @dataclass
 class SweepCell:
-    """One (rho, gamma, seed) cell of a sweep; ``wall_s`` is its wall time in seconds.
+    """One (rho, gamma, seed) cell of a sweep, and its manifest entry (:meth:`to_dict`).
 
     ``status`` is its run's status, or ``"error"`` when ``error`` names what
-    stopped the cell; ``engine`` and ``timings`` are its run's.  The cell of
-    a sweep that writes its traces holds no ``trace``: the process that ran
-    the cell wrote it to the file ``trace_file`` of the sweep's directory,
-    whose bytes have the SHA-256 hex digest ``trace_sha256``.
+    stopped the cell; ``engine`` and ``timings`` are its run's, and
+    ``wall_s`` is its wall time in seconds.  The process that ran the cell
+    wrote its trace to the file ``trace`` of the sweep's directory, whose
+    bytes have the SHA-256 hex digest ``trace_sha256``.
     """
 
     rho: float
     gamma: float
     seed: int
-    certificate: Optional[Certificate] = None
     status: str = "error"
-    engine: Optional[str] = None
-    timings: Optional[dict] = None
-    trace: Optional[object] = None
-    trace_file: Optional[str] = None
-    trace_sha256: Optional[str] = None
+    certificate: Optional[Certificate] = None
     dis_rate: Optional[RateFit] = None
     phi_rate: Optional[RateFit] = None
     error: Optional[str] = None
+    trace: Optional[str] = None
+    trace_sha256: Optional[str] = None
+    timings: Optional[dict] = None
+    engine: Optional[str] = None
     wall_s: float = 0.0
+
+    def to_dict(self) -> dict:
+        """Every field in declaration order; the certificate and the rates as JSON objects."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["certificate"] = self.certificate.to_dict() if self.certificate else None
+        for key in ("dis_rate", "phi_rate"):
+            d[key] = d[key]._asdict() if d[key] is not None else None
+        return d
 
 
 def _run_cell(instance: Instance, reference: PrimalDualPoint, rho: float, gamma: float,
-              sweep: SweepConfig, policy, trace_dir: Optional[Path]) -> SweepCell:
-    """One cell; with a ``trace_dir`` its trace is written there and dropped from the cell."""
+              sweep: SweepConfig, policy, trace_dir: Path) -> SweepCell:
+    """One cell; its trace is written to ``trace_dir``, and the cell names the file."""
     start = time.perf_counter()
     cell = SweepCell(rho=rho, gamma=gamma, seed=instance.seed)
     problem = instance.problem
+    trace = None
     try:
         cert = cell.certificate = certify(problem, rho, gamma, policy, instance.seed)
         params = SolverParams(rho=rho, gamma=gamma, policy=cert.proximal,
                               max_iters=sweep.max_iters, dis_tol=sweep.dis_tol)
-        cell.trace = run(problem, params, PrimalDualPoint.zeros(problem),
-                         reference=reference, phi_context=PhiWeights.certified(problem, cert))
-        cell.dis_rate = _fit_series(cell.trace.dis)
+        trace = run(problem, params, PrimalDualPoint.zeros(problem),
+                    reference=reference, phi_context=PhiWeights.certified(problem, cert))
+        cell.dis_rate = _fit_series(trace.dis)
         if cert.passed:
-            cell.phi_rate = _fit_series(cell.trace.phi)
+            cell.phi_rate = _fit_series(trace.phi)
     except (JproxError, np.linalg.LinAlgError) as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
     cell.wall_s = time.perf_counter() - start
-    trace = cell.trace
     if trace is not None:
         cell.engine, cell.timings = trace.engine, trace.timings
         cell.status = "error" if cell.error is not None else trace.status
-        if trace_dir is not None:
-            cell.trace_file = f"trace_rho{rho:g}_gamma{gamma:g}_seed{instance.seed}.csv"
-            cell.trace_sha256 = write_trace_csv(trace, Path(trace_dir) / cell.trace_file)
-            cell.trace = None
+        cell.trace = f"trace_rho{rho:g}_gamma{gamma:g}_seed{instance.seed}.csv"
+        cell.trace_sha256 = write_trace_csv(trace, Path(trace_dir) / cell.trace)
     return cell
 
 
@@ -414,7 +419,7 @@ def _one_blas_thread() -> None:
 
 
 def _sweep_tasks(instances: Sequence[Instance], sweep: SweepConfig, policy,
-                 trace_dir: Optional[Path]) -> list:
+                 trace_dir: Path) -> list:
     """The arguments of :func:`_run_cell` for every cell, in key order.
 
     Each instance's cached Gram spectra and matrices, stacked ``A``,
@@ -450,8 +455,8 @@ def _run_pooled(tasks: list, workers: int, collect: Callable) -> None:
 
 def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig,
               policy=StandardProximal("auto"),
-              on_cell: Optional[Callable[[SweepCell], None]] = None,
-              trace_dir: Optional[Path] = None) -> dict:
+              on_cell: Optional[Callable[[SweepCell], None]] = None, *,
+              trace_dir: Path) -> dict:
     """Run every (rho, gamma) cell for every instance, from a zero start.
 
     Each cell certifies ``policy`` (:func:`jprox.certify.certify`, which
@@ -463,11 +468,10 @@ def run_sweep(instances: Union[Instance, Sequence[Instance]], sweep: SweepConfig
     are recorded in the cell, never raised.  Two instances with one seed
     raise :class:`InvalidParameter` before any cell runs.
 
-    Without a ``trace_dir`` each cell holds its trace.  With one, the
-    process that ran a cell writes its trace CSV there
+    The process that ran a cell writes its trace CSV to ``trace_dir``
     (:func:`write_trace_csv`, named ``trace_rho<rho>_gamma<gamma>_seed<seed>.csv``)
-    and the cell holds the file's name and digest instead, so no trace row
-    is sent back or kept here; a trace that cannot be written raises its
+    and the cell holds the file's name and digest, so no trace row is sent
+    back or kept here; a trace that cannot be written raises its
     ``OSError`` and no further cell is collected.
 
     The cells run on :func:`sweep_workers` processes, one per CPU this

@@ -1,6 +1,6 @@
 """Shared pytest hooks, fixtures and helpers: FAIL lines for the acceptance criteria, call
-counting, the CPU count a sweep sees and its worker processes, and the ``dis`` distance of the
-engine tests."""
+counting, the CPU count a sweep sees and its worker processes, the trace a sweep cell wrote, and
+the ``dis`` distance of the engine tests."""
 
 import importlib
 import multiprocessing
@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jprox.experiments import TRACE_COLUMNS, read_trace_csv
 from jprox.problem import block_distance
 
 
@@ -93,3 +94,9 @@ def exit_in_worker(*task):
     """A sweep cell that ends its worker process at once; it never runs in the test process."""
     assert os.getpid() != TEST_PID, "a pooled cell ran in the test process"
     os._exit(1)
+
+
+def cell_trace(cell, directory, names=TRACE_COLUMNS) -> dict:
+    """The ``names`` columns of the trace CSV a sweep cell names, in ``directory``, read
+    against the cell's digest; ``%.17g`` round-trips, so each value is the run's own."""
+    return read_trace_csv(Path(directory) / cell.trace, names, cell.trace_sha256)

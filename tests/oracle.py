@@ -63,6 +63,20 @@ def proximal_matrices(A, taus, coupling: int, rho: float) -> list:
             for t, Ai in zip(taus, A)]
 
 
+def max_feasible_s(A, consts: Constants, rho: float) -> float:
+    """The supremum of ``s`` with ``s*(rho^2*D*||A_i||^2 + L/N) < alpha/(2N)`` for every block."""
+    N = len(A)
+    return min(consts.alpha / (2.0 * N)
+               / (rho * rho * consts.D * scipy.linalg.svdvals(Ai)[0] ** 2 + consts.L / N)
+               for Ai in A)
+
+
+def _coupling_margin(AtA: np.ndarray, B: np.ndarray, s: float, c: float) -> float:
+    """``lambda_min(B - 8*s*B^2 - c*A_i'A_i)``."""
+    M = B - 8.0 * s * (B @ B) - c * AtA
+    return float(scipy.linalg.eigh(_sym(M), eigvals_only=True)[0])
+
+
 def coupling_margins(A, P, rho: float, gamma: float, s: float) -> list:
     """Per block, ``lambda_min(B - 8*s*B^2 - (rho/xi)*A_i'A_i)`` with ``B = rho*A_i'A_i + P_i``.
 
@@ -71,13 +85,60 @@ def coupling_margins(A, P, rho: float, gamma: float, s: float) -> list:
     if len(P) != len(A):
         raise ValueError(f"{len(P)} proximal matrices for {len(A)} blocks")
     c = rho / uniform_xi(gamma, len(A))
-    margins = []
-    for Ai, Pi in zip(A, P):
+    return [_coupling_margin(Ai.T @ Ai, rho * (Ai.T @ Ai) + Pi, s, c) for Ai, Pi in zip(A, P)]
+
+
+def bisection_tau(A, consts: Constants, rho: float, gamma: float, coupling: int,
+                  safety: float = 1.5):
+    """The weight rule on dense matrices, with ``P_i = tau*I - coupling*rho*A_i'A_i``.
+
+    ``s`` is half of :func:`max_feasible_s`.  Each block's certified interval
+    ``(lo, hi)`` is found by bisecting its coupling margin, which is concave
+    in the weight, at both ends.  The weight is ``safety*lo``, or the
+    midpoint where ``safety*lo >= hi``, or the round-off-sized
+    ``1e-12*max(c*||A_i||^2, 1)`` (at most ``hi/2``) where the margin at 0
+    is already positive.  ``None`` where some block has no interval.
+    """
+    s = 0.5 * max_feasible_s(A, consts, rho)
+    c = rho / uniform_xi(gamma, len(A))
+    taus = []
+    for Ai in A:
         AtA = Ai.T @ Ai
-        B = rho * AtA + Pi
-        M = B - 8.0 * s * (B @ B) - c * AtA
-        margins.append(float(scipy.linalg.eigh(_sym(M), eigvals_only=True)[0]))
-    return margins
+        eye = np.eye(AtA.shape[0])
+
+        def margin(tau):
+            return _coupling_margin(AtA, (1 - coupling) * rho * AtA + tau * eye, s, c)
+
+        def boundary(outside, inside):
+            """The end of the interval between a failing and a passing weight."""
+            for _ in range(100):
+                mid = 0.5 * (outside + inside)
+                outside, inside = (outside, mid) if margin(mid) > 0.0 else (mid, inside)
+            return inside
+
+        scale = max(c * scipy.linalg.svdvals(Ai)[0] ** 2, 1.0)
+        if margin(0.0) > 0.0:
+            lo, inside = None, 0.0
+        else:
+            lo, probe = 0.0, scale * 2.0 ** -10
+            for _ in range(60):
+                if margin(probe) > 0.0:
+                    break
+                lo, probe = probe, 2.0 * probe
+            else:
+                return None
+            lo = inside = boundary(lo, probe)
+        above = 2.0 * max(inside, scale)
+        while margin(above) > 0.0:
+            above *= 2.0
+        hi = boundary(above, inside)
+        if lo is None:
+            taus.append(min(1e-12 * scale, 0.5 * hi))
+        elif safety * lo < hi:
+            taus.append(safety * lo)
+        else:
+            taus.append(0.5 * (lo + hi))
+    return taus
 
 
 def mu_s(A, P, rho: float, s: float, alpha: float, L: float, D: float) -> float:

@@ -117,7 +117,7 @@ def test_estimate_constants_matches_the_dense_oracle(inst):
 def test_constants_worked_single_block():
     consts = estimate_constants(single_block_problem())
     assert consts.alpha == pytest.approx(1.0, abs=1e-10)
-    assert consts.L_list[0] == pytest.approx(2.0, abs=1e-10)
+    assert math.sqrt(consts.L) == pytest.approx(2.0, abs=1e-10)
     assert consts.L == pytest.approx(4.0, abs=1e-10)
     assert consts.D == pytest.approx(1.0, abs=1e-10)
     assert consts.c_A == pytest.approx(1.0, abs=1e-10)
@@ -133,8 +133,8 @@ def test_constants_logistic_block_against_scalar_calculus():
     grid = np.linspace(-20.0, 20.0, 400001)
     s = np.array([sigmoid(b * t) for t in grid])
     curvature_max = float(np.max(a + b * b * s * (1.0 - s)))
-    assert consts.L_list[0] == pytest.approx(curvature_max, rel=1e-8)
-    assert consts.L_list[0] == pytest.approx(2.0, abs=1e-12)
+    assert math.sqrt(consts.L) == pytest.approx(curvature_max, rel=1e-8)
+    assert math.sqrt(consts.L) == pytest.approx(2.0, abs=1e-12)
     assert consts.alpha == pytest.approx(0.5, abs=1e-12)
 
 
@@ -200,8 +200,7 @@ def test_cached_gram_spectrum_matches_svd(kind, scale):
 # -- max_feasible_s -----------------------------------------------------------------
 
 def unit_consts(alpha=1.0, L=1.0, D=1.0, norms=(1.0,)):
-    return ProblemConstants(alpha=alpha, L_list=(math.sqrt(L),), L=L, D=D,
-                            c_A=1.0, A_norms=norms)
+    return ProblemConstants(alpha=alpha, L=L, D=D, c_A=1.0, A_norms=norms)
 
 
 def test_max_feasible_s_worked_example():
@@ -631,60 +630,6 @@ def test_smallest_certified_tau_prox_linear_scalar_formula():
 
 # -- spectral tau search ---------------------------------------------------------------------
 
-def dense_bisection_tau(problem, rho, gamma, kind="standard", safety=1.5):
-    """Independent copy of the weight rule on dense matrices: one eigensolve per step.
-
-    Each block's certified interval ``(lo, hi)`` is found by bisecting the
-    dense coupling margin, which is concave in the weight, at both ends.  The
-    weight is ``safety*lo``, or the midpoint where ``safety*lo >= hi``, or the
-    round-off-sized ``1e-12*max(c*||A_i||^2, 1)`` (at most ``hi/2``) where the
-    margin at 0 is already positive.
-    """
-    consts = estimate_constants(problem)
-    s = 0.5 * max_feasible_s(consts, rho, problem.N)
-    coupling = rho / ((1.0 - 1e-6) * (2.0 - gamma) / problem.N)
-    taus = []
-    for i, Ai in enumerate(problem.A):
-        AtA = Ai.T @ Ai
-        eye = np.eye(AtA.shape[0])
-
-        def margin(tau):
-            B = rho * AtA + tau * eye if kind == "standard" else tau * eye
-            M = B - 8.0 * s * (B @ B) - coupling * AtA
-            return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-
-        def boundary(outside, inside):
-            """The end of the interval between a failing and a passing weight."""
-            for _ in range(100):
-                mid = 0.5 * (outside + inside)
-                outside, inside = (outside, mid) if margin(mid) > 0.0 else (mid, inside)
-            return inside
-
-        scale = max(coupling * consts.A_norms[i] ** 2, 1.0)
-        if margin(0.0) > 0.0:
-            lo, inside = None, 0.0
-        else:
-            lo, probe = 0.0, scale * 2.0 ** -10
-            for _ in range(60):
-                if margin(probe) > 0.0:
-                    break
-                lo, probe = probe, 2.0 * probe
-            else:
-                return None
-            lo = inside = boundary(lo, probe)
-        above = 2.0 * max(inside, scale)
-        while margin(above) > 0.0:
-            above *= 2.0
-        hi = boundary(above, inside)
-        if lo is None:
-            taus.append(min(1e-12 * scale, 0.5 * hi))
-        elif safety * lo < hi:
-            taus.append(safety * lo)
-        else:
-            taus.append(0.5 * (lo + hi))
-    return taus
-
-
 # (N, m, n): m < n makes every A_i'A_i singular.
 TAU_SHAPES = [(3, 8, 4), (2, 5, 5), (3, 4, 8), (2, 3, 7), (1, 6, 3)]
 
@@ -697,9 +642,10 @@ def test_spectral_tau_matches_dense_bisection(kind, shape):
     checked = midpoints = 0
     for seed in (0, 1, 2):
         p = generate_lcqp(*shape, seed=seed).problem
+        raw = raw_constants(p)
         for rho, gamma in [(0.03, 0.1), (1.0, 0.5), (1.0, 1.5), (5.0, 1.9), (10.0, 1.0),
                            (0.1, 1.9)]:
-            expected = dense_bisection_tau(p, rho, gamma, kind)
+            expected = oracle.bisection_tau(p.A, raw, rho, gamma, COUPLINGS[kind])
             if expected is None:
                 with pytest.raises(CertificationError):
                     smallest_certified_tau(p, rho, gamma, kind=kind)
@@ -1027,14 +973,31 @@ def test_prox_linear_certify_forms_no_gram_matrix(count_calls, tau):
     assert p._gram_matrices is None
 
 
-def test_run_sweep_materializes_each_policy_for_the_run_and_its_phi_weights(count_calls, cpus):
+def test_a_certificate_writes_its_policy_as_the_policy_object():
+    p = generate_lcqp(2, 5, 3, seed=0).problem
+    cert = certify(p, 1.0, 1.0, StandardProximal(20.0))
+    d = cert.to_dict()
+    assert list(d)[:4] == ["rho", "gamma", "policy", "passed"]
+    assert "proximal" not in d
+    assert d["policy"] == {"kind": "standard", "tau": 20.0}
+    assert certify(p, 1.0, 1.0, None).to_dict()["policy"] == {"kind": "none"}
+    auto = certify(p, 1.0, 1.0, ProxLinear("auto")).to_dict()["policy"]
+    assert auto["kind"] == "proxlinear" and [type(t) for t in auto["tau"]] == [float, float]
+    # The policy is part of a certificate's equality.
+    assert dataclasses.replace(cert) == cert
+    assert dataclasses.replace(cert, proximal=ProxLinear(20.0)) != cert
+
+
+def test_run_sweep_materializes_each_policy_for_the_run_and_its_phi_weights(count_calls, cpus,
+                                                                           tmp_path):
     from jprox.experiments import SweepConfig, run_sweep
 
     cpus(1)  # cells run in this process, where their calls are counted
     inst = generate_lcqp(3, 6, 4, seed=0)
     calls = count_calls("jprox.solvers", "materialize_policy")
     cells = run_sweep(inst, SweepConfig(rho_grid=(1.0, 5.0), gamma_grid=(0.5, 1.5),
-                                        max_iters=20), StandardProximal(20.0))
+                                        max_iters=20), StandardProximal(20.0),
+                      trace_dir=tmp_path)
     assert len(cells) == 4
     assert all(cell.error is None for cell in cells.values())
     passed = sum(cell.certificate.passed for cell in cells.values())

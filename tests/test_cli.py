@@ -644,6 +644,29 @@ def test_sweep_manifest_records_cell_timings(tmp_path):
         assert sum(timings.values()) <= cell["wall_s"]
 
 
+def test_a_sweep_cell_is_its_manifest_entry():
+    # The manifest entry is SweepCell.to_dict(), so report reads only fields sweep writes.
+    from jprox.certify import Certificate, RateFit
+    from jprox.cli import CELL_KEYS, CELL_TYPES, _wrong_cell_fields
+    from jprox.solvers import StandardProximal
+
+    cert = Certificate(rho=1.0, gamma=0.5, proximal=StandardProximal([2.0, 3.0]), passed=False)
+    cell = exp.SweepCell(1.0, 0.5, 3, status="max_iters", certificate=cert,
+                         dis_rate=RateFit(0.9, 0.99), trace="t.csv", trace_sha256="ab",
+                         timings={"step": 0.1}, engine="affine", wall_s=0.2)
+    entry = cell.to_dict()
+    assert list(entry) == ["rho", "gamma", "seed", "status", "certificate", "dis_rate",
+                           "phi_rate", "error", "trace", "trace_sha256", "timings", "engine",
+                           "wall_s"]
+    assert entry["certificate"] == cert.to_dict()
+    assert entry["dis_rate"] == {"rate": 0.9, "r_squared": 0.99, "flat": False}
+    assert entry["phi_rate"] is None
+    assert json.loads(json.dumps(entry)) == entry
+    assert _wrong_cell_fields(entry) == []
+    fields = {f.name for f in dataclasses.fields(exp.SweepCell)}
+    assert set(CELL_KEYS) | {key.partition(".")[0] for key in CELL_TYPES} <= fields
+
+
 def test_solve_gauss_seidel_baseline(tmp_path):
     inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
     out = tmp_path / "gs.csv"

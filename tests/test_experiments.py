@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import TEST_PID, child_pids, dis, exit_in_worker
+from conftest import TEST_PID, cell_trace, child_pids, dis, exit_in_worker
 
 import jprox.experiments as exp
 from jprox.certify import certify
@@ -28,7 +28,6 @@ from jprox.experiments import (
     generate_lcqp,
     generate_resource_alloc,
     load_instance,
-    read_trace_csv,
     reference_solution,
     run_sweep,
     save_instance,
@@ -400,36 +399,41 @@ def test_default_grids():
     assert GAMMA_GRID == (0.1, 0.5, 1.5, 1.9)
 
 
-def test_run_sweep_full_grid_cells():
+def test_run_sweep_full_grid_cells(tmp_path):
     inst = generate_lcqp(3, 6, 4, seed=0)
     sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=200, dis_tol=1e-9)
-    cells = run_sweep(inst, sweep)
+    cells = run_sweep(inst, sweep, trace_dir=tmp_path)
     assert len(cells) == 4
     for (rho, gamma, seed), cell in cells.items():
         assert seed == 0
         assert cell.error is None
         assert cell.certificate is not None
         assert cell.trace is not None
+        phi = cell_trace(cell, tmp_path, ("phi",))["phi"]
         if cell.certificate.passed:
-            assert cell.trace.phi is not None
+            assert not np.isnan(phi).any()  # recorded in every row
 
 
-def test_run_sweep_deterministic():
+def test_run_sweep_deterministic(tmp_path):
     inst = generate_lcqp(2, 5, 3, seed=1)
     sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(0.5,), max_iters=100)
-    t1 = run_sweep(inst, sweep)[(1.0, 0.5, 1)].trace
-    t2 = run_sweep(inst, sweep)[(1.0, 0.5, 1)].trace
-    assert np.array_equal(t1.dis, t2.dis)
-    assert np.array_equal(t1.primal_residual, t2.primal_residual)
+    traces = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        cell = run_sweep(inst, sweep, trace_dir=tmp_path / name)[(1.0, 0.5, 1)]
+        traces.append(cell_trace(cell, tmp_path / name, ("dis", "primal_residual")))
+    t1, t2 = traces
+    assert np.array_equal(t1["dis"], t2["dis"])
+    assert np.array_equal(t1["primal_residual"], t2["primal_residual"])
 
 
-def test_run_sweep_certified_cells_respect_rate_bound():
+def test_run_sweep_certified_cells_respect_rate_bound(tmp_path):
     # On every certified cell the fitted decay of the Lyapunov series must
     # stay within fit noise of the certified factor.
     inst = generate_lcqp(3, 8, 4, seed=0)
     sweep = SweepConfig(rho_grid=(1.0, 5.0), gamma_grid=(0.5, 1.0),
                         max_iters=1500, dis_tol=1e-10)
-    cells = run_sweep(inst, sweep)
+    cells = run_sweep(inst, sweep, trace_dir=tmp_path)
     checked = 0
     for cell in cells.values():
         if cell.certificate is not None and cell.certificate.passed and cell.phi_rate:
@@ -445,35 +449,37 @@ def with_first_modulus(inst, a):
     return dataclasses.replace(inst, problem=BlockProblem(objectives, p.A, p.c))
 
 
-def test_run_sweep_records_cell_failures_without_raising():
+def test_run_sweep_records_cell_failures_without_raising(tmp_path):
     # A modulus at the floor cannot be certified; cells still complete with
     # fallback weights and a failed certificate.
     inst = generate_resource_alloc(4, seed=101)
     assert min(coefficients(inst, "a")) / 2.0 > 0  # sanity: generator gave positive moduli
     tiny = with_first_modulus(inst, 1e-9)
     sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(1.0,), max_iters=50)
-    cells = run_sweep(tiny, sweep)
+    cells = run_sweep(tiny, sweep, trace_dir=tmp_path)
     cell = cells[(1.0, 1.0, 101)]
     assert cell.error is None
     assert cell.certificate is not None and not cell.certificate.passed
     assert cell.certificate.failure == "NotStronglyConvex"
     assert cell.trace is not None
+    cell_trace(cell, tmp_path, ())  # the named file holds the digested bytes
 
 
-def test_run_sweep_gives_a_trace_where_block_solves_break_down():
+def test_run_sweep_gives_a_trace_where_block_solves_break_down(tmp_path):
     # Weight 1 on allocation seed 0 drives the iterates past 1e4, where scalar
     # solves cannot meet their absolute tolerance; the cell must still end with
     # a trace and status diverged, not as an error.
     inst = generate_resource_alloc(6, seed=0)
     sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(1.0,))
-    cell = run_sweep(inst, sweep, policy=StandardProximal(1.0))[(1.0, 1.0, 0)]
+    cell = run_sweep(inst, sweep, policy=StandardProximal(1.0),
+                     trace_dir=tmp_path)[(1.0, 1.0, 0)]
     assert cell.error is None
     assert cell.status == "diverged"
-    assert cell.trace is not None and len(cell.trace) > 1
-    assert cell.wall_s >= sum(cell.trace.timings.values())
+    assert cell.trace is not None and len(cell_trace(cell, tmp_path, ("k",))["k"]) > 1
+    assert cell.wall_s >= sum(cell.timings.values())
 
 
-def test_run_sweep_propagates_errors_that_no_cell_can_cause(monkeypatch):
+def test_run_sweep_propagates_errors_that_no_cell_can_cause(monkeypatch, tmp_path):
     import jprox.experiments as experiments
 
     def broken(*args, **kwargs):
@@ -482,10 +488,10 @@ def test_run_sweep_propagates_errors_that_no_cell_can_cause(monkeypatch):
     monkeypatch.setattr(experiments, "run", broken)
     sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(1.0,), max_iters=10)
     with pytest.raises(ValueError, match="a defect of the program"):
-        run_sweep(generate_lcqp(2, 5, 3, seed=0), sweep)
+        run_sweep(generate_lcqp(2, 5, 3, seed=0), sweep, trace_dir=tmp_path)
 
 
-def test_run_sweep_rejects_instances_that_share_a_seed(monkeypatch):
+def test_run_sweep_rejects_instances_that_share_a_seed(monkeypatch, tmp_path):
     # Cells and references are keyed by seed: two instances with one seed
     # would share a reference and overwrite each other's cells.
     import jprox.experiments as experiments
@@ -496,13 +502,13 @@ def test_run_sweep_rejects_instances_that_share_a_seed(monkeypatch):
     monkeypatch.setattr(experiments.LcqpInstance, "optimum", lambda inst: ran.append(inst))
     monkeypatch.setattr(experiments, "_run_cell", lambda *args: ran.append(args))
     with pytest.raises(InvalidParameter, match="seed 0"):
-        run_sweep(instances, SweepConfig((1.0,), (1.0,), max_iters=50))
+        run_sweep(instances, SweepConfig((1.0,), (1.0,), max_iters=50), trace_dir=tmp_path)
     assert ran == []
 
 
-def test_run_sweep_records_an_invalid_penalty_as_an_error_cell():
+def test_run_sweep_records_an_invalid_penalty_as_an_error_cell(tmp_path):
     sweep = SweepConfig(rho_grid=(-1.0,), gamma_grid=(1.0,), max_iters=10)
-    cell = run_sweep(generate_lcqp(2, 5, 3, seed=0), sweep)[(-1.0, 1.0, 0)]
+    cell = run_sweep(generate_lcqp(2, 5, 3, seed=0), sweep, trace_dir=tmp_path)[(-1.0, 1.0, 0)]
     assert cell.status == "error"
     assert cell.error.startswith("InvalidParameter")
 
@@ -523,34 +529,36 @@ def test_resolve_policy_auto_builds_requested_kind():
         ProxLinear(fallback_tau(flat, 1.0, 1.0, kind="proxlinear"))
 
 
-def test_run_sweep_cells_hold_no_weights():
+def test_run_sweep_cells_hold_no_weights(tmp_path):
     # A cell's run records phi with its certificate's weights; nothing reads
     # them afterwards (the manifest writes to_dict()), so the cell holds none.
     inst = generate_lcqp(3, 6, 4, seed=0)
     sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=50)
-    cells = run_sweep(inst, sweep).values()
-    assert any(cell.certificate.passed and cell.trace.phi is not None for cell in cells)
+    cells = run_sweep(inst, sweep, trace_dir=tmp_path).values()
+    assert any(cell.certificate.passed
+               and not np.isnan(cell_trace(cell, tmp_path, ("phi",))["phi"]).any()
+               for cell in cells)
     assert all(b"PhiWeights" not in pickle.dumps(cell) for cell in cells)
 
 
-def test_run_sweep_estimates_constants_once_per_instance(count_calls):
+def test_run_sweep_estimates_constants_once_per_instance(count_calls, tmp_path):
     # Counted from generation on: the generator's SVD is the problem's.
     svd = count_calls("jprox.linalg", "smallest_singular_value_stacked")
     inst = generate_lcqp(3, 6, 4, seed=0)
     sweep = SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20)
-    cells = run_sweep(inst, sweep)
+    cells = run_sweep(inst, sweep, trace_dir=tmp_path)
     assert all(cell.error is None for cell in cells.values())
     assert len(svd) == 1
 
 
 @pytest.mark.parametrize("policy", [StandardProximal("auto"), ProxLinear(1e4)],
                          ids=["auto", "proxlinear"])
-def test_run_sweep_builds_each_gram_spectrum_once(count_calls, cpus, policy):
+def test_run_sweep_builds_each_gram_spectrum_once(count_calls, cpus, policy, tmp_path):
     cpus(1)  # cells run in this process, where their calls are counted
     instances = [generate_lcqp(3, 6, 4, seed=0), generate_lcqp(2, 5, 3, seed=1)]
     gram = count_calls("jprox.linalg", "gram_spectrum")
     sweep = SweepConfig(rho_grid=(0.03, 1.0, 5.0, 10.0), gamma_grid=GAMMA_GRID, max_iters=20)
-    cells = run_sweep(instances, sweep, policy)
+    cells = run_sweep(instances, sweep, policy, trace_dir=tmp_path)
     assert len(cells) == 32 and all(cell.error is None for cell in cells.values())
     assert [args[0].shape for args in gram] == [A.shape for inst in instances
                                                 for A in inst.problem.A]
@@ -788,12 +796,12 @@ def test_resolve_policy_prox_linear_weights_reach_the_psd_floor():
     materialize_policy(policy, 1.0, flat)
 
 
-def test_run_sweep_returns_cells_in_key_order(cpus):
+def test_run_sweep_returns_cells_in_key_order(cpus, tmp_path):
     cpus(2)  # cells that finish early on one worker still arrive in key order
     inst = generate_lcqp(2, 5, 3, seed=4)
     sweep = SweepConfig(rho_grid=(5.0, 1.0), gamma_grid=(1.5, 0.5), max_iters=10)
     arrived = []
-    cells = run_sweep(inst, sweep, on_cell=arrived.append)
+    cells = run_sweep(inst, sweep, on_cell=arrived.append, trace_dir=tmp_path)
     assert list(cells) == [(5.0, 1.5, 4), (5.0, 0.5, 4), (1.0, 1.5, 4), (1.0, 0.5, 4)]
     assert list(cells.values()) == arrived  # on_cell sees each cell as it arrives, in key order
 
@@ -806,15 +814,17 @@ def exact_column(column):
     return None if column is None else (column.dtype.str, column.shape, column.tobytes())
 
 
-def cell_outcome(cell) -> str:
-    """Everything a cell yields but its times: certificate, trace columns but ``elapsed``,
-    status, rates and error, as exact text."""
-    trace = cell.trace
-    columns = None if trace is None else (
-        trace.ks, *map(exact_column, (trace.dis, trace.phi, trace.primal_residual)),
-        trace.engine, trace.newton_max_residual, trace.failure)
-    cert = cell.certificate.to_dict() if cell.certificate else None
-    return repr((cert, cell.status, cell.dis_rate, cell.phi_rate, cell.error, columns))
+def cell_outcome(cell, directory) -> str:
+    """Everything a cell yields but its times, as exact text: its manifest entry without
+    ``timings``, ``wall_s`` and ``trace_sha256``, and its trace's columns but
+    ``elapsed_seconds``, read from ``directory``."""
+    entry = cell.to_dict()
+    for key in ("timings", "wall_s", "trace_sha256"):
+        del entry[key]
+    columns = None if cell.trace is None else [
+        (name, exact_column(column)) for name, column in
+        cell_trace(cell, directory, ("k", "dis", "phi", "primal_residual")).items()]
+    return repr((entry, columns))
 
 
 def blas_threads_cell(instance, reference, rho, gamma, sweep, policy, trace_dir):
@@ -826,14 +836,16 @@ def blas_threads_cell(instance, reference, rho, gamma, sweep, policy, trace_dir)
 @pytest.mark.parametrize("generate", [lambda seed: generate_lcqp(3, 20, 8, seed),
                                       lambda seed: generate_resource_alloc(6, seed)],
                          ids=["lcqp", "ra"])
-def test_pooled_cells_equal_one_worker_cells(cpus, count_calls, generate):
+def test_pooled_cells_equal_one_worker_cells(cpus, count_calls, generate, tmp_path):
     sweep = SweepConfig(RHO_GRID_SMALL, GAMMA_GRID, max_iters=300)
     pooled = count_calls("jprox.experiments", "_run_pooled")
     outcomes = []
     for n in (1, 2):
         cpus(n)
-        cells = run_sweep([generate(0), generate(1)], sweep)
-        outcomes.append({key: cell_outcome(cell) for key, cell in cells.items()})
+        directory = tmp_path / f"cpus{n}"
+        directory.mkdir()
+        cells = run_sweep([generate(0), generate(1)], sweep, trace_dir=directory)
+        outcomes.append({key: cell_outcome(cell, directory) for key, cell in cells.items()})
     assert len(pooled) == 1  # the two-worker sweep, and only it, ran on the pool
     assert len(outcomes[0]) == 32
     assert list(outcomes[1]) == list(outcomes[0])
@@ -845,10 +857,11 @@ def test_pooled_cells_equal_one_worker_cells(cpus, count_calls, generate):
     (lambda: generate_lcqp(3, 20, 8, 0), ProxLinear("auto")),
     (lambda: generate_resource_alloc(6, 0), StandardProximal("auto")),
 ], ids=["lcqp-auto", "lcqp-proxlinear", "ra-auto"])
-def test_a_task_as_a_worker_gets_it_runs_without_an_eigensolve(count_calls, generate, policy):
+def test_a_task_as_a_worker_gets_it_runs_without_an_eigensolve(count_calls, generate, policy,
+                                                                tmp_path):
     # A worker unpickles its task; the instance's constants and reference come with it.
     sweep = SweepConfig(rho_grid=(1.0,), gamma_grid=(0.5,), max_iters=50)
-    task = pickle.loads(pickle.dumps(exp._sweep_tasks([generate()], sweep, policy, None)[0]))
+    task = pickle.loads(pickle.dumps(exp._sweep_tasks([generate()], sweep, policy, tmp_path)[0]))
     counted = {name: count_calls("numpy.linalg", name)
                for name in ("eigvalsh", "eigh", "svd", "lstsq")}
     cell = exp._run_cell(*task)
@@ -864,39 +877,42 @@ def test_a_cell_whose_trace_is_written_carries_no_rows(tmp_path, cpus, n):
     cpus(n)
     sweep = SweepConfig(rho_grid=(5.0, 10.0), gamma_grid=(0.1,), max_iters=4000)
     cells = run_sweep(generate_lcqp(3, 100, 40, seed=0), sweep, trace_dir=tmp_path)
-    for cell in cells.values():
-        assert cell.status == "max_iters" and cell.trace is None
-        rows = read_trace_csv(tmp_path / cell.trace_file, ("k",), cell.trace_sha256)["k"]
+    for (rho, gamma, seed), cell in cells.items():
+        assert cell.status == "max_iters"
+        assert cell.trace == f"trace_rho{rho:g}_gamma{gamma:g}_seed{seed}.csv"
+        rows = cell_trace(cell, tmp_path, ("k",))["k"]
         assert rows.tolist() == list(range(4001))
         assert len(pickle.dumps(cell)) < 4096
 
 
-def test_no_child_process_remains_after_a_pooled_run_sweep(cpus):
+def test_no_child_process_remains_after_a_pooled_run_sweep(cpus, tmp_path):
     cpus(2)
     before = child_pids()
     cells = run_sweep(generate_lcqp(2, 5, 3, seed=0),
-                      SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20))
+                      SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20),
+                      trace_dir=tmp_path)
     assert all(cell.error is None for cell in cells.values())
     assert child_pids() <= before
 
 
-def test_a_sweep_worker_runs_one_openblas_thread(cpus, monkeypatch):
+def test_a_sweep_worker_runs_one_openblas_thread(cpus, monkeypatch, tmp_path):
     if not exp._openblas_calls("get_num_threads", ctypes.c_int):
         pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
     cpus(2)
     monkeypatch.setattr(exp, "_run_cell", blas_threads_cell)
     cells = run_sweep(generate_lcqp(2, 5, 3, seed=0),
-                      SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0)))
+                      SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0)), trace_dir=tmp_path)
     reports = [ast.literal_eval(cell.error) for cell in cells.values()]
     assert all(pid != TEST_PID for pid, _ in reports)
     assert all(threads and set(threads) == {1} for _, threads in reports)
 
 
-def test_a_dead_sweep_worker_raises_worker_lost(cpus, monkeypatch):
+def test_a_dead_sweep_worker_raises_worker_lost(cpus, monkeypatch, tmp_path):
     cpus(2)
     monkeypatch.setattr(exp, "_run_cell", exit_in_worker)
     before = child_pids()
     with pytest.raises(WorkerLost, match="sweep worker"):
         run_sweep(generate_lcqp(2, 5, 3, seed=0),
-                  SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20))
+                  SweepConfig(rho_grid=(0.5, 1.0), gamma_grid=(0.5, 1.0), max_iters=20),
+                  trace_dir=tmp_path)
     assert child_pids() <= before

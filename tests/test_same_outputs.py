@@ -54,12 +54,17 @@ TRACE = "k,dis,phi,primal_residual,elapsed_seconds\n0,1,,0.5,{}\n1,0.5,,0.25,{}\
                             "trace_sha256": "cd"}]}), "match"),
     ("manifest.json", json.dumps({"cells": [{"status": "x"}]}),
      json.dumps({"cells": [{"status": "y"}]}), "differs: cell 0 status"),
+    ("manifest.json", json.dumps({"cells": [{"seed": 0, "status": "x", "wall_s": 1.0,
+                                             "certificate": {"rho": 1, "gamma": 2}}]}),
+     json.dumps({"cells": [{"seed": 0, "wall_s": 2.0, "status": "x",
+                            "certificate": {"gamma": 2, "rho": 1}}]}),
+     "differs: cell 0 key order"),
     ("i.npz", {"A": np.ones(2), "P": np.zeros(2)}, {"A": np.ones(2)}, "member P.npy only in a"),
     ("i.npz", {"A": np.ones(2)}, {"A": np.zeros(2)}, "member A.npy differs"),
     ("rates.txt", "rho gamma\n", "rho gamma\n", "match"),
     ("rates.txt", "rho gamma\n", "rho  gamma\n", "differs"),
 ], ids=["trace-elapsed", "trace-dis", "trace-rows", "trace-dis-at-round-off",
-        "trace-dis-on-one-side", "manifest-times", "manifest-status",
+        "trace-dis-on-one-side", "manifest-times", "manifest-status", "manifest-key-order",
         "archive-member-only-in-a", "archive-member-differs", "text-same", "text-differs"])
 def test_compare_file_normalizes_only_times_and_zip_timestamps(tmp_path, tool, name, a, b,
                                                                verdict):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import dis
+from conftest import cell_trace, dis
 
 import jprox.solvers as solvers
 from jprox.certify import PhiWeights, _certified_intervals
@@ -879,32 +879,36 @@ def _assert_affine_run_matches_oracle(N, n, m, seed, policy, method, rho, gamma,
             assert abs(g - w) <= 1e-10 * max(abs(want[0]), abs(w)), (column, k, g, w)
 
 
-def test_affine_sweep_keeps_every_status_of_the_block_sweep(monkeypatch):
+def test_affine_sweep_keeps_every_status_of_the_block_sweep(monkeypatch, tmp_path):
     from jprox.experiments import GAMMA_GRID, SweepConfig, run_sweep
 
     inst = generate_lcqp(3, 100, 40, seed=0)
     sweep = SweepConfig(rho_grid=inst.rho_grid, gamma_grid=GAMMA_GRID)
-    affine = run_sweep(inst, sweep)
+    for name in ("affine", "blocks"):
+        (tmp_path / name).mkdir()
+    affine = run_sweep(inst, sweep, trace_dir=tmp_path / "affine")
     monkeypatch.setattr(solvers, "AFFINE_MAX_ENTRIES", 0)
-    blocks = run_sweep(inst, sweep)
+    blocks = run_sweep(inst, sweep, trace_dir=tmp_path / "blocks")
     assert len(affine) == 16
     for key, cell in affine.items():
-        got, want = cell.trace, blocks[key].trace
-        assert (got.engine, want.engine) == ("affine", "sweep"), key
-        assert got.status == want.status, key
-        for k, (g, w) in enumerate(zip(got.dis, want.dis)):
-            assert abs(g - w) <= 1e-10 * max(want.dis[0], w), (key, k)
-        if got.status != "converged":
-            assert got.ks[-1] == want.ks[-1], key
+        other = blocks[key]
+        got = cell_trace(cell, tmp_path / "affine", ("k", "dis"))
+        want = cell_trace(other, tmp_path / "blocks", ("k", "dis"))
+        assert (cell.engine, other.engine) == ("affine", "sweep"), key
+        assert cell.status == other.status, key
+        for k, (g, w) in enumerate(zip(got["dis"], want["dis"])):
+            assert abs(g - w) <= 1e-10 * max(want["dis"][0], w), (key, k)
+        if cell.status != "converged":
+            assert got["k"][-1] == want["k"][-1], key
             continue
         # Both runs stop at dis <= 1e-12, where the two engines' round-off
         # differs by a few percent (the per-block oracle differs from the
         # block sweep as much): the step counts may differ by the steps the
         # run needs to cover that gap, plus one.
-        k = min(got.ks[-1], want.ks[-1])
-        gap = abs(math.log(got.dis[k] / want.dis[k]))
-        per_step = math.log(want.dis[k - 100] / want.dis[k]) / 100
-        assert abs(got.ks[-1] - want.ks[-1]) <= 1 + math.ceil(gap / per_step), key
+        k = int(min(got["k"][-1], want["k"][-1]))
+        gap = abs(math.log(got["dis"][k] / want["dis"][k]))
+        per_step = math.log(want["dis"][k - 100] / want["dis"][k]) / 100
+        assert abs(got["k"][-1] - want["k"][-1]) <= 1 + math.ceil(gap / per_step), key
 
 
 def _map_from_steps(problem, params, method):

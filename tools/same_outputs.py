@@ -22,12 +22,14 @@ Compared: each command's exit code, stdout and stderr, and every file the
 commands leave.  Only what is expected to differ is normalized: the
 ``elapsed_seconds`` column of a trace CSV; each manifest cell's ``timings``,
 ``wall_s`` and ``trace_sha256``; and the zip timestamps of an instance
-archive, which is compared member by member.  One line per command and per
-file says ``match`` or what differs; for a trace that differs, that is each
-side's last ``k``, the largest ``dis`` difference over ``max(dis_0, dis_k)``
-(the scale of the engine tests, so a round-off move near the optimum reads
-as round-off), and every other column's largest relative difference.  The
-last line is a summary.  The exit status is 0 when everything matches, else 1.
+archive, which is compared member by member.  A manifest matches only with
+the same keys in the same order in every object.  One line per command and
+per file says ``match`` or what differs; for a trace that differs, that is
+each side's last ``k``, the largest ``dis`` difference over
+``max(dis_0, dis_k)`` (the scale of the engine tests, so a round-off move
+near the optimum reads as round-off), and every other column's largest
+relative difference.  The last line is a summary.  The exit status is 0
+when everything matches, else 1.
 """
 
 from __future__ import annotations
@@ -163,6 +165,15 @@ def _scaled_dis_difference(a: list, b: list) -> float:
     return worst
 
 
+def _key_order(value):
+    """The key sequence of every JSON object in ``value``, nested as the objects are."""
+    if isinstance(value, dict):
+        return [(key, _key_order(v)) for key, v in value.items()]
+    if isinstance(value, list):
+        return [_key_order(v) for v in value]
+    return None
+
+
 def compare_file(rel: str, a: Path, b: Path) -> str:
     """``"match"``, or what differs between the two copies of output file ``rel``."""
     if not a.exists() or not b.exists():
@@ -199,10 +210,12 @@ def compare_file(rel: str, a: Path, b: Path) -> str:
             for cell in manifest.get("cells", []):
                 for key in MANIFEST_TIMES:
                     cell.pop(key, None)
-        if ja == jb:
+        if ja == jb and _key_order(ja) == _key_order(jb):
             return "match"
         moved = [f"cell {i} {key}" for i, (x, y) in enumerate(zip(ja["cells"], jb["cells"]))
                  for key in sorted(set(x) | set(y)) if x.get(key) != y.get(key)]
+        moved += [f"cell {i} key order" for i, (x, y) in enumerate(zip(ja["cells"], jb["cells"]))
+                  if x == y and _key_order(x) != _key_order(y)]
         return "differs: " + (", ".join(moved[:5]) or "top-level fields")
     return "match" if da == db else "differs"
 
