@@ -186,7 +186,8 @@ def check_xi_condition(problem: BlockProblem, rho: float, gamma: float, s: float
     ds = [g.eigenvalues for g in problem.gram_spectra()]
     for d, p, xi_i in zip(ds, policy_eigenvalues(policy, rho, ds), xi):
         b = rho * d + p
-        eigs.append(float(np.min(b - 8.0 * s * b * b - (rho / xi_i) * d)))
+        with np.errstate(over="ignore"):  # an overflowing 8*s*b^2 makes the margin -inf
+            eigs.append(float(np.min(b - 8.0 * s * b * b - (rho / xi_i) * d)))
     return XiCheck(all(e > 0.0 for e in eigs), tuple(eigs), xi)
 
 
@@ -238,14 +239,19 @@ def compute_sigma(gamma: float, rho: float, s: float, c_A: float, mu_s: float) -
 
     The dual branch needs ``c_A < 1/sqrt(2*gamma*rho*s)``; a larger stacked
     singular value is pulled back to just inside that range (the distance
-    bound it certifies holds a fortiori for any smaller constant).
+    bound it certifies holds a fortiori for any smaller constant).  Raises
+    :class:`InvalidParameter` when ``2*gamma*rho*s`` underflows to 0.
     """
     _require_positive(gamma=gamma, rho=rho, s=s)
     if c_A < 0.0 or mu_s < 0.0:
         raise ValueError("c_A and mu_s must be nonnegative")
-    cap = 1.0 / math.sqrt(2.0 * gamma * rho * s)
+    product = 2.0 * gamma * rho * s
+    if product == 0.0:
+        raise InvalidParameter(f"2*gamma*rho*s underflows to 0 (gamma={gamma:g}, rho={rho:g}, "
+                               f"s={s:g})")
+    cap = 1.0 / math.sqrt(product)
     used = c_A if c_A < cap else (1.0 - CA_CLAMP_MARGIN) * cap
-    dual_branch = 1.0 - 2.0 * gamma * rho * s * used * used
+    dual_branch = 1.0 - product * used * used
     sigma = max(dual_branch, mu_s)
     return SigmaResult(sigma, 0.0 < sigma < 1.0, dual_branch, used)
 
@@ -477,12 +483,14 @@ def _certified_intervals(problem: BlockProblem, rho: float, gamma: float,
     strictly between its roots.  With ``r_j = sqrt(1 - 32*s*c*d_j)`` a block's
     certified weights are thus ``lo < tau < hi``, where
     ``lo = max_j(2*c*d_j/(1 + r_j) - b0_j)`` and ``hi = min_j((1 + r_j)/(16*s) - b0_j)``;
-    an empty interval (``hi <= max(lo, 0)``) raises :class:`CertificationError`.
+    an empty interval (``hi <= max(lo, 0)``) raises :class:`CertificationError`,
+    and an ``s`` that underflows to 0 raises :class:`InvalidParameter`.
     """
     if not 0.0 < gamma < 2.0:
         raise GammaOutOfRange(f"gamma {gamma} outside (0, 2)")
     uncoupled = 1 - _coupling(kind)
     s = 0.5 * max_feasible_s(estimate_constants(problem), rho, problem.N)
+    _require_positive(s=s)
     c = rho / uniform_xi(gamma, problem.N)[0]
     intervals = []
     for i, g in enumerate(problem.gram_spectra()):

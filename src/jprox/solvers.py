@@ -28,11 +28,13 @@ an affine map of the iterate: ``[x; lam]+ = M [x; lam] + b``
 in place of the block solves and the dual step.  One step loop
 (:func:`_steps`) writes each new iterate straight into the row of a buffer
 that holds it.  :func:`run` takes and records its iterates
-:data:`RECORD_CHUNK` at a time; :func:`step` is one row of the loop.  A
-long affine run (:data:`POWER_MIN_STEPS`) switches after its first chunk
-to the map of a whole chunk, ``z_{k+64} = M^64 z_k + b_64``: each later
-chunk is one matrix product with the previous one, whose rows agree with
-the step-by-step rows to round-off.
+:data:`RECORD_CHUNK` at a time, and stamps each chunk's rows with one
+``elapsed`` reading; :func:`step` is one row of the loop.  :func:`run`
+also owns the chunk map: a long affine run (:data:`POWER_MIN_STEPS`)
+switches after its first chunk to the map of a whole chunk,
+``z_{k+64} = M^64 z_k + b_64`` (:func:`_chunk_map`), and computes each
+later chunk as one matrix product with the previous one, whose rows agree
+with the step-by-step rows to round-off.
 """
 
 from __future__ import annotations
@@ -72,13 +74,15 @@ DIVERGENCE_LIMIT = 1e12
 #: it has at most this many entries, ``(sum n_i + m)**2`` (8 MiB of float64).
 AFFINE_MAX_ENTRIES = 2 ** 20
 
-#: A run takes this many steps between two batched recordings (a power of two,
-#: so that :meth:`_Prepared.power_up` reaches ``M**RECORD_CHUNK`` by squarings).
+#: A run takes this many steps between two batched recordings, which share one
+#: ``elapsed`` stamp (a power of two, so that :func:`_chunk_map` reaches
+#: ``M**RECORD_CHUNK`` by squarings).
 RECORD_CHUNK = 64
 
 #: An affine run that has kept its first chunk and has at least this many steps
-#: left switches to the chunk map ``(M**RECORD_CHUNK, b_64)``: each later chunk
-#: is one matrix product with the previous one (:meth:`_Prepared.power_up`).
+#: left builds the chunk map ``(M**RECORD_CHUNK, b_64)`` (:func:`_chunk_map`),
+#: and :func:`run` computes each later chunk as one matrix product with the
+#: previous one.
 #: On a 2-core VM (one OpenBLAS thread, numpy 2.4.6) the build took about
 #: 2 ms at ``n + m = 220``, 23 ms at 500 and 125 ms at 900, and a power row
 #: saved about 6, 36 and 220 us over its matvec step: the build pays for
@@ -227,7 +231,9 @@ class Trace:
     past the first chunk of a long affine run (:data:`POWER_MIN_STEPS`):
     there each chunk comes from the previous one through ``M^64``, and its
     rows agree with the loop's to round-off (a ``dis`` near the stop rule's
-    tolerance can then stop a few steps apart).
+    tolerance can then stop a few steps apart).  ``elapsed`` holds the
+    seconds since the steps began, read once per recorded chunk, so a
+    chunk's rows share one stamp and the stamps never decrease.
     ``newton_max_residual`` is the worst scalar block-solve residual over
     the recorded steps.  ``failure`` names the block-solve failure that
     ended a diverged run, if any; a failure in a step past the stop row is
@@ -429,11 +435,11 @@ class _Prepared:
     dual update.  When the step is affine (every block is quadratic and the
     sweep is not sequential) and its map has at most
     :data:`AFFINE_MAX_ENTRIES` entries, ``affine`` is that map's pair
-    ``(M, b)`` (:meth:`_affine_map`) and :func:`_steps` iterates it with
-    :func:`_affine_update`; else ``affine`` is ``None`` and the step is the
+    ``(M, b)`` (:meth:`_affine_map`), which :func:`_steps` iterates one
+    matvec per row and from which :func:`run` may build the chunk map
+    (:func:`_chunk_map`); else ``affine`` is ``None`` and the step is the
     block solves (:func:`_block_solves`) and the dual step.  ``engine``
-    names the choice.  ``span`` is the number of steps one application of
-    ``affine`` covers: 1, or :data:`RECORD_CHUNK` after :meth:`power_up`.
+    names the choice.  Nothing here changes once built.
     """
 
     def __init__(self, problem: BlockProblem, params: SolverParams, method: str,
@@ -466,7 +472,6 @@ class _Prepared:
         fits = (o[-1] + problem.m) ** 2 <= AFFINE_MAX_ENTRIES
         self.affine = self._affine_map() if fits else None
         self.engine = "sweep" if self.affine is None else "affine"
-        self.span = 1
 
     def _affine_map(self):
         """``(M, b)``: the whole step ``[x; lam]+ = M [x; lam] + b``, the one builder.
@@ -502,28 +507,20 @@ class _Prepared:
         LAM[:, -1] += dual_step * problem.c
         return Mb[:, :-1], Mb[:, -1]
 
-    def power_up(self) -> np.ndarray:
-        """Turn ``affine`` into the map of :data:`RECORD_CHUNK` steps; return a spare chunk buffer.
 
-        With ``p = RECORD_CHUNK``, ``z_{k+p} = M^p z_k + b_p`` where
-        ``b_p = (I + M + ... + M^(p-1)) b``.  Squarings build both:
-        ``b_2q = M^q b_q + b_q``, then ``M^2q = M^q M^q``.  They alternate
-        between ``M``'s buffer, which ends up holding ``M^p`` (``M`` is not
-        kept), and one temporary of ``max(d, p)`` rows of ``d = n + m``; its
-        first ``p`` rows are returned as the second ``(p, d)`` chunk buffer.
-        """
-        M, b = self.affine
-        d = len(b)
-        spare = np.empty((max(d, RECORD_CHUNK), d))
-        power, other = M, spare[:d]
-        for _ in range(RECORD_CHUNK.bit_length() - 1):
-            b = power @ b + b
-            np.matmul(power, power, out=other)
-            power, other = other, power
-        if power is not M:
-            M[...] = power
-        self.affine, self.span = (M, b), RECORD_CHUNK
-        return spare[:RECORD_CHUNK]
+def _chunk_map(M: np.ndarray, b: np.ndarray) -> tuple:
+    """``(M^p, b_p)``, the map of :data:`RECORD_CHUNK` steps of ``z+ = M z + b``.
+
+    With ``p = RECORD_CHUNK``, ``z_{k+p} = M^p z_k + b_p`` where
+    ``b_p = (I + M + ... + M^(p-1)) b``.  Squarings build both:
+    ``b_2q = M^q b_q + b_q``, then ``M^2q = M^q M^q``.  ``M`` and ``b`` are
+    left as they are.
+    """
+    power = M
+    for _ in range(RECORD_CHUNK.bit_length() - 1):
+        b = power @ b + b
+        power = power @ power
+    return power, b
 
 
 # -- the one step loop ---------------------------------------------------------
@@ -556,30 +553,6 @@ def _block_solves(prepared: _Prepared, z: np.ndarray, r: np.ndarray, x_row: np.n
     return newton_worst
 
 
-def _affine_update(prepared: _Prepared, z: np.ndarray, Z: np.ndarray, elapsed: np.ndarray,
-                   start: float) -> None:
-    """Row ``j`` of ``Z`` <- ``M @ (row j-1) + b`` (``z`` before row 0), bit for bit.
-
-    ``(M, b)`` is ``prepared.affine``; ``elapsed[j]`` gets the seconds since
-    ``start``.  The map covers the dual step, so a row costs one matvec and
-    one add.  Once the map spans a chunk (:meth:`_Prepared.power_up`), ``z``
-    is the whole previous chunk and ``Z = z[:len(Z)] @ M.T + b``: one matrix
-    product, whose rows share one ``elapsed`` stamp.
-    """
-    M, b = prepared.affine
-    if prepared.span > 1:
-        np.matmul(z[:len(Z)], M.T, out=Z)
-        Z += b
-        elapsed[:len(Z)] = time.perf_counter() - start
-        return
-    prev = z
-    for j, row in enumerate(Z):
-        np.matmul(M, prev, out=row)
-        row += b
-        elapsed[j] = time.perf_counter() - start
-        prev = row
-
-
 def _residual_norms(problem: BlockProblem, X: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[j] <- ||A X[j] - c||`` for every row of ``X`` from one product ``X A' - c``,
     which is returned."""
@@ -590,30 +563,35 @@ def _residual_norms(problem: BlockProblem, X: np.ndarray, out: np.ndarray) -> np
 
 
 def _steps(prepared: _Prepared, z: np.ndarray, r: np.ndarray, Z: np.ndarray, RN: np.ndarray,
-           newton: np.ndarray, elapsed: np.ndarray, start: float):
+           newton: np.ndarray):
     """Steps written straight into the rows of ``Z``: the loop of both engines.
 
     Row ``j`` of ``Z`` is the iterate ``[x; lam]`` one step after row
     ``j-1`` (after ``z``, whose constraint residual is ``r``, for row 0).
-    The affine engine writes the rows with :func:`_affine_update` (where
-    ``z`` is the previous chunk once the map spans one) and then the norms
-    of the rows' constraint residuals into ``RN`` from one product
+    The affine engine writes row ``j`` as ``M @ (row j-1) + b``, with
+    ``(M, b)`` from ``prepared.affine`` (the map covers the dual step, so a
+    row costs one matvec and one add), and then the norms of the rows'
+    constraint residuals into ``RN`` from one product
     (:func:`_residual_norms`).  The block sweep takes ``x`` from
     :func:`_block_solves`, then ``lam <- lam - dual_step * (A x - c)``, and
     writes the step's worst Newton residual to ``newton[j]`` and the norm of
-    row ``j``'s constraint residual to ``RN[j]``.  Both write ``elapsed[j]``,
-    the seconds since ``start``.  Returns the number of rows written, the
-    constraint residual of the last one and the block-solve failure that
-    stopped the loop (``None`` when every row was written).
+    row ``j``'s constraint residual to ``RN[j]``.  Returns the number of
+    rows written, the constraint residual of the last one and the
+    block-solve failure that stopped the loop (``None`` when every row was
+    written).
     """
     problem = prepared.problem
     n = problem.offsets[-1]
+    prev = z
     if prepared.affine is not None:
-        _affine_update(prepared, z, Z, elapsed, start)
+        M, b = prepared.affine
+        for row in Z:
+            np.matmul(M, prev, out=row)
+            row += b
+            prev = row
         return len(Z), _residual_norms(problem, Z[:, :n], RN[:len(Z)])[-1], None
     dual_step = prepared.dual_step
     tmp = np.empty(problem.m)
-    prev = z
     for j, row in enumerate(Z):
         x_row, lam_row = row[:n], row[n:]
         try:
@@ -624,7 +602,6 @@ def _steps(prepared: _Prepared, z: np.ndarray, r: np.ndarray, Z: np.ndarray, RN:
         np.multiply(r, dual_step, out=tmp)
         np.subtract(prev[n:], tmp, out=lam_row)
         RN[j] = math.sqrt(r @ r)
-        elapsed[j] = time.perf_counter() - start
         prev = row
     return len(Z), r, None
 
@@ -659,7 +636,7 @@ def step(problem: BlockProblem, u: PrimalDualPoint, params: SolverParams,
     x = problem.stack(u.x)
     Z = np.empty((1, x.size + problem.m))
     _, _, failure = _steps(prepared, np.concatenate((x, u.lam)), constraint_residual(problem, x),
-                           Z, np.empty(1), np.empty(1), np.empty(1), time.perf_counter())
+                           Z, np.empty(1), np.empty(1))
     if failure is not None:
         raise failure
     return PrimalDualPoint(problem.split(Z[0, :x.size]), Z[0, x.size:])
@@ -694,15 +671,17 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     each chunk with batched products; the two engines (see
     :class:`_Prepared`) differ only in how a row is written.  An affine
     run that has kept its first chunk and has at least
-    :data:`POWER_MIN_STEPS` steps left builds the chunk map once
-    (:meth:`_Prepared.power_up`, timed as ``prepare``) and from then on
-    writes each chunk from the previous one into a second buffer, the two
-    buffers taking turns.  A chunk keeps the rows up to the first one that
-    meets the stop rule, and the run ends in that row's state, so it records
-    the rows of a step-by-step loop (to round-off past a switch), and each
-    column's kept slices are joined once, when the run ends.  A block-solve
-    failure ends its chunk at the failed step; the steps past the stop row
-    are discarded, a failure among them included.
+    :data:`POWER_MIN_STEPS` steps left builds the chunk map
+    ``(M^64, b_64)`` once (:func:`_chunk_map`, timed as ``prepare``) and
+    from then on computes each chunk itself, as the previous chunk times
+    ``M^64'`` plus ``b_64``.  A chunk keeps the rows up to the first one
+    that meets the stop rule, and the run ends in that row's state, so it
+    records the rows of a step-by-step loop (to round-off past a switch),
+    and each column's kept slices are joined once, when the run ends.  The
+    kept rows of a chunk share one ``elapsed`` stamp, read when the chunk
+    is recorded.  A block-solve failure ends its chunk at the failed step;
+    the steps past the stop row are discarded, a failure among them
+    included.
     """
     check_point(problem, u0)
     if reference is not None:
@@ -722,9 +701,10 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     n = x.size
     parts = {"dis": [], "phi": [], "primal_residual": [], "elapsed": [], "points": []}
 
-    def record_rows(Z: np.ndarray, RN: np.ndarray, elapsed: np.ndarray) -> int:
+    def record_rows(Z: np.ndarray, RN: np.ndarray) -> int:
         """Record the rows ``[x; lam]`` of ``Z`` as the next iterates up to the first
-        that meets the stop rule; return how many were kept."""
+        that meets the stop rule, under one ``elapsed`` stamp; return how many were kept."""
+        stamp = time.perf_counter() - start
         X, LAM = Z[:, :n], Z[:, n:]
         DX, DLAM = (X - x_ref, LAM - lam_ref) if reference is not None else (X, LAM)
         gauge = block_distances(DX, DLAM, offsets)
@@ -737,7 +717,7 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
         if phi is not None:
             parts["phi"].append(phi.evaluate_rows(DX[:kept], DLAM[:kept]))
         parts["primal_residual"].append(RN[:kept].copy())
-        parts["elapsed"].append(elapsed[:kept].copy())
+        parts["elapsed"].append(np.full(kept, stamp))
         if record_points:
             parts["points"].append(Z[:kept].copy())
         if hits.size:
@@ -747,12 +727,11 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
     size = min(RECORD_CHUNK, params.max_iters)
     # Row j of a chunk is the iterate [x; lam] of its j-th step.
     Z = np.empty((size, n + problem.m))
-    spare = None  # the second chunk buffer, once the map spans a chunk
-    RN, newton, elapsed = np.empty(size), np.zeros(size), np.empty(size)
+    RN, newton = np.empty(size), np.zeros(size)
     Z[0, :n], Z[0, n:], RN[0] = x, lam, math.sqrt(r @ r)
-    elapsed[0] = time.perf_counter() - start
-    record_rows(Z[:1], RN[:1], elapsed[:1])
+    record_rows(Z[:1], RN[:1])
     z = Z[0].copy()  # the state the next chunk starts from, outside the buffer
+    chunk_map = None  # (M^64, b_64), once a long affine run has switched
     step_s = power_s = 0.0
     k = 0
     # Steps past a divergent row may overflow; they are discarded.
@@ -761,16 +740,20 @@ def run(problem: BlockProblem, params: SolverParams, u0: PrimalDualPoint,
             if (k == RECORD_CHUNK and prepared.affine is not None
                     and params.max_iters - k >= POWER_MIN_STEPS):
                 clock = time.perf_counter()
-                spare = prepared.power_up()
+                chunk_map = _chunk_map(*prepared.affine)
                 power_s = time.perf_counter() - clock
             size = min(RECORD_CHUNK, params.max_iters - k)
-            source = z
-            if spare is not None:  # the chunk just kept is the source of the next one
-                source, Z, spare = Z, spare, Z
             clock = time.perf_counter()
-            size, r, failure = _steps(prepared, source, r, Z[:size], RN, newton, elapsed, start)
+            if chunk_map is None:
+                size, r, failure = _steps(prepared, z, r, Z[:size], RN, newton)
+            else:  # row j is M^64 times row j of the chunk just kept, plus b_64
+                power, b_power = chunk_map
+                Z = Z[:size] @ power.T
+                Z += b_power
+                _residual_norms(problem, Z[:, :n], RN[:size])
+                failure = None
             step_s += time.perf_counter() - clock
-            kept = record_rows(Z[:size], RN[:size], elapsed[:size])
+            kept = record_rows(Z[:size], RN[:size])
             trace.newton_max_residual = float(newton[:kept].max(initial=trace.newton_max_residual))
             if failure is not None and trace.status == MAX_ITERS:
                 trace.status = DIVERGED

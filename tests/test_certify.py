@@ -478,6 +478,25 @@ def test_sigma_full_pipeline_hand_arithmetic():
     assert res.sigma == pytest.approx(0.75, rel=1e-10)
 
 
+def test_sigma_rejects_a_product_that_underflows_to_zero():
+    # 2*gamma*rho*s is 0.0 at 1e-300 each and subnormal but not zero at 1e-160 each.
+    with pytest.raises(InvalidParameter, match="underflows to 0"):
+        compute_sigma(1e-300, 1e-300, 0.01, c_A=1.0, mu_s=0.5)
+    res = compute_sigma(1e-160, 1e-160, 0.01, c_A=1.0, mu_s=0.5)
+    assert res.c_A_used == 1.0 and res.sigma == 1.0 and not res.in_range
+
+
+def test_extreme_weights_reach_no_runtime_warning(recwarn):
+    # An s that underflows to 0 stops the interval search before its division,
+    # and an overflowing 8*s*b^2 makes the coupling margin -inf.
+    p = generate_lcqp(3, 6, 4, seed=0).problem
+    with pytest.raises(InvalidParameter, match="s must"):
+        _certified_intervals(p, 1e300, 1.0, "standard")
+    check = check_xi_condition(p, 1.0, 1.0, 0.01, StandardProximal(1e300))
+    assert not check.passed and check.min_eigs == (-math.inf,) * 3
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_sigma_monotone_in_s_on_dual_branch():
     values = [
         compute_sigma(1.0, 1.0, s, 0.9, 0.0).dual_branch for s in (0.01, 0.05, 0.1)

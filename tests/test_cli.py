@@ -1167,3 +1167,53 @@ def test_sweep_manifest_records_the_engine(tmp_path):
                        "--rho-grid", "1", "--gamma-grid", "0.5,1.5", "--max-iters", "100") == 0
         manifest = json.loads((sweep_dir / "manifest.json").read_text())
         assert [cell["engine"] for cell in manifest["cells"]] == [engine, engine]
+
+
+# -- the exit contract at extreme parameters ----------------------------------------
+
+UNDERFLOW = "InvalidParameter: 2*gamma*rho*s underflows to 0"
+
+
+def test_a_sweep_cell_whose_sigma_product_underflows_is_an_error_cell(tmp_path, cpus, capsys):
+    # The other cells still run, and the sweep exits 0.
+    cpus(1)
+    inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
+    assert run_cli("sweep", "--input", str(inst), "--rho-grid", "1e-300,1", "--gamma-grid",
+                   "1e-300", "--max-iters", "10", "--output", str(tmp_path / "sweep")) == 0
+    cells = json.loads((tmp_path / "sweep" / "manifest.json").read_text())["cells"]
+    assert [(cell["rho"], cell["status"]) for cell in cells] == [(1e-300, "error"),
+                                                                 (1.0, "max_iters")]
+    assert cells[0]["error"].startswith(UNDERFLOW) and cells[0]["trace"] is None
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flags, code, message, wrote", [
+    (("certify", "--rho", "1e-300", "--gamma", "1e-300"), 3, UNDERFLOW, None),
+    (("solve", "--rho", "1e-300", "--gamma", "1e-300"), 3, UNDERFLOW, None),
+    (("sweep", "--rho", "1e-300", "--gamma", "1e-300", "--max-iters", "10"), 3, "",
+     "manifest.json"),
+    (("certify", "--rho", "1e300"), 3, "InvalidParameter: s must be finite and positive", None),
+    (("certify", "--tau", "1e300"), 4, "certification failed: XiConditionFailed", ""),
+], ids=["certify-underflow", "solve-underflow", "sweep-underflow", "certify-rho-1e300",
+        "certify-tau-1e300"])
+def test_extreme_parameters_leave_only_the_message_on_stderr(tmp_path, flags, code, message,
+                                                             wrote):
+    # A fresh process, so that a RuntimeWarning or a traceback would reach its stderr.  A
+    # sweep in which no cell completes exits 3 with its manifest written.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    inst = make_instance(tmp_path, "lcqp", N=3, m=6, n=4, seed=0)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONWARNINGS", None)
+    command, *rest = flags
+    done = subprocess.run([sys.executable, "-m", "jprox.cli", command, "--input", str(inst),
+                           *rest, "--output", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert done.stderr.startswith(message)
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    out = tmp_path / "out"
+    assert (out / wrote).exists() if wrote is not None else not out.exists()

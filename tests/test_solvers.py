@@ -1148,28 +1148,27 @@ def test_the_final_point_keeps_no_chunk_buffer_alive(family):
 # -- power chunks of long affine runs -------------------------------------------------------
 
 def _power_of(problem, params):
-    """``(M, b)`` of one step, ``(P, b_p)`` of ``RECORD_CHUNK`` steps as a run builds them, and
-    the spare chunk buffer the build hands back."""
-    prepared = solvers._Prepared(problem, params, "jprox")
-    M, b = (a.copy() for a in prepared.affine)
-    spare = prepared.power_up()
-    assert prepared.span == solvers.RECORD_CHUNK
-    return M, b, *prepared.affine, spare
+    """``(M, b)`` of one step and ``(P, b_p)`` of ``RECORD_CHUNK`` steps, as a run builds them."""
+    M, b = solvers._Prepared(problem, params, "jprox").affine
+    return M, b, *solvers._chunk_map(M, b)
 
 
 @pytest.mark.parametrize("shape", [(3, 6, 4), (2, 30, 20)], ids=["d18", "d70"])
-def test_power_up_builds_the_chunk_map_and_a_spare_chunk_buffer(shape):
-    # n + m is 18 (below the chunk length, so the squarings' temporary is
-    # sized by the chunk, not by M) and 70.  P matches numpy's matrix power and
-    # b_p the explicit sum within 1e-13 of their largest entries (the largest
-    # differences seen are 0 and 5e-15 of it).
+def test_chunk_map_is_the_power_and_the_sum_of_the_step_map(shape):
+    # n + m is 18 (below the chunk length) and 70.  P matches numpy's matrix
+    # power and b_p the explicit sum within 1e-13 of their largest entries
+    # (the largest differences seen are 0 and 5e-15 of it).  The build is
+    # pure: M and b keep their bytes, and neither result shares their memory.
     p = solvers.RECORD_CHUNK
     inst = generate_lcqp(*shape, seed=13)
     d = sum(inst.problem.dims) + inst.problem.m
     params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(50.0))
-    M, b, P, b_p, spare = _power_of(inst.problem, params)
-    assert P.shape == (d, d) and spare.shape == (p, d)
-    assert not np.shares_memory(spare, P) and not np.shares_memory(spare, b_p)
+    M, b = solvers._Prepared(inst.problem, params, "jprox").affine
+    M_bytes, b_bytes = M.tobytes(), b.tobytes()
+    P, b_p = solvers._chunk_map(M, b)
+    assert M.tobytes() == M_bytes and b.tobytes() == b_bytes
+    assert P.shape == (d, d) and b_p.shape == (d,)
+    assert not any(np.shares_memory(out, a) for out in (P, b_p) for a in (M, b))
     want = np.linalg.matrix_power(M, p)
     assert np.abs(P - want).max() <= 1e-13 * np.abs(want).max()
     want = sum(np.linalg.matrix_power(M, j) @ b for j in range(p))
@@ -1186,7 +1185,7 @@ def test_power_rows_equal_the_chunk_formula(shape):
     problem = inst.problem
     params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(50.0),
                           max_iters=p + solvers.POWER_MIN_STEPS + 10)
-    M, b, P, b_p, _ = _power_of(problem, params)
+    M, b, P, b_p = _power_of(problem, params)
     u0 = random_point(problem, 3)
     trace = run(problem, params, u0, record_points=True)
     assert trace.ks[-1] == params.max_iters
@@ -1211,9 +1210,9 @@ def test_power_rows_equal_the_chunk_formula(shape):
 
 def test_a_run_below_the_break_even_builds_no_power(monkeypatch):
     builds = []
-    power_up = solvers._Prepared.power_up
-    monkeypatch.setattr(solvers._Prepared, "power_up",
-                        lambda self: builds.append(self) or power_up(self))
+    chunk_map = solvers._chunk_map
+    monkeypatch.setattr(solvers, "_chunk_map",
+                        lambda M, b: builds.append(M) or chunk_map(M, b))
     inst = generate_lcqp(3, 6, 4, seed=13)
     below = solvers.RECORD_CHUNK + solvers.POWER_MIN_STEPS - 1
     params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(10.0), max_iters=below)
@@ -1246,13 +1245,13 @@ def test_power_run_diverges_within_one_step_of_the_loop():
 def test_the_power_build_counts_as_preparation(monkeypatch):
     import time
 
-    power_up = solvers._Prepared.power_up
+    chunk_map = solvers._chunk_map
 
-    def slow_power_up(self):
+    def slow_chunk_map(M, b):
         time.sleep(0.05)
-        return power_up(self)
+        return chunk_map(M, b)
 
-    monkeypatch.setattr(solvers._Prepared, "power_up", slow_power_up)
+    monkeypatch.setattr(solvers, "_chunk_map", slow_chunk_map)
     monkeypatch.setattr(solvers, "POWER_MIN_STEPS", 0)
     inst = generate_lcqp(3, 6, 4, seed=13)
     params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(10.0), max_iters=200)
@@ -1299,6 +1298,37 @@ def test_block_sweep_run_computes_one_constraint_residual_per_iterate(monkeypatc
     assert len(calls) == len(trace)
     for point, recorded in zip(recorded_points(problem, trace), trace.primal_residual):
         assert recorded == float(np.linalg.norm(original(problem, point.x)))
+
+
+@pytest.mark.parametrize("case", ["affine-rows", "affine-power", "gs-lcqp", "ra-6"])
+def test_each_kept_chunk_shares_one_elapsed_stamp(monkeypatch, case):
+    # Row 0 and then each chunk of RECORD_CHUNK rows (the last one cut short)
+    # are recorded at once, under one perf_counter() reading; the readings
+    # never decrease.  "affine-rows" stays below the power switch and
+    # "affine-power" runs past it.
+    p = solvers.RECORD_CHUNK
+    builds = []
+    chunk_map = solvers._chunk_map
+    monkeypatch.setattr(solvers, "_chunk_map", lambda M, b: builds.append(M) or chunk_map(M, b))
+    if case.startswith("affine"):
+        inst = generate_lcqp(3, 6, 4, seed=13)
+        max_iters = 3 * p + 5 if case == "affine-rows" else p + solvers.POWER_MIN_STEPS + 5
+        params = SolverParams(rho=1.0, gamma=1.0, policy=StandardProximal(10.0),
+                              max_iters=max_iters)
+        problem, u0, ref, method = (inst.problem, PrimalDualPoint.zeros(inst.problem),
+                                    inst.optimum(), "jprox")
+    else:
+        problem, params, u0, ref, method = _sweep_run(case, 1.0, 3 * p + 5)
+    trace = run(problem, params, u0, reference=ref, method=method)
+    assert trace.engine == ("affine" if case.startswith("affine") else "sweep")
+    assert len(builds) == (case == "affine-power")
+    assert trace.status == "max_iters" and len(trace.elapsed) == len(trace)
+    assert len(trace) == params.max_iters + 1
+    chunks = [trace.elapsed[:1]] + [trace.elapsed[k:k + p] for k in range(1, len(trace), p)]
+    assert len(chunks[-1]) == 5
+    for j, chunk in enumerate(chunks):
+        assert len(set(chunk.tolist())) == 1, j
+    assert np.all(np.diff(trace.elapsed) >= 0.0)
 
 
 def _formula_sweep_step(prepared, x, lam):

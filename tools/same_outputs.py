@@ -15,8 +15,10 @@ standard, prox-linear and no proximal policy; solve each with the four
 methods; sweep each family over seeds 0 and 1, once pinned to one CPU (before
 numpy loads, so its BLAS starts one thread) and once to two; and report on
 each sweep.  A few ``--policy explicit`` commands check that that request
-keeps its exit code.  ``--quick`` runs a short list of the same kinds on
-one LCQP instance.
+keeps its exit code, and a few at ``rho``, ``gamma`` or ``tau`` of
+``1e-300`` or ``1e300`` (:data:`EXTREMES`) check the exit code and the
+one-line message of arithmetic that underflows or overflows.  ``--quick``
+runs a short list of the same kinds on one LCQP instance.
 
 Compared: each command's exit code, stdout and stderr, and every file the
 commands leave.  Only what is expected to differ is normalized: the
@@ -55,6 +57,15 @@ RHO_GRID = ("0.03", "1", "5", "10")
 GAMMA_GRID = ("0.1", "0.5", "1.5", "1.9")
 POLICIES = ("standard", "proxlinear", "none")
 METHODS = ("jprox", "jacobi-plain", "gauss-seidel", "dual-decomp")
+
+#: Commands at parameters whose arithmetic underflows or overflows, on the LCQP
+#: ``(3,20,8)`` seed-0 instance: ``(output name, argv without --input/--output)``.
+EXTREMES = (
+    ("cert_rho1e-300_gamma1e-300.json", ("certify", "--rho", "1e-300", "--gamma", "1e-300")),
+    ("sweep_rho1e-300_gamma1e-300", ("sweep", "--rho-grid", "1e-300", "--gamma-grid", "1e-300")),
+    ("cert_rho1e300.json", ("certify", "--rho", "1e300")),
+    ("cert_tau1e300.json", ("certify", "--tau", "1e300")),
+)
 
 #: Manifest cell fields that hold times or the digests of traces that hold times.
 MANIFEST_TIMES = ("timings", "wall_s", "trace_sha256")
@@ -103,6 +114,9 @@ def commands(quick: bool, cpus: list) -> list:
     if not quick:
         out.append(("solve explicit", ["solve", "--input", files[0][1], "--policy", "explicit",
                                        "--output", "solve_explicit.csv"], None))
+        for tag, argv in EXTREMES:
+            out.append((f"{argv[0]} {tag}", [argv[0], "--input", "lcqp_3_20_8_s0.npz", *argv[1:],
+                                             "--output", tag], None))
     pins = [("1cpu", cpus[:1])] + ([("2cpu", cpus[:2])] if len(cpus) >= 2 else [])
     for name in instances:
         for tag, pin in pins:
